@@ -25,7 +25,7 @@ from .filters import FilterConfig, run_filters, slice_detections
 from .geometry import AxisConvention
 from .losses import LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 from .metrics import evaluate
-from .sampling import SamplerConfig, build_clip_samples
+from .sampling import SamplerConfig, build_clip_samples, collect_samples
 from .segmentation import load_clips, save_clips, segment
 from .synth import SynthSpec, generate, generate_detections, generate_landmarks
 
@@ -168,27 +168,14 @@ def cmd_samples(args) -> int:
     config = _merged_config(SamplerConfig, args.config, overrides)
     convention = _convention(args)
 
-    by_clip: dict[str, list] = {}
-    for lm in landmarks:
-        by_clip.setdefault(lm.clip_id, []).append(lm)
-    clip_ids = {c.clip_id for c in clips}
-    skipped = {
-        "infeasible": 0,
-        "out_of_bounds": 0,
-        "gimbal_degenerate": 0,
-        "goal_out_of_bounds": 0,
-        "unknown_clip": sum(1 for lm in landmarks if lm.clip_id not in clip_ids),
-        "rejected_clip": sum(
-            len(lms) for cid, lms in by_clip.items() if cid in clip_ids and cid not in accepted_ids
+    samples, skipped = collect_samples(
+        clips,
+        landmarks,
+        accepted_ids,
+        lambda pairs: _map_tasks(
+            _samples_task, [(clip, lms, config, convention) for clip, lms in pairs], args.workers
         ),
-    }
-    used = [c for c in clips if c.clip_id in accepted_ids]
-    tasks = [(clip, by_clip.get(clip.clip_id, []), config, convention) for clip in used]
-    samples = []
-    for clip_samples, clip_skips in _map_tasks(_samples_task, tasks, args.workers):
-        samples.extend(clip_samples)
-        for key, count in clip_skips.items():
-            skipped[key] += count
+    )
     tio.write_samples(samples, args.out)
     manifest = {
         "tool": _tool_info(),
@@ -198,7 +185,7 @@ def cmd_samples(args) -> int:
         "outputs": {"samples": str(args.out)},
         "counts": {
             "clips_in": len(clips),
-            "clips_used": len(used),
+            "clips_used": sum(1 for c in clips if c.clip_id in accepted_ids),
             "landmarks_in": len(landmarks),
             "samples": len(samples),
             "skipped_landmark_draws": skipped,

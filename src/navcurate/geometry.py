@@ -15,7 +15,9 @@ Conventions used throughout the package:
 
 Scalar operations work on single :class:`Pose` values; the ``*_many``
 kernels operate on (n, 4) quaternion / (n, 3) position arrays and are the
-throughput path used by segmentation and filtering.
+throughput path used by segmentation, filtering and sampling. The scalar
+:func:`to_ego_waypoint` is kept as the reference that
+:func:`ego_waypoints_many` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "yaw_of",
     "relative_pose",
     "to_ego_waypoint",
+    "ego_waypoints_many",
     "pitch_many",
     "yaw_many",
     "quat_normalize",
@@ -285,8 +288,11 @@ def yaw_of(pose: Pose, convention: AxisConvention = DEFAULT_CONVENTION) -> float
     """
     forward = quat_rotate(pose.orientation, convention.forward_vec)
     e1, e2 = convention.ground_axes
-    h1 = float(forward @ e1)
-    h2 = float(forward @ e2)
+    return _heading_deg(float(forward @ e1), float(forward @ e2))
+
+
+def _heading_deg(h1: float, h2: float) -> float:
+    """Yaw in degrees of a forward vector with ground-plane components (h1, h2)."""
     if math.hypot(h1, h2) < GIMBAL_EPS:
         raise GimbalDegenerate("camera forward vector is vertical; yaw undefined")
     return normalize_angle_deg(math.degrees(math.atan2(h2, h1)))
@@ -374,6 +380,13 @@ def yaw_many(quats: np.ndarray, convention: AxisConvention = DEFAULT_CONVENTION)
 
     Rows whose forward vector is (near) vertical come back as NaN instead
     of raising, so callers can skip them.
+
+    Not bit-identical to :func:`yaw_of`: ``np.arctan2`` runs numpy's own
+    vectorised arctangent, which differs from the C library's ``atan2``
+    behind ``math.atan2`` in the last ulp for a fraction of inputs. That
+    is harmless for thresholding (the filters), but it changes the
+    shortest repr of derived waypoints, so :func:`ego_waypoints_many`
+    takes its yaw through the scalar path instead.
     """
     forward = quat_rotate_many(quats, convention.forward_vec)
     e1, e2 = convention.ground_axes
@@ -382,3 +395,48 @@ def yaw_many(quats: np.ndarray, convention: AxisConvention = DEFAULT_CONVENTION)
     yaw = normalize_angle_deg(np.degrees(np.arctan2(h2, h1)))
     yaw = np.where(np.hypot(h1, h2) < GIMBAL_EPS, np.nan, yaw)
     return yaw
+
+
+def ego_waypoints_many(
+    quats: np.ndarray,
+    origins: np.ndarray,
+    targets: np.ndarray,
+    convention: AxisConvention = DEFAULT_CONVENTION,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of :func:`to_ego_waypoint` over n reference poses.
+
+    Args:
+        quats: (n, 4) reference orientations.
+        origins: (n, 3) reference positions.
+        targets: (n, k, 3) world positions; row i is projected into the
+            ground-plane frame of reference pose i.
+        convention: axis convention naming forward and up.
+
+    Returns:
+        (waypoints, defined): waypoints is (n, k, 2) holding (x forward,
+        y left); defined is (n,) and False where the reference yaw is
+        undefined, whose rows are zero. Every defined value equals
+        ``to_ego_waypoint`` bit for bit: the arithmetic is the same, and
+        the yaw goes through the scalar ``math.atan2`` once per pose (see
+        :func:`yaw_many` for why not ``np.arctan2``).
+    """
+    forward = quat_rotate_many(quats, convention.forward_vec)
+    e1, e2 = convention.ground_axes
+    n = forward.shape[0]
+    cos = np.zeros(n)
+    sin = np.zeros(n)
+    defined = np.ones(n, dtype=bool)
+    for i, (h1, h2) in enumerate(zip((forward @ e1).tolist(), (forward @ e2).tolist())):
+        try:
+            yaw = math.radians(_heading_deg(h1, h2))
+        except GimbalDegenerate:
+            defined[i] = False
+            continue
+        cos[i] = math.cos(yaw)
+        sin[i] = math.sin(yaw)
+    delta = np.asarray(targets, dtype=float) - np.asarray(origins, dtype=float)[:, None, :]
+    dx = delta @ e1
+    dy = delta @ e2
+    c = cos[:, None]
+    s = sin[:, None]
+    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1), defined

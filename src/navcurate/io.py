@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,23 +126,6 @@ class RawTrajectory:
 
     def pose(self, i: int) -> Pose:
         return Pose(float(self.timestamps[i]), self.positions[i].copy(), self.quaternions[i].copy())
-
-    def iter_poses(self):
-        for i in range(len(self)):
-            yield self.pose(i)
-
-    @classmethod
-    def from_poses(cls, traj_id: str, fps: float, poses) -> "RawTrajectory":
-        poses = list(poses)
-        if not poses:
-            raise ValidationError("trajectory must contain at least one pose")
-        return cls(
-            traj_id,
-            fps,
-            np.array([p.timestamp for p in poses]),
-            np.stack([p.position for p in poses]),
-            np.stack([p.orientation for p in poses]),
-        )
 
 
 @dataclass(frozen=True)
@@ -242,21 +226,35 @@ class PredictionRecord:
     arrival_label: bool | None = None
 
     def __post_init__(self):
-        if not self.sample_id:
-            raise ValidationError("sample_id must be non-empty")
-        predicted = tuple(self.predicted)
-        ground_truth = tuple(self.ground_truth)
+        if not isinstance(self.sample_id, str) or not self.sample_id:
+            raise ValidationError(f"sample_id must be a non-empty string, got {self.sample_id!r}")
+        predicted = _as_waypoints(self.predicted)
+        ground_truth = _as_waypoints(self.ground_truth)
         if len(predicted) == 0 or len(predicted) != len(ground_truth):
             raise ValidationError(
                 f"predicted and ground_truth must have equal length >= 1, got {len(predicted)} vs {len(ground_truth)}"
             )
         if self.predicted_arrival is not None:
-            pa = float(self.predicted_arrival)
-            if not (0.0 <= pa <= 1.0):
-                raise ValidationError(f"predicted_arrival must be in [0, 1], got {self.predicted_arrival!r}")
-            object.__setattr__(self, "predicted_arrival", pa)
+            if not _is_number(self.predicted_arrival) or not (0.0 <= float(self.predicted_arrival) <= 1.0):
+                raise ValidationError(f"predicted_arrival must be a number in [0, 1], got {self.predicted_arrival!r}")
+            object.__setattr__(self, "predicted_arrival", float(self.predicted_arrival))
+        if self.arrival_label is not None and not isinstance(self.arrival_label, bool):
+            raise ValidationError(f"arrival_label must be a bool or null, got {self.arrival_label!r}")
         object.__setattr__(self, "predicted", predicted)
         object.__setattr__(self, "ground_truth", ground_truth)
+
+
+def _as_waypoints(seq) -> tuple[EgoWaypoint, ...]:
+    """EgoWaypoints as given; (x, y) pairs become EgoWaypoint(x, y)."""
+    return tuple(w if isinstance(w, EgoWaypoint) else EgoWaypoint(*w) for w in seq)
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON true/false parse as Python bools).
+
+    float and int are tested before the slow numbers.Real ABC check.
+    """
+    return not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real))
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +470,46 @@ def write_samples(samples, path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+_JSON_NUMBERS = (float, int)
+
+
+def _waypoint_pairs(obj: dict, key: str, path, lineno: int) -> tuple[EgoWaypoint, ...]:
+    """A record's waypoint list: every entry exactly two finite numbers [x, y].
+
+    json.loads gives a number as exactly int or float (true/false are
+    bool), so exact type tests suffice here.
+    """
+    value = _record_field(obj, key, path, lineno)
+    if type(value) is not list:
+        raise ParseError(f"{key} must be a list of [x, y] number pairs", path=str(path), line=lineno)
+    points = []
+    for w in value:
+        if type(w) is not list or len(w) != 2 or type(w[0]) not in _JSON_NUMBERS or type(w[1]) not in _JSON_NUMBERS:
+            raise ParseError(f"{key} must be a list of [x, y] number pairs", path=str(path), line=lineno)
+        points.append(EgoWaypoint(w[0], w[1]))
+    return tuple(points)
+
+
 def parse_predictions(path) -> list[PredictionRecord]:
+    """Parse prediction records in file order.
+
+    Waypoints must be [x, y] pairs of finite numbers, predicted_arrival a
+    number in [0, 1] or null, arrival_label a bool or null and sample_id
+    a non-empty string; anything else is a ParseError, never coerced.
+    """
     records = []
     for lineno, obj in _iter_json_lines(path):
         try:
             records.append(
                 PredictionRecord(
                     _record_field(obj, "sample_id", path, lineno),
-                    tuple(EgoWaypoint(w[0], w[1]) for w in _record_field(obj, "predicted", path, lineno)),
-                    tuple(EgoWaypoint(w[0], w[1]) for w in _record_field(obj, "ground_truth", path, lineno)),
+                    _waypoint_pairs(obj, "predicted", path, lineno),
+                    _waypoint_pairs(obj, "ground_truth", path, lineno),
                     obj.get("predicted_arrival"),
                     obj.get("arrival_label"),
                 )
             )
-        except (ValidationError, TypeError, IndexError) as exc:
+        except (ValidationError, OverflowError) as exc:
             raise ParseError(str(exc), path=str(path), line=lineno)
     return records
 

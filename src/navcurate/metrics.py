@@ -6,6 +6,14 @@ one). Steps shorter than 1e-9 m have no direction and are excluded. MADE
 is the discrete Frechet distance between the two waypoint polylines with
 the origin prepended to both, so the metric covers the full path from
 the agent.
+
+Batch path: :func:`evaluate` stacks the records of each horizon k into
+(N, k, 2) arrays and computes every metric over N at once, with the
+Frechet recurrence (Eiter & Mannila 1994) run cell by cell over N.
+Scalar reference: :func:`step_directions`, :func:`orientation_errors`,
+:func:`aoe`, :func:`maoe`, :func:`ade`, :func:`discrete_frechet` and
+:func:`sample_metrics` score one record; tests require ``evaluate`` to
+equal, bit for bit, the mean of ``sample_metrics`` over the records.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ __all__ = [
 ZERO_STEP = 1e-9
 
 ARRIVAL_THRESHOLD = 0.5
+
+# Rows per batch are capped so that one batch holds about this many
+# Frechet cells ((k + 1)^2 per record), which bounds the temporaries.
+BATCH_CELLS = 1 << 18
 
 
 def _as_xy(waypoints) -> np.ndarray:
@@ -191,6 +203,58 @@ def sample_metrics(record: PredictionRecord) -> SampleMetrics:
     )
 
 
+def _horizon_metrics(pred: np.ndarray, gt: np.ndarray):
+    """Per-record (ADE, MADE, AOE, MAOE, oriented) for (N, k, 2) arrays.
+
+    Each value equals its scalar counterpart on the same record: the
+    elementwise arithmetic and the per-row reductions are the ones the
+    scalar functions run, and min/max are exact. AOE/MAOE are vectorised
+    only over rows where every step is defined on both sides; a row with
+    some zero-length step goes through :func:`orientation_errors`, whose
+    mean over the defined steps only would sum in another order if
+    masked. oriented is False where no step is defined on both sides.
+    """
+    n, k, _ = pred.shape
+    ade_m = np.linalg.norm(pred - gt, axis=2).mean(axis=1)
+
+    origin = np.zeros((n, 1, 2))
+    p = np.concatenate([origin, pred], axis=1)
+    g = np.concatenate([origin, gt], axis=1)
+    dist = np.linalg.norm(p[:, :, None, :] - g[:, None, :, :], axis=3)
+    acc = np.empty_like(dist)
+    acc[:, 0, 0] = dist[:, 0, 0]
+    for i in range(1, k + 1):
+        acc[:, i, 0] = np.maximum(acc[:, i - 1, 0], dist[:, i, 0])
+        acc[:, 0, i] = np.maximum(acc[:, 0, i - 1], dist[:, 0, i])
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            best = np.minimum(np.minimum(acc[:, i - 1, j], acc[:, i, j - 1]), acc[:, i - 1, j - 1])
+            acc[:, i, j] = np.maximum(dist[:, i, j], best)
+    made_m = acc[:, k, k]
+
+    disp_p = np.diff(pred, axis=1, prepend=0.0)
+    disp_g = np.diff(gt, axis=1, prepend=0.0)
+    norm_p = np.linalg.norm(disp_p, axis=2)
+    norm_g = np.linalg.norm(disp_g, axis=2)
+    both = (norm_p >= ZERO_STEP) & (norm_g >= ZERO_STEP)
+    full = both.all(axis=1)
+    aoe_deg = np.zeros(n)
+    maoe_deg = np.zeros(n)
+    a = disp_p[full] / norm_p[full][:, :, None]
+    b = disp_g[full] / norm_g[full][:, :, None]
+    cross = a[:, :, 0] * b[:, :, 1] - a[:, :, 1] * b[:, :, 0]
+    dot = np.sum(a * b, axis=2)
+    errors = np.degrees(np.arctan2(np.abs(cross), dot))
+    aoe_deg[full] = errors.mean(axis=1)
+    maoe_deg[full] = errors.max(axis=1)
+    oriented = both.any(axis=1)
+    for row in np.flatnonzero(oriented & ~full):
+        errors = orientation_errors(pred[row], gt[row])
+        aoe_deg[row] = np.mean(errors)
+        maoe_deg[row] = np.max(errors)
+    return ade_m, made_m, aoe_deg, maoe_deg, oriented
+
+
 def evaluate(records: list[PredictionRecord]) -> MetricReport:
     """Aggregate per-sample metrics into dataset means, in input order.
 
@@ -199,24 +263,47 @@ def evaluate(records: list[PredictionRecord]) -> MetricReport:
     accuracy covers records carrying both a predicted arrival probability
     (thresholded at 0.5) and a label; it is None when no record does.
 
+    Batch path: equals the same means taken over :func:`sample_metrics`.
+
     Raises:
         EmptyInput: records is empty.
     """
     if not records:
         raise EmptyInput("no prediction records to evaluate")
-    per_sample = [sample_metrics(r) for r in records]
-    ade_values = [m.ade_m for m in per_sample]
-    made_values = [m.made_m for m in per_sample]
-    aoe_values = [m.aoe_deg for m in per_sample if m.aoe_deg is not None]
-    maoe_values = [m.maoe_deg for m in per_sample if m.maoe_deg is not None]
-    arrival_calls = [m.arrival_correct for m in per_sample if m.arrival_correct is not None]
+    n = len(records)
+    ade_m = np.empty(n)
+    made_m = np.empty(n)
+    aoe_deg = np.empty(n)
+    maoe_deg = np.empty(n)
+    oriented = np.empty(n, dtype=bool)
+    by_horizon: dict[int, list[int]] = {}
+    for index, r in enumerate(records):
+        by_horizon.setdefault(len(r.predicted), []).append(index)
+    for k, indices in by_horizon.items():
+        rows = max(1, BATCH_CELLS // (k + 1) ** 2)
+        for start in range(0, len(indices), rows):
+            batch = indices[start : start + rows]
+            pred = np.array([[(w.x, w.y) for w in records[i].predicted] for i in batch], dtype=float)
+            gt = np.array([[(w.x, w.y) for w in records[i].ground_truth] for i in batch], dtype=float)
+            (ade_m[batch], made_m[batch], aoe_deg[batch], maoe_deg[batch], oriented[batch]) = _horizon_metrics(
+                pred, gt
+            )
+    arrival_calls = np.array(
+        [
+            (r.predicted_arrival >= ARRIVAL_THRESHOLD) == r.arrival_label
+            for r in records
+            if r.predicted_arrival is not None and r.arrival_label is not None
+        ],
+        dtype=bool,
+    )
+    n_oriented = int(np.count_nonzero(oriented))
     return MetricReport(
-        n_samples=len(records),
-        aoe_deg=float(np.mean(aoe_values)) if aoe_values else None,
-        maoe_deg=float(np.mean(maoe_values)) if maoe_values else None,
-        ade_m=float(np.mean(ade_values)),
-        made_m=float(np.mean(made_values)),
-        arrival_accuracy=float(np.mean(arrival_calls)) if arrival_calls else None,
-        n_orientation_excluded=len(records) - len(aoe_values),
-        n_arrival_scored=len(arrival_calls),
+        n_samples=n,
+        aoe_deg=float(np.mean(aoe_deg[oriented])) if n_oriented else None,
+        maoe_deg=float(np.mean(maoe_deg[oriented])) if n_oriented else None,
+        ade_m=float(np.mean(ade_m)),
+        made_m=float(np.mean(made_m)),
+        arrival_accuracy=float(np.mean(arrival_calls)) if arrival_calls.size else None,
+        n_orientation_excluded=n - n_oriented,
+        n_arrival_scored=int(arrival_calls.size),
     )

@@ -11,22 +11,44 @@ Randomness is reproducible regardless of scheduling: every draw gets its
 own numpy Generator keyed by (seed, sha256(clip_id), landmark ordinal,
 draw ordinal), so fanning the corpus build out per clip cannot change a
 single sample.
+
+Batch path: :func:`build_clip_samples` draws every start of a clip first,
+then extracts all their waypoints with one
+:func:`~navcurate.geometry.ego_waypoints_many` call, and
+:func:`collect_samples` does the corpus-level grouping and skip
+accounting for both :func:`build_corpus` and the ``samples`` command.
+Scalar reference: :func:`build_sample` builds one sample through
+:func:`~navcurate.geometry.to_ego_waypoint`; tests require the batch path
+to reproduce it exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from .errors import GimbalDegenerate, Infeasible, OutOfBounds, ValidationError
+from .errors import Infeasible, OutOfBounds, ValidationError
 from .filters import FilterVerdict
-from .geometry import AxisConvention, DEFAULT_CONVENTION, to_ego_waypoint
+from .geometry import AxisConvention, DEFAULT_CONVENTION, EgoWaypoint, ego_waypoints_many, to_ego_waypoint
 from .io import LandmarkAnnotation, TrainingSample
 from .segmentation import Clip
 
-__all__ = ["SamplerConfig", "TrainingSample", "draw_start", "build_sample", "build_corpus"]
+__all__ = [
+    "SamplerConfig",
+    "TrainingSample",
+    "draw_start",
+    "build_sample",
+    "build_clip_samples",
+    "collect_samples",
+    "build_corpus",
+]
+
+# Skip reasons counted inside one clip: goal_out_of_bounds once per
+# landmark, the others once per draw.
+CLIP_SKIP_REASONS = ("infeasible", "out_of_bounds", "gimbal_degenerate", "goal_out_of_bounds")
 
 
 @dataclass(frozen=True)
@@ -73,11 +95,17 @@ class SamplerConfig:
         return cls(**data)
 
 
+def _clip_key(clip_id: str) -> int:
+    return int.from_bytes(hashlib.sha256(clip_id.encode("utf-8")).digest()[:8], "big")
+
+
+def _keyed_rng(seed: int, clip_key: int, landmark_ordinal: int, draw_ordinal: int) -> np.random.Generator:
+    return np.random.default_rng([seed, clip_key, landmark_ordinal, draw_ordinal])
+
+
 def draw_rng(seed: int, clip_id: str, landmark_ordinal: int, draw_ordinal: int) -> np.random.Generator:
     """Deterministic per-draw generator, independent of build scheduling."""
-    digest = hashlib.sha256(clip_id.encode("utf-8")).digest()
-    clip_key = int.from_bytes(digest[:8], "big")
-    return np.random.default_rng([seed, clip_key, landmark_ordinal, draw_ordinal])
+    return _keyed_rng(seed, _clip_key(clip_id), landmark_ordinal, draw_ordinal)
 
 
 def draw_start(t_g: int, config: SamplerConfig, rng: np.random.Generator) -> int:
@@ -100,6 +128,30 @@ def draw_start(t_g: int, config: SamplerConfig, rng: np.random.Generator) -> int
     return int(rng.integers(lo, hi + 1))
 
 
+def _training_sample(
+    clip: Clip,
+    landmark: LandmarkAnnotation,
+    t: int,
+    waypoints: tuple[EgoWaypoint, ...],
+    config: SamplerConfig,
+    sample_id: str,
+) -> TrainingSample:
+    """The sample for start frame t; history frames run back from t in stride steps, clamped at 0."""
+    stride = config.waypoint_stride
+    history = tuple(max(0, t - (config.history_len - 1 - j) * stride) for j in range(config.history_len))
+    t_g = landmark.goal_frame
+    return TrainingSample(
+        sample_id=sample_id,
+        clip_id=clip.clip_id,
+        instruction=landmark.instruction,
+        t=t,
+        t_g=t_g,
+        history_frames=history,
+        waypoints=waypoints,
+        arrival=(t_g - t) <= config.arrival_window,
+    )
+
+
 def build_sample(
     clip: Clip,
     landmark: LandmarkAnnotation,
@@ -108,7 +160,7 @@ def build_sample(
     convention: AxisConvention = DEFAULT_CONVENTION,
     sample_id: str | None = None,
 ) -> TrainingSample:
-    """Assemble the supervision tuple for start frame t.
+    """Assemble the supervision tuple for start frame t (scalar reference).
 
     waypoint i is pose(t + (i+1)*stride)'s position expressed in the
     ground-plane frame of pose(t); history frames run back from t in
@@ -128,17 +180,8 @@ def build_sample(
     waypoints = tuple(
         to_ego_waypoint(reference, clip.positions[t + (i + 1) * stride], convention) for i in range(k)
     )
-    history = tuple(max(0, t - (config.history_len - 1 - j) * stride) for j in range(config.history_len))
-    t_g = landmark.goal_frame
-    return TrainingSample(
-        sample_id=sample_id or f"{clip.clip_id}:g{t_g}:t{t}",
-        clip_id=clip.clip_id,
-        instruction=landmark.instruction,
-        t=t,
-        t_g=t_g,
-        history_frames=history,
-        waypoints=waypoints,
-        arrival=(t_g - t) <= config.arrival_window,
+    return _training_sample(
+        clip, landmark, t, waypoints, config, sample_id or f"{clip.clip_id}:g{landmark.goal_frame}:t{t}"
     )
 
 
@@ -148,27 +191,93 @@ def build_clip_samples(
     config: SamplerConfig,
     convention: AxisConvention = DEFAULT_CONVENTION,
 ) -> tuple[list[TrainingSample], dict[str, int]]:
-    """Samples for one accepted clip; landmark ordinals follow file order."""
-    samples: list[TrainingSample] = []
-    skipped = {"infeasible": 0, "out_of_bounds": 0, "gimbal_degenerate": 0, "goal_out_of_bounds": 0}
+    """Samples for one accepted clip; landmark ordinals follow file order.
+
+    Batch path. Draw (landmark ordinal, draw ordinal) gets the start
+    frame of ``draw_start`` under ``draw_rng`` and the sample
+    ``build_sample`` would build for it, with sample id
+    ``<clip_id>:<landmark:04d>:<draw:02d>``. A draw is skipped as
+    ``infeasible``, ``out_of_bounds`` or ``gimbal_degenerate`` (checked in
+    that order), a landmark whose goal lies past the clip end as
+    ``goal_out_of_bounds``.
+    """
+    skipped = dict.fromkeys(CLIP_SKIP_REASONS, 0)
+    k = config.horizon
+    stride = config.waypoint_stride
+    clip_key = _clip_key(clip.clip_id)
+    draws = []  # (landmark ordinal, draw ordinal, start frame) of every in-bounds start
     for lm_idx, landmark in enumerate(landmarks):
         if landmark.goal_frame >= len(clip):
             skipped["goal_out_of_bounds"] += 1
             continue
         for draw in range(config.draws_per_landmark):
-            rng = draw_rng(config.seed, clip.clip_id, lm_idx, draw)
+            rng = _keyed_rng(config.seed, clip_key, lm_idx, draw)
             try:
                 t = draw_start(landmark.goal_frame, config, rng)
             except Infeasible:
                 skipped["infeasible"] += 1
                 continue
-            sample_id = f"{clip.clip_id}:{lm_idx:04d}:{draw:02d}"
-            try:
-                samples.append(build_sample(clip, landmark, t, config, convention, sample_id=sample_id))
-            except OutOfBounds:
+            if t + k * stride >= len(clip):
                 skipped["out_of_bounds"] += 1
-            except GimbalDegenerate:
-                skipped["gimbal_degenerate"] += 1
+                continue
+            draws.append((lm_idx, draw, t))
+    if not draws:
+        return [], skipped
+    starts = np.array([t for _, _, t in draws])
+    targets = clip.positions[starts[:, None] + stride * np.arange(1, k + 1)]
+    waypoints, defined = ego_waypoints_many(
+        clip.quaternions[starts], clip.positions[starts], targets, convention
+    )
+    skipped["gimbal_degenerate"] = len(draws) - int(np.count_nonzero(defined))
+    samples = [
+        _training_sample(
+            clip,
+            landmarks[lm_idx],
+            t,
+            tuple(EgoWaypoint(x, y) for x, y in rows),
+            config,
+            f"{clip.clip_id}:{lm_idx:04d}:{draw:02d}",
+        )
+        for (lm_idx, draw, t), rows, ok in zip(draws, waypoints.tolist(), defined.tolist())
+        if ok
+    ]
+    return samples, skipped
+
+
+def collect_samples(
+    clips: list[Clip],
+    landmarks: list[LandmarkAnnotation],
+    accepted_ids: set[str],
+    build: Callable[[list[tuple[Clip, list[LandmarkAnnotation]]]], list],
+) -> tuple[list[TrainingSample], dict[str, int]]:
+    """Samples over the accepted clips, plus the skip counts of the whole corpus.
+
+    Landmarks are grouped by clip id in file order. A landmark whose clip
+    is not among ``clips`` counts as ``unknown_clip``; one whose clip is
+    not in ``accepted_ids`` counts as ``rejected_clip``. ``build`` maps the
+    (clip, landmarks) pairs of the accepted clips, sorted by clip id, to
+    one ``build_clip_samples`` result per pair, in order; its samples are
+    concatenated and its skip counts added in.
+    """
+    by_clip: dict[str, list[LandmarkAnnotation]] = {}
+    for lm in landmarks:
+        by_clip.setdefault(lm.clip_id, []).append(lm)
+    clip_ids = {c.clip_id for c in clips}
+    skipped = dict.fromkeys(CLIP_SKIP_REASONS, 0)
+    skipped["unknown_clip"] = sum(1 for lm in landmarks if lm.clip_id not in clip_ids)
+    skipped["rejected_clip"] = sum(
+        len(lms) for cid, lms in by_clip.items() if cid in clip_ids and cid not in accepted_ids
+    )
+    pairs = [
+        (clip, by_clip.get(clip.clip_id, []))
+        for clip in sorted(clips, key=lambda c: c.clip_id)
+        if clip.clip_id in accepted_ids
+    ]
+    samples: list[TrainingSample] = []
+    for clip_samples, clip_skips in build(pairs):
+        samples.extend(clip_samples)
+        for key, count in clip_skips.items():
+            skipped[key] += count
     return samples, skipped
 
 
@@ -189,26 +298,10 @@ def build_corpus(
     missing = [c.clip_id for c in clips if c.clip_id not in verdict_map]
     if missing:
         raise ValidationError(f"no filter verdict for clips: {missing[:5]}")
-    by_clip: dict[str, list[LandmarkAnnotation]] = {}
-    for lm in landmarks:
-        by_clip.setdefault(lm.clip_id, []).append(lm)
-    clip_ids = {c.clip_id for c in clips}
-    skipped = {
-        "infeasible": 0,
-        "out_of_bounds": 0,
-        "gimbal_degenerate": 0,
-        "goal_out_of_bounds": 0,
-        "unknown_clip": sum(1 for lm in landmarks if lm.clip_id not in clip_ids),
-        "rejected_clip": 0,
-    }
-    samples: list[TrainingSample] = []
-    for clip in sorted(clips, key=lambda c: c.clip_id):
-        clip_landmarks = by_clip.get(clip.clip_id, [])
-        if not verdict_map[clip.clip_id].accepted:
-            skipped["rejected_clip"] += len(clip_landmarks)
-            continue
-        clip_samples, clip_skips = build_clip_samples(clip, clip_landmarks, config, convention)
-        samples.extend(clip_samples)
-        for key, count in clip_skips.items():
-            skipped[key] += count
-    return samples, skipped
+    accepted_ids = {cid for cid, v in verdict_map.items() if v.accepted}
+    return collect_samples(
+        clips,
+        landmarks,
+        accepted_ids,
+        lambda pairs: [build_clip_samples(clip, lms, config, convention) for clip, lms in pairs],
+    )

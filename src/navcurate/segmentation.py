@@ -63,10 +63,6 @@ class Clip:
     def pose(self, i: int) -> Pose:
         return Pose(float(self.timestamps[i]), self.positions[i].copy(), self.quaternions[i].copy())
 
-    def iter_poses(self):
-        for i in range(len(self)):
-            yield self.pose(i)
-
 
 def clip_frame_count(clip_seconds: float, fps: float) -> int:
     return int(round(clip_seconds * fps))

@@ -357,6 +357,40 @@ class TestEvalCommand:
         rc = main(["eval", "--pred", str(pred_path), "--out", str(tmp_path / "m.json")])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("predicted_arrival", "abc"),
+            ("predicted_arrival", True),
+            ("arrival_label", "no"),
+            ("arrival_label", 1),
+            ("predicted", [["x", 0]]),
+            ("predicted", [[1, 0, 5]]),
+            ("ground_truth", [[1, 0, 5]]),
+            ("ground_truth", [[True, 0]]),
+            ("predicted", [[10**400, 0]]),
+            ("sample_id", 7),
+        ],
+    )
+    def test_malformed_record_exits_2(self, tmp_path, capsys, field, value):
+        record = {
+            "sample_id": "s0",
+            "predicted": [[1.0, 0.0]],
+            "ground_truth": [[1.0, 0.0]],
+            "predicted_arrival": 0.5,
+            "arrival_label": True,
+        }
+        record[field] = value
+        pred_path = tmp_path / "pred.jsonl"
+        pred_path.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "m.json"
+        assert main(["eval", "--pred", str(pred_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "parse"
+        assert json.loads(err[0])["line"] == 1
+        assert not out.exists()
+
 
 class TestLossCommand:
     def test_prints_components(self, tmp_path, capsys):

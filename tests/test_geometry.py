@@ -10,6 +10,7 @@ from navcurate.geometry import (
     AxisConvention,
     EgoWaypoint,
     Pose,
+    ego_waypoints_many,
     normalize_angle_deg,
     pitch_many,
     pitch_of,
@@ -233,6 +234,29 @@ class TestVectorKernels:
                 assert np.isnan(batch[i])
                 continue
             assert batch[i] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("up", ["+z", "-y", "+x"])
+    def test_ego_waypoints_many_is_bit_identical_to_scalar(self, rng, up):
+        # Enough headings that np.arctan2 in place of math.atan2 would
+        # change some last bit (it does for ~1.5% of poses).
+        convention = AxisConvention(camera_forward="+z", world_up=up)
+        n, k = 2000, 3
+        quats = np.stack([random_unit_quat(rng) for _ in range(n)])
+        quats[0] = quat_between(convention.forward_vec, convention.up_vec)  # degenerate row
+        origins = rng.uniform(-50.0, 50.0, size=(n, 3))
+        targets = origins[:, None, :] + rng.uniform(-5.0, 5.0, size=(n, k, 3))
+        targets[1] = origins[1]  # zero-length offsets: the sign of zero must match too
+        waypoints, defined = ego_waypoints_many(quats, origins, targets, convention)
+        for i in range(n):
+            reference = Pose(0.0, origins[i], quats[i])
+            try:
+                want = [to_ego_waypoint(reference, target, convention) for target in targets[i]]
+            except GimbalDegenerate:
+                assert not defined[i]
+                continue
+            assert defined[i]
+            assert repr([[w.x, w.y] for w in want]) == repr(waypoints[i].tolist())
+        assert not defined[0]
 
     def test_quat_rotate_matches_matrix(self, rng):
         for _ in range(50):

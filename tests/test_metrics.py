@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navcurate.errors import AllUndefined, EmptyInput, LengthMismatch
 from navcurate.geometry import EgoWaypoint
 from navcurate.io import PredictionRecord
 from navcurate.metrics import (
+    MetricReport,
     ade,
     aoe,
     discrete_frechet,
@@ -253,8 +256,77 @@ class TestEvaluate:
         ]
         assert evaluate(records) == evaluate(records)
 
+    def test_plain_pair_waypoints(self):
+        pairs = PredictionRecord("p", ((1.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (2.0, 0.0)), 0.2, False)
+        assert evaluate([pairs]) == evaluate([record([(1.0, 0.0), (1.0, 1.0)], [(1.0, 0.0), (2.0, 0.0)], "p", 0.2, False)])
+
     def test_sample_metrics_fields(self):
         m = sample_metrics(record([(1.0, 0.0)], [(0.0, 1.0)], "x", 0.2, False))
         assert m.aoe_deg == pytest.approx(90.0)
         assert m.made_m == pytest.approx(math.sqrt(2.0))
         assert m.arrival_correct is True
+
+
+def fold_sample_metrics(records):
+    """evaluate spelled out as dataset means over per-record sample_metrics."""
+    per_sample = [sample_metrics(r) for r in records]
+    aoe_values = [m.aoe_deg for m in per_sample if m.aoe_deg is not None]
+    maoe_values = [m.maoe_deg for m in per_sample if m.maoe_deg is not None]
+    calls = [m.arrival_correct for m in per_sample if m.arrival_correct is not None]
+    return MetricReport(
+        n_samples=len(records),
+        aoe_deg=float(np.mean(aoe_values)) if aoe_values else None,
+        maoe_deg=float(np.mean(maoe_values)) if maoe_values else None,
+        ade_m=float(np.mean([m.ade_m for m in per_sample])),
+        made_m=float(np.mean([m.made_m for m in per_sample])),
+        arrival_accuracy=float(np.mean(calls)) if calls else None,
+        n_orientation_excluded=len(records) - len(aoe_values),
+        n_arrival_scored=len(calls),
+    )
+
+
+_coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
+
+
+@st.composite
+def _eval_record(draw):
+    k = draw(st.sampled_from([1, 8, 32]))
+    points = st.lists(st.tuples(_coord, _coord), min_size=k, max_size=k)
+    pred = draw(points)
+    gt = draw(points)
+    shape = draw(st.sampled_from(["free", "zero_prediction", "repeated_waypoint"]))
+    if shape == "zero_prediction":
+        pred = [(0.0, 0.0)] * k
+    elif shape == "repeated_waypoint" and k > 1:
+        i = draw(st.integers(min_value=1, max_value=k - 1))
+        pred[i] = pred[i - 1]
+    return record(
+        pred,
+        gt,
+        sample_id="s",
+        predicted_arrival=draw(st.one_of(st.none(), st.floats(0.0, 1.0))),
+        arrival_label=draw(st.one_of(st.none(), st.booleans())),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_eval_record(), min_size=1, max_size=12))
+def test_evaluate_equals_sample_metrics_fold(records):
+    assert repr(evaluate(records)) == repr(fold_sample_metrics(records))
+
+
+def test_evaluate_equals_fold_across_batches(rng):
+    # More k=32 records than one batch holds, in shuffled horizon order.
+    records = []
+    for i in range(700):
+        k = int(rng.choice([1, 8, 32], p=[0.1, 0.5, 0.4]))
+        gt = np.cumsum(rng.uniform(-0.5, 1.0, size=(k, 2)), axis=0)
+        pred = gt + rng.normal(0.0, 0.2, size=(k, 2))
+        if i % 29 == 0:
+            pred[:] = 0.0
+        elif i % 7 == 0 and k > 1:
+            pred[k // 2] = pred[k // 2 - 1]
+        records.append(
+            record(pred, gt, f"s{i}", None if i % 5 == 0 else float(rng.random()), None if i % 11 == 0 else bool(i % 2))
+        )
+    assert repr(evaluate(records)) == repr(fold_sample_metrics(records))

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from navcurate.errors import Infeasible, OutOfBounds, ValidationError
+from navcurate.errors import GimbalDegenerate, Infeasible, OutOfBounds, ValidationError
 from navcurate.filters import FilterVerdict
-from navcurate.geometry import to_ego_waypoint
-from navcurate.io import LandmarkAnnotation, write_samples
-from navcurate.sampling import SamplerConfig, build_corpus, build_sample, draw_rng, draw_start
-from navcurate.segmentation import segment
+from navcurate.geometry import quat_between, to_ego_waypoint
+from navcurate.io import LandmarkAnnotation, RawTrajectory, write_samples
+from navcurate.sampling import (
+    CLIP_SKIP_REASONS,
+    SamplerConfig,
+    build_clip_samples,
+    build_corpus,
+    build_sample,
+    draw_rng,
+    draw_start,
+)
+from navcurate.segmentation import Clip, segment
 from navcurate.synth import CLIP_CONVENTION, RAW_CONVENTION, SynthSpec, generate, generate_landmarks
 
 
@@ -243,3 +251,73 @@ class TestBuildCorpus:
         cfg = SamplerConfig(draws_per_landmark=4)
         samples, _ = build_corpus([clip], landmarks, [accepted_verdict(clip)], cfg, CLIP_CONVENTION)
         assert len(samples) == 8
+
+
+def per_draw_reference(clip, landmarks, config, convention):
+    """build_clip_samples spelled out one draw at a time through build_sample."""
+    samples = []
+    skipped = dict.fromkeys(CLIP_SKIP_REASONS, 0)
+    for lm_idx, lm in enumerate(landmarks):
+        if lm.goal_frame >= len(clip):
+            skipped["goal_out_of_bounds"] += 1
+            continue
+        for draw in range(config.draws_per_landmark):
+            try:
+                t = draw_start(lm.goal_frame, config, draw_rng(config.seed, clip.clip_id, lm_idx, draw))
+            except Infeasible:
+                skipped["infeasible"] += 1
+                continue
+            sample_id = f"{clip.clip_id}:{lm_idx:04d}:{draw:02d}"
+            try:
+                samples.append(build_sample(clip, lm, t, config, convention, sample_id=sample_id))
+            except OutOfBounds:
+                skipped["out_of_bounds"] += 1
+            except GimbalDegenerate:
+                skipped["gimbal_degenerate"] += 1
+    return samples, skipped
+
+
+def pitched_clip(convention):
+    """A sinusoid_pitch clip cut at peak pitch, so frame 0 is tilted 20 degrees.
+
+    Frames 100-159 look straight up under `convention` (yaw undefined) and
+    frames 300-359 stand still (zero-length waypoints).
+    """
+    traj = generate(
+        SynthSpec("sinusoid_pitch", duration_s=61.0, fps=10.0, amplitude_deg=20.0, period_s=4.0, traj_id="pitch")
+    )
+    peak = 10  # pitch(t) = A sin(2 pi t / 4 s) peaks at t = 1 s
+    cut = RawTrajectory("pitch", traj.fps, traj.timestamps[peak:], traj.positions[peak:], traj.quaternions[peak:])
+    clip = segment(cut, 60.0)[0]
+    quats = clip.quaternions.copy()
+    quats[100:160] = quat_between(convention.forward_vec, convention.up_vec)
+    positions = clip.positions.copy()
+    positions[300:360] = positions[300]
+    return Clip(clip.clip_id, clip.source_id, clip.fps, clip.timestamps, positions, quats, clip.start_frame)
+
+
+class TestBatchEquivalence:
+    @pytest.mark.parametrize("convention", [RAW_CONVENTION, CLIP_CONVENTION], ids=["up+z", "up-y"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SamplerConfig(draws_per_landmark=8, arrival_fraction=0.3, seed=9),
+            SamplerConfig(draws_per_landmark=5, arrival_fraction=0.5, waypoint_stride=3, horizon=5, seed=2),
+        ],
+        ids=["stride1", "stride3"],
+    )
+    def test_matches_per_draw_build_sample(self, tmp_path, convention, config):
+        clip = pitched_clip(convention)
+        landmarks = generate_landmarks(clip, 12, seed=3) + [
+            landmark(clip.clip_id, goal)
+            for goal in (5, 130, 150, 340, 355, len(clip) - 1, len(clip) + 100)
+        ]
+        samples, skipped = build_clip_samples(clip, landmarks, config, convention)
+        want_samples, want_skipped = per_draw_reference(clip, landmarks, config, convention)
+        assert samples == want_samples
+        assert skipped == want_skipped
+        assert all(skipped[reason] > 0 for reason in CLIP_SKIP_REASONS)
+        assert any(w.x == 0.0 and w.y == 0.0 for s in samples for w in s.waypoints)
+        write_samples(samples, tmp_path / "batch.jsonl")
+        write_samples(want_samples, tmp_path / "scalar.jsonl")
+        assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "scalar.jsonl").read_bytes()
