@@ -37,6 +37,7 @@ from .geometry import (
 from .io import (
     Detection,
     DetectionFrame,
+    DetectionTable,
     LandmarkAnnotation,
     PredictionRecord,
     RawTrajectory,

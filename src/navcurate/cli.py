@@ -109,6 +109,8 @@ def cmd_segment(args) -> int:
 
 def cmd_filter(args) -> int:
     clips = load_clips(args.clips)
+    if not clips:
+        raise EmptyInput(f"{Path(args.clips) / 'manifest.json'} lists no clips")
     detections = tio.parse_detections(args.detections)
     overrides = {
         "pitch_range_max_deg": args.pitch_range_max_deg,

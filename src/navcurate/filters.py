@@ -11,7 +11,10 @@ Three independent checks, composed by :func:`run_filters`:
   displacement, or whose center yaw is gimbal-degenerate, are skipped so
   standing still never triggers a rejection.
 - crowd_density: the number of frames whose person count exceeds the
-  crowd size threshold must not exceed the frame threshold.
+  crowd size threshold must not exceed the frame threshold. Counts come
+  from a DetectionTable in one pass over its box columns; a list of
+  DetectionFrame is accepted and converted with DetectionTable.from_frames
+  (which sorts it and merges duplicate frames, as the parser does).
 
 All thresholds fail only on strict exceedance: a range, divergence or
 count exactly at its threshold passes.
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import TooShort, ValidationError
 from .geometry import AxisConvention, DEFAULT_CONVENTION, normalize_angle_deg, pitch_many, yaw_many
-from .io import DetectionFrame
+from .io import DetectionFrame, DetectionTable
 from .segmentation import Clip
 
 __all__ = [
@@ -164,9 +167,15 @@ def check_divergence(
     return max_divergence <= config.divergence_max_deg, max_divergence
 
 
+def _as_table(detections) -> DetectionTable:
+    if isinstance(detections, DetectionTable):
+        return detections
+    return DetectionTable.from_frames(detections)
+
+
 def check_crowd(
     clip: Clip,
-    detections: list[DetectionFrame],
+    detections: DetectionTable | list[DetectionFrame],
     config: FilterConfig,
 ) -> tuple[bool, int]:
     """Count clip frames whose person tally exceeds the crowd threshold.
@@ -174,26 +183,23 @@ def check_crowd(
     Detection frames are clip-local; out-of-range entries are ignored
     (run_filters reports how many). Returns (passed, crowded_frame_count).
     """
-    n = len(clip)
-    crowded = 0
-    for df in detections:
-        if not 0 <= df.frame < n:
-            continue
-        count = sum(
-            1 for d in df.detections if d.label == config.person_label and d.score >= config.person_score_min
-        )
-        if count > config.crowd_count_threshold:
-            crowded += 1
+    inside = _as_table(detections).window(0, len(clip))
+    code = inside.names.index(config.person_label) if config.person_label in inside.names else -1
+    qualifying = (inside.labels == code) & (inside.scores >= config.person_score_min)
+    tally = np.concatenate(([0], np.cumsum(qualifying)))
+    persons = tally[inside.offsets[1:]] - tally[inside.offsets[:-1]]
+    crowded = int(np.count_nonzero(persons > config.crowd_count_threshold))
     return crowded <= config.crowd_frame_threshold, crowded
 
 
 def run_filters(
     clip: Clip,
-    detections: list[DetectionFrame],
+    detections: DetectionTable | list[DetectionFrame],
     config: FilterConfig,
     convention: AxisConvention = DEFAULT_CONVENTION,
 ) -> FilterVerdict:
     """Evaluate all three rules (never short-circuits) and compose a verdict."""
+    detections = _as_table(detections)
     reasons = []
     pitch_ok, pitch_range = check_pitch(clip, config, convention)
     if not pitch_ok:
@@ -207,7 +213,7 @@ def run_filters(
     crowd_ok, crowded_frames = check_crowd(clip, detections, config)
     if not crowd_ok:
         reasons.append(REASON_CROWD)
-    ignored = sum(1 for df in detections if not 0 <= df.frame < len(clip))
+    ignored = len(detections) - len(detections.window(0, len(clip)))
     return FilterVerdict(
         clip_id=clip.clip_id,
         accepted=not reasons,
@@ -221,10 +227,6 @@ def run_filters(
     )
 
 
-def slice_detections(detections: list[DetectionFrame], clip: Clip) -> list[DetectionFrame]:
+def slice_detections(detections: DetectionTable | list[DetectionFrame], clip: Clip) -> DetectionTable:
     """Select source-indexed detection frames covering a clip, re-indexed clip-local."""
-    lo = clip.start_frame
-    hi = clip.start_frame + len(clip)
-    return [
-        DetectionFrame(df.frame - lo, df.detections) for df in detections if lo <= df.frame < hi
-    ]
+    return _as_table(detections).window(clip.start_frame, clip.start_frame + len(clip))

@@ -17,11 +17,20 @@ Record files (JSON lines, one record per line, fixed key order):
                   "predicted_arrival", "arrival_label"}
 
 ``bbox`` is [x1, y1, x2, y2] in pixels; waypoints are [x, y] meter pairs.
+Values are checked against their exact JSON type and never coerced: a
+number is a JSON integer or float (``true``/``false`` and numeric strings
+are rejected), an integer field such as a detection ``frame`` must be a
+JSON integer, and a string field must be a JSON string.
+
+Detections parse into one columnar :class:`DetectionTable` (frames sorted,
+boxes as arrays); :class:`Detection` and :class:`DetectionFrame` are the
+per-box and per-frame scalar forms, with the same validation rules.
 Detection frame indices count frames of the source trajectory. Duplicate
-detection frames are merged by concatenation (the one documented repair);
-every other malformed or invariant-violating record raises ParseError
-with its line number. Reports are a single pretty-printed JSON document
-with sorted keys, so identical inputs produce byte-identical files.
+detection frames are merged by concatenation in file order (the one
+documented repair); every other malformed or invariant-violating record
+raises ParseError naming its line number (the first such line in the
+file). Reports are a single pretty-printed JSON document with sorted
+keys, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,7 +39,10 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import warnings
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +55,7 @@ __all__ = [
     "RawTrajectory",
     "Detection",
     "DetectionFrame",
+    "DetectionTable",
     "LandmarkAnnotation",
     "TrainingSample",
     "PredictionRecord",
@@ -67,7 +80,7 @@ class RawTrajectory:
 
     Pose data is stored columnar for throughput: timestamps (n,),
     positions (n, 3), quaternions (n, 4) in (x, y, z, w). Use
-    :meth:`pose` / :meth:`iter_poses` for the per-pose view.
+    :meth:`pose` for the per-pose view.
     """
 
     id: str
@@ -128,38 +141,206 @@ class RawTrajectory:
         return Pose(float(self.timestamps[i]), self.positions[i].copy(), self.quaternions[i].copy())
 
 
+# json.loads gives a number as exactly int or float (true/false are bool),
+# so exact type tests suffice for parsed values.
+_JSON_NUMBERS = frozenset((float, int))
+
+
 @dataclass(frozen=True)
 class Detection:
+    """One detector box: a string label, [x1, y1, x2, y2] pixels, a score in [0, 1].
+
+    The scalar form of one DetectionTable row, under the same rules:
+    bbox entries and score must be real numbers, never bool or str.
+    """
+
     label: str
     bbox: tuple[float, float, float, float]
     score: float
 
     def __post_init__(self):
-        bbox = tuple(float(v) for v in self.bbox)
-        if len(bbox) != 4:
-            raise ValidationError(f"bbox must have 4 entries, got {len(bbox)}")
-        x1, y1, x2, y2 = bbox
-        if not all(math.isfinite(v) for v in bbox):
+        if not isinstance(self.label, str):
+            raise ValidationError(f"label must be a string, got {self.label!r}")
+        try:
+            bbox = tuple(self.bbox)
+        except TypeError:
+            bbox = ()
+        # Exact int/float first: the ABC test in _is_number is slow per box.
+        if len(bbox) != 4 or not (_JSON_NUMBERS.issuperset(map(type, bbox)) or all(map(_is_number, bbox))):
+            raise ValidationError(f"bbox must be 4 numbers, got {self.bbox!r}")
+        score = self.score
+        if not (type(score) in _JSON_NUMBERS or _is_number(score)):
+            raise ValidationError(f"score must be a number, got {score!r}")
+        try:
+            x1, y1, x2, y2 = bbox = tuple(map(float, bbox))
+        except OverflowError:  # an integer beyond the float range
+            x1 = y1 = x2 = y2 = math.nan
+        # One chained comparison per axis is both the finiteness and the order test.
+        if not (-math.inf < x1 <= x2 < math.inf and -math.inf < y1 <= y2 < math.inf):
+            if all(map(math.isfinite, (x1, y1, x2, y2))):
+                raise ValidationError(f"bbox corners out of order: {bbox}")
             raise ValidationError("bbox entries must be finite")
-        if x1 > x2 or y1 > y2:
-            raise ValidationError(f"bbox corners out of order: {bbox}")
-        score = float(self.score)
+        try:
+            score = float(score)
+        except OverflowError:
+            score = math.inf
         if not (0.0 <= score <= 1.0):
             raise ValidationError(f"score must be in [0, 1], got {self.score!r}")
         object.__setattr__(self, "bbox", bbox)
         object.__setattr__(self, "score", score)
 
 
+_FRAME_LIMIT = 1 << 63  # frame indices are stored as int64
+
+
 @dataclass(frozen=True)
 class DetectionFrame:
+    """The detections of one frame: the scalar form of one DetectionTable frame."""
+
     frame: int
     detections: tuple[Detection, ...]
 
     def __post_init__(self):
-        if int(self.frame) != self.frame or self.frame < 0:
-            raise ValidationError(f"frame must be a non-negative integer, got {self.frame!r}")
-        object.__setattr__(self, "frame", int(self.frame))
+        frame = self.frame
+        if not (_is_integer(frame) and 0 <= frame < _FRAME_LIMIT):
+            raise ValidationError(f"frame must be a non-negative integer, got {frame!r}")
+        object.__setattr__(self, "frame", int(frame))
         object.__setattr__(self, "detections", tuple(self.detections))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable(Sequence):
+    """Detection frames stored column-wise: the batch form of a list of DetectionFrame.
+
+    ``frames`` (F,) int64 is strictly increasing. The boxes of frame i are
+    rows ``offsets[i]:offsets[i + 1]`` of ``labels`` (B,) int64 codes into
+    ``names``, ``scores`` (B,) float64 and ``bboxes`` (B, 4) float64;
+    ``offsets`` (F + 1,) runs from 0 to B. The table is a read-only
+    sequence of DetectionFrame, built on demand, and compares equal to a
+    list of equal frames.
+    """
+
+    frames: np.ndarray
+    offsets: np.ndarray
+    labels: np.ndarray
+    names: tuple[str, ...]
+    scores: np.ndarray
+    bboxes: np.ndarray
+
+    def __post_init__(self):
+        frames = np.ascontiguousarray(self.frames, dtype=np.int64)
+        offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
+        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        scores = np.ascontiguousarray(self.scores, dtype=float)
+        bboxes = np.ascontiguousarray(self.bboxes, dtype=float)
+        n, m = frames.shape[0], labels.shape[0]
+        names = tuple(self.names)
+        if (
+            frames.ndim != 1
+            or offsets.shape != (n + 1,)
+            or labels.shape != (m,)
+            or scores.shape != (m,)
+            or bboxes.shape != (m, 4)
+            or offsets[0] != 0
+            or offsets[-1] != m
+            or np.any(offsets[1:] < offsets[:-1])
+            or np.any(frames[1:] <= frames[:-1])
+            or (m and not 0 <= labels.min() <= labels.max() < len(names))
+        ):
+            raise ValidationError("inconsistent detection table arrays")
+        columns = {"frames": frames, "offsets": offsets, "labels": labels, "scores": scores, "bboxes": bboxes}
+        for name, arr in columns.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "names", names)
+
+    @classmethod
+    def from_frames(cls, frames) -> "DetectionTable":
+        """The table of a sequence of DetectionFrame; duplicate frames merge as in parse_detections."""
+        frames = list(frames)
+        dets = [d for f in frames for d in f.detections]
+        names: dict[str, int] = {}
+        return cls._from_records(
+            np.array([f.frame for f in frames], dtype=np.int64),
+            np.cumsum([len(f.detections) for f in frames], dtype=np.int64),
+            np.array([names.setdefault(d.label, len(names)) for d in dets], dtype=np.int64),
+            tuple(names),
+            np.array([d.score for d in dets], dtype=float),
+            np.array([d.bbox for d in dets], dtype=float).reshape(-1, 4),
+        )
+
+    @classmethod
+    def _from_records(cls, frames, ends, labels, names, scores, bboxes) -> "DetectionTable":
+        """Sort records by frame (stable) and merge duplicate frames.
+
+        Record r holds box rows ``ends[r - 1]:ends[r]`` (from 0 for r = 0),
+        so a merged frame keeps its boxes in record order.
+        """
+        if np.any(frames[1:] <= frames[:-1]):
+            counts = np.diff(ends, prepend=0)
+            order = np.argsort(frames, kind="stable")
+            frames, starts, counts = frames[order], (ends - counts)[order], counts[order]
+            ends = np.cumsum(counts)
+            rows = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+            labels, scores, bboxes = labels[rows], scores[rows], bboxes[rows]
+            last = np.append(frames[1:] != frames[:-1], True)  # each frame's last record
+            frames, ends = frames[last], ends[last]
+        return cls(frames, np.concatenate(([0], ends)), labels, names, scores, bboxes)
+
+    def __len__(self) -> int:
+        return self.frames.shape[0]
+
+    def __getitem__(self, i) -> DetectionFrame:
+        i = range(len(self))[operator.index(i)]
+        return next(self._build_frames(i, i + 1))
+
+    def __iter__(self):
+        return self._build_frames(0, len(self))
+
+    def _build_frames(self, lo: int, hi: int):
+        offsets = self.offsets[lo : hi + 1].tolist()
+        a, b = offsets[0], offsets[-1]
+        labels = list(map(self.names.__getitem__, self.labels[a:b].tolist()))
+        bboxes = list(map(tuple, self.bboxes[a:b].tolist()))
+        scores = self.scores[a:b].tolist()
+        for frame, start, stop in zip(self.frames[lo:hi].tolist(), offsets, offsets[1:]):
+            s, e = start - a, stop - a
+            yield DetectionFrame(frame, tuple(map(Detection, labels[s:e], bboxes[s:e], scores[s:e])))
+
+    def __eq__(self, other):
+        if not isinstance(other, (DetectionTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __reduce__(self):
+        # Raw column bytes skip numpy's per-array pickle header, so a clip's
+        # slice, often empty, stays small when sent to a pool worker.
+        columns = (self.frames, self.offsets, self.labels, self.scores, self.bboxes)
+        return _table_from_bytes, (self.names, *(c.tobytes() for c in columns))
+
+    def window(self, lo: int, hi: int) -> "DetectionTable":
+        """Frames in [lo, hi), renumbered so frame lo becomes 0; box columns are views."""
+        i, j = np.searchsorted(self.frames, (lo, hi))
+        a, b = self.offsets[i], self.offsets[j]
+        return DetectionTable(
+            self.frames[i:j] - lo,
+            self.offsets[i : j + 1] - a,
+            self.labels[a:b],
+            self.names,
+            self.scores[a:b],
+            self.bboxes[a:b],
+        )
+
+
+def _table_from_bytes(names, frames, offsets, labels, scores, bboxes) -> DetectionTable:
+    return DetectionTable(
+        np.frombuffer(frames, dtype=np.int64),
+        np.frombuffer(offsets, dtype=np.int64),
+        np.frombuffer(labels, dtype=np.int64),
+        names,
+        np.frombuffer(scores, dtype=float),
+        np.frombuffer(bboxes, dtype=float).reshape(-1, 4),
+    )
 
 
 @dataclass(frozen=True)
@@ -257,6 +438,11 @@ def _is_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real))
 
 
+def _is_integer(value) -> bool:
+    """An integer that is not a bool; exact int is tested before the slow numbers.Integral check."""
+    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+
+
 # ---------------------------------------------------------------------------
 # Pose files
 # ---------------------------------------------------------------------------
@@ -330,16 +516,27 @@ def write_pose_file(traj: RawTrajectory, path) -> None:
 # JSON-lines records
 # ---------------------------------------------------------------------------
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _iter_json_lines(path):
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             if not text:
                 continue
+            # raw_decode skips json.loads' wrapper; a line it cannot take
+            # whole goes through json.loads for the canonical error.
             try:
-                yield lineno, json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
+                obj, end = _raw_decode(text)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(text):
+                try:
+                    obj = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
+            yield lineno, obj
 
 
 def _record_field(obj: dict, key: str, path, lineno: int):
@@ -350,26 +547,116 @@ def _record_field(obj: dict, key: str, path, lineno: int):
     return obj[key]
 
 
-def parse_detections(path) -> list[DetectionFrame]:
-    """Parse detection records, sorted by frame; duplicate frames merge by concatenation."""
-    by_frame: dict[int, list[Detection]] = {}
-    for lineno, obj in _iter_json_lines(path):
-        frame = _record_field(obj, "frame", path, lineno)
-        raw_dets = _record_field(obj, "detections", path, lineno)
-        try:
-            dets = [
+def _frame_from_record(obj, path, lineno: int) -> DetectionFrame:
+    """One detection record through the scalar constructors: the reference for parse_detections' rules."""
+    frame = _record_field(obj, "frame", path, lineno)
+    raw_dets = _record_field(obj, "detections", path, lineno)
+    if type(raw_dets) is not list:
+        raise ParseError(f"detections must be a list, got {type(raw_dets).__name__}", path=str(path), line=lineno)
+    try:
+        return DetectionFrame(
+            frame,
+            [
                 Detection(
                     _record_field(d, "label", path, lineno),
                     _record_field(d, "bbox", path, lineno),
                     _record_field(d, "score", path, lineno),
                 )
                 for d in raw_dets
-            ]
-            probe = DetectionFrame(frame, dets)
-        except (ValidationError, TypeError) as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno)
-        by_frame.setdefault(probe.frame, []).extend(probe.detections)
-    return [DetectionFrame(frame, tuple(dets)) for frame, dets in sorted(by_frame.items())]
+            ],
+        )
+    except ValidationError as exc:
+        raise ParseError(str(exc), path=str(path), line=lineno) from None
+
+
+def parse_detections(path) -> DetectionTable:
+    """Parse detection records into a DetectionTable, sorted by frame.
+
+    Duplicate frames merge by concatenation in file order. The first
+    invalid line raises ParseError with the message of the scalar
+    Detection/DetectionFrame constructors, which apply the same rules.
+    """
+    frames, ends, lines = array("q"), array("q"), array("q")
+    labels, scores, bboxes = array("q"), array("d"), array("d")
+    names: dict[str, int] = {}
+    try:
+        for lineno, obj in _iter_json_lines(path):
+            # Exact JSON type tests per value; the range checks run vectorised below.
+            try:
+                frame = obj["frame"]
+                dets = obj["detections"]
+                if type(frame) is not int or type(dets) is not list:
+                    raise TypeError
+                for d in dets:
+                    label = d["label"]
+                    bbox = d["bbox"]
+                    score = d["score"]
+                    if (
+                        type(label) is not str
+                        or type(score) not in _JSON_NUMBERS
+                        or type(bbox) is not list
+                        or len(bbox) != 4
+                        or type(bbox[0]) not in _JSON_NUMBERS
+                        or type(bbox[1]) not in _JSON_NUMBERS
+                        or type(bbox[2]) not in _JSON_NUMBERS
+                        or type(bbox[3]) not in _JSON_NUMBERS
+                    ):
+                        raise TypeError
+                    labels.append(names.setdefault(label, len(names)))
+                    scores.append(score)
+                    bboxes.extend(bbox)
+                frames.append(frame)
+            except (KeyError, TypeError, OverflowError):
+                _frame_from_record(obj, path, lineno)
+                raise ParseError("invalid detection record", path=str(path), line=lineno) from None
+            ends.append(len(scores))
+            lines.append(lineno)
+    except ParseError:
+        _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, path)
+        raise
+    table = _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, path)
+    return DetectionTable._from_records(*table)
+
+
+def _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, path):
+    """Vectorised range checks over the complete records parsed so far.
+
+    Returns the record columns (frames, ends, labels, names, scores,
+    bboxes); an out-of-range value raises ParseError naming its line.
+    """
+    n = len(ends)
+    m = ends[-1] if n else 0
+    frames = np.frombuffer(frames, dtype=np.int64, count=n)
+    ends = np.frombuffer(ends, dtype=np.int64, count=n)
+    labels = np.frombuffer(labels, dtype=np.int64, count=m)
+    scores = np.frombuffer(scores, dtype=float, count=m)
+    bboxes = np.frombuffer(bboxes, dtype=float, count=4 * m).reshape(m, 4)
+    bad_box = ~(
+        np.isfinite(bboxes).all(axis=1)
+        & (bboxes[:, 0] <= bboxes[:, 2])
+        & (bboxes[:, 1] <= bboxes[:, 3])
+        & (scores >= 0.0)
+        & (scores <= 1.0)
+    )
+    bad = frames < 0
+    if bad_box.any():
+        bad[np.searchsorted(ends, np.argmax(bad_box), side="right")] = True
+    if bad.any():
+        r = int(np.argmax(bad))
+        a, b = (int(ends[r - 1]) if r else 0), int(ends[r])
+        label_names = list(names)
+        try:
+            DetectionFrame(
+                int(frames[r]),
+                [
+                    Detection(label_names[c], bbox, score)
+                    for c, bbox, score in zip(labels[a:b].tolist(), bboxes[a:b].tolist(), scores[a:b].tolist())
+                ],
+            )
+        except ValidationError as exc:
+            raise ParseError(str(exc), path=str(path), line=lines[r]) from None
+        raise ParseError("invalid detection record", path=str(path), line=lines[r])
+    return frames, ends, labels, tuple(names), scores, bboxes
 
 
 def write_detections(frames, path) -> None:
@@ -442,11 +729,11 @@ def parse_samples(path) -> list[TrainingSample]:
                     _record_field(obj, "t", path, lineno),
                     _record_field(obj, "t_g", path, lineno),
                     tuple(_record_field(obj, "history_frames", path, lineno)),
-                    tuple(EgoWaypoint(w[0], w[1]) for w in _record_field(obj, "waypoints", path, lineno)),
+                    _waypoint_pairs(obj, "waypoints", path, lineno),
                     _record_field(obj, "arrival", path, lineno),
                 )
             )
-        except (ValidationError, TypeError, IndexError) as exc:
+        except (ValidationError, TypeError, OverflowError) as exc:
             raise ParseError(str(exc), path=str(path), line=lineno)
     return samples
 
@@ -468,9 +755,6 @@ def write_samples(samples, path) -> None:
         for s in samples
     ]
     Path(path).write_text("".join(lines), encoding="utf-8")
-
-
-_JSON_NUMBERS = (float, int)
 
 
 def _waypoint_pairs(obj: dict, key: str, path, lineno: int) -> tuple[EgoWaypoint, ...]:

@@ -22,6 +22,14 @@ from .io import RawTrajectory, parse_pose_file, write_pose_file
 __all__ = ["Clip", "segment", "save_clips", "load_clips"]
 
 CLIP_MANIFEST_NAME = "manifest.json"
+# Manifest entry fields load_clips reads, with their allowed JSON types.
+_ENTRY_FIELDS = {
+    "clip_id": (str,),
+    "source_id": (str,),
+    "file": (str,),
+    "fps": (float, int),
+    "start_frame": (int,),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +163,18 @@ def load_clips(clip_dir) -> list[Clip]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{manifest_path}: invalid clip manifest: {exc}")
+    entries = manifest.get("clips", []) if type(manifest) is dict else None
+    if type(entries) is not list:
+        raise ValidationError(f"{manifest_path}: 'clips' must be a list of clip entries")
     clips = []
-    for entry in manifest.get("clips", []):
+    for i, entry in enumerate(entries):
+        for key, types in _ENTRY_FIELDS.items():
+            if type(entry) is not dict or key not in entry:
+                raise ValidationError(f"{manifest_path}: clip entry {i} has no {key!r}")
+            if type(entry[key]) not in types:
+                raise ValidationError(
+                    f"{manifest_path}: clip entry {i} has {key!r} of type {type(entry[key]).__name__}"
+                )
         traj = parse_pose_file(clip_dir / entry["file"], entry["fps"], traj_id=entry["clip_id"])
         clips.append(
             Clip(

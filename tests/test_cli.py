@@ -134,7 +134,7 @@ class TestFilterCommand:
         accepted = (pipeline_dir / "report.json.accepted").read_text().split()
         assert accepted == ["walk_0000", "walk_0002", "walk_0003"]
 
-    def test_empty_clip_set_reports_zero_counts(self, tmp_path):
+    def test_empty_clip_set_exits_3(self, tmp_path, capsys):
         clips_dir = tmp_path / "clips"
         clips_dir.mkdir()
         (clips_dir / "manifest.json").write_text(json.dumps({"clips": []}))
@@ -145,9 +145,57 @@ class TestFilterCommand:
             ["filter", "--clips", str(clips_dir), "--detections", str(detections),
              "--report", str(report_path), "--workers", "1"]
         )
-        assert rc == 0
-        counts = json.loads(report_path.read_text())["counts"]
-        assert counts == {"clips_in": 0, "accepted": 0, "rejected": 0, "rejected_by_reason": {}}
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "empty"
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("field", ["file", "clip_id", "source_id", "fps", "start_frame"])
+    def test_manifest_entry_missing_field_exits_2(self, pipeline_dir, capsys, field):
+        manifest_path = pipeline_dir / "clips" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["clips"][1][field]
+        manifest_path.write_text(json.dumps(manifest))
+        rc = main(
+            ["filter", "--clips", str(pipeline_dir / "clips"),
+             "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+             "--report", str(pipeline_dir / "report.json"), "--workers", "1"]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validation"
+        assert f"clip entry 1 has no {field!r}" in err["detail"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame", True),
+            ("score", "0.9"),
+            ("bbox", ["0", 0, 1, 1]),
+            ("label", 7),
+        ],
+    )
+    def test_coerced_detection_value_exits_2(self, pipeline_dir, capsys, field, value):
+        box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 1}
+        record = {"frame": 3, "detections": [box]}
+        if field == "frame":
+            record["frame"] = value
+        else:
+            box[field] = value
+        valid = {"frame": 1, "detections": [{"label": "person", "bbox": [0, 0, 10, 10], "score": 1}]}
+        detections = pipeline_dir / "d.jsonl"
+        detections.write_text(json.dumps(valid) + "\n" + json.dumps(record) + "\n")
+        rc = main(
+            ["filter", "--clips", str(pipeline_dir / "clips"), "--detections", str(detections),
+             "--report", str(pipeline_dir / "report.json"), "--workers", "1"]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "parse"
+        assert err["line"] == 2
 
     def test_oracle_corpus_through_cli(self, tmp_path):
         # Ten 2-minute parts chained into one trajectory; parts 1, 3, 5

@@ -1,0 +1,233 @@
+"""DetectionTable (the filter stage's batch path) against the scalar forms.
+
+The oracle is the per-DetectionFrame crowd loop and list slice that the
+table replaced: one Python pass over frames and boxes. The parser's
+validation is checked against the Detection and DetectionFrame
+constructors, so the two rule sets cannot drift apart.
+"""
+
+import json
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from navcurate.errors import ParseError, ValidationError
+from navcurate.filters import (
+    REASON_CROWD,
+    REASON_DIVERGENCE,
+    REASON_PITCH,
+    FilterConfig,
+    check_divergence,
+    check_pitch,
+    run_filters,
+    slice_detections,
+)
+from navcurate.io import Detection, DetectionFrame, DetectionTable, parse_detections, write_detections
+from navcurate.segmentation import segment
+from navcurate.synth import CLIP_CONVENTION, SynthSpec, generate
+
+# Three 30-frame clips starting at source frames 0, 30 and 60; detection
+# frames range over 0..99, so they fall before, inside and after each clip.
+CLIPS = segment(generate(SynthSpec("straight", duration_s=9.0, fps=10.0, traj_id="walk")), 3.0)
+SCORE_MIN = 0.5
+CONFIG = FilterConfig(crowd_count_threshold=2, crowd_frame_threshold=1, person_score_min=SCORE_MIN)
+EDGE_SCORES = [np.nextafter(SCORE_MIN, 0.0), SCORE_MIN, np.nextafter(SCORE_MIN, 1.0), 0.0, 1.0, 0.9]
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle
+# ---------------------------------------------------------------------------
+
+def oracle_slice(frames, clip):
+    lo = clip.start_frame
+    hi = clip.start_frame + len(clip)
+    return [DetectionFrame(df.frame - lo, df.detections) for df in frames if lo <= df.frame < hi]
+
+
+def oracle_crowd(clip, frames, config):
+    n = len(clip)
+    crowded = 0
+    for df in frames:
+        if not 0 <= df.frame < n:
+            continue
+        count = sum(
+            1 for d in df.detections if d.label == config.person_label and d.score >= config.person_score_min
+        )
+        if count > config.crowd_count_threshold:
+            crowded += 1
+    return crowded <= config.crowd_frame_threshold, crowded
+
+
+def oracle_verdict(clip, frames, config):
+    pitch_ok, pitch_range = check_pitch(clip, config, CLIP_CONVENTION)
+    div_ok, max_divergence = check_divergence(clip, config, CLIP_CONVENTION)
+    crowd_ok, crowded = oracle_crowd(clip, frames, config)
+    checks = ((REASON_PITCH, pitch_ok), (REASON_DIVERGENCE, div_ok), (REASON_CROWD, crowd_ok))
+    reasons = [reason for reason, ok in checks if not ok]
+    return {
+        "clip_id": clip.clip_id,
+        "accepted": not reasons,
+        "reasons": sorted(reasons),
+        "diagnostics": {
+            "pitch_range_deg": pitch_range,
+            "max_divergence_deg": max_divergence,
+            "crowded_frame_count": crowded,
+            "ignored_detection_frames": sum(1 for df in frames if not 0 <= df.frame < len(clip)),
+        },
+    }
+
+
+def merged_frames(records):
+    """What parse_detections must return: frames sorted, duplicates concatenated in file order."""
+    by_frame = {}
+    for frame, boxes in records:
+        by_frame.setdefault(frame, []).extend(Detection(label, bbox, score) for label, bbox, score in boxes)
+    return [DetectionFrame(frame, tuple(dets)) for frame, dets in sorted(by_frame.items())]
+
+
+def write_records(records, path):
+    lines = [
+        json.dumps(
+            {
+                "frame": frame,
+                "detections": [{"label": label, "bbox": list(bbox), "score": score} for label, bbox, score in boxes],
+            }
+        )
+        for frame, boxes in records
+    ]
+    path.write_text("\n".join(lines) + "\n" if lines else "")
+
+
+boxes_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["person", "person", "car"]),
+        st.sampled_from([(0, 0, 10, 10), (1.5, 2.0, 1.5, 80.25), (20.0, 40.0, 44.0, 160.0)]),
+        st.one_of(st.sampled_from(EDGE_SCORES), st.floats(0.0, 1.0)),
+    ),
+    max_size=5,
+)
+records_strategy = st.lists(st.tuples(st.integers(0, 99), boxes_strategy), max_size=60)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(records=records_strategy)
+def test_table_path_matches_scalar_oracle(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("det") / "d.jsonl"
+    write_records(records, path)
+    table = parse_detections(path)
+    frames = merged_frames(records)
+    assert table == frames
+    assert list(table) == frames
+    for clip in CLIPS:
+        local = slice_detections(table, clip)
+        assert local == oracle_slice(frames, clip)
+        verdict = run_filters(clip, local, CONFIG, CLIP_CONVENTION)
+        assert verdict.to_dict() == oracle_verdict(clip, oracle_slice(frames, clip), CONFIG)
+        # Unsliced: source frames read as clip-local, most of them out of range.
+        verdict = run_filters(clip, table, CONFIG, CLIP_CONVENTION)
+        assert verdict.to_dict() == oracle_verdict(clip, frames, CONFIG)
+        assert run_filters(clip, frames, CONFIG, CLIP_CONVENTION).to_dict() == verdict.to_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=records_strategy)
+def test_write_parse_round_trip(tmp_path_factory, records):
+    frames = merged_frames(records)
+    path = tmp_path_factory.mktemp("det") / "d.jsonl"
+    write_detections(frames, path)
+    table = parse_detections(path)
+    assert table == DetectionTable.from_frames(frames)
+    assert table == frames
+    back = pickle.loads(pickle.dumps(table))
+    assert back == table
+    assert back.names == table.names
+
+
+def test_from_frames_sorts_and_merges():
+    a = Detection("person", (0, 0, 1, 1), 0.9)
+    b = Detection("car", (0, 0, 2, 2), 0.4)
+    table = DetectionTable.from_frames([DetectionFrame(7, (a,)), DetectionFrame(2, ()), DetectionFrame(7, (b, a))])
+    assert table == [DetectionFrame(2, ()), DetectionFrame(7, (a, b, a))]
+    assert table.frames.tolist() == [2, 7]
+    assert table.offsets.tolist() == [0, 0, 3]
+    assert table[-1] == DetectionFrame(7, (a, b, a))
+    with pytest.raises(IndexError):
+        table[2]
+
+
+def test_window_is_clip_local():
+    box = Detection("person", (0, 0, 1, 1), 0.9)
+    table = DetectionTable.from_frames([DetectionFrame(f, (box,)) for f in (3, 5, 9)])
+    local = table.window(4, 9)
+    assert local == [DetectionFrame(1, (box,))]
+    assert np.shares_memory(local.bboxes, table.bboxes)
+    assert len(table.window(10, 20)) == 0
+
+
+def test_table_is_read_only():
+    table = DetectionTable.from_frames([DetectionFrame(1, (Detection("person", (0, 0, 1, 1), 0.9),))])
+    with pytest.raises(ValueError):
+        table.scores[0] = 0.0
+
+
+def test_inconsistent_arrays_rejected():
+    with pytest.raises(ValidationError):
+        DetectionTable(np.array([3, 1]), np.array([0, 0, 0]), np.zeros(0), ("person",), np.zeros(0), np.zeros((0, 4)))
+
+
+# ---------------------------------------------------------------------------
+# Validation: the parser and the constructors reject the same inputs
+# ---------------------------------------------------------------------------
+
+ODD_VALUES = [
+    True, False, None, "0.9", "", "abcd", 7, -1, 0, 1.5, -0.0, 2**63 - 1, 2**63, -(2**63) - 1, 10**400,
+    math.nan, math.inf, -math.inf, [], [1], [0, 0, 1, 1], {}, {"a": 1, "b": 2, "c": 3, "d": 4},
+]
+
+
+def scalar_accepts(obj) -> bool:
+    try:
+        DetectionFrame(obj["frame"], [Detection(d["label"], d["bbox"], d["score"]) for d in obj["detections"]])
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.sampled_from(["frame", "label", "score", "bbox", 0, 1, 2, 3]),
+    value=st.one_of(st.sampled_from(ODD_VALUES), st.integers(-5, 5), st.floats(allow_nan=True)),
+    position=st.integers(0, 2),
+)
+def test_parser_and_constructors_agree(tmp_path_factory, target, value, position):
+    box = {"label": "person", "bbox": [0.0, 0.0, 10.0, 10.0], "score": 0.5}
+    record = {"frame": 4, "detections": [dict(box), box]}
+    if target == "frame":
+        record["frame"] = value
+    elif isinstance(target, int):
+        box["bbox"] = list(box["bbox"])
+        box["bbox"][target] = value
+    else:
+        box[target] = value
+    line = json.dumps(record)
+    obj = json.loads(line)  # NaN and Infinity survive as JSON extensions, as the parser reads them
+    valid = json.dumps({"frame": 50, "detections": [{"label": "car", "bbox": [1, 1, 2, 2], "score": 0.1}]})
+    lines = [valid, valid]
+    lines.insert(position, line)
+    path = tmp_path_factory.mktemp("det") / "d.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        parse_detections(path)
+        parsed = True
+    except ParseError as exc:
+        parsed = False
+        assert exc.line == position + 1
+    assert parsed == scalar_accepts(obj)

@@ -139,6 +139,54 @@ class TestDetections:
         with pytest.raises(ValidationError):
             Detection("person", (5.0, 0.0, 1.0, 1.0), 0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame", True),
+            ("score", "0.9"),
+            ("bbox", ["0", 0, 1, 1]),
+            ("label", 7),
+        ],
+    )
+    def test_values_never_coerced(self, tmp_path, field, value):
+        box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 1}
+        record = {"frame": 3, "detections": [box]}
+        if field == "frame":
+            record["frame"] = value
+        else:
+            box[field] = value
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"frame": 1, "detections": []}) + "\n\n" + json.dumps(record) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_detections(path)
+        assert exc.value.line == 3
+
+    def test_integer_bbox_and_score_valid(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 1}
+        path.write_text(json.dumps({"frame": 4, "detections": [box]}))
+        (frame,) = parse_detections(path)
+        assert frame.frame == 4
+        assert frame.detections == (Detection("person", (0.0, 0.0, 10.0, 10.0), 1.0),)
+
+    def test_first_offending_line_reported(self, tmp_path):
+        # Line 2 fails a range check (found after the pass), line 3 a type
+        # check (found while streaming): the earlier line is reported.
+        path = tmp_path / "d.jsonl"
+        box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 0.5}
+        path.write_text(
+            json.dumps({"frame": 9, "detections": [box]})
+            + "\n"
+            + json.dumps({"frame": 2, "detections": [box, dict(box, bbox=[5, 0, 1, 1])]})
+            + "\n"
+            + json.dumps({"frame": 1, "detections": [dict(box, score=True)]})
+            + "\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_detections(path)
+        assert exc.value.line == 2
+        assert "corners out of order" in str(exc.value)
+
 
 class TestLandmarks:
     def test_empty_file(self, tmp_path):
@@ -202,6 +250,17 @@ class TestSamples:
         path.write_text("{\"sample_id\": \"x\"}\n")
         with pytest.raises(ParseError):
             parse_samples(path)
+
+    @pytest.mark.parametrize("waypoints", [[["x", 0]], [[1, 0, 5]], [[True, 0]], [[10**400, 0]]])
+    def test_malformed_waypoint_is_parse_error(self, tmp_path, waypoints):
+        path = tmp_path / "s.jsonl"
+        write_samples([_sample(0)], path)
+        record = json.loads(path.read_text())
+        record["waypoints"] = waypoints
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_samples(path)
+        assert exc.value.line == 1
 
 
 class TestPredictions:
