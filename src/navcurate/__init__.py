@@ -19,6 +19,7 @@ from .errors import (
     NavcurateError,
     OutOfBounds,
     ParseError,
+    SchemaError,
     ShapeMismatch,
     TooShort,
     ValidationError,

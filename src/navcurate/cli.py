@@ -12,13 +12,14 @@ error. Errors go to stderr as one-line JSON records.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import __version__
+from . import __version__, schema
 from . import io as tio
 from .errors import EmptyInput, EmptyResult, InvalidSpec, ParseError, ValidationError
 from .filters import FilterConfig, run_filters, slice_detections
@@ -27,7 +28,7 @@ from .losses import LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_t
 from .metrics import evaluate
 from .sampling import SamplerConfig, build_clip_samples, collect_samples
 from .segmentation import load_clips, save_clips, segment
-from .synth import SynthSpec, generate, generate_detections, generate_landmarks
+from .synth import SynthFile, generate, generate_detections, generate_landmarks
 
 WORKERS_ENV = "NAVCURATE_WORKERS"
 
@@ -57,14 +58,21 @@ def _digests(paths) -> dict:
     return {str(p): tio.file_digest(p) for p in paths}
 
 
-def _merged_config(cls, path, overrides: dict):
-    base = _load_json(path) if path else {}
-    data = {**base, **{k: v for k, v in overrides.items() if v is not None}}
-    return cls.from_dict(data)
+def _flag_values(args, cls) -> dict:
+    """The config flags of cls that were given on the command line, by field name."""
+    return {f.name: vars(args)[f.name] for f in dataclasses.fields(cls) if vars(args)[f.name] is not None}
+
+
+def _merged_config(cls, args):
+    """cls from the --config file, if any, with the given flags overriding its keys."""
+    data = _load_json(args.config) if args.config else {}
+    if type(data) is dict:
+        data = {**data, **_flag_values(args, cls)}
+    return schema.load(cls, data)
 
 
 def _convention(args) -> AxisConvention:
-    return AxisConvention(camera_forward=args.camera_forward, world_up=args.world_up)
+    return AxisConvention(**_flag_values(args, AxisConvention))
 
 
 def _map_tasks(fn, tasks, workers: int) -> list:
@@ -112,17 +120,7 @@ def cmd_filter(args) -> int:
     if not clips:
         raise EmptyInput(f"{Path(args.clips) / 'manifest.json'} lists no clips")
     detections = tio.parse_detections(args.detections)
-    overrides = {
-        "pitch_range_max_deg": args.pitch_range_max_deg,
-        "divergence_max_deg": args.divergence_max_deg,
-        "window_seconds": args.window_seconds,
-        "min_window_displacement_m": args.min_window_displacement_m,
-        "crowd_count_threshold": args.crowd_count_threshold,
-        "crowd_frame_threshold": args.crowd_frame_threshold,
-        "person_label": args.person_label,
-        "person_score_min": args.person_score_min,
-    }
-    config = _merged_config(FilterConfig, args.config, overrides)
+    config = _merged_config(FilterConfig, args)
     convention = _convention(args)
     tasks = [(clip, slice_detections(detections, clip), config, convention) for clip in clips]
     verdicts = _map_tasks(_filter_task, tasks, args.workers)
@@ -134,7 +132,7 @@ def cmd_filter(args) -> int:
     report = {
         "tool": _tool_info(),
         "stage": "filter",
-        "config": {"filter": config.to_dict(), "convention": convention.to_dict()},
+        "config": {"filter": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
         "inputs": _digests([args.detections, Path(args.clips) / "manifest.json"]),
         "counts": {
             "clips_in": len(clips),
@@ -144,9 +142,9 @@ def cmd_filter(args) -> int:
         },
         "verdicts": [v.to_dict() for v in verdicts],
     }
+    # The accepted list goes first: a report on disk always names a complete list.
+    tio._write_text(args.accepted or f"{args.report}.accepted", "".join(f"{cid}\n" for cid in accepted))
     tio.write_report(report, args.report)
-    accepted_path = args.accepted or f"{args.report}.accepted"
-    Path(accepted_path).write_text("".join(f"{cid}\n" for cid in accepted), encoding="utf-8")
     return 0
 
 
@@ -156,18 +154,7 @@ def cmd_samples(args) -> int:
     accepted_ids = {
         line.strip() for line in Path(args.accepted).read_text(encoding="utf-8").splitlines() if line.strip()
     }
-    overrides = {
-        "history_len": args.history_len,
-        "horizon": args.horizon,
-        "min_offset": args.min_offset,
-        "max_offset": args.max_offset,
-        "arrival_window": args.arrival_window,
-        "arrival_fraction": args.arrival_fraction,
-        "waypoint_stride": args.waypoint_stride,
-        "draws_per_landmark": args.draws_per_landmark,
-        "seed": args.seed,
-    }
-    config = _merged_config(SamplerConfig, args.config, overrides)
+    config = _merged_config(SamplerConfig, args)
     convention = _convention(args)
 
     samples, skipped = collect_samples(
@@ -182,7 +169,7 @@ def cmd_samples(args) -> int:
     manifest = {
         "tool": _tool_info(),
         "stage": "samples",
-        "config": {"sampler": config.to_dict(), "convention": convention.to_dict()},
+        "config": {"sampler": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
         "inputs": _digests([Path(args.clips) / "manifest.json", args.landmarks, args.accepted]),
         "outputs": {"samples": str(args.out)},
         "counts": {
@@ -216,10 +203,8 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     doc = _load_json(args.spec)
-    if "trajectory" not in doc:
-        raise ValidationError("synth spec must contain a 'trajectory' object")
-    spec = SynthSpec.from_dict(doc["trajectory"])
-    traj = generate(spec)
+    spec = schema.load(SynthFile, doc)
+    traj = generate(spec.trajectory)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -228,22 +213,16 @@ def cmd_synth(args) -> int:
     outputs["poses"] = poses_file
     counts = {"poses": len(traj)}
 
-    det_block = doc.get("detections")
-    if det_block is not None:
-        schedule = _expand_schedule(det_block, len(traj))
-        frames = generate_detections(len(traj), schedule)
+    if spec.detections is not None:
+        frames = generate_detections(len(traj), spec.detections.counts(len(traj)))
         tio.write_detections(frames, out_dir / "detections.jsonl")
         outputs["detections"] = "detections.jsonl"
         counts["detection_frames"] = len(frames)
 
-    lm_block = doc.get("landmarks")
-    if lm_block is not None:
-        clip_seconds = float(lm_block.get("clip_seconds", 120.0))
-        per_clip = int(lm_block.get("per_clip", 3))
-        seed = int(lm_block.get("seed", 0))
+    if spec.landmarks is not None:
         landmarks = []
-        for clip in segment(traj, clip_seconds):
-            landmarks.extend(generate_landmarks(clip, per_clip, seed))
+        for clip in segment(traj, spec.landmarks.clip_seconds):
+            landmarks.extend(generate_landmarks(clip, spec.landmarks.per_clip, spec.landmarks.seed))
         tio.write_landmarks(landmarks, out_dir / "landmarks.jsonl")
         outputs["landmarks"] = "landmarks.jsonl"
         counts["landmarks"] = len(landmarks)
@@ -262,24 +241,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _expand_schedule(det_block: dict, n_frames: int) -> list[int]:
-    """Detection spec: either an explicit per-frame 'schedule' or run-length 'spans'."""
-    if "schedule" in det_block:
-        return [int(c) for c in det_block["schedule"]]
-    schedule = [0] * n_frames
-    for span in det_block.get("spans", []):
-        start = int(span["start"])
-        for f in range(start, min(start + int(span["frames"]), n_frames)):
-            schedule[f] = int(span["count"])
-    return schedule
-
-
 def cmd_loss(args) -> int:
     doc = _load_json(args.input)
     for key in ("pred_waypoints", "gt_waypoints"):
         if key not in doc:
             raise ValidationError(f"loss input must contain {key!r}")
-    weights = LossWeights.from_dict(doc.get("weights", {}))
+    weights = schema.load(LossWeights, doc.get("weights", {}))
     reg, _ = loss_reg(doc["pred_waypoints"], doc["gt_waypoints"])
     ori, _ = loss_ori(doc["pred_waypoints"], doc["gt_waypoints"])
     arr = None
@@ -302,9 +269,15 @@ def cmd_loss(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_convention_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--camera-forward", default="+z", help="camera forward axis (+x/-x/+y/-y/+z/-z)")
-    p.add_argument("--world-up", default="+z", help="world up axis (+x/-x/+y/-y/+z/-z)")
+def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
+    """One --field-name flag per field of cls, typed by its annotation (config fields are str, int or float)."""
+    for f in dataclasses.fields(cls):
+        p.add_argument(
+            f"--{f.name.replace('_', '-')}",
+            type=schema.hints(cls)[f.name],
+            default=None,
+            help=f"{cls.__name__}.{f.name} (default: {f.default})",
+        )
 
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
@@ -335,15 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="FilterConfig JSON file; flags override")
     p.add_argument("--report", required=True, help="verdict report path")
     p.add_argument("--accepted", default=None, help="accepted clip-id list path (default: REPORT.accepted)")
-    p.add_argument("--pitch-range-max-deg", type=float, default=None)
-    p.add_argument("--divergence-max-deg", type=float, default=None)
-    p.add_argument("--window-seconds", type=float, default=None)
-    p.add_argument("--min-window-displacement-m", type=float, default=None)
-    p.add_argument("--crowd-count-threshold", type=int, default=None)
-    p.add_argument("--crowd-frame-threshold", type=int, default=None)
-    p.add_argument("--person-label", default=None)
-    p.add_argument("--person-score-min", type=float, default=None)
-    _add_convention_flags(p)
+    _add_config_flags(p, FilterConfig)
+    _add_config_flags(p, AxisConvention)
     _add_workers_flag(p)
     p.set_defaults(func=cmd_filter)
 
@@ -352,17 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landmarks", required=True)
     p.add_argument("--accepted", required=True, help="accepted clip-id list from 'filter'")
     p.add_argument("--config", default=None, help="SamplerConfig JSON file; flags override")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="samples file (JSON lines)")
-    p.add_argument("--history-len", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--min-offset", type=int, default=None)
-    p.add_argument("--max-offset", type=int, default=None)
-    p.add_argument("--arrival-window", type=int, default=None)
-    p.add_argument("--arrival-fraction", type=float, default=None)
-    p.add_argument("--waypoint-stride", type=int, default=None)
-    p.add_argument("--draws-per-landmark", type=int, default=None)
-    _add_convention_flags(p)
+    _add_config_flags(p, SamplerConfig)
+    _add_config_flags(p, AxisConvention)
     _add_workers_flag(p)
     p.set_defaults(func=cmd_samples)
 

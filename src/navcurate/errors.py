@@ -29,6 +29,10 @@ class ValidationError(NavcurateError):
     """A value violates a documented invariant."""
 
 
+class SchemaError(ValidationError):
+    """A JSON value does not have the type its schema field declares."""
+
+
 class GimbalDegenerate(NavcurateError):
     """Yaw is undefined: the camera forward vector is (near) vertical."""
 

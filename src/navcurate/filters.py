@@ -23,7 +23,7 @@ count exactly at its threshold passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,17 +77,6 @@ class FilterConfig:
                 raise ValidationError(f"{name} must be positive, got {value!r}")
         if not (0.0 <= self.person_score_min <= 1.0):
             raise ValidationError(f"person_score_min must be in [0, 1], got {self.person_score_min!r}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FilterConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown FilterConfig keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)

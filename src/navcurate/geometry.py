@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GimbalDegenerate, ValidationError
+from .schema import json_pair
 
 __all__ = [
     "AxisConvention",
@@ -110,16 +111,6 @@ class AxisConvention:
         e1[(k + 1) % 3] = 1.0
         e2[(k + 2) % 3] = sign
         return e1, e2
-
-    def to_dict(self) -> dict:
-        return {"camera_forward": self.camera_forward, "world_up": self.world_up}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AxisConvention":
-        unknown = set(data) - {"camera_forward", "world_up"}
-        if unknown:
-            raise ValidationError(f"unknown AxisConvention keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 DEFAULT_CONVENTION = AxisConvention()
@@ -238,6 +229,7 @@ class Pose:
         return cls(timestamp, np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
 
 
+@json_pair
 @dataclass(frozen=True)
 class EgoWaypoint:
     """A ground-plane point relative to a reference pose: x forward, y left, meters."""

@@ -1,6 +1,8 @@
 """On-disk artifact formats: parsers and writers.
 
-All files are UTF-8. Two families of formats:
+All files are UTF-8 and every writer replaces its file atomically (a
+sibling temporary file, then ``os.replace``), so a killed stage never
+leaves a truncated artifact behind.
 
 Pose files (TUM-style text):
     ``timestamp tx ty tz qx qy qz qw`` per line, single spaces, ``#``
@@ -8,29 +10,29 @@ Pose files (TUM-style text):
     and are renormalized on load; everything else is rejected, never
     repaired.
 
-Record files (JSON lines, one record per line, fixed key order):
-    detections:  {"frame", "detections": [{"label", "bbox", "score"}, ...]}
-    landmarks:   {"clip_id", "goal_frame", "bbox", "name", "instruction"}
-    samples:     {"sample_id", "clip_id", "instruction", "t", "t_g",
-                  "history_frames", "waypoints", "arrival"}
-    predictions: {"sample_id", "predicted", "ground_truth",
-                  "predicted_arrival", "arrival_label"}
+Record files (JSON lines, one compact record per line):
+    Each record type is a frozen dataclass, and its fields are the
+    record's schema: field names are the keys in order, annotations the
+    exact JSON types (see :mod:`navcurate.schema`). ``parse_landmarks``,
+    ``parse_samples`` and ``parse_predictions`` read every line through
+    ``schema.decoder``; the ``write_*`` functions write the fields back in
+    order. A line of the wrong shape or JSON type raises ParseError with
+    its line number; a well-typed record that breaks an invariant of its
+    dataclass (an empty instruction, bbox corners out of order) raises
+    ValidationError naming ``path:line``. Keys that are not fields are
+    ignored.
 
-``bbox`` is [x1, y1, x2, y2] in pixels; waypoints are [x, y] meter pairs.
-Values are checked against their exact JSON type and never coerced: a
-number is a JSON integer or float (``true``/``false`` and numeric strings
-are rejected), an integer field such as a detection ``frame`` must be a
-JSON integer, and a string field must be a JSON string.
+Detections are the exception, for speed: :func:`parse_detections` reads
+them in one streaming pass into a columnar :class:`DetectionTable`
+(frames sorted, boxes as arrays) under the same exact JSON types, and
+reports every invalid line, range errors included, as ParseError.
+:class:`Detection` and :class:`DetectionFrame` are the per-box and
+per-frame scalar forms and the schema ``write_detections`` writes.
+Detection frame indices count frames of the source trajectory; duplicate
+frames merge by concatenation in file order (the one documented repair).
 
-Detections parse into one columnar :class:`DetectionTable` (frames sorted,
-boxes as arrays); :class:`Detection` and :class:`DetectionFrame` are the
-per-box and per-frame scalar forms, with the same validation rules.
-Detection frame indices count frames of the source trajectory. Duplicate
-detection frames are merged by concatenation in file order (the one
-documented repair); every other malformed or invariant-violating record
-raises ParseError naming its line number (the first such line in the
-file). Reports are a single pretty-printed JSON document with sorted
-keys, so identical inputs produce byte-identical files.
+Reports are a single pretty-printed JSON document with sorted keys, so
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import json
 import math
 import numbers
 import operator
+import os
 import warnings
 from array import array
 from collections.abc import Sequence
@@ -48,7 +51,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from . import schema
+from .errors import ParseError, SchemaError, ValidationError
 from .geometry import EgoWaypoint, Pose
 
 __all__ = [
@@ -69,6 +73,7 @@ __all__ = [
     "write_samples",
     "parse_predictions",
     "write_predictions",
+    "write_records",
     "write_report",
     "file_digest",
 ]
@@ -343,6 +348,9 @@ def _table_from_bytes(names, frames, offsets, labels, scores, bboxes) -> Detecti
     )
 
 
+_INF = math.inf
+
+
 @dataclass(frozen=True)
 class LandmarkAnnotation:
     """A navigation goal: a named, boxed scene element plus its instruction."""
@@ -356,14 +364,17 @@ class LandmarkAnnotation:
     def __post_init__(self):
         if not self.clip_id:
             raise ValidationError("clip_id must be non-empty")
-        if int(self.goal_frame) != self.goal_frame or self.goal_frame < 0:
-            raise ValidationError(f"goal_frame must be a non-negative integer, got {self.goal_frame!r}")
-        bbox = tuple(float(v) for v in self.bbox)
-        if len(bbox) != 4 or bbox[0] > bbox[2] or bbox[1] > bbox[3]:
-            raise ValidationError(f"malformed bbox: {self.bbox!r}")
+        goal = self.goal_frame
+        if int(goal) != goal or goal < 0:
+            raise ValidationError(f"goal_frame must be a non-negative integer, got {goal!r}")
+        bbox = tuple(map(float, self.bbox))
+        # One chained comparison per axis is both the finiteness and the order test.
+        if len(bbox) != 4 or not (-_INF < bbox[0] <= bbox[2] < _INF and -_INF < bbox[1] <= bbox[3] < _INF):
+            raise ValidationError(f"bbox must be 4 finite numbers with x1 <= x2 and y1 <= y2, got {self.bbox!r}")
         if not self.instruction:
             raise ValidationError("instruction must be non-empty")
-        object.__setattr__(self, "goal_frame", int(self.goal_frame))
+        if type(goal) is not int:
+            object.__setattr__(self, "goal_frame", int(goal))
         object.__setattr__(self, "bbox", bbox)
 
 
@@ -391,7 +402,7 @@ class TrainingSample:
             raise ValidationError("history_frames must be non-empty")
         if not self.waypoints:
             raise ValidationError("waypoints must be non-empty")
-        object.__setattr__(self, "history_frames", tuple(int(f) for f in self.history_frames))
+        object.__setattr__(self, "history_frames", tuple(map(int, self.history_frames)))
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         object.__setattr__(self, "arrival", bool(self.arrival))
 
@@ -407,8 +418,9 @@ class PredictionRecord:
     arrival_label: bool | None = None
 
     def __post_init__(self):
-        if not isinstance(self.sample_id, str) or not self.sample_id:
-            raise ValidationError(f"sample_id must be a non-empty string, got {self.sample_id!r}")
+        # The JSON types of the fields are checked by the schema (parse_predictions).
+        if not self.sample_id:
+            raise ValidationError("sample_id must be non-empty")
         predicted = _as_waypoints(self.predicted)
         ground_truth = _as_waypoints(self.ground_truth)
         if len(predicted) == 0 or len(predicted) != len(ground_truth):
@@ -416,17 +428,21 @@ class PredictionRecord:
                 f"predicted and ground_truth must have equal length >= 1, got {len(predicted)} vs {len(ground_truth)}"
             )
         if self.predicted_arrival is not None:
-            if not _is_number(self.predicted_arrival) or not (0.0 <= float(self.predicted_arrival) <= 1.0):
-                raise ValidationError(f"predicted_arrival must be a number in [0, 1], got {self.predicted_arrival!r}")
+            if not 0.0 <= self.predicted_arrival <= 1.0:
+                raise ValidationError(f"predicted_arrival must be in [0, 1], got {self.predicted_arrival!r}")
             object.__setattr__(self, "predicted_arrival", float(self.predicted_arrival))
-        if self.arrival_label is not None and not isinstance(self.arrival_label, bool):
-            raise ValidationError(f"arrival_label must be a bool or null, got {self.arrival_label!r}")
         object.__setattr__(self, "predicted", predicted)
         object.__setattr__(self, "ground_truth", ground_truth)
 
 
+_WAYPOINT_TYPE = frozenset((EgoWaypoint,))
+
+
 def _as_waypoints(seq) -> tuple[EgoWaypoint, ...]:
     """EgoWaypoints as given; (x, y) pairs become EgoWaypoint(x, y)."""
+    seq = tuple(seq)
+    if _WAYPOINT_TYPE.issuperset(map(type, seq)):  # the parsers' case, without a per-item Python loop
+        return seq
     return tuple(w if isinstance(w, EgoWaypoint) else EgoWaypoint(*w) for w in seq)
 
 
@@ -509,14 +525,16 @@ def write_pose_file(traj: RawTrajectory, path) -> None:
     rows = np.column_stack([traj.timestamps, traj.positions, traj.quaternions]).tolist()
     for row in rows:
         lines.append(" ".join(repr(v) for v in row) + "\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    _write_text(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
 # JSON-lines records
 # ---------------------------------------------------------------------------
 
-_raw_decode = json.JSONDecoder().raw_decode
+# The C scanner behind JSONDecoder.raw_decode: it returns (value, end) or
+# raises StopIteration (no value) or JSONDecodeError.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _iter_json_lines(path):
@@ -525,11 +543,11 @@ def _iter_json_lines(path):
             text = line.strip()
             if not text:
                 continue
-            # raw_decode skips json.loads' wrapper; a line it cannot take
+            # The scanner skips json.loads' wrappers; a line it cannot take
             # whole goes through json.loads for the canonical error.
             try:
-                obj, end = _raw_decode(text)
-            except json.JSONDecodeError:
+                obj, end = _scan_once(text, 0)
+            except (StopIteration, json.JSONDecodeError):
                 end = -1
             if end != len(text):
                 try:
@@ -539,42 +557,13 @@ def _iter_json_lines(path):
             yield lineno, obj
 
 
-def _record_field(obj: dict, key: str, path, lineno: int):
-    if not isinstance(obj, dict):
-        raise ParseError(f"record must be a JSON object, got {type(obj).__name__}", path=str(path), line=lineno)
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}", path=str(path), line=lineno)
-    return obj[key]
-
-
-def _frame_from_record(obj, path, lineno: int) -> DetectionFrame:
-    """One detection record through the scalar constructors: the reference for parse_detections' rules."""
-    frame = _record_field(obj, "frame", path, lineno)
-    raw_dets = _record_field(obj, "detections", path, lineno)
-    if type(raw_dets) is not list:
-        raise ParseError(f"detections must be a list, got {type(raw_dets).__name__}", path=str(path), line=lineno)
-    try:
-        return DetectionFrame(
-            frame,
-            [
-                Detection(
-                    _record_field(d, "label", path, lineno),
-                    _record_field(d, "bbox", path, lineno),
-                    _record_field(d, "score", path, lineno),
-                )
-                for d in raw_dets
-            ],
-        )
-    except ValidationError as exc:
-        raise ParseError(str(exc), path=str(path), line=lineno) from None
-
-
 def parse_detections(path) -> DetectionTable:
     """Parse detection records into a DetectionTable, sorted by frame.
 
     Duplicate frames merge by concatenation in file order. The first
-    invalid line raises ParseError with the message of the scalar
-    Detection/DetectionFrame constructors, which apply the same rules.
+    invalid line raises ParseError with the message of the schema or of
+    the scalar Detection/DetectionFrame constructors, which apply the
+    same rules.
     """
     frames, ends, lines = array("q"), array("q"), array("q")
     labels, scores, bboxes = array("q"), array("d"), array("d")
@@ -607,7 +596,10 @@ def parse_detections(path) -> DetectionTable:
                     bboxes.extend(bbox)
                 frames.append(frame)
             except (KeyError, TypeError, OverflowError):
-                _frame_from_record(obj, path, lineno)
+                try:
+                    schema.decoder(DetectionFrame)(obj)  # the schema and the scalar constructors name the fault
+                except ValidationError as exc:
+                    raise ParseError(str(exc), path=str(path), line=lineno) from None
                 raise ParseError("invalid detection record", path=str(path), line=lineno) from None
             ends.append(len(scores))
             lines.append(lineno)
@@ -659,163 +651,69 @@ def _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, 
     return frames, ends, labels, tuple(names), scores, bboxes
 
 
-def write_detections(frames, path) -> None:
-    lines = []
-    for frame in frames:
-        lines.append(
-            _dump_line(
-                {
-                    "frame": frame.frame,
-                    "detections": [
-                        {"label": d.label, "bbox": list(d.bbox), "score": d.score} for d in frame.detections
-                    ],
-                }
-            )
-        )
-    Path(path).write_text("".join(lines), encoding="utf-8")
+def _parse_records(cls, path) -> list:
+    """The records of one dataclass in file order, each line read through schema.decoder.
 
-
-def parse_landmarks(path) -> list[LandmarkAnnotation]:
-    """Parse landmark records in file order.
-
-    A missing field is a ParseError; a present-but-empty instruction is a
-    ValidationError (the record is well-formed, its content is not).
+    A line that is not JSON, not an object, lacks a field or holds a value
+    of the wrong JSON type raises ParseError naming the line. A well-typed
+    record that breaks an invariant of cls (an empty instruction, bbox
+    corners out of order) raises ValidationError naming path:line.
     """
-    landmarks = []
-    for lineno, obj in _iter_json_lines(path):
-        instruction = _record_field(obj, "instruction", path, lineno)
-        if not instruction:
-            raise ValidationError(f"{path}:{lineno}: instruction must be non-empty")
-        try:
-            landmarks.append(
-                LandmarkAnnotation(
-                    _record_field(obj, "clip_id", path, lineno),
-                    _record_field(obj, "goal_frame", path, lineno),
-                    _record_field(obj, "bbox", path, lineno),
-                    _record_field(obj, "name", path, lineno),
-                    instruction,
-                )
-            )
-        except (ValidationError, TypeError) as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno)
-    return landmarks
-
-
-def write_landmarks(landmarks, path) -> None:
-    lines = [
-        _dump_line(
-            {
-                "clip_id": lm.clip_id,
-                "goal_frame": lm.goal_frame,
-                "bbox": list(lm.bbox),
-                "name": lm.name,
-                "instruction": lm.instruction,
-            }
-        )
-        for lm in landmarks
-    ]
-    Path(path).write_text("".join(lines), encoding="utf-8")
-
-
-def parse_samples(path) -> list[TrainingSample]:
-    samples = []
-    for lineno, obj in _iter_json_lines(path):
-        try:
-            samples.append(
-                TrainingSample(
-                    _record_field(obj, "sample_id", path, lineno),
-                    _record_field(obj, "clip_id", path, lineno),
-                    _record_field(obj, "instruction", path, lineno),
-                    _record_field(obj, "t", path, lineno),
-                    _record_field(obj, "t_g", path, lineno),
-                    tuple(_record_field(obj, "history_frames", path, lineno)),
-                    _waypoint_pairs(obj, "waypoints", path, lineno),
-                    _record_field(obj, "arrival", path, lineno),
-                )
-            )
-        except (ValidationError, TypeError, OverflowError) as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno)
-    return samples
-
-
-def write_samples(samples, path) -> None:
-    lines = [
-        _dump_line(
-            {
-                "sample_id": s.sample_id,
-                "clip_id": s.clip_id,
-                "instruction": s.instruction,
-                "t": s.t,
-                "t_g": s.t_g,
-                "history_frames": list(s.history_frames),
-                "waypoints": [[w.x, w.y] for w in s.waypoints],
-                "arrival": s.arrival,
-            }
-        )
-        for s in samples
-    ]
-    Path(path).write_text("".join(lines), encoding="utf-8")
-
-
-def _waypoint_pairs(obj: dict, key: str, path, lineno: int) -> tuple[EgoWaypoint, ...]:
-    """A record's waypoint list: every entry exactly two finite numbers [x, y].
-
-    json.loads gives a number as exactly int or float (true/false are
-    bool), so exact type tests suffice here.
-    """
-    value = _record_field(obj, key, path, lineno)
-    if type(value) is not list:
-        raise ParseError(f"{key} must be a list of [x, y] number pairs", path=str(path), line=lineno)
-    points = []
-    for w in value:
-        if type(w) is not list or len(w) != 2 or type(w[0]) not in _JSON_NUMBERS or type(w[1]) not in _JSON_NUMBERS:
-            raise ParseError(f"{key} must be a list of [x, y] number pairs", path=str(path), line=lineno)
-        points.append(EgoWaypoint(w[0], w[1]))
-    return tuple(points)
-
-
-def parse_predictions(path) -> list[PredictionRecord]:
-    """Parse prediction records in file order.
-
-    Waypoints must be [x, y] pairs of finite numbers, predicted_arrival a
-    number in [0, 1] or null, arrival_label a bool or null and sample_id
-    a non-empty string; anything else is a ParseError, never coerced.
-    """
+    decode = schema.decoder(cls)
     records = []
     for lineno, obj in _iter_json_lines(path):
         try:
-            records.append(
-                PredictionRecord(
-                    _record_field(obj, "sample_id", path, lineno),
-                    _waypoint_pairs(obj, "predicted", path, lineno),
-                    _waypoint_pairs(obj, "ground_truth", path, lineno),
-                    obj.get("predicted_arrival"),
-                    obj.get("arrival_label"),
-                )
-            )
-        except (ValidationError, OverflowError) as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno)
+            records.append(decode(obj))
+        except SchemaError as exc:
+            raise ParseError(str(exc), path=str(path), line=lineno) from None
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
-def write_predictions(records, path) -> None:
-    lines = [
-        _dump_line(
-            {
-                "sample_id": r.sample_id,
-                "predicted": [[w.x, w.y] for w in r.predicted],
-                "ground_truth": [[w.x, w.y] for w in r.ground_truth],
-                "predicted_arrival": r.predicted_arrival,
-                "arrival_label": r.arrival_label,
-            }
-        )
-        for r in records
-    ]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+_record_json = json.JSONEncoder(
+    separators=(",", ":"),
+    allow_nan=False,
+    default=lambda value: value.item() if isinstance(value, np.generic) else schema.to_json(value),
+).encode
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(_jsonable(obj), separators=(",", ":"), allow_nan=False) + "\n"
+def write_records(records, path) -> None:
+    """Write records of any record dataclass as JSON lines, keys in field order."""
+    _write_text(path, "".join([_record_json(r) + "\n" for r in records]))
+
+
+write_detections = write_landmarks = write_samples = write_predictions = write_records
+
+
+def parse_landmarks(path) -> list[LandmarkAnnotation]:
+    return _parse_records(LandmarkAnnotation, path)
+
+
+def parse_samples(path) -> list[TrainingSample]:
+    return _parse_records(TrainingSample, path)
+
+
+def parse_predictions(path) -> list[PredictionRecord]:
+    return _parse_records(PredictionRecord, path)
+
+
+def _write_text(path, text: str) -> None:
+    """Write text to path through a sibling temporary file and os.replace, so a killed writer leaves no
+    truncated file (no fsync: a power loss is out of scope). A pipe or other non-regular file is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        path.write_text(text, encoding="utf-8")
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _jsonable(value):
@@ -837,8 +735,7 @@ def write_report(report: dict, path) -> None:
     Non-finite floats are emitted as null; identical report content
     yields byte-identical files.
     """
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    _write_text(path, json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def file_digest(path) -> str:

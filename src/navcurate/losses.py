@@ -48,17 +48,6 @@ class LossWeights:
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValidationError(f"{f.name} must be a finite non-negative real, got {value!r}")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LossWeights":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown LossWeights keys: {sorted(unknown)}")
-        return cls(**data)
-
 
 class LossComponents(NamedTuple):
     reg: float

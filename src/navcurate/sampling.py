@@ -25,7 +25,7 @@ to reproduce it exactly.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -82,17 +82,6 @@ class SamplerConfig:
             raise ValidationError("draws_per_landmark must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be a non-negative 64-bit integer")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplerConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown SamplerConfig keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 def _clip_key(clip_id: str) -> int:

@@ -8,6 +8,7 @@ and the clip carries its own local world coordinate system.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -15,21 +16,26 @@ from pathlib import Path
 
 import numpy as np
 
+from . import schema
 from .errors import EmptyResult, ValidationError
 from .geometry import Pose, quat_conjugate, quat_multiply_many, quat_rotate
-from .io import RawTrajectory, parse_pose_file, write_pose_file
+from .io import RawTrajectory, _write_text, parse_pose_file, write_pose_file
 
 __all__ = ["Clip", "segment", "save_clips", "load_clips"]
 
 CLIP_MANIFEST_NAME = "manifest.json"
-# Manifest entry fields load_clips reads, with their allowed JSON types.
-_ENTRY_FIELDS = {
-    "clip_id": (str,),
-    "source_id": (str,),
-    "file": (str,),
-    "fps": (float, int),
-    "start_frame": (int,),
-}
+
+
+@dataclass(frozen=True)
+class ClipEntry:
+    """One clip of a clip manifest: the pose file and what load_clips needs to rebuild the Clip."""
+
+    clip_id: str
+    source_id: str
+    fps: float
+    start_frame: int
+    n_frames: int
+    file: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,19 +145,12 @@ def save_clips(clips, out_dir, extra: dict | None = None) -> Path:
         traj = RawTrajectory(clip.clip_id, clip.fps, clip.timestamps, clip.positions, clip.quaternions)
         write_pose_file(traj, out_dir / filename)
         entries.append(
-            {
-                "clip_id": clip.clip_id,
-                "source_id": clip.source_id,
-                "fps": clip.fps,
-                "start_frame": clip.start_frame,
-                "n_frames": len(clip),
-                "file": filename,
-            }
+            dataclasses.asdict(ClipEntry(clip.clip_id, clip.source_id, clip.fps, clip.start_frame, len(clip), filename))
         )
     manifest = dict(extra or {})
     manifest["clips"] = entries
     manifest_path = out_dir / CLIP_MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
@@ -167,24 +166,22 @@ def load_clips(clip_dir) -> list[Clip]:
     if type(entries) is not list:
         raise ValidationError(f"{manifest_path}: 'clips' must be a list of clip entries")
     clips = []
-    for i, entry in enumerate(entries):
-        for key, types in _ENTRY_FIELDS.items():
-            if type(entry) is not dict or key not in entry:
-                raise ValidationError(f"{manifest_path}: clip entry {i} has no {key!r}")
-            if type(entry[key]) not in types:
-                raise ValidationError(
-                    f"{manifest_path}: clip entry {i} has {key!r} of type {type(entry[key]).__name__}"
-                )
-        traj = parse_pose_file(clip_dir / entry["file"], entry["fps"], traj_id=entry["clip_id"])
+    for i, raw in enumerate(entries):
+        entry = schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw)
+        traj = parse_pose_file(clip_dir / entry.file, entry.fps, traj_id=entry.clip_id)
+        if len(traj) != entry.n_frames:
+            raise ValidationError(
+                f"{manifest_path}: clip entry {i} lists {entry.n_frames} frames, {entry.file} holds {len(traj)}"
+            )
         clips.append(
             Clip(
-                clip_id=entry["clip_id"],
-                source_id=entry["source_id"],
+                clip_id=entry.clip_id,
+                source_id=entry.source_id,
                 fps=traj.fps,
                 timestamps=traj.timestamps,
                 positions=traj.positions,
                 quaternions=traj.quaternions,
-                start_frame=entry["start_frame"],
+                start_frame=entry.start_frame,
             )
         )
     return sorted(clips, key=lambda c: c.clip_id)

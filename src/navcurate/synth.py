@@ -43,6 +43,10 @@ from .segmentation import Clip
 
 __all__ = [
     "SynthSpec",
+    "SynthFile",
+    "DetectionBlock",
+    "DetectionSpan",
+    "LandmarkBlock",
     "RAW_CONVENTION",
     "CLIP_CONVENTION",
     "generate",
@@ -96,28 +100,70 @@ class SynthSpec:
         if self.kind == "composite":
             if not self.parts:
                 raise InvalidSpec("composite needs at least one part")
-            object.__setattr__(
-                self, "parts", tuple(p if isinstance(p, SynthSpec) else SynthSpec(**p) for p in self.parts)
-            )
+            object.__setattr__(self, "parts", tuple(self.parts))
             if any(p.fps != self.parts[0].fps for p in self.parts):
                 raise InvalidSpec("composite parts must share one fps")
             if any(p.kind == "composite" for p in self.parts):
                 raise InvalidSpec("composite parts cannot nest")
 
-    def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "parts"}
-        if self.parts:
-            data["parts"] = [p.to_dict() for p in self.parts]
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidSpec(f"unknown SynthSpec keys: {sorted(unknown)}")
-        parts = tuple(cls.from_dict(p) for p in data.get("parts", ()))
-        return cls(**{**{k: v for k, v in data.items() if k != "parts"}, "parts": parts})
+@dataclass(frozen=True)
+class DetectionSpan:
+    """``count`` person boxes on each of ``frames`` frames from frame ``start``."""
+
+    start: int
+    frames: int
+    count: int
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise InvalidSpec(f"detection span {f.name} must be non-negative, got {getattr(self, f.name)!r}")
+
+
+@dataclass(frozen=True)
+class DetectionBlock:
+    """Person counts per frame: an explicit ``schedule``, else run-length ``spans`` over zeros."""
+
+    schedule: tuple[int, ...] | None = None
+    spans: tuple[DetectionSpan, ...] = ()
+
+    def __post_init__(self):
+        if self.schedule is not None and any(c < 0 for c in self.schedule):
+            raise InvalidSpec("detection schedule counts must be non-negative")
+
+    def counts(self, n_frames: int) -> list[int]:
+        if self.schedule is not None:
+            return list(self.schedule)
+        counts = [0] * n_frames
+        for span in self.spans:
+            for f in range(span.start, min(span.start + span.frames, n_frames)):
+                counts[f] = span.count
+        return counts
+
+
+@dataclass(frozen=True)
+class LandmarkBlock:
+    """``per_clip`` landmarks on each ``clip_seconds`` clip of the trajectory, drawn with ``seed``."""
+
+    clip_seconds: float = 120.0
+    per_clip: int = 3
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.per_clip < 0:
+            raise InvalidSpec(f"per_clip must be non-negative, got {self.per_clip!r}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidSpec("landmark seed must be a non-negative 64-bit integer")
+
+
+@dataclass(frozen=True)
+class SynthFile:
+    """A ``synth`` spec file: the trajectory, plus optional detection and landmark blocks."""
+
+    trajectory: SynthSpec
+    detections: DetectionBlock | None = None
+    landmarks: LandmarkBlock | None = None
 
 
 def _base_orientation() -> np.ndarray:

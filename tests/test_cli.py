@@ -108,6 +108,50 @@ class TestSynthCommand:
         for name in ("walk.txt", "landmarks.jsonl", "detections.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("trajectory", "duration_s", "2"),
+            ("trajectory", "seed", 1.5),
+            (None, "detections", [1]),
+            ("landmarks", "per_clip", "x"),
+            ("detections", "spans", [{"start": 0, "frames": 3, "count": 2.7}]),
+        ],
+    )
+    def test_mistyped_spec_value_exits_2(self, tmp_path, capsys, block, key, value):
+        spec = synth_spec_doc(tmp_path)
+        doc = json.loads(spec.read_text())
+        (doc if block is None else doc[block])[key] = value
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "validation"
+        assert key in json.loads(lines[0])["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("detections", "spans", [{"start": -1, "frames": 3, "count": 2}]),
+            ("detections", "spans", [{"start": 0, "frames": 3, "count": -2}]),
+            ("landmarks", "per_clip", -1),
+            ("landmarks", "seed", -1),
+        ],
+    )
+    def test_negative_spec_value_exits_2(self, tmp_path, capsys, block, key, value):
+        spec = synth_spec_doc(tmp_path)
+        doc = json.loads(spec.read_text())
+        doc[block][key] = value
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "validation"
+        assert not out.exists()
+
 
 class TestFilterCommand:
     def test_report_and_accepted_list(self, pipeline_dir):
@@ -268,6 +312,41 @@ class TestFilterCommand:
         assert report["counts"]["accepted"] == 4
         assert report["config"]["filter"]["crowd_frame_threshold"] == 10
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"crowd_count_threshold": "5"}, {"crowd_count_threshold": 2.5}, {"crowd_count_threshold": True}, [5]],
+    )
+    def test_mistyped_config_exits_2(self, pipeline_dir, capsys, config):
+        config_path = pipeline_dir / "filter.json"
+        config_path.write_text(json.dumps(config))
+        report_path = pipeline_dir / "report.json"
+        rc = main(
+            ["filter", "--clips", str(pipeline_dir / "clips"),
+             "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+             "--config", str(config_path), "--report", str(report_path), "--workers", "1"]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "validation"
+        assert not report_path.exists()
+        assert not (pipeline_dir / "report.json.accepted").exists()
+
+    def test_accepted_list_written_before_report(self, pipeline_dir, monkeypatch):
+        def fail(report, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("navcurate.io.write_report", fail)
+        report_path = pipeline_dir / "report.json"
+        rc = main(
+            ["filter", "--clips", str(pipeline_dir / "clips"),
+             "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+             "--report", str(report_path), "--world-up=-y", "--workers", "1"]
+        )
+        assert rc == 4
+        assert (pipeline_dir / "report.json.accepted").read_text().split() == ["walk_0000", "walk_0002", "walk_0003"]
+        assert not report_path.exists()
+
 
 class TestSamplesCommand:
     def _run(self, pipeline_dir, out_name="samples.jsonl", workers="1", seed="3"):
@@ -374,6 +453,25 @@ class TestSamplesCommand:
         assert rc == 3
         assert out.exists()
 
+    @pytest.mark.parametrize("config", [{"horizon": 2.5}, {"seed": True}])
+    def test_mistyped_config_exits_2(self, pipeline_dir, capsys, config):
+        self._run(pipeline_dir, "first.jsonl")
+        config_path = pipeline_dir / "sampler.json"
+        config_path.write_text(json.dumps(config))
+        out = pipeline_dir / "bad.jsonl"
+        rc = main(
+            ["samples", "--clips", str(pipeline_dir / "clips"),
+             "--landmarks", str(pipeline_dir / "synth" / "landmarks.jsonl"),
+             "--accepted", str(pipeline_dir / "report.json.accepted"),
+             "--config", str(config_path), "--out", str(out), "--world-up=-y", "--workers", "2"]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "validation"
+        assert not out.exists()
+        assert not (pipeline_dir / "bad.jsonl.manifest.json").exists()
+
 
 class TestEvalCommand:
     def test_perfect_predictions(self, tmp_path):
@@ -468,6 +566,18 @@ class TestLossCommand:
         path = tmp_path / "loss.json"
         path.write_text(json.dumps({"gt_waypoints": [[1.0, 0.0]]}))
         assert main(["loss", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize("weight", [True, "1"])
+    def test_mistyped_weight_exits_2(self, tmp_path, capsys, weight):
+        doc = {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "weights": {"lambda_reg": weight}}
+        path = tmp_path / "loss.json"
+        path.write_text(json.dumps(doc))
+        assert main(["loss", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "validation"
 
 
 class TestWorkersEnv:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from navcurate import schema
 from navcurate.errors import GimbalDegenerate, TooShort, ValidationError
 from navcurate.filters import (
     REASON_CROWD,
@@ -59,13 +61,13 @@ class TestFilterConfig:
         with pytest.raises(ValidationError):
             FilterConfig(pitch_range_max_deg=0.0)
 
-    def test_from_dict_rejects_unknown_keys(self):
+    def test_load_rejects_unknown_keys(self):
         with pytest.raises(ValidationError):
-            FilterConfig.from_dict({"pitch_max": 10})
+            schema.load(FilterConfig, {"pitch_max": 10})
 
     def test_round_trip(self):
         cfg = FilterConfig(divergence_max_deg=45.0)
-        assert FilterConfig.from_dict(cfg.to_dict()) == cfg
+        assert schema.load(FilterConfig, dataclasses.asdict(cfg)) == cfg
 
 
 class TestCheckPitch:

@@ -208,6 +208,29 @@ class TestLandmarks:
         with pytest.raises(ValidationError):
             parse_landmarks(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("goal_frame", True),
+            ("bbox", ["0", 0, "1", 1]),
+            ("bbox", [0, "nan", 1, 1]),
+            ("bbox", [0, float("nan"), 1, 1]),
+            ("bbox", [0, 0, 10**400, 1]),
+            ("name", 7),
+            ("instruction", 7),
+            ("clip_id", 5),
+        ],
+    )
+    def test_values_never_coerced(self, tmp_path, field, value):
+        record = {"clip_id": "c", "goal_frame": 3, "bbox": [0, 0, 1, 1], "name": "n", "instruction": "go"}
+        record[field] = value
+        path = tmp_path / "lm.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_landmarks(path)
+        assert exc.value.line == 1
+        assert repr(field) in str(exc.value)
+
     def test_byte_identical_round_trip(self, tmp_path):
         lms = [
             LandmarkAnnotation("clip_0001", 120, (4.5, 6.0, 90.25, 200.0), "blue door", "go to the blue door"),
@@ -251,6 +274,29 @@ class TestSamples:
         with pytest.raises(ParseError):
             parse_samples(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival", "no"),
+            ("arrival", 0),
+            ("t", 1.5),
+            ("t", True),
+            ("history_frames", [1.7]),
+            ("history_frames", [True, "3"]),
+            ("sample_id", 5),
+        ],
+    )
+    def test_values_never_coerced(self, tmp_path, field, value):
+        path = tmp_path / "s.jsonl"
+        write_samples([_sample(0)], path)
+        record = json.loads(path.read_text())
+        record[field] = value
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_samples(path)
+        assert exc.value.line == 1
+        assert repr(field) in str(exc.value)
+
     @pytest.mark.parametrize("waypoints", [[["x", 0]], [[1, 0, 5]], [[True, 0]], [[10**400, 0]]])
     def test_malformed_waypoint_is_parse_error(self, tmp_path, waypoints):
         path = tmp_path / "s.jsonl"
@@ -286,6 +332,34 @@ class TestPredictions:
     def test_arrival_probability_range(self):
         with pytest.raises(ValidationError):
             PredictionRecord("s", (EgoWaypoint(1, 0),), (EgoWaypoint(1, 0),), predicted_arrival=1.5)
+
+
+class TestCrashSafeWrites:
+    def test_write_failing_partway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.txt"
+        traj = RawTrajectory("t", 30.0, [0.0, 1.0], [[0.0, 0.0, 0.0]] * 2, [[0.0, 0.0, 0.0, 1.0]] * 2)
+        write_pose_file(traj, path)
+        before = path.read_bytes()
+        # A lone surrogate in the id cannot be encoded: the write fails after the file is opened.
+        bad = RawTrajectory("t\ud800", 30.0, [0.0], [[1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(UnicodeEncodeError):
+            write_pose_file(bad, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.json"
+        write_report({"a": 1}, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("navcurate.io.os.replace", fail)
+        with pytest.raises(OSError):
+            write_report({"a": 2}, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
 
 class TestReport:

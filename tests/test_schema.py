@@ -1,0 +1,233 @@
+"""Schema-driven coverage: every field of every record and config class rejects wrong JSON types.
+
+The cases come from ``dataclasses.fields``, so a field added later is
+covered without touching this file.
+"""
+
+import argparse
+import copy
+import dataclasses
+import json
+import math
+import types
+import typing
+
+import pytest
+
+from navcurate import schema
+from navcurate.cli import build_parser
+from navcurate.errors import ParseError, SchemaError, ValidationError
+from navcurate.filters import FilterConfig
+from navcurate.geometry import AxisConvention, EgoWaypoint
+from navcurate.io import (
+    Detection,
+    DetectionFrame,
+    LandmarkAnnotation,
+    PredictionRecord,
+    TrainingSample,
+    parse_detections,
+    parse_landmarks,
+    parse_predictions,
+    parse_samples,
+)
+from navcurate.losses import LossWeights
+from navcurate.sampling import SamplerConfig
+from navcurate.segmentation import ClipEntry, load_clips, save_clips, segment
+from navcurate.synth import DetectionBlock, DetectionSpan, LandmarkBlock, SynthFile, SynthSpec, generate
+
+# One value of each wrong JSON type: a boolean, a numeric string, null, a
+# float and a nested list. A case is skipped where the field accepts it.
+WRONG = [True, "5", None, 2.5, [[1]]]
+
+RECORDS = [
+    (LandmarkAnnotation("c", 3, (0.0, 0.0, 1.0, 1.0), "n", "go"), parse_landmarks),
+    (
+        TrainingSample("s", "c", "go", 4, 9, (2, 3, 4), (EgoWaypoint(1.0, 0.5), EgoWaypoint(2.0, 1.0)), False),
+        parse_samples,
+    ),
+    (PredictionRecord("s", (EgoWaypoint(1.0, 0.0),), (EgoWaypoint(1.0, 0.5),), 0.5, True), parse_predictions),
+    (DetectionFrame(3, (Detection("person", (0.0, 0.0, 1.0, 1.0), 0.9),)), parse_detections),
+]
+
+CONFIGS = [
+    FilterConfig(),
+    SamplerConfig(),
+    LossWeights(),
+    AxisConvention(),
+    SynthFile(
+        SynthSpec("composite", traj_id="t", parts=(SynthSpec("straight"),)),
+        DetectionBlock(schedule=(1, 0), spans=(DetectionSpan(0, 2, 1),)),
+        LandmarkBlock(),
+    ),
+]
+
+
+def _accepts(tp, value) -> bool:
+    """Whether value has the JSON type annotation tp names (the documented rules, restated)."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType) and type(None) in args:
+        return value is None or _accepts(next(a for a in args if a is not type(None)), value)
+    return {bool: type(value) is bool, str: type(value) is str, float: type(value) is float}.get(tp, False)
+
+
+def _nested(tp):
+    """The object-form dataclass a field holds (directly, optionally or as tuple items), else None."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        (tp,) = (a for a in args if a is not type(None))
+    elif typing.get_origin(tp) is tuple:
+        tp = args[0]
+    return tp if dataclasses.is_dataclass(tp) and tp is not EgoWaypoint else None
+
+
+def _mutations(cls, obj, path=()):
+    """(key path, document) for each field at any depth set to each wrong JSON type."""
+    for f in dataclasses.fields(cls):
+        tp = schema.hints(cls)[f.name]
+        here = path + (f.name,)
+        for bad in WRONG:
+            if not _accepts(tp, bad):
+                yield here, _with(obj, here, bad)
+        value = _at(obj, here)
+        nested = _nested(tp)
+        if nested is not None and value:
+            yield from _mutations(nested, obj, here + ((0,) if type(value) is list else ()))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _with(obj, path, value):
+    doc = copy.deepcopy(obj)
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _json(value) -> dict:
+    return json.loads(json.dumps(value, default=schema.to_json))
+
+
+def _ids(cases):
+    return [type(c[0] if isinstance(c, tuple) else c).__name__ for c in cases]
+
+
+@pytest.mark.parametrize("record, parse", RECORDS, ids=_ids(RECORDS))
+def test_record_rejects_every_wrong_json_type(tmp_path, record, parse):
+    path = tmp_path / "records.jsonl"
+    valid = _json(record)
+    path.write_text(json.dumps(valid) + "\n")
+    assert list(parse(path)) == [record]
+    cases = list(_mutations(type(record), valid))
+    assert len(cases) >= 2 * len(dataclasses.fields(record))
+    for key, doc in cases:
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse(path)
+        assert exc.value.line == 1, key
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_ids(CONFIGS))
+def test_config_rejects_every_wrong_json_type(config):
+    cls = type(config)
+    valid = _json(config)
+    assert schema.load(cls, valid) == config
+    cases = list(_mutations(cls, valid))
+    assert len(cases) >= 2 * len(dataclasses.fields(config))
+    for key, doc in cases:
+        with pytest.raises(SchemaError) as exc:
+            schema.load(cls, doc)
+        # The message names the key path down to the bad value (or an item of it).
+        assert "'" + ".".join(map(str, key)).replace(".0", "[0]") in str(exc.value)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_ids(CONFIGS))
+def test_config_rejects_non_object_and_unknown_key(config):
+    cls = type(config)
+    for doc in ([], 5, "x", None, {**_json(config), "bogus": 1}):
+        with pytest.raises(SchemaError):
+            schema.load(cls, doc)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+def test_non_finite_number_is_not_a_number(value):
+    with pytest.raises(SchemaError, match="expected number"):
+        schema.load(FilterConfig, {"pitch_range_max_deg": value})
+    with pytest.raises(SchemaError, match=r"expected \[number, number, number, number\]"):
+        schema.decoder(LandmarkAnnotation)({"clip_id": "c", "goal_frame": 0, "bbox": [0, 0, value, 1], "name": "n", "instruction": "go"})
+
+
+def test_nested_config_rejects_unknown_key():
+    doc = _json(CONFIGS[-1])
+    doc["trajectory"]["parts"][0]["bogus"] = 1
+    with pytest.raises(SchemaError, match=r"'trajectory\.parts\[0\]\.bogus'"):
+        schema.load(SynthFile, doc)
+
+
+def test_record_ignores_unknown_keys(tmp_path):
+    record, parse = RECORDS[0]
+    path = tmp_path / "lm.jsonl"
+    path.write_text(json.dumps({**_json(record), "confidence": 0.4}) + "\n")
+    assert parse_landmarks(path) == [record]
+
+
+def test_clip_entry_rejects_every_wrong_json_type(tmp_path):
+    clips = segment(generate(SynthSpec("straight", duration_s=2.0, fps=5.0)), 1.0)
+    manifest_path = save_clips(clips, tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    cases = list(_mutations(ClipEntry, manifest["clips"][1]))
+    assert len(cases) >= 2 * len(dataclasses.fields(ClipEntry))
+    for key, entry in cases:
+        manifest_path.write_text(json.dumps({**manifest, "clips": [manifest["clips"][0], entry]}))
+        with pytest.raises(ValidationError, match=f"clip entry 1 has .*{key[0]}"):
+            load_clips(tmp_path)
+
+
+# The config flags as they stood before the flags were generated from the
+# fields: a renamed field would rename its flag, so the names are pinned too.
+PINNED_FLAGS = {
+    "filter": {
+        "--pitch-range-max-deg": float,
+        "--divergence-max-deg": float,
+        "--window-seconds": float,
+        "--min-window-displacement-m": float,
+        "--crowd-count-threshold": int,
+        "--crowd-frame-threshold": int,
+        "--person-label": str,
+        "--person-score-min": float,
+        "--camera-forward": str,
+        "--world-up": str,
+    },
+    "samples": {
+        "--seed": int,
+        "--history-len": int,
+        "--horizon": int,
+        "--min-offset": int,
+        "--max-offset": int,
+        "--arrival-window": int,
+        "--arrival-fraction": float,
+        "--waypoint-stride": int,
+        "--draws-per-landmark": int,
+        "--camera-forward": str,
+        "--world-up": str,
+    },
+}
+IO_FLAGS = {
+    "filter": {"--help", "--clips", "--detections", "--config", "--report", "--accepted", "--workers"},
+    "samples": {"--help", "--clips", "--landmarks", "--accepted", "--config", "--out", "--workers"},
+}
+
+
+@pytest.mark.parametrize("command, config", [("filter", FilterConfig), ("samples", SamplerConfig)])
+def test_config_flags_are_the_config_fields(command, config):
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.option_strings[-1]: a for a in sub.choices[command]._actions}
+    flags = set(actions) - IO_FLAGS[command]
+    fields = {"--" + f.name.replace("_", "-"): (cls, f.name) for cls in (config, AxisConvention) for f in dataclasses.fields(cls)}
+    assert flags == set(fields)
+    for flag, (cls, name) in fields.items():
+        assert actions[flag].type is schema.hints(cls)[name]
+        assert actions[flag].default is None
+    assert {flag: actions[flag].type for flag in flags} == PINNED_FLAGS[command]

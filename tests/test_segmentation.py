@@ -103,3 +103,12 @@ class TestSaveLoad:
             assert np.array_equal(a.timestamps, b.timestamps)
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.quaternions, b.quaternions)
+
+    def test_truncated_clip_file_rejected(self, rng, tmp_path):
+        clips = segment(random_trajectory(rng, 400, fps=8.0), clip_seconds=25.0)
+        save_clips(clips, tmp_path / "clips")
+        path = tmp_path / "clips" / f"{clips[1].clip_id}.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-5]))
+        with pytest.raises(ValidationError, match="clip entry 1 lists 200 frames"):
+            load_clips(tmp_path / "clips")

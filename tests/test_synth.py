@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from navcurate import schema
 from navcurate.errors import InvalidSpec
 from navcurate.geometry import pitch_many, relative_pose, yaw_many
 from navcurate.io import parse_detections, write_detections
@@ -40,9 +43,9 @@ class TestSpecValidation:
                 parts=(SynthSpec("straight", fps=30.0), SynthSpec("straight", fps=25.0)),
             )
 
-    def test_from_dict_round_trip(self):
+    def test_load_round_trip(self):
         spec = SynthSpec("head_turn", turn_deg=70.0, turn_start_s=10.0, turn_len_s=3.0)
-        assert SynthSpec.from_dict(spec.to_dict()) == spec
+        assert schema.load(SynthSpec, json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
 
 
 class TestStraight:
