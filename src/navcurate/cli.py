@@ -24,7 +24,7 @@ from . import io as tio
 from .errors import EmptyInput, EmptyResult, InvalidSpec, ParseError, ValidationError
 from .filters import FilterConfig, run_filters, slice_detections
 from .geometry import AxisConvention
-from .losses import LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
+from .losses import LossInput, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 from .metrics import evaluate
 from .sampling import SamplerConfig, build_clip_samples, collect_samples
 from .segmentation import load_clips, save_clips, segment
@@ -140,7 +140,7 @@ def cmd_filter(args) -> int:
             "rejected": len(clips) - len(accepted),
             "rejected_by_reason": rejected_by_reason,
         },
-        "verdicts": [v.to_dict() for v in verdicts],
+        "verdicts": [dataclasses.asdict(v) for v in verdicts],
     }
     # The accepted list goes first: a report on disk always names a complete list.
     tio._write_text(args.accepted or f"{args.report}.accepted", "".join(f"{cid}\n" for cid in accepted))
@@ -194,7 +194,7 @@ def cmd_eval(args) -> int:
             "tool": _tool_info(),
             "stage": "eval",
             "inputs": _digests([args.pred]),
-            "metrics": report.to_dict(),
+            "metrics": dataclasses.asdict(report),
         },
         args.out,
     )
@@ -242,20 +242,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    doc = _load_json(args.input)
-    for key in ("pred_waypoints", "gt_waypoints"):
-        if key not in doc:
-            raise ValidationError(f"loss input must contain {key!r}")
-    weights = schema.load(LossWeights, doc.get("weights", {}))
-    reg, _ = loss_reg(doc["pred_waypoints"], doc["gt_waypoints"])
-    ori, _ = loss_ori(doc["pred_waypoints"], doc["gt_waypoints"])
+    doc = schema.decoder(LossInput)(_load_json(args.input))
+    reg, _ = loss_reg(doc.pred_waypoints, doc.gt_waypoints)
+    ori, _ = loss_ori(doc.pred_waypoints, doc.gt_waypoints)
     arr = None
-    if "arrival_logit" in doc and "arrival_label" in doc:
-        arr, _ = loss_arr(doc["arrival_logit"], doc["arrival_label"])
+    if doc.arrival_logit is not None and doc.arrival_label is not None:
+        arr, _ = loss_arr(doc.arrival_logit, doc.arrival_label)
     hall = None
-    if "pred_features" in doc and "gt_features" in doc:
-        hall, _ = loss_hall(doc["pred_features"], doc["gt_features"])
-    total = loss_total((reg, ori, arr or 0.0, hall or 0.0), weights)
+    if doc.pred_features is not None and doc.gt_features is not None:
+        hall, _ = loss_hall(doc.pred_features, doc.gt_features)
+    total = loss_total((reg, ori, arr or 0.0, hall or 0.0), doc.weights)
     print(
         json.dumps(
             {"loss_reg": reg, "loss_ori": ori, "loss_arr": arr, "loss_hall": hall, "loss_total": total},

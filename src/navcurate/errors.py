@@ -53,11 +53,11 @@ class OutOfBounds(NavcurateError):
     """A requested frame range runs past the end of the clip."""
 
 
-class LengthMismatch(NavcurateError):
+class LengthMismatch(ValidationError):
     """Two sequences that must have equal length do not."""
 
 
-class ShapeMismatch(NavcurateError):
+class ShapeMismatch(ValidationError):
     """Two arrays that must have identical shape do not."""
 
 

@@ -93,14 +93,6 @@ class FilterVerdict:
             raise ValidationError("accepted must be equivalent to an empty reason set")
         object.__setattr__(self, "reasons", tuple(sorted(self.reasons)))
 
-    def to_dict(self) -> dict:
-        return {
-            "clip_id": self.clip_id,
-            "accepted": self.accepted,
-            "reasons": list(self.reasons),
-            "diagnostics": dict(self.diagnostics),
-        }
-
 
 def _window_frames(config: FilterConfig, fps: float) -> int:
     # A window is w consecutive poses (w-1 frame intervals); floor of 2

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GimbalDegenerate, ValidationError
-from .schema import json_pair
 
 __all__ = [
     "AxisConvention",
@@ -229,21 +229,14 @@ class Pose:
         return cls(timestamp, np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
 
 
-@json_pair
-@dataclass(frozen=True)
-class EgoWaypoint:
-    """A ground-plane point relative to a reference pose: x forward, y left, meters."""
+class EgoWaypoint(NamedTuple):
+    """A ground-plane point relative to a reference pose: x forward, y left, meters.
+
+    It equals the plain pair ``(x, y)``; records hold waypoints as plain pairs.
+    """
 
     x: float
     y: float
-
-    def __post_init__(self):
-        x = float(self.x)
-        y = float(self.y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValidationError(f"waypoint components must be finite, got ({self.x!r}, {self.y!r})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ Record files (JSON lines, one compact record per line):
     its line number; a well-typed record that breaks an invariant of its
     dataclass (an empty instruction, bbox corners out of order) raises
     ValidationError naming ``path:line``. Keys that are not fields are
-    ignored.
+    ignored. Waypoints are tuples of plain ``(x, y)`` float tuples, which
+    json writes as ``[x, y]``; the record constructors turn any pairs of
+    real numbers into that form and reject a non-pair or non-finite value.
 
 Detections are the exception, for speed: :func:`parse_detections` reads
 them in one streaming pass into a columnar :class:`DetectionTable`
@@ -47,13 +49,14 @@ import warnings
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import schema
 from .errors import ParseError, SchemaError, ValidationError
-from .geometry import EgoWaypoint, Pose
+from .geometry import Pose
 
 __all__ = [
     "RawTrajectory",
@@ -388,7 +391,7 @@ class TrainingSample:
     t: int
     t_g: int
     history_frames: tuple[int, ...]
-    waypoints: tuple[EgoWaypoint, ...]
+    waypoints: tuple[tuple[float, float], ...]
     arrival: bool
 
     def __post_init__(self):
@@ -403,7 +406,7 @@ class TrainingSample:
         if not self.waypoints:
             raise ValidationError("waypoints must be non-empty")
         object.__setattr__(self, "history_frames", tuple(map(int, self.history_frames)))
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
+        object.__setattr__(self, "waypoints", _as_pairs("waypoints", self.waypoints))
         object.__setattr__(self, "arrival", bool(self.arrival))
 
 
@@ -412,8 +415,8 @@ class PredictionRecord:
     """Predicted vs ground-truth waypoints for one evaluation sample."""
 
     sample_id: str
-    predicted: tuple[EgoWaypoint, ...]
-    ground_truth: tuple[EgoWaypoint, ...]
+    predicted: tuple[tuple[float, float], ...]
+    ground_truth: tuple[tuple[float, float], ...]
     predicted_arrival: float | None = None
     arrival_label: bool | None = None
 
@@ -421,8 +424,8 @@ class PredictionRecord:
         # The JSON types of the fields are checked by the schema (parse_predictions).
         if not self.sample_id:
             raise ValidationError("sample_id must be non-empty")
-        predicted = _as_waypoints(self.predicted)
-        ground_truth = _as_waypoints(self.ground_truth)
+        predicted = _as_pairs("predicted", self.predicted)
+        ground_truth = _as_pairs("ground_truth", self.ground_truth)
         if len(predicted) == 0 or len(predicted) != len(ground_truth):
             raise ValidationError(
                 f"predicted and ground_truth must have equal length >= 1, got {len(predicted)} vs {len(ground_truth)}"
@@ -435,15 +438,38 @@ class PredictionRecord:
         object.__setattr__(self, "ground_truth", ground_truth)
 
 
-_WAYPOINT_TYPE = frozenset((EgoWaypoint,))
+_TUPLE = frozenset((tuple,))
+_TWO = frozenset((2,))
+_FLOAT = frozenset((float,))
 
 
-def _as_waypoints(seq) -> tuple[EgoWaypoint, ...]:
-    """EgoWaypoints as given; (x, y) pairs become EgoWaypoint(x, y)."""
+def _as_pairs(name: str, seq) -> tuple[tuple[float, float], ...]:
+    """Waypoints as exact (x, y) tuples of finite floats, from any pairs of real numbers.
+
+    Exact float pairs, as the parsers and the sampler build them, pass
+    through C-level scans without a per-item Python call. Raises
+    ValidationError naming the first item that is not a pair of finite
+    real numbers.
+    """
     seq = tuple(seq)
-    if _WAYPOINT_TYPE.issuperset(map(type, seq)):  # the parsers' case, without a per-item Python loop
+    if (
+        _TUPLE.issuperset(map(type, seq))
+        and _TWO.issuperset(map(len, seq))
+        and _FLOAT.issuperset(map(type, chain.from_iterable(seq)))
+        and all(map(math.isfinite, chain.from_iterable(seq)))
+    ):
         return seq
-    return tuple(w if isinstance(w, EgoWaypoint) else EgoWaypoint(*w) for w in seq)
+    pairs = []
+    for w in seq:
+        try:
+            x, y = w
+            ok = _is_number(x) and _is_number(y) and math.isfinite(x) and math.isfinite(y)
+        except (TypeError, ValueError, OverflowError):  # not a pair, or an integer beyond the float range
+            ok = False
+        if not ok:
+            raise ValidationError(f"{name}[{len(pairs)}] must be a pair of finite numbers, got {w!r}")
+        pairs.append((float(x), float(y)))
+    return tuple(pairs)
 
 
 def _is_number(value) -> bool:

@@ -26,6 +26,7 @@ from .errors import LengthMismatch, ShapeMismatch, ValidationError
 
 __all__ = [
     "LossWeights",
+    "LossInput",
     "LossComponents",
     "loss_reg",
     "loss_ori",
@@ -47,6 +48,24 @@ class LossWeights:
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValidationError(f"{f.name} must be a finite non-negative real, got {value!r}")
+
+
+@dataclass(frozen=True)
+class LossInput:
+    """The ``loss`` command's input document; keys that are not fields are ignored.
+
+    The arrival loss needs both arrival fields, the hallucination loss both
+    feature fields; the label's range and the shapes are checked by the
+    loss kernels.
+    """
+
+    pred_waypoints: tuple[tuple[float, float], ...]
+    gt_waypoints: tuple[tuple[float, float], ...]
+    arrival_logit: float | None = None
+    arrival_label: int | None = None
+    pred_features: tuple[tuple[float, ...], ...] | None = None
+    gt_features: tuple[tuple[float, ...], ...] | None = None
+    weights: LossWeights = LossWeights()
 
 
 class LossComponents(NamedTuple):
@@ -134,8 +153,11 @@ def loss_arr(logit: float, label: int):
 
 def loss_hall(pred_features, gt_features):
     """Mean L1 feature distance over the horizon and its subgradient."""
-    pred = np.asarray(pred_features, dtype=float)
-    gt = np.asarray(gt_features, dtype=float)
+    try:
+        pred = np.asarray(pred_features, dtype=float)
+        gt = np.asarray(gt_features, dtype=float)
+    except ValueError:  # rows of unequal length, or not numbers
+        raise ShapeMismatch("features must be (k, d) arrays of numbers") from None
     if pred.ndim != 2 or pred.shape != gt.shape or pred.shape[0] < 1:
         raise ShapeMismatch(f"feature shapes must match as (k, d), got {pred.shape} vs {gt.shape}")
     k = pred.shape[0]

@@ -49,12 +49,8 @@ BATCH_CELLS = 1 << 18
 
 
 def _as_xy(waypoints) -> np.ndarray:
-    """Coerce a waypoint sequence (EgoWaypoint list or array-like) to (n, 2)."""
-    seq = list(waypoints)
-    if seq and hasattr(seq[0], "x"):
-        arr = np.array([(w.x, w.y) for w in seq], dtype=float)
-    else:
-        arr = np.asarray(seq, dtype=float)
+    """A waypoint sequence ((x, y) pairs or an array) as an (n, 2) float array."""
+    arr = np.asarray(waypoints, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise LengthMismatch(f"waypoints must be an (n, 2) sequence, got shape {arr.shape}")
     return arr
@@ -169,18 +165,6 @@ class MetricReport:
     n_orientation_excluded: int
     n_arrival_scored: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "aoe_deg": self.aoe_deg,
-            "maoe_deg": self.maoe_deg,
-            "ade_m": self.ade_m,
-            "made_m": self.made_m,
-            "arrival_accuracy": self.arrival_accuracy,
-            "n_orientation_excluded": self.n_orientation_excluded,
-            "n_arrival_scored": self.n_arrival_scored,
-        }
-
 
 def sample_metrics(record: PredictionRecord) -> SampleMetrics:
     """All four metrics plus the arrival call for one record."""
@@ -283,8 +267,8 @@ def evaluate(records: list[PredictionRecord]) -> MetricReport:
         rows = max(1, BATCH_CELLS // (k + 1) ** 2)
         for start in range(0, len(indices), rows):
             batch = indices[start : start + rows]
-            pred = np.array([[(w.x, w.y) for w in records[i].predicted] for i in batch], dtype=float)
-            gt = np.array([[(w.x, w.y) for w in records[i].ground_truth] for i in batch], dtype=float)
+            pred = np.array([records[i].predicted for i in batch], dtype=float)
+            gt = np.array([records[i].ground_truth for i in batch], dtype=float)
             (ade_m[batch], made_m[batch], aoe_deg[batch], maoe_deg[batch], oriented[batch]) = _horizon_metrics(
                 pred, gt
             )

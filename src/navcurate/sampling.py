@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import Infeasible, OutOfBounds, ValidationError
 from .filters import FilterVerdict
-from .geometry import AxisConvention, DEFAULT_CONVENTION, EgoWaypoint, ego_waypoints_many, to_ego_waypoint
+from .geometry import AxisConvention, DEFAULT_CONVENTION, ego_waypoints_many, to_ego_waypoint
 from .io import LandmarkAnnotation, TrainingSample
 from .segmentation import Clip
 
@@ -121,7 +121,7 @@ def _training_sample(
     clip: Clip,
     landmark: LandmarkAnnotation,
     t: int,
-    waypoints: tuple[EgoWaypoint, ...],
+    waypoints: tuple[tuple[float, float], ...],
     config: SamplerConfig,
     sample_id: str,
 ) -> TrainingSample:
@@ -223,7 +223,7 @@ def build_clip_samples(
             clip,
             landmarks[lm_idx],
             t,
-            tuple(EgoWaypoint(x, y) for x, y in rows),
+            tuple(map(tuple, rows)),
             config,
             f"{clip.clip_id}:{lm_idx:04d}:{draw:02d}",
         )

@@ -4,10 +4,11 @@ A frozen dataclass is the one definition of a record or config schema: a
 field's name is its JSON key, the field order is the key order, its
 annotation is the JSON type it accepts (README, "File formats"), and a
 field with a default may be left out. Values are checked, never coerced.
-A :func:`json_pair` dataclass, as a tuple item, is the array ``[a, b]`` of
-its two fields; any other dataclass is an object of its fields. A value of
-the wrong JSON type raises SchemaError naming its key path; the dataclass
-constructor's own checks (ranges, non-empty strings) raise ValidationError.
+A tuple is a JSON array (``tuple[tuple[float, float], ...]`` is a list of
+``[x, y]`` pairs, as waypoints are) and a nested dataclass is an object of
+its fields. A value of the wrong JSON type raises SchemaError naming its key
+path; the dataclass constructor's own checks (ranges, non-empty strings)
+raise ValidationError.
 """
 
 from __future__ import annotations
@@ -20,20 +21,13 @@ import operator
 import types
 import typing
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError
 
-__all__ = ["json_pair", "hints", "decoder", "load", "to_json"]
+__all__ = ["hints", "decoder", "load", "to_json"]
 
-_PAIRS: set[type] = set()
 # The exact types json.loads gives for the values each scalar annotation accepts.
 _JSON_TYPES = {str: frozenset((str,)), int: frozenset((int,)), float: frozenset((int, float)), bool: frozenset((bool,))}
 _NAMES = {str: "string", int: "integer", float: "number", bool: "boolean"}
-
-
-def json_pair(cls):
-    """Class decorator: as a tuple item, the dataclass is the JSON pair of its two fields of one scalar type."""
-    _PAIRS.add(cls)
-    return cls
 
 
 @functools.cache
@@ -84,29 +78,6 @@ def _scalars(tp, item, n=None):
     return convert
 
 
-def _pairs(tp, item):
-    """tuple[item, ...] of a json_pair item, tested inline: waypoint lists are the bulk of prediction files."""
-    (scalar,) = {hints(item)[f.name] for f in dataclasses.fields(item)}
-    accepted = _JSON_TYPES[scalar]
-
-    def convert(v):
-        if type(v) is not list:
-            raise _Mismatch("type", v, tp)
-        out = []
-        for w in v:
-            if type(w) is not list or len(w) != 2 or type(w[0]) not in accepted or type(w[1]) not in accepted:
-                break
-            try:
-                out.append(item(w[0], w[1]))
-            except (ValidationError, OverflowError):
-                break
-        else:
-            return tuple(out)
-        raise _Mismatch("type", v[len(out)], item, len(out))
-
-    return convert
-
-
 def _items(tp, convert_item):
     """tuple[T, ...] through convert_item; a bad item's index joins the key path."""
 
@@ -139,8 +110,6 @@ def _converter(tp):
             return _scalars(tp, args[0], len(args))
         if args[0] in _JSON_TYPES:
             return _scalars(tp, args[0])
-        if args[0] in _PAIRS:
-            return _pairs(tp, args[0])
         return _items(tp, _converter(args[0]))
     if dataclasses.is_dataclass(tp):
         return lambda v: _decoder(tp, strict=True)(v)  # looked up per call: a schema may nest itself
@@ -220,15 +189,13 @@ def _describe(tp) -> str:
         return " or ".join("null" if a is type(None) else _describe(a) for a in args)
     if typing.get_origin(tp) is tuple:
         return "[" + ", ".join("..." if a is Ellipsis else _describe(a) for a in args) + "]"
-    if tp in _PAIRS:
-        return "[" + ", ".join(f.name for f in dataclasses.fields(tp)) + "]"
     return f"{tp.__name__} object"
 
 
 def to_json(value):
-    """The JSON form of a dataclass value, as json's ``default`` hook: a json_pair as [a, b], else an object."""
+    """The JSON form of a dataclass value, as json's ``default`` hook: an object of its fields in order."""
     names, get = _getter(type(value))
-    return get(value) if type(value) in _PAIRS else dict(zip(names, get(value)))
+    return dict(zip(names, get(value)))
 
 
 @functools.cache

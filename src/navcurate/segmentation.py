@@ -19,7 +19,7 @@ import numpy as np
 from . import schema
 from .errors import EmptyResult, ValidationError
 from .geometry import Pose, quat_conjugate, quat_multiply_many, quat_rotate
-from .io import RawTrajectory, _write_text, parse_pose_file, write_pose_file
+from .io import _FRAME_LIMIT, RawTrajectory, _write_text, parse_pose_file, write_pose_file
 
 __all__ = ["Clip", "segment", "save_clips", "load_clips"]
 
@@ -58,9 +58,9 @@ class Clip:
     def __post_init__(self):
         if not self.clip_id or not self.source_id:
             raise ValidationError("clip_id and source_id must be non-empty")
-        if self.start_frame < 0:
-            raise ValidationError(f"start_frame must be non-negative, got {self.start_frame}")
         base = RawTrajectory(self.clip_id, self.fps, self.timestamps, self.positions, self.quaternions)
+        if not 0 <= self.start_frame < _FRAME_LIMIT - len(base):  # every source frame index fits in int64
+            raise ValidationError(f"start_frame must be a non-negative int64 frame index, got {self.start_frame}")
         if float(np.linalg.norm(base.positions[0])) > 1e-9:
             raise ValidationError("clip pose 0 must sit at the local origin")
         if 1.0 - abs(float(base.quaternions[0, 3])) > 1e-9:

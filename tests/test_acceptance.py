@@ -206,8 +206,8 @@ def test_criterion_06_waypoint_consistency():
                     again = to_ego_waypoint(
                         ref, traj.positions[s + sample.t + step * cfg.waypoint_stride], RAW_CONVENTION
                     )
-                    assert abs(stored.x - again.x) <= 1e-9
-                    assert abs(stored.y - again.y) <= 1e-9
+                    assert abs(stored[0] - again.x) <= 1e-9
+                    assert abs(stored[1] - again.y) <= 1e-9
                     checked += 1
         assert checked > 500
 

@@ -567,6 +567,31 @@ class TestLossCommand:
         path.write_text(json.dumps({"gt_waypoints": [[1.0, 0.0]]}))
         assert main(["loss", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            5,
+            {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [["a", 0]]},
+            {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "arrival_logit": "x", "arrival_label": 1},
+            {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "arrival_logit": 0.0, "arrival_label": 2},
+            {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "arrival_logit": 0.0, "arrival_label": True},
+            {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5], [2.0, 0.5]]},
+            {"pred_waypoints": [], "gt_waypoints": []},
+            {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "pred_features": [[1]], "gt_features": [[1, 2]]},
+            {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "pred_features": [[1], [1, 2]], "gt_features": [[1], [1, 2]]},
+        ],
+        ids=["non-object", "string-component", "string-logit", "label-2", "bool-label", "unequal", "empty", "feature-shapes", "ragged-features"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "loss.json"
+        path.write_text(json.dumps(doc))
+        assert main(["loss", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "validation"
+
     @pytest.mark.parametrize("weight", [True, "1"])
     def test_mistyped_weight_exits_2(self, tmp_path, capsys, weight):
         doc = {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "weights": {"lambda_reg": weight}}

@@ -9,6 +9,7 @@ constructors, so the two rule sets cannot drift apart.
 import json
 import math
 import pickle
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def oracle_verdict(clip, frames, config):
     return {
         "clip_id": clip.clip_id,
         "accepted": not reasons,
-        "reasons": sorted(reasons),
+        "reasons": tuple(sorted(reasons)),
         "diagnostics": {
             "pitch_range_deg": pitch_range,
             "max_divergence_deg": max_divergence,
@@ -130,11 +131,11 @@ def test_table_path_matches_scalar_oracle(tmp_path_factory, records):
         local = slice_detections(table, clip)
         assert local == oracle_slice(frames, clip)
         verdict = run_filters(clip, local, CONFIG, CLIP_CONVENTION)
-        assert verdict.to_dict() == oracle_verdict(clip, oracle_slice(frames, clip), CONFIG)
+        assert asdict(verdict) == oracle_verdict(clip, oracle_slice(frames, clip), CONFIG)
         # Unsliced: source frames read as clip-local, most of them out of range.
         verdict = run_filters(clip, table, CONFIG, CLIP_CONVENTION)
-        assert verdict.to_dict() == oracle_verdict(clip, frames, CONFIG)
-        assert run_filters(clip, frames, CONFIG, CLIP_CONVENTION).to_dict() == verdict.to_dict()
+        assert asdict(verdict) == oracle_verdict(clip, frames, CONFIG)
+        assert asdict(run_filters(clip, frames, CONFIG, CLIP_CONVENTION)) == asdict(verdict)
 
 
 @settings(max_examples=40, deadline=None)

@@ -70,12 +70,6 @@ class TestPose:
             p.position[0] = 1.0
 
 
-class TestEgoWaypoint:
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            EgoWaypoint(float("nan"), 0.0)
-
-
 class TestAxisConvention:
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValidationError):

@@ -99,14 +99,14 @@ class TestBuildSample:
         traj = generate(SynthSpec("stationary", duration_s=30.0, fps=10.0, traj_id="still"))
         clip = segment(traj, 30.0)[0]
         sample = build_sample(clip, landmark("still_0000", 150), 100, SamplerConfig(), CLIP_CONVENTION)
-        assert all(w.x == 0.0 and w.y == 0.0 for w in sample.waypoints)
+        assert all(w == (0.0, 0.0) for w in sample.waypoints)
 
     def test_unit_steps_forward(self):
         _, clip = unit_step_clip()
         sample = build_sample(clip, landmark(clip.clip_id, 150), 100, SamplerConfig(), CLIP_CONVENTION)
-        for i, w in enumerate(sample.waypoints, start=1):
-            assert w.x == pytest.approx(float(i), abs=1e-9)
-            assert w.y == pytest.approx(0.0, abs=1e-9)
+        for i, (x, y) in enumerate(sample.waypoints, start=1):
+            assert x == pytest.approx(float(i), abs=1e-9)
+            assert y == pytest.approx(0.0, abs=1e-9)
 
     def test_arrival_label_rule(self):
         _, clip = unit_step_clip()
@@ -126,8 +126,8 @@ class TestBuildSample:
         cfg = SamplerConfig(waypoint_stride=3)
         sample = build_sample(clip, landmark(clip.clip_id, 200), 50, cfg, CLIP_CONVENTION)
         assert sample.history_frames == tuple(range(50 - 7 * 3, 51, 3))
-        assert sample.waypoints[0].x == pytest.approx(3.0, abs=1e-9)
-        assert sample.waypoints[-1].x == pytest.approx(24.0, abs=1e-9)
+        assert sample.waypoints[0][0] == pytest.approx(3.0, abs=1e-9)
+        assert sample.waypoints[-1][0] == pytest.approx(24.0, abs=1e-9)
 
     def test_out_of_bounds(self):
         _, clip = unit_step_clip()
@@ -146,8 +146,8 @@ class TestBuildSample:
             s = clip.start_frame
             for i, stored in enumerate(sample.waypoints, start=1):
                 again = to_ego_waypoint(traj.pose(s + t), traj.positions[s + t + i], RAW_CONVENTION)
-                assert stored.x == pytest.approx(again.x, abs=1e-9)
-                assert stored.y == pytest.approx(again.y, abs=1e-9)
+                assert stored[0] == pytest.approx(again.x, abs=1e-9)
+                assert stored[1] == pytest.approx(again.y, abs=1e-9)
 
     def test_first_waypoint_magnitude_is_step_distance(self, rng):
         traj = generate(SynthSpec("arc", duration_s=40.0, fps=10.0, yaw_rate_dps=8.0, traj_id="bend"))
@@ -158,7 +158,7 @@ class TestBuildSample:
             sample = build_sample(clip, landmark(clip.clip_id, len(clip) - 1), t, cfg, CLIP_CONVENTION)
             delta = clip.positions[t + 1] - clip.positions[t]
             ground = np.hypot(float(delta @ e1), float(delta @ e2))
-            assert np.hypot(sample.waypoints[0].x, sample.waypoints[0].y) == pytest.approx(ground, abs=1e-9)
+            assert np.hypot(*sample.waypoints[0]) == pytest.approx(ground, abs=1e-9)
 
 
 class TestBuildCorpus:
@@ -317,7 +317,7 @@ class TestBatchEquivalence:
         assert samples == want_samples
         assert skipped == want_skipped
         assert all(skipped[reason] > 0 for reason in CLIP_SKIP_REASONS)
-        assert any(w.x == 0.0 and w.y == 0.0 for s in samples for w in s.waypoints)
+        assert any(w == (0.0, 0.0) for s in samples for w in s.waypoints)
         write_samples(samples, tmp_path / "batch.jsonl")
         write_samples(want_samples, tmp_path / "scalar.jsonl")
         assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "scalar.jsonl").read_bytes()

@@ -18,7 +18,7 @@ from navcurate import schema
 from navcurate.cli import build_parser
 from navcurate.errors import ParseError, SchemaError, ValidationError
 from navcurate.filters import FilterConfig
-from navcurate.geometry import AxisConvention, EgoWaypoint
+from navcurate.geometry import AxisConvention
 from navcurate.io import (
     Detection,
     DetectionFrame,
@@ -42,10 +42,10 @@ WRONG = [True, "5", None, 2.5, [[1]]]
 RECORDS = [
     (LandmarkAnnotation("c", 3, (0.0, 0.0, 1.0, 1.0), "n", "go"), parse_landmarks),
     (
-        TrainingSample("s", "c", "go", 4, 9, (2, 3, 4), (EgoWaypoint(1.0, 0.5), EgoWaypoint(2.0, 1.0)), False),
+        TrainingSample("s", "c", "go", 4, 9, (2, 3, 4), ((1.0, 0.5), (2.0, 1.0)), False),
         parse_samples,
     ),
-    (PredictionRecord("s", (EgoWaypoint(1.0, 0.0),), (EgoWaypoint(1.0, 0.5),), 0.5, True), parse_predictions),
+    (PredictionRecord("s", ((1.0, 0.0),), ((1.0, 0.5),), 0.5, True), parse_predictions),
     (DetectionFrame(3, (Detection("person", (0.0, 0.0, 1.0, 1.0), 0.9),)), parse_detections),
 ]
 
@@ -77,7 +77,7 @@ def _nested(tp):
         (tp,) = (a for a in args if a is not type(None))
     elif typing.get_origin(tp) is tuple:
         tp = args[0]
-    return tp if dataclasses.is_dataclass(tp) and tp is not EgoWaypoint else None
+    return tp if dataclasses.is_dataclass(tp) else None
 
 
 def _mutations(cls, obj, path=()):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -111,4 +113,15 @@ class TestSaveLoad:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-5]))
         with pytest.raises(ValidationError, match="clip entry 1 lists 200 frames"):
+            load_clips(tmp_path / "clips")
+
+    @pytest.mark.parametrize("start_frame", [2**63 - 200, 10**400], ids=["last-frame-past-int64", "huge"])
+    def test_start_frame_beyond_int64_rejected(self, rng, tmp_path, start_frame):
+        # Source frame indices are int64 in the detection table, so the clip's last frame must fit.
+        clips = segment(random_trajectory(rng, 400, fps=8.0), clip_seconds=25.0)
+        manifest_path = save_clips(clips, tmp_path / "clips")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["clips"][1]["start_frame"] = start_frame
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="start_frame"):
             load_clips(tmp_path / "clips")
