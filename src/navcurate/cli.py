@@ -27,7 +27,7 @@ from .geometry import AxisConvention
 from .losses import LossInput, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 from .metrics import evaluate
 from .sampling import SamplerConfig, build_clip_samples, collect_samples
-from .segmentation import load_clips, save_clips, segment
+from .segmentation import load_clip, read_manifest, save_clips, segment
 from .synth import SynthFile, generate, generate_detections, generate_landmarks
 
 WORKERS_ENV = "NAVCURATE_WORKERS"
@@ -84,14 +84,15 @@ def _map_tasks(fn, tasks, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
+# A clip task carries where the clip is (directory, manifest index, entry); the worker parses it.
 def _filter_task(task):
-    clip, detections, config, convention = task
-    return run_filters(clip, detections, config, convention)
+    clip_dir, index, entry, detections, config, convention = task
+    return run_filters(load_clip(clip_dir, entry, index), detections, config, convention)
 
 
 def _samples_task(task):
-    clip, landmarks, config, convention = task
-    return build_clip_samples(clip, landmarks, config, convention)
+    clip_dir, index, entry, landmarks, config, convention = task
+    return build_clip_samples(load_clip(clip_dir, entry, index), landmarks, config, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,7 @@ def cmd_segment(args) -> int:
     save_clips(
         clips,
         args.out,
+        map_tasks=lambda fn, tasks: _map_tasks(fn, tasks, args.workers),
         extra={
             "tool": _tool_info(),
             "stage": "segment",
@@ -116,13 +118,16 @@ def cmd_segment(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    clips = load_clips(args.clips)
-    if not clips:
+    entries = read_manifest(args.clips)
+    if not entries:
         raise EmptyInput(f"{Path(args.clips) / 'manifest.json'} lists no clips")
     detections = tio.parse_detections(args.detections)
     config = _merged_config(FilterConfig, args)
     convention = _convention(args)
-    tasks = [(clip, slice_detections(detections, clip), config, convention) for clip in clips]
+    tasks = [
+        (args.clips, i, entry, slice_detections(detections, entry), config, convention)
+        for i, entry in sorted(enumerate(entries), key=lambda pair: pair[1].clip_id)
+    ]
     verdicts = _map_tasks(_filter_task, tasks, args.workers)
     accepted = [v.clip_id for v in verdicts if v.accepted]
     rejected_by_reason: dict[str, int] = {}
@@ -135,9 +140,9 @@ def cmd_filter(args) -> int:
         "config": {"filter": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
         "inputs": _digests([args.detections, Path(args.clips) / "manifest.json"]),
         "counts": {
-            "clips_in": len(clips),
+            "clips_in": len(entries),
             "accepted": len(accepted),
-            "rejected": len(clips) - len(accepted),
+            "rejected": len(entries) - len(accepted),
             "rejected_by_reason": rejected_by_reason,
         },
         "verdicts": [dataclasses.asdict(v) for v in verdicts],
@@ -149,7 +154,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_samples(args) -> int:
-    clips = load_clips(args.clips)
+    entries = read_manifest(args.clips)
     landmarks = tio.parse_landmarks(args.landmarks)
     accepted_ids = {
         line.strip() for line in Path(args.accepted).read_text(encoding="utf-8").splitlines() if line.strip()
@@ -158,11 +163,11 @@ def cmd_samples(args) -> int:
     convention = _convention(args)
 
     samples, skipped = collect_samples(
-        clips,
+        [entry.clip_id for entry in entries],
         landmarks,
         accepted_ids,
         lambda pairs: _map_tasks(
-            _samples_task, [(clip, lms, config, convention) for clip, lms in pairs], args.workers
+            _samples_task, [(args.clips, i, entries[i], lms, config, convention) for i, lms in pairs], args.workers
         ),
     )
     tio.write_samples(samples, args.out)
@@ -173,8 +178,8 @@ def cmd_samples(args) -> int:
         "inputs": _digests([Path(args.clips) / "manifest.json", args.landmarks, args.accepted]),
         "outputs": {"samples": str(args.out)},
         "counts": {
-            "clips_in": len(clips),
-            "clips_used": sum(1 for c in clips if c.clip_id in accepted_ids),
+            "clips_in": len(entries),
+            "clips_used": sum(1 for entry in entries if entry.clip_id in accepted_ids),
             "landmarks_in": len(landmarks),
             "samples": len(samples),
             "skipped_landmark_draws": skipped,
@@ -296,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-seconds", type=float, default=120.0)
     p.add_argument("--out", required=True, help="output clip directory")
     p.add_argument("--traj-id", default=None, help="override the trajectory id (default: file stem)")
+    _add_workers_flag(p)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("filter", help="apply the robot-compatibility rules to a clip directory")

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import TooShort, ValidationError
 from .geometry import AxisConvention, DEFAULT_CONVENTION, normalize_angle_deg, pitch_many, yaw_many
 from .io import DetectionFrame, DetectionTable
-from .segmentation import Clip
+from .segmentation import Clip, ClipEntry
 
 __all__ = [
     "FilterConfig",
@@ -208,6 +208,6 @@ def run_filters(
     )
 
 
-def slice_detections(detections: DetectionTable | list[DetectionFrame], clip: Clip) -> DetectionTable:
-    """Select source-indexed detection frames covering a clip, re-indexed clip-local."""
+def slice_detections(detections: DetectionTable | list[DetectionFrame], clip: Clip | ClipEntry) -> DetectionTable:
+    """Select source-indexed detection frames covering a clip (or its manifest entry), re-indexed clip-local."""
     return _as_table(detections).window(clip.start_frame, clip.start_frame + len(clip))

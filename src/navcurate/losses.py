@@ -158,8 +158,8 @@ def loss_hall(pred_features, gt_features):
         gt = np.asarray(gt_features, dtype=float)
     except ValueError:  # rows of unequal length, or not numbers
         raise ShapeMismatch("features must be (k, d) arrays of numbers") from None
-    if pred.ndim != 2 or pred.shape != gt.shape or pred.shape[0] < 1:
-        raise ShapeMismatch(f"feature shapes must match as (k, d), got {pred.shape} vs {gt.shape}")
+    if pred.ndim != 2 or pred.shape != gt.shape or 0 in pred.shape:
+        raise ShapeMismatch(f"feature shapes must match as (k, d) with k, d >= 1, got {pred.shape} vs {gt.shape}")
     k = pred.shape[0]
     diff = pred - gt
     value = float(np.sum(np.abs(diff)) / k)

@@ -234,33 +234,33 @@ def build_clip_samples(
 
 
 def collect_samples(
-    clips: list[Clip],
+    clip_ids: list[str],
     landmarks: list[LandmarkAnnotation],
     accepted_ids: set[str],
-    build: Callable[[list[tuple[Clip, list[LandmarkAnnotation]]]], list],
+    build: Callable[[list[tuple[int, list[LandmarkAnnotation]]]], list],
 ) -> tuple[list[TrainingSample], dict[str, int]]:
     """Samples over the accepted clips, plus the skip counts of the whole corpus.
 
     Landmarks are grouped by clip id in file order. A landmark whose clip
-    is not among ``clips`` counts as ``unknown_clip``; one whose clip is
+    is not among ``clip_ids`` counts as ``unknown_clip``; one whose clip is
     not in ``accepted_ids`` counts as ``rejected_clip``. ``build`` maps the
-    (clip, landmarks) pairs of the accepted clips, sorted by clip id, to
-    one ``build_clip_samples`` result per pair, in order; its samples are
-    concatenated and its skip counts added in.
+    (position in ``clip_ids``, landmarks) pairs of the accepted clips that
+    have landmarks, sorted by clip id, to one ``build_clip_samples`` result
+    per pair, in order; its samples are concatenated and its skip counts
+    added in. A clip without landmarks gets no pair, as it would yield no
+    sample and no skip, so its poses need never be read.
     """
     by_clip: dict[str, list[LandmarkAnnotation]] = {}
     for lm in landmarks:
         by_clip.setdefault(lm.clip_id, []).append(lm)
-    clip_ids = {c.clip_id for c in clips}
+    known = set(clip_ids)
     skipped = dict.fromkeys(CLIP_SKIP_REASONS, 0)
-    skipped["unknown_clip"] = sum(1 for lm in landmarks if lm.clip_id not in clip_ids)
-    skipped["rejected_clip"] = sum(
-        len(lms) for cid, lms in by_clip.items() if cid in clip_ids and cid not in accepted_ids
-    )
+    skipped["unknown_clip"] = sum(1 for lm in landmarks if lm.clip_id not in known)
+    skipped["rejected_clip"] = sum(len(lms) for cid, lms in by_clip.items() if cid in known and cid not in accepted_ids)
     pairs = [
-        (clip, by_clip.get(clip.clip_id, []))
-        for clip in sorted(clips, key=lambda c: c.clip_id)
-        if clip.clip_id in accepted_ids
+        (i, by_clip[clip_ids[i]])
+        for i in sorted(range(len(clip_ids)), key=clip_ids.__getitem__)
+        if clip_ids[i] in accepted_ids and clip_ids[i] in by_clip
     ]
     samples: list[TrainingSample] = []
     for clip_samples, clip_skips in build(pairs):
@@ -289,8 +289,8 @@ def build_corpus(
         raise ValidationError(f"no filter verdict for clips: {missing[:5]}")
     accepted_ids = {cid for cid, v in verdict_map.items() if v.accepted}
     return collect_samples(
-        clips,
+        [c.clip_id for c in clips],
         landmarks,
         accepted_ids,
-        lambda pairs: [build_clip_samples(clip, lms, config, convention) for clip, lms in pairs],
+        lambda pairs: [build_clip_samples(clips[i], lms, config, convention) for i, lms in pairs],
     )

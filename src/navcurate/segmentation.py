@@ -21,14 +21,18 @@ from .errors import EmptyResult, ValidationError
 from .geometry import Pose, quat_conjugate, quat_multiply_many, quat_rotate
 from .io import _FRAME_LIMIT, RawTrajectory, _write_text, parse_pose_file, write_pose_file
 
-__all__ = ["Clip", "segment", "save_clips", "load_clips"]
+__all__ = ["Clip", "ClipEntry", "segment", "save_clips", "read_manifest", "load_clip", "load_clips"]
 
 CLIP_MANIFEST_NAME = "manifest.json"
 
 
 @dataclass(frozen=True)
 class ClipEntry:
-    """One clip of a clip manifest: the pose file and what load_clips needs to rebuild the Clip."""
+    """One clip of a clip manifest: the pose file and what load_clip needs to rebuild the Clip.
+
+    Every rule that the manifest alone can break is checked here, so a bad
+    entry fails when the manifest is read, before any pose file is opened.
+    """
 
     clip_id: str
     source_id: str
@@ -37,6 +41,21 @@ class ClipEntry:
     n_frames: int
     file: str
 
+    def __post_init__(self):
+        if not self.clip_id or not self.source_id:
+            raise ValidationError("clip_id and source_id must be non-empty")
+        if not self.file:
+            raise ValidationError("clip file must be non-empty")
+        if not (math.isfinite(self.fps) and self.fps > 0.0):
+            raise ValidationError(f"fps must be positive, got {self.fps!r}")
+        if self.n_frames < 1:
+            raise ValidationError(f"n_frames must be at least 1, got {self.n_frames}")
+        if not 0 <= self.start_frame < _FRAME_LIMIT - self.n_frames:  # every source frame index fits in int64
+            raise ValidationError(f"start_frame must be a non-negative int64 frame index, got {self.start_frame}")
+
+    def __len__(self) -> int:
+        return self.n_frames
+
 
 @dataclass(frozen=True, eq=False)
 class Clip:
@@ -44,7 +63,8 @@ class Clip:
 
     Shares the columnar layout of RawTrajectory; pose 0 must be the
     identity within 1e-9. start_frame is the clip's offset into the
-    source trajectory.
+    source trajectory; ClipEntry checks the ids and start_frame of a
+    loaded clip.
     """
 
     clip_id: str
@@ -56,11 +76,7 @@ class Clip:
     start_frame: int
 
     def __post_init__(self):
-        if not self.clip_id or not self.source_id:
-            raise ValidationError("clip_id and source_id must be non-empty")
         base = RawTrajectory(self.clip_id, self.fps, self.timestamps, self.positions, self.quaternions)
-        if not 0 <= self.start_frame < _FRAME_LIMIT - len(base):  # every source frame index fits in int64
-            raise ValidationError(f"start_frame must be a non-negative int64 frame index, got {self.start_frame}")
         if float(np.linalg.norm(base.positions[0])) > 1e-9:
             raise ValidationError("clip pose 0 must sit at the local origin")
         if 1.0 - abs(float(base.quaternions[0, 3])) > 1e-9:
@@ -130,34 +146,38 @@ def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[Clip]:
     return clips
 
 
-def save_clips(clips, out_dir, extra: dict | None = None) -> Path:
+def save_clips(clips, out_dir, extra: dict | None = None, map_tasks=map) -> Path:
     """Write one pose file per clip plus a manifest describing the set.
 
     Returns the manifest path. The manifest records fps, source ids and
-    start frames, which load_clips needs to reconstruct Clip values;
+    start frames, which load_clip needs to reconstruct Clip values;
     ``extra`` entries (tool info, config snapshot, digests) are merged in.
+    ``map_tasks(fn, tasks)`` runs the per-clip writes (the CLI passes its
+    process pool); the manifest is written after every pose file.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for clip in sorted(clips, key=lambda c: c.clip_id):
-        filename = f"{clip.clip_id}.txt"
-        traj = RawTrajectory(clip.clip_id, clip.fps, clip.timestamps, clip.positions, clip.quaternions)
-        write_pose_file(traj, out_dir / filename)
-        entries.append(
-            dataclasses.asdict(ClipEntry(clip.clip_id, clip.source_id, clip.fps, clip.start_frame, len(clip), filename))
-        )
+    clips = sorted(clips, key=lambda c: c.clip_id)
+    entries = [
+        ClipEntry(clip.clip_id, clip.source_id, clip.fps, clip.start_frame, len(clip), f"{clip.clip_id}.txt")
+        for clip in clips
+    ]
+    list(map_tasks(_write_clip, [(clip, out_dir / entry.file) for clip, entry in zip(clips, entries)]))
     manifest = dict(extra or {})
-    manifest["clips"] = entries
+    manifest["clips"] = [dataclasses.asdict(entry) for entry in entries]
     manifest_path = out_dir / CLIP_MANIFEST_NAME
     _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
-def load_clips(clip_dir) -> list[Clip]:
-    """Load every clip listed in a clip directory's manifest, sorted by id."""
-    clip_dir = Path(clip_dir)
-    manifest_path = clip_dir / CLIP_MANIFEST_NAME
+def _write_clip(task) -> None:
+    clip, path = task
+    write_pose_file(RawTrajectory(clip.clip_id, clip.fps, clip.timestamps, clip.positions, clip.quaternions), path)
+
+
+def read_manifest(clip_dir) -> list[ClipEntry]:
+    """The entries of a clip directory's manifest, in manifest order."""
+    manifest_path = Path(clip_dir) / CLIP_MANIFEST_NAME
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -165,23 +185,22 @@ def load_clips(clip_dir) -> list[Clip]:
     entries = manifest.get("clips", []) if type(manifest) is dict else None
     if type(entries) is not list:
         raise ValidationError(f"{manifest_path}: 'clips' must be a list of clip entries")
-    clips = []
-    for i, raw in enumerate(entries):
-        entry = schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw)
-        traj = parse_pose_file(clip_dir / entry.file, entry.fps, traj_id=entry.clip_id)
-        if len(traj) != entry.n_frames:
-            raise ValidationError(
-                f"{manifest_path}: clip entry {i} lists {entry.n_frames} frames, {entry.file} holds {len(traj)}"
-            )
-        clips.append(
-            Clip(
-                clip_id=entry.clip_id,
-                source_id=entry.source_id,
-                fps=traj.fps,
-                timestamps=traj.timestamps,
-                positions=traj.positions,
-                quaternions=traj.quaternions,
-                start_frame=entry.start_frame,
-            )
+    return [schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw) for i, raw in enumerate(entries)]
+
+
+def load_clip(clip_dir, entry: ClipEntry, index: int) -> Clip:
+    """Parse the pose file of ``entry``, entry ``index`` of the clip directory's manifest."""
+    clip_dir = Path(clip_dir)
+    traj = parse_pose_file(clip_dir / entry.file, entry.fps, traj_id=entry.clip_id)
+    if len(traj) != entry.n_frames:
+        raise ValidationError(
+            f"{clip_dir / CLIP_MANIFEST_NAME}: clip entry {index} lists {entry.n_frames} frames, "
+            f"{entry.file} holds {len(traj)}"
         )
-    return sorted(clips, key=lambda c: c.clip_id)
+    return Clip(entry.clip_id, entry.source_id, traj.fps, traj.timestamps, traj.positions, traj.quaternions,
+                entry.start_frame)
+
+
+def load_clips(clip_dir) -> list[Clip]:
+    """Load every clip listed in a clip directory's manifest, sorted by id."""
+    return sorted((load_clip(clip_dir, e, i) for i, e in enumerate(read_manifest(clip_dir))), key=lambda c: c.clip_id)

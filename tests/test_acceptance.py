@@ -308,7 +308,8 @@ def _run_pipeline(root: Path, workers: int, monkeypatch) -> None:
     }
     Path("spec.json").write_text(json.dumps(spec))
     assert main(["synth", "--spec", "spec.json", "--out", "synth"]) == 0
-    assert main(["segment", "--input", "synth/walk.txt", "--fps", "10", "--clip-seconds", "60", "--out", "clips"]) == 0
+    assert main(["segment", "--input", "synth/walk.txt", "--fps", "10", "--clip-seconds", "60", "--out", "clips",
+                 "--workers", str(workers)]) == 0
     assert (
         main(
             [

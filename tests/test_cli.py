@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from navcurate import cli
 from navcurate.cli import default_workers, main
 from navcurate.geometry import EgoWaypoint
 from navcurate.io import (
@@ -211,6 +212,70 @@ class TestFilterCommand:
         assert err["error"] == "validation"
         assert f"clip entry 1 has no {field!r}" in err["detail"]
 
+    @pytest.mark.parametrize("damage", ["cut-mid-row", "missing-rows", "start-frame-beyond-int64"])
+    def test_bad_clip_same_error_at_any_worker_count(self, pipeline_dir, capsys, damage):
+        clips = pipeline_dir / "clips"
+        pose_file = clips / "walk_0002.txt"
+        if damage == "cut-mid-row":
+            pose_file.write_text(pose_file.read_text().rstrip("\n").rsplit(" ", 1)[0] + "\n")
+        elif damage == "missing-rows":
+            pose_file.write_text("".join(pose_file.read_text().splitlines(keepends=True)[:-5]))
+        else:
+            manifest = json.loads((clips / "manifest.json").read_text())
+            manifest["clips"][2]["start_frame"] = 2**63 - 100
+            (clips / "manifest.json").write_text(json.dumps(manifest))
+        errors = []
+        for workers in ("1", "2"):
+            rc = main(
+                ["filter", "--clips", str(clips), "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+                 "--report", str(pipeline_dir / "report.json"), "--workers", workers]
+            )
+            assert rc == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            errors.append(json.loads(lines[0]))
+        assert errors[0] == errors[1]
+        if damage == "cut-mid-row":
+            assert errors[0]["error"] == "parse" and errors[0]["line"] == 602
+        assert not (pipeline_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["filter", "samples"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("clip_id", ""),
+            ("source_id", ""),
+            ("file", ""),
+            ("fps", 0),
+            ("fps", -10.0),
+            ("n_frames", 0),
+            ("start_frame", -1),
+            ("start_frame", 2**63 - 600),
+        ],
+    )
+    def test_manifest_rule_fails_before_any_task(self, pipeline_dir, capsys, monkeypatch, command, field, value):
+        clips = pipeline_dir / "clips"
+        (pipeline_dir / "ok.accepted").write_text("walk_0000\nwalk_0002\n")
+        manifest = json.loads((clips / "manifest.json").read_text())
+        manifest["clips"][2][field] = value
+        (clips / "manifest.json").write_text(json.dumps(manifest))
+
+        def no_tasks(fn, tasks, workers):
+            raise AssertionError("a task was dispatched")
+
+        monkeypatch.setattr(cli, "_map_tasks", no_tasks)
+        if command == "filter":
+            rest = ["--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+                    "--report", str(pipeline_dir / "r.json")]
+        else:
+            rest = ["--landmarks", str(pipeline_dir / "synth" / "landmarks.jsonl"),
+                    "--accepted", str(pipeline_dir / "ok.accepted"), "--out", str(pipeline_dir / "s.jsonl")]
+        assert main([command, "--clips", str(clips), *rest, "--workers", "2"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "validation"
+        assert field in json.loads(lines[0])["detail"]
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -404,6 +469,26 @@ class TestSamplesCommand:
         assert rc1 == rc2 == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("unused", ["rejected", "accepted-without-landmarks"])
+    def test_unused_clip_is_never_read(self, pipeline_dir, workers, unused):
+        # Only accepted clips with landmarks are loaded: walk_0001 is rejected for its crowd
+        # burst, and walk_0002 is accepted but loses its landmarks here.
+        clip_id = "walk_0001" if unused == "rejected" else "walk_0002"
+        if unused != "rejected":
+            landmarks = pipeline_dir / "synth" / "landmarks.jsonl"
+            lines = landmarks.read_text().splitlines(keepends=True)
+            landmarks.write_text("".join(line for line in lines if json.loads(line)["clip_id"] != clip_id))
+        rc, out = self._run(pipeline_dir, "all.jsonl", workers=workers)
+        assert rc == 0
+        (pipeline_dir / "clips" / f"{clip_id}.txt").unlink()
+        rc, again = self._run(pipeline_dir, "again.jsonl", workers=workers)
+        assert rc == 0
+        assert again.read_bytes() == out.read_bytes()
+        first, second = (json.loads((p.parent / f"{p.name}.manifest.json").read_text()) for p in (out, again))
+        del first["outputs"], second["outputs"]
+        assert first == second
+
     def test_manifest_config_reruns_identically(self, pipeline_dir):
         rc, out = self._run(pipeline_dir)
         assert rc == 0
@@ -579,8 +664,12 @@ class TestLossCommand:
             {"pred_waypoints": [], "gt_waypoints": []},
             {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "pred_features": [[1]], "gt_features": [[1, 2]]},
             {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "pred_features": [[1], [1, 2]], "gt_features": [[1], [1, 2]]},
+            {"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]], "pred_features": [[]], "gt_features": [[]]},
         ],
-        ids=["non-object", "string-component", "string-logit", "label-2", "bool-label", "unequal", "empty", "feature-shapes", "ragged-features"],
+        ids=[
+            "non-object", "string-component", "string-logit", "label-2", "bool-label", "unequal", "empty",
+            "feature-shapes", "ragged-features", "zero-width-features",
+        ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "loss.json"

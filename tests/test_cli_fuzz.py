@@ -4,7 +4,7 @@ Each example takes a valid input of one subcommand (a detection, landmark
 or prediction file, a ``loss`` document or a clip-manifest entry), replaces
 one JSON value anywhere in it with a value from a small pool of wrong types,
 or deletes it, and runs ``cli.main`` in this process on a tiny synthetic
-fixture.
+fixture. The ``segment`` pose file gets one broken row instead.
 """
 
 import contextlib
@@ -152,6 +152,40 @@ def test_mutated_input_exits_with_documented_code(fixture, kind, data):
         lines = err.splitlines()
         assert len(lines) == 1, err
         assert set(json.loads(lines[0])) >= {"error", "detail"}
+
+
+POSE_MUTATIONS = ["non-numeric", "nan", "seven-fields", "repeated-timestamp", "zero-quaternion"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_broken_pose_row_exits_2(fixture, data):
+    lines = (fixture / "synth" / "walk.txt").read_text().splitlines(keepends=True)
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    row = data.draw(st.sampled_from(rows))
+    fields = lines[row].split()
+    mutation = data.draw(st.sampled_from(POSE_MUTATIONS))
+    if mutation in ("non-numeric", "nan"):
+        fields[data.draw(st.integers(0, 7))] = "x1" if mutation == "non-numeric" else "nan"
+    elif mutation == "seven-fields":
+        del fields[data.draw(st.integers(0, 7))]
+    elif mutation == "repeated-timestamp":
+        neighbour = rows[1] if row == rows[0] else rows[rows.index(row) - 1]
+        fields[0] = lines[neighbour].split()[0]
+    else:
+        fields[4:8] = ["0", "0", "0", "0"]
+    lines[row] = " ".join(fields) + "\n"
+    work = fixture / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    (work / "walk.txt").write_text("".join(lines))
+    rc, err = _run(["segment", "--input", str(work / "walk.txt"), "--fps", "5", "--clip-seconds", "20",
+                    "--out", str(work / "clips"), "--workers", "1"])
+    assert rc == 2, (mutation, err)
+    err_lines = err.splitlines()
+    assert len(err_lines) == 1, err
+    assert set(json.loads(err_lines[0])) >= {"error", "detail"}
+    assert not (work / "clips" / "manifest.json").exists()
 
 
 GOOD = ((1.0, 0.0), (2.0, 0.5))
