@@ -24,17 +24,7 @@ from .errors import (
     TooShort,
     ValidationError,
 )
-from .geometry import (
-    AxisConvention,
-    DEFAULT_CONVENTION,
-    EgoWaypoint,
-    Pose,
-    normalize_angle_deg,
-    pitch_of,
-    relative_pose,
-    to_ego_waypoint,
-    yaw_of,
-)
+from .geometry import DEFAULT_CONVENTION, AxisConvention, normalize_angle_deg
 from .io import (
     Detection,
     DetectionFrame,
@@ -46,7 +36,7 @@ from .io import (
 )
 from .segmentation import Clip, segment
 from .filters import FilterConfig, FilterVerdict, run_filters
-from .sampling import SamplerConfig, build_corpus, build_sample, draw_start
-from .metrics import MetricReport, SampleMetrics, ade, aoe, discrete_frechet, evaluate, maoe
+from .sampling import SamplerConfig, build_corpus, draw_start
+from .metrics import MetricReport, ade, aoe, discrete_frechet, evaluate, maoe
 from .losses import LossComponents, LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 from .synth import SynthSpec, generate, generate_detections, generate_landmarks

@@ -37,9 +37,12 @@ def default_workers() -> int:
     value = os.environ.get(WORKERS_ENV)
     if value:
         try:
-            return max(1, int(value))
+            workers = int(value)
         except ValueError:
             raise ValidationError(f"{WORKERS_ENV} must be an integer, got {value!r}")
+        if workers < 1:
+            raise ValidationError(f"{WORKERS_ENV} must be at least 1, got {workers}")
+        return workers
     return os.cpu_count() or 1
 
 
@@ -79,6 +82,8 @@ def _map_tasks(fn, tasks, workers: int) -> list:
     """Run fn over tasks, optionally in a process pool; result order == task order."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    # A forked pool starts all max_workers processes at the first submit.
+    workers = min(workers, len(tasks))
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
@@ -355,8 +360,11 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-            args.workers = default_workers()
+        if hasattr(args, "workers"):
+            if args.workers is None:
+                args.workers = default_workers()
+            elif args.workers < 1:
+                raise ValidationError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except ParseError as exc:
         return _fail("parse", exc, 2)

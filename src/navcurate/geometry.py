@@ -13,18 +13,18 @@ Conventions used throughout the package:
   vector within the ground plane and is undefined (``GimbalDegenerate``)
   when forward is within ~1e-6 of vertical.
 
-Scalar operations work on single :class:`Pose` values; the ``*_many``
-kernels operate on (n, 4) quaternion / (n, 3) position arrays and are the
-throughput path used by segmentation, filtering and sampling. The scalar
-:func:`to_ego_waypoint` is kept as the reference that
-:func:`ego_waypoints_many` must reproduce bit for bit.
+Poses are handled as columns: the ``*_many`` kernels operate on (n, 4)
+quaternion / (n, 3) position arrays and are the one implementation of
+pitch, yaw and the ego projection that segmentation, filtering and
+sampling use. The ``quat_*`` helpers act on one quaternion (clip anchors,
+synthetic streams). The per-pose forms the tests compare the kernels with
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +33,7 @@ from .errors import GimbalDegenerate, ValidationError
 __all__ = [
     "AxisConvention",
     "DEFAULT_CONVENTION",
-    "EgoWaypoint",
-    "Pose",
     "normalize_angle_deg",
-    "pitch_of",
-    "yaw_of",
-    "relative_pose",
-    "to_ego_waypoint",
     "ego_waypoints_many",
     "pitch_many",
     "yaw_many",
@@ -192,89 +186,8 @@ def quat_between(u, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Value types
+# Vectorized kernels (throughput path)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Pose:
-    """A timestamped camera pose in the world frame.
-
-    position is a 3-vector in meters; orientation is the camera-to-world
-    unit quaternion (x, y, z, w). Inputs are renormalized at construction;
-    a quaternion with norm below 1e-3 is rejected.
-    """
-
-    timestamp: float
-    position: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self):
-        ts = float(self.timestamp)
-        if not math.isfinite(ts) or ts < 0.0:
-            raise ValidationError(f"timestamp must be a non-negative real, got {self.timestamp!r}")
-        pos = np.asarray(self.position, dtype=float).reshape(-1)
-        if pos.shape != (3,):
-            raise ValidationError(f"position must be a 3-vector, got shape {pos.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise ValidationError("position components must be finite")
-        quat = quat_normalize(self.orientation)
-        pos.flags.writeable = False
-        quat.flags.writeable = False
-        object.__setattr__(self, "timestamp", ts)
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", quat)
-
-    @classmethod
-    def identity(cls, timestamp: float = 0.0) -> "Pose":
-        return cls(timestamp, np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
-
-
-class EgoWaypoint(NamedTuple):
-    """A ground-plane point relative to a reference pose: x forward, y left, meters.
-
-    It equals the plain pair ``(x, y)``; records hold waypoints as plain pairs.
-    """
-
-    x: float
-    y: float
-
-
-# ---------------------------------------------------------------------------
-# Scalar pose operations
-# ---------------------------------------------------------------------------
-
-def pitch_of(pose: Pose, convention: AxisConvention = DEFAULT_CONVENTION) -> float:
-    """Elevation of the camera forward vector above the ground plane.
-
-    Args:
-        pose: pose whose orientation is inspected.
-        convention: axis convention naming forward and up.
-
-    Returns:
-        Pitch in degrees within [-90, +90]; positive means looking up.
-    """
-    forward = quat_rotate(pose.orientation, convention.forward_vec)
-    f_up = float(forward @ convention.up_vec)
-    return math.degrees(math.asin(max(-1.0, min(1.0, f_up))))
-
-
-def yaw_of(pose: Pose, convention: AxisConvention = DEFAULT_CONVENTION) -> float:
-    """Heading of the camera forward vector within the ground plane.
-
-    Args:
-        pose: pose whose orientation is inspected.
-        convention: axis convention naming forward and up.
-
-    Returns:
-        Yaw in degrees, normalized to (-180, +180]; 0 along e1, +90 along e2.
-
-    Raises:
-        GimbalDegenerate: forward is within ~1e-6 of vertical.
-    """
-    forward = quat_rotate(pose.orientation, convention.forward_vec)
-    e1, e2 = convention.ground_axes
-    return _heading_deg(float(forward @ e1), float(forward @ e2))
-
 
 def _heading_deg(h1: float, h2: float) -> float:
     """Yaw in degrees of a forward vector with ground-plane components (h1, h2)."""
@@ -282,49 +195,6 @@ def _heading_deg(h1: float, h2: float) -> float:
         raise GimbalDegenerate("camera forward vector is vertical; yaw undefined")
     return normalize_angle_deg(math.degrees(math.atan2(h2, h1)))
 
-
-def relative_pose(anchor: Pose, p: Pose) -> Pose:
-    """Express p in the coordinate frame of anchor.
-
-    position becomes R_anchor^T (p.position - anchor.position) and
-    orientation becomes q_anchor^-1 (x) q_p; the timestamp is preserved.
-    """
-    delta = p.position - anchor.position
-    qa = anchor.orientation
-    local = quat_rotate(quat_conjugate(qa), delta)
-    orientation = quat_multiply(quat_conjugate(qa), p.orientation)
-    return Pose(p.timestamp, local, orientation)
-
-
-def to_ego_waypoint(
-    reference: Pose,
-    target_position,
-    convention: AxisConvention = DEFAULT_CONVENTION,
-) -> EgoWaypoint:
-    """Project a world position into the reference pose's ground-plane frame.
-
-    The vertical component is discarded; the horizontal offset is rotated
-    by -yaw(reference) so x points where the camera looks and y points
-    left of it.
-
-    Raises:
-        GimbalDegenerate: reference yaw is undefined.
-    """
-    yaw_deg = yaw_of(reference, convention)
-    target = np.asarray(target_position, dtype=float)
-    delta = target - reference.position
-    e1, e2 = convention.ground_axes
-    dx = float(delta @ e1)
-    dy = float(delta @ e2)
-    yaw = math.radians(yaw_deg)
-    c = math.cos(yaw)
-    s = math.sin(yaw)
-    return EgoWaypoint(c * dx + s * dy, -s * dx + c * dy)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized kernels (throughput path)
-# ---------------------------------------------------------------------------
 
 def quat_rotate_many(quats: np.ndarray, v) -> np.ndarray:
     """Rotate one vector v by each quaternion in an (n, 4) array."""
@@ -366,12 +236,12 @@ def yaw_many(quats: np.ndarray, convention: AxisConvention = DEFAULT_CONVENTION)
     Rows whose forward vector is (near) vertical come back as NaN instead
     of raising, so callers can skip them.
 
-    Not bit-identical to :func:`yaw_of`: ``np.arctan2`` runs numpy's own
-    vectorised arctangent, which differs from the C library's ``atan2``
-    behind ``math.atan2`` in the last ulp for a fraction of inputs. That
-    is harmless for thresholding (the filters), but it changes the
-    shortest repr of derived waypoints, so :func:`ego_waypoints_many`
-    takes its yaw through the scalar path instead.
+    ``np.arctan2`` runs numpy's own vectorised arctangent, which differs
+    from the C library's ``atan2`` behind ``math.atan2`` in the last ulp
+    for a fraction of inputs. That is harmless for thresholding (the
+    filters), but it changes the shortest repr of derived waypoints, so
+    :func:`ego_waypoints_many` takes its yaw through ``math.atan2``
+    instead.
     """
     forward = quat_rotate_many(quats, convention.forward_vec)
     e1, e2 = convention.ground_axes
@@ -388,7 +258,11 @@ def ego_waypoints_many(
     targets: np.ndarray,
     convention: AxisConvention = DEFAULT_CONVENTION,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of :func:`to_ego_waypoint` over n reference poses.
+    """Project world positions into the ground-plane frames of n reference poses.
+
+    The vertical component is discarded; the horizontal offset from the
+    reference position is rotated by -yaw(reference), so x points where
+    the camera looks and y points left of it.
 
     Args:
         quats: (n, 4) reference orientations.
@@ -400,10 +274,9 @@ def ego_waypoints_many(
     Returns:
         (waypoints, defined): waypoints is (n, k, 2) holding (x forward,
         y left); defined is (n,) and False where the reference yaw is
-        undefined, whose rows are zero. Every defined value equals
-        ``to_ego_waypoint`` bit for bit: the arithmetic is the same, and
-        the yaw goes through the scalar ``math.atan2`` once per pose (see
-        :func:`yaw_many` for why not ``np.arctan2``).
+        undefined, whose rows are zero. The yaw goes through the scalar
+        ``math.atan2`` once per pose (see :func:`yaw_many` for why not
+        ``np.arctan2``).
     """
     forward = quat_rotate_many(quats, convention.forward_vec)
     e1, e2 = convention.ground_axes

@@ -56,7 +56,6 @@ import numpy as np
 
 from . import schema
 from .errors import ParseError, SchemaError, ValidationError
-from .geometry import Pose
 
 __all__ = [
     "RawTrajectory",
@@ -87,8 +86,7 @@ class RawTrajectory:
     """An ordered pose stream with identity and frame-rate metadata.
 
     Pose data is stored columnar for throughput: timestamps (n,),
-    positions (n, 3), quaternions (n, 4) in (x, y, z, w). Use
-    :meth:`pose` for the per-pose view.
+    positions (n, 3), quaternions (n, 4) in (x, y, z, w).
     """
 
     id: str
@@ -144,9 +142,6 @@ class RawTrajectory:
     def duration(self) -> float:
         """Last minus first timestamp, seconds."""
         return float(self.timestamps[-1] - self.timestamps[0])
-
-    def pose(self, i: int) -> Pose:
-        return Pose(float(self.timestamps[i]), self.positions[i].copy(), self.quaternions[i].copy())
 
 
 # json.loads gives a number as exactly int or float (true/false are bool),

@@ -7,13 +7,12 @@ is the discrete Frechet distance between the two waypoint polylines with
 the origin prepended to both, so the metric covers the full path from
 the agent.
 
-Batch path: :func:`evaluate` stacks the records of each horizon k into
-(N, k, 2) arrays and computes every metric over N at once, with the
-Frechet recurrence (Eiter & Mannila 1994) run cell by cell over N.
-Scalar reference: :func:`step_directions`, :func:`orientation_errors`,
-:func:`aoe`, :func:`maoe`, :func:`ade`, :func:`discrete_frechet` and
-:func:`sample_metrics` score one record; tests require ``evaluate`` to
-equal, bit for bit, the mean of ``sample_metrics`` over the records.
+Each metric has one implementation, a kernel over (N, k, 2) waypoint
+batches: ``_ade_many``, ``_orientation_many`` and ``_frechet_many`` (the
+Eiter & Mannila 1994 recurrence, run cell by cell over N). :func:`evaluate`
+stacks the records of each horizon k and runs the kernels over them; the
+public :func:`ade`, :func:`aoe`, :func:`maoe` and :func:`discrete_frechet`
+are one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -26,15 +25,11 @@ from .errors import AllUndefined, EmptyInput, LengthMismatch
 from .io import PredictionRecord
 
 __all__ = [
-    "SampleMetrics",
     "MetricReport",
-    "step_directions",
-    "orientation_errors",
     "aoe",
     "maoe",
     "ade",
     "discrete_frechet",
-    "sample_metrics",
     "evaluate",
 ]
 
@@ -48,108 +43,129 @@ ARRIVAL_THRESHOLD = 0.5
 BATCH_CELLS = 1 << 18
 
 
-def _as_xy(waypoints) -> np.ndarray:
-    """A waypoint sequence ((x, y) pairs or an array) as an (n, 2) float array."""
-    arr = np.asarray(waypoints, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise LengthMismatch(f"waypoints must be an (n, 2) sequence, got shape {arr.shape}")
-    return arr
+def _ade_many(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Per-row ADE of (N, k, 2) waypoint batches."""
+    return np.linalg.norm(pred - gt, axis=2).mean(axis=1)
 
 
-def step_directions(waypoints) -> tuple[np.ndarray, np.ndarray]:
-    """Unit motion directions between consecutive waypoints.
+def _frechet_many(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Per-row MADE of (N, n, 2) and (N, m, 2) waypoint batches.
 
-    An origin (0, 0) precedes the first waypoint. Returns (directions,
-    defined): directions is (k, 2) with zero rows where defined is False,
-    i.e. where the step displacement is below 1e-9 m.
+    The origin is prepended to both paths, and the recurrence runs cell by
+    cell over all N rows at once; max and min are exact, so each value is
+    the one the scalar recurrence gives for its row.
     """
-    pts = _as_xy(waypoints)
-    if pts.shape[0] < 1:
-        raise LengthMismatch("need at least one waypoint")
-    disp = np.diff(np.vstack([np.zeros((1, 2)), pts]), axis=0)
-    norms = np.linalg.norm(disp, axis=1)
-    defined = norms >= ZERO_STEP
-    directions = np.zeros_like(disp)
-    directions[defined] = disp[defined] / norms[defined, None]
-    return directions, defined
+    origin = np.zeros((pred.shape[0], 1, 2))
+    p = np.concatenate([origin, pred], axis=1)
+    g = np.concatenate([origin, gt], axis=1)
+    dist = np.linalg.norm(p[:, :, None, :] - g[:, None, :, :], axis=3)
+    _, n, m = dist.shape
+    acc = np.empty_like(dist)
+    acc[:, 0, 0] = dist[:, 0, 0]
+    for i in range(1, n):
+        acc[:, i, 0] = np.maximum(acc[:, i - 1, 0], dist[:, i, 0])
+    for j in range(1, m):
+        acc[:, 0, j] = np.maximum(acc[:, 0, j - 1], dist[:, 0, j])
+    for i in range(1, n):
+        for j in range(1, m):
+            best = np.minimum(np.minimum(acc[:, i - 1, j], acc[:, i, j - 1]), acc[:, i - 1, j - 1])
+            acc[:, i, j] = np.maximum(dist[:, i, j], best)
+    return acc[:, n - 1, m - 1]
 
 
-def orientation_errors(pred, gt) -> np.ndarray:
-    """Per-step angles in [0, 180] degrees between motion directions.
+def _orientation_many(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (AOE, MAOE, oriented) of (N, k, 2) waypoint batches.
 
-    Steps undefined on either side are excluded; the returned array holds
-    only defined steps.
-
-    Raises:
-        AllUndefined: no step has a direction on both sides.
+    A step counts where its displacement is at least ZERO_STEP on both
+    sides. Rows where every step counts are reduced in one call. A row
+    where only some do is reduced on its own over the counted errors, in
+    step order: a masked reduction over the whole row would sum in another
+    order. oriented is False, and AOE/MAOE 0, where no step counts.
     """
-    dp, mp = step_directions(pred)
-    dg, mg = step_directions(gt)
-    if dp.shape[0] != dg.shape[0]:
-        raise LengthMismatch(f"prediction has {dp.shape[0]} steps, ground truth {dg.shape[0]}")
-    both = mp & mg
-    if not np.any(both):
-        raise AllUndefined("every step has near-zero displacement on at least one side")
-    a = dp[both]
-    b = dg[both]
+    disp_p = np.diff(pred, axis=1, prepend=0.0)
+    disp_g = np.diff(gt, axis=1, prepend=0.0)
+    norm_p = np.linalg.norm(disp_p, axis=2)
+    norm_g = np.linalg.norm(disp_g, axis=2)
+    both = (norm_p >= ZERO_STEP) & (norm_g >= ZERO_STEP)
+    # Uncounted steps divide by 1 rather than by a zero norm; their errors are never read.
+    a = disp_p / np.where(both, norm_p, 1.0)[:, :, None]
+    b = disp_g / np.where(both, norm_g, 1.0)[:, :, None]
     # atan2 of (|cross|, dot) is exact at 0 and 180 degrees, where arccos
     # of a rounded dot product is not.
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    dot = np.sum(a * b, axis=1)
-    return np.degrees(np.arctan2(np.abs(cross), dot))
+    cross = a[:, :, 0] * b[:, :, 1] - a[:, :, 1] * b[:, :, 0]
+    dot = np.sum(a * b, axis=2)
+    errors = np.degrees(np.arctan2(np.abs(cross), dot))
+    full = both.all(axis=1)
+    oriented = both.any(axis=1)
+    aoe_deg = np.zeros(pred.shape[0])
+    maoe_deg = np.zeros(pred.shape[0])
+    full_errors = errors[full]
+    aoe_deg[full] = full_errors.mean(axis=1)
+    maoe_deg[full] = full_errors.max(axis=1)
+    for row in np.flatnonzero(oriented & ~full):
+        counted = errors[row][both[row]]
+        aoe_deg[row] = np.mean(counted)
+        maoe_deg[row] = np.max(counted)
+    return aoe_deg, maoe_deg, oriented
+
+
+def _one_row(waypoints) -> np.ndarray:
+    """A waypoint sequence ((x, y) pairs or an array) as a (1, n, 2) batch, n >= 1."""
+    arr = np.asarray(waypoints, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
+        raise LengthMismatch(f"waypoints must be a non-empty (n, 2) sequence, got shape {arr.shape}")
+    return arr[None]
+
+
+def _equal_rows(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    p = _one_row(pred)
+    g = _one_row(gt)
+    if p.shape != g.shape:
+        raise LengthMismatch(f"prediction has {p.shape[1]} waypoints, ground truth {g.shape[1]}")
+    return p, g
+
+
+def _orientation(pred, gt) -> tuple[float, float]:
+    aoe_deg, maoe_deg, oriented = _orientation_many(*_equal_rows(pred, gt))
+    if not oriented[0]:
+        raise AllUndefined("every step has near-zero displacement on at least one side")
+    return float(aoe_deg[0]), float(maoe_deg[0])
 
 
 def aoe(pred, gt) -> float:
-    """Mean per-step orientation error, degrees."""
-    return float(np.mean(orientation_errors(pred, gt)))
+    """Mean per-step orientation error, degrees.
+
+    Raises:
+        LengthMismatch: the sequences are empty, not (x, y) pairs, or of
+            different lengths.
+        AllUndefined: no step has a direction on both sides.
+    """
+    return _orientation(pred, gt)[0]
 
 
 def maoe(pred, gt) -> float:
-    """Maximum per-step orientation error, degrees."""
-    return float(np.max(orientation_errors(pred, gt)))
+    """Maximum per-step orientation error, degrees; raises as :func:`aoe`."""
+    return _orientation(pred, gt)[1]
 
 
 def ade(pred, gt) -> float:
-    """Mean Euclidean distance between corresponding waypoints, meters."""
-    p = _as_xy(pred)
-    g = _as_xy(gt)
-    if p.shape[0] != g.shape[0]:
-        raise LengthMismatch(f"prediction has {p.shape[0]} waypoints, ground truth {g.shape[0]}")
-    return float(np.mean(np.linalg.norm(p - g, axis=1)))
+    """Mean Euclidean distance between corresponding waypoints, meters.
+
+    Raises:
+        LengthMismatch: the sequences are empty, not (x, y) pairs, or of
+            different lengths.
+    """
+    return float(_ade_many(*_equal_rows(pred, gt))[0])
 
 
 def discrete_frechet(pred, gt) -> float:
     """Discrete Frechet distance between the two paths, meters (= MADE).
 
     A leading origin point is prepended to both sequences, so even
-    single-waypoint predictions compare full paths from the agent.
+    single-waypoint predictions compare full paths from the agent. The
+    sequences may differ in length.
     """
-    p = np.vstack([np.zeros((1, 2)), _as_xy(pred)])
-    g = np.vstack([np.zeros((1, 2)), _as_xy(gt)])
-    dist = np.linalg.norm(p[:, None, :] - g[None, :, :], axis=2)
-    n, m = dist.shape
-    acc = np.empty((n, m))
-    acc[0, 0] = dist[0, 0]
-    for i in range(1, n):
-        acc[i, 0] = max(acc[i - 1, 0], dist[i, 0])
-    for j in range(1, m):
-        acc[0, j] = max(acc[0, j - 1], dist[0, j])
-    for i in range(1, n):
-        for j in range(1, m):
-            acc[i, j] = max(dist[i, j], min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1]))
-    return float(acc[n - 1, m - 1])
-
-
-@dataclass(frozen=True)
-class SampleMetrics:
-    """Metrics for one prediction record; orientation fields are None when
-    no step direction is defined on both sides."""
-
-    aoe_deg: float | None
-    maoe_deg: float | None
-    ade_m: float
-    made_m: float
-    arrival_correct: bool | None
+    return float(_frechet_many(_one_row(pred), _one_row(gt))[0])
 
 
 @dataclass(frozen=True)
@@ -166,79 +182,6 @@ class MetricReport:
     n_arrival_scored: int
 
 
-def sample_metrics(record: PredictionRecord) -> SampleMetrics:
-    """All four metrics plus the arrival call for one record."""
-    try:
-        errors = orientation_errors(record.predicted, record.ground_truth)
-        aoe_deg: float | None = float(np.mean(errors))
-        maoe_deg: float | None = float(np.max(errors))
-    except AllUndefined:
-        aoe_deg = None
-        maoe_deg = None
-    arrival_correct = None
-    if record.predicted_arrival is not None and record.arrival_label is not None:
-        arrival_correct = (record.predicted_arrival >= ARRIVAL_THRESHOLD) == record.arrival_label
-    return SampleMetrics(
-        aoe_deg=aoe_deg,
-        maoe_deg=maoe_deg,
-        ade_m=ade(record.predicted, record.ground_truth),
-        made_m=discrete_frechet(record.predicted, record.ground_truth),
-        arrival_correct=arrival_correct,
-    )
-
-
-def _horizon_metrics(pred: np.ndarray, gt: np.ndarray):
-    """Per-record (ADE, MADE, AOE, MAOE, oriented) for (N, k, 2) arrays.
-
-    Each value equals its scalar counterpart on the same record: the
-    elementwise arithmetic and the per-row reductions are the ones the
-    scalar functions run, and min/max are exact. AOE/MAOE are vectorised
-    only over rows where every step is defined on both sides; a row with
-    some zero-length step goes through :func:`orientation_errors`, whose
-    mean over the defined steps only would sum in another order if
-    masked. oriented is False where no step is defined on both sides.
-    """
-    n, k, _ = pred.shape
-    ade_m = np.linalg.norm(pred - gt, axis=2).mean(axis=1)
-
-    origin = np.zeros((n, 1, 2))
-    p = np.concatenate([origin, pred], axis=1)
-    g = np.concatenate([origin, gt], axis=1)
-    dist = np.linalg.norm(p[:, :, None, :] - g[:, None, :, :], axis=3)
-    acc = np.empty_like(dist)
-    acc[:, 0, 0] = dist[:, 0, 0]
-    for i in range(1, k + 1):
-        acc[:, i, 0] = np.maximum(acc[:, i - 1, 0], dist[:, i, 0])
-        acc[:, 0, i] = np.maximum(acc[:, 0, i - 1], dist[:, 0, i])
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            best = np.minimum(np.minimum(acc[:, i - 1, j], acc[:, i, j - 1]), acc[:, i - 1, j - 1])
-            acc[:, i, j] = np.maximum(dist[:, i, j], best)
-    made_m = acc[:, k, k]
-
-    disp_p = np.diff(pred, axis=1, prepend=0.0)
-    disp_g = np.diff(gt, axis=1, prepend=0.0)
-    norm_p = np.linalg.norm(disp_p, axis=2)
-    norm_g = np.linalg.norm(disp_g, axis=2)
-    both = (norm_p >= ZERO_STEP) & (norm_g >= ZERO_STEP)
-    full = both.all(axis=1)
-    aoe_deg = np.zeros(n)
-    maoe_deg = np.zeros(n)
-    a = disp_p[full] / norm_p[full][:, :, None]
-    b = disp_g[full] / norm_g[full][:, :, None]
-    cross = a[:, :, 0] * b[:, :, 1] - a[:, :, 1] * b[:, :, 0]
-    dot = np.sum(a * b, axis=2)
-    errors = np.degrees(np.arctan2(np.abs(cross), dot))
-    aoe_deg[full] = errors.mean(axis=1)
-    maoe_deg[full] = errors.max(axis=1)
-    oriented = both.any(axis=1)
-    for row in np.flatnonzero(oriented & ~full):
-        errors = orientation_errors(pred[row], gt[row])
-        aoe_deg[row] = np.mean(errors)
-        maoe_deg[row] = np.max(errors)
-    return ade_m, made_m, aoe_deg, maoe_deg, oriented
-
-
 def evaluate(records: list[PredictionRecord]) -> MetricReport:
     """Aggregate per-sample metrics into dataset means, in input order.
 
@@ -246,8 +189,6 @@ def evaluate(records: list[PredictionRecord]) -> MetricReport:
     ADE/MADE only and are counted in n_orientation_excluded. Arrival
     accuracy covers records carrying both a predicted arrival probability
     (thresholded at 0.5) and a label; it is None when no record does.
-
-    Batch path: equals the same means taken over :func:`sample_metrics`.
 
     Raises:
         EmptyInput: records is empty.
@@ -269,9 +210,9 @@ def evaluate(records: list[PredictionRecord]) -> MetricReport:
             batch = indices[start : start + rows]
             pred = np.array([records[i].predicted for i in batch], dtype=float)
             gt = np.array([records[i].ground_truth for i in batch], dtype=float)
-            (ade_m[batch], made_m[batch], aoe_deg[batch], maoe_deg[batch], oriented[batch]) = _horizon_metrics(
-                pred, gt
-            )
+            ade_m[batch] = _ade_many(pred, gt)
+            made_m[batch] = _frechet_many(pred, gt)
+            aoe_deg[batch], maoe_deg[batch], oriented[batch] = _orientation_many(pred, gt)
     arrival_calls = np.array(
         [
             (r.predicted_arrival >= ARRIVAL_THRESHOLD) == r.arrival_label

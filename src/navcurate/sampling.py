@@ -12,14 +12,11 @@ own numpy Generator keyed by (seed, sha256(clip_id), landmark ordinal,
 draw ordinal), so fanning the corpus build out per clip cannot change a
 single sample.
 
-Batch path: :func:`build_clip_samples` draws every start of a clip first,
-then extracts all their waypoints with one
+:func:`build_clip_samples` draws every start of a clip first, then
+extracts all their waypoints with one
 :func:`~navcurate.geometry.ego_waypoints_many` call, and
 :func:`collect_samples` does the corpus-level grouping and skip
 accounting for both :func:`build_corpus` and the ``samples`` command.
-Scalar reference: :func:`build_sample` builds one sample through
-:func:`~navcurate.geometry.to_ego_waypoint`; tests require the batch path
-to reproduce it exactly.
 """
 
 from __future__ import annotations
@@ -30,9 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Infeasible, OutOfBounds, ValidationError
+from .errors import Infeasible, ValidationError
 from .filters import FilterVerdict
-from .geometry import AxisConvention, DEFAULT_CONVENTION, ego_waypoints_many, to_ego_waypoint
+from .geometry import AxisConvention, DEFAULT_CONVENTION, ego_waypoints_many
 from .io import LandmarkAnnotation, TrainingSample
 from .segmentation import Clip
 
@@ -40,7 +37,6 @@ __all__ = [
     "SamplerConfig",
     "TrainingSample",
     "draw_start",
-    "build_sample",
     "build_clip_samples",
     "collect_samples",
     "build_corpus",
@@ -141,39 +137,6 @@ def _training_sample(
     )
 
 
-def build_sample(
-    clip: Clip,
-    landmark: LandmarkAnnotation,
-    t: int,
-    config: SamplerConfig,
-    convention: AxisConvention = DEFAULT_CONVENTION,
-    sample_id: str | None = None,
-) -> TrainingSample:
-    """Assemble the supervision tuple for start frame t (scalar reference).
-
-    waypoint i is pose(t + (i+1)*stride)'s position expressed in the
-    ground-plane frame of pose(t); history frames run back from t in
-    stride steps, clamped at frame 0.
-
-    Raises:
-        OutOfBounds: the future horizon runs past the clip end.
-        GimbalDegenerate: pose(t) has no defined yaw.
-    """
-    k = config.horizon
-    stride = config.waypoint_stride
-    if t < 0 or t + k * stride >= len(clip):
-        raise OutOfBounds(
-            f"start {t} with horizon {k} and stride {stride} exceeds clip of {len(clip)} frames"
-        )
-    reference = clip.pose(t)
-    waypoints = tuple(
-        to_ego_waypoint(reference, clip.positions[t + (i + 1) * stride], convention) for i in range(k)
-    )
-    return _training_sample(
-        clip, landmark, t, waypoints, config, sample_id or f"{clip.clip_id}:g{landmark.goal_frame}:t{t}"
-    )
-
-
 def build_clip_samples(
     clip: Clip,
     landmarks: list[LandmarkAnnotation],
@@ -182,10 +145,11 @@ def build_clip_samples(
 ) -> tuple[list[TrainingSample], dict[str, int]]:
     """Samples for one accepted clip; landmark ordinals follow file order.
 
-    Batch path. Draw (landmark ordinal, draw ordinal) gets the start
-    frame of ``draw_start`` under ``draw_rng`` and the sample
-    ``build_sample`` would build for it, with sample id
-    ``<clip_id>:<landmark:04d>:<draw:02d>``. A draw is skipped as
+    Draw (landmark ordinal, draw ordinal) gets the start frame t of
+    ``draw_start`` under ``draw_rng`` and sample id
+    ``<clip_id>:<landmark:04d>:<draw:02d>``. Waypoint i of its sample is
+    pose(t + (i+1)*stride)'s position in the ground-plane frame of
+    pose(t). A draw is skipped as
     ``infeasible``, ``out_of_bounds`` or ``gimbal_degenerate`` (checked in
     that order), a landmark whose goal lies past the clip end as
     ``goal_out_of_bounds``.

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import schema
 from .errors import EmptyResult, ValidationError
-from .geometry import Pose, quat_conjugate, quat_multiply_many, quat_rotate
+from .geometry import quat_conjugate, quat_multiply_many, quat_rotate
 from .io import _FRAME_LIMIT, RawTrajectory, _write_text, parse_pose_file, write_pose_file
 
 __all__ = ["Clip", "ClipEntry", "segment", "save_clips", "read_manifest", "load_clip", "load_clips"]
@@ -89,9 +89,6 @@ class Clip:
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]
-
-    def pose(self, i: int) -> Pose:
-        return Pose(float(self.timestamps[i]), self.positions[i].copy(), self.quaternions[i].copy())
 
 
 def clip_frame_count(clip_seconds: float, fps: float) -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from navcurate.geometry import Pose
+from oracles import Pose
 
 
 def random_unit_quat(rng: np.random.Generator) -> np.ndarray:

@@ -23,14 +23,7 @@ from navcurate.filters import (
     FilterConfig,
     run_filters,
 )
-from navcurate.geometry import (
-    Pose,
-    quat_from_axis_angle,
-    quat_multiply,
-    quat_rotate,
-    relative_pose,
-    to_ego_waypoint,
-)
+from navcurate.geometry import quat_from_axis_angle, quat_multiply, quat_rotate
 from navcurate.io import RawTrajectory, parse_samples, write_predictions, PredictionRecord
 from navcurate.losses import loss_arr, loss_hall, loss_ori, loss_reg
 from navcurate.metrics import ade, aoe, discrete_frechet, maoe
@@ -46,6 +39,7 @@ from navcurate.synth import (
 )
 
 from conftest import quat_close
+from oracles import Pose, pose_at, relative_pose, to_ego_waypoint
 from test_losses import central_diff, nondegenerate_waypoints, rel_error
 from test_metrics import brute_force_frechet, prepend_origin
 
@@ -201,7 +195,7 @@ def test_criterion_06_waypoint_consistency():
             samples, _ = build_clip_samples(clip, landmarks, cfg, CLIP_CONVENTION)
             for sample in samples:
                 s = clip.start_frame
-                ref = traj.pose(s + sample.t)
+                ref = pose_at(traj, s + sample.t)
                 for step, stored in enumerate(sample.waypoints, start=1):
                     again = to_ego_waypoint(
                         ref, traj.positions[s + sample.t + step * cfg.waypoint_stride], RAW_CONVENTION
@@ -266,8 +260,8 @@ def test_criterion_08_geometry_round_trips():
         for _ in range(1000):
             clip = clips[int(rng.integers(0, len(clips)))]
             i, j = (int(v) for v in rng.integers(0, len(clip), size=2))
-            rel_clip = relative_pose(clip.pose(i), clip.pose(j))
-            rel_raw = relative_pose(traj.pose(clip.start_frame + i), traj.pose(clip.start_frame + j))
+            rel_clip = relative_pose(pose_at(clip, i), pose_at(clip, j))
+            rel_raw = relative_pose(pose_at(traj, clip.start_frame + i), pose_at(traj, clip.start_frame + j))
             assert np.linalg.norm(rel_clip.position - rel_raw.position) <= 1e-9
             assert quat_close(rel_clip.orientation, rel_raw.orientation, tol=1e-9)
 

@@ -4,7 +4,6 @@ import pytest
 
 from navcurate import cli
 from navcurate.cli import default_workers, main
-from navcurate.geometry import EgoWaypoint
 from navcurate.io import (
     PredictionRecord,
     parse_samples,
@@ -13,6 +12,8 @@ from navcurate.io import (
 )
 from navcurate.losses import loss_arr, loss_ori, loss_reg
 from navcurate.synth import SynthSpec, generate
+
+from oracles import EgoWaypoint
 
 
 def write_traj(path, spec):
@@ -705,3 +706,43 @@ class TestWorkersEnv:
 
         with pytest.raises(ValidationError):
             default_workers()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_below_one_exits_2(self, tmp_path, capsys, monkeypatch, source, value):
+        pose_file = tmp_path / "walk.txt"
+        write_traj(pose_file, SynthSpec("straight", duration_s=60.0, fps=10.0, traj_id="walk"))
+        out = tmp_path / "clips"
+        argv = ["segment", "--input", str(pose_file), "--fps", "10", "--clip-seconds", "30", "--out", str(out)]
+        if source == "flag":
+            argv += ["--workers", value]
+        else:
+            monkeypatch.setenv("NAVCURATE_WORKERS", value)
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "validation"
+        assert not out.exists()
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records max_workers and maps inline."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        assert cli._map_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
+        assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert started == [3, 2]

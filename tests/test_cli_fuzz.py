@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 
 from navcurate.cli import main
 from navcurate.errors import ValidationError
-from navcurate.geometry import EgoWaypoint
 from navcurate.io import PredictionRecord, TrainingSample
+
+from oracles import EgoWaypoint
+
 
 class _Missing:
     def __repr__(self):

@@ -18,10 +18,12 @@ from navcurate.filters import (
     run_filters,
     slice_detections,
 )
-from navcurate.geometry import normalize_angle_deg, quat_from_axis_angle, quat_multiply_many, yaw_of
+from navcurate.geometry import normalize_angle_deg, quat_from_axis_angle, quat_multiply_many
 from navcurate.io import RawTrajectory
 from navcurate.segmentation import segment
 from navcurate.synth import CLIP_CONVENTION, SynthSpec, generate, generate_detections
+
+from oracles import pose_at, yaw_of
 
 
 def clip_of(spec, clip_seconds=120.0):
@@ -41,7 +43,7 @@ def reference_max_divergence(clip, config, convention):
         if math.hypot(dx, dy) < config.min_window_displacement_m:
             continue
         try:
-            view = yaw_of(clip.pose(s + (w - 1) // 2), convention)
+            view = yaw_of(pose_at(clip, s + (w - 1) // 2), convention)
         except GimbalDegenerate:
             continue
         bearing = math.degrees(math.atan2(dy, dx))

@@ -8,24 +8,19 @@ from hypothesis import strategies as st
 from navcurate.errors import GimbalDegenerate, ValidationError
 from navcurate.geometry import (
     AxisConvention,
-    EgoWaypoint,
-    Pose,
     ego_waypoints_many,
     normalize_angle_deg,
     pitch_many,
-    pitch_of,
     quat_between,
     quat_conjugate,
     quat_from_axis_angle,
     quat_multiply,
     quat_rotate,
-    relative_pose,
-    to_ego_waypoint,
     yaw_many,
-    yaw_of,
 )
 
 from conftest import quat_close, random_pose, random_unit_quat
+from oracles import EgoWaypoint, Pose, pitch_of, relative_pose, to_ego_waypoint, yaw_of
 
 
 def quat_to_matrix(q):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navcurate.errors import ParseError, ValidationError
-from navcurate.geometry import EgoWaypoint
 from navcurate.io import (
     Detection,
     LandmarkAnnotation,
@@ -24,6 +23,8 @@ from navcurate.io import (
     write_report,
     write_samples,
 )
+
+from oracles import EgoWaypoint
 
 
 class TestPoseFile:

@@ -6,19 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navcurate.errors import AllUndefined, EmptyInput, LengthMismatch
-from navcurate.geometry import EgoWaypoint
 from navcurate.io import PredictionRecord
-from navcurate.metrics import (
-    MetricReport,
-    ade,
-    aoe,
-    discrete_frechet,
-    evaluate,
-    maoe,
-    orientation_errors,
-    sample_metrics,
-    step_directions,
-)
+from navcurate.metrics import MetricReport, ade, aoe, discrete_frechet, evaluate, maoe
+
+import oracles
+from oracles import EgoWaypoint, orientation_errors, sample_metrics, step_directions
 
 
 def brute_force_frechet(P, Q):
@@ -289,8 +281,9 @@ _coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 
 @st.composite
-def _eval_record(draw):
-    k = draw(st.sampled_from([1, 8, 32]))
+def _waypoint_pair(draw, horizons):
+    """Equal-length (pred, gt) waypoint lists; some predictions are all zero or repeat a waypoint."""
+    k = draw(horizons)
     points = st.lists(st.tuples(_coord, _coord), min_size=k, max_size=k)
     pred = draw(points)
     gt = draw(points)
@@ -300,6 +293,12 @@ def _eval_record(draw):
     elif shape == "repeated_waypoint" and k > 1:
         i = draw(st.integers(min_value=1, max_value=k - 1))
         pred[i] = pred[i - 1]
+    return pred, gt
+
+
+@st.composite
+def _eval_record(draw):
+    pred, gt = draw(_waypoint_pair(st.sampled_from([1, 8, 32])))
     return record(
         pred,
         gt,
@@ -330,3 +329,49 @@ def test_evaluate_equals_fold_across_batches(rng):
             record(pred, gt, f"s{i}", None if i % 5 == 0 else float(rng.random()), None if i % 11 == 0 else bool(i % 2))
         )
     assert repr(evaluate(records)) == repr(fold_sample_metrics(records))
+
+
+def _waypoints(k):
+    return st.lists(st.tuples(_coord, _coord), min_size=k, max_size=k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(_waypoints), st.integers(1, 8).flatmap(_waypoints))
+def test_discrete_frechet_equals_scalar_dp(pred, gt):
+    assert repr(discrete_frechet(pred, gt)) == repr(oracles.discrete_frechet(pred, gt))
+
+
+def _outcome(metric, pred, gt):
+    try:
+        return repr(metric(pred, gt))
+    except AllUndefined:
+        return "AllUndefined"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_waypoint_pair(st.integers(1, 8)))
+def test_one_row_metrics_equal_scalar_forms(pair):
+    pred, gt = pair
+    for public, scalar in ((ade, oracles.ade), (aoe, oracles.aoe), (maoe, oracles.maoe)):
+        assert _outcome(public, pred, gt) == _outcome(scalar, pred, gt)
+
+
+@pytest.mark.parametrize("metric", [ade, aoe, maoe, discrete_frechet])
+@pytest.mark.parametrize(
+    "pred, gt",
+    [
+        ([], [(1.0, 0.0)]),
+        ([(1.0, 0.0)], []),
+        ([(1.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)]),
+        ([1.0, 0.0], [1.0, 0.0]),
+    ],
+)
+def test_one_row_metrics_reject_non_waypoints(metric, pred, gt):
+    with pytest.raises(LengthMismatch):
+        metric(pred, gt)
+
+
+@pytest.mark.parametrize("metric", [ade, aoe, maoe])
+def test_one_row_metrics_reject_unequal_lengths(metric):
+    with pytest.raises(LengthMismatch):
+        metric([(1.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)])

@@ -3,19 +3,20 @@ import pytest
 
 from navcurate.errors import GimbalDegenerate, Infeasible, OutOfBounds, ValidationError
 from navcurate.filters import FilterVerdict
-from navcurate.geometry import quat_between, to_ego_waypoint
+from navcurate.geometry import quat_between
 from navcurate.io import LandmarkAnnotation, RawTrajectory, write_samples
 from navcurate.sampling import (
     CLIP_SKIP_REASONS,
     SamplerConfig,
     build_clip_samples,
     build_corpus,
-    build_sample,
     draw_rng,
     draw_start,
 )
 from navcurate.segmentation import Clip, segment
 from navcurate.synth import CLIP_CONVENTION, RAW_CONVENTION, SynthSpec, generate, generate_landmarks
+
+from oracles import build_sample, pose_at, to_ego_waypoint
 
 
 def landmark(clip_id="walk_0000", goal_frame=100, text="go to the kiosk"):
@@ -145,7 +146,7 @@ class TestBuildSample:
             sample = build_sample(clip, landmark(clip.clip_id, len(clip) - 1), t, cfg, CLIP_CONVENTION)
             s = clip.start_frame
             for i, stored in enumerate(sample.waypoints, start=1):
-                again = to_ego_waypoint(traj.pose(s + t), traj.positions[s + t + i], RAW_CONVENTION)
+                again = to_ego_waypoint(pose_at(traj, s + t), traj.positions[s + t + i], RAW_CONVENTION)
                 assert stored[0] == pytest.approx(again.x, abs=1e-9)
                 assert stored[1] == pytest.approx(again.y, abs=1e-9)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from navcurate.errors import EmptyResult, ValidationError
-from navcurate.geometry import relative_pose
 from navcurate.io import RawTrajectory
 from navcurate.segmentation import Clip, load_clips, save_clips, segment
 
 from conftest import quat_close, random_unit_quat
+from oracles import pose_at, relative_pose
 
 
 def random_trajectory(rng, n, fps=30.0, traj_id="walk"):
@@ -65,8 +65,8 @@ class TestSegment:
         for clip in clips:
             for _ in range(10):
                 i, j = rng.integers(0, len(clip), size=2)
-                rel_clip = relative_pose(clip.pose(i), clip.pose(j))
-                rel_raw = relative_pose(traj.pose(clip.start_frame + i), traj.pose(clip.start_frame + j))
+                rel_clip = relative_pose(pose_at(clip, i), pose_at(clip, j))
+                rel_raw = relative_pose(pose_at(traj, clip.start_frame + i), pose_at(traj, clip.start_frame + j))
                 assert np.allclose(rel_clip.position, rel_raw.position, atol=1e-9)
                 assert quat_close(rel_clip.orientation, rel_raw.orientation, tol=1e-9)
 

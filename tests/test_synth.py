@@ -8,7 +8,7 @@ import pytest
 
 from navcurate import schema
 from navcurate.errors import InvalidSpec
-from navcurate.geometry import pitch_many, relative_pose, yaw_many
+from navcurate.geometry import pitch_many, yaw_many
 from navcurate.io import parse_detections, write_detections
 from navcurate.segmentation import segment
 from navcurate.synth import (
@@ -21,6 +21,7 @@ from navcurate.synth import (
 )
 
 from conftest import quat_close
+from oracles import pose_at, relative_pose
 
 
 class TestSpecValidation:
@@ -91,9 +92,9 @@ class TestSinusoidPitch:
 class TestStationary:
     def test_every_relative_pose_is_identity(self):
         traj = generate(SynthSpec("stationary", duration_s=2.0, fps=10.0))
-        anchor = traj.pose(0)
+        anchor = pose_at(traj, 0)
         for i in range(len(traj)):
-            rel = relative_pose(anchor, traj.pose(i))
+            rel = relative_pose(anchor, pose_at(traj, i))
             assert np.allclose(rel.position, 0.0, atol=1e-12)
             assert quat_close(rel.orientation, [0, 0, 0, 1], tol=1e-12)
 
