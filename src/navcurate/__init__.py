@@ -17,7 +17,6 @@ from .errors import (
     InvalidSpec,
     LengthMismatch,
     NavcurateError,
-    OutOfBounds,
     ParseError,
     SchemaError,
     ShapeMismatch,

@@ -49,10 +49,6 @@ class Infeasible(NavcurateError):
     """No valid start frame exists for a landmark under the sampler config."""
 
 
-class OutOfBounds(NavcurateError):
-    """A requested frame range runs past the end of the clip."""
-
-
 class LengthMismatch(ValidationError):
     """Two sequences that must have equal length do not."""
 

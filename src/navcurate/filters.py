@@ -22,11 +22,11 @@ count exactly at its threshold passes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schema
 from .errors import TooShort, ValidationError
 from .geometry import AxisConvention, DEFAULT_CONVENTION, normalize_angle_deg, pitch_many, yaw_many
 from .io import DetectionFrame, DetectionTable
@@ -64,6 +64,7 @@ class FilterConfig:
     person_score_min: float = 0.5
 
     def __post_init__(self):
+        schema.check(self)
         for name in (
             "pitch_range_max_deg",
             "divergence_max_deg",
@@ -73,7 +74,7 @@ class FilterConfig:
             "crowd_frame_threshold",
         ):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not value > 0:
                 raise ValidationError(f"{name} must be positive, got {value!r}")
         if not (0.0 <= self.person_score_min <= 1.0):
             raise ValidationError(f"person_score_min must be in [0, 1], got {self.person_score_min!r}")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schema
 from .errors import GimbalDegenerate, ValidationError
 
 __all__ = [
@@ -83,6 +84,7 @@ class AxisConvention:
     world_up: str = "+z"
 
     def __post_init__(self):
+        schema.check(self)
         for name, value in (("camera_forward", self.camera_forward), ("world_up", self.world_up)):
             if value not in _AXIS_VECTORS:
                 raise ValidationError(f"{name} must be one of {sorted(_AXIS_VECTORS)}, got {value!r}")

@@ -16,13 +16,14 @@ Record files (JSON lines, one compact record per line):
     exact JSON types (see :mod:`navcurate.schema`). ``parse_landmarks``,
     ``parse_samples`` and ``parse_predictions`` read every line through
     ``schema.decoder``; the ``write_*`` functions write the fields back in
-    order. A line of the wrong shape or JSON type raises ParseError with
+    order. Each constructor checks its fields with ``schema.check``, so a
+    record built in code obeys the same exact types as one read from a
+    file. A line of the wrong shape or JSON type raises ParseError with
     its line number; a well-typed record that breaks an invariant of its
     dataclass (an empty instruction, bbox corners out of order) raises
     ValidationError naming ``path:line``. Keys that are not fields are
-    ignored. Waypoints are tuples of plain ``(x, y)`` float tuples, which
-    json writes as ``[x, y]``; the record constructors turn any pairs of
-    real numbers into that form and reject a non-pair or non-finite value.
+    ignored. Waypoints are tuples of ``(x, y)`` tuples of finite numbers,
+    which json writes as ``[x, y]``.
 
 Detections are the exception, for speed: :func:`parse_detections` reads
 them in one streaming pass into a columnar :class:`DetectionTable`
@@ -42,14 +43,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import operator
 import os
 import warnings
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -144,17 +143,11 @@ class RawTrajectory:
         return float(self.timestamps[-1] - self.timestamps[0])
 
 
-# json.loads gives a number as exactly int or float (true/false are bool),
-# so exact type tests suffice for parsed values.
-_JSON_NUMBERS = frozenset((float, int))
-
-
 @dataclass(frozen=True)
 class Detection:
     """One detector box: a string label, [x1, y1, x2, y2] pixels, a score in [0, 1].
 
-    The scalar form of one DetectionTable row, under the same rules:
-    bbox entries and score must be real numbers, never bool or str.
+    The scalar form of one DetectionTable row, under the same rules.
     """
 
     label: str
@@ -162,35 +155,12 @@ class Detection:
     score: float
 
     def __post_init__(self):
-        if not isinstance(self.label, str):
-            raise ValidationError(f"label must be a string, got {self.label!r}")
-        try:
-            bbox = tuple(self.bbox)
-        except TypeError:
-            bbox = ()
-        # Exact int/float first: the ABC test in _is_number is slow per box.
-        if len(bbox) != 4 or not (_JSON_NUMBERS.issuperset(map(type, bbox)) or all(map(_is_number, bbox))):
-            raise ValidationError(f"bbox must be 4 numbers, got {self.bbox!r}")
-        score = self.score
-        if not (type(score) in _JSON_NUMBERS or _is_number(score)):
-            raise ValidationError(f"score must be a number, got {score!r}")
-        try:
-            x1, y1, x2, y2 = bbox = tuple(map(float, bbox))
-        except OverflowError:  # an integer beyond the float range
-            x1 = y1 = x2 = y2 = math.nan
-        # One chained comparison per axis is both the finiteness and the order test.
-        if not (-math.inf < x1 <= x2 < math.inf and -math.inf < y1 <= y2 < math.inf):
-            if all(map(math.isfinite, (x1, y1, x2, y2))):
-                raise ValidationError(f"bbox corners out of order: {bbox}")
-            raise ValidationError("bbox entries must be finite")
-        try:
-            score = float(score)
-        except OverflowError:
-            score = math.inf
-        if not (0.0 <= score <= 1.0):
+        schema.check(self)
+        x1, y1, x2, y2 = self.bbox
+        if not (x1 <= x2 and y1 <= y2):
+            raise ValidationError(f"bbox corners out of order: {self.bbox}")
+        if not 0.0 <= self.score <= 1.0:
             raise ValidationError(f"score must be in [0, 1], got {self.score!r}")
-        object.__setattr__(self, "bbox", bbox)
-        object.__setattr__(self, "score", score)
 
 
 _FRAME_LIMIT = 1 << 63  # frame indices are stored as int64
@@ -204,11 +174,9 @@ class DetectionFrame:
     detections: tuple[Detection, ...]
 
     def __post_init__(self):
-        frame = self.frame
-        if not (_is_integer(frame) and 0 <= frame < _FRAME_LIMIT):
-            raise ValidationError(f"frame must be a non-negative integer, got {frame!r}")
-        object.__setattr__(self, "frame", int(frame))
-        object.__setattr__(self, "detections", tuple(self.detections))
+        schema.check(self)
+        if not 0 <= self.frame < _FRAME_LIMIT:
+            raise ValidationError(f"frame must be a non-negative int64 frame index, got {self.frame!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,9 +314,6 @@ def _table_from_bytes(names, frames, offsets, labels, scores, bboxes) -> Detecti
     )
 
 
-_INF = math.inf
-
-
 @dataclass(frozen=True)
 class LandmarkAnnotation:
     """A navigation goal: a named, boxed scene element plus its instruction."""
@@ -360,20 +325,16 @@ class LandmarkAnnotation:
     instruction: str
 
     def __post_init__(self):
+        schema.check(self)
         if not self.clip_id:
             raise ValidationError("clip_id must be non-empty")
-        goal = self.goal_frame
-        if int(goal) != goal or goal < 0:
-            raise ValidationError(f"goal_frame must be a non-negative integer, got {goal!r}")
-        bbox = tuple(map(float, self.bbox))
-        # One chained comparison per axis is both the finiteness and the order test.
-        if len(bbox) != 4 or not (-_INF < bbox[0] <= bbox[2] < _INF and -_INF < bbox[1] <= bbox[3] < _INF):
-            raise ValidationError(f"bbox must be 4 finite numbers with x1 <= x2 and y1 <= y2, got {self.bbox!r}")
+        if self.goal_frame < 0:
+            raise ValidationError(f"goal_frame must be non-negative, got {self.goal_frame!r}")
+        x1, y1, x2, y2 = self.bbox
+        if not (x1 <= x2 and y1 <= y2):
+            raise ValidationError(f"bbox must have x1 <= x2 and y1 <= y2, got {self.bbox!r}")
         if not self.instruction:
             raise ValidationError("instruction must be non-empty")
-        if type(goal) is not int:
-            object.__setattr__(self, "goal_frame", int(goal))
-        object.__setattr__(self, "bbox", bbox)
 
 
 @dataclass(frozen=True)
@@ -390,6 +351,7 @@ class TrainingSample:
     arrival: bool
 
     def __post_init__(self):
+        schema.check(self)
         if not self.sample_id or not self.clip_id:
             raise ValidationError("sample_id and clip_id must be non-empty")
         if not self.instruction:
@@ -400,9 +362,6 @@ class TrainingSample:
             raise ValidationError("history_frames must be non-empty")
         if not self.waypoints:
             raise ValidationError("waypoints must be non-empty")
-        object.__setattr__(self, "history_frames", tuple(map(int, self.history_frames)))
-        object.__setattr__(self, "waypoints", _as_pairs("waypoints", self.waypoints))
-        object.__setattr__(self, "arrival", bool(self.arrival))
 
 
 @dataclass(frozen=True)
@@ -416,68 +375,16 @@ class PredictionRecord:
     arrival_label: bool | None = None
 
     def __post_init__(self):
-        # The JSON types of the fields are checked by the schema (parse_predictions).
+        schema.check(self)
         if not self.sample_id:
             raise ValidationError("sample_id must be non-empty")
-        predicted = _as_pairs("predicted", self.predicted)
-        ground_truth = _as_pairs("ground_truth", self.ground_truth)
-        if len(predicted) == 0 or len(predicted) != len(ground_truth):
+        if len(self.predicted) == 0 or len(self.predicted) != len(self.ground_truth):
             raise ValidationError(
-                f"predicted and ground_truth must have equal length >= 1, got {len(predicted)} vs {len(ground_truth)}"
+                "predicted and ground_truth must have equal length >= 1, "
+                f"got {len(self.predicted)} vs {len(self.ground_truth)}"
             )
-        if self.predicted_arrival is not None:
-            if not 0.0 <= self.predicted_arrival <= 1.0:
-                raise ValidationError(f"predicted_arrival must be in [0, 1], got {self.predicted_arrival!r}")
-            object.__setattr__(self, "predicted_arrival", float(self.predicted_arrival))
-        object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "ground_truth", ground_truth)
-
-
-_TUPLE = frozenset((tuple,))
-_TWO = frozenset((2,))
-_FLOAT = frozenset((float,))
-
-
-def _as_pairs(name: str, seq) -> tuple[tuple[float, float], ...]:
-    """Waypoints as exact (x, y) tuples of finite floats, from any pairs of real numbers.
-
-    Exact float pairs, as the parsers and the sampler build them, pass
-    through C-level scans without a per-item Python call. Raises
-    ValidationError naming the first item that is not a pair of finite
-    real numbers.
-    """
-    seq = tuple(seq)
-    if (
-        _TUPLE.issuperset(map(type, seq))
-        and _TWO.issuperset(map(len, seq))
-        and _FLOAT.issuperset(map(type, chain.from_iterable(seq)))
-        and all(map(math.isfinite, chain.from_iterable(seq)))
-    ):
-        return seq
-    pairs = []
-    for w in seq:
-        try:
-            x, y = w
-            ok = _is_number(x) and _is_number(y) and math.isfinite(x) and math.isfinite(y)
-        except (TypeError, ValueError, OverflowError):  # not a pair, or an integer beyond the float range
-            ok = False
-        if not ok:
-            raise ValidationError(f"{name}[{len(pairs)}] must be a pair of finite numbers, got {w!r}")
-        pairs.append((float(x), float(y)))
-    return tuple(pairs)
-
-
-def _is_number(value) -> bool:
-    """A real number that is not a bool (JSON true/false parse as Python bools).
-
-    float and int are tested before the slow numbers.Real ABC check.
-    """
-    return not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real))
-
-
-def _is_integer(value) -> bool:
-    """An integer that is not a bool; exact int is tested before the slow numbers.Integral check."""
-    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+        if self.predicted_arrival is not None and not 0.0 <= self.predicted_arrival <= 1.0:
+            raise ValidationError(f"predicted_arrival must be in [0, 1], got {self.predicted_arrival!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +483,11 @@ def _iter_json_lines(path):
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
             yield lineno, obj
+
+
+# json.loads gives a number as exactly int or float (true/false are bool),
+# so exact type tests suffice for parsed values.
+_JSON_NUMBERS = frozenset((float, int))
 
 
 def parse_detections(path) -> DetectionTable:

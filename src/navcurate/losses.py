@@ -22,7 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import schema
 from .errors import LengthMismatch, ShapeMismatch, ValidationError
+from .metrics import _waypoint_array
 
 __all__ = [
     "LossWeights",
@@ -44,10 +46,11 @@ class LossWeights:
     lambda_hall: float = 1.0
 
     def __post_init__(self):
+        schema.check(self)
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{f.name} must be a finite non-negative real, got {value!r}")
+            if not value >= 0.0:
+                raise ValidationError(f"{f.name} must be non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,9 @@ class LossInput:
     gt_features: tuple[tuple[float, ...], ...] | None = None
     weights: LossWeights = LossWeights()
 
+    def __post_init__(self):
+        schema.check(self)
+
 
 class LossComponents(NamedTuple):
     reg: float
@@ -75,21 +81,14 @@ class LossComponents(NamedTuple):
     hall: float
 
 
-def _as_waypoints(name: str, wps) -> np.ndarray:
-    arr = np.asarray(wps, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-        raise LengthMismatch(f"{name} must be a (k, 2) array with k >= 1, got shape {arr.shape}")
-    return arr
-
-
 def loss_reg(pred_waypoints, gt_waypoints, squared: bool = True, eps: float = 1e-8):
     """Waypoint regression loss and its gradient w.r.t. the prediction.
 
     value = (1/k) sum_i ||pred_i - gt_i||^2 (or the unsquared norm when
     squared=False, with an eps guard on the gradient at zero distance).
     """
-    pred = _as_waypoints("pred_waypoints", pred_waypoints)
-    gt = _as_waypoints("gt_waypoints", gt_waypoints)
+    pred = _waypoint_array("pred_waypoints", pred_waypoints)
+    gt = _waypoint_array("gt_waypoints", gt_waypoints)
     if pred.shape != gt.shape:
         raise LengthMismatch(f"waypoint shapes differ: {pred.shape} vs {gt.shape}")
     k = pred.shape[0]
@@ -111,8 +110,8 @@ def loss_ori(pred_waypoints, gt_waypoints, eps: float = 1e-8):
     before the first; each step's norm is clamped below by eps. Returns
     (value in [-1, 1], gradient w.r.t. the prediction waypoints).
     """
-    pred = _as_waypoints("pred_waypoints", pred_waypoints)
-    gt = _as_waypoints("gt_waypoints", gt_waypoints)
+    pred = _waypoint_array("pred_waypoints", pred_waypoints)
+    gt = _waypoint_array("gt_waypoints", gt_waypoints)
     if pred.shape != gt.shape:
         raise LengthMismatch(f"waypoint shapes differ: {pred.shape} vs {gt.shape}")
     k = pred.shape[0]

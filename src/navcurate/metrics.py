@@ -109,20 +109,21 @@ def _orientation_many(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.
     return aoe_deg, maoe_deg, oriented
 
 
-def _one_row(waypoints) -> np.ndarray:
-    """A waypoint sequence ((x, y) pairs or an array) as a (1, n, 2) batch, n >= 1."""
+def _waypoint_array(name: str, waypoints) -> np.ndarray:
+    """(x, y) pairs or an array as a (k, 2) float array, k >= 1: the one waypoint-shape check of metrics and losses."""
     arr = np.asarray(waypoints, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-        raise LengthMismatch(f"waypoints must be a non-empty (n, 2) sequence, got shape {arr.shape}")
-    return arr[None]
+        raise LengthMismatch(f"{name} must be a (k, 2) array with k >= 1, got shape {arr.shape}")
+    return arr
 
 
 def _equal_rows(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    p = _one_row(pred)
-    g = _one_row(gt)
+    """pred and gt as (1, k, 2) batches of one row each."""
+    p = _waypoint_array("pred", pred)
+    g = _waypoint_array("gt", gt)
     if p.shape != g.shape:
-        raise LengthMismatch(f"prediction has {p.shape[1]} waypoints, ground truth {g.shape[1]}")
-    return p, g
+        raise LengthMismatch(f"prediction has {p.shape[0]} waypoints, ground truth {g.shape[0]}")
+    return p[None], g[None]
 
 
 def _orientation(pred, gt) -> tuple[float, float]:
@@ -165,7 +166,7 @@ def discrete_frechet(pred, gt) -> float:
     single-waypoint predictions compare full paths from the agent. The
     sequences may differ in length.
     """
-    return float(_frechet_many(_one_row(pred), _one_row(gt))[0])
+    return float(_frechet_many(_waypoint_array("pred", pred)[None], _waypoint_array("gt", gt)[None])[0])
 
 
 @dataclass(frozen=True)

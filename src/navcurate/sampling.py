@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import schema
 from .errors import Infeasible, ValidationError
 from .filters import FilterVerdict
 from .geometry import AxisConvention, DEFAULT_CONVENTION, ego_waypoints_many
@@ -62,6 +63,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        schema.check(self)
         if self.history_len < 1 or self.horizon < 1:
             raise ValidationError("history_len and horizon must be >= 1")
         if not 0 < self.min_offset <= self.max_offset:

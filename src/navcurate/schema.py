@@ -3,12 +3,19 @@
 A frozen dataclass is the one definition of a record or config schema: a
 field's name is its JSON key, the field order is the key order, its
 annotation is the JSON type it accepts (README, "File formats"), and a
-field with a default may be left out. Values are checked, never coerced.
-A tuple is a JSON array (``tuple[tuple[float, float], ...]`` is a list of
-``[x, y]`` pairs, as waypoints are) and a nested dataclass is an object of
-its fields. A value of the wrong JSON type raises SchemaError naming its key
-path; the dataclass constructor's own checks (ranges, non-empty strings)
-raise ValidationError.
+field with a default may be left out. A tuple is a JSON array
+(``tuple[tuple[float, float], ...]`` is a list of ``[x, y]`` pairs, as
+waypoints are) and a nested dataclass is an object of its fields.
+
+The annotation is the field's only type rule, for values read from files
+and values built in code alike: every schema class calls :func:`check` as
+the first line of ``__post_init__``, and :func:`decoder` and :func:`load`
+only pick an object's keys and call the class. Values are checked, never
+coerced: an ``int`` is never a bool or a float, a ``float`` is a finite int
+or float, numpy scalars are rejected, and the one conversion is a list (or
+tuple) to a plain tuple. A value of the wrong type raises SchemaError
+naming its class and key path; the constructor's own checks after
+:func:`check` (ranges, non-empty strings) raise ValidationError.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import typing
 
 from .errors import SchemaError
 
-__all__ = ["hints", "decoder", "load", "to_json"]
+__all__ = ["hints", "check", "decoder", "load", "to_json"]
 
 # The exact types json.loads gives for the values each scalar annotation accepts.
 _JSON_TYPES = {str: frozenset((str,)), int: frozenset((int,)), float: frozenset((int, float)), bool: frozenset((bool,))}
@@ -36,11 +43,28 @@ def hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-class _Mismatch(Exception):
-    """A JSON value that does not fit its annotation; ``path`` collects keys and indices, innermost first."""
+class _Mismatch(SchemaError):
+    """A value that does not fit its annotation; the message is formatted when it is read.
 
-    def __init__(self, kind: str, value=None, tp=None, key=None):
+    ``path`` collects keys and indices, innermost first; ``subject`` names the
+    outermost class reached so far. Unpickling (a pool worker's error) calls
+    the class without arguments, hence the defaults.
+    """
+
+    def __init__(self, kind: str = "type", value=None, tp=None, key=None):
+        super().__init__()
         self.kind, self.value, self.tp, self.path = kind, value, tp, [] if key is None else [key]
+        self.subject = None
+
+    def __str__(self) -> str:
+        key = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(self.path)).lstrip(".")
+        if self.kind != "type":
+            return f"{self.subject} has " + (f"no {key!r}" if self.kind == "missing" else f"unknown key {key!r}")
+        text = json.dumps(self.value, default=repr)
+        text = text if len(text) <= 40 else text[:37] + "..."
+        if not key:
+            return f"{self.subject} is {text}, expected an object"
+        return f"{self.subject} has {key!r} = {text}, expected {_describe(self.tp)}"
 
 
 def _finite(values) -> bool:
@@ -67,7 +91,7 @@ def _scalars(tp, item, n=None):
 
     def convert(v):
         if (
-            type(v) is list
+            isinstance(v, (list, tuple))
             and (n is None or len(v) == n)
             and accepted.issuperset(map(type, v))
             and (item is not float or _finite(v))
@@ -82,7 +106,7 @@ def _items(tp, convert_item):
     """tuple[T, ...] through convert_item; a bad item's index joins the key path."""
 
     def convert(v):
-        if type(v) is not list:
+        if not isinstance(v, (list, tuple)):
             raise _Mismatch("type", v, tp)
         out = []
         try:
@@ -96,9 +120,17 @@ def _items(tp, convert_item):
     return convert
 
 
+def _nested(cls):
+    """A dataclass field: an instance as it is (its constructor checked it), an object through the decoder.
+
+    The decoder is looked up per call because a schema may nest itself.
+    """
+    return lambda v: v if isinstance(v, cls) else _decoder(cls, strict=True)(v)
+
+
 @functools.cache
 def _converter(tp):
-    """The function that checks one JSON value against annotation tp and returns the field value."""
+    """The function that checks one value against annotation tp and returns the field value."""
     args = typing.get_args(tp)
     if tp in _JSON_TYPES:
         return _scalar(tp)
@@ -112,18 +144,44 @@ def _converter(tp):
             return _scalars(tp, args[0])
         return _items(tp, _converter(args[0]))
     if dataclasses.is_dataclass(tp):
-        return lambda v: _decoder(tp, strict=True)(v)  # looked up per call: a schema may nest itself
+        return _nested(tp)
     raise TypeError(f"no JSON type rule for {tp!r}")
+
+
+@functools.cache
+def _checkers(cls) -> tuple:
+    return tuple((f.name, _converter(hints(cls)[f.name])) for f in dataclasses.fields(cls))
+
+
+def check(obj) -> None:
+    """Check every field of a dataclass instance against its annotation; each schema class calls it first.
+
+    A list or tuple in an array field is stored as a plain tuple, the one
+    conversion. A value of the wrong type raises SchemaError naming the
+    class and the field, as a file value of that type does.
+    """
+    for name, convert in _checkers(type(obj)):
+        value = getattr(obj, name)
+        try:
+            checked = convert(value)
+        except _Mismatch as exc:
+            exc.path.append(name)
+            exc.subject = type(obj).__name__
+            raise
+        if checked is not value:
+            object.__setattr__(obj, name, checked)
 
 
 @functools.cache
 def _decoder(cls, strict: bool):
     """The function that builds cls from a JSON object or raises _Mismatch; strict rejects keys that are not fields.
 
-    An absent key takes the field's plain default; a default_factory field counts as required.
+    It only picks the values: the constructor checks their types. An
+    absent key takes the field's plain default; a default_factory field
+    counts as required.
     """
-    fields = [(f.name, _converter(hints(cls)[f.name]), f.default) for f in dataclasses.fields(cls)]
-    names = frozenset(name for name, _, _ in fields)
+    fields = [(f.name, f.default) for f in dataclasses.fields(cls)]
+    names = frozenset(name for name, _ in fields)
 
     def decode(obj):
         if type(obj) is not dict:
@@ -131,13 +189,9 @@ def _decoder(cls, strict: bool):
         if strict and not names.issuperset(obj):
             raise _Mismatch("unknown", key=min(obj.keys() - names))
         args = []
-        for name, convert, default in fields:
+        for name, default in fields:
             if name in obj:
-                try:
-                    args.append(convert(obj[name]))
-                except _Mismatch as exc:
-                    exc.path.append(name)
-                    raise
+                args.append(obj[name])
             elif default is dataclasses.MISSING:
                 raise _Mismatch("missing", key=name)
             else:
@@ -153,32 +207,20 @@ def decoder(cls, subject: str | None = None):
     A mistyped value raises SchemaError, its message starting with subject
     (default: the class name).
     """
-    decode = _decoder(cls, strict=False)
-
-    def decode_record(obj):
-        try:
-            return decode(obj)
-        except _Mismatch as exc:
-            raise SchemaError(f"{subject or cls.__name__} {_problem(exc)}") from None
-
-    return decode_record
+    return functools.partial(_decode, _decoder(cls, strict=False), subject or cls.__name__)
 
 
 def load(cls, data):
     """A config cls from parsed JSON, or SchemaError for a non-object, an unknown key or a mistyped value."""
+    return _decode(_decoder(cls, strict=True), cls.__name__, data)
+
+
+def _decode(decode, subject: str, obj):
     try:
-        return _decoder(cls, strict=True)(data)
+        return decode(obj)
     except _Mismatch as exc:
-        raise SchemaError(f"{cls.__name__} {_problem(exc)}") from None
-
-
-def _problem(exc: _Mismatch) -> str:
-    key = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(exc.path)).lstrip(".")
-    if exc.kind != "type":
-        return f"has no {key!r}" if exc.kind == "missing" else f"has unknown key {key!r}"
-    text = json.dumps(exc.value, default=repr)
-    text = text if len(text) <= 40 else text[:37] + "..."
-    return f"has {key!r} = {text}, expected {_describe(exc.tp)}" if key else f"is {text}, expected an object"
+        exc.subject = subject
+        raise
 
 
 def _describe(tp) -> str:

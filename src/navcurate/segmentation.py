@@ -19,7 +19,7 @@ import numpy as np
 from . import schema
 from .errors import EmptyResult, ValidationError
 from .geometry import quat_conjugate, quat_multiply_many, quat_rotate
-from .io import _FRAME_LIMIT, RawTrajectory, _write_text, parse_pose_file, write_pose_file
+from .io import _FRAME_LIMIT, RawTrajectory, parse_pose_file, write_pose_file, write_report
 
 __all__ = ["Clip", "ClipEntry", "segment", "save_clips", "read_manifest", "load_clip", "load_clips"]
 
@@ -42,11 +42,12 @@ class ClipEntry:
     file: str
 
     def __post_init__(self):
+        schema.check(self)
         if not self.clip_id or not self.source_id:
             raise ValidationError("clip_id and source_id must be non-empty")
         if not self.file:
             raise ValidationError("clip file must be non-empty")
-        if not (math.isfinite(self.fps) and self.fps > 0.0):
+        if not self.fps > 0.0:
             raise ValidationError(f"fps must be positive, got {self.fps!r}")
         if self.n_frames < 1:
             raise ValidationError(f"n_frames must be at least 1, got {self.n_frames}")
@@ -163,7 +164,7 @@ def save_clips(clips, out_dir, extra: dict | None = None, map_tasks=map) -> Path
     manifest = dict(extra or {})
     manifest["clips"] = [dataclasses.asdict(entry) for entry in entries]
     manifest_path = out_dir / CLIP_MANIFEST_NAME
-    _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_report(manifest, manifest_path)
     return manifest_path
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import schema
 from .errors import InvalidSpec
 from .geometry import (
     AxisConvention,
@@ -84,11 +85,12 @@ class SynthSpec:
     parts: tuple["SynthSpec", ...] = ()
 
     def __post_init__(self):
+        schema.check(self)
         if self.kind not in KINDS:
             raise InvalidSpec(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name in ("duration_s", "fps", "speed_mps"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not value > 0:
                 raise InvalidSpec(f"{name} must be positive, got {value!r}")
         if self.kind == "head_turn":
             if self.turn_len_s <= 0:
@@ -100,7 +102,6 @@ class SynthSpec:
         if self.kind == "composite":
             if not self.parts:
                 raise InvalidSpec("composite needs at least one part")
-            object.__setattr__(self, "parts", tuple(self.parts))
             if any(p.fps != self.parts[0].fps for p in self.parts):
                 raise InvalidSpec("composite parts must share one fps")
             if any(p.kind == "composite" for p in self.parts):
@@ -116,6 +117,7 @@ class DetectionSpan:
     count: int
 
     def __post_init__(self):
+        schema.check(self)
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise InvalidSpec(f"detection span {f.name} must be non-negative, got {getattr(self, f.name)!r}")
@@ -129,6 +131,7 @@ class DetectionBlock:
     spans: tuple[DetectionSpan, ...] = ()
 
     def __post_init__(self):
+        schema.check(self)
         if self.schedule is not None and any(c < 0 for c in self.schedule):
             raise InvalidSpec("detection schedule counts must be non-negative")
 
@@ -151,6 +154,7 @@ class LandmarkBlock:
     seed: int = 0
 
     def __post_init__(self):
+        schema.check(self)
         if self.per_clip < 0:
             raise InvalidSpec(f"per_clip must be non-negative, got {self.per_clip!r}")
         if not 0 <= self.seed < 2**64:
@@ -164,6 +168,9 @@ class SynthFile:
     trajectory: SynthSpec
     detections: DetectionBlock | None = None
     landmarks: LandmarkBlock | None = None
+
+    def __post_init__(self):
+        schema.check(self)
 
 
 def _base_orientation() -> np.ndarray:
@@ -272,15 +279,13 @@ def generate_detections(frame_count: int, count_schedule) -> list[DetectionFrame
     Boxes have fixed geometry and score 0.9; a schedule shorter than
     frame_count is padded with zeros.
     """
-    schedule = list(count_schedule)
-    frames = []
-    for f in range(frame_count):
-        count = int(schedule[f]) if f < len(schedule) else 0
-        dets = tuple(
-            Detection("person", (20.0 + 30.0 * j, 40.0, 44.0 + 30.0 * j, 160.0), 0.9) for j in range(count)
-        )
-        frames.append(DetectionFrame(f, dets))
-    return frames
+    counts = list(count_schedule)[:frame_count]
+    counts += [0] * (frame_count - len(counts))
+    # One box object per position, shared by every frame that shows it.
+    boxes = tuple(
+        Detection("person", (20.0 + 30.0 * j, 40.0, 44.0 + 30.0 * j, 160.0), 0.9) for j in range(max(counts, default=0))
+    )
+    return [DetectionFrame(f, boxes[: max(count, 0)]) for f, count in enumerate(counts)]
 
 
 def generate_landmarks(clip: Clip, n: int, seed: int = 0) -> list[LandmarkAnnotation]:

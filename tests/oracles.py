@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from navcurate.errors import AllUndefined, GimbalDegenerate, LengthMismatch, OutOfBounds, ValidationError
+from navcurate.errors import AllUndefined, GimbalDegenerate, LengthMismatch, NavcurateError, ValidationError
 from navcurate.geometry import (
     DEFAULT_CONVENTION,
     GIMBAL_EPS,
@@ -146,6 +146,10 @@ def to_ego_waypoint(
     c = math.cos(yaw)
     s = math.sin(yaw)
     return EgoWaypoint(c * dx + s * dy, -s * dx + c * dy)
+
+
+class OutOfBounds(NavcurateError):
+    """A requested frame range runs past the end of the clip (build_sample's failure; the package counts it as a skip)."""
 
 
 def build_sample(

@@ -36,7 +36,7 @@ from navcurate.synth import CLIP_CONVENTION, SynthSpec, generate
 CLIPS = segment(generate(SynthSpec("straight", duration_s=9.0, fps=10.0, traj_id="walk")), 3.0)
 SCORE_MIN = 0.5
 CONFIG = FilterConfig(crowd_count_threshold=2, crowd_frame_threshold=1, person_score_min=SCORE_MIN)
-EDGE_SCORES = [np.nextafter(SCORE_MIN, 0.0), SCORE_MIN, np.nextafter(SCORE_MIN, 1.0), 0.0, 1.0, 0.9]
+EDGE_SCORES = [math.nextafter(SCORE_MIN, 0.0), SCORE_MIN, math.nextafter(SCORE_MIN, 1.0), 0.0, 1.0, 0.9]
 
 
 # ---------------------------------------------------------------------------

@@ -192,10 +192,11 @@ class TestDiscreteFrechet:
 
 
 def record(pred, gt, sample_id="s", predicted_arrival=None, arrival_label=None):
+    # Records take plain floats only (numpy scalars are rejected), so array rows go through tolist.
     return PredictionRecord(
         sample_id,
-        tuple(EgoWaypoint(*w) for w in pred),
-        tuple(EgoWaypoint(*w) for w in gt),
+        tuple(EgoWaypoint(*w) for w in np.asarray(pred, dtype=float).tolist()),
+        tuple(EgoWaypoint(*w) for w in np.asarray(gt, dtype=float).tolist()),
         predicted_arrival,
         arrival_label,
     )

@@ -1,7 +1,8 @@
 """Schema-driven coverage: every field of every record and config class rejects wrong JSON types.
 
 The cases come from ``dataclasses.fields``, so a field added later is
-covered without touching this file.
+covered without touching this file. Each case is run through the file
+path and through the constructor, which share one type rule per field.
 """
 
 import argparse
@@ -9,9 +10,12 @@ import copy
 import dataclasses
 import json
 import math
+import pickle
+import re
 import types
 import typing
 
+import numpy as np
 import pytest
 
 from navcurate import schema
@@ -34,6 +38,8 @@ from navcurate.losses import LossWeights
 from navcurate.sampling import SamplerConfig
 from navcurate.segmentation import ClipEntry, load_clips, save_clips, segment
 from navcurate.synth import DetectionBlock, DetectionSpan, LandmarkBlock, SynthFile, SynthSpec, generate
+
+from oracles import EgoWaypoint
 
 # One value of each wrong JSON type: a boolean, a numeric string, null, a
 # float and a nested list. A case is skipped where the field accepts it.
@@ -114,12 +120,24 @@ def _ids(cases):
     return [type(c[0] if isinstance(c, tuple) else c).__name__ for c in cases]
 
 
+def _named(cls, key) -> str:
+    """The start of the SchemaError message for a bad value at key path key of cls (or at an item of it)."""
+    return f"{cls.__name__} has '" + ".".join(map(str, key)).replace(".0", "[0]")
+
+
+def _assert_constructor_rejects(cls, key, doc):
+    with pytest.raises(SchemaError) as exc:
+        cls(**doc)
+    assert str(exc.value).startswith(_named(cls, key)), (key, str(exc.value))
+
+
 @pytest.mark.parametrize("record, parse", RECORDS, ids=_ids(RECORDS))
 def test_record_rejects_every_wrong_json_type(tmp_path, record, parse):
     path = tmp_path / "records.jsonl"
     valid = _json(record)
     path.write_text(json.dumps(valid) + "\n")
     assert list(parse(path)) == [record]
+    assert type(record)(**valid) == record
     cases = list(_mutations(type(record), valid))
     assert len(cases) >= 2 * len(dataclasses.fields(record))
     for key, doc in cases:
@@ -127,6 +145,7 @@ def test_record_rejects_every_wrong_json_type(tmp_path, record, parse):
         with pytest.raises(ParseError) as exc:
             parse(path)
         assert exc.value.line == 1, key
+        _assert_constructor_rejects(type(record), key, doc)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=_ids(CONFIGS))
@@ -134,13 +153,15 @@ def test_config_rejects_every_wrong_json_type(config):
     cls = type(config)
     valid = _json(config)
     assert schema.load(cls, valid) == config
+    assert cls(**valid) == config
     cases = list(_mutations(cls, valid))
     assert len(cases) >= 2 * len(dataclasses.fields(config))
     for key, doc in cases:
         with pytest.raises(SchemaError) as exc:
             schema.load(cls, doc)
         # The message names the key path down to the bad value (or an item of it).
-        assert "'" + ".".join(map(str, key)).replace(".0", "[0]") in str(exc.value)
+        assert str(exc.value).startswith(_named(cls, key)), (key, str(exc.value))
+        _assert_constructor_rejects(cls, key, doc)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=_ids(CONFIGS))
@@ -183,6 +204,44 @@ def test_clip_entry_rejects_every_wrong_json_type(tmp_path):
         manifest_path.write_text(json.dumps({**manifest, "clips": [manifest["clips"][0], entry]}))
         with pytest.raises(ValidationError, match=f"clip entry 1 has .*{key[0]}"):
             load_clips(tmp_path)
+        _assert_constructor_rejects(ClipEntry, key, entry)
+
+
+LANDMARK, SAMPLE, PREDICTION = (RECORDS[i][0] for i in range(3))
+
+
+# Values built in code that were once coerced, accepted as given, or crashed with a bare TypeError.
+PROBES = [
+    (SAMPLE, "history_frames", (1.7,)),
+    (SAMPLE, "arrival", 1),
+    (LANDMARK, "goal_frame", True),
+    (LANDMARK, "bbox", ("0", 0, 1, 1)),
+    (PREDICTION, "predicted_arrival", True),
+    (DetectionFrame(3, ()), "frame", np.int64(3)),
+    (SAMPLE, "t", 4.5),
+    (LANDMARK, "name", 7),
+    (PREDICTION, "arrival_label", 0.0),
+    (FilterConfig(), "crowd_count_threshold", 2.5),
+    (SamplerConfig(), "horizon", 2.5),
+    (LossWeights(), "lambda_reg", True),
+    (ClipEntry("c", "s", 30.0, 0, 10, "c.txt"), "fps", "30"),
+    (SynthSpec("straight"), "duration_s", "5"),
+]
+
+
+@pytest.mark.parametrize("valid, field, value", PROBES, ids=[f"{type(v).__name__}.{f}" for v, f, _ in PROBES])
+def test_constructor_rejects_wrong_type_without_coercing(valid, field, value):
+    with pytest.raises(SchemaError, match="^" + re.escape(_named(type(valid), (field,)))) as exc:
+        dataclasses.replace(valid, **{field: value})
+    # A pool worker's error reaches the parent pickled.
+    assert str(pickle.loads(pickle.dumps(exc.value))) == str(exc.value)
+
+
+def test_named_tuple_waypoints_are_stored_as_plain_tuples():
+    rows = tuple(EgoWaypoint(*w) for w in PREDICTION.predicted)
+    record = dataclasses.replace(PREDICTION, predicted=rows)
+    assert record == PREDICTION
+    assert type(record.predicted[0]) is tuple
 
 
 # The config flags as they stood before the flags were generated from the
