@@ -12,7 +12,6 @@ from .errors import (
     AllUndefined,
     EmptyInput,
     EmptyResult,
-    GimbalDegenerate,
     Infeasible,
     InvalidSpec,
     LengthMismatch,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, schema
 from . import io as tio
-from .errors import EmptyInput, EmptyResult, InvalidSpec, ParseError, ValidationError
+from .errors import EmptyInput, EmptyResult, ParseError, ValidationError
 from .filters import FilterConfig, run_filters, slice_detections
 from .geometry import AxisConvention
 from .losses import LossInput, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
@@ -368,9 +368,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         return _fail("parse", exc, 2)
-    except (ValidationError, InvalidSpec) as exc:
+    except ValidationError as exc:
         return _fail("validation", exc, 2)
-    except (EmptyResult, EmptyInput) as exc:
+    except EmptyResult as exc:
         return _fail("empty", exc, 3)
     except OSError as exc:
         return _fail("io", exc, 4)

@@ -1,7 +1,9 @@
 """Exception types shared across the pipeline.
 
-The CLI maps these onto exit codes: parse/validation -> 2, empty
-result -> 3, I/O (plain OSError) -> 4.
+The CLI catches one base class per error kind: ParseError -> parse,
+exit 2; ValidationError (SchemaError, LengthMismatch, ShapeMismatch,
+InvalidSpec) -> validation, exit 2; EmptyResult (EmptyInput) -> empty,
+exit 3; a plain OSError -> io, exit 4.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ class SchemaError(ValidationError):
     """A JSON value does not have the type its schema field declares."""
 
 
-class GimbalDegenerate(NavcurateError):
-    """Yaw is undefined: the camera forward vector is (near) vertical."""
-
-
 class EmptyResult(NavcurateError):
     """An operation produced nothing (e.g. trajectory shorter than one clip)."""
 
@@ -61,9 +59,9 @@ class AllUndefined(NavcurateError):
     """Every step of a waypoint pair has (near) zero displacement on one side."""
 
 
-class EmptyInput(NavcurateError):
+class EmptyInput(EmptyResult):
     """An aggregate operation received zero records."""
 
 
-class InvalidSpec(NavcurateError):
+class InvalidSpec(ValidationError):
     """A synthetic-data spec is internally inconsistent."""

@@ -10,15 +10,16 @@ Conventions used throughout the package:
 - Angles are degrees, normalized to the half-open interval (-180, +180].
 - Pitch is the elevation of the rotated forward vector above the world
   ground plane (positive = looking up). Yaw is the heading of the forward
-  vector within the ground plane and is undefined (``GimbalDegenerate``)
-  when forward is within ~1e-6 of vertical.
+  vector within the ground plane and is undefined (NaN in ``yaw_many``,
+  an undefined row in ``ego_waypoints_many``) when forward is within ~1e-6
+  of vertical.
 
-Poses are handled as columns: the ``*_many`` kernels operate on (n, 4)
-quaternion / (n, 3) position arrays and are the one implementation of
-pitch, yaw and the ego projection that segmentation, filtering and
-sampling use. The ``quat_*`` helpers act on one quaternion (clip anchors,
-synthetic streams). The per-pose forms the tests compare the kernels with
-live in ``tests/oracles.py``.
+Each operation has one implementation. The ``quat_*`` kernels broadcast
+over leading axes, so one call serves a clip anchor (4,) and a pose
+column (n, 4) alike. The ``*_many`` kernels are the pitch, yaw and ego
+projection of (n, 4) quaternion / (n, 3) position columns. The per-pose
+forms the tests compare them with, and the quaternion helpers only tests
+need, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schema
-from .errors import GimbalDegenerate, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "AxisConvention",
@@ -38,19 +39,11 @@ __all__ = [
     "ego_waypoints_many",
     "pitch_many",
     "yaw_many",
-    "quat_normalize",
     "quat_conjugate",
     "quat_multiply",
-    "quat_multiply_many",
     "quat_rotate",
-    "quat_rotate_many",
     "quat_from_axis_angle",
-    "quat_between",
 ]
-
-# Minimum quaternion norm accepted at construction; below this the input is
-# treated as garbage rather than renormalized.
-MIN_QUAT_NORM = 1e-3
 
 # Horizontal forward-vector norm below which yaw is declared degenerate.
 GIMBAL_EPS = 1e-6
@@ -113,51 +106,36 @@ DEFAULT_CONVENTION = AxisConvention()
 
 
 # ---------------------------------------------------------------------------
-# Quaternion helpers (x, y, z, w)
+# Quaternion kernels (x, y, z, w), broadcast over leading axes
 # ---------------------------------------------------------------------------
 
-def quat_normalize(q) -> np.ndarray:
-    """Return q scaled to unit norm. Raises ValidationError below MIN_QUAT_NORM.
-
-    Already-unit inputs (within 1e-12) pass through unchanged so repeated
-    normalization is bit-stable.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValidationError(f"quaternion must have shape (4,), got {q.shape}")
-    norm = math.sqrt(float(q @ q))
-    if not math.isfinite(norm) or norm < MIN_QUAT_NORM:
-        raise ValidationError(f"quaternion norm {norm:.3g} is below {MIN_QUAT_NORM}")
-    if abs(norm - 1.0) <= 1e-12:
-        return q
-    return q / norm
-
-
 def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([-q[0], -q[1], -q[2], q[3]])
+    return np.asarray(q, dtype=float) * (-1.0, -1.0, -1.0, 1.0)
 
 
 def quat_multiply(q1, q2) -> np.ndarray:
-    """Hamilton product q1 (x) q2 in (x, y, z, w) storage."""
-    x1, y1, z1, w1 = np.asarray(q1, dtype=float)
-    x2, y2, z2, w2 = np.asarray(q2, dtype=float)
-    return np.array(
+    """Hamilton product q1 (x) q2; either argument may be one (4,) quaternion or a stack of them."""
+    x1, y1, z1, w1 = np.moveaxis(np.asarray(q1, dtype=float), -1, 0)
+    x2, y2, z2, w2 = np.moveaxis(np.asarray(q2, dtype=float), -1, 0)
+    return np.stack(
         [
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector v by unit quaternion q (camera-to-world application)."""
+    """Rotate vector(s) v by unit quaternion(s) q (camera-to-world application).
+
+    Row i of ``quat_rotate(q, np.eye(3))`` is R e_i, so its transpose is R."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    u = q[:3]
-    w = q[3]
+    u = q[..., :3]
+    w = q[..., 3:4]
     uv = np.cross(u, v)
     return v + 2.0 * (w * uv + np.cross(u, uv))
 
@@ -173,61 +151,9 @@ def quat_from_axis_angle(axis, angle_deg: float) -> np.ndarray:
     return np.array([axis[0] * s, axis[1] * s, axis[2] * s, math.cos(half)])
 
 
-def quat_between(u, v) -> np.ndarray:
-    """Minimal rotation taking unit vector u onto unit vector v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d = float(u @ v)
-    if d < -1.0 + 1e-12:
-        # Antiparallel: rotate 180 degrees about any axis orthogonal to u.
-        helper = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        axis = np.cross(u, helper)
-        return quat_from_axis_angle(axis, 180.0)
-    xyz = np.cross(u, v)
-    return quat_normalize(np.array([xyz[0], xyz[1], xyz[2], 1.0 + d]))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized kernels (throughput path)
-# ---------------------------------------------------------------------------
-
-def _heading_deg(h1: float, h2: float) -> float:
-    """Yaw in degrees of a forward vector with ground-plane components (h1, h2)."""
-    if math.hypot(h1, h2) < GIMBAL_EPS:
-        raise GimbalDegenerate("camera forward vector is vertical; yaw undefined")
-    return normalize_angle_deg(math.degrees(math.atan2(h2, h1)))
-
-
-def quat_rotate_many(quats: np.ndarray, v) -> np.ndarray:
-    """Rotate one vector v by each quaternion in an (n, 4) array."""
-    quats = np.asarray(quats, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = quats[:, :3]
-    w = quats[:, 3:4]
-    uv = np.cross(u, v[None, :])
-    return v[None, :] + 2.0 * (w * uv + np.cross(u, uv))
-
-
-def quat_multiply_many(q1s, q2s) -> np.ndarray:
-    """Row-wise Hamilton product; either argument may be a single (4,) quaternion."""
-    q1s = np.atleast_2d(np.asarray(q1s, dtype=float))
-    q2s = np.atleast_2d(np.asarray(q2s, dtype=float))
-    x1, y1, z1, w1 = q1s[:, 0], q1s[:, 1], q1s[:, 2], q1s[:, 3]
-    x2, y2, z2, w2 = q2s[:, 0], q2s[:, 1], q2s[:, 2], q2s[:, 3]
-    return np.stack(
-        [
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        ],
-        axis=1,
-    )
-
-
 def pitch_many(quats: np.ndarray, convention: AxisConvention = DEFAULT_CONVENTION) -> np.ndarray:
     """Per-row pitch in degrees for an (n, 4) quaternion array."""
-    forward = quat_rotate_many(quats, convention.forward_vec)
+    forward = quat_rotate(quats, convention.forward_vec)
     f_up = forward @ convention.up_vec
     return np.degrees(np.arcsin(np.clip(f_up, -1.0, 1.0)))
 
@@ -245,7 +171,7 @@ def yaw_many(quats: np.ndarray, convention: AxisConvention = DEFAULT_CONVENTION)
     :func:`ego_waypoints_many` takes its yaw through ``math.atan2``
     instead.
     """
-    forward = quat_rotate_many(quats, convention.forward_vec)
+    forward = quat_rotate(quats, convention.forward_vec)
     e1, e2 = convention.ground_axes
     h1 = forward @ e1
     h2 = forward @ e2
@@ -280,18 +206,17 @@ def ego_waypoints_many(
         ``math.atan2`` once per pose (see :func:`yaw_many` for why not
         ``np.arctan2``).
     """
-    forward = quat_rotate_many(quats, convention.forward_vec)
+    forward = quat_rotate(quats, convention.forward_vec)
     e1, e2 = convention.ground_axes
     n = forward.shape[0]
     cos = np.zeros(n)
     sin = np.zeros(n)
     defined = np.ones(n, dtype=bool)
     for i, (h1, h2) in enumerate(zip((forward @ e1).tolist(), (forward @ e2).tolist())):
-        try:
-            yaw = math.radians(_heading_deg(h1, h2))
-        except GimbalDegenerate:
+        if math.hypot(h1, h2) < GIMBAL_EPS:
             defined[i] = False
             continue
+        yaw = math.radians(normalize_angle_deg(math.degrees(math.atan2(h2, h1))))
         cos[i] = math.cos(yaw)
         sin[i] = math.sin(yaw)
     delta = np.asarray(targets, dtype=float) - np.asarray(origins, dtype=float)[:, None, :]

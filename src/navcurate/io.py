@@ -45,6 +45,7 @@ import json
 import math
 import operator
 import os
+import sys
 import warnings
 from array import array
 from collections.abc import Sequence
@@ -80,6 +81,10 @@ __all__ = [
 ]
 
 
+# Quaternions with a smaller norm are rejected as garbage rather than renormalized.
+MIN_QUAT_NORM = 1e-3
+
+
 @dataclass(frozen=True, eq=False)
 class RawTrajectory:
     """An ordered pose stream with identity and frame-rate metadata.
@@ -97,9 +102,9 @@ class RawTrajectory:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("trajectory id must be non-empty")
-        fps = float(self.fps)
-        if not math.isfinite(fps) or fps <= 0.0:
-            raise ValidationError(f"fps must be positive, got {self.fps!r}")
+        # An int fps is stored as a float (pose-file headers print fps=30.0); nothing else converts.
+        if type(self.fps) not in (int, float) or not 0.0 < self.fps <= sys.float_info.max:
+            raise ValidationError(f"fps must be a positive finite int or float, got {self.fps!r}")
         ts = np.ascontiguousarray(self.timestamps, dtype=float)
         pos = np.ascontiguousarray(self.positions, dtype=float)
         quat = np.ascontiguousarray(self.quaternions, dtype=float)
@@ -118,8 +123,8 @@ class RawTrajectory:
             bad = int(np.argmin(np.diff(ts) > 0.0))
             raise ValidationError(f"timestamps must be strictly increasing (violated at index {bad + 1})")
         norms = np.linalg.norm(quat, axis=1)
-        if np.any(norms < 1e-3):
-            bad = int(np.argmax(norms < 1e-3))
+        if np.any(norms < MIN_QUAT_NORM):
+            bad = int(np.argmax(norms < MIN_QUAT_NORM))
             raise ValidationError(f"near-zero quaternion at index {bad}")
         # Renormalize only rows that actually drifted, so writing and
         # re-parsing a trajectory is bit-exact (normalization idempotent).
@@ -129,7 +134,7 @@ class RawTrajectory:
             quat[drift] = quat[drift] / norms[drift, None]
         for arr in (ts, pos, quat):
             arr.flags.writeable = False
-        object.__setattr__(self, "fps", fps)
+        object.__setattr__(self, "fps", float(self.fps))
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "quaternions", quat)

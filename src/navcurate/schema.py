@@ -60,11 +60,22 @@ class _Mismatch(SchemaError):
         key = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(self.path)).lstrip(".")
         if self.kind != "type":
             return f"{self.subject} has " + (f"no {key!r}" if self.kind == "missing" else f"unknown key {key!r}")
-        text = json.dumps(self.value, default=repr)
+        text = _show(self.value)
         text = text if len(text) <= 40 else text[:37] + "..."
         if not key:
             return f"{self.subject} is {text}, expected an object"
         return f"{self.subject} has {key!r} = {text}, expected {_describe(self.tp)}"
+
+
+def _show(value) -> str:
+    """A value as JSON text, but a part not exactly of a JSON type as its repr: ``np.float64(0.0)``, not ``0.0``."""
+    if type(value) in (list, tuple):
+        return "[" + ", ".join(map(_show, value)) + "]"
+    if type(value) is dict:
+        return "{" + ", ".join(f"{_show(k)}: {_show(v)}" for k, v in value.items()) + "}"
+    if value is None or type(value) in (str, int, float, bool):
+        return json.dumps(value)
+    return repr(value)
 
 
 def _finite(values) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import schema
 from .errors import EmptyResult, ValidationError
-from .geometry import quat_conjugate, quat_multiply_many, quat_rotate
+from .geometry import quat_conjugate, quat_multiply, quat_rotate
 from .io import _FRAME_LIMIT, RawTrajectory, parse_pose_file, write_pose_file, write_report
 
 __all__ = ["Clip", "ClipEntry", "segment", "save_clips", "read_manifest", "load_clip", "load_clips"]
@@ -77,6 +77,8 @@ class Clip:
     start_frame: int
 
     def __post_init__(self):
+        if type(self.start_frame) is not int:
+            raise ValidationError(f"start_frame must be an int, got {self.start_frame!r}")
         base = RawTrajectory(self.clip_id, self.fps, self.timestamps, self.positions, self.quaternions)
         if float(np.linalg.norm(base.positions[0])) > 1e-9:
             raise ValidationError("clip pose 0 must sit at the local origin")
@@ -86,7 +88,6 @@ class Clip:
         object.__setattr__(self, "timestamps", base.timestamps)
         object.__setattr__(self, "positions", base.positions)
         object.__setattr__(self, "quaternions", base.quaternions)
-        object.__setattr__(self, "start_frame", int(self.start_frame))
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]
@@ -126,10 +127,10 @@ def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[Clip]:
         anchor_pos = traj.positions[start]
         anchor_quat = traj.quaternions[start]
         # R_anchor^T d applied to every row d is the single matmul d @ R_anchor.
-        rot = np.stack([quat_rotate(anchor_quat, e) for e in np.eye(3)], axis=1)
+        rot = quat_rotate(anchor_quat, np.eye(3)).T
         delta = traj.positions[start:stop] - anchor_pos
         local_pos = delta @ rot
-        local_quat = quat_multiply_many(quat_conjugate(anchor_quat), traj.quaternions[start:stop])
+        local_quat = quat_multiply(quat_conjugate(anchor_quat), traj.quaternions[start:stop])
         clips.append(
             Clip(
                 clip_id=f"{traj.id}_{k:04d}",

@@ -35,7 +35,6 @@ from .geometry import (
     AxisConvention,
     quat_from_axis_angle,
     quat_multiply,
-    quat_multiply_many,
     quat_rotate,
 )
 from .io import Detection, DetectionFrame, LandmarkAnnotation, RawTrajectory
@@ -236,7 +235,7 @@ def _compose_orientations(q0, yaw_deg, pitch_deg, up, left) -> np.ndarray:
     q_pitch = np.zeros((n, 4))
     q_pitch[:, :3] = np.outer(np.sin(half_pitch), left)
     q_pitch[:, 3] = np.cos(half_pitch)
-    return quat_multiply_many(quat_multiply_many(q_yaw, q_pitch), q0)
+    return quat_multiply(quat_multiply(q_yaw, q_pitch), q0)
 
 
 def _generate_composite(spec: SynthSpec) -> RawTrajectory:
@@ -253,9 +252,9 @@ def _generate_composite(spec: SynthSpec) -> RawTrajectory:
     for part in spec.parts:
         traj = generate(part)
         q_off = quat_from_axis_angle(up, yaw_off)
-        rot = np.stack([quat_rotate(q_off, e) for e in np.eye(3)], axis=1)
-        positions.append(traj.positions @ rot.T + pos_off)
-        quats.append(quat_multiply_many(q_off, traj.quaternions))
+        # Row i of quat_rotate(q, I) is R e_i, so p @ it is R p for every row p.
+        positions.append(traj.positions @ quat_rotate(q_off, np.eye(3)) + pos_off)
+        quats.append(quat_multiply(q_off, traj.quaternions))
         times.append(traj.timestamps + (0.0 if first else t_off + dt))
         t_off = times[-1][-1]
         pos_off = positions[-1][-1]

@@ -15,21 +15,61 @@ from typing import NamedTuple
 
 import numpy as np
 
-from navcurate.errors import AllUndefined, GimbalDegenerate, LengthMismatch, NavcurateError, ValidationError
+from navcurate.errors import AllUndefined, LengthMismatch, NavcurateError, ValidationError
 from navcurate.geometry import (
     DEFAULT_CONVENTION,
     GIMBAL_EPS,
     AxisConvention,
     normalize_angle_deg,
     quat_conjugate,
+    quat_from_axis_angle,
     quat_multiply,
-    quat_normalize,
     quat_rotate,
 )
-from navcurate.io import LandmarkAnnotation, PredictionRecord, TrainingSample
+from navcurate.io import MIN_QUAT_NORM, LandmarkAnnotation, PredictionRecord, TrainingSample
 from navcurate.metrics import ARRIVAL_THRESHOLD, ZERO_STEP
 from navcurate.sampling import SamplerConfig, _training_sample
 from navcurate.segmentation import Clip
+
+# ---------------------------------------------------------------------------
+# Quaternion helpers only the tests need
+# ---------------------------------------------------------------------------
+
+
+class GimbalDegenerate(NavcurateError):
+    """Yaw is undefined: the camera forward vector is (near) vertical."""
+
+
+def quat_normalize(q) -> np.ndarray:
+    """Return q scaled to unit norm. Raises ValidationError below MIN_QUAT_NORM.
+
+    Already-unit inputs (within 1e-12) pass through unchanged so repeated
+    normalization is bit-stable.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,):
+        raise ValidationError(f"quaternion must have shape (4,), got {q.shape}")
+    norm = math.sqrt(float(q @ q))
+    if not math.isfinite(norm) or norm < MIN_QUAT_NORM:
+        raise ValidationError(f"quaternion norm {norm:.3g} is below {MIN_QUAT_NORM}")
+    if abs(norm - 1.0) <= 1e-12:
+        return q
+    return q / norm
+
+
+def quat_between(u, v) -> np.ndarray:
+    """Minimal rotation taking unit vector u onto unit vector v."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    d = float(u @ v)
+    if d < -1.0 + 1e-12:
+        # Antiparallel: rotate 180 degrees about any axis orthogonal to u.
+        helper = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        axis = np.cross(u, helper)
+        return quat_from_axis_angle(axis, 180.0)
+    xyz = np.cross(u, v)
+    return quat_normalize(np.array([xyz[0], xyz[1], xyz[2], 1.0 + d]))
+
 
 # ---------------------------------------------------------------------------
 # Poses and the ego projection

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.stats
 
 from navcurate.cli import main
-from navcurate.errors import GimbalDegenerate
 from navcurate.filters import (
     REASON_CROWD,
     REASON_DIVERGENCE,
@@ -39,7 +38,7 @@ from navcurate.synth import (
 )
 
 from conftest import quat_close
-from oracles import Pose, pose_at, relative_pose, to_ego_waypoint
+from oracles import GimbalDegenerate, Pose, pose_at, relative_pose, to_ego_waypoint
 from test_losses import central_diff, nondegenerate_waypoints, rel_error
 from test_metrics import brute_force_frechet, prepend_origin
 

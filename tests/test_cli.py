@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import navcurate
 from navcurate import cli
 from navcurate.cli import default_workers, main
 from navcurate.io import (
@@ -746,3 +747,25 @@ class TestWorkersEnv:
         assert cli._map_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert started == [3, 2]
+
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, base, kind, code",
+        [
+            (navcurate.InvalidSpec("bad spec"), navcurate.ValidationError, "validation", 2),
+            (navcurate.EmptyInput("no records"), navcurate.EmptyResult, "empty", 3),
+        ],
+        ids=["InvalidSpec", "EmptyInput"],
+    )
+    def test_error_derives_from_the_base_main_catches(self, capsys, monkeypatch, error, base, kind, code):
+        # main catches one base class per error kind.
+        assert isinstance(error, base)
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_loss", fail)
+        assert main(["loss", "--input", "unused.json"]) == code
+        assert json.loads(capsys.readouterr().err)["error"] == kind

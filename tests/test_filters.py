@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from navcurate import schema
-from navcurate.errors import GimbalDegenerate, TooShort, ValidationError
+from navcurate.errors import TooShort, ValidationError
 from navcurate.filters import (
     REASON_CROWD,
     REASON_DIVERGENCE,
@@ -18,12 +18,12 @@ from navcurate.filters import (
     run_filters,
     slice_detections,
 )
-from navcurate.geometry import normalize_angle_deg, quat_from_axis_angle, quat_multiply_many
+from navcurate.geometry import normalize_angle_deg, quat_from_axis_angle, quat_multiply
 from navcurate.io import RawTrajectory
 from navcurate.segmentation import segment
 from navcurate.synth import CLIP_CONVENTION, SynthSpec, generate, generate_detections
 
-from oracles import pose_at, yaw_of
+from oracles import GimbalDegenerate, pose_at, yaw_of
 
 
 def clip_of(spec, clip_seconds=120.0):
@@ -115,7 +115,7 @@ class TestCheckDivergence:
             base.fps,
             base.timestamps,
             base.positions,
-            quat_multiply_many(q_side, base.quaternions),
+            quat_multiply(q_side, base.quaternions),
         )
         clip = segment(traj, 120.0)[0]
         ok, div = check_divergence(clip, FilterConfig(), CLIP_CONVENTION)
@@ -285,7 +285,7 @@ class TestInvariance:
                 base.fps,
                 base.timestamps,
                 base.positions @ rot.T + offset,
-                quat_multiply_many(q_rot, base.quaternions),
+                quat_multiply(q_rot, base.quaternions),
             )
             clip = segment(moved, 120.0)[0]
             _, pitch_range = check_pitch(clip, cfg, CLIP_CONVENTION)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcurate.errors import GimbalDegenerate, ValidationError
+from navcurate.errors import ValidationError
 from navcurate.geometry import (
     AxisConvention,
     ego_waypoints_many,
     normalize_angle_deg,
     pitch_many,
-    quat_between,
     quat_conjugate,
     quat_from_axis_angle,
     quat_multiply,
@@ -20,7 +19,16 @@ from navcurate.geometry import (
 )
 
 from conftest import quat_close, random_pose, random_unit_quat
-from oracles import EgoWaypoint, Pose, pitch_of, relative_pose, to_ego_waypoint, yaw_of
+from oracles import (
+    EgoWaypoint,
+    GimbalDegenerate,
+    Pose,
+    pitch_of,
+    quat_between,
+    relative_pose,
+    to_ego_waypoint,
+    yaw_of,
+)
 
 
 def quat_to_matrix(q):
@@ -256,6 +264,27 @@ class TestVectorKernels:
     def test_conjugate_inverts(self, rng):
         q = random_unit_quat(rng)
         assert quat_close(quat_multiply(q, quat_conjugate(q)), [0, 0, 0, 1], tol=1e-12)
+
+    def test_broadcast_kernels_equal_per_row_calls(self, rng):
+        n = 500
+        quats = np.stack([random_unit_quat(rng) for _ in range(n)])
+        others = np.stack([random_unit_quat(rng) for _ in range(n)])
+        v = rng.standard_normal(3)
+        rotated = quat_rotate(quats, v)
+        products = quat_multiply(quats, others)
+        anchored = quat_multiply(quat_conjugate(quats[0]), others)
+        for i in range(n):
+            assert np.array_equal(rotated[i], quat_rotate(quats[i], v))
+            assert np.array_equal(products[i], quat_multiply(quats[i], others[i]))
+            assert np.array_equal(anchored[i], quat_multiply(quat_conjugate(quats[0]), others[i]))
+
+    def test_rotation_matrix_equals_per_axis_stack(self, rng):
+        # segment and synth build a clip anchor's matrix with one call.
+        for _ in range(200):
+            q = random_unit_quat(rng)
+            matrix = quat_rotate(q, np.eye(3)).T
+            assert np.array_equal(matrix, np.stack([quat_rotate(q, e) for e in np.eye(3)], axis=1))
+            assert np.allclose(matrix, quat_to_matrix(q), atol=1e-12)
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

@@ -84,6 +84,23 @@ class TestPoseFile:
         with pytest.raises(ValidationError):
             parse_pose_file(path, fps=30.0)
 
+    @pytest.mark.parametrize(
+        "fps",
+        [True, "30", np.float64(30.0), 0, -1.0, float("nan"), float("inf"), 10**400],
+        ids=["bool", "str", "float64", "zero", "negative", "nan", "inf", "huge-int"],
+    )
+    def test_fps_never_coerced(self, fps):
+        with pytest.raises(ValidationError, match="fps"):
+            RawTrajectory("t", fps, [0.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]])
+
+    def test_int_fps_stored_as_float(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("0 0 0 0 0 0 0 1\n")
+        traj = parse_pose_file(path, fps=30)
+        assert type(traj.fps) is float
+        write_pose_file(traj, tmp_path / "out.txt")
+        assert (tmp_path / "out.txt").read_text().startswith("# t fps=30.0\n")
+
     def test_round_trip(self, tmp_path, rng):
         n = 25
         traj = RawTrajectory(

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from navcurate.errors import GimbalDegenerate, Infeasible, ValidationError
+from navcurate.errors import Infeasible, ValidationError
 from navcurate.filters import FilterVerdict
-from navcurate.geometry import quat_between
 from navcurate.io import LandmarkAnnotation, RawTrajectory, write_samples
 from navcurate.sampling import (
     CLIP_SKIP_REASONS,
@@ -16,7 +15,7 @@ from navcurate.sampling import (
 from navcurate.segmentation import Clip, segment
 from navcurate.synth import CLIP_CONVENTION, RAW_CONVENTION, SynthSpec, generate, generate_landmarks
 
-from oracles import OutOfBounds, build_sample, pose_at, to_ego_waypoint
+from oracles import GimbalDegenerate, OutOfBounds, build_sample, pose_at, quat_between, to_ego_waypoint
 
 
 def landmark(clip_id="walk_0000", goal_frame=100, text="go to the kiosk"):

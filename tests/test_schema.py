@@ -237,6 +237,22 @@ def test_constructor_rejects_wrong_type_without_coercing(valid, field, value):
     assert str(pickle.loads(pickle.dumps(exc.value))) == str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("predicted", ((np.float64(0.0), 0.0),), "[np.float64(0.0), 0.0]"),
+        ("predicted", ((0, np.int64(3)),), "[0, np.int64(3)]"),
+        ("predicted_arrival", np.float32(0.5), "np.float32(0.5)"),
+    ],
+    ids=["float64-waypoint", "int64-waypoint", "float32-arrival"],
+)
+def test_error_shows_a_non_json_type_as_its_repr(field, value, shown):
+    # json.dumps prints an np.float64 as 0.0, which reads as a valid value.
+    with pytest.raises(SchemaError) as exc:
+        dataclasses.replace(PREDICTION, **{field: value})
+    assert f"= {shown}, expected" in str(exc.value)
+
+
 def test_named_tuple_waypoints_are_stored_as_plain_tuples():
     rows = tuple(EgoWaypoint(*w) for w in PREDICTION.predicted)
     record = dataclasses.replace(PREDICTION, predicted=rows)

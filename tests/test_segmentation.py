@@ -91,6 +91,26 @@ class TestClipInvariants:
             )
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("start_frame", 2.7), ("start_frame", True), ("start_frame", np.int64(3)), ("fps", True), ("fps", "30")],
+        ids=repr,
+    )
+    def test_values_never_coerced(self, field, value):
+        args = dict(
+            clip_id="c",
+            source_id="s",
+            fps=30.0,
+            timestamps=np.array([0.0]),
+            positions=np.zeros((1, 3)),
+            quaternions=np.array([[0.0, 0.0, 0.0, 1.0]]),
+            start_frame=0,
+        )
+        assert Clip(**args).start_frame == 0
+        with pytest.raises(ValidationError, match=field):
+            Clip(**{**args, field: value})
+
+
 class TestSaveLoad:
     def test_round_trip(self, rng, tmp_path):
         traj = random_trajectory(rng, 400, fps=8.0)
