@@ -12,14 +12,12 @@ from .errors import (
     AllUndefined,
     EmptyInput,
     EmptyResult,
-    Infeasible,
     InvalidSpec,
     LengthMismatch,
     NavcurateError,
     ParseError,
     SchemaError,
     ShapeMismatch,
-    TooShort,
     ValidationError,
 )
 from .geometry import DEFAULT_CONVENTION, AxisConvention, normalize_angle_deg
@@ -34,7 +32,7 @@ from .io import (
 )
 from .segmentation import Clip, segment
 from .filters import FilterConfig, FilterVerdict, run_filters
-from .sampling import SamplerConfig, build_corpus, draw_start
+from .sampling import SamplerConfig, draw_start
 from .metrics import MetricReport, ade, aoe, discrete_frechet, evaluate, maoe
 from .losses import LossComponents, LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 from .synth import SynthSpec, generate, generate_detections, generate_landmarks

@@ -19,6 +19,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, schema
 from . import io as tio
 from .errors import EmptyInput, EmptyResult, ParseError, ValidationError
@@ -253,21 +255,22 @@ def cmd_synth(args) -> int:
 
 def cmd_loss(args) -> int:
     doc = schema.decoder(LossInput)(_load_json(args.input))
-    reg, _ = loss_reg(doc.pred_waypoints, doc.gt_waypoints)
-    ori, _ = loss_ori(doc.pred_waypoints, doc.gt_waypoints)
-    arr = None
-    if doc.arrival_logit is not None and doc.arrival_label is not None:
-        arr, _ = loss_arr(doc.arrival_logit, doc.arrival_label)
-    hall = None
-    if doc.pred_features is not None and doc.gt_features is not None:
-        hall, _ = loss_hall(doc.pred_features, doc.gt_features)
-    total = loss_total((reg, ori, arr or 0.0, hall or 0.0), doc.weights)
-    print(
-        json.dumps(
-            {"loss_reg": reg, "loss_ori": ori, "loss_arr": arr, "loss_hall": hall, "loss_total": total},
-            sort_keys=True,
-        )
-    )
+    # Overflow gives inf or nan, which the check below rejects instead of a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reg, _ = loss_reg(doc.pred_waypoints, doc.gt_waypoints)
+        ori, _ = loss_ori(doc.pred_waypoints, doc.gt_waypoints)
+        arr = None
+        if doc.arrival_logit is not None and doc.arrival_label is not None:
+            arr, _ = loss_arr(doc.arrival_logit, doc.arrival_label)
+        hall = None
+        if doc.pred_features is not None and doc.gt_features is not None:
+            hall, _ = loss_hall(doc.pred_features, doc.gt_features)
+        total = loss_total((reg, ori, arr or 0.0, hall or 0.0), doc.weights)
+    losses = {"loss_reg": reg, "loss_ori": ori, "loss_arr": arr, "loss_hall": hall, "loss_total": total}
+    for name, value in losses.items():
+        if value is not None and not np.isfinite(value):
+            raise ValidationError(f"{name} is not finite: the inputs overflow")
+    print(json.dumps(losses, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -3,7 +3,9 @@
 The CLI catches one base class per error kind: ParseError -> parse,
 exit 2; ValidationError (SchemaError, LengthMismatch, ShapeMismatch,
 InvalidSpec) -> validation, exit 2; EmptyResult (EmptyInput) -> empty,
-exit 3; a plain OSError -> io, exit 4.
+exit 3; a plain OSError -> io, exit 4. An outcome the caller expects and
+counts (a clip shorter than one window, a goal with no feasible start)
+is a return value, not an exception.
 """
 
 from __future__ import annotations
@@ -37,14 +39,6 @@ class SchemaError(ValidationError):
 
 class EmptyResult(NavcurateError):
     """An operation produced nothing (e.g. trajectory shorter than one clip)."""
-
-
-class TooShort(NavcurateError):
-    """A clip is shorter than one sliding window."""
-
-
-class Infeasible(NavcurateError):
-    """No valid start frame exists for a landmark under the sampler config."""
 
 
 class LengthMismatch(ValidationError):

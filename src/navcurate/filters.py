@@ -12,9 +12,7 @@ Three independent checks, composed by :func:`run_filters`:
   standing still never triggers a rejection.
 - crowd_density: the number of frames whose person count exceeds the
   crowd size threshold must not exceed the frame threshold. Counts come
-  from a DetectionTable in one pass over its box columns; a list of
-  DetectionFrame is accepted and converted with DetectionTable.from_frames
-  (which sorts it and merges duplicate frames, as the parser does).
+  from a DetectionTable in one pass over its box columns.
 
 All thresholds fail only on strict exceedance: a range, divergence or
 count exactly at its threshold passes.
@@ -27,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import schema
-from .errors import TooShort, ValidationError
+from .errors import ValidationError
 from .geometry import AxisConvention, DEFAULT_CONVENTION, normalize_angle_deg, pitch_many, yaw_many
-from .io import DetectionFrame, DetectionTable
+from .io import DetectionTable
 from .segmentation import Clip, ClipEntry
 
 __all__ = [
@@ -119,19 +117,17 @@ def check_divergence(
     clip: Clip,
     config: FilterConfig,
     convention: AxisConvention = DEFAULT_CONVENTION,
-) -> tuple[bool, float]:
+) -> tuple[bool, float | None]:
     """Worst view-vs-motion misalignment over all sliding windows.
 
     Returns (passed, max_divergence_deg); the diagnostic is 0.0 when no
-    window moved far enough to measure.
-
-    Raises:
-        TooShort: the clip has fewer poses than one window.
+    window moved far enough to measure. A clip with fewer poses than one
+    window fails with the diagnostic None (null in the report).
     """
     w = _window_frames(config, clip.fps)
     n = len(clip)
     if n < w:
-        raise TooShort(f"clip {clip.clip_id!r} has {n} frames, shorter than one {w}-frame window")
+        return False, None
     yaw = yaw_many(clip.quaternions, convention)
     delta = clip.positions[w - 1 :] - clip.positions[: n - w + 1]
     e1, e2 = convention.ground_axes
@@ -149,15 +145,9 @@ def check_divergence(
     return max_divergence <= config.divergence_max_deg, max_divergence
 
 
-def _as_table(detections) -> DetectionTable:
-    if isinstance(detections, DetectionTable):
-        return detections
-    return DetectionTable.from_frames(detections)
-
-
 def check_crowd(
     clip: Clip,
-    detections: DetectionTable | list[DetectionFrame],
+    detections: DetectionTable,
     config: FilterConfig,
 ) -> tuple[bool, int]:
     """Count clip frames whose person tally exceeds the crowd threshold.
@@ -165,7 +155,7 @@ def check_crowd(
     Detection frames are clip-local; out-of-range entries are ignored
     (run_filters reports how many). Returns (passed, crowded_frame_count).
     """
-    inside = _as_table(detections).window(0, len(clip))
+    inside = detections.window(0, len(clip))
     code = inside.names.index(config.person_label) if config.person_label in inside.names else -1
     qualifying = (inside.labels == code) & (inside.scores >= config.person_score_min)
     tally = np.concatenate(([0], np.cumsum(qualifying)))
@@ -176,20 +166,16 @@ def check_crowd(
 
 def run_filters(
     clip: Clip,
-    detections: DetectionTable | list[DetectionFrame],
+    detections: DetectionTable,
     config: FilterConfig,
     convention: AxisConvention = DEFAULT_CONVENTION,
 ) -> FilterVerdict:
     """Evaluate all three rules (never short-circuits) and compose a verdict."""
-    detections = _as_table(detections)
     reasons = []
     pitch_ok, pitch_range = check_pitch(clip, config, convention)
     if not pitch_ok:
         reasons.append(REASON_PITCH)
-    try:
-        div_ok, max_divergence = check_divergence(clip, config, convention)
-    except TooShort:
-        div_ok, max_divergence = False, float("nan")
+    div_ok, max_divergence = check_divergence(clip, config, convention)
     if not div_ok:
         reasons.append(REASON_DIVERGENCE)
     crowd_ok, crowded_frames = check_crowd(clip, detections, config)
@@ -209,6 +195,6 @@ def run_filters(
     )
 
 
-def slice_detections(detections: DetectionTable | list[DetectionFrame], clip: Clip | ClipEntry) -> DetectionTable:
+def slice_detections(detections: DetectionTable, clip: Clip | ClipEntry) -> DetectionTable:
     """Select source-indexed detection frames covering a clip (or its manifest entry), re-indexed clip-local."""
-    return _as_table(detections).window(clip.start_frame, clip.start_frame + len(clip))
+    return detections.window(clip.start_frame, clip.start_frame + len(clip))

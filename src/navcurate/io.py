@@ -28,14 +28,18 @@ Record files (JSON lines, one compact record per line):
 Detections are the exception, for speed: :func:`parse_detections` reads
 them in one streaming pass into a columnar :class:`DetectionTable`
 (frames sorted, boxes as arrays) under the same exact JSON types, and
-reports every invalid line, range errors included, as ParseError.
-:class:`Detection` and :class:`DetectionFrame` are the per-box and
-per-frame scalar forms and the schema ``write_detections`` writes.
+reports every invalid line, range errors included, as ParseError. The
+table is the only detection type the pipeline takes. :class:`Detection`
+and :class:`DetectionFrame` are the detection schema: the records
+``write_detections`` writes, and the constructors whose messages name a
+fault the parser finds.
 Detection frame indices count frames of the source trajectory; duplicate
 frames merge by concatenation in file order (the one documented repair).
 
 Reports are a single pretty-printed JSON document with sorted keys, so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files. Nothing is coerced on the
+way out: a report holding a NaN, an infinity or a value json cannot
+write (a numpy integer, say) raises.
 """
 
 from __future__ import annotations
@@ -43,12 +47,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
 import sys
 import warnings
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,11 +144,6 @@ class RawTrajectory:
     def __len__(self) -> int:
         return self.timestamps.shape[0]
 
-    @property
-    def duration(self) -> float:
-        """Last minus first timestamp, seconds."""
-        return float(self.timestamps[-1] - self.timestamps[0])
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -185,15 +182,13 @@ class DetectionFrame:
 
 
 @dataclass(frozen=True, eq=False)
-class DetectionTable(Sequence):
-    """Detection frames stored column-wise: the batch form of a list of DetectionFrame.
+class DetectionTable:
+    """Detection frames stored column-wise.
 
     ``frames`` (F,) int64 is strictly increasing. The boxes of frame i are
     rows ``offsets[i]:offsets[i + 1]`` of ``labels`` (B,) int64 codes into
     ``names``, ``scores`` (B,) float64 and ``bboxes`` (B, 4) float64;
-    ``offsets`` (F + 1,) runs from 0 to B. The table is a read-only
-    sequence of DetectionFrame, built on demand, and compares equal to a
-    list of equal frames.
+    ``offsets`` (F + 1,) runs from 0 to B. The columns are read-only.
     """
 
     frames: np.ndarray
@@ -231,21 +226,6 @@ class DetectionTable(Sequence):
         object.__setattr__(self, "names", names)
 
     @classmethod
-    def from_frames(cls, frames) -> "DetectionTable":
-        """The table of a sequence of DetectionFrame; duplicate frames merge as in parse_detections."""
-        frames = list(frames)
-        dets = [d for f in frames for d in f.detections]
-        names: dict[str, int] = {}
-        return cls._from_records(
-            np.array([f.frame for f in frames], dtype=np.int64),
-            np.cumsum([len(f.detections) for f in frames], dtype=np.int64),
-            np.array([names.setdefault(d.label, len(names)) for d in dets], dtype=np.int64),
-            tuple(names),
-            np.array([d.score for d in dets], dtype=float),
-            np.array([d.bbox for d in dets], dtype=float).reshape(-1, 4),
-        )
-
-    @classmethod
     def _from_records(cls, frames, ends, labels, names, scores, bboxes) -> "DetectionTable":
         """Sort records by frame (stable) and merge duplicate frames.
 
@@ -266,10 +246,7 @@ class DetectionTable(Sequence):
     def __len__(self) -> int:
         return self.frames.shape[0]
 
-    def __getitem__(self, i) -> DetectionFrame:
-        i = range(len(self))[operator.index(i)]
-        return next(self._build_frames(i, i + 1))
-
+    # Only the benchmark's traced box count iterates a table as frames; it can go once that count reads len(scores).
     def __iter__(self):
         return self._build_frames(0, len(self))
 
@@ -282,11 +259,6 @@ class DetectionTable(Sequence):
         for frame, start, stop in zip(self.frames[lo:hi].tolist(), offsets, offsets[1:]):
             s, e = start - a, stop - a
             yield DetectionFrame(frame, tuple(map(Detection, labels[s:e], bboxes[s:e], scores[s:e])))
-
-    def __eq__(self, other):
-        if not isinstance(other, (DetectionTable, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __reduce__(self):
         # Raw column bytes skip numpy's per-array pickle header, so a clip's
@@ -552,7 +524,9 @@ def _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, 
     """Vectorised range checks over the complete records parsed so far.
 
     Returns the record columns (frames, ends, labels, names, scores,
-    bboxes); an out-of-range value raises ParseError naming its line.
+    bboxes). The first record holding an out-of-range value raises
+    ParseError naming its line, with the message of the constructor that
+    rejects it: Detection for its first bad box, else DetectionFrame.
     """
     n = len(ends)
     m = ends[-1] if n else 0
@@ -569,20 +543,16 @@ def _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, 
         & (scores <= 1.0)
     )
     bad = frames < 0
-    if bad_box.any():
-        bad[np.searchsorted(ends, np.argmax(bad_box), side="right")] = True
+    box = int(np.argmax(bad_box)) if bad_box.any() else m  # the first bad box row, m if none
+    if box < m:
+        bad[np.searchsorted(ends, box, side="right")] = True
     if bad.any():
         r = int(np.argmax(bad))
-        a, b = (int(ends[r - 1]) if r else 0), int(ends[r])
-        label_names = list(names)
         try:
-            DetectionFrame(
-                int(frames[r]),
-                [
-                    Detection(label_names[c], bbox, score)
-                    for c, bbox, score in zip(labels[a:b].tolist(), bboxes[a:b].tolist(), scores[a:b].tolist())
-                ],
-            )
+            # A record with a bad frame and a bad box reports the box, as building the record would.
+            if box < ends[r]:
+                Detection(list(names)[labels[box]], bboxes[box].tolist(), scores[box].item())
+            DetectionFrame(int(frames[r]), ())
         except ValidationError as exc:
             raise ParseError(str(exc), path=str(path), line=lines[r]) from None
         raise ParseError("invalid detection record", path=str(path), line=lines[r])
@@ -609,11 +579,7 @@ def _parse_records(cls, path) -> list:
     return records
 
 
-_record_json = json.JSONEncoder(
-    separators=(",", ":"),
-    allow_nan=False,
-    default=lambda value: value.item() if isinstance(value, np.generic) else schema.to_json(value),
-).encode
+_record_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=schema.to_json).encode
 
 
 def write_records(records, path) -> None:
@@ -654,26 +620,14 @@ def _write_text(path, text: str) -> None:
         raise
 
 
-def _jsonable(value):
-    """Coerce numpy scalars and NaN so json output is strict and deterministic."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def write_report(report: dict, path) -> None:
     """Write a structured report as pretty-printed JSON with sorted keys.
 
-    Non-finite floats are emitted as null; identical report content
-    yields byte-identical files.
+    Identical report content yields byte-identical files. A NaN or an
+    infinity raises ValueError, a value json cannot write (a numpy
+    integer) TypeError, and the file is left as it was.
     """
-    _write_text(path, json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def file_digest(path) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllUndefined, EmptyInput, LengthMismatch
+from .errors import AllUndefined, EmptyInput, LengthMismatch, ValidationError
 from .io import PredictionRecord
 
 __all__ = [
@@ -193,6 +193,8 @@ def evaluate(records: list[PredictionRecord]) -> MetricReport:
 
     Raises:
         EmptyInput: records is empty.
+        ValidationError: a record's waypoints are so large that one of
+            its metrics overflows; the first such record is named.
     """
     if not records:
         raise EmptyInput("no prediction records to evaluate")
@@ -205,15 +207,21 @@ def evaluate(records: list[PredictionRecord]) -> MetricReport:
     by_horizon: dict[int, list[int]] = {}
     for index, r in enumerate(records):
         by_horizon.setdefault(len(r.predicted), []).append(index)
-    for k, indices in by_horizon.items():
-        rows = max(1, BATCH_CELLS // (k + 1) ** 2)
-        for start in range(0, len(indices), rows):
-            batch = indices[start : start + rows]
-            pred = np.array([records[i].predicted for i in batch], dtype=float)
-            gt = np.array([records[i].ground_truth for i in batch], dtype=float)
-            ade_m[batch] = _ade_many(pred, gt)
-            made_m[batch] = _frechet_many(pred, gt)
-            aoe_deg[batch], maoe_deg[batch], oriented[batch] = _orientation_many(pred, gt)
+    # Overflow gives inf or nan, which the check below rejects instead of a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, indices in by_horizon.items():
+            rows = max(1, BATCH_CELLS // (k + 1) ** 2)
+            for start in range(0, len(indices), rows):
+                batch = indices[start : start + rows]
+                pred = np.array([records[i].predicted for i in batch], dtype=float)
+                gt = np.array([records[i].ground_truth for i in batch], dtype=float)
+                ade_m[batch] = _ade_many(pred, gt)
+                made_m[batch] = _frechet_many(pred, gt)
+                aoe_deg[batch], maoe_deg[batch], oriented[batch] = _orientation_many(pred, gt)
+    finite = np.isfinite(ade_m) & np.isfinite(made_m) & np.isfinite(aoe_deg) & np.isfinite(maoe_deg)
+    if not finite.all():
+        bad = records[int(np.argmin(finite))].sample_id
+        raise ValidationError(f"prediction {bad!r} has a non-finite ADE, MADE or AOE: its waypoints overflow")
     arrival_calls = np.array(
         [
             (r.predicted_arrival >= ARRIVAL_THRESHOLD) == r.arrival_label

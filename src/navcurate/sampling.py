@@ -5,7 +5,9 @@ frame t relative to the goal frame t_g, then extracts the next
 ``horizon`` ground-plane waypoints in the frame of pose(t). A small
 fraction of draws lands within ``arrival_window`` of the goal and is
 labelled as an arrival case; ordinary draws start between ``min_offset``
-and ``max_offset`` frames before the goal.
+and ``max_offset`` frames before the goal. A goal closer to the clip
+start than ``min_offset`` has no feasible start: :func:`draw_start`
+returns None and the draw is counted as skipped.
 
 Randomness is reproducible regardless of scheduling: every draw gets its
 own numpy Generator keyed by (seed, sha256(clip_id), landmark ordinal,
@@ -16,7 +18,7 @@ single sample.
 extracts all their waypoints with one
 :func:`~navcurate.geometry.ego_waypoints_many` call, and
 :func:`collect_samples` does the corpus-level grouping and skip
-accounting for both :func:`build_corpus` and the ``samples`` command.
+accounting for the ``samples`` command.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import schema
-from .errors import Infeasible, ValidationError
-from .filters import FilterVerdict
+from .errors import ValidationError
 from .geometry import AxisConvention, DEFAULT_CONVENTION, ego_waypoints_many
 from .io import LandmarkAnnotation, TrainingSample
 from .segmentation import Clip
@@ -40,7 +41,6 @@ __all__ = [
     "draw_start",
     "build_clip_samples",
     "collect_samples",
-    "build_corpus",
 ]
 
 # Skip reasons counted inside one clip: goal_out_of_bounds once per
@@ -95,21 +95,20 @@ def draw_rng(seed: int, clip_id: str, landmark_ordinal: int, draw_ordinal: int) 
     return _keyed_rng(seed, _clip_key(clip_id), landmark_ordinal, draw_ordinal)
 
 
-def draw_start(t_g: int, config: SamplerConfig, rng: np.random.Generator) -> int:
+def draw_start(t_g: int, config: SamplerConfig, rng: np.random.Generator) -> int | None:
     """Draw a start frame t for a goal at frame t_g.
 
     With probability ``arrival_fraction`` t is uniform on
     [t_g - arrival_window, t_g]; otherwise uniform on
     [t_g - max_offset, t_g - min_offset], both clamped at frame 0.
 
-    Raises:
-        Infeasible: the non-arrival interval is empty after clamping
-            (t_g < min_offset); the caller should skip this landmark.
+    Returns None, drawing nothing from rng, when the non-arrival interval
+    is empty after clamping (t_g < min_offset); the caller skips the draw.
     """
     lo = max(0, t_g - config.max_offset)
     hi = t_g - config.min_offset
     if hi < lo:
-        raise Infeasible(f"no feasible start for goal frame {t_g} with min_offset {config.min_offset}")
+        return None
     if rng.random() < config.arrival_fraction:
         return int(rng.integers(max(0, t_g - config.arrival_window), t_g + 1))
     return int(rng.integers(lo, hi + 1))
@@ -167,9 +166,8 @@ def build_clip_samples(
             continue
         for draw in range(config.draws_per_landmark):
             rng = _keyed_rng(config.seed, clip_key, lm_idx, draw)
-            try:
-                t = draw_start(landmark.goal_frame, config, rng)
-            except Infeasible:
+            t = draw_start(landmark.goal_frame, config, rng)
+            if t is None:
                 skipped["infeasible"] += 1
                 continue
             if t + k * stride >= len(clip):
@@ -234,29 +232,3 @@ def collect_samples(
         for key, count in clip_skips.items():
             skipped[key] += count
     return samples, skipped
-
-
-def build_corpus(
-    clips: list[Clip],
-    landmarks: list[LandmarkAnnotation],
-    verdicts: list[FilterVerdict],
-    config: SamplerConfig,
-    convention: AxisConvention = DEFAULT_CONVENTION,
-) -> tuple[list[TrainingSample], dict[str, int]]:
-    """Build samples over every accepted clip.
-
-    Returns the deterministically ordered sample list (sorted by clip id,
-    then landmark ordinal, then draw ordinal) plus counts of skipped
-    landmarks by reason. A verdict must exist for every clip.
-    """
-    verdict_map = {v.clip_id: v for v in verdicts}
-    missing = [c.clip_id for c in clips if c.clip_id not in verdict_map]
-    if missing:
-        raise ValidationError(f"no filter verdict for clips: {missing[:5]}")
-    accepted_ids = {cid for cid, v in verdict_map.items() if v.accepted}
-    return collect_samples(
-        [c.clip_id for c in clips],
-        landmarks,
-        accepted_ids,
-        lambda pairs: [build_clip_samples(clips[i], lms, config, convention) for i, lms in pairs],
-    )

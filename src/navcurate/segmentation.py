@@ -21,7 +21,7 @@ from .errors import EmptyResult, ValidationError
 from .geometry import quat_conjugate, quat_multiply, quat_rotate
 from .io import _FRAME_LIMIT, RawTrajectory, parse_pose_file, write_pose_file, write_report
 
-__all__ = ["Clip", "ClipEntry", "segment", "save_clips", "read_manifest", "load_clip", "load_clips"]
+__all__ = ["Clip", "ClipEntry", "segment", "save_clips", "read_manifest", "load_clip"]
 
 CLIP_MANIFEST_NAME = "manifest.json"
 
@@ -198,8 +198,3 @@ def load_clip(clip_dir, entry: ClipEntry, index: int) -> Clip:
         )
     return Clip(entry.clip_id, entry.source_id, traj.fps, traj.timestamps, traj.positions, traj.quaternions,
                 entry.start_frame)
-
-
-def load_clips(clip_dir) -> list[Clip]:
-    """Load every clip listed in a clip directory's manifest, sorted by id."""
-    return sorted((load_clip(clip_dir, e, i) for i, e in enumerate(read_manifest(clip_dir))), key=lambda c: c.clip_id)

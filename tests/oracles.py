@@ -5,6 +5,10 @@ kernel over arrays. The forms here work on one pose, one waypoint or one
 record at a time, in the plainest arithmetic, and tests require the
 kernels to reproduce them: bit for bit for the ego projection, the
 metrics and sample building.
+
+The package takes detections only as a DetectionTable; ``table_of`` and
+``frames_of`` convert between a table and the DetectionFrame list that
+tests write and compare.
 """
 
 from __future__ import annotations
@@ -26,7 +30,15 @@ from navcurate.geometry import (
     quat_multiply,
     quat_rotate,
 )
-from navcurate.io import MIN_QUAT_NORM, LandmarkAnnotation, PredictionRecord, TrainingSample
+from navcurate.io import (
+    MIN_QUAT_NORM,
+    Detection,
+    DetectionFrame,
+    DetectionTable,
+    LandmarkAnnotation,
+    PredictionRecord,
+    TrainingSample,
+)
 from navcurate.metrics import ARRIVAL_THRESHOLD, ZERO_STEP
 from navcurate.sampling import SamplerConfig, _training_sample
 from navcurate.segmentation import Clip
@@ -69,6 +81,38 @@ def quat_between(u, v) -> np.ndarray:
         return quat_from_axis_angle(axis, 180.0)
     xyz = np.cross(u, v)
     return quat_normalize(np.array([xyz[0], xyz[1], xyz[2], 1.0 + d]))
+
+
+# ---------------------------------------------------------------------------
+# Detection tables as lists of frames
+# ---------------------------------------------------------------------------
+
+
+def table_of(frames) -> DetectionTable:
+    """The table of a sequence of DetectionFrame; duplicate frames merge as in parse_detections."""
+    frames = list(frames)
+    dets = [d for f in frames for d in f.detections]
+    names: dict[str, int] = {}
+    return DetectionTable._from_records(
+        np.array([f.frame for f in frames], dtype=np.int64),
+        np.cumsum([len(f.detections) for f in frames], dtype=np.int64),
+        np.array([names.setdefault(d.label, len(names)) for d in dets], dtype=np.int64),
+        tuple(names),
+        np.array([d.score for d in dets], dtype=float),
+        np.array([d.bbox for d in dets], dtype=float).reshape(-1, 4),
+    )
+
+
+def frames_of(table: DetectionTable) -> list[DetectionFrame]:
+    """The frames of a table in order, each with its boxes in row order."""
+    offsets = table.offsets.tolist()
+    labels = [table.names[code] for code in table.labels.tolist()]
+    bboxes = [tuple(bbox) for bbox in table.bboxes.tolist()]
+    scores = table.scores.tolist()
+    return [
+        DetectionFrame(frame, tuple(map(Detection, labels[a:b], bboxes[a:b], scores[a:b])))
+        for frame, a, b in zip(table.frames.tolist(), offsets, offsets[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from navcurate.synth import (
 )
 
 from conftest import quat_close
-from oracles import GimbalDegenerate, Pose, pose_at, relative_pose, to_ego_waypoint
+from oracles import GimbalDegenerate, Pose, pose_at, relative_pose, table_of, to_ego_waypoint
 from test_losses import central_diff, nondegenerate_waypoints, rel_error
 from test_metrics import brute_force_frechet, prepend_origin
 
@@ -90,7 +90,7 @@ def test_criterion_03_filter_boundary_suite():
     with criterion(3, "filter boundary suite (nine exact verdicts)"):
         def verdict(spec, counts=None):
             clip = clip_of(spec)
-            detections = generate_detections(len(clip), counts or [])
+            detections = table_of(generate_detections(len(clip), counts or []))
             return run_filters(clip, detections, cfg, CLIP_CONVENTION)
 
         straight = SynthSpec("straight")
@@ -133,7 +133,7 @@ def test_criterion_04_filter_monotonicity():
             else:
                 spec = SynthSpec("straight", duration_s=30.0, fps=10.0)
             clip = clip_of(spec, clip_seconds=30.0)
-            detections = generate_detections(len(clip), list(rng.integers(0, 9, size=20)))
+            detections = table_of(generate_detections(len(clip), list(rng.integers(0, 9, size=20))))
             clips.append((clip, detections))
         for trial in range(200):
             clip, detections = clips[trial % len(clips)]
@@ -362,7 +362,8 @@ def test_criterion_09_pipeline_determinism(tmp_path, monkeypatch):
 
 def _segment_and_filter(traj) -> int:
     cfg = FilterConfig()
-    return sum(run_filters(c, [], cfg, CLIP_CONVENTION).accepted for c in segment(traj, 120.0))
+    empty = table_of([])
+    return sum(run_filters(c, empty, cfg, CLIP_CONVENTION).accepted for c in segment(traj, 120.0))
 
 
 def test_criterion_10_throughput():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,17 @@ from navcurate.losses import loss_arr, loss_ori, loss_reg
 from navcurate.synth import SynthSpec, generate
 
 from oracles import EgoWaypoint
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*argv):
+    """Run the CLI as its own process: stderr then holds everything it printed, warnings included."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "navcurate.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 def write_traj(path, spec):
@@ -624,6 +639,23 @@ class TestEvalCommand:
         assert json.loads(err[0])["line"] == 1
         assert not out.exists()
 
+    def test_non_finite_metric_exits_2(self, tmp_path):
+        lines = [
+            {"sample_id": "s0", "predicted": [[1.0, 0.0]], "ground_truth": [[1.0, 0.0]]},
+            {"sample_id": "s1", "predicted": [[1e200, 0.0]], "ground_truth": [[1.0, 0.0]]},
+            {"sample_id": "s2", "predicted": [[1e200, 0.0]], "ground_truth": [[1.0, 0.0]]},
+        ]
+        pred_path = tmp_path / "pred.jsonl"
+        pred_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out = tmp_path / "metrics.json"
+        proc = run_cli("eval", "--pred", str(pred_path), "--out", str(out))
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "validation"
+        assert "'s1'" in json.loads(err[0])["detail"]
+        assert not out.exists()
+
 
 class TestLossCommand:
     def test_prints_components(self, tmp_path, capsys):
@@ -692,6 +724,24 @@ class TestLossCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "validation"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"pred_waypoints": [[1e200, 0], [2e200, 0]], "gt_waypoints": [[1, 0], [2, 0]]},
+            {"pred_waypoints": [[1, 0]], "gt_waypoints": [[4, 0]], "weights": {"lambda_reg": 1e308}},
+        ],
+        ids=["overflowing-component", "overflowing-total"],
+    )
+    def test_non_finite_loss_exits_2(self, tmp_path, doc):
+        path = tmp_path / "loss.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("loss", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "validation"
 

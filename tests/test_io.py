@@ -24,7 +24,7 @@ from navcurate.io import (
     write_samples,
 )
 
-from oracles import EgoWaypoint
+from oracles import EgoWaypoint, frames_of
 
 
 class TestPoseFile:
@@ -49,7 +49,7 @@ class TestPoseFile:
         path.write_text("".join(lines))
         traj = parse_pose_file(path, fps=30.0)
         assert len(traj) == 3600
-        assert traj.duration == pytest.approx(3599 / 30.0, abs=1e-12)
+        assert traj.timestamps[-1] - traj.timestamps[0] == pytest.approx(3599 / 30.0, abs=1e-12)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -122,7 +122,7 @@ class TestDetections:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("")
-        assert parse_detections(path) == []
+        assert frames_of(parse_detections(path)) == []
 
     def test_duplicate_frames_merge(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -133,7 +133,7 @@ class TestDetections:
             + json.dumps({"frame": 5, "detections": [det, det, det]})
             + "\n"
         )
-        frames = parse_detections(path)
+        frames = frames_of(parse_detections(path))
         assert len(frames) == 1
         assert frames[0].frame == 5
         assert len(frames[0].detections) == 5
@@ -150,7 +150,7 @@ class TestDetections:
         path.write_text(
             json.dumps({"frame": 7, "detections": []}) + "\n" + json.dumps({"frame": 2, "detections": []}) + "\n"
         )
-        frames = parse_detections(path)
+        frames = frames_of(parse_detections(path))
         assert [f.frame for f in frames] == [2, 7]
 
     def test_bbox_corner_order_enforced(self):
@@ -183,9 +183,18 @@ class TestDetections:
         path = tmp_path / "d.jsonl"
         box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 1}
         path.write_text(json.dumps({"frame": 4, "detections": [box]}))
-        (frame,) = parse_detections(path)
+        (frame,) = frames_of(parse_detections(path))
         assert frame.frame == 4
         assert frame.detections == (Detection("person", (0.0, 0.0, 10.0, 10.0), 1.0),)
+
+    def test_bad_box_reported_before_bad_frame(self, tmp_path):
+        # Building the record builds its boxes first, so a record with both faults names its first bad box.
+        path = tmp_path / "d.jsonl"
+        box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 0.5}
+        path.write_text(json.dumps({"frame": -1, "detections": [box, dict(box, score=1.5), dict(box, score=2)]}) + "\n")
+        with pytest.raises(ParseError, match=r"score must be in \[0, 1\], got 1.5$") as exc:
+            parse_detections(path)
+        assert exc.value.line == 1
 
     def test_first_offending_line_reported(self, tmp_path):
         # Line 2 fails a range check (found after the pass), line 3 a type
@@ -389,15 +398,18 @@ class TestReport:
         write_report(dict(reversed(report.items())), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_nan_becomes_null(self, tmp_path):
+    def test_nan_raises(self, tmp_path):
+        # Reports write no coerced values: a clip too short to measure reports None, not NaN.
         path = tmp_path / "r.json"
-        write_report({"max_divergence_deg": float("nan")}, path)
-        assert json.loads(path.read_text())["max_divergence_deg"] is None
+        with pytest.raises(ValueError):
+            write_report({"max_divergence_deg": float("nan")}, path)
+        assert not path.exists()
 
-    def test_numpy_scalars_serialized(self, tmp_path):
+    def test_numpy_integer_raises(self, tmp_path):
         path = tmp_path / "r.json"
-        write_report({"n": np.int64(3), "x": np.float64(0.5)}, path)
-        assert json.loads(path.read_text()) == {"n": 3, "x": 0.5}
+        with pytest.raises(TypeError):
+            write_report({"n": np.int64(3)}, path)
+        assert not path.exists()
 
 
 _text = st.text(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcurate.errors import AllUndefined, EmptyInput, LengthMismatch
+from navcurate.errors import AllUndefined, EmptyInput, LengthMismatch, ValidationError
 from navcurate.io import PredictionRecord
 from navcurate.metrics import MetricReport, ade, aoe, discrete_frechet, evaluate, maoe
 
@@ -248,6 +248,20 @@ class TestEvaluate:
             record(rng.uniform(-3, 3, (8, 2)), rng.uniform(-3, 3, (8, 2)), f"s{i}") for i in range(10)
         ]
         assert evaluate(records) == evaluate(records)
+
+    @pytest.mark.parametrize(
+        "pred, gt",
+        [
+            ([(1e200, 0.0)], [(1.0, 0.0)]),  # ADE and MADE overflow
+            ([(-9e307, 0.0), (9e307, 0.0)], [(-9e307, 0.0), (9e307, 0.0)]),  # ADE and MADE 0, the step overflows
+        ],
+        ids=["overflowing-distance", "overflowing-step"],
+    )
+    def test_non_finite_metric_names_first_record(self, pred, gt):
+        ok = record([(1.0, 0.0)], [(1.0, 0.0)], "ok")
+        # Runs with RuntimeWarning as an error (pyproject.toml), so a warning from the kernels fails here too.
+        with pytest.raises(ValidationError, match="'bad1'"):
+            evaluate([ok, record(pred, gt, "bad1"), record(pred, gt, "bad2")])
 
     def test_plain_pair_waypoints(self):
         pairs = PredictionRecord("p", ((1.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (2.0, 0.0)), 0.2, False)

@@ -1,0 +1,21 @@
+"""The Python example in README.md runs as written, against the sources in src/."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_python_example_runs(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # The example writes its detection file to the working directory.
+    proc = subprocess.run(
+        [sys.executable, "-c", blocks[0]], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

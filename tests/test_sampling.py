@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from navcurate.errors import Infeasible, ValidationError
-from navcurate.filters import FilterVerdict
+from navcurate.errors import ValidationError
 from navcurate.io import LandmarkAnnotation, RawTrajectory, write_samples
 from navcurate.sampling import (
     CLIP_SKIP_REASONS,
     SamplerConfig,
     build_clip_samples,
-    build_corpus,
+    collect_samples,
     draw_rng,
     draw_start,
 )
@@ -22,8 +21,14 @@ def landmark(clip_id="walk_0000", goal_frame=100, text="go to the kiosk"):
     return LandmarkAnnotation(clip_id, goal_frame, (0.0, 0.0, 10.0, 10.0), "kiosk", text)
 
 
-def accepted_verdict(clip):
-    return FilterVerdict(clip.clip_id, True, (), {})
+def corpus(clips, landmarks, accepted, config):
+    """Samples and skip counts over clips, the accepted ones built in process."""
+    return collect_samples(
+        [c.clip_id for c in clips],
+        landmarks,
+        {c.clip_id for c in accepted},
+        lambda pairs: [build_clip_samples(clips[i], lms, config, CLIP_CONVENTION) for i, lms in pairs],
+    )
 
 
 class TestSamplerConfig:
@@ -66,13 +71,11 @@ class TestDrawStart:
 
     def test_infeasible_goal(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(Infeasible):
-            draw_start(5, SamplerConfig(), rng)
+        assert draw_start(5, SamplerConfig(), rng) is None
 
     def test_infeasible_wins_over_arrival_branch(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(Infeasible):
-            draw_start(5, SamplerConfig(arrival_fraction=1.0), rng)
+        assert draw_start(5, SamplerConfig(arrival_fraction=1.0), rng) is None
 
     def test_interval_clamped_at_zero(self):
         cfg = SamplerConfig(arrival_fraction=0.0)
@@ -169,46 +172,34 @@ class TestBuildCorpus:
 
     def test_zero_accepted_clips(self):
         clip, landmarks = self._fixture()
-        verdict = FilterVerdict(clip.clip_id, False, ("pitch_range",), {})
-        samples, skipped = build_corpus([clip], landmarks, [verdict], SamplerConfig(), CLIP_CONVENTION)
+        samples, skipped = corpus([clip], landmarks, [], SamplerConfig())
         assert samples == []
         assert skipped["rejected_clip"] == 3
 
     def test_one_clip_three_landmarks(self):
         clip, landmarks = self._fixture()
-        samples, skipped = build_corpus([clip], landmarks, [accepted_verdict(clip)], SamplerConfig(), CLIP_CONVENTION)
+        samples, skipped = corpus([clip], landmarks, [clip], SamplerConfig())
         assert len(samples) == 3
         assert [s.sample_id for s in samples] == sorted(s.sample_id for s in samples)
         assert sum(skipped.values()) == 0
 
-    def test_missing_verdict_rejected(self):
-        clip, landmarks = self._fixture()
-        with pytest.raises(ValidationError):
-            build_corpus([clip], landmarks, [], SamplerConfig(), CLIP_CONVENTION)
-
     def test_unknown_clip_counted(self):
         clip, landmarks = self._fixture()
         stray = landmark("nowhere_0000", 80)
-        samples, skipped = build_corpus(
-            [clip], landmarks + [stray], [accepted_verdict(clip)], SamplerConfig(), CLIP_CONVENTION
-        )
+        samples, skipped = corpus([clip], landmarks + [stray], [clip], SamplerConfig())
         assert len(samples) == 3
         assert skipped["unknown_clip"] == 1
 
     def test_goal_out_of_bounds_counted(self):
         clip, landmarks = self._fixture()
         bad = landmark(clip.clip_id, len(clip) + 5)
-        _, skipped = build_corpus(
-            [clip], landmarks + [bad], [accepted_verdict(clip)], SamplerConfig(), CLIP_CONVENTION
-        )
+        _, skipped = corpus([clip], landmarks + [bad], [clip], SamplerConfig())
         assert skipped["goal_out_of_bounds"] == 1
 
     def test_infeasible_goal_counted(self):
         clip, _ = self._fixture()
         early = landmark(clip.clip_id, 4)
-        samples, skipped = build_corpus(
-            [clip], [early], [accepted_verdict(clip)], SamplerConfig(), CLIP_CONVENTION
-        )
+        samples, skipped = corpus([clip], [early], [clip], SamplerConfig())
         assert samples == []
         assert skipped["infeasible"] == 1
 
@@ -216,9 +207,7 @@ class TestBuildCorpus:
         clip, landmarks = self._fixture()
         paths = []
         for name in ("a.jsonl", "b.jsonl"):
-            samples, _ = build_corpus(
-                [clip], landmarks, [accepted_verdict(clip)], SamplerConfig(seed=11), CLIP_CONVENTION
-            )
+            samples, _ = corpus([clip], landmarks, [clip], SamplerConfig(seed=11))
             path = tmp_path / name
             write_samples(samples, path)
             paths.append(path)
@@ -226,8 +215,8 @@ class TestBuildCorpus:
 
     def test_seed_changes_draws_not_feasible_pairs(self):
         clip, landmarks = self._fixture()
-        a, _ = build_corpus([clip], landmarks, [accepted_verdict(clip)], SamplerConfig(seed=1), CLIP_CONVENTION)
-        b, _ = build_corpus([clip], landmarks, [accepted_verdict(clip)], SamplerConfig(seed=2), CLIP_CONVENTION)
+        a, _ = corpus([clip], landmarks, [clip], SamplerConfig(seed=1))
+        b, _ = corpus([clip], landmarks, [clip], SamplerConfig(seed=2))
         assert [s.sample_id for s in a] == [s.sample_id for s in b]
         assert [(s.clip_id, s.t_g) for s in a] == [(s.clip_id, s.t_g) for s in b]
         assert any(x.t != y.t for x, y in zip(a, b))
@@ -237,7 +226,7 @@ class TestBuildCorpus:
         clips = segment(traj, 60.0)
         landmarks = [lm for clip in clips for lm in generate_landmarks(clip, 10, seed=2)]
         cfg = SamplerConfig(seed=5, draws_per_landmark=3, arrival_fraction=0.3)
-        samples, _ = build_corpus(clips, landmarks, [accepted_verdict(c) for c in clips], cfg, CLIP_CONVENTION)
+        samples, _ = corpus(clips, landmarks, clips, cfg)
         assert samples
         for s in samples:
             gap = s.t_g - s.t
@@ -249,7 +238,7 @@ class TestBuildCorpus:
     def test_draws_per_landmark(self):
         clip, landmarks = self._fixture(n_landmarks=2)
         cfg = SamplerConfig(draws_per_landmark=4)
-        samples, _ = build_corpus([clip], landmarks, [accepted_verdict(clip)], cfg, CLIP_CONVENTION)
+        samples, _ = corpus([clip], landmarks, [clip], cfg)
         assert len(samples) == 8
 
 
@@ -262,9 +251,8 @@ def per_draw_reference(clip, landmarks, config, convention):
             skipped["goal_out_of_bounds"] += 1
             continue
         for draw in range(config.draws_per_landmark):
-            try:
-                t = draw_start(lm.goal_frame, config, draw_rng(config.seed, clip.clip_id, lm_idx, draw))
-            except Infeasible:
+            t = draw_start(lm.goal_frame, config, draw_rng(config.seed, clip.clip_id, lm_idx, draw))
+            if t is None:
                 skipped["infeasible"] += 1
                 continue
             sample_id = f"{clip.clip_id}:{lm_idx:04d}:{draw:02d}"

@@ -36,14 +36,18 @@ from navcurate.io import (
 )
 from navcurate.losses import LossWeights
 from navcurate.sampling import SamplerConfig
-from navcurate.segmentation import ClipEntry, load_clips, save_clips, segment
+from navcurate.segmentation import ClipEntry, read_manifest, save_clips, segment
 from navcurate.synth import DetectionBlock, DetectionSpan, LandmarkBlock, SynthFile, SynthSpec, generate
 
-from oracles import EgoWaypoint
+from oracles import EgoWaypoint, frames_of
 
 # One value of each wrong JSON type: a boolean, a numeric string, null, a
 # float and a nested list. A case is skipped where the field accepts it.
 WRONG = [True, "5", None, 2.5, [[1]]]
+
+def parse_detection_frames(path):
+    return frames_of(parse_detections(path))
+
 
 RECORDS = [
     (LandmarkAnnotation("c", 3, (0.0, 0.0, 1.0, 1.0), "n", "go"), parse_landmarks),
@@ -52,7 +56,7 @@ RECORDS = [
         parse_samples,
     ),
     (PredictionRecord("s", ((1.0, 0.0),), ((1.0, 0.5),), 0.5, True), parse_predictions),
-    (DetectionFrame(3, (Detection("person", (0.0, 0.0, 1.0, 1.0), 0.9),)), parse_detections),
+    (DetectionFrame(3, (Detection("person", (0.0, 0.0, 1.0, 1.0), 0.9),)), parse_detection_frames),
 ]
 
 CONFIGS = [
@@ -203,7 +207,7 @@ def test_clip_entry_rejects_every_wrong_json_type(tmp_path):
     for key, entry in cases:
         manifest_path.write_text(json.dumps({**manifest, "clips": [manifest["clips"][0], entry]}))
         with pytest.raises(ValidationError, match=f"clip entry 1 has .*{key[0]}"):
-            load_clips(tmp_path)
+            read_manifest(tmp_path)
         _assert_constructor_rejects(ClipEntry, key, entry)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from navcurate.errors import EmptyResult, ValidationError
 from navcurate.io import RawTrajectory
-from navcurate.segmentation import Clip, load_clips, save_clips, segment
+from navcurate.segmentation import Clip, load_clip, read_manifest, save_clips, segment
 
 from conftest import quat_close, random_unit_quat
 from oracles import pose_at, relative_pose
@@ -111,12 +111,16 @@ class TestClipInvariants:
             Clip(**{**args, field: value})
 
 
+def load_all(clip_dir):
+    return [load_clip(clip_dir, entry, i) for i, entry in enumerate(read_manifest(clip_dir))]
+
+
 class TestSaveLoad:
     def test_round_trip(self, rng, tmp_path):
         traj = random_trajectory(rng, 400, fps=8.0)
         clips = segment(traj, clip_seconds=25.0)
         save_clips(clips, tmp_path / "clips", extra={"stage": "segment"})
-        loaded = load_clips(tmp_path / "clips")
+        loaded = load_all(tmp_path / "clips")
         assert [c.clip_id for c in loaded] == [c.clip_id for c in clips]
         for a, b in zip(clips, loaded):
             assert a.start_frame == b.start_frame
@@ -133,7 +137,7 @@ class TestSaveLoad:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-5]))
         with pytest.raises(ValidationError, match="clip entry 1 lists 200 frames"):
-            load_clips(tmp_path / "clips")
+            load_all(tmp_path / "clips")
 
     @pytest.mark.parametrize("start_frame", [2**63 - 200, 10**400], ids=["last-frame-past-int64", "huge"])
     def test_start_frame_beyond_int64_rejected(self, rng, tmp_path, start_frame):
@@ -144,4 +148,4 @@ class TestSaveLoad:
         manifest["clips"][1]["start_frame"] = start_frame
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match="start_frame"):
-            load_clips(tmp_path / "clips")
+            read_manifest(tmp_path / "clips")

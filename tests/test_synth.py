@@ -21,7 +21,7 @@ from navcurate.synth import (
 )
 
 from conftest import quat_close
-from oracles import pose_at, relative_pose
+from oracles import frames_of, pose_at, relative_pose
 
 
 class TestSpecValidation:
@@ -188,7 +188,7 @@ class TestDetections:
         frames = generate_detections(10, [2, 0, 3])
         path = tmp_path / "d.jsonl"
         write_detections(frames, path)
-        assert parse_detections(path) == frames
+        assert frames_of(parse_detections(path)) == frames
 
     def test_boxes_have_fixed_geometry_and_score(self):
         (frame,) = generate_detections(1, [3])
