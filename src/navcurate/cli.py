@@ -169,7 +169,7 @@ def cmd_samples(args) -> int:
     config = _merged_config(SamplerConfig, args)
     convention = _convention(args)
 
-    samples, skipped = collect_samples(
+    lines, skipped = collect_samples(
         [entry.clip_id for entry in entries],
         landmarks,
         accepted_ids,
@@ -177,7 +177,7 @@ def cmd_samples(args) -> int:
             _samples_task, [(args.clips, i, entries[i], lms, config, convention) for i, lms in pairs], args.workers
         ),
     )
-    tio.write_samples(samples, args.out)
+    tio.write_samples(lines, args.out)
     manifest = {
         "tool": _tool_info(),
         "stage": "samples",
@@ -188,12 +188,12 @@ def cmd_samples(args) -> int:
             "clips_in": len(entries),
             "clips_used": sum(1 for entry in entries if entry.clip_id in accepted_ids),
             "landmarks_in": len(landmarks),
-            "samples": len(samples),
+            "samples": len(lines),
             "skipped_landmark_draws": skipped,
         },
     }
     tio.write_report(manifest, f"{args.out}.manifest.json")
-    if not samples:
+    if not lines:
         raise EmptyResult("no samples were emitted")
     return 0
 

@@ -6,16 +6,17 @@ leaves a truncated artifact behind.
 
 Pose files (TUM-style text):
     ``timestamp tx ty tz qx qy qz qw`` per line, single spaces, ``#``
-    starts a comment line. Quaternions are (x, y, z, w) camera-to-world
+    starts a comment that runs to the end of its line. Quaternions are (x, y, z, w) camera-to-world
     and are renormalized on load; everything else is rejected, never
     repaired.
 
 Record files (JSON lines, one compact record per line):
     Each record type is a frozen dataclass, and its fields are the
     record's schema: field names are the keys in order, annotations the
-    exact JSON types (see :mod:`navcurate.schema`). ``parse_landmarks``,
-    ``parse_samples`` and ``parse_predictions`` read every line through
-    ``schema.decoder``; the ``write_*`` functions write the fields back in
+    exact JSON types (see :mod:`navcurate.schema`). ``parse_landmarks``
+    and ``parse_samples`` read every line through ``schema.decoder``;
+    ``write_records`` (and its aliases ``write_landmarks``,
+    ``write_detections``, ``write_predictions``) writes the fields back in
     order. Each constructor checks its fields with ``schema.check``, so a
     record built in code obeys the same exact types as one read from a
     file. A line of the wrong shape or JSON type raises ParseError with
@@ -25,14 +26,20 @@ Record files (JSON lines, one compact record per line):
     ignored. Waypoints are tuples of ``(x, y)`` tuples of finite numbers,
     which json writes as ``[x, y]``.
 
-Detections are the exception, for speed: :func:`parse_detections` reads
-them in one streaming pass into a columnar :class:`DetectionTable`
-(frames sorted, boxes as arrays) under the same exact JSON types, and
-reports every invalid line, range errors included, as ParseError. The
-table is the only detection type the pipeline takes. :class:`Detection`
-and :class:`DetectionFrame` are the detection schema: the records
-``write_detections`` writes, and the constructors whose messages name a
-fault the parser finds.
+Detections and predictions, the files read at scale, are parsed into
+columns instead, in one streaming pass under the same exact JSON types,
+and no object is built per record. :func:`parse_detections` gives a
+:class:`DetectionTable` (frames sorted, boxes as arrays) and reports every
+invalid line, range errors included, as ParseError. :func:`parse_predictions`
+gives a :class:`PredictionTable` (waypoints in flat arrays, arrival values
+with null masks) and fails on the same line, with the same error class
+and message, as decoding each line through the schema would.
+:class:`Detection`, :class:`DetectionFrame` and :class:`PredictionRecord`
+stay the schema: the records the writers write, and the constructors whose
+messages name a fault the parsers find. Sample files are written, not
+read, at scale: :func:`write_samples` takes the lines that
+``sampling.build_clip_samples`` formats from arrays, byte for byte what
+``write_records`` gives for the equal :class:`TrainingSample`.
 Detection frame indices count frames of the source trajectory; duplicate
 frames merge by concatenation in file order (the one documented repair).
 
@@ -67,6 +74,7 @@ __all__ = [
     "LandmarkAnnotation",
     "TrainingSample",
     "PredictionRecord",
+    "PredictionTable",
     "parse_pose_file",
     "write_pose_file",
     "parse_detections",
@@ -364,6 +372,65 @@ class PredictionRecord:
             raise ValidationError(f"predicted_arrival must be in [0, 1], got {self.predicted_arrival!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class PredictionTable:
+    """Prediction records stored column-wise, in file order.
+
+    Record i's sample id, ``sample_id(i)``, is ``id_text[id_offsets[i]:id_offsets[i + 1]]``: the ids are held joined
+    in one string, not as one object per record. Its predicted and
+    ground-truth waypoints are rows ``offsets[i]:offsets[i + 1]`` of
+    ``predicted`` and ``ground_truth`` (W, 2) float64. Both offset columns
+    (N + 1,) start at 0 and strictly increase: every id is non-empty and
+    every record holds a waypoint. ``predicted_arrival`` (N,) float64 and
+    ``arrival_label`` (N,) bool hold 0.0 and False where the masks
+    ``predicted_arrival_null`` and ``arrival_label_null`` are True. The
+    columns are read-only.
+    """
+
+    id_text: str
+    id_offsets: np.ndarray
+    offsets: np.ndarray
+    predicted: np.ndarray
+    ground_truth: np.ndarray
+    predicted_arrival: np.ndarray
+    predicted_arrival_null: np.ndarray
+    arrival_label: np.ndarray
+    arrival_label_null: np.ndarray
+
+    def __post_init__(self):
+        dtypes = {"id_offsets": np.int64, "offsets": np.int64, "predicted": float,
+                  "ground_truth": float, "predicted_arrival": float, "predicted_arrival_null": bool,
+                  "arrival_label": bool, "arrival_label_null": bool}
+        columns = {name: np.ascontiguousarray(getattr(self, name), dtype=dtype) for name, dtype in dtypes.items()}
+        ids, offsets = columns["id_offsets"], columns["offsets"]
+        n = ids.shape[0] - 1
+        per_record = ("predicted_arrival", "predicted_arrival_null", "arrival_label", "arrival_label_null")
+        if (
+            type(self.id_text) is not str
+            or ids.ndim != 1
+            or n < 0
+            or offsets.shape != (n + 1,)
+            or ids[0] != 0
+            or ids[-1] != len(self.id_text)
+            or offsets[0] != 0
+            or np.any(ids[1:] <= ids[:-1])
+            or np.any(offsets[1:] <= offsets[:-1])
+            or columns["predicted"].shape != (offsets[-1], 2)
+            or columns["ground_truth"].shape != (offsets[-1], 2)
+            or any(columns[name].shape != (n,) for name in per_record)
+        ):
+            raise ValidationError("inconsistent prediction table arrays")
+        for name, arr in columns.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.id_offsets.shape[0] - 1
+
+    def sample_id(self, i: int) -> str:
+        return self.id_text[self.id_offsets[i] : self.id_offsets[i + 1]]
+
+
 # ---------------------------------------------------------------------------
 # Pose files
 # ---------------------------------------------------------------------------
@@ -400,12 +467,16 @@ def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajecto
 
 
 def _parse_pose_lines(path: Path) -> np.ndarray:
-    """Line-by-line fallback that pinpoints the first malformed line."""
+    """Line-by-line fallback that pinpoints the first malformed line.
+
+    As in np.loadtxt(comments="#"), a ``#`` starts a comment anywhere on a
+    line, and a line holding nothing else is skipped.
+    """
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+            text = line.partition("#")[0].strip()
+            if not text:
                 continue
             fields = text.split()
             if len(fields) != 8:
@@ -426,11 +497,9 @@ def write_pose_file(traj: RawTrajectory, path) -> None:
     Values are formatted with repr (shortest exact round-trip), so
     write-then-parse reproduces the arrays bit for bit.
     """
-    lines = [f"# {traj.id} fps={traj.fps!r}\n# timestamp tx ty tz qx qy qz qw\n"]
-    rows = np.column_stack([traj.timestamps, traj.positions, traj.quaternions]).tolist()
-    for row in rows:
-        lines.append(" ".join(repr(v) for v in row) + "\n")
-    _write_text(path, "".join(lines))
+    header = f"# {traj.id} fps={traj.fps!r}\n# timestamp tx ty tz qx qy qz qw\n"
+    values = np.column_stack([traj.timestamps, traj.positions, traj.quaternions]).ravel().tolist()
+    _write_text(path, header + ("%r %r %r %r %r %r %r %r\n" * len(traj)) % tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +628,124 @@ def _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, 
     return frames, ends, labels, tuple(names), scores, bboxes
 
 
+def parse_predictions(path) -> PredictionTable:
+    """Parse prediction records into a PredictionTable, in file order.
+
+    One streaming pass reads each line with exact JSON type tests; the
+    finiteness and range checks run vectorised over the parsed columns.
+    The first invalid line in file order is decoded again through
+    ``schema.decoder(PredictionRecord)``, so it fails as every record file
+    does (see :func:`_parse_records`), with the same message. A file that
+    cannot be read twice (a pipe) whose fault is a range fault found after
+    the pass gets the same error class and line, from the record built out
+    of its parsed values; the message then writes an integer value as a
+    float (``2.0`` for ``2``).
+    """
+    sample_ids: list[str] = []
+    lines, ends = array("q"), array("q")
+    predicted, ground_truth = array("d"), array("d")
+    arrival, labels, arrival_null, label_null = array("d"), array("b"), array("b"), array("b")
+    try:
+        for lineno, obj in _iter_json_lines(path):
+            # Exact JSON type tests per value; finiteness and ranges are checked vectorised below.
+            try:
+                sample_id = obj["sample_id"]
+                pred = obj["predicted"]
+                gt = obj["ground_truth"]
+                p_arrival = obj.get("predicted_arrival")
+                label = obj.get("arrival_label")
+                if (
+                    type(sample_id) is not str
+                    or not sample_id
+                    or type(pred) is not list
+                    or type(gt) is not list
+                    or not pred
+                    or len(pred) != len(gt)
+                    or (p_arrival is not None and type(p_arrival) not in _JSON_NUMBERS)
+                    or (label is not None and type(label) is not bool)
+                ):
+                    raise TypeError
+                for waypoints, column in ((pred, predicted), (gt, ground_truth)):
+                    for w in waypoints:
+                        if (
+                            type(w) is not list
+                            or len(w) != 2
+                            or type(w[0]) not in _JSON_NUMBERS
+                            or type(w[1]) not in _JSON_NUMBERS
+                        ):
+                            raise TypeError
+                        column.extend(w)
+                arrival.append(0.0 if p_arrival is None else p_arrival)
+            except (KeyError, TypeError, OverflowError):
+                _decode(schema.decoder(PredictionRecord), obj, path, lineno)  # the schema names the fault
+                raise ParseError("invalid prediction record", path=str(path), line=lineno) from None
+            arrival_null.append(p_arrival is None)
+            labels.append(label is True)
+            label_null.append(label is None)
+            sample_ids.append(sample_id)
+            lines.append(lineno)
+            ends.append(len(predicted) >> 1)
+    except (ParseError, ValidationError):
+        # A record before the failing line that breaks a range rule is reported first.
+        _check_prediction_ranges(path, sample_ids, lines, ends, predicted, ground_truth, arrival, arrival_null)
+        raise
+    columns = _check_prediction_ranges(path, sample_ids, lines, ends, predicted, ground_truth, arrival, arrival_null)
+    id_offsets = np.cumsum(np.fromiter(map(len, sample_ids), dtype=np.int64, count=len(sample_ids)))
+    return PredictionTable(
+        "".join(sample_ids),
+        np.concatenate(([0], id_offsets)),
+        *columns,
+        np.frombuffer(labels, dtype=bool),
+        np.frombuffer(label_null, dtype=bool),
+    )
+
+
+def _check_prediction_ranges(path, sample_ids, lines, ends, predicted, ground_truth, arrival, arrival_null):
+    """Vectorised finiteness and range checks over the complete records parsed so far.
+
+    Returns the columns (offsets, predicted, ground_truth,
+    predicted_arrival, predicted_arrival_null). The first record holding a
+    non-finite waypoint or a predicted_arrival outside [0, 1] is decoded
+    again from its line, which raises the schema's or the constructor's
+    error; if path is not a regular file, the record is built from its
+    parsed values instead, which raises the same error class.
+    """
+    n = len(ends)
+    w = ends[n - 1] if n else 0
+    offsets = np.concatenate(([0], np.frombuffer(ends, dtype=np.int64, count=n)))
+    pred = np.frombuffer(predicted, dtype=float, count=2 * w).reshape(w, 2)
+    gt = np.frombuffer(ground_truth, dtype=float, count=2 * w).reshape(w, 2)
+    p_arrival = np.frombuffer(arrival, dtype=float, count=n)
+    p_null = np.frombuffer(arrival_null, dtype=bool, count=n)
+    bad_waypoint = ~(np.isfinite(pred).all(axis=1) & np.isfinite(gt).all(axis=1))
+    bad = ~p_null & ~((p_arrival >= 0.0) & (p_arrival <= 1.0))
+    if bad_waypoint.any():
+        bad[np.searchsorted(offsets, np.argmax(bad_waypoint), side="right") - 1] = True
+    if bad.any():
+        r = int(np.argmax(bad))
+        lineno = lines[r]
+        if Path(path).is_file():
+            obj = next((obj for line, obj in _iter_json_lines(path) if line == lineno), None)
+        else:
+            rows = slice(offsets[r], offsets[r + 1])
+            obj = {"sample_id": sample_ids[r], "predicted": pred[rows].tolist(), "ground_truth": gt[rows].tolist(),
+                   "predicted_arrival": None if p_null[r] else p_arrival[r].item()}
+        if obj is not None:
+            _decode(schema.decoder(PredictionRecord), obj, path, lineno)
+        raise ParseError("invalid prediction record", path=str(path), line=lineno)
+    return offsets, pred, gt, p_arrival, p_null
+
+
+def _decode(decode, obj, path, lineno):
+    """decode(obj) for the record on line lineno: ParseError for a mistyped value, ValidationError naming path:line for a broken rule."""
+    try:
+        return decode(obj)
+    except SchemaError as exc:
+        raise ParseError(str(exc), path=str(path), line=lineno) from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}") from None
+
+
 def _parse_records(cls, path) -> list:
     """The records of one dataclass in file order, each line read through schema.decoder.
 
@@ -568,15 +755,7 @@ def _parse_records(cls, path) -> list:
     corners out of order) raises ValidationError naming path:line.
     """
     decode = schema.decoder(cls)
-    records = []
-    for lineno, obj in _iter_json_lines(path):
-        try:
-            records.append(decode(obj))
-        except SchemaError as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno) from None
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return records
+    return [_decode(decode, obj, path, lineno) for lineno, obj in _iter_json_lines(path)]
 
 
 _record_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=schema.to_json).encode
@@ -587,7 +766,12 @@ def write_records(records, path) -> None:
     _write_text(path, "".join([_record_json(r) + "\n" for r in records]))
 
 
-write_detections = write_landmarks = write_samples = write_predictions = write_records
+write_detections = write_landmarks = write_predictions = write_records
+
+
+def write_samples(lines, path) -> None:
+    """Write sample lines, JSON text as ``sampling.build_clip_samples`` formats it, in the order given."""
+    _write_text(path, "".join(lines))
 
 
 def parse_landmarks(path) -> list[LandmarkAnnotation]:
@@ -596,10 +780,6 @@ def parse_landmarks(path) -> list[LandmarkAnnotation]:
 
 def parse_samples(path) -> list[TrainingSample]:
     return _parse_records(TrainingSample, path)
-
-
-def parse_predictions(path) -> list[PredictionRecord]:
-    return _parse_records(PredictionRecord, path)
 
 
 def _write_text(path, text: str) -> None:

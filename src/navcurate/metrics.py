@@ -10,9 +10,11 @@ the agent.
 Each metric has one implementation, a kernel over (N, k, 2) waypoint
 batches: ``_ade_many``, ``_orientation_many`` and ``_frechet_many`` (the
 Eiter & Mannila 1994 recurrence, run cell by cell over N). :func:`evaluate`
-stacks the records of each horizon k and runs the kernels over them; the
-public :func:`ade`, :func:`aoe`, :func:`maoe` and :func:`discrete_frechet`
-are one-row calls of the same kernels.
+takes a columnar :class:`~navcurate.io.PredictionTable`, gathers the
+records of each horizon k from its flat waypoint columns and runs the
+kernels over them; no per-record object is built. The public
+:func:`ade`, :func:`aoe`, :func:`maoe` and :func:`discrete_frechet` are
+one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllUndefined, EmptyInput, LengthMismatch, ValidationError
-from .io import PredictionRecord
+from .io import PredictionTable
 
 __all__ = [
     "MetricReport",
@@ -39,8 +41,10 @@ ZERO_STEP = 1e-9
 ARRIVAL_THRESHOLD = 0.5
 
 # Rows per batch are capped so that one batch holds about this many
-# Frechet cells ((k + 1)^2 per record), which bounds the temporaries.
-BATCH_CELLS = 1 << 18
+# Frechet cells ((k + 1)^2 per record), which bounds the temporaries: the
+# distance step holds ~5 float64 values per cell, ~2.6 MB per batch. Every
+# row's metrics are the same at any batch size.
+BATCH_CELLS = 1 << 16
 
 
 def _ade_many(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -183,7 +187,7 @@ class MetricReport:
     n_arrival_scored: int
 
 
-def evaluate(records: list[PredictionRecord]) -> MetricReport:
+def evaluate(table: PredictionTable) -> MetricReport:
     """Aggregate per-sample metrics into dataset means, in input order.
 
     Samples whose orientation error is entirely undefined contribute to
@@ -191,45 +195,46 @@ def evaluate(records: list[PredictionRecord]) -> MetricReport:
     accuracy covers records carrying both a predicted arrival probability
     (thresholded at 0.5) and a label; it is None when no record does.
 
+    The records of each horizon k are gathered from the table's flat
+    waypoint columns in batches of at most BATCH_CELLS Frechet cells; only
+    the per-record metric arrays are kept, and each mean is one np.mean
+    over its whole array.
+
     Raises:
-        EmptyInput: records is empty.
+        EmptyInput: the table holds no records.
         ValidationError: a record's waypoints are so large that one of
             its metrics overflows; the first such record is named.
     """
-    if not records:
+    n = len(table)
+    if not n:
         raise EmptyInput("no prediction records to evaluate")
-    n = len(records)
     ade_m = np.empty(n)
     made_m = np.empty(n)
     aoe_deg = np.empty(n)
     maoe_deg = np.empty(n)
     oriented = np.empty(n, dtype=bool)
-    by_horizon: dict[int, list[int]] = {}
-    for index, r in enumerate(records):
-        by_horizon.setdefault(len(r.predicted), []).append(index)
+    starts = table.offsets[:-1]
+    horizons = np.diff(table.offsets)
+    ks = sorted(np.flatnonzero(np.bincount(horizons)).tolist(), key=lambda k: np.argmax(horizons == k))
     # Overflow gives inf or nan, which the check below rejects instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, indices in by_horizon.items():
+        for k in ks:  # horizons in order of first appearance
+            indices = np.flatnonzero(horizons == k)
             rows = max(1, BATCH_CELLS // (k + 1) ** 2)
             for start in range(0, len(indices), rows):
                 batch = indices[start : start + rows]
-                pred = np.array([records[i].predicted for i in batch], dtype=float)
-                gt = np.array([records[i].ground_truth for i in batch], dtype=float)
+                cells = starts[batch, None] + np.arange(k)
+                pred = table.predicted[cells]
+                gt = table.ground_truth[cells]
                 ade_m[batch] = _ade_many(pred, gt)
                 made_m[batch] = _frechet_many(pred, gt)
                 aoe_deg[batch], maoe_deg[batch], oriented[batch] = _orientation_many(pred, gt)
     finite = np.isfinite(ade_m) & np.isfinite(made_m) & np.isfinite(aoe_deg) & np.isfinite(maoe_deg)
     if not finite.all():
-        bad = records[int(np.argmin(finite))].sample_id
+        bad = table.sample_id(int(np.argmin(finite)))
         raise ValidationError(f"prediction {bad!r} has a non-finite ADE, MADE or AOE: its waypoints overflow")
-    arrival_calls = np.array(
-        [
-            (r.predicted_arrival >= ARRIVAL_THRESHOLD) == r.arrival_label
-            for r in records
-            if r.predicted_arrival is not None and r.arrival_label is not None
-        ],
-        dtype=bool,
-    )
+    scored = ~table.predicted_arrival_null & ~table.arrival_label_null
+    arrival_calls = (table.predicted_arrival[scored] >= ARRIVAL_THRESHOLD) == table.arrival_label[scored]
     n_oriented = int(np.count_nonzero(oriented))
     return MetricReport(
         n_samples=n,

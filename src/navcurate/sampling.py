@@ -16,14 +16,17 @@ single sample.
 
 :func:`build_clip_samples` draws every start of a clip first, then
 extracts all their waypoints with one
-:func:`~navcurate.geometry.ego_waypoints_many` call, and
-:func:`collect_samples` does the corpus-level grouping and skip
-accounting for the ``samples`` command.
+:func:`~navcurate.geometry.ego_waypoints_many` call and formats each
+sample's JSON line straight from those arrays, with the bytes
+``io.write_records`` gives the equal :class:`~navcurate.io.TrainingSample`;
+no per-sample object is built. :func:`collect_samples` does the
+corpus-level grouping and skip accounting for the ``samples`` command.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -114,46 +117,32 @@ def draw_start(t_g: int, config: SamplerConfig, rng: np.random.Generator) -> int
     return int(rng.integers(lo, hi + 1))
 
 
-def _training_sample(
-    clip: Clip,
-    landmark: LandmarkAnnotation,
-    t: int,
-    waypoints: tuple[tuple[float, float], ...],
-    config: SamplerConfig,
-    sample_id: str,
-) -> TrainingSample:
-    """The sample for start frame t; history frames run back from t in stride steps, clamped at 0."""
-    stride = config.waypoint_stride
-    history = tuple(max(0, t - (config.history_len - 1 - j) * stride) for j in range(config.history_len))
-    t_g = landmark.goal_frame
-    return TrainingSample(
-        sample_id=sample_id,
-        clip_id=clip.clip_id,
-        instruction=landmark.instruction,
-        t=t,
-        t_g=t_g,
-        history_frames=history,
-        waypoints=waypoints,
-        arrival=(t_g - t) <= config.arrival_window,
-    )
-
-
 def build_clip_samples(
     clip: Clip,
     landmarks: list[LandmarkAnnotation],
     config: SamplerConfig,
     convention: AxisConvention = DEFAULT_CONVENTION,
-) -> tuple[list[TrainingSample], dict[str, int]]:
-    """Samples for one accepted clip; landmark ordinals follow file order.
+) -> tuple[list[str], dict[str, int]]:
+    """The sample lines of one accepted clip; landmark ordinals follow file order.
 
     Draw (landmark ordinal, draw ordinal) gets the start frame t of
     ``draw_start`` under ``draw_rng`` and sample id
     ``<clip_id>:<landmark:04d>:<draw:02d>``. Waypoint i of its sample is
     pose(t + (i+1)*stride)'s position in the ground-plane frame of
-    pose(t). A draw is skipped as
-    ``infeasible``, ``out_of_bounds`` or ``gimbal_degenerate`` (checked in
-    that order), a landmark whose goal lies past the clip end as
-    ``goal_out_of_bounds``.
+    pose(t); history frame j is t - (history_len - 1 - j)*stride, clamped
+    at 0; the sample is an arrival case when t_g - t <= arrival_window. A
+    draw is skipped as ``infeasible``, ``out_of_bounds`` or
+    ``gimbal_degenerate`` (checked in that order), a landmark whose goal
+    lies past the clip end as ``goal_out_of_bounds``.
+
+    Each sample is one JSON line ending in a newline, the bytes
+    ``io.write_records`` writes for the equal TrainingSample, formatted
+    from the draw arrays: one escaped prefix per landmark, and each float
+    through ``%r``, which is the ``float.__repr__`` json writes.
+
+    Raises:
+        ValidationError: a waypoint is not finite (clip positions so large
+            that their differences overflow); the first such sample is named.
     """
     skipped = dict.fromkeys(CLIP_SKIP_REASONS, 0)
     k = config.horizon
@@ -178,23 +167,46 @@ def build_clip_samples(
         return [], skipped
     starts = np.array([t for _, _, t in draws])
     targets = clip.positions[starts[:, None] + stride * np.arange(1, k + 1)]
-    waypoints, defined = ego_waypoints_many(
-        clip.quaternions[starts], clip.positions[starts], targets, convention
-    )
-    skipped["gimbal_degenerate"] = len(draws) - int(np.count_nonzero(defined))
-    samples = [
-        _training_sample(
-            clip,
-            landmarks[lm_idx],
-            t,
-            tuple(map(tuple, rows)),
-            config,
-            f"{clip.clip_id}:{lm_idx:04d}:{draw:02d}",
+    # Overflow gives inf or nan, which the check below rejects instead of a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        waypoints, defined = ego_waypoints_many(
+            clip.quaternions[starts], clip.positions[starts], targets, convention
         )
-        for (lm_idx, draw, t), rows, ok in zip(draws, waypoints.tolist(), defined.tolist())
-        if ok
-    ]
-    return samples, skipped
+    skipped["gimbal_degenerate"] = len(draws) - int(np.count_nonzero(defined))
+    kept = [d for d, ok in zip(draws, defined.tolist()) if ok]
+    if not kept:
+        return [], skipped
+    lm_idx, draw, t = (list(column) for column in zip(*kept))
+    waypoints = waypoints[defined].reshape(len(kept), 2 * k)
+    finite = np.isfinite(waypoints).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        sample_id = f"{clip.clip_id}:{lm_idx[i]:04d}:{draw[i]:02d}"
+        raise ValidationError(f"sample {sample_id!r} has a non-finite waypoint: the clip's positions overflow")
+    history = np.maximum(0, starts[defined][:, None] - stride * np.arange(config.history_len - 1, -1, -1))
+    clip_json = json.dumps(clip.clip_id)
+    heads = [f'{{"sample_id":{clip_json[:-1]}:{i:04d}:' for i in range(len(landmarks))]
+    middles = [f'","clip_id":{clip_json},"instruction":{json.dumps(lm.instruction)},"t":' for lm in landmarks]
+    goals = [lm.goal_frame for lm in landmarks]
+    line = (
+        '%s%02d%s%d,"t_g":%d,"history_frames":['
+        + ",".join(["%d"] * config.history_len)
+        + '],"waypoints":['
+        + ",".join(["[%r,%r]"] * k)
+        + '],"arrival":%s}\n'
+    )
+    arrival = ["true" if goals[i] - ti <= config.arrival_window else "false" for i, ti in zip(lm_idx, t)]
+    columns = zip(
+        [heads[i] for i in lm_idx],
+        draw,
+        [middles[i] for i in lm_idx],
+        t,
+        [goals[i] for i in lm_idx],
+        *history.T.tolist(),
+        *waypoints.T.tolist(),
+        arrival,
+    )
+    return [line % values for values in columns], skipped
 
 
 def collect_samples(
@@ -202,15 +214,15 @@ def collect_samples(
     landmarks: list[LandmarkAnnotation],
     accepted_ids: set[str],
     build: Callable[[list[tuple[int, list[LandmarkAnnotation]]]], list],
-) -> tuple[list[TrainingSample], dict[str, int]]:
-    """Samples over the accepted clips, plus the skip counts of the whole corpus.
+) -> tuple[list[str], dict[str, int]]:
+    """Sample lines over the accepted clips, plus the skip counts of the whole corpus.
 
     Landmarks are grouped by clip id in file order. A landmark whose clip
     is not among ``clip_ids`` counts as ``unknown_clip``; one whose clip is
     not in ``accepted_ids`` counts as ``rejected_clip``. ``build`` maps the
     (position in ``clip_ids``, landmarks) pairs of the accepted clips that
     have landmarks, sorted by clip id, to one ``build_clip_samples`` result
-    per pair, in order; its samples are concatenated and its skip counts
+    per pair, in order; its lines are concatenated and its skip counts
     added in. A clip without landmarks gets no pair, as it would yield no
     sample and no skip, so its poses need never be read.
     """
@@ -226,9 +238,9 @@ def collect_samples(
         for i in sorted(range(len(clip_ids)), key=clip_ids.__getitem__)
         if clip_ids[i] in accepted_ids and clip_ids[i] in by_clip
     ]
-    samples: list[TrainingSample] = []
-    for clip_samples, clip_skips in build(pairs):
-        samples.extend(clip_samples)
+    lines: list[str] = []
+    for clip_lines, clip_skips in build(pairs):
+        lines.extend(clip_lines)
         for key, count in clip_skips.items():
             skipped[key] += count
-    return samples, skipped
+    return lines, skipped

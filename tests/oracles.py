@@ -6,19 +6,24 @@ record at a time, in the plainest arithmetic, and tests require the
 kernels to reproduce them: bit for bit for the ego projection, the
 metrics and sample building.
 
-The package takes detections only as a DetectionTable; ``table_of`` and
-``frames_of`` convert between a table and the DetectionFrame list that
-tests write and compare.
+The package takes detections only as a DetectionTable and predictions
+only as a PredictionTable; ``table_of`` / ``frames_of`` and
+``prediction_table_of`` / ``records_of`` convert between a table and the
+DetectionFrame or PredictionRecord list that tests write and compare.
+Sample lines are compared with the TrainingSample that ``build_sample``
+builds one draw at a time.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from navcurate import schema
 from navcurate.errors import AllUndefined, LengthMismatch, NavcurateError, ValidationError
 from navcurate.geometry import (
     DEFAULT_CONVENTION,
@@ -37,10 +42,11 @@ from navcurate.io import (
     DetectionTable,
     LandmarkAnnotation,
     PredictionRecord,
+    PredictionTable,
     TrainingSample,
 )
 from navcurate.metrics import ARRIVAL_THRESHOLD, ZERO_STEP
-from navcurate.sampling import SamplerConfig, _training_sample
+from navcurate.sampling import SamplerConfig
 from navcurate.segmentation import Clip
 
 # ---------------------------------------------------------------------------
@@ -112,6 +118,40 @@ def frames_of(table: DetectionTable) -> list[DetectionFrame]:
     return [
         DetectionFrame(frame, tuple(map(Detection, labels[a:b], bboxes[a:b], scores[a:b])))
         for frame, a, b in zip(table.frames.tolist(), offsets, offsets[1:])
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Prediction tables as lists of records
+# ---------------------------------------------------------------------------
+
+
+def prediction_table_of(records) -> PredictionTable:
+    """The table of a sequence of PredictionRecord, as parse_predictions gives it for their file."""
+    records = list(records)
+    return PredictionTable(
+        "".join(r.sample_id for r in records),
+        np.cumsum([0] + [len(r.sample_id) for r in records]),
+        np.cumsum([0] + [len(r.predicted) for r in records]),
+        np.array([w for r in records for w in r.predicted], dtype=float).reshape(-1, 2),
+        np.array([w for r in records for w in r.ground_truth], dtype=float).reshape(-1, 2),
+        np.array([0.0 if r.predicted_arrival is None else r.predicted_arrival for r in records], dtype=float),
+        np.array([r.predicted_arrival is None for r in records], dtype=bool),
+        np.array([r.arrival_label is True for r in records], dtype=bool),
+        np.array([r.arrival_label is None for r in records], dtype=bool),
+    )
+
+
+def records_of(table: PredictionTable) -> list[PredictionRecord]:
+    """The records of a table in order; an arrival value comes back as a float."""
+    offsets = table.offsets.tolist()
+    predicted = [tuple(w) for w in table.predicted.tolist()]
+    ground_truth = [tuple(w) for w in table.ground_truth.tolist()]
+    arrival = [None if null else p for p, null in zip(table.predicted_arrival.tolist(), table.predicted_arrival_null.tolist())]
+    labels = [None if null else b for b, null in zip(table.arrival_label.tolist(), table.arrival_label_null.tolist())]
+    return [
+        PredictionRecord(sample_id, tuple(predicted[a:b]), tuple(ground_truth[a:b]), p, label)
+        for sample_id, a, b, p, label in zip(map(table.sample_id, range(len(table))), offsets, offsets[1:], arrival, labels)
     ]
 
 
@@ -263,8 +303,38 @@ def build_sample(
     waypoints = tuple(
         to_ego_waypoint(reference, clip.positions[t + (i + 1) * stride], convention) for i in range(k)
     )
-    return _training_sample(
+    return training_sample(
         clip, landmark, t, waypoints, config, sample_id or f"{clip.clip_id}:g{landmark.goal_frame}:t{t}"
+    )
+
+
+def samples_of(lines) -> list[TrainingSample]:
+    """The TrainingSample of each sample line, read back through the schema."""
+    decode = schema.decoder(TrainingSample)
+    return [decode(json.loads(line)) for line in lines]
+
+
+def training_sample(
+    clip: Clip,
+    landmark: LandmarkAnnotation,
+    t: int,
+    waypoints: tuple[tuple[float, float], ...],
+    config: SamplerConfig,
+    sample_id: str,
+) -> TrainingSample:
+    """The sample for start frame t; history frames run back from t in stride steps, clamped at 0."""
+    stride = config.waypoint_stride
+    history = tuple(max(0, t - (config.history_len - 1 - j) * stride) for j in range(config.history_len))
+    t_g = landmark.goal_frame
+    return TrainingSample(
+        sample_id=sample_id,
+        clip_id=clip.clip_id,
+        instruction=landmark.instruction,
+        t=t,
+        t_g=t_g,
+        history_frames=history,
+        waypoints=waypoints,
+        arrival=(t_g - t) <= config.arrival_window,
     )
 
 

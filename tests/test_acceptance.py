@@ -38,7 +38,7 @@ from navcurate.synth import (
 )
 
 from conftest import quat_close
-from oracles import GimbalDegenerate, Pose, pose_at, relative_pose, table_of, to_ego_waypoint
+from oracles import GimbalDegenerate, Pose, pose_at, relative_pose, samples_of, table_of, to_ego_waypoint
 from test_losses import central_diff, nondegenerate_waypoints, rel_error
 from test_metrics import brute_force_frechet, prepend_origin
 
@@ -191,8 +191,8 @@ def test_criterion_06_waypoint_consistency():
             traj = generate(spec)
             clip = segment(traj, 40.0)[0]
             landmarks = generate_landmarks(clip, 2, seed=i)
-            samples, _ = build_clip_samples(clip, landmarks, cfg, CLIP_CONVENTION)
-            for sample in samples:
+            lines, _ = build_clip_samples(clip, landmarks, cfg, CLIP_CONVENTION)
+            for sample in samples_of(lines):
                 s = clip.start_frame
                 ref = pose_at(traj, s + sample.t)
                 for step, stored in enumerate(sample.waypoints, start=1):

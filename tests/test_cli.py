@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -431,7 +432,7 @@ class TestFilterCommand:
 
 
 class TestSamplesCommand:
-    def _run(self, pipeline_dir, out_name="samples.jsonl", workers="1", seed="3"):
+    def _run(self, pipeline_dir, out_name="samples.jsonl", workers="1", seed="3", extra=()):
         report_path = pipeline_dir / "report.json"
         if not report_path.exists():
             assert (
@@ -458,9 +459,38 @@ class TestSamplesCommand:
                 "--seed", seed,
                 "--world-up=-y",
                 "--workers", workers,
+                *extra,
             ]
         )
         return rc, out
+
+    def test_file_equal_at_one_and_two_workers(self, pipeline_dir):
+        extra = ("--draws-per-landmark", "30", "--arrival-fraction", "0.3")
+        rc1, out1 = self._run(pipeline_dir, "w1.jsonl", workers="1", extra=extra)
+        rc2, out2 = self._run(pipeline_dir, "w2.jsonl", workers="2", extra=extra)
+        assert rc1 == rc2 == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        samples = parse_samples(out1)
+        assert len({s.clip_id for s in samples}) > 1
+        assert [s.sample_id for s in samples] == sorted(s.sample_id for s in samples)
+        manifests = [json.loads((p.parent / f"{p.name}.manifest.json").read_text()) for p in (out1, out2)]
+        assert manifests[0]["counts"] == manifests[1]["counts"]
+        assert manifests[0]["counts"]["samples"] == len(samples)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_later_clip_leaves_no_samples_file(self, pipeline_dir, capsys, workers):
+        rc, _ = self._run(pipeline_dir, "probe.jsonl")  # writes the filter report the run below reads
+        assert rc == 0
+        # walk_0003 is the last accepted clip in sorted order: the others build before it fails.
+        pose_file = pipeline_dir / "clips" / "walk_0003.txt"
+        pose_file.write_text("".join(pose_file.read_text().splitlines(keepends=True)[:-5]))
+        capsys.readouterr()
+        rc, out = self._run(pipeline_dir, workers=workers)
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+        assert not out.exists()
+        assert not (pipeline_dir / f"{out.name}.manifest.json").exists()
+        assert not [p.name for p in pipeline_dir.iterdir() if p.name.endswith(".tmp")]
 
     def test_builds_samples_with_manifest(self, pipeline_dir):
         rc, out = self._run(pipeline_dir)
@@ -637,6 +667,30 @@ class TestEvalCommand:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "parse"
         assert json.loads(err[0])["line"] == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("predicted_arrival", 2, {"error": "validation",
+                                      "detail": "/dev/stdin:2: predicted_arrival must be in [0, 1], got 2.0"}),
+            ("predicted", [[math.nan, 0]], {"error": "parse", "path": "/dev/stdin", "line": 2, "detail":
+             "/dev/stdin:2: PredictionRecord has 'predicted[0]' = [NaN, 0.0], expected [number, number]"}),
+        ],
+        ids=["arrival-out-of-range", "nan-waypoint"],
+    )
+    def test_range_fault_read_from_stdin(self, tmp_path, field, value, error):
+        # stdin cannot be read twice: the faulty record is checked from its parsed values, which write 2 as 2.0.
+        good = {"sample_id": "s0", "predicted": [[1.0, 0.0]], "ground_truth": [[1.0, 0.0]]}
+        out = tmp_path / "m.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "navcurate.cli", "eval", "--pred", "/dev/stdin", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            input="".join(json.dumps(obj) + "\n" for obj in [good, {**good, field: value}, good]),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [error]
         assert not out.exists()
 
     def test_non_finite_metric_exits_2(self, tmp_path):

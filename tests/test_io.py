@@ -1,11 +1,15 @@
 import json
+import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcurate.errors import ParseError, ValidationError
+from navcurate import schema
+from navcurate.errors import ParseError, SchemaError, ValidationError
 from navcurate.io import (
     Detection,
     LandmarkAnnotation,
@@ -21,10 +25,11 @@ from navcurate.io import (
     write_pose_file,
     write_predictions,
     write_report,
-    write_samples,
+    write_records,
 )
 
-from oracles import EgoWaypoint, frames_of
+from oracles import EgoWaypoint, frames_of, records_of
+from test_cli_fuzz import POOL, _replaced, _sites
 
 
 class TestPoseFile:
@@ -64,6 +69,21 @@ class TestPoseFile:
         with pytest.raises(ParseError) as exc:
             parse_pose_file(path, fps=30.0)
         assert exc.value.line == 2
+
+    def test_inline_comment_does_not_hide_later_fault(self, tmp_path):
+        # np.loadtxt(comments="#") accepts the inline comment on line 2; the fault is the x on line 4.
+        path = tmp_path / "c2.txt"
+        path.write_text("0.0 0 0 0 0 0 0 1\n0.1 0 0 0 0 0 0 1 # note\n0.2 0 0 0 0 0 0 1\n0.3 x 0 0 0 0 0 1\n")
+        with pytest.raises(ParseError) as exc:
+            parse_pose_file(path, fps=10.0)
+        assert exc.value.line == 4
+        assert "non-numeric field" in str(exc.value)
+
+    def test_inline_comment_parses_as_loadtxt_does(self, tmp_path):
+        path = tmp_path / "c3.txt"
+        path.write_text("0.0 1 2 3 0 0 0 1  # first\n   # indented comment\n0.1 4 5 6 0 0 0 1#tight\n")
+        traj = parse_pose_file(path, fps=10.0)
+        assert np.array_equal(traj.positions, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -287,12 +307,12 @@ class TestSamples:
     def test_round_trip_identity(self, tmp_path):
         samples = [_sample(i) for i in range(3)]
         path = tmp_path / "s.jsonl"
-        write_samples(samples, path)
+        write_records(samples, path)
         assert parse_samples(path) == samples
 
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        write_samples([], path)
+        write_records([], path)
         assert parse_samples(path) == []
 
     def test_malformed_record(self, tmp_path):
@@ -315,7 +335,7 @@ class TestSamples:
     )
     def test_values_never_coerced(self, tmp_path, field, value):
         path = tmp_path / "s.jsonl"
-        write_samples([_sample(0)], path)
+        write_records([_sample(0)], path)
         record = json.loads(path.read_text())
         record[field] = value
         path.write_text(json.dumps(record) + "\n")
@@ -327,7 +347,7 @@ class TestSamples:
     @pytest.mark.parametrize("waypoints", [[["x", 0]], [[1, 0, 5]], [[True, 0]], [[10**400, 0]]])
     def test_malformed_waypoint_is_parse_error(self, tmp_path, waypoints):
         path = tmp_path / "s.jsonl"
-        write_samples([_sample(0)], path)
+        write_records([_sample(0)], path)
         record = json.loads(path.read_text())
         record["waypoints"] = waypoints
         path.write_text(json.dumps(record) + "\n")
@@ -350,7 +370,7 @@ class TestPredictions:
         ]
         path = tmp_path / "p.jsonl"
         write_predictions(records, path)
-        assert parse_predictions(path) == records
+        assert records_of(parse_predictions(path)) == records
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -359,6 +379,117 @@ class TestPredictions:
     def test_arrival_probability_range(self):
         with pytest.raises(ValidationError):
             PredictionRecord("s", (EgoWaypoint(1, 0),), (EgoWaypoint(1, 0),), predicted_arrival=1.5)
+
+
+# Valid prediction lines: floats and ints, an omitted optional pair and a zero arrival.
+VALID_PREDICTIONS = [
+    {"sample_id": "a", "predicted": [[0.4, 0], [0.8, 0.1]], "ground_truth": [[0.5, 0.0], [1, 0.2]],
+     "predicted_arrival": 0.7, "arrival_label": True},
+    {"sample_id": "b", "predicted": [[1, 2]], "ground_truth": [[0.0, 0.0]]},
+    {"sample_id": "c", "predicted": [[1.5, -0.5]], "ground_truth": [[1.0, 0.5]], "predicted_arrival": 0,
+     "arrival_label": None},
+]
+# The fuzz pool plus values that are well typed but break a range rule.
+PARITY_POOL = POOL + [1.5, -0.25, "", []]
+
+
+def _decoder_outcome(obj, path, lineno):
+    """(error class, message) that schema.decoder(PredictionRecord) gives for the record on line lineno, or None."""
+    try:
+        schema.decoder(PredictionRecord)(obj)
+    except SchemaError as exc:
+        return ParseError, f"{path}:{lineno}: {exc}"
+    except ValidationError as exc:
+        return ValidationError, f"{path}:{lineno}: {exc}"
+    return None
+
+
+def _parse_outcome(path):
+    try:
+        return records_of(parse_predictions(path))
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPredictionParity:
+    """parse_predictions fails on exactly the lines, with exactly the errors, of the per-record schema decoder."""
+
+    @pytest.mark.parametrize("index", range(len(VALID_PREDICTIONS)))
+    def test_every_mutation_matches_the_decoder(self, tmp_path, index):
+        path = tmp_path / "p.jsonl"
+        valid = VALID_PREDICTIONS[index]
+        cases = 0
+        for site in _sites(valid):
+            for value in PARITY_POOL:
+                mutated = _replaced(valid, site, value)
+                lines = [VALID_PREDICTIONS[(index + 1) % 3], mutated, VALID_PREDICTIONS[(index + 2) % 3]]
+                path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+                want = _decoder_outcome(json.loads(json.dumps(mutated)), path, 2)
+                if want is None:
+                    decode = schema.decoder(PredictionRecord)
+                    want = [decode(json.loads(json.dumps(obj))) for obj in lines]
+                assert _parse_outcome(path) == want, (site, value)
+                cases += 1
+        assert cases >= 7 * len(list(_sites(valid)))
+
+    @pytest.mark.parametrize(
+        "early, message",
+        [
+            ({"predicted": [[0.4, 0], [math.nan, 0]]}, "PredictionRecord has 'predicted[1]' = [NaN, 0], expected [number, number]"),
+            ({"ground_truth": [[math.inf, 0], [1, 0.2]]}, "PredictionRecord has 'ground_truth[0]' = [Infinity, 0], expected [number, number]"),
+            ({"predicted_arrival": 1.5}, "predicted_arrival must be in [0, 1], got 1.5"),
+        ],
+        ids=["nan-waypoint", "infinite-waypoint", "arrival-out-of-range"],
+    )
+    @pytest.mark.parametrize("late", ['{"sample_id": true}', "{not json"], ids=["type-fault", "invalid-json"])
+    def test_range_fault_before_a_later_fault_is_reported_first(self, tmp_path, early, message, late):
+        path = tmp_path / "p.jsonl"
+        lines = [VALID_PREDICTIONS[1], {**VALID_PREDICTIONS[0], **early}, VALID_PREDICTIONS[2], VALID_PREDICTIONS[1]]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines) + late + "\n")
+        kind = ValidationError if "predicted_arrival" in early else ParseError
+        assert _parse_outcome(path) == (kind, f"{path}:2: {message}")
+
+    def test_table_columns(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n\n" for obj in VALID_PREDICTIONS))
+        table = parse_predictions(path)
+        assert len(table) == 3
+        assert [table.sample_id(i) for i in range(3)] == ["a", "b", "c"]
+        assert (table.id_text, table.id_offsets.tolist()) == ("abc", [0, 1, 2, 3])
+        assert table.offsets.tolist() == [0, 2, 3, 4]
+        assert table.predicted.tolist() == [[0.4, 0.0], [0.8, 0.1], [1.0, 2.0], [1.5, -0.5]]
+        assert table.predicted_arrival_null.tolist() == [False, True, False]
+        assert table.arrival_label_null.tolist() == [False, True, True]
+        assert table.arrival_label.tolist() == [True, False, False]
+        assert not table.predicted.flags.writeable
+
+    @pytest.mark.parametrize(
+        "early, kind, message",
+        [
+            ({"predicted": [[0.4, 0], [math.nan, 0]]}, ParseError,
+             "PredictionRecord has 'predicted[1]' = [NaN, 0.0], expected [number, number]"),
+            ({"predicted_arrival": 1.5}, ValidationError, "predicted_arrival must be in [0, 1], got 1.5"),
+        ],
+        ids=["nan-waypoint", "arrival-out-of-range"],
+    )
+    def test_range_fault_in_a_pipe_keeps_the_error_class(self, tmp_path, early, kind, message):
+        # A pipe cannot be read twice: the record is built from its parsed values.
+        path = tmp_path / "p.fifo"
+        os.mkfifo(path)
+        lines = [VALID_PREDICTIONS[1], {**VALID_PREDICTIONS[0], **early}, VALID_PREDICTIONS[2]]
+        writer = threading.Thread(target=path.write_text, args=("".join(json.dumps(obj) + "\n" for obj in lines),), daemon=True)
+        writer.start()
+        try:
+            assert _parse_outcome(path) == (kind, f"{path}:2: {message}")
+        finally:
+            writer.join(timeout=10)
+
+    def test_empty_file_gives_empty_table(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text("\n")
+        table = parse_predictions(path)
+        assert len(table) == 0
+        assert table.predicted.shape == (0, 2)
 
 
 class TestCrashSafeWrites:
@@ -461,7 +592,7 @@ def _training_sample(draw):
 @given(st.lists(_training_sample(), max_size=5))
 def test_sample_round_trip_property(tmp_path_factory, samples):
     path = tmp_path_factory.mktemp("samples") / "s.jsonl"
-    write_samples(samples, path)
+    write_records(samples, path)
     assert parse_samples(path) == samples
 
 
@@ -483,4 +614,4 @@ def _prediction(draw):
 def test_prediction_round_trip_property(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("pred") / "p.jsonl"
     write_predictions(records, path)
-    assert parse_predictions(path) == records
+    assert records_of(parse_predictions(path)) == records

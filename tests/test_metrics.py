@@ -10,7 +10,7 @@ from navcurate.io import PredictionRecord
 from navcurate.metrics import MetricReport, ade, aoe, discrete_frechet, evaluate, maoe
 
 import oracles
-from oracles import EgoWaypoint, orientation_errors, sample_metrics, step_directions
+from oracles import EgoWaypoint, orientation_errors, prediction_table_of, sample_metrics, step_directions
 
 
 def brute_force_frechet(P, Q):
@@ -206,7 +206,7 @@ class TestEvaluate:
     def test_perfect_records(self):
         wps = [(1.0, 0.0), (2.0, 0.0)]
         records = [record(wps, wps, f"s{i}", 0.9, True) for i in range(3)]
-        report = evaluate(records)
+        report = evaluate(prediction_table_of(records))
         assert report.n_samples == 3
         assert report.aoe_deg == 0.0
         assert report.maoe_deg == 0.0
@@ -217,29 +217,29 @@ class TestEvaluate:
     def test_mean_ade(self):
         a = record([(1.0, 0.0)], [(0.0, 0.0)], "a")
         b = record([(2.0, 0.0)], [(0.0, 0.0)], "b")
-        report = evaluate([a, b])
+        report = evaluate(prediction_table_of([a, b]))
         assert report.ade_m == pytest.approx(1.5)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            evaluate([])
+            evaluate(prediction_table_of([]))
 
     def test_arrival_threshold(self):
         r1 = record([(1.0, 0.0)], [(1.0, 0.0)], "a", predicted_arrival=0.5, arrival_label=True)
         r2 = record([(1.0, 0.0)], [(1.0, 0.0)], "b", predicted_arrival=0.49, arrival_label=True)
-        report = evaluate([r1, r2])
+        report = evaluate(prediction_table_of([r1, r2]))
         assert report.arrival_accuracy == pytest.approx(0.5)
         assert report.n_arrival_scored == 2
 
     def test_unlabeled_records_not_scored(self):
-        report = evaluate([record([(1.0, 0.0)], [(1.0, 0.0)], "a")])
+        report = evaluate(prediction_table_of([record([(1.0, 0.0)], [(1.0, 0.0)], "a")]))
         assert report.arrival_accuracy is None
         assert report.n_arrival_scored == 0
 
     def test_orientation_excluded_counted(self):
         stuck = record([(0.0, 0.0), (0.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)], "stuck")
         moving = record([(1.0, 0.0)], [(1.0, 0.0)], "ok")
-        report = evaluate([stuck, moving])
+        report = evaluate(prediction_table_of([stuck, moving]))
         assert report.n_orientation_excluded == 1
         assert report.aoe_deg == 0.0
 
@@ -247,7 +247,7 @@ class TestEvaluate:
         records = [
             record(rng.uniform(-3, 3, (8, 2)), rng.uniform(-3, 3, (8, 2)), f"s{i}") for i in range(10)
         ]
-        assert evaluate(records) == evaluate(records)
+        assert evaluate(prediction_table_of(records)) == evaluate(prediction_table_of(records))
 
     @pytest.mark.parametrize(
         "pred, gt",
@@ -261,11 +261,12 @@ class TestEvaluate:
         ok = record([(1.0, 0.0)], [(1.0, 0.0)], "ok")
         # Runs with RuntimeWarning as an error (pyproject.toml), so a warning from the kernels fails here too.
         with pytest.raises(ValidationError, match="'bad1'"):
-            evaluate([ok, record(pred, gt, "bad1"), record(pred, gt, "bad2")])
+            evaluate(prediction_table_of([ok, record(pred, gt, "bad1"), record(pred, gt, "bad2")]))
 
     def test_plain_pair_waypoints(self):
         pairs = PredictionRecord("p", ((1.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (2.0, 0.0)), 0.2, False)
-        assert evaluate([pairs]) == evaluate([record([(1.0, 0.0), (1.0, 1.0)], [(1.0, 0.0), (2.0, 0.0)], "p", 0.2, False)])
+        expected = record([(1.0, 0.0), (1.0, 1.0)], [(1.0, 0.0), (2.0, 0.0)], "p", 0.2, False)
+        assert evaluate(prediction_table_of([pairs])) == evaluate(prediction_table_of([expected]))
 
     def test_sample_metrics_fields(self):
         m = sample_metrics(record([(1.0, 0.0)], [(0.0, 1.0)], "x", 0.2, False))
@@ -326,7 +327,7 @@ def _eval_record(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_eval_record(), min_size=1, max_size=12))
 def test_evaluate_equals_sample_metrics_fold(records):
-    assert repr(evaluate(records)) == repr(fold_sample_metrics(records))
+    assert repr(evaluate(prediction_table_of(records))) == repr(fold_sample_metrics(records))
 
 
 def test_evaluate_equals_fold_across_batches(rng):
@@ -343,7 +344,7 @@ def test_evaluate_equals_fold_across_batches(rng):
         records.append(
             record(pred, gt, f"s{i}", None if i % 5 == 0 else float(rng.random()), None if i % 11 == 0 else bool(i % 2))
         )
-    assert repr(evaluate(records)) == repr(fold_sample_metrics(records))
+    assert repr(evaluate(prediction_table_of(records))) == repr(fold_sample_metrics(records))
 
 
 def _waypoints(k):

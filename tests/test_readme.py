@@ -13,7 +13,7 @@ def test_python_example_runs(tmp_path):
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    # The example writes its detection file to the working directory.
+    # The example writes its detection and prediction files to the working directory.
     proc = subprocess.run(
         [sys.executable, "-c", blocks[0]], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )

@@ -1,8 +1,14 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navcurate.errors import ValidationError
-from navcurate.io import LandmarkAnnotation, RawTrajectory, write_samples
+from navcurate import sampling
+from navcurate.io import LandmarkAnnotation, RawTrajectory, _record_json, write_samples
 from navcurate.sampling import (
     CLIP_SKIP_REASONS,
     SamplerConfig,
@@ -14,21 +20,36 @@ from navcurate.sampling import (
 from navcurate.segmentation import Clip, segment
 from navcurate.synth import CLIP_CONVENTION, RAW_CONVENTION, SynthSpec, generate, generate_landmarks
 
-from oracles import GimbalDegenerate, OutOfBounds, build_sample, pose_at, quat_between, to_ego_waypoint
+from oracles import (
+    GimbalDegenerate,
+    OutOfBounds,
+    build_sample,
+    pose_at,
+    quat_between,
+    samples_of,
+    to_ego_waypoint,
+    training_sample,
+)
 
 
 def landmark(clip_id="walk_0000", goal_frame=100, text="go to the kiosk"):
     return LandmarkAnnotation(clip_id, goal_frame, (0.0, 0.0, 10.0, 10.0), "kiosk", text)
 
 
-def corpus(clips, landmarks, accepted, config):
-    """Samples and skip counts over clips, the accepted ones built in process."""
+def corpus_lines(clips, landmarks, accepted, config):
+    """Sample lines and skip counts over clips, the accepted ones built in process."""
     return collect_samples(
         [c.clip_id for c in clips],
         landmarks,
         {c.clip_id for c in accepted},
         lambda pairs: [build_clip_samples(clips[i], lms, config, CLIP_CONVENTION) for i, lms in pairs],
     )
+
+
+def corpus(clips, landmarks, accepted, config):
+    """The samples of corpus_lines read back, and the skip counts."""
+    lines, skipped = corpus_lines(clips, landmarks, accepted, config)
+    return samples_of(lines), skipped
 
 
 class TestSamplerConfig:
@@ -207,9 +228,9 @@ class TestBuildCorpus:
         clip, landmarks = self._fixture()
         paths = []
         for name in ("a.jsonl", "b.jsonl"):
-            samples, _ = corpus([clip], landmarks, [clip], SamplerConfig(seed=11))
+            lines, _ = corpus_lines([clip], landmarks, [clip], SamplerConfig(seed=11))
             path = tmp_path / name
-            write_samples(samples, path)
+            write_samples(lines, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -294,18 +315,128 @@ class TestBatchEquivalence:
         ],
         ids=["stride1", "stride3"],
     )
-    def test_matches_per_draw_build_sample(self, tmp_path, convention, config):
+    def test_matches_per_draw_build_sample(self, convention, config):
         clip = pitched_clip(convention)
         landmarks = generate_landmarks(clip, 12, seed=3) + [
             landmark(clip.clip_id, goal)
             for goal in (5, 130, 150, 340, 355, len(clip) - 1, len(clip) + 100)
         ]
-        samples, skipped = build_clip_samples(clip, landmarks, config, convention)
+        lines, skipped = build_clip_samples(clip, landmarks, config, convention)
         want_samples, want_skipped = per_draw_reference(clip, landmarks, config, convention)
-        assert samples == want_samples
+        assert lines == [_record_json(s) + "\n" for s in want_samples]
         assert skipped == want_skipped
         assert all(skipped[reason] > 0 for reason in CLIP_SKIP_REASONS)
-        assert any(w == (0.0, 0.0) for s in samples for w in s.waypoints)
-        write_samples(samples, tmp_path / "batch.jsonl")
-        write_samples(want_samples, tmp_path / "scalar.jsonl")
-        assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "scalar.jsonl").read_bytes()
+        assert any(w == (0.0, 0.0) for s in want_samples for w in s.waypoints)
+
+
+# Characters json escapes or writes as \uXXXX: quote, backslash, control
+# characters, non-ASCII, a non-BMP character and the line separators.
+SPECIAL_CHARS = ['"', "\\", "\x00", "\x07", "\n", "\t", "\x1f", "\x7f", "\xe9", "\u4e2d", "\U0001f600", "\u2028", "\u2029", "a"]
+_special_text = st.text(alphabet=st.one_of(st.sampled_from(SPECIAL_CHARS), st.characters()), min_size=1, max_size=8)
+# Floats whose repr is easy to get wrong: signed zero, the smallest subnormal, exponent forms.
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 0.1, 123456789.0, 1.7976931348623157e308]
+
+
+def line_clip(clip_id, n=80):
+    """A clip standing at (0, 0, f) with identity orientation in frame f, so a start frame is its z coordinate."""
+    positions = np.zeros((n, 3))
+    positions[:, 2] = np.arange(n)
+    quats = np.tile([0.0, 0.0, 0.0, 1.0], (n, 1))
+    return Clip(clip_id, "src", 10.0, np.arange(n) / 10.0, positions, quats, 0)
+
+
+def pooled_waypoints(pool, t, k):
+    """The stand-in waypoints of start frame t: pool entries at t + 2i and t + 2i + 1."""
+    return tuple((pool[(t + 2 * i) % len(pool)], pool[(t + 2 * i + 1) % len(pool)]) for i in range(k))
+
+
+def pooled_projection(pool):
+    """An ego_waypoints_many for line_clip giving pooled_waypoints; starts t = 3 (mod 7) are degenerate."""
+
+    def project(quats, origins, targets, convention):
+        starts = origins[:, 2].astype(int).tolist()
+        k = targets.shape[1]
+        waypoints = np.array([pooled_waypoints(pool, t, k) for t in starts], dtype=float).reshape(len(starts), k, 2)
+        defined = np.array([t % 7 != 3 for t in starts])
+        waypoints[~defined] = 0.0
+        return waypoints, defined
+
+    return project
+
+
+def pooled_reference(clip, landmarks, config, pool):
+    """The expected lines and skips of build_clip_samples on line_clip under pooled_projection, one draw at a time."""
+    lines = []
+    skipped = dict.fromkeys(CLIP_SKIP_REASONS, 0)
+    for lm_idx, lm in enumerate(landmarks):
+        if lm.goal_frame >= len(clip):
+            skipped["goal_out_of_bounds"] += 1
+            continue
+        for draw in range(config.draws_per_landmark):
+            t = draw_start(lm.goal_frame, config, draw_rng(config.seed, clip.clip_id, lm_idx, draw))
+            if t is None:
+                skipped["infeasible"] += 1
+            elif t + config.horizon * config.waypoint_stride >= len(clip):
+                skipped["out_of_bounds"] += 1
+            elif t % 7 == 3:
+                skipped["gimbal_degenerate"] += 1
+            else:
+                waypoints = pooled_waypoints(pool, t, config.horizon)
+                sample = training_sample(clip, lm, t, waypoints, config, f"{clip.clip_id}:{lm_idx:04d}:{draw:02d}")
+                lines.append(_record_json(sample) + "\n")
+    return lines, skipped
+
+
+def pooled_lines(clip, landmarks, config, pool):
+    with mock.patch.object(sampling, "ego_waypoints_many", pooled_projection(pool)):
+        return build_clip_samples(clip, landmarks, config, CLIP_CONVENTION)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    clip_id=_special_text,
+    goals=st.lists(st.tuples(st.integers(0, 90), _special_text), min_size=1, max_size=4),
+    pool=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=6),
+    config=st.builds(
+        SamplerConfig,
+        history_len=st.integers(1, 12),
+        horizon=st.integers(1, 6),
+        min_offset=st.integers(3, 12),
+        max_offset=st.just(30),
+        arrival_window=st.integers(0, 2),
+        arrival_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+        waypoint_stride=st.integers(1, 3),
+        draws_per_landmark=st.integers(1, 4),
+        seed=st.integers(0, 2**64 - 1),
+    ),
+)
+def test_sample_lines_are_the_schema_writer_bytes(clip_id, goals, pool, config):
+    clip = line_clip(clip_id)
+    landmarks = [LandmarkAnnotation(clip_id, goal, (0.0, 0.0, 1.0, 1.0), "n", text) for goal, text in goals]
+    assert pooled_lines(clip, landmarks, config, pool) == pooled_reference(clip, landmarks, config, pool)
+
+
+def test_sample_lines_cover_clamped_history_and_both_arrivals():
+    clip = line_clip('say "hi"\\ ')
+    landmarks = [LandmarkAnnotation(clip.clip_id, goal, (0.0, 0.0, 1.0, 1.0), "n", "go \"there\"\x01é") for goal in (12, 40)]
+    config = SamplerConfig(history_len=10, horizon=3, arrival_fraction=0.5, draws_per_landmark=12, seed=4)
+    lines, skipped = pooled_lines(clip, landmarks, config, SPECIAL_FLOATS)
+    assert (lines, skipped) == pooled_reference(clip, landmarks, config, SPECIAL_FLOATS)
+    samples = samples_of(lines)
+    assert {s.arrival for s in samples} == {True, False}
+    assert any(s.history_frames[0] == 0 for s in samples)
+    assert {w for s in samples for pair in s.waypoints for w in pair} >= {5e-324, 1e16}
+    assert any(math.copysign(1.0, w) < 0 and w == 0.0 for s in samples for pair in s.waypoints for w in pair)
+    assert skipped["gimbal_degenerate"] > 0
+
+
+def test_non_finite_waypoint_names_the_sample():
+    clip = line_clip("far")
+    positions = clip.positions.copy()
+    positions[1:, 0] = 1.7e308
+    positions[40:, 0] = -1.7e308  # the x offset from a start before frame 40 to a target after it overflows
+    clip = Clip("far", "src", 10.0, clip.timestamps, positions, clip.quaternions, 0)
+    landmarks = [LandmarkAnnotation("far", 45, (0.0, 0.0, 1.0, 1.0), "n", "go")]
+    config = SamplerConfig(min_offset=5, max_offset=6, arrival_fraction=0.0)
+    with pytest.raises(ValidationError, match=r"^sample 'far:0000:00' has a non-finite waypoint"):
+        build_clip_samples(clip, landmarks, config, CLIP_CONVENTION)

@@ -39,7 +39,7 @@ from navcurate.sampling import SamplerConfig
 from navcurate.segmentation import ClipEntry, read_manifest, save_clips, segment
 from navcurate.synth import DetectionBlock, DetectionSpan, LandmarkBlock, SynthFile, SynthSpec, generate
 
-from oracles import EgoWaypoint, frames_of
+from oracles import EgoWaypoint, frames_of, records_of
 
 # One value of each wrong JSON type: a boolean, a numeric string, null, a
 # float and a nested list. A case is skipped where the field accepts it.
@@ -49,13 +49,17 @@ def parse_detection_frames(path):
     return frames_of(parse_detections(path))
 
 
+def parse_prediction_records(path):
+    return records_of(parse_predictions(path))
+
+
 RECORDS = [
     (LandmarkAnnotation("c", 3, (0.0, 0.0, 1.0, 1.0), "n", "go"), parse_landmarks),
     (
         TrainingSample("s", "c", "go", 4, 9, (2, 3, 4), ((1.0, 0.5), (2.0, 1.0)), False),
         parse_samples,
     ),
-    (PredictionRecord("s", ((1.0, 0.0),), ((1.0, 0.5),), 0.5, True), parse_predictions),
+    (PredictionRecord("s", ((1.0, 0.0),), ((1.0, 0.5),), 0.5, True), parse_prediction_records),
     (DetectionFrame(3, (Detection("person", (0.0, 0.0, 1.0, 1.0), 0.9),)), parse_detection_frames),
 ]
 
