@@ -217,6 +217,8 @@ def cmd_synth(args) -> int:
     doc = _load_json(args.spec)
     spec = schema.load(SynthFile, doc)
     traj = generate(spec.trajectory)
+    # Counts past MAX_BOXES raise here, before anything is written.
+    per_frame = spec.detections.counts(len(traj)) if spec.detections is not None else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -225,11 +227,11 @@ def cmd_synth(args) -> int:
     outputs["poses"] = poses_file
     counts = {"poses": len(traj)}
 
-    if spec.detections is not None:
-        frames = generate_detections(len(traj), spec.detections.counts(len(traj)))
-        tio.write_detections(frames, out_dir / "detections.jsonl")
+    if per_frame is not None:
+        table = generate_detections(len(traj), per_frame)
+        tio.write_detections(table, out_dir / "detections.jsonl")
         outputs["detections"] = "detections.jsonl"
-        counts["detection_frames"] = len(frames)
+        counts["detection_frames"] = len(table)
 
     if spec.landmarks is not None:
         landmarks = []

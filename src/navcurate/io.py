@@ -15,14 +15,14 @@ Record files (JSON lines, one compact record per line):
     record's schema: field names are the keys in order, annotations the
     exact JSON types (see :mod:`navcurate.schema`). ``parse_landmarks``
     and ``parse_samples`` read every line through ``schema.decoder``;
-    ``write_records`` (and its aliases ``write_landmarks``,
-    ``write_detections``, ``write_predictions``) writes the fields back in
-    order. Each constructor checks its fields with ``schema.check``, so a
-    record built in code obeys the same exact types as one read from a
-    file. A line of the wrong shape or JSON type raises ParseError with
-    its line number; a well-typed record that breaks an invariant of its
-    dataclass (an empty instruction, bbox corners out of order) raises
-    ValidationError naming ``path:line``. Keys that are not fields are
+    ``write_records`` (and its aliases ``write_landmarks`` and
+    ``write_predictions``) writes the fields back in order. Each
+    constructor checks its fields with ``schema.check``, so a record built
+    in code obeys the same exact types as one read from a file. A line of
+    the wrong shape or JSON type raises ParseError with its line number; a
+    well-typed record that breaks an invariant of its dataclass (an empty
+    instruction, bbox corners out of order) raises ValidationError naming
+    ``path:line``. Keys that are not fields are
     ignored. Waypoints are tuples of ``(x, y)`` tuples of finite numbers,
     which json writes as ``[x, y]``.
 
@@ -35,11 +35,13 @@ gives a :class:`PredictionTable` (waypoints in flat arrays, arrival values
 with null masks) and fails on the same line, with the same error class
 and message, as decoding each line through the schema would.
 :class:`Detection`, :class:`DetectionFrame` and :class:`PredictionRecord`
-stay the schema: the records the writers write, and the constructors whose
-messages name a fault the parsers find. Sample files are written, not
-read, at scale: :func:`write_samples` takes the lines that
-``sampling.build_clip_samples`` formats from arrays, byte for byte what
-``write_records`` gives for the equal :class:`TrainingSample`.
+stay the schema: the scalar records the tests compare the tables with,
+and the constructors whose messages name a fault that the parsers (or
+:func:`write_detections`) find. Detection and sample files are written
+from columns, not records: :func:`write_detections` formats a
+DetectionTable's lines from its columns, and :func:`write_samples` takes
+the lines that ``sampling.build_clip_samples`` formats from arrays. Each
+writes byte for byte what ``write_records`` writes for the equal records.
 Detection frame indices count frames of the source trajectory; duplicate
 frames merge by concatenation in file order (the one documented repair).
 
@@ -225,6 +227,7 @@ class DetectionTable:
             or np.any(offsets[1:] < offsets[:-1])
             or np.any(frames[1:] <= frames[:-1])
             or (m and not 0 <= labels.min() <= labels.max() < len(names))
+            or any(type(name) is not str for name in names)
         ):
             raise ValidationError("inconsistent detection table arrays")
         columns = {"frames": frames, "offsets": offsets, "labels": labels, "scores": scores, "bboxes": bboxes}
@@ -595,7 +598,7 @@ def _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, 
     Returns the record columns (frames, ends, labels, names, scores,
     bboxes). The first record holding an out-of-range value raises
     ParseError naming its line, with the message of the constructor that
-    rejects it: Detection for its first bad box, else DetectionFrame.
+    rejects it (see :func:`_range_fault`).
     """
     n = len(ends)
     m = ends[-1] if n else 0
@@ -604,6 +607,22 @@ def _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, 
     labels = np.frombuffer(labels, dtype=np.int64, count=m)
     scores = np.frombuffer(scores, dtype=float, count=m)
     bboxes = np.frombuffer(bboxes, dtype=float, count=4 * m).reshape(m, 4)
+    names = tuple(names)
+    fault = _range_fault(frames, ends, labels, names, scores, bboxes)
+    if fault is not None:
+        r, exc = fault
+        raise ParseError(str(exc) if exc else "invalid detection record", path=str(path), line=lines[r])
+    return frames, ends, labels, names, scores, bboxes
+
+
+def _range_fault(frames, ends, labels, names, scores, bboxes):
+    """The first record holding an out-of-range value, as (index, error), or None.
+
+    Record r holds box rows ``ends[r - 1]:ends[r]``. The error is the one
+    building the record raises: Detection's for its first bad box, else
+    DetectionFrame's (None if neither rejects it).
+    """
+    m = scores.shape[0]
     bad_box = ~(
         np.isfinite(bboxes).all(axis=1)
         & (bboxes[:, 0] <= bboxes[:, 2])
@@ -615,17 +634,17 @@ def _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, 
     box = int(np.argmax(bad_box)) if bad_box.any() else m  # the first bad box row, m if none
     if box < m:
         bad[np.searchsorted(ends, box, side="right")] = True
-    if bad.any():
-        r = int(np.argmax(bad))
-        try:
-            # A record with a bad frame and a bad box reports the box, as building the record would.
-            if box < ends[r]:
-                Detection(list(names)[labels[box]], bboxes[box].tolist(), scores[box].item())
-            DetectionFrame(int(frames[r]), ())
-        except ValidationError as exc:
-            raise ParseError(str(exc), path=str(path), line=lines[r]) from None
-        raise ParseError("invalid detection record", path=str(path), line=lines[r])
-    return frames, ends, labels, tuple(names), scores, bboxes
+    if not bad.any():
+        return None
+    r = int(np.argmax(bad))
+    try:
+        # A record with a bad frame and a bad box reports the box, as building the record would.
+        if box < ends[r]:
+            Detection(names[labels[box]], bboxes[box].tolist(), scores[box].item())
+        DetectionFrame(int(frames[r]), ())
+    except ValidationError as exc:
+        return r, exc
+    return r, None
 
 
 def parse_predictions(path) -> PredictionTable:
@@ -766,7 +785,42 @@ def write_records(records, path) -> None:
     _write_text(path, "".join([_record_json(r) + "\n" for r in records]))
 
 
-write_detections = write_landmarks = write_predictions = write_records
+write_landmarks = write_predictions = write_records
+
+_BOX_FORMAT = '{"label":%s,"bbox":[%s,%s,%s,%s],"score":%s}'
+
+
+def write_detections(table: DetectionTable, path) -> None:
+    """Write a DetectionTable as detection records, one line per frame.
+
+    The lines are formatted from the columns, byte for byte what
+    write_records writes for the table's DetectionFrames: each label
+    escaped by json, each float written by its repr. A value that the
+    Detection or DetectionFrame constructor rejects (a NaN, corners out of
+    order, a negative frame) raises that constructor's error, and no file
+    is written.
+    """
+    fault = _range_fault(table.frames, table.offsets[1:], table.labels, table.names, table.scores, table.bboxes)
+    if fault is not None:
+        raise fault[1] or ValidationError("invalid detection record")
+    counts = np.diff(table.offsets)
+    n, m = len(table), len(table.scores)
+    # Each distinct float is formatted once; comparing bits, not values, keeps -0.0 apart from 0.0.
+    bits, inverse = np.unique(np.column_stack([table.bboxes, table.scores]).view(np.int64), return_inverse=True)
+    floats = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    inverse = inverse.reshape(m, 5)
+    # One %-format over the whole file: each frame's number, then six values per box.
+    values = np.empty(n + 6 * m, dtype=object)
+    values[table.offsets[:-1] * 6 + np.arange(n)] = table.frames
+    at = 6 * np.arange(m) + np.repeat(np.arange(n), counts) + 1  # where each box's values start
+    values[at] = np.array(list(map(json.dumps, table.names)), dtype=object)[table.labels]
+    for k in range(5):
+        values[at + 1 + k] = floats[inverse[:, k]]
+    del at, inverse
+    formats = {c: '{"frame":%d,"detections":[' + ",".join([_BOX_FORMAT] * c) + "]}\n" for c in set(counts.tolist())}
+    text = "".join(map(formats.__getitem__, counts.tolist())) % tuple(values.tolist())
+    del values  # before the write encodes the text
+    _write_text(path, text)
 
 
 def write_samples(lines, path) -> None:

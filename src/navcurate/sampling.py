@@ -86,7 +86,9 @@ class SamplerConfig:
 
 
 def _clip_key(clip_id: str) -> int:
-    return int.from_bytes(hashlib.sha256(clip_id.encode("utf-8")).digest()[:8], "big")
+    # A JSON id may hold a lone surrogate (the escape \ud800); surrogatepass keys it
+    # instead of raising, and leaves every valid UTF-8 id's key as it was.
+    return int.from_bytes(hashlib.sha256(clip_id.encode("utf-8", "surrogatepass")).digest()[:8], "big")
 
 
 def _keyed_rng(seed: int, clip_key: int, landmark_ordinal: int, draw_ordinal: int) -> np.random.Generator:

@@ -19,6 +19,14 @@ poses):
                     and back (triangular profile); the body keeps walking
     stationary      a fixed pose
     composite       parts chained end-to-end with ground-plane continuity
+
+Detections are person boxes of fixed geometry, a per-frame count of them
+(see DetectionBlock), generated as a DetectionTable. A spec is bounded: a
+stream holds at most MAX_POSES poses (summed over a composite's parts),
+which SynthSpec checks, and at most MAX_BOXES detection boxes, which
+DetectionBlock.counts checks. Past either bound they raise InvalidSpec
+naming the field; the ``synth`` command calls both before it writes
+anything.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .geometry import (
     quat_multiply,
     quat_rotate,
 )
-from .io import Detection, DetectionFrame, LandmarkAnnotation, RawTrajectory
+from .io import DetectionTable, LandmarkAnnotation, RawTrajectory
 from .sampling import draw_rng
 from .segmentation import Clip
 
@@ -49,6 +57,8 @@ __all__ = [
     "LandmarkBlock",
     "RAW_CONVENTION",
     "CLIP_CONVENTION",
+    "MAX_POSES",
+    "MAX_BOXES",
     "generate",
     "generate_detections",
     "generate_landmarks",
@@ -65,6 +75,11 @@ RAW_CONVENTION = AxisConvention(camera_forward="+z", world_up="+z")
 #: Frame of clips cut from generated trajectories: re-anchoring maps the
 #: world axes onto the frame-0 camera axes, so "up" becomes camera -y.
 CLIP_CONVENTION = AxisConvention(camera_forward="+z", world_up="-y")
+
+#: Most poses one stream may hold (about 93 h at 30 fps); synth needs ~0.6 KB of memory per pose.
+MAX_POSES = 10_000_000
+#: Most detection boxes one stream may hold, summed over its frames.
+MAX_BOXES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -105,6 +120,19 @@ class SynthSpec:
                 raise InvalidSpec("composite parts must share one fps")
             if any(p.kind == "composite" for p in self.parts):
                 raise InvalidSpec("composite parts cannot nest")
+            if self.poses > MAX_POSES:
+                raise InvalidSpec(f"composite parts hold more than MAX_POSES = {MAX_POSES} poses")
+        elif not math.isfinite(self.duration_s * self.fps) or self.poses > MAX_POSES:
+            raise InvalidSpec(
+                f"duration_s {self.duration_s!r} at fps {self.fps!r} gives more than MAX_POSES = {MAX_POSES} poses"
+            )
+
+    @property
+    def poses(self) -> int:
+        """The stream's pose count: round(duration_s * fps), summed over a composite's parts."""
+        if self.kind == "composite":
+            return sum(p.poses for p in self.parts)
+        return round(self.duration_s * self.fps)
 
 
 @dataclass(frozen=True)
@@ -134,13 +162,28 @@ class DetectionBlock:
         if self.schedule is not None and any(c < 0 for c in self.schedule):
             raise InvalidSpec("detection schedule counts must be non-negative")
 
-    def counts(self, n_frames: int) -> list[int]:
+    def counts(self, n_frames: int) -> np.ndarray:
+        """The (n_frames,) int64 person count of each frame of an n_frames stream.
+
+        The schedule is cut or zero-padded to n_frames; spans are applied in
+        turn over zeros, a later span overwriting an earlier one. Raises
+        InvalidSpec when the counts sum to more than MAX_BOXES.
+        """
+        counts = np.zeros(n_frames, dtype=np.int64)
         if self.schedule is not None:
-            return list(self.schedule)
-        counts = [0] * n_frames
-        for span in self.spans:
-            for f in range(span.start, min(span.start + span.frames, n_frames)):
-                counts[f] = span.count
+            field = "detections.schedule"
+            head = self.schedule[:n_frames]
+            if max(head, default=0) > MAX_BOXES:
+                raise InvalidSpec(f"{field} holds a count above MAX_BOXES = {MAX_BOXES}")
+            counts[: len(head)] = head
+        else:
+            field = "detections.spans"
+            for span in self.spans:
+                # Any count above MAX_BOXES breaks the bound; clamping keeps it inside int64.
+                counts[span.start : span.start + span.frames] = min(span.count, MAX_BOXES + 1)
+        total = int(counts.sum())
+        if total > MAX_BOXES:
+            raise InvalidSpec(f"{field} gives {total} boxes over {n_frames} frames, more than MAX_BOXES = {MAX_BOXES}")
         return counts
 
 
@@ -187,7 +230,7 @@ def generate(spec: SynthSpec) -> RawTrajectory:
     """Produce the closed-form pose stream for a spec (frames of RAW_CONVENTION)."""
     if spec.kind == "composite":
         return _generate_composite(spec)
-    n = int(round(spec.duration_s * spec.fps))
+    n = spec.poses
     if n < 1:
         raise InvalidSpec(f"duration {spec.duration_s} s at fps {spec.fps} yields no frames")
     t = np.arange(n) / spec.fps
@@ -272,19 +315,26 @@ def _generate_composite(spec: SynthSpec) -> RawTrajectory:
     )
 
 
-def generate_detections(frame_count: int, count_schedule) -> list[DetectionFrame]:
-    """One DetectionFrame per frame with the scheduled number of person boxes.
+def generate_detections(frame_count: int, counts) -> DetectionTable:
+    """A DetectionTable of frames 0..frame_count - 1, frame f holding counts[f] person boxes.
 
-    Boxes have fixed geometry and score 0.9; a schedule shorter than
-    frame_count is padded with zeros.
+    A counts sequence shorter than frame_count is padded with zeros, and a
+    longer one cut. Box j of a frame is (20 + 30j, 40, 44 + 30j, 160) with
+    score 0.9.
     """
-    counts = list(count_schedule)[:frame_count]
-    counts += [0] * (frame_count - len(counts))
-    # One box object per position, shared by every frame that shows it.
-    boxes = tuple(
-        Detection("person", (20.0 + 30.0 * j, 40.0, 44.0 + 30.0 * j, 160.0), 0.9) for j in range(max(counts, default=0))
+    per_frame = np.zeros(frame_count, dtype=np.int64)
+    head = np.asarray(counts, dtype=np.int64)[:frame_count]
+    per_frame[: len(head)] = np.maximum(head, 0)
+    offsets = np.concatenate(([0], np.cumsum(per_frame)))
+    j = np.arange(offsets[-1]) - np.repeat(offsets[:-1], per_frame)  # each box's place in its frame
+    bboxes = np.empty((len(j), 4))
+    bboxes[:, 0] = 20.0 + 30.0 * j
+    bboxes[:, 1] = 40.0
+    bboxes[:, 2] = 44.0 + 30.0 * j
+    bboxes[:, 3] = 160.0
+    return DetectionTable(
+        np.arange(frame_count), offsets, np.zeros(len(j), dtype=np.int64), ("person",), np.full(len(j), 0.9), bboxes
     )
-    return [DetectionFrame(f, boxes[: max(count, 0)]) for f, count in enumerate(counts)]
 
 
 def generate_landmarks(clip: Clip, n: int, seed: int = 0) -> list[LandmarkAnnotation]:

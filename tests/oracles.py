@@ -9,7 +9,9 @@ metrics and sample building.
 The package takes detections only as a DetectionTable and predictions
 only as a PredictionTable; ``table_of`` / ``frames_of`` and
 ``prediction_table_of`` / ``records_of`` convert between a table and the
-DetectionFrame or PredictionRecord list that tests write and compare.
+DetectionFrame or PredictionRecord list that tests write and compare, and
+``detection_frames`` is the per-object generator that
+``synth.generate_detections`` must reproduce as a table.
 Sample lines are compared with the TrainingSample that ``build_sample``
 builds one draw at a time.
 """
@@ -119,6 +121,21 @@ def frames_of(table: DetectionTable) -> list[DetectionFrame]:
         DetectionFrame(frame, tuple(map(Detection, labels[a:b], bboxes[a:b], scores[a:b])))
         for frame, a, b in zip(table.frames.tolist(), offsets, offsets[1:])
     ]
+
+
+def detection_frames(frame_count: int, count_schedule) -> list[DetectionFrame]:
+    """One DetectionFrame per frame with the scheduled number of person boxes.
+
+    Boxes have fixed geometry and score 0.9; a schedule shorter than
+    frame_count is padded with zeros.
+    """
+    counts = list(count_schedule)[:frame_count]
+    counts += [0] * (frame_count - len(counts))
+    # One box object per position, shared by every frame that shows it.
+    boxes = tuple(
+        Detection("person", (20.0 + 30.0 * j, 40.0, 44.0 + 30.0 * j, 160.0), 0.9) for j in range(max(counts, default=0))
+    )
+    return [DetectionFrame(f, boxes[: max(count, 0)]) for f, count in enumerate(counts)]
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_criterion_03_filter_boundary_suite():
     with criterion(3, "filter boundary suite (nine exact verdicts)"):
         def verdict(spec, counts=None):
             clip = clip_of(spec)
-            detections = table_of(generate_detections(len(clip), counts or []))
+            detections = generate_detections(len(clip), counts or [])
             return run_filters(clip, detections, cfg, CLIP_CONVENTION)
 
         straight = SynthSpec("straight")
@@ -133,7 +133,7 @@ def test_criterion_04_filter_monotonicity():
             else:
                 spec = SynthSpec("straight", duration_s=30.0, fps=10.0)
             clip = clip_of(spec, clip_seconds=30.0)
-            detections = table_of(generate_detections(len(clip), list(rng.integers(0, 9, size=20))))
+            detections = generate_detections(len(clip), list(rng.integers(0, 9, size=20)))
             clips.append((clip, detections))
         for trial in range(200):
             clip, detections = clips[trial % len(clips)]

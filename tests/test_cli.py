@@ -17,7 +17,7 @@ from navcurate.io import (
     write_predictions,
 )
 from navcurate.losses import loss_arr, loss_ori, loss_reg
-from navcurate.synth import SynthSpec, generate
+from navcurate.synth import MAX_BOXES, SynthSpec, generate
 
 from oracles import EgoWaypoint
 
@@ -169,6 +169,35 @@ class TestSynthCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "validation"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value, field",
+        [
+            ("detections", "spans", [{"start": 0, "frames": 3, "count": 10**12}], "detections.spans"),
+            ("detections", "spans", [{"start": 5, "frames": 1, "count": 10**400}], "detections.spans"),
+            ("detections", "spans", [{"start": 0, "frames": 2400, "count": MAX_BOXES // 2400 + 1}], "detections.spans"),
+            ("detections", "schedule", [0, 10**12], "detections.schedule"),
+            ("detections", "schedule", [10**400], "detections.schedule"),
+            ("detections", "schedule", [1, 2**63], "detections.schedule"),
+            ("trajectory", "duration_s", 1e12, "duration_s"),
+            ("trajectory", "duration_s", 1e308, "duration_s"),
+        ],
+        ids=["span-1e12", "span-1e400", "span-total", "schedule-1e12", "schedule-1e400", "schedule-2**63",
+             "duration-1e12", "duration-1e308"],
+    )
+    def test_oversized_spec_exits_2(self, tmp_path, capsys, block, key, value, field):
+        spec = synth_spec_doc(tmp_path)
+        doc = json.loads(spec.read_text())
+        doc[block][key] = value
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "validation"
+        assert field in record["detail"]
         assert not out.exists()
 
 

@@ -1,10 +1,10 @@
 """Fuzzed CLI inputs: every input maps to exit code 0, 2, 3 or 4, with one JSON error line.
 
 Each example takes a valid input of one subcommand (a detection, landmark
-or prediction file, a ``loss`` document or a clip-manifest entry), replaces
-one JSON value anywhere in it with a value from a small pool of wrong types,
-or deletes it, and runs ``cli.main`` in this process on a tiny synthetic
-fixture. The ``segment`` pose file gets one broken row instead.
+or prediction file, a ``loss`` document, a clip-manifest entry or a
+``synth`` spec), replaces one JSON value anywhere in it with a value from
+a small pool of wrong types and huge or non-finite numbers, or deletes it,
+and runs ``cli.main`` in this process on a tiny synthetic fixture. The ``segment`` pose file gets one broken row instead.
 """
 
 import contextlib
@@ -60,6 +60,21 @@ def _replaced(doc, path, new):
     return doc
 
 
+# A composite stream with spans, a schedule (which takes precedence, until a mutation removes it) and landmarks.
+SYNTH_SPEC = {
+    "trajectory": {
+        "kind": "composite",
+        "traj_id": "fuzz",
+        "parts": [
+            {"kind": "straight", "duration_s": 4.0, "fps": 5.0},
+            {"kind": "head_turn", "duration_s": 4.0, "fps": 5.0, "turn_deg": 30.0, "turn_start_s": 1.0, "turn_len_s": 2.0},
+        ],
+    },
+    "detections": {"schedule": [1, 0, 2], "spans": [{"start": 2, "frames": 3, "count": 4}, {"start": 30, "frames": 20, "count": 1}]},
+    "landmarks": {"clip_seconds": 4.0, "per_clip": 2, "seed": 3},
+}
+
+
 def _run(argv) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -106,6 +121,8 @@ def fixture(tmp_path_factory):
     assert _run([*samples, "--out", str(root / "samples.jsonl")]) == (0, "")
     assert _run(["eval", "--pred", str(root / "pred.jsonl"), "--out", str(root / "metrics.json")]) == (0, "")
     assert _run(["loss", "--input", str(root / "loss.json")]) == (0, "")
+    (root / "synth.json").write_text(json.dumps(SYNTH_SPEC))
+    assert _run(["synth", "--spec", str(root / "synth.json"), "--out", str(root / "synth-fuzz")]) == (0, "")
     return root
 
 
@@ -126,10 +143,12 @@ def _mutated_run(root, kind, data) -> tuple[int, str]:
         mutated = _replaced(manifest, path, data.draw(st.sampled_from(POOL)))
         (work / "clips" / "manifest.json").write_text(json.dumps(mutated))
         return _run(["filter", "--clips", clips, "--detections", detections, "--report", report, "--world-up=-y", "--workers", "1"])
-    if kind == "loss":
-        doc = json.loads((root / "loss.json").read_text())
+    if kind in ("loss", "synth"):
+        doc = json.loads((root / f"{kind}.json").read_text())
         mutated = _replaced(doc, data.draw(st.sampled_from(list(_sites(doc)))), data.draw(st.sampled_from(POOL)))
-        (work / "loss.json").write_text(json.dumps(mutated))
+        (work / f"{kind}.json").write_text(json.dumps(mutated))
+        if kind == "synth":
+            return _run(["synth", "--spec", str(work / "synth.json"), "--out", str(work / "synth")])
         return _run(["loss", "--input", str(work / "loss.json")])
     records = _lines({"detections": detections, "landmarks": landmarks, "predictions": root / "pred.jsonl"}[kind])
     line = data.draw(st.sampled_from(range(len(records))))
@@ -144,7 +163,7 @@ def _mutated_run(root, kind, data) -> tuple[int, str]:
     return _run(["eval", "--pred", str(mutated), "--out", out])
 
 
-@pytest.mark.parametrize("kind", ["detections", "landmarks", "predictions", "loss", "manifest"])
+@pytest.mark.parametrize("kind", ["detections", "landmarks", "predictions", "loss", "manifest", "synth"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_input_exits_with_documented_code(fixture, kind, data):

@@ -158,7 +158,7 @@ class TestCheckCrowd:
     )
     def test_paper_thresholds(self, counts, expect_pass, expect_crowded):
         clip = clip_of(SynthSpec("straight"))
-        detections = table_of(generate_detections(len(clip), counts))
+        detections = generate_detections(len(clip), counts)
         ok, crowded = check_crowd(clip, detections, FilterConfig())
         assert ok is expect_pass
         assert crowded == expect_crowded
@@ -183,7 +183,7 @@ class TestCheckCrowd:
 
     def test_out_of_range_frames_ignored(self):
         clip = clip_of(SynthSpec("straight"))
-        detections = generate_detections(len(clip) + 50, [6] * 4)
+        detections = frames_of(generate_detections(len(clip) + 50, [6] * 4))
         shifted = [type(d)(d.frame + len(clip), d.detections) for d in detections[:4]]
         ok, crowded = check_crowd(clip, table_of(shifted), FilterConfig())
         assert ok and crowded == 0
@@ -199,7 +199,7 @@ class TestRunFilters:
 
     def test_pitch_and_crowd_both_reported(self):
         clip = clip_of(SynthSpec("sinusoid_pitch", amplitude_deg=10.0))
-        detections = table_of(generate_detections(len(clip), [6] * 4))
+        detections = generate_detections(len(clip), [6] * 4)
         verdict = run_filters(clip, detections, FilterConfig(), CLIP_CONVENTION)
         assert not verdict.accepted
         assert verdict.reasons == (REASON_CROWD, REASON_PITCH)
@@ -233,7 +233,7 @@ class TestRunFilters:
         verdicts = []
         for spec in specs:
             clip = clip_of(spec)
-            detections = table_of(generate_detections(len(clip), [6] * 4) if spec.traj_id == "badcrowd" else [])
+            detections = generate_detections(len(clip), [6] * 4) if spec.traj_id == "badcrowd" else table_of([])
             verdicts.append(run_filters(clip, detections, cfg, CLIP_CONVENTION))
         accepted = sum(v.accepted for v in verdicts)
         assert accepted == 6
@@ -247,7 +247,7 @@ class TestRunFilters:
 
     def test_verdict_is_pure(self):
         clip = clip_of(SynthSpec("head_turn", turn_deg=70.0, turn_start_s=20.0, turn_len_s=3.0))
-        detections = table_of(generate_detections(len(clip), [2, 6, 6, 6, 6]))
+        detections = generate_detections(len(clip), [2, 6, 6, 6, 6])
         cfg = FilterConfig()
         a = run_filters(clip, detections, cfg, CLIP_CONVENTION)
         b = run_filters(clip, detections, cfg, CLIP_CONVENTION)
@@ -321,7 +321,7 @@ class TestMonotonicity:
         ]
         for spec in specs:
             clip = clip_of(spec)
-            detections = table_of(generate_detections(len(clip), list(rng.integers(0, 8, size=10))))
+            detections = generate_detections(len(clip), list(rng.integers(0, 8, size=10)))
             for _ in range(5):
                 cfg = FilterConfig(
                     pitch_range_max_deg=float(rng.uniform(5, 30)),
@@ -344,7 +344,7 @@ class TestSliceDetections:
     def test_reindexes_to_clip_local(self):
         traj = generate(SynthSpec("straight", duration_s=240.0, fps=30.0))
         clips = segment(traj, 120.0)
-        detections = table_of(generate_detections(len(traj), [0] * 3600 + [6] * 4))
+        detections = generate_detections(len(traj), [0] * 3600 + [6] * 4)
         local = frames_of(slice_detections(detections, clips[1]))
         crowded = [d for d in local if len(d.detections) == 6]
         assert [d.frame for d in crowded] == [0, 1, 2, 3]

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navcurate import schema
 from navcurate.errors import InvalidSpec
@@ -13,7 +15,11 @@ from navcurate.io import parse_detections, write_detections
 from navcurate.segmentation import segment
 from navcurate.synth import (
     CLIP_CONVENTION,
+    MAX_BOXES,
+    MAX_POSES,
     RAW_CONVENTION,
+    DetectionBlock,
+    DetectionSpan,
     SynthSpec,
     generate,
     generate_detections,
@@ -21,7 +27,7 @@ from navcurate.synth import (
 )
 
 from conftest import quat_close
-from oracles import frames_of, pose_at, relative_pose
+from oracles import detection_frames, frames_of, pose_at, relative_pose
 
 
 class TestSpecValidation:
@@ -173,27 +179,92 @@ class TestDeterminism:
 
 class TestDetections:
     def test_all_zero_schedule(self):
-        frames = generate_detections(5, [0, 0, 0, 0, 0])
-        assert len(frames) == 5
-        assert all(len(f.detections) == 0 for f in frames)
+        table = generate_detections(5, [0, 0, 0, 0, 0])
+        assert len(table) == 5
+        assert table.offsets.tolist() == [0] * 6
+        assert all(len(f.detections) == 0 for f in frames_of(table))
 
     def test_crowd_burst(self):
-        frames = generate_detections(100, [6] * 4)
+        frames = frames_of(generate_detections(100, [6] * 4))
         crowded = [f for f in frames if len(f.detections) == 6]
         assert len(crowded) == 4
         assert [f.frame for f in crowded] == [0, 1, 2, 3]
         assert all(len(f.detections) == 0 for f in frames[4:])
 
     def test_round_trip_through_io(self, tmp_path):
-        frames = generate_detections(10, [2, 0, 3])
+        table = generate_detections(10, [2, 0, 3])
         path = tmp_path / "d.jsonl"
-        write_detections(frames, path)
-        assert frames_of(parse_detections(path)) == frames
+        write_detections(table, path)
+        assert frames_of(parse_detections(path)) == frames_of(table)
 
     def test_boxes_have_fixed_geometry_and_score(self):
-        (frame,) = generate_detections(1, [3])
+        table = generate_detections(1, [3])
+        (frame,) = frames_of(table)
         assert all(d.score == 0.9 and d.label == "person" for d in frame.detections)
         assert all(d.bbox[0] < d.bbox[2] and d.bbox[1] < d.bbox[3] for d in frame.detections)
+        assert table.names == ("person",)
+        assert table.bboxes.tolist() == [[20.0, 40.0, 44.0, 160.0], [50.0, 40.0, 74.0, 160.0], [80.0, 40.0, 104.0, 160.0]]
+
+
+def oracle_span_counts(spans, n_frames):
+    """The per-frame counts of run-length spans, one frame at a time; a later span overwrites."""
+    counts = [0] * n_frames
+    for span in spans:
+        for f in range(span.start, min(span.start + span.frames, n_frames)):
+            counts[f] = span.count
+    return counts
+
+
+spans_strategy = st.lists(st.builds(DetectionSpan, st.integers(0, 50), st.integers(0, 30), st.integers(0, 7)), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_count=st.integers(0, 40), schedule=st.lists(st.integers(0, 7), max_size=60))
+def test_generated_table_matches_oracle(frame_count, schedule):
+    assert frames_of(generate_detections(frame_count, schedule)) == detection_frames(frame_count, schedule)
+    counts = DetectionBlock(schedule=tuple(schedule)).counts(frame_count)
+    assert counts.tolist() == [len(f.detections) for f in detection_frames(frame_count, schedule)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_count=st.integers(0, 60), spans=spans_strategy)
+def test_span_counts_match_oracle(frame_count, spans):
+    counts = DetectionBlock(spans=tuple(spans)).counts(frame_count)
+    expected = oracle_span_counts(spans, frame_count)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == expected
+    assert frames_of(generate_detections(frame_count, counts)) == detection_frames(frame_count, expected)
+
+
+class TestBounds:
+    def test_box_total_bound(self):
+        at_bound = (DetectionSpan(0, 10, MAX_BOXES // 10),)
+        assert int(DetectionBlock(spans=at_bound).counts(10).sum()) == MAX_BOXES
+        with pytest.raises(InvalidSpec, match="detections.spans"):
+            DetectionBlock(spans=at_bound + (DetectionSpan(3, 1, MAX_BOXES // 10 + 1),)).counts(10)
+        with pytest.raises(InvalidSpec, match="detections.schedule"):
+            DetectionBlock(schedule=(MAX_BOXES // 2, MAX_BOXES // 2, 1)).counts(3)
+
+    def test_only_counts_on_the_stream_count(self):
+        huge = 10**400
+        # Overwritten, past the end of the stream, or over no frames: none of these boxes is generated.
+        spans = (DetectionSpan(0, 5, huge), DetectionSpan(0, 5, 1), DetectionSpan(10, 3, huge), DetectionSpan(2, 0, huge))
+        assert DetectionBlock(spans=spans).counts(10).tolist() == [1] * 5 + [0] * 5
+        assert DetectionBlock(schedule=(1, 2, huge)).counts(2).tolist() == [1, 2]
+        with pytest.raises(InvalidSpec, match="detections.schedule"):
+            DetectionBlock(schedule=(1, 2, huge)).counts(3)
+        with pytest.raises(InvalidSpec, match="detections.spans"):
+            DetectionBlock(spans=spans[:1]).counts(10)
+
+    def test_pose_bound(self):
+        assert SynthSpec("straight", duration_s=MAX_POSES / 30.0, fps=30.0).poses == MAX_POSES
+        for duration in ((MAX_POSES + 1) / 30.0, 1e308):
+            with pytest.raises(InvalidSpec, match="duration_s"):
+                SynthSpec("straight", duration_s=duration, fps=30.0)
+        half = SynthSpec("straight", duration_s=MAX_POSES / 20.0, fps=10.0)
+        assert SynthSpec("composite", parts=(half, half)).poses == MAX_POSES
+        with pytest.raises(InvalidSpec, match="parts"):
+            SynthSpec("composite", parts=(half, half, SynthSpec("straight", duration_s=0.1, fps=10.0)))
 
 
 class TestLandmarks:
