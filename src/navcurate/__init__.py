@@ -30,9 +30,9 @@ from .io import (
     RawTrajectory,
     TrainingSample,
 )
-from .segmentation import Clip, segment
+from .segmentation import segment
 from .filters import FilterConfig, FilterVerdict, run_filters
 from .sampling import SamplerConfig, draw_start
 from .metrics import MetricReport, ade, aoe, discrete_frechet, evaluate, maoe
-from .losses import LossComponents, LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
+from .losses import LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 from .synth import SynthSpec, generate, generate_detections, generate_landmarks

@@ -235,7 +235,7 @@ def cmd_synth(args) -> int:
 
     if spec.landmarks is not None:
         landmarks = []
-        for clip in segment(traj, spec.landmarks.clip_seconds):
+        for _, clip in segment(traj, spec.landmarks.clip_seconds):
             landmarks.extend(generate_landmarks(clip, spec.landmarks.per_clip, spec.landmarks.seed))
         tio.write_landmarks(landmarks, out_dir / "landmarks.jsonl")
         outputs["landmarks"] = "landmarks.jsonl"

@@ -27,8 +27,8 @@ import numpy as np
 from . import schema
 from .errors import ValidationError
 from .geometry import AxisConvention, DEFAULT_CONVENTION, normalize_angle_deg, pitch_many, yaw_many
-from .io import DetectionTable
-from .segmentation import Clip, ClipEntry
+from .io import DetectionTable, RawTrajectory
+from .segmentation import ClipEntry
 
 __all__ = [
     "FilterConfig",
@@ -100,7 +100,7 @@ def _window_frames(config: FilterConfig, fps: float) -> int:
 
 
 def check_pitch(
-    clip: Clip,
+    clip: RawTrajectory,
     config: FilterConfig,
     convention: AxisConvention = DEFAULT_CONVENTION,
 ) -> tuple[bool, float]:
@@ -114,7 +114,7 @@ def check_pitch(
 
 
 def check_divergence(
-    clip: Clip,
+    clip: RawTrajectory,
     config: FilterConfig,
     convention: AxisConvention = DEFAULT_CONVENTION,
 ) -> tuple[bool, float | None]:
@@ -146,7 +146,7 @@ def check_divergence(
 
 
 def check_crowd(
-    clip: Clip,
+    clip: RawTrajectory,
     detections: DetectionTable,
     config: FilterConfig,
 ) -> tuple[bool, int]:
@@ -165,7 +165,7 @@ def check_crowd(
 
 
 def run_filters(
-    clip: Clip,
+    clip: RawTrajectory,
     detections: DetectionTable,
     config: FilterConfig,
     convention: AxisConvention = DEFAULT_CONVENTION,
@@ -183,7 +183,7 @@ def run_filters(
         reasons.append(REASON_CROWD)
     ignored = len(detections) - len(detections.window(0, len(clip)))
     return FilterVerdict(
-        clip_id=clip.clip_id,
+        clip_id=clip.id,
         accepted=not reasons,
         reasons=tuple(reasons),
         diagnostics={
@@ -195,6 +195,6 @@ def run_filters(
     )
 
 
-def slice_detections(detections: DetectionTable, clip: Clip | ClipEntry) -> DetectionTable:
-    """Select source-indexed detection frames covering a clip (or its manifest entry), re-indexed clip-local."""
-    return detections.window(clip.start_frame, clip.start_frame + len(clip))
+def slice_detections(detections: DetectionTable, entry: ClipEntry) -> DetectionTable:
+    """Select source-indexed detection frames covering a clip's entry, re-indexed clip-local."""
+    return detections.window(entry.start_frame, entry.start_frame + entry.n_frames)

@@ -4,8 +4,7 @@ Numeric ground truth for any downstream training stack: each kernel
 returns (value, gradient with respect to the prediction argument) and is
 verified against central finite differences in the test suite.
 
-- waypoint regression: mean squared L2 distance over the horizon
-  (an unsquared mean-norm variant sits behind ``squared=False``).
+- waypoint regression: mean squared L2 distance over the horizon.
 - orientation: mean negative cosine similarity between per-step motion
   directions, displacements taken against an implicit origin.
 - arrival: binary cross-entropy on a logit, computed in the
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +27,6 @@ from .metrics import _waypoint_array
 __all__ = [
     "LossWeights",
     "LossInput",
-    "LossComponents",
     "loss_reg",
     "loss_ori",
     "loss_arr",
@@ -74,18 +71,10 @@ class LossInput:
         schema.check(self)
 
 
-class LossComponents(NamedTuple):
-    reg: float
-    ori: float
-    arr: float
-    hall: float
-
-
-def loss_reg(pred_waypoints, gt_waypoints, squared: bool = True, eps: float = 1e-8):
+def loss_reg(pred_waypoints, gt_waypoints):
     """Waypoint regression loss and its gradient w.r.t. the prediction.
 
-    value = (1/k) sum_i ||pred_i - gt_i||^2 (or the unsquared norm when
-    squared=False, with an eps guard on the gradient at zero distance).
+    value = (1/k) sum_i ||pred_i - gt_i||^2.
     """
     pred = _waypoint_array("pred_waypoints", pred_waypoints)
     gt = _waypoint_array("gt_waypoints", gt_waypoints)
@@ -93,14 +82,7 @@ def loss_reg(pred_waypoints, gt_waypoints, squared: bool = True, eps: float = 1e
         raise LengthMismatch(f"waypoint shapes differ: {pred.shape} vs {gt.shape}")
     k = pred.shape[0]
     diff = pred - gt
-    if squared:
-        value = float(np.sum(diff * diff) / k)
-        grad = (2.0 / k) * diff
-    else:
-        norms = np.linalg.norm(diff, axis=1)
-        value = float(np.sum(norms) / k)
-        grad = diff / (k * np.maximum(norms, eps)[:, None])
-    return value, grad
+    return float(np.sum(diff * diff) / k), (2.0 / k) * diff
 
 
 def loss_ori(pred_waypoints, gt_waypoints, eps: float = 1e-8):
@@ -166,7 +148,7 @@ def loss_hall(pred_features, gt_features):
 
 
 def loss_total(components, weights: LossWeights = LossWeights()) -> float:
-    """Weighted sum of the four loss components."""
+    """Weighted sum of the four loss components, given as (reg, ori, arr, hall)."""
     reg, ori, arr, hall = components
     return (
         weights.lambda_reg * reg

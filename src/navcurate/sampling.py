@@ -35,8 +35,7 @@ import numpy as np
 from . import schema
 from .errors import ValidationError
 from .geometry import AxisConvention, DEFAULT_CONVENTION, ego_waypoints_many
-from .io import LandmarkAnnotation, TrainingSample
-from .segmentation import Clip
+from .io import LandmarkAnnotation, RawTrajectory, TrainingSample
 
 __all__ = [
     "SamplerConfig",
@@ -120,7 +119,7 @@ def draw_start(t_g: int, config: SamplerConfig, rng: np.random.Generator) -> int
 
 
 def build_clip_samples(
-    clip: Clip,
+    clip: RawTrajectory,
     landmarks: list[LandmarkAnnotation],
     config: SamplerConfig,
     convention: AxisConvention = DEFAULT_CONVENTION,
@@ -149,7 +148,7 @@ def build_clip_samples(
     skipped = dict.fromkeys(CLIP_SKIP_REASONS, 0)
     k = config.horizon
     stride = config.waypoint_stride
-    clip_key = _clip_key(clip.clip_id)
+    clip_key = _clip_key(clip.id)
     draws = []  # (landmark ordinal, draw ordinal, start frame) of every in-bounds start
     for lm_idx, landmark in enumerate(landmarks):
         if landmark.goal_frame >= len(clip):
@@ -183,10 +182,10 @@ def build_clip_samples(
     finite = np.isfinite(waypoints).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        sample_id = f"{clip.clip_id}:{lm_idx[i]:04d}:{draw[i]:02d}"
+        sample_id = f"{clip.id}:{lm_idx[i]:04d}:{draw[i]:02d}"
         raise ValidationError(f"sample {sample_id!r} has a non-finite waypoint: the clip's positions overflow")
     history = np.maximum(0, starts[defined][:, None] - stride * np.arange(config.history_len - 1, -1, -1))
-    clip_json = json.dumps(clip.clip_id)
+    clip_json = json.dumps(clip.id)
     heads = [f'{{"sample_id":{clip_json[:-1]}:{i:04d}:' for i in range(len(landmarks))]
     middles = [f'","clip_id":{clip_json},"instruction":{json.dumps(lm.instruction)},"t":' for lm in landmarks]
     goals = [lm.goal_frame for lm in landmarks]

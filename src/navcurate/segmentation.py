@@ -4,6 +4,10 @@ A trajectory is cut into consecutive windows of round(clip_seconds * fps)
 frames; a trailing partial window is dropped. Each clip's poses are
 re-expressed in the frame of its first pose, so pose 0 is the identity
 and the clip carries its own local world coordinate system.
+
+A clip is a pair: its ClipEntry (id, source, fps, start frame, length,
+file), which the clip manifest records, and a RawTrajectory of its
+re-anchored poses whose id is the clip id.
 """
 
 from __future__ import annotations
@@ -21,14 +25,14 @@ from .errors import EmptyResult, ValidationError
 from .geometry import quat_conjugate, quat_multiply, quat_rotate
 from .io import _FRAME_LIMIT, RawTrajectory, parse_pose_file, write_pose_file, write_report
 
-__all__ = ["Clip", "ClipEntry", "segment", "save_clips", "read_manifest", "load_clip"]
+__all__ = ["ClipEntry", "segment", "save_clips", "read_manifest", "load_clip"]
 
 CLIP_MANIFEST_NAME = "manifest.json"
 
 
 @dataclass(frozen=True)
 class ClipEntry:
-    """One clip of a clip manifest: the pose file and what load_clip needs to rebuild the Clip.
+    """A clip's metadata and one entry of a clip manifest; the poses live in its pose ``file``.
 
     Every rule that the manifest alone can break is checked here, so a bad
     entry fails when the manifest is read, before any pose file is opened.
@@ -54,50 +58,12 @@ class ClipEntry:
         if not 0 <= self.start_frame < _FRAME_LIMIT - self.n_frames:  # every source frame index fits in int64
             raise ValidationError(f"start_frame must be a non-negative int64 frame index, got {self.start_frame}")
 
-    def __len__(self) -> int:
-        return self.n_frames
-
-
-@dataclass(frozen=True, eq=False)
-class Clip:
-    """A fixed-length pose window re-anchored to its first pose.
-
-    Shares the columnar layout of RawTrajectory; pose 0 must be the
-    identity within 1e-9. start_frame is the clip's offset into the
-    source trajectory; ClipEntry checks the ids and start_frame of a
-    loaded clip.
-    """
-
-    clip_id: str
-    source_id: str
-    fps: float
-    timestamps: np.ndarray
-    positions: np.ndarray
-    quaternions: np.ndarray
-    start_frame: int
-
-    def __post_init__(self):
-        if type(self.start_frame) is not int:
-            raise ValidationError(f"start_frame must be an int, got {self.start_frame!r}")
-        base = RawTrajectory(self.clip_id, self.fps, self.timestamps, self.positions, self.quaternions)
-        if float(np.linalg.norm(base.positions[0])) > 1e-9:
-            raise ValidationError("clip pose 0 must sit at the local origin")
-        if 1.0 - abs(float(base.quaternions[0, 3])) > 1e-9:
-            raise ValidationError("clip pose 0 must have identity orientation")
-        object.__setattr__(self, "fps", base.fps)
-        object.__setattr__(self, "timestamps", base.timestamps)
-        object.__setattr__(self, "positions", base.positions)
-        object.__setattr__(self, "quaternions", base.quaternions)
-
-    def __len__(self) -> int:
-        return self.timestamps.shape[0]
-
 
 def clip_frame_count(clip_seconds: float, fps: float) -> int:
     return int(round(clip_seconds * fps))
 
 
-def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[Clip]:
+def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[tuple[ClipEntry, RawTrajectory]]:
     """Cut a trajectory into re-anchored fixed-duration clips.
 
     Args:
@@ -106,7 +72,8 @@ def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[Clip]:
             round(clip_seconds * fps).
 
     Returns:
-        Clips in source order, ids ``<source_id>_<ordinal:04d>``.
+        One (entry, poses) pair per clip in source order; ids are
+        ``<source_id>_<ordinal:04d>`` and pose file names ``<id>.txt``.
 
     Raises:
         EmptyResult: the trajectory is shorter than one clip; callers
@@ -131,47 +98,34 @@ def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[Clip]:
         delta = traj.positions[start:stop] - anchor_pos
         local_pos = delta @ rot
         local_quat = quat_multiply(quat_conjugate(anchor_quat), traj.quaternions[start:stop])
-        clips.append(
-            Clip(
-                clip_id=f"{traj.id}_{k:04d}",
-                source_id=traj.id,
-                fps=traj.fps,
-                timestamps=traj.timestamps[start:stop],
-                positions=local_pos,
-                quaternions=local_quat,
-                start_frame=start,
-            )
-        )
+        clip_id = f"{traj.id}_{k:04d}"
+        entry = ClipEntry(clip_id, traj.id, traj.fps, start, frames, f"{clip_id}.txt")
+        clips.append((entry, RawTrajectory(clip_id, traj.fps, traj.timestamps[start:stop], local_pos, local_quat)))
     return clips
 
 
 def save_clips(clips, out_dir, extra: dict | None = None, map_tasks=map) -> Path:
-    """Write one pose file per clip plus a manifest describing the set.
+    """Write the pose file of each (entry, poses) pair from segment, plus a manifest of the entries.
 
-    Returns the manifest path. The manifest records fps, source ids and
-    start frames, which load_clip needs to reconstruct Clip values;
-    ``extra`` entries (tool info, config snapshot, digests) are merged in.
-    ``map_tasks(fn, tasks)`` runs the per-clip writes (the CLI passes its
-    process pool); the manifest is written after every pose file.
+    Returns the manifest path. The manifest lists the entries sorted by
+    clip id; ``extra`` entries (tool info, config snapshot, digests) are
+    merged in. ``map_tasks(fn, tasks)`` runs the per-clip writes (the CLI
+    passes its process pool); the manifest is written after every pose
+    file.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clips = sorted(clips, key=lambda c: c.clip_id)
-    entries = [
-        ClipEntry(clip.clip_id, clip.source_id, clip.fps, clip.start_frame, len(clip), f"{clip.clip_id}.txt")
-        for clip in clips
-    ]
-    list(map_tasks(_write_clip, [(clip, out_dir / entry.file) for clip, entry in zip(clips, entries)]))
+    clips = sorted(clips, key=lambda pair: pair[0].clip_id)
+    list(map_tasks(_write_clip, [(traj, out_dir / entry.file) for entry, traj in clips]))
     manifest = dict(extra or {})
-    manifest["clips"] = [dataclasses.asdict(entry) for entry in entries]
+    manifest["clips"] = [dataclasses.asdict(entry) for entry, _ in clips]
     manifest_path = out_dir / CLIP_MANIFEST_NAME
     write_report(manifest, manifest_path)
     return manifest_path
 
 
 def _write_clip(task) -> None:
-    clip, path = task
-    write_pose_file(RawTrajectory(clip.clip_id, clip.fps, clip.timestamps, clip.positions, clip.quaternions), path)
+    write_pose_file(*task)
 
 
 def read_manifest(clip_dir) -> list[ClipEntry]:
@@ -187,8 +141,12 @@ def read_manifest(clip_dir) -> list[ClipEntry]:
     return [schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw) for i, raw in enumerate(entries)]
 
 
-def load_clip(clip_dir, entry: ClipEntry, index: int) -> Clip:
-    """Parse the pose file of ``entry``, entry ``index`` of the clip directory's manifest."""
+def load_clip(clip_dir, entry: ClipEntry, index: int) -> RawTrajectory:
+    """The poses of ``entry``, entry ``index`` of the clip directory's manifest.
+
+    The pose file must hold the entry's frame count, and its pose 0 must
+    be the identity within 1e-9.
+    """
     clip_dir = Path(clip_dir)
     traj = parse_pose_file(clip_dir / entry.file, entry.fps, traj_id=entry.clip_id)
     if len(traj) != entry.n_frames:
@@ -196,5 +154,8 @@ def load_clip(clip_dir, entry: ClipEntry, index: int) -> Clip:
             f"{clip_dir / CLIP_MANIFEST_NAME}: clip entry {index} lists {entry.n_frames} frames, "
             f"{entry.file} holds {len(traj)}"
         )
-    return Clip(entry.clip_id, entry.source_id, traj.fps, traj.timestamps, traj.positions, traj.quaternions,
-                entry.start_frame)
+    if float(np.linalg.norm(traj.positions[0])) > 1e-9:
+        raise ValidationError("clip pose 0 must sit at the local origin")
+    if 1.0 - abs(float(traj.quaternions[0, 3])) > 1e-9:
+        raise ValidationError("clip pose 0 must have identity orientation")
+    return traj

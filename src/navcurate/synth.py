@@ -31,7 +31,6 @@ anything.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, fields
 
@@ -47,7 +46,6 @@ from .geometry import (
 )
 from .io import DetectionTable, LandmarkAnnotation, RawTrajectory
 from .sampling import draw_rng
-from .segmentation import Clip
 
 __all__ = [
     "SynthSpec",
@@ -63,8 +61,6 @@ __all__ = [
     "generate_detections",
     "generate_landmarks",
 ]
-
-log = logging.getLogger(__name__)
 
 KINDS = ("straight", "arc", "sinusoid_pitch", "head_turn", "stationary", "composite")
 
@@ -94,7 +90,6 @@ class SynthSpec:
     turn_start_s: float = 0.0
     turn_len_s: float = 0.0
     yaw_rate_dps: float = 10.0
-    seed: int = 0
     traj_id: str | None = None
     parts: tuple["SynthSpec", ...] = ()
 
@@ -189,7 +184,12 @@ class DetectionBlock:
 
 @dataclass(frozen=True)
 class LandmarkBlock:
-    """``per_clip`` landmarks on each ``clip_seconds`` clip of the trajectory, drawn with ``seed``."""
+    """``per_clip`` landmarks on each ``clip_seconds`` clip of the trajectory, drawn with ``seed``.
+
+    Each clip gets at most one landmark per frame of its second half, so a
+    larger ``per_clip`` is capped; the manifest's ``counts.landmarks`` is
+    the number written.
+    """
 
     clip_seconds: float = 120.0
     per_clip: int = 3
@@ -337,16 +337,17 @@ def generate_detections(frame_count: int, counts) -> DetectionTable:
     )
 
 
-def generate_landmarks(clip: Clip, n: int, seed: int = 0) -> list[LandmarkAnnotation]:
-    """Placeholder landmarks at deterministic goal frames in the clip's second half."""
+def generate_landmarks(clip: RawTrajectory, n: int, seed: int = 0) -> list[LandmarkAnnotation]:
+    """Placeholder landmarks at deterministic goal frames in the clip's second half.
+
+    Goal frames are distinct, so at most as many landmarks as the second
+    half has frames are made; a larger n is capped to that count.
+    """
     n_frames = len(clip)
     lo = n_frames // 2
-    hi = n_frames - 1
-    available = hi - lo + 1
-    if n > available:
-        log.warning("clip %s: requested %d landmarks, only %d feasible goal frames", clip.clip_id, n, available)
-        n = available
-    rng = draw_rng(seed, clip.clip_id, 0, 0)
+    available = n_frames - lo
+    n = min(n, available)
+    rng = draw_rng(seed, clip.id, 0, 0)
     landmarks = []
     for i in range(n):
         goal = lo + (i * (available - 1)) // max(n - 1, 1)
@@ -354,11 +355,11 @@ def generate_landmarks(clip: Clip, n: int, seed: int = 0) -> list[LandmarkAnnota
         y1 = float(rng.integers(0, 300))
         landmarks.append(
             LandmarkAnnotation(
-                clip_id=clip.clip_id,
+                clip_id=clip.id,
                 goal_frame=goal,
                 bbox=(x1, y1, x1 + 80.0, y1 + 120.0),
                 name=f"landmark-{i}",
-                instruction=f"go to landmark #{i} near {clip.clip_id}",
+                instruction=f"go to landmark #{i} near {clip.id}",
             )
         )
     return landmarks

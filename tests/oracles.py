@@ -45,11 +45,11 @@ from navcurate.io import (
     LandmarkAnnotation,
     PredictionRecord,
     PredictionTable,
+    RawTrajectory,
     TrainingSample,
 )
 from navcurate.metrics import ARRIVAL_THRESHOLD, ZERO_STEP
 from navcurate.sampling import SamplerConfig
-from navcurate.segmentation import Clip
 
 # ---------------------------------------------------------------------------
 # Quaternion helpers only the tests need
@@ -212,7 +212,7 @@ class Pose:
 
 
 def pose_at(traj, i: int) -> Pose:
-    """Pose i of a RawTrajectory or Clip."""
+    """Pose i of a RawTrajectory."""
     return Pose(float(traj.timestamps[i]), traj.positions[i].copy(), traj.quaternions[i].copy())
 
 
@@ -294,7 +294,7 @@ class OutOfBounds(NavcurateError):
 
 
 def build_sample(
-    clip: Clip,
+    clip: RawTrajectory,
     landmark: LandmarkAnnotation,
     t: int,
     config: SamplerConfig,
@@ -321,7 +321,7 @@ def build_sample(
         to_ego_waypoint(reference, clip.positions[t + (i + 1) * stride], convention) for i in range(k)
     )
     return training_sample(
-        clip, landmark, t, waypoints, config, sample_id or f"{clip.clip_id}:g{landmark.goal_frame}:t{t}"
+        clip, landmark, t, waypoints, config, sample_id or f"{clip.id}:g{landmark.goal_frame}:t{t}"
     )
 
 
@@ -332,7 +332,7 @@ def samples_of(lines) -> list[TrainingSample]:
 
 
 def training_sample(
-    clip: Clip,
+    clip: RawTrajectory,
     landmark: LandmarkAnnotation,
     t: int,
     waypoints: tuple[tuple[float, float], ...],
@@ -345,7 +345,7 @@ def training_sample(
     t_g = landmark.goal_frame
     return TrainingSample(
         sample_id=sample_id,
-        clip_id=clip.clip_id,
+        clip_id=clip.id,
         instruction=landmark.instruction,
         t=t,
         t_g=t_g,

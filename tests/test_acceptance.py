@@ -54,7 +54,7 @@ def criterion(num: int, name: str):
 
 
 def clip_of(spec, clip_seconds=120.0):
-    return segment(generate(spec), clip_seconds)[0]
+    return segment(generate(spec), clip_seconds)[0][1]
 
 
 def test_criterion_01_frechet_oracle_equivalence():
@@ -189,11 +189,11 @@ def test_criterion_06_waypoint_consistency():
                 traj_id=f"wc{i:03d}",
             )
             traj = generate(spec)
-            clip = segment(traj, 40.0)[0]
+            entry, clip = segment(traj, 40.0)[0]
             landmarks = generate_landmarks(clip, 2, seed=i)
             lines, _ = build_clip_samples(clip, landmarks, cfg, CLIP_CONVENTION)
             for sample in samples_of(lines):
-                s = clip.start_frame
+                s = entry.start_frame
                 ref = pose_at(traj, s + sample.t)
                 for step, stored in enumerate(sample.waypoints, start=1):
                     again = to_ego_waypoint(
@@ -257,10 +257,10 @@ def test_criterion_08_geometry_round_trips():
         )
         clips = segment(traj, 10.0)
         for _ in range(1000):
-            clip = clips[int(rng.integers(0, len(clips)))]
+            entry, clip = clips[int(rng.integers(0, len(clips)))]
             i, j = (int(v) for v in rng.integers(0, len(clip), size=2))
             rel_clip = relative_pose(pose_at(clip, i), pose_at(clip, j))
-            rel_raw = relative_pose(pose_at(traj, clip.start_frame + i), pose_at(traj, clip.start_frame + j))
+            rel_raw = relative_pose(pose_at(traj, entry.start_frame + i), pose_at(traj, entry.start_frame + j))
             assert np.linalg.norm(rel_clip.position - rel_raw.position) <= 1e-9
             assert quat_close(rel_clip.orientation, rel_raw.orientation, tol=1e-9)
 
@@ -363,7 +363,7 @@ def test_criterion_09_pipeline_determinism(tmp_path, monkeypatch):
 def _segment_and_filter(traj) -> int:
     cfg = FilterConfig()
     empty = table_of([])
-    return sum(run_filters(c, empty, cfg, CLIP_CONVENTION).accepted for c in segment(traj, 120.0))
+    return sum(run_filters(c, empty, cfg, CLIP_CONVENTION).accepted for _, c in segment(traj, 120.0))
 
 
 def test_criterion_10_throughput():

@@ -135,6 +135,7 @@ class TestSynthCommand:
             (None, "detections", [1]),
             ("landmarks", "per_clip", "x"),
             ("detections", "spans", [{"start": 0, "frames": 3, "count": 2.7}]),
+            ("trajectory", "seed", 12345678901234567890123),  # no such key: a seed would change nothing
         ],
     )
     def test_mistyped_spec_value_exits_2(self, tmp_path, capsys, block, key, value):
@@ -149,6 +150,18 @@ class TestSynthCommand:
         assert json.loads(lines[0])["error"] == "validation"
         assert key in json.loads(lines[0])["detail"]
         assert not out.exists()
+
+    def test_landmarks_past_goal_frames_are_capped_silently(self, tmp_path):
+        # A 4 s clip at 5 fps has 10 frames in its second half, so 10 goal frames.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "trajectory": {"kind": "straight", "duration_s": 4.0, "fps": 5.0},
+            "landmarks": {"clip_seconds": 4.0, "per_clip": 50},
+        }))
+        proc = run_cli("synth", "--spec", str(spec), "--out", str(tmp_path / "synth"))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads((tmp_path / "synth" / "manifest.json").read_text())["counts"]["landmarks"] == 10
 
     @pytest.mark.parametrize(
         "block, key, value",
@@ -259,7 +272,9 @@ class TestFilterCommand:
         assert err["error"] == "validation"
         assert f"clip entry 1 has no {field!r}" in err["detail"]
 
-    @pytest.mark.parametrize("damage", ["cut-mid-row", "missing-rows", "start-frame-beyond-int64"])
+    @pytest.mark.parametrize(
+        "damage", ["cut-mid-row", "missing-rows", "start-frame-beyond-int64", "pose-0-not-identity"]
+    )
     def test_bad_clip_same_error_at_any_worker_count(self, pipeline_dir, capsys, damage):
         clips = pipeline_dir / "clips"
         pose_file = clips / "walk_0002.txt"
@@ -267,6 +282,12 @@ class TestFilterCommand:
             pose_file.write_text(pose_file.read_text().rstrip("\n").rsplit(" ", 1)[0] + "\n")
         elif damage == "missing-rows":
             pose_file.write_text("".join(pose_file.read_text().splitlines(keepends=True)[:-5]))
+        elif damage == "pose-0-not-identity":
+            lines = pose_file.read_text().splitlines(keepends=True)
+            first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+            fields = lines[first].split()
+            lines[first] = " ".join([fields[0], "1.0", *fields[2:]]) + "\n"  # 1 m off the clip origin
+            pose_file.write_text("".join(lines))
         else:
             manifest = json.loads((clips / "manifest.json").read_text())
             manifest["clips"][2]["start_frame"] = 2**63 - 100
@@ -284,6 +305,8 @@ class TestFilterCommand:
         assert errors[0] == errors[1]
         if damage == "cut-mid-row":
             assert errors[0]["error"] == "parse" and errors[0]["line"] == 602
+        if damage == "pose-0-not-identity":
+            assert errors[0] == {"error": "validation", "detail": "clip pose 0 must sit at the local origin"}
         assert not (pipeline_dir / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["filter", "samples"])

@@ -49,9 +49,9 @@ EDGE_SCORES = [math.nextafter(SCORE_MIN, 0.0), SCORE_MIN, math.nextafter(SCORE_M
 # Scalar oracle
 # ---------------------------------------------------------------------------
 
-def oracle_slice(frames, clip):
-    lo = clip.start_frame
-    hi = clip.start_frame + len(clip)
+def oracle_slice(frames, entry):
+    lo = entry.start_frame
+    hi = entry.start_frame + entry.n_frames
     return [DetectionFrame(df.frame - lo, df.detections) for df in frames if lo <= df.frame < hi]
 
 
@@ -76,7 +76,7 @@ def oracle_verdict(clip, frames, config):
     checks = ((REASON_PITCH, pitch_ok), (REASON_DIVERGENCE, div_ok), (REASON_CROWD, crowd_ok))
     reasons = [reason for reason, ok in checks if not ok]
     return {
-        "clip_id": clip.clip_id,
+        "clip_id": clip.id,
         "accepted": not reasons,
         "reasons": tuple(sorted(reasons)),
         "diagnostics": {
@@ -139,11 +139,11 @@ def test_table_path_matches_scalar_oracle(tmp_path_factory, records):
     frames = merged_frames(records)
     assert frames_of(table) == frames
     assert list(table) == frames  # the benchmark's traced box count iterates the table
-    for clip in CLIPS:
-        local = slice_detections(table, clip)
-        assert frames_of(local) == oracle_slice(frames, clip)
+    for entry, clip in CLIPS:
+        local = slice_detections(table, entry)
+        assert frames_of(local) == oracle_slice(frames, entry)
         verdict = run_filters(clip, local, CONFIG, CLIP_CONVENTION)
-        assert asdict(verdict) == oracle_verdict(clip, oracle_slice(frames, clip), CONFIG)
+        assert asdict(verdict) == oracle_verdict(clip, oracle_slice(frames, entry), CONFIG)
         # Unsliced: source frames read as clip-local, most of them out of range.
         verdict = run_filters(clip, table, CONFIG, CLIP_CONVENTION)
         assert asdict(verdict) == oracle_verdict(clip, frames, CONFIG)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from navcurate.errors import LengthMismatch, ShapeMismatch, ValidationError
-from navcurate.losses import LossComponents, LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
+from navcurate.losses import LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 
 
 def central_diff(f, x, h=1e-6):
@@ -50,14 +50,6 @@ class TestLossReg:
             _, grad = loss_reg(pred, gt)
             fd = central_diff(lambda x: loss_reg(x, gt)[0], pred)
             assert rel_error(grad, fd) < 1e-6
-
-    def test_unsquared_variant(self, rng):
-        pred = np.array([[3.0, 4.0], [0.0, 1.0]])
-        gt = np.zeros((2, 2))
-        value, grad = loss_reg(pred, gt, squared=False)
-        assert value == pytest.approx((5.0 + 1.0) / 2.0)
-        fd = central_diff(lambda x: loss_reg(x, gt, squared=False)[0], pred)
-        assert rel_error(grad, fd) < 1e-5
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -186,22 +178,22 @@ class TestLossHall:
 class TestLossTotal:
     def test_zero_weights(self):
         weights = LossWeights(0.0, 0.0, 0.0, 0.0)
-        assert loss_total(LossComponents(1.0, 2.0, 3.0, 4.0), weights) == 0.0
+        assert loss_total((1.0, 2.0, 3.0, 4.0), weights) == 0.0
 
     def test_unit_weights(self):
-        assert loss_total(LossComponents(1.0, -1.0, 0.5, 0.25)) == pytest.approx(0.75)
+        assert loss_total((1.0, -1.0, 0.5, 0.25)) == pytest.approx(0.75)
 
     def test_weight_homogeneity(self):
-        components = LossComponents(0.3, -0.2, 1.1, 0.7)
+        components = (0.3, -0.2, 1.1, 0.7)
         w1 = LossWeights(1.0, 2.0, 0.5, 3.0)
         w2 = LossWeights(2.0, 4.0, 1.0, 6.0)
         assert loss_total(components, w2) == pytest.approx(2.0 * loss_total(components, w1))
 
     def test_linear_in_components(self):
-        a = LossComponents(1.0, 0.0, 0.0, 0.0)
-        b = LossComponents(0.0, 1.0, 0.0, 0.0)
+        a = (1.0, 0.0, 0.0, 0.0)
+        b = (0.0, 1.0, 0.0, 0.0)
         w = LossWeights(0.4, 0.6, 1.0, 1.0)
-        total_sum = loss_total(LossComponents(1.0, 1.0, 0.0, 0.0), w)
+        total_sum = loss_total((1.0, 1.0, 0.0, 0.0), w)
         assert total_sum == pytest.approx(loss_total(a, w) + loss_total(b, w))
 
     def test_weights_validated(self):

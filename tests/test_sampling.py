@@ -17,7 +17,7 @@ from navcurate.sampling import (
     draw_rng,
     draw_start,
 )
-from navcurate.segmentation import Clip, segment
+from navcurate.segmentation import segment
 from navcurate.synth import CLIP_CONVENTION, RAW_CONVENTION, SynthSpec, generate, generate_landmarks
 
 from oracles import (
@@ -39,9 +39,9 @@ def landmark(clip_id="walk_0000", goal_frame=100, text="go to the kiosk"):
 def corpus_lines(clips, landmarks, accepted, config):
     """Sample lines and skip counts over clips, the accepted ones built in process."""
     return collect_samples(
-        [c.clip_id for c in clips],
+        [c.id for c in clips],
         landmarks,
-        {c.clip_id for c in accepted},
+        {c.id for c in accepted},
         lambda pairs: [build_clip_samples(clips[i], lms, config, CLIP_CONVENTION) for i, lms in pairs],
     )
 
@@ -115,19 +115,19 @@ class TestDrawStart:
 def unit_step_clip(fps=10.0, duration=30.0):
     """Straight walk covering 1 m per frame (speed == fps)."""
     traj = generate(SynthSpec("straight", duration_s=duration, fps=fps, speed_mps=fps, traj_id="walk"))
-    return traj, segment(traj, duration)[0]
+    return traj, segment(traj, duration)[0][1]
 
 
 class TestBuildSample:
     def test_stationary_clip_zero_waypoints(self):
         traj = generate(SynthSpec("stationary", duration_s=30.0, fps=10.0, traj_id="still"))
-        clip = segment(traj, 30.0)[0]
+        clip = segment(traj, 30.0)[0][1]
         sample = build_sample(clip, landmark("still_0000", 150), 100, SamplerConfig(), CLIP_CONVENTION)
         assert all(w == (0.0, 0.0) for w in sample.waypoints)
 
     def test_unit_steps_forward(self):
         _, clip = unit_step_clip()
-        sample = build_sample(clip, landmark(clip.clip_id, 150), 100, SamplerConfig(), CLIP_CONVENTION)
+        sample = build_sample(clip, landmark(clip.id, 150), 100, SamplerConfig(), CLIP_CONVENTION)
         for i, (x, y) in enumerate(sample.waypoints, start=1):
             assert x == pytest.approx(float(i), abs=1e-9)
             assert y == pytest.approx(0.0, abs=1e-9)
@@ -135,20 +135,20 @@ class TestBuildSample:
     def test_arrival_label_rule(self):
         _, clip = unit_step_clip()
         cfg = SamplerConfig()
-        near = build_sample(clip, landmark(clip.clip_id, 101), 100, cfg, CLIP_CONVENTION)
-        far = build_sample(clip, landmark(clip.clip_id, 150), 100, cfg, CLIP_CONVENTION)
+        near = build_sample(clip, landmark(clip.id, 101), 100, cfg, CLIP_CONVENTION)
+        far = build_sample(clip, landmark(clip.id, 150), 100, cfg, CLIP_CONVENTION)
         assert near.arrival is True
         assert far.arrival is False
 
     def test_history_clamped_at_zero(self):
         _, clip = unit_step_clip()
-        sample = build_sample(clip, landmark(clip.clip_id, 100), 3, SamplerConfig(), CLIP_CONVENTION)
+        sample = build_sample(clip, landmark(clip.id, 100), 3, SamplerConfig(), CLIP_CONVENTION)
         assert sample.history_frames == (0, 0, 0, 0, 0, 1, 2, 3)
 
     def test_stride_spacing(self):
         _, clip = unit_step_clip()
         cfg = SamplerConfig(waypoint_stride=3)
-        sample = build_sample(clip, landmark(clip.clip_id, 200), 50, cfg, CLIP_CONVENTION)
+        sample = build_sample(clip, landmark(clip.id, 200), 50, cfg, CLIP_CONVENTION)
         assert sample.history_frames == tuple(range(50 - 7 * 3, 51, 3))
         assert sample.waypoints[0][0] == pytest.approx(3.0, abs=1e-9)
         assert sample.waypoints[-1][0] == pytest.approx(24.0, abs=1e-9)
@@ -156,18 +156,18 @@ class TestBuildSample:
     def test_out_of_bounds(self):
         _, clip = unit_step_clip()
         with pytest.raises(OutOfBounds):
-            build_sample(clip, landmark(clip.clip_id, 299), 295, SamplerConfig(), CLIP_CONVENTION)
+            build_sample(clip, landmark(clip.id, 299), 295, SamplerConfig(), CLIP_CONVENTION)
 
     def test_waypoints_rederive_through_raw_frame(self, rng):
         # Independent route: express the same future positions in the raw
         # gravity-aligned world instead of the re-anchored clip frame.
         traj = generate(SynthSpec("arc", duration_s=40.0, fps=10.0, yaw_rate_dps=5.0, traj_id="bend"))
-        clip = segment(traj, 40.0)[0]
+        entry, clip = segment(traj, 40.0)[0]
         cfg = SamplerConfig()
         for _ in range(20):
             t = int(rng.integers(0, len(clip) - cfg.horizon - 1))
-            sample = build_sample(clip, landmark(clip.clip_id, len(clip) - 1), t, cfg, CLIP_CONVENTION)
-            s = clip.start_frame
+            sample = build_sample(clip, landmark(clip.id, len(clip) - 1), t, cfg, CLIP_CONVENTION)
+            s = entry.start_frame
             for i, stored in enumerate(sample.waypoints, start=1):
                 again = to_ego_waypoint(pose_at(traj, s + t), traj.positions[s + t + i], RAW_CONVENTION)
                 assert stored[0] == pytest.approx(again.x, abs=1e-9)
@@ -175,11 +175,11 @@ class TestBuildSample:
 
     def test_first_waypoint_magnitude_is_step_distance(self, rng):
         traj = generate(SynthSpec("arc", duration_s=40.0, fps=10.0, yaw_rate_dps=8.0, traj_id="bend"))
-        clip = segment(traj, 40.0)[0]
+        clip = segment(traj, 40.0)[0][1]
         cfg = SamplerConfig()
         e1, e2 = CLIP_CONVENTION.ground_axes
         for t in (0, 17, 101):
-            sample = build_sample(clip, landmark(clip.clip_id, len(clip) - 1), t, cfg, CLIP_CONVENTION)
+            sample = build_sample(clip, landmark(clip.id, len(clip) - 1), t, cfg, CLIP_CONVENTION)
             delta = clip.positions[t + 1] - clip.positions[t]
             ground = np.hypot(float(delta @ e1), float(delta @ e2))
             assert np.hypot(*sample.waypoints[0]) == pytest.approx(ground, abs=1e-9)
@@ -213,13 +213,13 @@ class TestBuildCorpus:
 
     def test_goal_out_of_bounds_counted(self):
         clip, landmarks = self._fixture()
-        bad = landmark(clip.clip_id, len(clip) + 5)
+        bad = landmark(clip.id, len(clip) + 5)
         _, skipped = corpus([clip], landmarks + [bad], [clip], SamplerConfig())
         assert skipped["goal_out_of_bounds"] == 1
 
     def test_infeasible_goal_counted(self):
         clip, _ = self._fixture()
-        early = landmark(clip.clip_id, 4)
+        early = landmark(clip.id, 4)
         samples, skipped = corpus([clip], [early], [clip], SamplerConfig())
         assert samples == []
         assert skipped["infeasible"] == 1
@@ -244,7 +244,7 @@ class TestBuildCorpus:
 
     def test_offset_invariants_hold_corpus_wide(self):
         traj = generate(SynthSpec("straight", duration_s=240.0, fps=10.0, speed_mps=2.0, traj_id="long"))
-        clips = segment(traj, 60.0)
+        clips = [clip for _, clip in segment(traj, 60.0)]
         landmarks = [lm for clip in clips for lm in generate_landmarks(clip, 10, seed=2)]
         cfg = SamplerConfig(seed=5, draws_per_landmark=3, arrival_fraction=0.3)
         samples, _ = corpus(clips, landmarks, clips, cfg)
@@ -272,11 +272,11 @@ def per_draw_reference(clip, landmarks, config, convention):
             skipped["goal_out_of_bounds"] += 1
             continue
         for draw in range(config.draws_per_landmark):
-            t = draw_start(lm.goal_frame, config, draw_rng(config.seed, clip.clip_id, lm_idx, draw))
+            t = draw_start(lm.goal_frame, config, draw_rng(config.seed, clip.id, lm_idx, draw))
             if t is None:
                 skipped["infeasible"] += 1
                 continue
-            sample_id = f"{clip.clip_id}:{lm_idx:04d}:{draw:02d}"
+            sample_id = f"{clip.id}:{lm_idx:04d}:{draw:02d}"
             try:
                 samples.append(build_sample(clip, lm, t, config, convention, sample_id=sample_id))
             except OutOfBounds:
@@ -297,12 +297,12 @@ def pitched_clip(convention):
     )
     peak = 10  # pitch(t) = A sin(2 pi t / 4 s) peaks at t = 1 s
     cut = RawTrajectory("pitch", traj.fps, traj.timestamps[peak:], traj.positions[peak:], traj.quaternions[peak:])
-    clip = segment(cut, 60.0)[0]
+    clip = segment(cut, 60.0)[0][1]
     quats = clip.quaternions.copy()
     quats[100:160] = quat_between(convention.forward_vec, convention.up_vec)
     positions = clip.positions.copy()
     positions[300:360] = positions[300]
-    return Clip(clip.clip_id, clip.source_id, clip.fps, clip.timestamps, positions, quats, clip.start_frame)
+    return RawTrajectory(clip.id, clip.fps, clip.timestamps, positions, quats)
 
 
 class TestBatchEquivalence:
@@ -318,7 +318,7 @@ class TestBatchEquivalence:
     def test_matches_per_draw_build_sample(self, convention, config):
         clip = pitched_clip(convention)
         landmarks = generate_landmarks(clip, 12, seed=3) + [
-            landmark(clip.clip_id, goal)
+            landmark(clip.id, goal)
             for goal in (5, 130, 150, 340, 355, len(clip) - 1, len(clip) + 100)
         ]
         lines, skipped = build_clip_samples(clip, landmarks, config, convention)
@@ -342,7 +342,7 @@ def line_clip(clip_id, n=80):
     positions = np.zeros((n, 3))
     positions[:, 2] = np.arange(n)
     quats = np.tile([0.0, 0.0, 0.0, 1.0], (n, 1))
-    return Clip(clip_id, "src", 10.0, np.arange(n) / 10.0, positions, quats, 0)
+    return RawTrajectory(clip_id, 10.0, np.arange(n) / 10.0, positions, quats)
 
 
 def pooled_waypoints(pool, t, k):
@@ -373,7 +373,7 @@ def pooled_reference(clip, landmarks, config, pool):
             skipped["goal_out_of_bounds"] += 1
             continue
         for draw in range(config.draws_per_landmark):
-            t = draw_start(lm.goal_frame, config, draw_rng(config.seed, clip.clip_id, lm_idx, draw))
+            t = draw_start(lm.goal_frame, config, draw_rng(config.seed, clip.id, lm_idx, draw))
             if t is None:
                 skipped["infeasible"] += 1
             elif t + config.horizon * config.waypoint_stride >= len(clip):
@@ -382,7 +382,7 @@ def pooled_reference(clip, landmarks, config, pool):
                 skipped["gimbal_degenerate"] += 1
             else:
                 waypoints = pooled_waypoints(pool, t, config.horizon)
-                sample = training_sample(clip, lm, t, waypoints, config, f"{clip.clip_id}:{lm_idx:04d}:{draw:02d}")
+                sample = training_sample(clip, lm, t, waypoints, config, f"{clip.id}:{lm_idx:04d}:{draw:02d}")
                 lines.append(_record_json(sample) + "\n")
     return lines, skipped
 
@@ -418,7 +418,7 @@ def test_sample_lines_are_the_schema_writer_bytes(clip_id, goals, pool, config):
 
 def test_sample_lines_cover_clamped_history_and_both_arrivals():
     clip = line_clip('say "hi"\\ ')
-    landmarks = [LandmarkAnnotation(clip.clip_id, goal, (0.0, 0.0, 1.0, 1.0), "n", "go \"there\"\x01é") for goal in (12, 40)]
+    landmarks = [LandmarkAnnotation(clip.id, goal, (0.0, 0.0, 1.0, 1.0), "n", "go \"there\"\x01é") for goal in (12, 40)]
     config = SamplerConfig(history_len=10, horizon=3, arrival_fraction=0.5, draws_per_landmark=12, seed=4)
     lines, skipped = pooled_lines(clip, landmarks, config, SPECIAL_FLOATS)
     assert (lines, skipped) == pooled_reference(clip, landmarks, config, SPECIAL_FLOATS)
@@ -435,7 +435,7 @@ def test_non_finite_waypoint_names_the_sample():
     positions = clip.positions.copy()
     positions[1:, 0] = 1.7e308
     positions[40:, 0] = -1.7e308  # the x offset from a start before frame 40 to a target after it overflows
-    clip = Clip("far", "src", 10.0, clip.timestamps, positions, clip.quaternions, 0)
+    clip = RawTrajectory("far", 10.0, clip.timestamps, positions, clip.quaternions)
     landmarks = [LandmarkAnnotation("far", 45, (0.0, 0.0, 1.0, 1.0), "n", "go")]
     config = SamplerConfig(min_offset=5, max_offset=6, arrival_fraction=0.0)
     with pytest.raises(ValidationError, match=r"^sample 'far:0000:00' has a non-finite waypoint"):

@@ -233,6 +233,7 @@ PROBES = [
     (SamplerConfig(), "horizon", 2.5),
     (LossWeights(), "lambda_reg", True),
     (ClipEntry("c", "s", 30.0, 0, 10, "c.txt"), "fps", "30"),
+    (ClipEntry("c", "s", 30.0, 0, 10, "c.txt"), "start_frame", np.int64(3)),
     (SynthSpec("straight"), "duration_s", "5"),
 ]
 

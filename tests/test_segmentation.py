@@ -5,7 +5,7 @@ import pytest
 
 from navcurate.errors import EmptyResult, ValidationError
 from navcurate.io import RawTrajectory
-from navcurate.segmentation import Clip, load_clip, read_manifest, save_clips, segment
+from navcurate.segmentation import ClipEntry, load_clip, read_manifest, save_clips, segment
 
 from conftest import quat_close, random_unit_quat
 from oracles import pose_at, relative_pose
@@ -26,8 +26,8 @@ class TestSegment:
         traj = random_trajectory(rng, 7200)
         clips = segment(traj, clip_seconds=120.0)
         assert len(clips) == 2
-        assert all(len(c) == 3600 for c in clips)
-        assert [c.clip_id for c in clips] == ["walk_0000", "walk_0001"]
+        assert all(e.n_frames == len(c) == 3600 for e, c in clips)
+        assert [e.clip_id for e, _ in clips] == [c.id for _, c in clips] == ["walk_0000", "walk_0001"]
 
     def test_below_one_clip_is_empty_result(self, rng):
         traj = random_trajectory(rng, 3599)
@@ -40,7 +40,7 @@ class TestSegment:
         assert len(clips) == 1
 
     def test_first_pose_is_identity(self, rng):
-        for clip in segment(random_trajectory(rng, 240, fps=1.0), clip_seconds=60.0):
+        for _, clip in segment(random_trajectory(rng, 240, fps=1.0), clip_seconds=60.0):
             assert np.linalg.norm(clip.positions[0]) <= 1e-9
             assert quat_close(clip.quaternions[0], [0, 0, 0, 1])
 
@@ -48,8 +48,8 @@ class TestSegment:
         traj = random_trajectory(rng, 1000, fps=10.0)
         clips = segment(traj, clip_seconds=30.0)
         expected_start = 0
-        for clip in clips:
-            assert clip.start_frame == expected_start
+        for entry, clip in clips:
+            assert entry.start_frame == expected_start
             expected_start += len(clip)
         assert expected_start <= len(traj)
         assert len(traj) - expected_start < 300
@@ -62,34 +62,33 @@ class TestSegment:
     def test_reanchoring_preserves_relative_transforms(self, rng):
         traj = random_trajectory(rng, 120, fps=4.0)
         clips = segment(traj, clip_seconds=10.0)
-        for clip in clips:
+        for entry, clip in clips:
             for _ in range(10):
                 i, j = rng.integers(0, len(clip), size=2)
                 rel_clip = relative_pose(pose_at(clip, i), pose_at(clip, j))
-                rel_raw = relative_pose(pose_at(traj, clip.start_frame + i), pose_at(traj, clip.start_frame + j))
+                rel_raw = relative_pose(pose_at(traj, entry.start_frame + i), pose_at(traj, entry.start_frame + j))
                 assert np.allclose(rel_clip.position, rel_raw.position, atol=1e-9)
                 assert quat_close(rel_clip.orientation, rel_raw.orientation, tol=1e-9)
 
     def test_timestamps_preserved(self, rng):
         traj = random_trajectory(rng, 200, fps=5.0)
         clips = segment(traj, clip_seconds=20.0)
-        for clip in clips:
-            assert np.array_equal(clip.timestamps, traj.timestamps[clip.start_frame : clip.start_frame + len(clip)])
+        for entry, clip in clips:
+            assert np.array_equal(clip.timestamps, traj.timestamps[entry.start_frame : entry.start_frame + len(clip)])
 
 
 class TestClipInvariants:
-    def test_rejects_non_identity_anchor(self, rng):
-        with pytest.raises(ValidationError):
-            Clip(
-                clip_id="c",
-                source_id="s",
-                fps=30.0,
-                timestamps=np.array([0.0]),
-                positions=np.array([[1.0, 0.0, 0.0]]),
-                quaternions=np.array([[0.0, 0.0, 0.0, 1.0]]),
-                start_frame=0,
-            )
-
+    def test_rejects_non_identity_anchor(self, rng, tmp_path):
+        clips = segment(random_trajectory(rng, 400, fps=8.0), clip_seconds=25.0)
+        save_clips(clips, tmp_path / "clips")
+        path = tmp_path / "clips" / clips[1][0].file
+        lines = path.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        fields = lines[first].split()
+        lines[first] = " ".join([fields[0], "1.0", *fields[2:]]) + "\n"  # pose 0 moves 1 m off the origin
+        path.write_text("".join(lines))
+        with pytest.raises(ValidationError, match="clip pose 0 must sit at the local origin"):
+            load_all(tmp_path / "clips")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -97,18 +96,10 @@ class TestClipInvariants:
         ids=repr,
     )
     def test_values_never_coerced(self, field, value):
-        args = dict(
-            clip_id="c",
-            source_id="s",
-            fps=30.0,
-            timestamps=np.array([0.0]),
-            positions=np.zeros((1, 3)),
-            quaternions=np.array([[0.0, 0.0, 0.0, 1.0]]),
-            start_frame=0,
-        )
-        assert Clip(**args).start_frame == 0
+        args = dict(clip_id="c", source_id="s", fps=30.0, start_frame=0, n_frames=1, file="c.txt")
+        assert ClipEntry(**args).start_frame == 0
         with pytest.raises(ValidationError, match=field):
-            Clip(**{**args, field: value})
+            ClipEntry(**{**args, field: value})
 
 
 def load_all(clip_dir):
@@ -120,11 +111,10 @@ class TestSaveLoad:
         traj = random_trajectory(rng, 400, fps=8.0)
         clips = segment(traj, clip_seconds=25.0)
         save_clips(clips, tmp_path / "clips", extra={"stage": "segment"})
+        assert read_manifest(tmp_path / "clips") == [entry for entry, _ in clips]
         loaded = load_all(tmp_path / "clips")
-        assert [c.clip_id for c in loaded] == [c.clip_id for c in clips]
-        for a, b in zip(clips, loaded):
-            assert a.start_frame == b.start_frame
-            assert a.source_id == b.source_id
+        assert [c.id for c in loaded] == [c.id for _, c in clips]
+        for (_, a), b in zip(clips, loaded):
             assert a.fps == b.fps
             assert np.array_equal(a.timestamps, b.timestamps)
             assert np.array_equal(a.positions, b.positions)
@@ -133,7 +123,7 @@ class TestSaveLoad:
     def test_truncated_clip_file_rejected(self, rng, tmp_path):
         clips = segment(random_trajectory(rng, 400, fps=8.0), clip_seconds=25.0)
         save_clips(clips, tmp_path / "clips")
-        path = tmp_path / "clips" / f"{clips[1].clip_id}.txt"
+        path = tmp_path / "clips" / clips[1][0].file
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-5]))
         with pytest.raises(ValidationError, match="clip entry 1 lists 200 frames"):
