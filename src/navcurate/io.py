@@ -22,26 +22,29 @@ Record files (JSON lines, one compact record per line):
     the wrong shape or JSON type raises ParseError with its line number; a
     well-typed record that breaks an invariant of its dataclass (an empty
     instruction, bbox corners out of order) raises ValidationError naming
-    ``path:line``. Keys that are not fields are
-    ignored. Waypoints are tuples of ``(x, y)`` tuples of finite numbers,
+    ``path:line``. Keys that are not fields are ignored, in a detection's
+    box too. Waypoints are tuples of ``(x, y)`` tuples of finite numbers,
     which json writes as ``[x, y]``.
 
 Detections and predictions, the files read at scale, are parsed into
-columns instead, in one streaming pass under the same exact JSON types,
-and no object is built per record. :func:`parse_detections` gives a
-:class:`DetectionTable` (frames sorted, boxes as arrays) and reports every
-invalid line, range errors included, as ParseError. :func:`parse_predictions`
-gives a :class:`PredictionTable` (waypoints in flat arrays, arrival values
-with null masks) and fails on the same line, with the same error class
-and message, as decoding each line through the schema would.
-:class:`Detection`, :class:`DetectionFrame` and :class:`PredictionRecord`
-stay the schema: the scalar records the tests compare the tables with,
-and the constructors whose messages name a fault that the parsers (or
-:func:`write_detections`) find. Detection and sample files are written
-from columns, not records: :func:`write_detections` formats a
-DetectionTable's lines from its columns, and :func:`write_samples` takes
-the lines that ``sampling.build_clip_samples`` formats from arrays. Each
-writes byte for byte what ``write_records`` writes for the equal records.
+columns instead, and no object is built per record. One streaming pass
+tests each value's exact JSON type and range; the first line that fails
+is decoded through ``schema.decoder``, which names its fault from the
+object as parsed. So the parsers fail on the same line, with the same
+message, as decoding every line would, from a file or a pipe alike.
+:func:`parse_detections` gives a :class:`DetectionTable` (frames sorted,
+boxes as arrays) and reports an invalid line as ParseError;
+:func:`parse_predictions` gives a :class:`PredictionTable` (waypoints in
+flat arrays, arrival values with null masks) and raises the decoder's
+error class. :class:`Detection`, :class:`DetectionFrame` and
+:class:`PredictionRecord` stay the schema: the scalar records the tests
+compare the tables with, and the constructors whose messages name a
+fault that the parsers (or :func:`write_detections`) find. Detection
+and sample files are written from columns, not records:
+:func:`write_detections` formats a DetectionTable's lines from its
+columns, and :func:`write_samples` takes the lines that
+``sampling.build_clip_samples`` formats from arrays. Each writes byte for
+byte what ``write_records`` writes for the equal records.
 Detection frame indices count frames of the source trajectory; duplicate
 frames merge by concatenation in file order (the one documented repair).
 
@@ -155,6 +158,7 @@ class RawTrajectory:
         return self.timestamps.shape[0]
 
 
+@schema.record
 @dataclass(frozen=True)
 class Detection:
     """One detector box: a string label, [x1, y1, x2, y2] pixels, a score in [0, 1].
@@ -178,6 +182,7 @@ class Detection:
 _FRAME_LIMIT = 1 << 63  # frame indices are stored as int64
 
 
+@schema.record
 @dataclass(frozen=True)
 class DetectionFrame:
     """The detections of one frame: the scalar form of one DetectionTable frame."""
@@ -272,10 +277,8 @@ class DetectionTable:
             yield DetectionFrame(frame, tuple(map(Detection, labels[s:e], bboxes[s:e], scores[s:e])))
 
     def __reduce__(self):
-        # Raw column bytes skip numpy's per-array pickle header, so a clip's
-        # slice, often empty, stays small when sent to a pool worker.
-        columns = (self.frames, self.offsets, self.labels, self.scores, self.bboxes)
-        return _table_from_bytes, (self.names, *(c.tobytes() for c in columns))
+        # Unpickling calls the constructor, which validates the columns and makes them read-only.
+        return DetectionTable, (self.frames, self.offsets, self.labels, self.names, self.scores, self.bboxes)
 
     def window(self, lo: int, hi: int) -> "DetectionTable":
         """Frames in [lo, hi), renumbered so frame lo becomes 0; box columns are views."""
@@ -291,17 +294,7 @@ class DetectionTable:
         )
 
 
-def _table_from_bytes(names, frames, offsets, labels, scores, bboxes) -> DetectionTable:
-    return DetectionTable(
-        np.frombuffer(frames, dtype=np.int64),
-        np.frombuffer(offsets, dtype=np.int64),
-        np.frombuffer(labels, dtype=np.int64),
-        names,
-        np.frombuffer(scores, dtype=float),
-        np.frombuffer(bboxes, dtype=float).reshape(-1, 4),
-    )
-
-
+@schema.record
 @dataclass(frozen=True)
 class LandmarkAnnotation:
     """A navigation goal: a named, boxed scene element plus its instruction."""
@@ -325,6 +318,7 @@ class LandmarkAnnotation:
             raise ValidationError("instruction must be non-empty")
 
 
+@schema.record
 @dataclass(frozen=True)
 class TrainingSample:
     """One supervision tuple: history frames, future waypoints, goal text, arrival flag."""
@@ -352,6 +346,7 @@ class TrainingSample:
             raise ValidationError("waypoints must be non-empty")
 
 
+@schema.record
 @dataclass(frozen=True)
 class PredictionRecord:
     """Predicted vs ground-truth waypoints for one evaluation sample."""
@@ -535,224 +530,138 @@ def _iter_json_lines(path):
 
 
 # json.loads gives a number as exactly int or float (true/false are bool),
-# so exact type tests suffice for parsed values.
+# so exact type tests suffice for parsed values. A JSON value unpacks to n
+# numbers only if it is an array of n numbers (an object unpacks to its
+# keys, a string to its characters). A chained comparison with -inf and
+# inf (``lo`` and ``hi`` below) holds for a finite float and for any int,
+# never for NaN or an infinity; an int beyond the float range raises
+# OverflowError when it is appended to a float array.
 _JSON_NUMBERS = frozenset((float, int))
 
 
 def parse_detections(path) -> DetectionTable:
     """Parse detection records into a DetectionTable, sorted by frame.
 
-    Duplicate frames merge by concatenation in file order. The first
-    invalid line raises ParseError with the message of the schema or of
-    the scalar Detection/DetectionFrame constructors, which apply the
-    same rules.
+    Duplicate frames merge by concatenation in file order. One streaming
+    pass tests each value's exact JSON type and range; the first line that
+    fails is decoded through ``schema.decoder(DetectionFrame)`` and raises
+    ParseError with its message, which names the value as written.
     """
-    frames, ends, lines = array("q"), array("q"), array("q")
+    frames, ends = array("q"), array("q")
     labels, scores, bboxes = array("q"), array("d"), array("d")
     names: dict[str, int] = {}
-    try:
-        for lineno, obj in _iter_json_lines(path):
-            # Exact JSON type tests per value; the range checks run vectorised below.
-            try:
-                frame = obj["frame"]
-                dets = obj["detections"]
-                if type(frame) is not int or type(dets) is not list:
+    lo, hi = -math.inf, math.inf
+    for lineno, obj in _iter_json_lines(path):
+        try:
+            frame = obj["frame"]
+            dets = obj["detections"]
+            if type(frame) is not int or frame < 0 or type(dets) is not list:
+                raise TypeError
+            for d in dets:
+                label = d["label"]
+                bbox = d["bbox"]
+                score = d["score"]
+                x1, y1, x2, y2 = bbox
+                if (
+                    type(label) is not str
+                    or type(score) not in _JSON_NUMBERS
+                    or not 0 <= score <= 1
+                    or type(x1) not in _JSON_NUMBERS
+                    or type(y1) not in _JSON_NUMBERS
+                    or type(x2) not in _JSON_NUMBERS
+                    or type(y2) not in _JSON_NUMBERS
+                    or not lo < x1 <= x2 < hi
+                    or not lo < y1 <= y2 < hi
+                ):
                     raise TypeError
-                for d in dets:
-                    label = d["label"]
-                    bbox = d["bbox"]
-                    score = d["score"]
-                    if (
-                        type(label) is not str
-                        or type(score) not in _JSON_NUMBERS
-                        or type(bbox) is not list
-                        or len(bbox) != 4
-                        or type(bbox[0]) not in _JSON_NUMBERS
-                        or type(bbox[1]) not in _JSON_NUMBERS
-                        or type(bbox[2]) not in _JSON_NUMBERS
-                        or type(bbox[3]) not in _JSON_NUMBERS
-                    ):
-                        raise TypeError
-                    labels.append(names.setdefault(label, len(names)))
-                    scores.append(score)
-                    bboxes.extend(bbox)
-                frames.append(frame)
-            except (KeyError, TypeError, OverflowError):
-                try:
-                    schema.decoder(DetectionFrame)(obj)  # the schema and the scalar constructors name the fault
-                except ValidationError as exc:
-                    raise ParseError(str(exc), path=str(path), line=lineno) from None
-                raise ParseError("invalid detection record", path=str(path), line=lineno) from None
-            ends.append(len(scores))
-            lines.append(lineno)
-    except ParseError:
-        _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, path)
-        raise
-    table = _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, path)
-    return DetectionTable._from_records(*table)
-
-
-def _check_detection_ranges(frames, ends, lines, labels, names, scores, bboxes, path):
-    """Vectorised range checks over the complete records parsed so far.
-
-    Returns the record columns (frames, ends, labels, names, scores,
-    bboxes). The first record holding an out-of-range value raises
-    ParseError naming its line, with the message of the constructor that
-    rejects it (see :func:`_range_fault`).
-    """
-    n = len(ends)
-    m = ends[-1] if n else 0
-    frames = np.frombuffer(frames, dtype=np.int64, count=n)
-    ends = np.frombuffer(ends, dtype=np.int64, count=n)
-    labels = np.frombuffer(labels, dtype=np.int64, count=m)
-    scores = np.frombuffer(scores, dtype=float, count=m)
-    bboxes = np.frombuffer(bboxes, dtype=float, count=4 * m).reshape(m, 4)
-    names = tuple(names)
-    fault = _range_fault(frames, ends, labels, names, scores, bboxes)
-    if fault is not None:
-        r, exc = fault
-        raise ParseError(str(exc) if exc else "invalid detection record", path=str(path), line=lines[r])
-    return frames, ends, labels, names, scores, bboxes
-
-
-def _range_fault(frames, ends, labels, names, scores, bboxes):
-    """The first record holding an out-of-range value, as (index, error), or None.
-
-    Record r holds box rows ``ends[r - 1]:ends[r]``. The error is the one
-    building the record raises: Detection's for its first bad box, else
-    DetectionFrame's (None if neither rejects it).
-    """
-    m = scores.shape[0]
-    bad_box = ~(
-        np.isfinite(bboxes).all(axis=1)
-        & (bboxes[:, 0] <= bboxes[:, 2])
-        & (bboxes[:, 1] <= bboxes[:, 3])
-        & (scores >= 0.0)
-        & (scores <= 1.0)
+                labels.append(names.setdefault(label, len(names)))
+                scores.append(score)
+                bboxes.extend(bbox)
+            frames.append(frame)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            try:
+                schema.decoder(DetectionFrame)(obj)  # the schema and the scalar constructors name the fault
+            except ValidationError as exc:
+                raise ParseError(str(exc), path=str(path), line=lineno) from None
+            raise ParseError("invalid detection record", path=str(path), line=lineno) from None
+        ends.append(len(scores))
+    n, m = len(ends), len(scores)
+    return DetectionTable._from_records(
+        np.frombuffer(frames, dtype=np.int64, count=n),
+        np.frombuffer(ends, dtype=np.int64, count=n),
+        np.frombuffer(labels, dtype=np.int64, count=m),
+        tuple(names),
+        np.frombuffer(scores, dtype=float, count=m),
+        np.frombuffer(bboxes, dtype=float, count=4 * m).reshape(m, 4),
     )
-    bad = frames < 0
-    box = int(np.argmax(bad_box)) if bad_box.any() else m  # the first bad box row, m if none
-    if box < m:
-        bad[np.searchsorted(ends, box, side="right")] = True
-    if not bad.any():
-        return None
-    r = int(np.argmax(bad))
-    try:
-        # A record with a bad frame and a bad box reports the box, as building the record would.
-        if box < ends[r]:
-            Detection(names[labels[box]], bboxes[box].tolist(), scores[box].item())
-        DetectionFrame(int(frames[r]), ())
-    except ValidationError as exc:
-        return r, exc
-    return r, None
 
 
 def parse_predictions(path) -> PredictionTable:
     """Parse prediction records into a PredictionTable, in file order.
 
-    One streaming pass reads each line with exact JSON type tests; the
-    finiteness and range checks run vectorised over the parsed columns.
-    The first invalid line in file order is decoded again through
+    One streaming pass tests each value's exact JSON type and range. The
+    first line that fails is decoded through
     ``schema.decoder(PredictionRecord)``, so it fails as every record file
-    does (see :func:`_parse_records`), with the same message. A file that
-    cannot be read twice (a pipe) whose fault is a range fault found after
-    the pass gets the same error class and line, from the record built out
-    of its parsed values; the message then writes an integer value as a
-    float (``2.0`` for ``2``).
+    does (see :func:`_parse_records`), with the same error class and
+    message, from a regular file or a pipe alike.
     """
     sample_ids: list[str] = []
-    lines, ends = array("q"), array("q")
+    ends = array("q")
     predicted, ground_truth = array("d"), array("d")
     arrival, labels, arrival_null, label_null = array("d"), array("b"), array("b"), array("b")
-    try:
-        for lineno, obj in _iter_json_lines(path):
-            # Exact JSON type tests per value; finiteness and ranges are checked vectorised below.
-            try:
-                sample_id = obj["sample_id"]
-                pred = obj["predicted"]
-                gt = obj["ground_truth"]
-                p_arrival = obj.get("predicted_arrival")
-                label = obj.get("arrival_label")
-                if (
-                    type(sample_id) is not str
-                    or not sample_id
-                    or type(pred) is not list
-                    or type(gt) is not list
-                    or not pred
-                    or len(pred) != len(gt)
-                    or (p_arrival is not None and type(p_arrival) not in _JSON_NUMBERS)
-                    or (label is not None and type(label) is not bool)
-                ):
-                    raise TypeError
-                for waypoints, column in ((pred, predicted), (gt, ground_truth)):
-                    for w in waypoints:
-                        if (
-                            type(w) is not list
-                            or len(w) != 2
-                            or type(w[0]) not in _JSON_NUMBERS
-                            or type(w[1]) not in _JSON_NUMBERS
-                        ):
-                            raise TypeError
-                        column.extend(w)
-                arrival.append(0.0 if p_arrival is None else p_arrival)
-            except (KeyError, TypeError, OverflowError):
-                _decode(schema.decoder(PredictionRecord), obj, path, lineno)  # the schema names the fault
-                raise ParseError("invalid prediction record", path=str(path), line=lineno) from None
-            arrival_null.append(p_arrival is None)
-            labels.append(label is True)
-            label_null.append(label is None)
-            sample_ids.append(sample_id)
-            lines.append(lineno)
-            ends.append(len(predicted) >> 1)
-    except (ParseError, ValidationError):
-        # A record before the failing line that breaks a range rule is reported first.
-        _check_prediction_ranges(path, sample_ids, lines, ends, predicted, ground_truth, arrival, arrival_null)
-        raise
-    columns = _check_prediction_ranges(path, sample_ids, lines, ends, predicted, ground_truth, arrival, arrival_null)
-    id_offsets = np.cumsum(np.fromiter(map(len, sample_ids), dtype=np.int64, count=len(sample_ids)))
+    lo, hi = -math.inf, math.inf
+    for lineno, obj in _iter_json_lines(path):
+        try:
+            sample_id = obj["sample_id"]
+            pred = obj["predicted"]
+            gt = obj["ground_truth"]
+            p_arrival = obj.get("predicted_arrival")
+            label = obj.get("arrival_label")
+            if (
+                type(sample_id) is not str
+                or not sample_id
+                or type(pred) is not list
+                or type(gt) is not list
+                or not pred
+                or len(pred) != len(gt)
+                or (p_arrival is not None and (type(p_arrival) not in _JSON_NUMBERS or not 0 <= p_arrival <= 1))
+                or (label is not None and type(label) is not bool)
+            ):
+                raise TypeError
+            for waypoints, column in ((pred, predicted), (gt, ground_truth)):
+                for w in waypoints:
+                    x, y = w
+                    if (
+                        type(x) not in _JSON_NUMBERS
+                        or type(y) not in _JSON_NUMBERS
+                        or not lo < x < hi
+                        or not lo < y < hi
+                    ):
+                        raise TypeError
+                    column.extend(w)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            _decode(schema.decoder(PredictionRecord), obj, path, lineno)  # the schema names the fault
+            raise ParseError("invalid prediction record", path=str(path), line=lineno) from None
+        arrival.append(0.0 if p_arrival is None else p_arrival)
+        arrival_null.append(p_arrival is None)
+        labels.append(label is True)
+        label_null.append(label is None)
+        sample_ids.append(sample_id)
+        ends.append(len(predicted) >> 1)
+    n = len(ends)
+    w = ends[n - 1] if n else 0
+    id_offsets = np.cumsum(np.fromiter(map(len, sample_ids), dtype=np.int64, count=n))
     return PredictionTable(
         "".join(sample_ids),
         np.concatenate(([0], id_offsets)),
-        *columns,
-        np.frombuffer(labels, dtype=bool),
-        np.frombuffer(label_null, dtype=bool),
+        np.concatenate(([0], np.frombuffer(ends, dtype=np.int64, count=n))),
+        np.frombuffer(predicted, dtype=float, count=2 * w).reshape(w, 2),
+        np.frombuffer(ground_truth, dtype=float, count=2 * w).reshape(w, 2),
+        np.frombuffer(arrival, dtype=float, count=n),
+        np.frombuffer(arrival_null, dtype=bool, count=n),
+        np.frombuffer(labels, dtype=bool, count=n),
+        np.frombuffer(label_null, dtype=bool, count=n),
     )
-
-
-def _check_prediction_ranges(path, sample_ids, lines, ends, predicted, ground_truth, arrival, arrival_null):
-    """Vectorised finiteness and range checks over the complete records parsed so far.
-
-    Returns the columns (offsets, predicted, ground_truth,
-    predicted_arrival, predicted_arrival_null). The first record holding a
-    non-finite waypoint or a predicted_arrival outside [0, 1] is decoded
-    again from its line, which raises the schema's or the constructor's
-    error; if path is not a regular file, the record is built from its
-    parsed values instead, which raises the same error class.
-    """
-    n = len(ends)
-    w = ends[n - 1] if n else 0
-    offsets = np.concatenate(([0], np.frombuffer(ends, dtype=np.int64, count=n)))
-    pred = np.frombuffer(predicted, dtype=float, count=2 * w).reshape(w, 2)
-    gt = np.frombuffer(ground_truth, dtype=float, count=2 * w).reshape(w, 2)
-    p_arrival = np.frombuffer(arrival, dtype=float, count=n)
-    p_null = np.frombuffer(arrival_null, dtype=bool, count=n)
-    bad_waypoint = ~(np.isfinite(pred).all(axis=1) & np.isfinite(gt).all(axis=1))
-    bad = ~p_null & ~((p_arrival >= 0.0) & (p_arrival <= 1.0))
-    if bad_waypoint.any():
-        bad[np.searchsorted(offsets, np.argmax(bad_waypoint), side="right") - 1] = True
-    if bad.any():
-        r = int(np.argmax(bad))
-        lineno = lines[r]
-        if Path(path).is_file():
-            obj = next((obj for line, obj in _iter_json_lines(path) if line == lineno), None)
-        else:
-            rows = slice(offsets[r], offsets[r + 1])
-            obj = {"sample_id": sample_ids[r], "predicted": pred[rows].tolist(), "ground_truth": gt[rows].tolist(),
-                   "predicted_arrival": None if p_null[r] else p_arrival[r].item()}
-        if obj is not None:
-            _decode(schema.decoder(PredictionRecord), obj, path, lineno)
-        raise ParseError("invalid prediction record", path=str(path), line=lineno)
-    return offsets, pred, gt, p_arrival, p_null
 
 
 def _decode(decode, obj, path, lineno):
@@ -800,9 +709,7 @@ def write_detections(table: DetectionTable, path) -> None:
     order, a negative frame) raises that constructor's error, and no file
     is written.
     """
-    fault = _range_fault(table.frames, table.offsets[1:], table.labels, table.names, table.scores, table.bboxes)
-    if fault is not None:
-        raise fault[1] or ValidationError("invalid detection record")
+    _check_ranges(table)
     counts = np.diff(table.offsets)
     n, m = len(table), len(table.scores)
     # Each distinct float is formatted once; comparing bits, not values, keeps -0.0 apart from 0.0.
@@ -821,6 +728,29 @@ def write_detections(table: DetectionTable, path) -> None:
     text = "".join(map(formats.__getitem__, counts.tolist())) % tuple(values.tolist())
     del values  # before the write encodes the text
     _write_text(path, text)
+
+
+def _check_ranges(table: DetectionTable) -> None:
+    """Raise the error that building the table's first faulty DetectionFrame raises, if any.
+
+    That is Detection's error for the frame's first bad box, else
+    DetectionFrame's. Frames are sorted, so a negative frame comes first.
+    """
+    bboxes, scores = table.bboxes, table.scores
+    ok = (
+        np.isfinite(bboxes).all(axis=1)
+        & (bboxes[:, 0] <= bboxes[:, 2])
+        & (bboxes[:, 1] <= bboxes[:, 3])
+        & (scores >= 0.0)
+        & (scores <= 1.0)
+    )
+    first_frame_ok = len(table) == 0 or table.frames[0] >= 0
+    if not ok.all():
+        box = int(np.argmin(ok))
+        if first_frame_ok or box < table.offsets[1]:  # a frame checks its boxes before its index
+            Detection(table.names[table.labels[box]], bboxes[box].tolist(), scores[box].item())
+    if not first_frame_ok:
+        DetectionFrame(int(table.frames[0]), ())
 
 
 def write_samples(lines, path) -> None:

@@ -50,6 +50,7 @@ class LossWeights:
                 raise ValidationError(f"{f.name} must be non-negative, got {value!r}")
 
 
+@schema.record
 @dataclass(frozen=True)
 class LossInput:
     """The ``loss`` command's input document; keys that are not fields are ignored.

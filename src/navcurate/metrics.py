@@ -215,10 +215,9 @@ def evaluate(table: PredictionTable) -> MetricReport:
     oriented = np.empty(n, dtype=bool)
     starts = table.offsets[:-1]
     horizons = np.diff(table.offsets)
-    ks = sorted(np.flatnonzero(np.bincount(horizons)).tolist(), key=lambda k: np.argmax(horizons == k))
     # Overflow gives inf or nan, which the check below rejects instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in ks:  # horizons in order of first appearance
+        for k in np.unique(horizons).tolist():
             indices = np.flatnonzero(horizons == k)
             rows = max(1, BATCH_CELLS // (k + 1) ** 2)
             for start in range(0, len(indices), rows):

@@ -5,7 +5,11 @@ field's name is its JSON key, the field order is the key order, its
 annotation is the JSON type it accepts (README, "File formats"), and a
 field with a default may be left out. A tuple is a JSON array
 (``tuple[tuple[float, float], ...]`` is a list of ``[x, y]`` pairs, as
-waypoints are) and a nested dataclass is an object of its fields.
+waypoints are) and a nested dataclass is an object of its fields. A
+record (a class marked with :func:`record`, read by :func:`decoder`)
+ignores keys that are not fields and a config (read by :func:`load`)
+rejects them, at every depth: a detection box in a detection record
+ignores them, and the ``weights`` config in a ``loss`` input rejects them.
 
 The annotation is the field's only type rule, for values read from files
 and values built in code alike: every schema class calls :func:`check` as
@@ -30,7 +34,7 @@ import typing
 
 from .errors import SchemaError
 
-__all__ = ["hints", "check", "decoder", "load", "to_json"]
+__all__ = ["hints", "check", "record", "decoder", "load", "to_json"]
 
 # The exact types json.loads gives for the values each scalar annotation accepts.
 _JSON_TYPES = {str: frozenset((str,)), int: frozenset((int,)), float: frozenset((int, float)), bool: frozenset((bool,))}
@@ -131,12 +135,23 @@ def _items(tp, convert_item):
     return convert
 
 
+_RECORDS: set = set()
+
+
+def record(cls):
+    """Class decorator: cls is a record, whose objects ignore keys that are not fields, nested or not."""
+    _RECORDS.add(cls)
+    return cls
+
+
 def _nested(cls):
     """A dataclass field: an instance as it is (its constructor checked it), an object through the decoder.
 
-    The decoder is looked up per call because a schema may nest itself.
+    The object may hold keys that are not fields if cls is a record, not
+    if it is a config. The decoder is looked up per call because a schema
+    may nest itself.
     """
-    return lambda v: v if isinstance(v, cls) else _decoder(cls, strict=True)(v)
+    return lambda v: v if isinstance(v, cls) else _decoder(cls, strict=cls not in _RECORDS)(v)
 
 
 @functools.cache

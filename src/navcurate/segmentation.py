@@ -30,6 +30,7 @@ __all__ = ["ClipEntry", "segment", "save_clips", "read_manifest", "load_clip"]
 CLIP_MANIFEST_NAME = "manifest.json"
 
 
+@schema.record
 @dataclass(frozen=True)
 class ClipEntry:
     """A clip's metadata and one entry of a clip manifest; the poses live in its pose ``file``.
@@ -149,13 +150,11 @@ def load_clip(clip_dir, entry: ClipEntry, index: int) -> RawTrajectory:
     """
     clip_dir = Path(clip_dir)
     traj = parse_pose_file(clip_dir / entry.file, entry.fps, traj_id=entry.clip_id)
+    where = f"{clip_dir / CLIP_MANIFEST_NAME}: clip entry {index}"
     if len(traj) != entry.n_frames:
-        raise ValidationError(
-            f"{clip_dir / CLIP_MANIFEST_NAME}: clip entry {index} lists {entry.n_frames} frames, "
-            f"{entry.file} holds {len(traj)}"
-        )
+        raise ValidationError(f"{where} lists {entry.n_frames} frames, {entry.file} holds {len(traj)}")
     if float(np.linalg.norm(traj.positions[0])) > 1e-9:
-        raise ValidationError("clip pose 0 must sit at the local origin")
+        raise ValidationError(f"{where}: pose 0 of {entry.file} must sit at the local origin")
     if 1.0 - abs(float(traj.quaternions[0, 3])) > 1e-9:
-        raise ValidationError("clip pose 0 must have identity orientation")
+        raise ValidationError(f"{where}: pose 0 of {entry.file} must have identity orientation")
     return traj

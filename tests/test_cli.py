@@ -306,7 +306,8 @@ class TestFilterCommand:
         if damage == "cut-mid-row":
             assert errors[0]["error"] == "parse" and errors[0]["line"] == 602
         if damage == "pose-0-not-identity":
-            assert errors[0] == {"error": "validation", "detail": "clip pose 0 must sit at the local origin"}
+            detail = f"{clips / 'manifest.json'}: clip entry 2: pose 0 of walk_0002.txt must sit at the local origin"
+            assert errors[0] == {"error": "validation", "detail": detail}
         assert not (pipeline_dir / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["filter", "samples"])
@@ -725,14 +726,14 @@ class TestEvalCommand:
         "field, value, error",
         [
             ("predicted_arrival", 2, {"error": "validation",
-                                      "detail": "/dev/stdin:2: predicted_arrival must be in [0, 1], got 2.0"}),
+                                      "detail": "/dev/stdin:2: predicted_arrival must be in [0, 1], got 2"}),
             ("predicted", [[math.nan, 0]], {"error": "parse", "path": "/dev/stdin", "line": 2, "detail":
-             "/dev/stdin:2: PredictionRecord has 'predicted[0]' = [NaN, 0.0], expected [number, number]"}),
+             "/dev/stdin:2: PredictionRecord has 'predicted[0]' = [NaN, 0], expected [number, number]"}),
         ],
         ids=["arrival-out-of-range", "nan-waypoint"],
     )
     def test_range_fault_read_from_stdin(self, tmp_path, field, value, error):
-        # stdin cannot be read twice: the faulty record is checked from its parsed values, which write 2 as 2.0.
+        # stdin is read once, as a file is: the faulty line is decoded as parsed, so the message writes 2 as 2.
         good = {"sample_id": "s0", "predicted": [[1.0, 0.0]], "ground_truth": [[1.0, 0.0]]}
         out = tmp_path / "m.json"
         proc = subprocess.run(
@@ -744,6 +745,36 @@ class TestEvalCommand:
         assert proc.returncode == 2
         assert [json.loads(line) for line in proc.stderr.splitlines()] == [error]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ['{"sample_id": "s1", "predicted": [[1, 0]], "ground_truth": [[1, 0]], "predicted_arrival": 2}'],
+            ['{"sample_id": "s1", "predicted": [[1, 0]], "ground_truth": [[1, 0]], "predicted_arrival": 1.5}'],
+            ['{"sample_id": "s1", "predicted": [[NaN, 0]], "ground_truth": [[1, 0]]}'],
+            ['{"sample_id": "s1", "predicted": [[1, 0]], "ground_truth": [[0, Infinity]]}'],
+            ['{"sample_id": "s1", "predicted": [[1, 0], [1e400, 0]], "ground_truth": [[1, 0], [2, 0]]}'],
+            ['{"sample_id": "s1", "predicted": [[1, 0]], "ground_truth": [[1, 0]], "predicted_arrival": -1}',
+             '{"sample_id": true, "predicted": [[1, 0]], "ground_truth": [[1, 0]]}'],
+        ],
+        ids=["int-arrival", "float-arrival", "nan-waypoint", "infinite-waypoint", "1e400-waypoint", "type-after-range"],
+    )
+    def test_path_and_stdin_give_the_same_error(self, tmp_path, lines):
+        good = '{"sample_id": "s0", "predicted": [[1.0, 0.0]], "ground_truth": [[1.0, 0.0]]}'
+        text = "".join(line + "\n" for line in [good, *lines, good])
+        pred_path = tmp_path / "pred.jsonl"
+        pred_path.write_text(text)
+        outcomes = []
+        for pred in (str(pred_path), "/dev/stdin"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "navcurate.cli", "eval", "--pred", pred, "--out", str(tmp_path / "m.json")],
+                env={**os.environ, "PYTHONPATH": str(SRC)}, input=text, capture_output=True, text=True, timeout=60,
+            )
+            (line,) = proc.stderr.splitlines()
+            outcomes.append((proc.returncode, json.loads(line.replace(pred, "PATH"))))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2 and outcomes[0][1]["detail"].startswith("PATH:2: ")
+        assert not (tmp_path / "m.json").exists()
 
     def test_non_finite_metric_exits_2(self, tmp_path):
         lines = [

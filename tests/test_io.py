@@ -12,6 +12,7 @@ from navcurate import schema
 from navcurate.errors import ParseError, SchemaError, ValidationError
 from navcurate.io import (
     Detection,
+    DetectionFrame,
     LandmarkAnnotation,
     PredictionRecord,
     RawTrajectory,
@@ -216,9 +217,54 @@ class TestDetections:
             parse_detections(path)
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize(
+        "early, message",
+        [
+            ({"frame": -1}, "frame must be a non-negative int64 frame index, got -1"),
+            ({"frame": 2**63}, "frame must be a non-negative int64 frame index, got 9223372036854775808"),
+            ({"score": 2}, "score must be in [0, 1], got 2"),
+            ({"bbox": [0, 5, 1, 1]}, "bbox corners out of order: (0, 5, 1, 1)"),
+            ({"bbox": [0, 0, math.inf, 1]},
+             "DetectionFrame has 'detections[1].bbox' = [0, 0, Infinity, 1], expected [number, number, number, number]"),
+        ],
+        ids=["negative-frame", "frame-past-int64", "int-score-out-of-range", "corners-out-of-order", "infinite-corner"],
+    )
+    @pytest.mark.parametrize("late", ['{"frame": true, "detections": []}', "{not json"], ids=["type-fault", "invalid-json"])
+    def test_range_fault_before_a_later_fault_is_reported_first(self, tmp_path, early, message, late):
+        # The message names each value as written: an int score of 2 is "got 2", not "got 2.0".
+        box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 0.5}
+        record = {"frame": 2, "detections": [box, box]}
+        if "frame" in early:
+            record.update(early)
+        else:
+            record["detections"] = [box, {**box, **early}]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in [{"frame": 9, "detections": [box]}, record]) + late + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_detections(path)
+        assert str(exc.value) == f"{path}:2: {message}"
+
+    def test_every_mutation_matches_the_decoder(self, tmp_path):
+        # The parser accepts a line exactly when schema.decoder(DetectionFrame) does, else fails with its message.
+        box = {"label": "a", "bbox": [0, 0.5, 1, 2], "score": 1}
+        valid = {"frame": 3, "detections": [box, {"label": "b", "bbox": [1.5, 0, 1.5, 0], "score": 0.0}]}
+        path = tmp_path / "d.jsonl"
+        for site in _sites(valid):
+            for value in PARITY_POOL + [-1, 2**63, 2, math.inf]:
+                mutated = _replaced(valid, site, value)
+                path.write_text(json.dumps(mutated) + "\n")
+                try:
+                    want = [schema.decoder(DetectionFrame)(json.loads(json.dumps(mutated)))]
+                except ValidationError as exc:
+                    want = f"{path}:1: {exc}"
+                try:
+                    got = frames_of(parse_detections(path))
+                except ParseError as exc:
+                    got = str(exc)
+                assert got == want, (site, value)
+
     def test_first_offending_line_reported(self, tmp_path):
-        # Line 2 fails a range check (found after the pass), line 3 a type
-        # check (found while streaming): the earlier line is reported.
+        # Line 2 fails a range check, line 3 a type check: the earlier line is reported.
         path = tmp_path / "d.jsonl"
         box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 0.5}
         path.write_text(
@@ -467,13 +513,13 @@ class TestPredictionParity:
         "early, kind, message",
         [
             ({"predicted": [[0.4, 0], [math.nan, 0]]}, ParseError,
-             "PredictionRecord has 'predicted[1]' = [NaN, 0.0], expected [number, number]"),
+             "PredictionRecord has 'predicted[1]' = [NaN, 0], expected [number, number]"),
             ({"predicted_arrival": 1.5}, ValidationError, "predicted_arrival must be in [0, 1], got 1.5"),
         ],
         ids=["nan-waypoint", "arrival-out-of-range"],
     )
     def test_range_fault_in_a_pipe_keeps_the_error_class(self, tmp_path, early, kind, message):
-        # A pipe cannot be read twice: the record is built from its parsed values.
+        # A pipe is read once, as a file is: the faulty line is decoded as parsed, with the decoder's message.
         path = tmp_path / "p.fifo"
         os.mkfifo(path)
         lines = [VALID_PREDICTIONS[1], {**VALID_PREDICTIONS[0], **early}, VALID_PREDICTIONS[2]]

@@ -34,7 +34,7 @@ from navcurate.io import (
     parse_predictions,
     parse_samples,
 )
-from navcurate.losses import LossWeights
+from navcurate.losses import LossInput, LossWeights
 from navcurate.sampling import SamplerConfig
 from navcurate.segmentation import ClipEntry, read_manifest, save_clips, segment
 from navcurate.synth import DetectionBlock, DetectionSpan, LandmarkBlock, SynthFile, SynthSpec, generate
@@ -189,10 +189,18 @@ def test_non_finite_number_is_not_a_number(value):
 
 
 def test_nested_config_rejects_unknown_key():
-    doc = _json(CONFIGS[-1])
-    doc["trajectory"]["parts"][0]["bogus"] = 1
-    with pytest.raises(SchemaError, match=r"'trajectory\.parts\[0\]\.bogus'"):
-        schema.load(SynthFile, doc)
+    for block, field in ("trajectory", "parts"), ("detections", "spans"):
+        doc = _json(CONFIGS[-1])
+        doc[block][field][0]["bogus"] = 1
+        with pytest.raises(SchemaError, match=re.escape(f"'{block}.{field}[0].bogus'")):
+            schema.load(SynthFile, doc)
+
+
+def test_config_in_a_record_rejects_unknown_key():
+    doc = {"pred_waypoints": [[1, 0]], "gt_waypoints": [[1, 0]], "weights": {"lambda_reg": 1, "bogus": 1}}
+    assert schema.decoder(LossInput)({**doc, "weights": {"lambda_reg": 1}, "bogus": 1}).weights == LossWeights(1)
+    with pytest.raises(SchemaError, match=r"unknown key 'weights\.bogus'"):
+        schema.decoder(LossInput)(doc)
 
 
 def test_record_ignores_unknown_keys(tmp_path):
@@ -200,6 +208,21 @@ def test_record_ignores_unknown_keys(tmp_path):
     path = tmp_path / "lm.jsonl"
     path.write_text(json.dumps({**_json(record), "confidence": 0.4}) + "\n")
     assert parse_landmarks(path) == [record]
+
+
+def test_nested_record_ignores_unknown_keys(tmp_path):
+    # A detection box is part of its record: an unknown key in it is ignored, by the parser and by the decoder.
+    record, parse = RECORDS[3]
+    doc = _json(record)
+    doc["detections"][0]["extra"] = 1
+    assert schema.decoder(DetectionFrame)(doc) == record
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    assert parse(path) == [record]
+    doc["detections"][0]["score"] = "x"
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(ParseError, match=r"DetectionFrame has 'detections\[0\]\.score' = \"x\", expected number$"):
+        parse(path)
 
 
 def test_clip_entry_rejects_every_wrong_json_type(tmp_path):

@@ -78,17 +78,31 @@ class TestSegment:
 
 
 class TestClipInvariants:
-    def test_rejects_non_identity_anchor(self, rng, tmp_path):
+    def _damage_pose_0(self, rng, tmp_path, changes):
+        """Save clips, rewrite columns of pose 0 of clip 1, and return the error load_clip raises."""
         clips = segment(random_trajectory(rng, 400, fps=8.0), clip_seconds=25.0)
         save_clips(clips, tmp_path / "clips")
         path = tmp_path / "clips" / clips[1][0].file
         lines = path.read_text().splitlines(keepends=True)
         first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         fields = lines[first].split()
-        lines[first] = " ".join([fields[0], "1.0", *fields[2:]]) + "\n"  # pose 0 moves 1 m off the origin
+        for column, value in changes.items():
+            fields[column] = value
+        lines[first] = " ".join(fields) + "\n"
         path.write_text("".join(lines))
-        with pytest.raises(ValidationError, match="clip pose 0 must sit at the local origin"):
+        with pytest.raises(ValidationError) as exc:
             load_all(tmp_path / "clips")
+        return str(exc.value)
+
+    def test_rejects_non_identity_anchor(self, rng, tmp_path):
+        error = self._damage_pose_0(rng, tmp_path, {1: "1.0"})  # pose 0 moves 1 m off the origin
+        manifest = tmp_path / "clips" / "manifest.json"
+        assert error == f"{manifest}: clip entry 1: pose 0 of walk_0001.txt must sit at the local origin"
+
+    def test_rejects_turned_anchor(self, rng, tmp_path):
+        error = self._damage_pose_0(rng, tmp_path, {4: "1.0", 7: "0.0"})  # pose 0 turns half a turn about x
+        manifest = tmp_path / "clips" / "manifest.json"
+        assert error == f"{manifest}: clip entry 1: pose 0 of walk_0001.txt must have identity orientation"
 
     @pytest.mark.parametrize(
         "field, value",

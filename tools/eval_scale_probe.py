@@ -1,14 +1,14 @@
-"""Peak memory and wall time of `navcurate eval` on a large generated prediction file.
+"""Peak memory, wall and CPU time of `navcurate eval` on a large generated prediction file.
 
     python3 tools/eval_scale_probe.py --records 200000 --max-rss-mb 200
 
 Writes N horizon-8 prediction records (seeded, stdlib only) to a scratch
 directory, runs `python -m navcurate.cli eval` on them as its own process
 with the sources under src/ of this checkout, and prints one JSON line:
-{"records", "wall_s", "peak_rss_mb", "metrics_sha256"}. Peak RSS is the
-child's ru_maxrss from os.wait4. A child inherits its parent's RSS
-high-water mark across fork and exec, so this script imports nothing
-heavier than the stdlib. It exits 1 when the eval fails or its peak RSS
+{"records", "wall_s", "cpu_s", "peak_rss_mb", "metrics_sha256"}. CPU
+time (user + system) and peak RSS are the child's, from os.wait4. A
+child inherits its parent's RSS high-water mark across fork and exec, so
+this script imports nothing heavier than the stdlib. It exits 1 when the eval fails or its peak RSS
 exceeds --max-rss-mb.
 """
 
@@ -55,8 +55,8 @@ def write_predictions(path: Path, n: int, seed: int) -> None:
             )
 
 
-def run_eval(workdir: Path) -> tuple[int, float, float, str]:
-    """(exit code, wall seconds, peak RSS in MB, stderr) of one eval process run in workdir."""
+def run_eval(workdir: Path) -> tuple[int, float, float, float, str]:
+    """(exit code, wall seconds, CPU seconds, peak RSS in MB, stderr) of one eval process run in workdir."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     with open(workdir / "stderr.txt", "w+b") as err:
         start = time.perf_counter()
@@ -68,7 +68,8 @@ def run_eval(workdir: Path) -> tuple[int, float, float, str]:
         wall = time.perf_counter() - start
         err.seek(0)
         stderr = err.read().decode("utf-8", "replace")
-    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0, stderr
+    cpu = usage.ru_utime + usage.ru_stime
+    return os.waitstatus_to_exitcode(status), wall, cpu, usage.ru_maxrss / 1024.0, stderr
 
 
 def main(argv=None) -> int:
@@ -82,12 +83,12 @@ def main(argv=None) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     try:
         write_predictions(workdir / "predictions.jsonl", args.records, args.seed)
-        rc, wall, peak, stderr = run_eval(workdir)
+        rc, wall, cpu, peak, stderr = run_eval(workdir)
         if rc != 0:
             print(f"eval exited {rc}: {stderr.strip()}", file=sys.stderr)
             return 1
         digest = hashlib.sha256((workdir / "metrics.json").read_bytes()).hexdigest()
-        print(json.dumps({"records": args.records, "wall_s": round(wall, 3), "peak_rss_mb": round(peak, 1),
+        print(json.dumps({"records": args.records, "wall_s": round(wall, 3), "cpu_s": round(cpu, 3), "peak_rss_mb": round(peak, 1),
                           "metrics_sha256": digest}))
     finally:
         if args.workdir is None:
