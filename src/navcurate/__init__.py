@@ -9,7 +9,6 @@ displacement and discrete-Frechet metrics plus reference loss kernels.
 __version__ = "0.1.0"
 
 from .errors import (
-    AllUndefined,
     EmptyInput,
     EmptyResult,
     InvalidSpec,
@@ -33,6 +32,6 @@ from .io import (
 from .segmentation import segment
 from .filters import FilterConfig, FilterVerdict, run_filters
 from .sampling import SamplerConfig, draw_start
-from .metrics import MetricReport, ade, aoe, discrete_frechet, evaluate, maoe
+from .metrics import MetricReport, evaluate
 from .losses import LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 from .synth import SynthSpec, generate, generate_detections, generate_landmarks

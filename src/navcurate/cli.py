@@ -59,8 +59,8 @@ def _load_json(path) -> dict:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno)
 
 
-def _digests(paths) -> dict:
-    return {str(p): tio.file_digest(p) for p in paths}
+def _digests(paths: dict) -> dict:
+    return {role: tio.file_digest(path) for role, path in paths.items()}
 
 
 def _flag_values(args, cls) -> dict:
@@ -117,7 +117,7 @@ def cmd_segment(args) -> int:
             "tool": _tool_info(),
             "stage": "segment",
             "config": {"fps": args.fps, "clip_seconds": args.clip_seconds, "traj_id": traj.id},
-            "inputs": _digests([args.input]),
+            "inputs": _digests({"poses": args.input}),
             "counts": {"poses_in": len(traj), "clips_out": len(clips)},
         },
     )
@@ -145,7 +145,7 @@ def cmd_filter(args) -> int:
         "tool": _tool_info(),
         "stage": "filter",
         "config": {"filter": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
-        "inputs": _digests([args.detections, Path(args.clips) / "manifest.json"]),
+        "inputs": _digests({"detections": args.detections, "clip_manifest": Path(args.clips) / "manifest.json"}),
         "counts": {
             "clips_in": len(entries),
             "accepted": len(accepted),
@@ -182,8 +182,9 @@ def cmd_samples(args) -> int:
         "tool": _tool_info(),
         "stage": "samples",
         "config": {"sampler": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
-        "inputs": _digests([Path(args.clips) / "manifest.json", args.landmarks, args.accepted]),
-        "outputs": {"samples": str(args.out)},
+        "inputs": _digests({"clip_manifest": Path(args.clips) / "manifest.json", "landmarks": args.landmarks,
+                            "accepted": args.accepted}),
+        "outputs": {"samples": Path(args.out).name},
         "counts": {
             "clips_in": len(entries),
             "clips_used": sum(1 for entry in entries if entry.clip_id in accepted_ids),
@@ -205,7 +206,7 @@ def cmd_eval(args) -> int:
         {
             "tool": _tool_info(),
             "stage": "eval",
-            "inputs": _digests([args.pred]),
+            "inputs": _digests({"predictions": args.pred}),
             "metrics": dataclasses.asdict(report),
         },
         args.out,
@@ -246,7 +247,7 @@ def cmd_synth(args) -> int:
             "tool": _tool_info(),
             "stage": "synth",
             "config": doc,
-            "inputs": _digests([args.spec]),
+            "inputs": _digests({"spec": args.spec}),
             "outputs": outputs,
             "counts": counts,
         },

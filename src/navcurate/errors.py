@@ -49,10 +49,6 @@ class ShapeMismatch(ValidationError):
     """Two arrays that must have identical shape do not."""
 
 
-class AllUndefined(NavcurateError):
-    """Every step of a waypoint pair has (near) zero displacement on one side."""
-
-
 class EmptyInput(EmptyResult):
     """An aggregate operation received zero records."""
 

@@ -526,7 +526,16 @@ def _iter_json_lines(path):
                     obj = json.loads(text)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
-            yield lineno, obj
+            yield lineno, obj, text
+
+
+class _Literal(str):
+    """A number past the float range as written, for an error message: no type rule takes it, and its repr is the literal."""
+
+    __repr__ = str.__str__
+
+
+_as_written = json.JSONDecoder(parse_float=lambda s: float(s) if math.isfinite(float(s)) else _Literal(s)).decode
 
 
 # json.loads gives a number as exactly int or float (true/false are bool),
@@ -551,7 +560,7 @@ def parse_detections(path) -> DetectionTable:
     labels, scores, bboxes = array("q"), array("d"), array("d")
     names: dict[str, int] = {}
     lo, hi = -math.inf, math.inf
-    for lineno, obj in _iter_json_lines(path):
+    for lineno, obj, text in _iter_json_lines(path):
         try:
             frame = obj["frame"]
             dets = obj["detections"]
@@ -580,7 +589,7 @@ def parse_detections(path) -> DetectionTable:
             frames.append(frame)
         except (KeyError, TypeError, ValueError, OverflowError):
             try:
-                schema.decoder(DetectionFrame)(obj)  # the schema and the scalar constructors name the fault
+                schema.decoder(DetectionFrame)(_as_written(text))  # the schema and the scalar constructors name the fault
             except ValidationError as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from None
             raise ParseError("invalid detection record", path=str(path), line=lineno) from None
@@ -610,7 +619,7 @@ def parse_predictions(path) -> PredictionTable:
     predicted, ground_truth = array("d"), array("d")
     arrival, labels, arrival_null, label_null = array("d"), array("b"), array("b"), array("b")
     lo, hi = -math.inf, math.inf
-    for lineno, obj in _iter_json_lines(path):
+    for lineno, obj, text in _iter_json_lines(path):
         try:
             sample_id = obj["sample_id"]
             pred = obj["predicted"]
@@ -640,7 +649,7 @@ def parse_predictions(path) -> PredictionTable:
                         raise TypeError
                     column.extend(w)
         except (KeyError, TypeError, ValueError, OverflowError):
-            _decode(schema.decoder(PredictionRecord), obj, path, lineno)  # the schema names the fault
+            _decode(schema.decoder(PredictionRecord), obj, text, path, lineno)  # the schema names the fault
             raise ParseError("invalid prediction record", path=str(path), line=lineno) from None
         arrival.append(0.0 if p_arrival is None else p_arrival)
         arrival_null.append(p_arrival is None)
@@ -664,8 +673,12 @@ def parse_predictions(path) -> PredictionTable:
     )
 
 
-def _decode(decode, obj, path, lineno):
-    """decode(obj) for the record on line lineno: ParseError for a mistyped value, ValidationError naming path:line for a broken rule."""
+def _decode(decode, obj, text, path, lineno):
+    """decode(obj) for line lineno, a fault named from its text by _as_written: ParseError if mistyped, else ValidationError (path:line)."""
+    try:
+        return decode(obj)
+    except ValidationError:
+        obj = _as_written(text)
     try:
         return decode(obj)
     except SchemaError as exc:
@@ -683,7 +696,7 @@ def _parse_records(cls, path) -> list:
     corners out of order) raises ValidationError naming path:line.
     """
     decode = schema.decoder(cls)
-    return [_decode(decode, obj, path, lineno) for lineno, obj in _iter_json_lines(path)]
+    return [_decode(decode, obj, text, path, lineno) for lineno, obj, text in _iter_json_lines(path)]
 
 
 _record_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=schema.to_json).encode

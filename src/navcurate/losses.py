@@ -22,7 +22,6 @@ import numpy as np
 
 from . import schema
 from .errors import LengthMismatch, ShapeMismatch, ValidationError
-from .metrics import _waypoint_array
 
 __all__ = [
     "LossWeights",
@@ -72,15 +71,23 @@ class LossInput:
         schema.check(self)
 
 
+def _waypoint_pair(pred_waypoints, gt_waypoints) -> tuple[np.ndarray, np.ndarray]:
+    """The prediction and ground truth as (k, 2) float arrays of one shape, k >= 1: the one waypoint-pair check."""
+    pred, gt = np.asarray(pred_waypoints, dtype=float), np.asarray(gt_waypoints, dtype=float)
+    for name, arr in (("pred_waypoints", pred), ("gt_waypoints", gt)):
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
+            raise LengthMismatch(f"{name} must be a (k, 2) array with k >= 1, got shape {arr.shape}")
+    if pred.shape != gt.shape:
+        raise LengthMismatch(f"waypoint shapes differ: {pred.shape} vs {gt.shape}")
+    return pred, gt
+
+
 def loss_reg(pred_waypoints, gt_waypoints):
     """Waypoint regression loss and its gradient w.r.t. the prediction.
 
     value = (1/k) sum_i ||pred_i - gt_i||^2.
     """
-    pred = _waypoint_array("pred_waypoints", pred_waypoints)
-    gt = _waypoint_array("gt_waypoints", gt_waypoints)
-    if pred.shape != gt.shape:
-        raise LengthMismatch(f"waypoint shapes differ: {pred.shape} vs {gt.shape}")
+    pred, gt = _waypoint_pair(pred_waypoints, gt_waypoints)
     k = pred.shape[0]
     diff = pred - gt
     return float(np.sum(diff * diff) / k), (2.0 / k) * diff
@@ -93,10 +100,7 @@ def loss_ori(pred_waypoints, gt_waypoints, eps: float = 1e-8):
     before the first; each step's norm is clamped below by eps. Returns
     (value in [-1, 1], gradient w.r.t. the prediction waypoints).
     """
-    pred = _waypoint_array("pred_waypoints", pred_waypoints)
-    gt = _waypoint_array("gt_waypoints", gt_waypoints)
-    if pred.shape != gt.shape:
-        raise LengthMismatch(f"waypoint shapes differ: {pred.shape} vs {gt.shape}")
+    pred, gt = _waypoint_pair(pred_waypoints, gt_waypoints)
     k = pred.shape[0]
     dp = np.diff(np.vstack([np.zeros((1, 2)), pred]), axis=0)
     dg = np.diff(np.vstack([np.zeros((1, 2)), gt]), axis=0)

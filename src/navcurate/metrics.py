@@ -12,9 +12,7 @@ batches: ``_ade_many``, ``_orientation_many`` and ``_frechet_many`` (the
 Eiter & Mannila 1994 recurrence, run cell by cell over N). :func:`evaluate`
 takes a columnar :class:`~navcurate.io.PredictionTable`, gathers the
 records of each horizon k from its flat waypoint columns and runs the
-kernels over them; no per-record object is built. The public
-:func:`ade`, :func:`aoe`, :func:`maoe` and :func:`discrete_frechet` are
-one-row calls of the same kernels.
+kernels over them; no per-record object is built. It is the one metric API.
 """
 
 from __future__ import annotations
@@ -23,17 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllUndefined, EmptyInput, LengthMismatch, ValidationError
+from .errors import EmptyInput, ValidationError
 from .io import PredictionTable
 
-__all__ = [
-    "MetricReport",
-    "aoe",
-    "maoe",
-    "ade",
-    "discrete_frechet",
-    "evaluate",
-]
+__all__ = ["MetricReport", "evaluate"]
 
 # Displacements below this have no meaningful direction.
 ZERO_STEP = 1e-9
@@ -111,66 +102,6 @@ def _orientation_many(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.
         aoe_deg[row] = np.mean(counted)
         maoe_deg[row] = np.max(counted)
     return aoe_deg, maoe_deg, oriented
-
-
-def _waypoint_array(name: str, waypoints) -> np.ndarray:
-    """(x, y) pairs or an array as a (k, 2) float array, k >= 1: the one waypoint-shape check of metrics and losses."""
-    arr = np.asarray(waypoints, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-        raise LengthMismatch(f"{name} must be a (k, 2) array with k >= 1, got shape {arr.shape}")
-    return arr
-
-
-def _equal_rows(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    """pred and gt as (1, k, 2) batches of one row each."""
-    p = _waypoint_array("pred", pred)
-    g = _waypoint_array("gt", gt)
-    if p.shape != g.shape:
-        raise LengthMismatch(f"prediction has {p.shape[0]} waypoints, ground truth {g.shape[0]}")
-    return p[None], g[None]
-
-
-def _orientation(pred, gt) -> tuple[float, float]:
-    aoe_deg, maoe_deg, oriented = _orientation_many(*_equal_rows(pred, gt))
-    if not oriented[0]:
-        raise AllUndefined("every step has near-zero displacement on at least one side")
-    return float(aoe_deg[0]), float(maoe_deg[0])
-
-
-def aoe(pred, gt) -> float:
-    """Mean per-step orientation error, degrees.
-
-    Raises:
-        LengthMismatch: the sequences are empty, not (x, y) pairs, or of
-            different lengths.
-        AllUndefined: no step has a direction on both sides.
-    """
-    return _orientation(pred, gt)[0]
-
-
-def maoe(pred, gt) -> float:
-    """Maximum per-step orientation error, degrees; raises as :func:`aoe`."""
-    return _orientation(pred, gt)[1]
-
-
-def ade(pred, gt) -> float:
-    """Mean Euclidean distance between corresponding waypoints, meters.
-
-    Raises:
-        LengthMismatch: the sequences are empty, not (x, y) pairs, or of
-            different lengths.
-    """
-    return float(_ade_many(*_equal_rows(pred, gt))[0])
-
-
-def discrete_frechet(pred, gt) -> float:
-    """Discrete Frechet distance between the two paths, meters (= MADE).
-
-    A leading origin point is prepended to both sequences, so even
-    single-waypoint predictions compare full paths from the agent. The
-    sequences may differ in length.
-    """
-    return float(_frechet_many(_waypoint_array("pred", pred)[None], _waypoint_array("gt", gt)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The package has one implementation of each metric and projection, a
 kernel over arrays. The forms here work on one pose, one waypoint or one
 record at a time, in the plainest arithmetic, and tests require the
 kernels to reproduce them: bit for bit for the ego projection, the
-metrics and sample building.
+metrics and sample building. The one-record metrics (``ade``, ``aoe``,
+``maoe``, ``discrete_frechet``) exist only here; the tests run the
+package's kernels on one-row batches to compare with them.
 
 The package takes detections only as a DetectionTable and predictions
 only as a PredictionTable; ``table_of`` / ``frames_of`` and
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from navcurate import schema
-from navcurate.errors import AllUndefined, LengthMismatch, NavcurateError, ValidationError
+from navcurate.errors import LengthMismatch, NavcurateError, ValidationError
 from navcurate.geometry import (
     DEFAULT_CONVENTION,
     GIMBAL_EPS,
@@ -358,6 +360,10 @@ def training_sample(
 # ---------------------------------------------------------------------------
 # Metrics of one record
 # ---------------------------------------------------------------------------
+
+
+class AllUndefined(NavcurateError):
+    """No step of a waypoint pair has a direction on both sides (the package reports such a record as not oriented)."""
 
 
 def _as_xy(waypoints) -> np.ndarray:

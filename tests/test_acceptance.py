@@ -25,7 +25,7 @@ from navcurate.filters import (
 from navcurate.geometry import quat_from_axis_angle, quat_multiply, quat_rotate
 from navcurate.io import RawTrajectory, parse_samples, write_predictions, PredictionRecord
 from navcurate.losses import loss_arr, loss_hall, loss_ori, loss_reg
-from navcurate.metrics import ade, aoe, discrete_frechet, maoe
+from navcurate.metrics import _ade_many, _frechet_many, _orientation_many
 from navcurate.sampling import SamplerConfig, build_clip_samples, draw_start
 from navcurate.segmentation import segment
 from navcurate.synth import (
@@ -40,7 +40,7 @@ from navcurate.synth import (
 from conftest import quat_close
 from oracles import GimbalDegenerate, Pose, pose_at, relative_pose, samples_of, table_of, to_ego_waypoint
 from test_losses import central_diff, nondegenerate_waypoints, rel_error
-from test_metrics import brute_force_frechet, prepend_origin
+from test_metrics import brute_force_frechet, one_row, prepend_origin
 
 
 @contextmanager
@@ -64,7 +64,7 @@ def test_criterion_01_frechet_oracle_equivalence():
         for _ in range(1000):
             p = rng.uniform(-10, 10, size=(int(rng.integers(1, 7)), 2))
             q = rng.uniform(-10, 10, size=(int(rng.integers(1, 7)), 2))
-            got = discrete_frechet(p, q)
+            got = one_row(_frechet_many, p, q)
             want = brute_force_frechet(prepend_origin(p), prepend_origin(q))
             assert abs(got - want) <= 1e-12
         elapsed = time.perf_counter() - start
@@ -76,13 +76,14 @@ def test_criterion_02_metric_fixed_points():
         rng = np.random.default_rng(202)
         for _ in range(20):
             wps = np.cumsum(rng.uniform(0.1, 1.0, size=(8, 2)), axis=0)
-            assert aoe(wps, wps) == 0.0
-            assert maoe(wps, wps) == 0.0
-            assert ade(wps, wps) == 0.0
-            assert discrete_frechet(wps, wps) == 0.0
+            assert one_row(_orientation_many, wps, wps) == (0.0, 0.0, True)
+            assert one_row(_ade_many, wps, wps) == 0.0
+            assert one_row(_frechet_many, wps, wps) == 0.0
         pred = np.array([[float(i), 0.0] for i in range(1, 9)])
-        assert abs(aoe(pred, -pred) - 180.0) <= 1e-9
-        assert abs(maoe(pred, -pred) - 180.0) <= 1e-9
+        aoe_deg, maoe_deg, oriented = one_row(_orientation_many, pred, -pred)
+        assert abs(aoe_deg - 180.0) <= 1e-9
+        assert abs(maoe_deg - 180.0) <= 1e-9
+        assert oriented
 
 
 def test_criterion_03_filter_boundary_suite():

@@ -214,6 +214,42 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+def _run_chain(root: Path) -> None:
+    """synth -> segment -> filter -> samples, then eval, each path named from root."""
+    assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "synth")]) == 0
+    assert main(["segment", "--input", str(root / "synth" / "walk.txt"), "--fps", "10", "--clip-seconds", "60",
+                 "--out", str(root / "clips"), "--workers", "1"]) == 0
+    assert main(["filter", "--clips", str(root / "clips"), "--detections", str(root / "synth" / "detections.jsonl"),
+                 "--report", str(root / "report.json"), "--world-up=-y", "--workers", "1"]) == 0
+    assert main(["samples", "--clips", str(root / "clips"), "--landmarks", str(root / "synth" / "landmarks.jsonl"),
+                 "--accepted", str(root / "report.json.accepted"), "--out", str(root / "samples.jsonl"),
+                 "--world-up=-y", "--workers", "1"]) == 0
+    write_predictions([PredictionRecord("s0", ((1.0, 0.0),), ((1.0, 0.5),))], root / "pred.jsonl")
+    assert main(["eval", "--pred", str(root / "pred.jsonl"), "--out", str(root / "metrics.json")]) == 0
+
+
+def test_manifests_name_inputs_by_role(tmp_path, monkeypatch):
+    # One run names every path relative to the working directory, the other absolutely.
+    synth_spec_doc(tmp_path)
+    (tmp_path / "abs").mkdir()
+    (tmp_path / "abs" / "spec.json").write_bytes((tmp_path / "spec.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    _run_chain(Path("."))
+    _run_chain(tmp_path / "abs")
+    roles = {
+        "synth/manifest.json": ["spec"],
+        "clips/manifest.json": ["poses"],
+        "report.json": ["clip_manifest", "detections"],
+        "samples.jsonl.manifest.json": ["accepted", "clip_manifest", "landmarks"],
+        "metrics.json": ["predictions"],
+    }
+    for name, keys in roles.items():
+        manifest = (tmp_path / name).read_bytes()
+        assert manifest == (tmp_path / "abs" / name).read_bytes(), name
+        assert list(json.loads(manifest)["inputs"]) == keys, name
+    assert json.loads((tmp_path / "samples.jsonl.manifest.json").read_text())["outputs"] == {"samples": "samples.jsonl"}
+
+
 class TestFilterCommand:
     def test_report_and_accepted_list(self, pipeline_dir):
         report_path = pipeline_dir / "report.json"

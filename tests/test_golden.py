@@ -30,20 +30,21 @@ SPEC = {
     "landmarks": {"per_clip": 4, "seed": 11, "clip_seconds": 20.0},
 }
 
-# Captured at the commit before the broadcast quaternion kernels.
+# Captured at the commit before the broadcast quaternion kernels; the four manifests (clips/manifest.json,
+# report.json, samples.jsonl.manifest.json, synth/manifest.json) since their inputs are keyed by role.
 GOLDEN = {
     "clips/gold_0000.txt": "0171dea39ad2cf7afda3995b80e4a412a5426025f800d07157f51c8cafea22b7",
     "clips/gold_0001.txt": "fee2a470c51acfa6d2e89428f0935daa4ba836f783db1196bf6fe911804c5f55",
     "clips/gold_0002.txt": "e5afc41a292b8e0565bc11f1f3406b9b5aa0f8783bacc3356d982deec8a5c576",
-    "clips/manifest.json": "a875a9a2c21071f07f65fd83c48688b3be519bc4c89fb973e0a311baff43acfa",
-    "report.json": "47e84e5fa85730e460f14e2fee96962ae3a557144d5993f3b827ad61d7e58085",
+    "clips/manifest.json": "94e647a8f079440c8a38b58b351c6c3d9068597a8cde1e0347c040cdae04b896",
+    "report.json": "fe6ffbcaf5a03dc666fb549e6ea133696e0e3496a18d909ec91486c43017b50a",
     "report.json.accepted": "6f8a3bfa39465ababfc0e17c03c2e1be6af158d8137d49b1ae7328d752733d36",
     "samples.jsonl": "93ab01899f7671adcd901bec7dbcd4c99f5ff71f23c8f9a83cee55c0aea3316f",
-    "samples.jsonl.manifest.json": "3d71e84809de13905cfc09791e0569025bc9beba1c24e686cd0ae3ee69f3e3c7",
+    "samples.jsonl.manifest.json": "95359a57914864e1392fb554bcb9623f5dcd153a41f6fb33d6583d734cd17b3f",
     "synth/detections.jsonl": "c53697904a58e20c3323a5b704f9bb14cfe21026e9f7b8567964abde62862452",
     "synth/gold.txt": "7076838bcdf5bf3542a597f94732a0090a202ebcc5a4e8e218bc4559205f86c1",
     "synth/landmarks.jsonl": "f1edf22eb08e283f0a6882d27c1f09137ede45ebf004a3fe0fd77a9958d3c83a",
-    "synth/manifest.json": "871041defefc6dea0969aa31926f0b31322f28b3069cc504714a1f1793d0a97f",
+    "synth/manifest.json": "650942742f8253c17d9b774295302744bf9d76f8ef9191b71585b8af1136a1a9",
 }
 
 
@@ -60,7 +61,7 @@ def _run_pipeline() -> None:
 
 
 def test_stage_outputs_keep_their_bytes(tmp_path, monkeypatch):
-    # Relative paths: the manifests name their inputs by the paths given.
+    # The pipeline writes its files under the working directory.
     monkeypatch.chdir(tmp_path)
     _run_pipeline()
     digests = {

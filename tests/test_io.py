@@ -538,6 +538,31 @@ class TestPredictionParity:
         assert table.predicted.shape == (0, 2)
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1.5E+999"])
+@pytest.mark.parametrize(
+    "parse, valid, line, message",
+    [
+        (parse_predictions, '{"sample_id": "s1", "predicted": [[1, 0]], "ground_truth": [[1, 0]]}',
+         '{"sample_id": "s1", "predicted": [[%s, 0]], "ground_truth": [[1, 0]]}',
+         "PredictionRecord has 'predicted[0]' = [%s, 0], expected [number, number]"),
+        (parse_detections, '{"frame": 0, "detections": []}',
+         '{"frame": 1, "detections": [{"label": "person", "bbox": [0, 0, %s, 1], "score": 0.5}]}',
+         "DetectionFrame has 'detections[0].bbox' = [0, 0, %s, 1], expected [number, number, number, number]"),
+        (parse_landmarks, '{"clip_id": "c", "goal_frame": 1, "bbox": [0, 0, 1, 1], "name": "n", "instruction": "go"}',
+         '{"clip_id": "c", "goal_frame": 1, "bbox": [0, 0, %s, 1], "name": "n", "instruction": "go"}',
+         "LandmarkAnnotation has 'bbox' = [0, 0, %s, 1], expected [number, number, number, number]"),
+    ],
+    ids=["predictions", "detections", "landmarks"],
+)
+def test_overflowing_literal_is_named_as_written(tmp_path, parse, valid, line, message, literal):
+    # json reads the literal as an infinity; the error quotes the file, not "Infinity".
+    path = tmp_path / "r.jsonl"
+    path.write_text(f"{valid}\n{line % literal}\n")
+    with pytest.raises(ParseError) as exc:
+        parse(path)
+    assert (exc.value.line, str(exc.value)) == (2, f"{path}:2: {message % literal}")
+
+
 class TestCrashSafeWrites:
     def test_write_failing_partway_keeps_old_file(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -564,6 +589,19 @@ class TestCrashSafeWrites:
             write_report({"a": 2}, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        # A pipe cannot be replaced by a renamed file: its reader gets the bytes, and no temporary sibling is left.
+        path = tmp_path / "report.fifo"
+        os.mkfifo(path)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+        reader.start()
+        write_report({"a": 1}, path)
+        reader.join(timeout=10)
+        assert received == [b'{\n  "a": 1\n}\n']
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.fifo"]
 
 
 class TestReport:

@@ -110,6 +110,24 @@ class TestLossOri:
         assert rel_error(grad, fd) < 1e-5
 
 
+@pytest.mark.parametrize("loss", [loss_reg, loss_ori])
+@pytest.mark.parametrize(
+    "pred, gt, message",
+    [
+        ([], [(1.0, 0.0)], r"pred_waypoints must be a \(k, 2\) array with k >= 1, got shape \(0,\)"),
+        ([(1.0, 0.0)], [], r"gt_waypoints must be a \(k, 2\) array with k >= 1, got shape \(0,\)"),
+        ([(1.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)], r"pred_waypoints .* got shape \(1, 3\)"),
+        ([1.0, 0.0], [1.0, 0.0], r"pred_waypoints .* got shape \(2,\)"),
+        ([(1.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)], r"waypoint shapes differ: \(1, 2\) vs \(2, 2\)"),
+    ],
+    ids=["empty-pred", "empty-gt", "three-columns", "flat", "unequal-lengths"],
+)
+def test_waypoint_pairs_rejected(loss, pred, gt, message):
+    # One check serves both waypoint losses.
+    with pytest.raises(LengthMismatch, match=message):
+        loss(pred, gt)
+
+
 class TestLossArr:
     def test_ln2_at_zero(self):
         value, grad = loss_arr(0.0, 1)

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcurate.errors import AllUndefined, EmptyInput, LengthMismatch, ValidationError
+from navcurate.errors import EmptyInput, LengthMismatch, ValidationError
 from navcurate.io import PredictionRecord
-from navcurate.metrics import MetricReport, ade, aoe, discrete_frechet, evaluate, maoe
+from navcurate.metrics import MetricReport, _ade_many, _frechet_many, _orientation_many, evaluate
 
 import oracles
-from oracles import EgoWaypoint, orientation_errors, prediction_table_of, sample_metrics, step_directions
+from oracles import AllUndefined, EgoWaypoint, orientation_errors, prediction_table_of, sample_metrics, step_directions
+
+
+def one_row(kernel, pred, gt):
+    """A metric kernel run on pred and gt as one-row batches: its value for that row, or a tuple of them."""
+    out = kernel(np.asarray(pred, dtype=float)[None], np.asarray(gt, dtype=float)[None])
+    return out[0].item() if isinstance(out, np.ndarray) else tuple(a[0].item() for a in out)
 
 
 def brute_force_frechet(P, Q):
@@ -99,56 +105,56 @@ class TestOrientationErrors:
 class TestAoeMaoe:
     def test_identical(self):
         wps = [(1.0, 0.0), (2.0, 0.0)]
-        assert aoe(wps, wps) == 0.0
-        assert maoe(wps, wps) == 0.0
+        assert one_row(_orientation_many, wps, wps) == (0.0, 0.0, True)
 
     def test_zero_and_ninety(self):
         pred = [(1.0, 0.0), (1.0, 1.0)]
         gt = [(1.0, 0.0), (2.0, 0.0)]
-        assert aoe(pred, gt) == pytest.approx(45.0)
-        assert maoe(pred, gt) == pytest.approx(90.0)
+        aoe_deg, maoe_deg, oriented = one_row(_orientation_many, pred, gt)
+        assert aoe_deg == pytest.approx(45.0)
+        assert maoe_deg == pytest.approx(90.0)
+        assert oriented
 
     def test_uniform_rotation(self, rng):
         gt = np.cumsum(rng.uniform(0.2, 1.0, size=(8, 2)), axis=0)
         theta = math.radians(10.0)
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         pred = gt @ rot.T
-        assert aoe(pred, gt) == pytest.approx(10.0, abs=1e-9)
-        assert maoe(pred, gt) == pytest.approx(10.0, abs=1e-9)
+        aoe_deg, maoe_deg, _ = one_row(_orientation_many, pred, gt)
+        assert aoe_deg == pytest.approx(10.0, abs=1e-9)
+        assert maoe_deg == pytest.approx(10.0, abs=1e-9)
 
     def test_maoe_at_least_aoe(self, rng):
         for _ in range(50):
             pred = rng.uniform(-5, 5, size=(6, 2))
             gt = rng.uniform(-5, 5, size=(6, 2))
-            try:
-                assert maoe(pred, gt) >= aoe(pred, gt)
-            except AllUndefined:
-                continue
+            aoe_deg, maoe_deg, _ = one_row(_orientation_many, pred, gt)
+            assert maoe_deg >= aoe_deg
 
 
 class TestAde:
     def test_identical(self):
         wps = [(1.0, 2.0), (3.0, 4.0)]
-        assert ade(wps, wps) == 0.0
+        assert one_row(_ade_many, wps, wps) == 0.0
 
     def test_arithmetic(self):
-        assert ade([(1.0, 0.0), (2.0, 0.0)], [(0.0, 0.0), (0.0, 0.0)]) == pytest.approx(1.5)
+        assert one_row(_ade_many, [(1.0, 0.0), (2.0, 0.0)], [(0.0, 0.0), (0.0, 0.0)]) == pytest.approx(1.5)
 
     def test_uniform_translation(self, rng):
         gt = rng.uniform(-5, 5, size=(8, 2))
         pred = gt + np.array([0.0, 3.0])
-        assert ade(pred, gt) == pytest.approx(3.0, abs=1e-12)
+        assert one_row(_ade_many, pred, gt) == pytest.approx(3.0, abs=1e-12)
 
 
 class TestDiscreteFrechet:
     def test_identical_zero(self):
         wps = [(1.0, 0.0), (2.0, 0.0), (3.0, 1.0)]
-        assert discrete_frechet(wps, wps) == 0.0
+        assert one_row(_frechet_many, wps, wps) == 0.0
 
     def test_parallel_lines(self):
         p = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
         q = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]
-        assert discrete_frechet(p, q) == pytest.approx(1.0, abs=1e-12)
+        assert one_row(_frechet_many, p, q) == pytest.approx(1.0, abs=1e-12)
         assert brute_force_frechet(prepend_origin(p), prepend_origin(q)) == pytest.approx(1.0, abs=1e-12)
 
     def test_detour_couples_with_endpoint(self):
@@ -156,7 +162,7 @@ class TestDiscreteFrechet:
         q = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
         expected = brute_force_frechet(prepend_origin(p), prepend_origin(q))
         assert expected == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert discrete_frechet(p, q) == pytest.approx(expected, abs=1e-12)
+        assert one_row(_frechet_many, p, q) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force_on_random_pairs(self, rng):
         for _ in range(200):
@@ -164,7 +170,7 @@ class TestDiscreteFrechet:
             m = int(rng.integers(1, 7))
             p = rng.uniform(-10, 10, size=(n, 2))
             q = rng.uniform(-10, 10, size=(m, 2))
-            got = discrete_frechet(p, q)
+            got = one_row(_frechet_many, p, q)
             want = brute_force_frechet(prepend_origin(p), prepend_origin(q))
             assert abs(got - want) <= 1e-12
 
@@ -172,7 +178,7 @@ class TestDiscreteFrechet:
         for _ in range(50):
             p = rng.uniform(-10, 10, size=(int(rng.integers(1, 7)), 2))
             q = rng.uniform(-10, 10, size=(int(rng.integers(1, 7)), 2))
-            assert discrete_frechet(p, q) == pytest.approx(discrete_frechet(q, p), abs=1e-12)
+            assert one_row(_frechet_many, p, q) == pytest.approx(one_row(_frechet_many, q, p), abs=1e-12)
 
     def test_hausdorff_lower_bound(self, rng):
         for _ in range(50):
@@ -180,15 +186,15 @@ class TestDiscreteFrechet:
             q = prepend_origin(rng.uniform(-10, 10, size=(4, 2)))
             d = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
             hausdorff = max(d.min(axis=1).max(), d.min(axis=0).max())
-            assert discrete_frechet(p[1:], q[1:]) >= hausdorff - 1e-12
+            assert one_row(_frechet_many, p[1:], q[1:]) >= hausdorff - 1e-12
 
     def test_rigid_rotation_invariance(self, rng):
         p = rng.uniform(-5, 5, size=(6, 2))
         q = rng.uniform(-5, 5, size=(6, 2))
         theta = math.radians(37.0)
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-        assert discrete_frechet(p @ rot.T, q @ rot.T) == pytest.approx(discrete_frechet(p, q), abs=1e-9)
-        assert ade(p @ rot.T, q @ rot.T) == pytest.approx(ade(p, q), abs=1e-9)
+        for kernel in (_frechet_many, _ade_many):
+            assert one_row(kernel, p @ rot.T, q @ rot.T) == pytest.approx(one_row(kernel, p, q), abs=1e-9)
 
 
 def record(pred, gt, sample_id="s", predicted_arrival=None, arrival_label=None):
@@ -354,40 +360,20 @@ def _waypoints(k):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8).flatmap(_waypoints), st.integers(1, 8).flatmap(_waypoints))
 def test_discrete_frechet_equals_scalar_dp(pred, gt):
-    assert repr(discrete_frechet(pred, gt)) == repr(oracles.discrete_frechet(pred, gt))
+    assert repr(one_row(_frechet_many, pred, gt)) == repr(oracles.discrete_frechet(pred, gt))
 
 
-def _outcome(metric, pred, gt):
+def _oracle_orientation(pred, gt):
+    """(AOE, MAOE, oriented) by the scalar forms, with the kernel's (0.0, 0.0, False) where no step counts."""
     try:
-        return repr(metric(pred, gt))
+        return oracles.aoe(pred, gt), oracles.maoe(pred, gt), True
     except AllUndefined:
-        return "AllUndefined"
+        return 0.0, 0.0, False
 
 
 @settings(max_examples=200, deadline=None)
 @given(_waypoint_pair(st.integers(1, 8)))
 def test_one_row_metrics_equal_scalar_forms(pair):
     pred, gt = pair
-    for public, scalar in ((ade, oracles.ade), (aoe, oracles.aoe), (maoe, oracles.maoe)):
-        assert _outcome(public, pred, gt) == _outcome(scalar, pred, gt)
-
-
-@pytest.mark.parametrize("metric", [ade, aoe, maoe, discrete_frechet])
-@pytest.mark.parametrize(
-    "pred, gt",
-    [
-        ([], [(1.0, 0.0)]),
-        ([(1.0, 0.0)], []),
-        ([(1.0, 0.0, 0.0)], [(1.0, 0.0, 0.0)]),
-        ([1.0, 0.0], [1.0, 0.0]),
-    ],
-)
-def test_one_row_metrics_reject_non_waypoints(metric, pred, gt):
-    with pytest.raises(LengthMismatch):
-        metric(pred, gt)
-
-
-@pytest.mark.parametrize("metric", [ade, aoe, maoe])
-def test_one_row_metrics_reject_unequal_lengths(metric):
-    with pytest.raises(LengthMismatch):
-        metric([(1.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)])
+    assert repr(one_row(_ade_many, pred, gt)) == repr(oracles.ade(pred, gt))
+    assert repr(one_row(_orientation_many, pred, gt)) == repr(_oracle_orientation(pred, gt))
