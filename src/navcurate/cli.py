@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -52,11 +53,23 @@ def _tool_info() -> dict:
     return {"name": "navcurate", "version": __version__}
 
 
-def _load_json(path) -> dict:
+def _load_json(path, decode):
+    """(doc, decode(doc)) for the JSON document doc in path.
+
+    A document that decode rejects is decoded again with each number past
+    the float range kept as written (``io._as_written``), so the error
+    quotes the file's ``1e400``, not ``Infinity``.
+    """
+    text = tio.read_text(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno)
+    try:
+        return doc, decode(doc)
+    except ValidationError:
+        decode(tio._as_written(text))
+        raise
 
 
 def _digests(paths: dict) -> dict:
@@ -70,25 +83,75 @@ def _flag_values(args, cls) -> dict:
 
 def _merged_config(cls, args):
     """cls from the --config file, if any, with the given flags overriding its keys."""
-    data = _load_json(args.config) if args.config else {}
-    if type(data) is dict:
-        data = {**data, **_flag_values(args, cls)}
-    return schema.load(cls, data)
+    flags = _flag_values(args, cls)
+
+    def decode(data):
+        return schema.load(cls, {**data, **flags} if type(data) is dict else data)
+
+    return _load_json(args.config, decode)[1] if args.config else decode({})
 
 
 def _convention(args) -> AxisConvention:
     return AxisConvention(**_flag_values(args, AxisConvention))
 
 
-def _map_tasks(fn, tasks, workers: int) -> list:
-    """Run fn over tasks, optionally in a process pool; result order == task order."""
+# A pool worker's shared input, set once per worker by the pool initializer.
+_shared = None
+
+
+def _set_shared(shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_chunk(fn, chunk) -> list:
+    return [fn(_shared, task) for task in chunk]
+
+
+def _imap(fn, tasks, workers: int, shared=None, chunksize: int = 1):
+    """Yield fn(shared, task) for each task, in task order, as the results arrive.
+
+    With more than one worker and task, the tasks run in a process pool,
+    chunksize tasks per call. Each worker gets shared once, through the
+    pool initializer, so a task carries only its own arguments. At most
+    4 * workers chunks are submitted ahead of the one being yielded, so
+    finished results wait in bounded memory. An error in a task, or closing
+    the generator early, cancels the chunks not yet started and shuts the
+    pool down, its workers joined, before the error leaves the generator.
+    """
+    tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
+        for task in tasks:
+            yield fn(shared, task)
+        return
     # A forked pool starts all max_workers processes at the first submit.
     workers = min(workers, len(tasks))
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+    chunks = [tasks[i : i + chunksize] for i in range(0, len(tasks), chunksize)]
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_shared, initargs=(shared,))
+    try:
+        futures = deque()
+        for chunk in chunks:
+            if len(futures) == 4 * workers:
+                yield from futures.popleft().result()
+            futures.append(pool.submit(_run_chunk, fn, chunk))
+        while futures:
+            yield from futures.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _call(fn, task):
+    return fn(task)
+
+
+def _map_tasks(fn, tasks, workers: int) -> list:
+    """Run fn over tasks, optionally in a process pool; result order == task order."""
+    return list(_imap(_call, tasks, workers, shared=fn, chunksize=max(1, len(tasks) // (4 * workers))))
+
+
+def _pool_blocks(workers: int):
+    """The ``map_blocks`` of the io writers: their row blocks formatted by _imap at this worker count."""
+    return lambda fn, tasks, shared: _imap(fn, tasks, workers, shared)
 
 
 # A clip task carries where the clip is (directory, manifest index, entry); the worker parses it.
@@ -155,7 +218,7 @@ def cmd_filter(args) -> int:
         "verdicts": [dataclasses.asdict(v) for v in verdicts],
     }
     # The accepted list goes first: a report on disk always names a complete list.
-    tio._write_text(args.accepted or f"{args.report}.accepted", "".join(f"{cid}\n" for cid in accepted))
+    tio._write_lines(args.accepted or f"{args.report}.accepted", (f"{cid}\n" for cid in accepted))
     tio.write_report(report, args.report)
     return 0
 
@@ -163,9 +226,7 @@ def cmd_filter(args) -> int:
 def cmd_samples(args) -> int:
     entries = read_manifest(args.clips)
     landmarks = tio.parse_landmarks(args.landmarks)
-    accepted_ids = {
-        line.strip() for line in Path(args.accepted).read_text(encoding="utf-8").splitlines() if line.strip()
-    }
+    accepted_ids = {line.strip() for line in tio.read_text(args.accepted).splitlines() if line.strip()}
     config = _merged_config(SamplerConfig, args)
     convention = _convention(args)
 
@@ -215,8 +276,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    doc = _load_json(args.spec)
-    spec = schema.load(SynthFile, doc)
+    doc, spec = _load_json(args.spec, lambda doc: schema.load(SynthFile, doc))
     traj = generate(spec.trajectory)
     # Counts past MAX_BOXES raise here, before anything is written.
     per_frame = spec.detections.counts(len(traj)) if spec.detections is not None else None
@@ -224,13 +284,14 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
     poses_file = f"{traj.id}.txt"
-    tio.write_pose_file(traj, out_dir / poses_file)
+    blocks = _pool_blocks(args.workers)
+    tio.write_pose_file(traj, out_dir / poses_file, map_blocks=blocks)
     outputs["poses"] = poses_file
     counts = {"poses": len(traj)}
 
     if per_frame is not None:
         table = generate_detections(len(traj), per_frame)
-        tio.write_detections(table, out_dir / "detections.jsonl")
+        tio.write_detections(table, out_dir / "detections.jsonl", map_blocks=blocks)
         outputs["detections"] = "detections.jsonl"
         counts["detection_frames"] = len(table)
 
@@ -257,7 +318,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    doc = schema.decoder(LossInput)(_load_json(args.input))
+    _, doc = _load_json(args.input, schema.decoder(LossInput))
     # Overflow gives inf or nan, which the check below rejects instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         reg, _ = loss_reg(doc.pred_waypoints, doc.gt_waypoints)
@@ -345,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic pose/detection/landmark files")
     p.add_argument("--spec", required=True, help="synth spec JSON file")
     p.add_argument("--out", required=True, help="output directory")
+    _add_workers_flag(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("loss", help="print reference loss components for arrays in a JSON file")

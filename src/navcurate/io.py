@@ -1,8 +1,14 @@
 """On-disk artifact formats: parsers and writers.
 
-All files are UTF-8 and every writer replaces its file atomically (a
-sibling temporary file, then ``os.replace``), so a killed stage never
-leaves a truncated artifact behind.
+All files are UTF-8; a byte that is not raises ParseError naming the
+file and the byte's line. Every writer streams its file through
+``_atomic_file``: the chunks go to a sibling temporary file, which
+replaces the file (``os.replace``) only once all of them are written, so
+a killed or failing stage never leaves a truncated artifact behind. The
+writers format BLOCK_ROWS rows (pose lines, detection frames, record
+lines) at a time, so their memory does not grow with the file.
+``write_pose_file`` and ``write_detections`` take a ``map_blocks`` that
+may format the blocks in a process pool; the blocks are written in order.
 
 Pose files (TUM-style text):
     ``timestamp tx ty tz qx qy qz qw`` per line, single spaces, ``#``
@@ -63,7 +69,9 @@ import os
 import sys
 import warnings
 from array import array
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +437,28 @@ class PredictionTable:
         return self.id_text[self.id_offsets[i] : self.id_offsets[i + 1]]
 
 
+def _check_utf8(text: str, path, first_line: int = 1) -> str:
+    """text, read from path with errors="surrogateescape" from line first_line on, if every byte was UTF-8.
+
+    Otherwise raise ParseError naming the first byte that is not and its
+    line. An ASCII text, the common case, is passed at once.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(text[exc.start]) - 0xDC00  # surrogateescape keeps byte b as U+DC00 + b
+            line = first_line + text.count("\n", 0, exc.start)
+            raise ParseError(f"not UTF-8 text: byte 0x{byte:02x}", path=str(path), line=line) from None
+    return text
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises ParseError naming its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return _check_utf8(fh.read(), path)
+
+
 # ---------------------------------------------------------------------------
 # Pose files
 # ---------------------------------------------------------------------------
@@ -471,9 +501,9 @@ def _parse_pose_lines(path: Path) -> np.ndarray:
     line, and a line holding nothing else is skipped.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
-            text = line.partition("#")[0].strip()
+            text = _check_utf8(line, path, lineno).partition("#")[0].strip()
             if not text:
                 continue
             fields = text.split()
@@ -489,15 +519,22 @@ def _parse_pose_lines(path: Path) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 8)
 
 
-def write_pose_file(traj: RawTrajectory, path) -> None:
+def write_pose_file(traj: RawTrajectory, path, map_blocks=None) -> None:
     """Write a RawTrajectory in the TUM-style text format.
 
     Values are formatted with repr (shortest exact round-trip), so
-    write-then-parse reproduces the arrays bit for bit.
+    write-then-parse reproduces the arrays bit for bit. The rows are
+    formatted in blocks of BLOCK_ROWS and written in order (see
+    :func:`_write_blocks` for ``map_blocks``).
     """
     header = f"# {traj.id} fps={traj.fps!r}\n# timestamp tx ty tz qx qy qz qw\n"
-    values = np.column_stack([traj.timestamps, traj.positions, traj.quaternions]).ravel().tolist()
-    _write_text(path, header + ("%r %r %r %r %r %r %r %r\n" * len(traj)) % tuple(values))
+    _write_blocks(path, header, _pose_rows, traj, len(traj), map_blocks)
+
+
+def _pose_rows(traj: RawTrajectory, bounds) -> bytes:
+    lo, hi = bounds
+    values = np.column_stack([traj.timestamps[lo:hi], traj.positions[lo:hi], traj.quaternions[lo:hi]])
+    return (("%r %r %r %r %r %r %r %r\n" * (hi - lo)) % tuple(values.ravel().tolist())).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +547,9 @@ _scan_once = json.JSONDecoder().scan_once
 
 
 def _iter_json_lines(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
-            text = line.strip()
+            text = _check_utf8(line, path, lineno).strip()
             if not text:
                 continue
             # The scanner skips json.loads' wrappers; a line it cannot take
@@ -704,7 +741,7 @@ _record_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=
 
 def write_records(records, path) -> None:
     """Write records of any record dataclass as JSON lines, keys in field order."""
-    _write_text(path, "".join([_record_json(r) + "\n" for r in records]))
+    _write_lines(path, (_record_json(r) + "\n" for r in records))
 
 
 write_landmarks = write_predictions = write_records
@@ -712,35 +749,41 @@ write_landmarks = write_predictions = write_records
 _BOX_FORMAT = '{"label":%s,"bbox":[%s,%s,%s,%s],"score":%s}'
 
 
-def write_detections(table: DetectionTable, path) -> None:
+def write_detections(table: DetectionTable, path, map_blocks=None) -> None:
     """Write a DetectionTable as detection records, one line per frame.
 
     The lines are formatted from the columns, byte for byte what
     write_records writes for the table's DetectionFrames: each label
-    escaped by json, each float written by its repr. A value that the
-    Detection or DetectionFrame constructor rejects (a NaN, corners out of
-    order, a negative frame) raises that constructor's error, and no file
-    is written.
+    escaped by json, each float written by its repr. They are formatted in
+    blocks of BLOCK_ROWS frames (see :func:`_write_blocks` for
+    ``map_blocks``). A value that the Detection or DetectionFrame
+    constructor rejects (a NaN, corners out of order, a negative frame)
+    raises that constructor's error, and no file is written.
     """
     _check_ranges(table)
-    counts = np.diff(table.offsets)
-    n, m = len(table), len(table.scores)
+    _write_blocks(path, "", _detection_rows, table, len(table), map_blocks)
+
+
+def _detection_rows(table: DetectionTable, bounds) -> bytes:
+    lo, hi = bounds
+    offsets = table.offsets[lo : hi + 1]
+    a, b = offsets[0], offsets[-1]
+    counts = np.diff(offsets)
+    n, m = hi - lo, b - a
     # Each distinct float is formatted once; comparing bits, not values, keeps -0.0 apart from 0.0.
-    bits, inverse = np.unique(np.column_stack([table.bboxes, table.scores]).view(np.int64), return_inverse=True)
+    boxes = np.column_stack([table.bboxes[a:b], table.scores[a:b]])
+    bits, inverse = np.unique(boxes.view(np.int64), return_inverse=True)
     floats = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
     inverse = inverse.reshape(m, 5)
-    # One %-format over the whole file: each frame's number, then six values per box.
+    # One %-format over the block: each frame's number, then six values per box.
     values = np.empty(n + 6 * m, dtype=object)
-    values[table.offsets[:-1] * 6 + np.arange(n)] = table.frames
+    values[(offsets[:-1] - a) * 6 + np.arange(n)] = table.frames[lo:hi]
     at = 6 * np.arange(m) + np.repeat(np.arange(n), counts) + 1  # where each box's values start
-    values[at] = np.array(list(map(json.dumps, table.names)), dtype=object)[table.labels]
+    values[at] = np.array(list(map(json.dumps, table.names)), dtype=object)[table.labels[a:b]]
     for k in range(5):
         values[at + 1 + k] = floats[inverse[:, k]]
-    del at, inverse
     formats = {c: '{"frame":%d,"detections":[' + ",".join([_BOX_FORMAT] * c) + "]}\n" for c in set(counts.tolist())}
-    text = "".join(map(formats.__getitem__, counts.tolist())) % tuple(values.tolist())
-    del values  # before the write encodes the text
-    _write_text(path, text)
+    return ("".join(map(formats.__getitem__, counts.tolist())) % tuple(values.tolist())).encode()
 
 
 def _check_ranges(table: DetectionTable) -> None:
@@ -768,7 +811,7 @@ def _check_ranges(table: DetectionTable) -> None:
 
 def write_samples(lines, path) -> None:
     """Write sample lines, JSON text as ``sampling.build_clip_samples`` formats it, in the order given."""
-    _write_text(path, "".join(lines))
+    _write_lines(path, lines)
 
 
 def parse_landmarks(path) -> list[LandmarkAnnotation]:
@@ -779,22 +822,57 @@ def parse_samples(path) -> list[TrainingSample]:
     return _parse_records(TrainingSample, path)
 
 
-def _write_text(path, text: str) -> None:
-    """Write text to path through a sibling temporary file and os.replace, so a killed writer leaves no
-    truncated file (no fsync: a power loss is out of scope). A pipe or other non-regular file is written in place.
+#: Rows (pose lines, detection frames, record lines) that a writer formats and writes at a time.
+BLOCK_ROWS = 4096
+
+
+@contextmanager
+def _atomic_file(path):
+    """A binary file to write path's new content to, chunk by chunk.
+
+    The chunks go to a sibling temporary file, which replaces path
+    (``os.replace``) when the block ends. If the block raises, the
+    temporary file is removed and path is left as it was. So a killed or
+    failing writer leaves no truncated file (no fsync: a power loss is out
+    of scope). A pipe or other file that is not regular is written in place.
     """
     path = Path(path)
     if path.exists() and not path.is_file():
-        path.write_text(text, encoding="utf-8")
+        with open(path, "wb") as out:
+            yield out
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as out:
+            yield out
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_blocks(path, head: str, fn, shared, n: int, map_blocks=None) -> None:
+    """Write head, then the bytes fn(shared, (lo, hi)) of each block of BLOCK_ROWS rows of range(n), in order.
+
+    ``map_blocks(fn, tasks, shared)`` returns a generator of fn(shared,
+    task) for each task, in task order: the CLI passes its process pool.
+    By default the blocks are formatted here, one at a time. The generator
+    is closed when the write ends, so an error stops the formatting.
+    """
+    bounds = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+    blocks = map_blocks(fn, bounds, shared) if map_blocks else (fn(shared, task) for task in bounds)
+    with closing(blocks), _atomic_file(path) as out:
+        out.write(head.encode())
+        for block in blocks:
+            out.write(block)
+
+
+def _write_lines(path, lines) -> None:
+    """Write an iterable of text lines, BLOCK_ROWS lines at a time."""
+    lines = iter(lines)
+    with _atomic_file(path) as out:
+        while block := list(islice(lines, BLOCK_ROWS)):
+            out.write("".join(block).encode())
 
 
 def write_report(report: dict, path) -> None:
@@ -804,7 +882,9 @@ def write_report(report: dict, path) -> None:
     infinity raises ValueError, a value json cannot write (a numpy
     integer) TypeError, and the file is left as it was.
     """
-    _write_text(path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with _atomic_file(path) as out:
+        out.write(text.encode())
 
 
 def file_digest(path) -> str:

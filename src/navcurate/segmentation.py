@@ -23,7 +23,7 @@ import numpy as np
 from . import schema
 from .errors import EmptyResult, ValidationError
 from .geometry import quat_conjugate, quat_multiply, quat_rotate
-from .io import _FRAME_LIMIT, RawTrajectory, parse_pose_file, write_pose_file, write_report
+from .io import _FRAME_LIMIT, RawTrajectory, parse_pose_file, read_text, write_pose_file, write_report
 
 __all__ = ["ClipEntry", "segment", "save_clips", "read_manifest", "load_clip"]
 
@@ -133,7 +133,7 @@ def read_manifest(clip_dir) -> list[ClipEntry]:
     """The entries of a clip directory's manifest, in manifest order."""
     manifest_path = Path(clip_dir) / CLIP_MANIFEST_NAME
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{manifest_path}: invalid clip manifest: {exc}")
     entries = manifest.get("clips", []) if type(manifest) is dict else None

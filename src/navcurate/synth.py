@@ -72,7 +72,8 @@ RAW_CONVENTION = AxisConvention(camera_forward="+z", world_up="+z")
 #: world axes onto the frame-0 camera axes, so "up" becomes camera -y.
 CLIP_CONVENTION = AxisConvention(camera_forward="+z", world_up="-y")
 
-#: Most poses one stream may hold (about 93 h at 30 fps); synth needs ~0.6 KB of memory per pose.
+#: Most poses one stream may hold (about 93 h at 30 fps); synth peaks at ~0.25 KB of memory per pose
+#: (267 MB for 1.08M poses), almost all of it generate's arrays: its files are written in blocks.
 MAX_POSES = 10_000_000
 #: Most detection boxes one stream may hold, summed over its frames.
 MAX_BOXES = 10_000_000

@@ -141,6 +141,38 @@ def detection_frames(frame_count: int, count_schedule) -> list[DetectionFrame]:
 
 
 # ---------------------------------------------------------------------------
+# File text in one string: the writers before they formatted in blocks
+# ---------------------------------------------------------------------------
+
+
+def pose_file_text(traj: RawTrajectory) -> str:
+    """A pose file's text from one %-format over every value of the trajectory."""
+    header = f"# {traj.id} fps={traj.fps!r}\n# timestamp tx ty tz qx qy qz qw\n"
+    values = np.column_stack([traj.timestamps, traj.positions, traj.quaternions]).ravel().tolist()
+    return header + ("%r %r %r %r %r %r %r %r\n" * len(traj)) % tuple(values)
+
+
+_BOX_FORMAT = '{"label":%s,"bbox":[%s,%s,%s,%s],"score":%s}'
+
+
+def detection_file_text(table: DetectionTable) -> str:
+    """A detection file's text from one %-format over the whole table: each frame's number, then six values per box."""
+    counts = np.diff(table.offsets)
+    n, m = len(table), len(table.scores)
+    bits, inverse = np.unique(np.column_stack([table.bboxes, table.scores]).view(np.int64), return_inverse=True)
+    floats = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    inverse = inverse.reshape(m, 5)
+    values = np.empty(n + 6 * m, dtype=object)
+    values[table.offsets[:-1] * 6 + np.arange(n)] = table.frames
+    at = 6 * np.arange(m) + np.repeat(np.arange(n), counts) + 1
+    values[at] = np.array(list(map(json.dumps, table.names)), dtype=object)[table.labels]
+    for k in range(5):
+        values[at + 1 + k] = floats[inverse[:, k]]
+    formats = {c: '{"frame":%d,"detections":[' + ",".join([_BOX_FORMAT] * c) + "]}\n" for c in set(counts.tolist())}
+    return "".join(map(formats.__getitem__, counts.tolist())) % tuple(values.tolist())
+
+
+# ---------------------------------------------------------------------------
 # Prediction tables as lists of records
 # ---------------------------------------------------------------------------
 

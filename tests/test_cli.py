@@ -1,8 +1,10 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import navcurate
 from navcurate import cli
 from navcurate.cli import default_workers, main
 from navcurate.io import (
+    BLOCK_ROWS,
     PredictionRecord,
     parse_samples,
     write_pose_file,
@@ -126,6 +129,20 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec), "--out", str(out_b)]) == 0
         for name in ("walk.txt", "landmarks.jsonl", "detections.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_same_files_at_one_and_two_workers(self, tmp_path):
+        # 15,000 poses and frames: the writers format several blocks, and the last is partial.
+        assert 3 * BLOCK_ROWS < 15_000 < 4 * BLOCK_ROWS
+        spec = synth_spec_doc(tmp_path, duration=300.0, fps=50.0,
+                              crowd_spans=[{"start": 0, "frames": 15_000, "count": 2}, {"start": 9000, "frames": 7, "count": 9}])
+        outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+        for workers, out in zip((1, 2), outs):
+            assert main(["synth", "--spec", str(spec), "--out", str(out), "--workers", str(workers)]) == 0
+        names = ["detections.jsonl", "landmarks.jsonl", "manifest.json", "walk.txt"]
+        assert sorted(p.name for p in outs[1].iterdir()) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "block, key, value",
@@ -919,6 +936,122 @@ class TestLossCommand:
         assert json.loads(lines[0])["error"] == "validation"
 
 
+def _spoil_line(path, line: int, byte: bytes = b"\xff") -> None:
+    """Put a byte that is not UTF-8 into line (1-based) of a file."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1][:2] + byte + lines[line - 1][2:]
+    path.write_bytes(b"".join(lines))
+
+
+class TestNotUtf8Input:
+    """A byte that is not UTF-8 in any input exits 2 as a parse error naming its file and line."""
+
+    def _argv(self, root, kind):
+        clips, synth = root / "clips", root / "synth"
+        report = ["--report", str(root / "report.json"), "--world-up=-y", "--workers", "1"]
+        filter_ = ["filter", "--clips", str(clips), "--detections", str(synth / "detections.jsonl"), *report]
+        (root / "accepted.txt").write_text("walk_0000\nwalk_0001\nwalk_0002\n")
+        samples = ["samples", "--clips", str(clips), "--landmarks", str(synth / "landmarks.jsonl"),
+                   "--accepted", str(root / "accepted.txt"), "--out", str(root / "samples.jsonl"),
+                   "--world-up=-y", "--workers", "1"]
+        pairs = [[0.0, 0.0], [1.0, 0.0]]
+        record = json.dumps({"sample_id": "a", "predicted": pairs, "ground_truth": pairs})
+        (root / "pred.jsonl").write_text(f"{record}\n{record}\n")
+        (root / "config.json").write_text('{\n  "crowd_count_threshold": 5\n}\n')
+        (root / "loss.json").write_text('{\n  "pred_waypoints": [[1, 0]],\n  "gt_waypoints": [[1, 0]]\n}\n')
+        (root / "spec.json").write_text(json.dumps(json.loads((root / "spec.json").read_text()), indent=2))
+        return {
+            "poses": (synth / "walk.txt", 7, ["segment", "--input", str(synth / "walk.txt"), "--fps", "10",
+                                              "--clip-seconds", "60", "--out", str(root / "clips2")]),
+            "clip-poses": (clips / "walk_0001.txt", 9, filter_),
+            "detections": (synth / "detections.jsonl", 5, filter_),
+            "manifest": (clips / "manifest.json", 4, filter_),
+            "config": (root / "config.json", 2, [*filter_, "--config", str(root / "config.json")]),
+            "landmarks": (synth / "landmarks.jsonl", 3, samples),
+            "accepted": (root / "accepted.txt", 2, samples),
+            "predictions": (root / "pred.jsonl", 2, ["eval", "--pred", str(root / "pred.jsonl"),
+                                                     "--out", str(root / "metrics.json")]),
+            "spec": (root / "spec.json", 3, ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s2")]),
+            "loss": (root / "loss.json", 3, ["loss", "--input", str(root / "loss.json")]),
+        }[kind]
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["poses", "clip-poses", "detections", "manifest", "config", "landmarks", "accepted", "predictions", "spec", "loss"],
+    )
+    def test_exits_2_naming_path_and_line(self, pipeline_dir, capsys, kind):
+        path, line, argv = self._argv(pipeline_dir, kind)
+        _spoil_line(path, line)
+        capsys.readouterr()
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0]) == {
+            "error": "parse",
+            "detail": f"{path}:{line}: not UTF-8 text: byte 0xff",
+            "path": str(path),
+            "line": line,
+        }
+
+    @pytest.mark.parametrize("byte", [b"\x80", b"\xc3", b"\xed\xa0\x80"], ids=["continuation", "truncated", "surrogate"])
+    def test_every_invalid_sequence_is_named(self, tmp_path, capsys, byte):
+        path = tmp_path / "pred.jsonl"
+        path.write_bytes(b'{"sample_id": "\xc3\xa9", "predicted": [[0, 0]], "ground_truth": [[0, 0]]}\n' * 3)
+        _spoil_line(path, 3, byte)
+        assert main(["eval", "--pred", str(path), "--out", str(tmp_path / "m.json")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["line"]) == ("parse", 3)
+        assert record["detail"].endswith(f"byte 0x{byte[0]:02x}")
+
+    def test_utf8_text_beyond_ascii_is_read(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"sample_id": "caf\u00e9 \u6f22", "predicted": [[0, 0]], "ground_truth": [[1, 0]]}\n',
+                        encoding="utf-8")
+        assert main(["eval", "--pred", str(path), "--out", str(tmp_path / "m.json")]) == 0
+
+
+class TestLiteralInConfigError:
+    """A number past the float range in a config-type input is named as written, not as Infinity."""
+
+    def test_loss_input(self, tmp_path, capsys):
+        path = tmp_path / "loss.json"
+        path.write_text('{"pred_waypoints": [[1e400, 0]], "gt_waypoints": [[1, 0]]}')
+        assert main(["loss", "--input", str(path)]) == 2
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail == "LossInput has 'pred_waypoints[0]' = [1e400, 0], expected [number, number]"
+
+    def test_synth_spec(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"trajectory": {"kind": "straight", "duration_s": 1e400}}')
+        assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail == "SynthFile has 'trajectory.duration_s' = 1e400, expected number"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1.5e999"])
+    def test_config_file(self, pipeline_dir, capsys, literal):
+        config = pipeline_dir / "filter.json"
+        config.write_text(f'{{"pitch_range_max_deg": {literal}}}')
+        argv = ["filter", "--clips", str(pipeline_dir / "clips"),
+                "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+                "--config", str(config), "--report", str(pipeline_dir / "report.json"), "--workers", "1"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail == f"FilterConfig has 'pitch_range_max_deg' = {literal}, expected number"
+
+    def test_flag_keeps_its_own_value(self, pipeline_dir, capsys):
+        # Only the file is decoded again; a flag's infinity is the flag's, and the file's keys merge as before.
+        config = pipeline_dir / "filter.json"
+        config.write_text('{"pitch_range_max_deg": 1e400, "divergence_max_deg": 30}')
+        argv = ["filter", "--clips", str(pipeline_dir / "clips"),
+                "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+                "--config", str(config), "--report", str(pipeline_dir / "report.json"), "--workers", "1",
+                "--pitch-range-max-deg", "20"]
+        capsys.readouterr()
+        assert main(argv) == 0
+
+
 class TestWorkersEnv:
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("NAVCURATE_WORKERS", "5")
@@ -948,24 +1081,42 @@ class TestWorkersEnv:
         assert json.loads(lines[0])["error"] == "validation"
         assert not out.exists()
 
+    @pytest.mark.parametrize("chunksize", [1, 3])
+    def test_imap_yields_in_task_order(self, chunksize):
+        tasks = list(range(-10, 0))
+        assert list(cli._imap(divmod, tasks, 2, shared=7, chunksize=chunksize)) == [divmod(7, t) for t in tasks]
+        assert list(cli._imap(divmod, tasks, 1, shared=7)) == [divmod(7, t) for t in tasks]
+
+    def test_imap_closed_early_leaves_no_worker(self):
+        results = cli._imap(divmod, list(range(1, 200)), 2, shared=7)
+        assert next(results) == (7, 0)
+        results.close()
+        assert multiprocessing.active_children() == []
+
+    def test_imap_error_in_a_task_leaves_no_worker(self):
+        with pytest.raises(ZeroDivisionError):
+            list(cli._imap(divmod, [1, 2, 0, 3, 4, 5, 6, 7, 8, 9], 2, shared=7))
+        assert multiprocessing.active_children() == []
+
     def test_pool_capped_at_task_count(self, monkeypatch):
         started = []
 
         class RecordingPool:
-            """Stands in for ProcessPoolExecutor: records max_workers and maps inline."""
+            """Stands in for ProcessPoolExecutor: records max_workers and runs each call inline."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures=False):
+                pass
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
+        monkeypatch.setattr(cli, "_shared", None)  # the inline initializer sets it in this process
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         assert cli._map_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]

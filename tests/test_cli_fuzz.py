@@ -3,8 +3,11 @@
 Each example takes a valid input of one subcommand (a detection, landmark
 or prediction file, a ``loss`` document, a clip-manifest entry or a
 ``synth`` spec), replaces one JSON value anywhere in it with a value from
-a small pool of wrong types and huge or non-finite numbers, or deletes it,
+a small pool of wrong types and huge or non-finite numbers (``1e400``
+among them), or deletes it,
 and runs ``cli.main`` in this process on a tiny synthetic fixture. The ``segment`` pose file gets one broken row instead.
+A byte-level mutation puts one byte that is not UTF-8 anywhere into any
+input file, which must fail as a parse error naming that byte's line.
 """
 
 import contextlib
@@ -31,7 +34,13 @@ class _Missing:
 
 
 MISSING = _Missing()
-POOL = [True, "5", None, [[1]], 10**400, math.nan, MISSING]
+# Written as the literal 1e400, a number past the float range that json reads as inf.
+HUGE_FLOAT = "\x00 1e400"
+POOL = [True, "5", None, [[1]], 10**400, math.nan, HUGE_FLOAT, MISSING]
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(HUGE_FLOAT), "1e400")
 
 
 def _sites(value, path=()):
@@ -141,12 +150,12 @@ def _mutated_run(root, kind, data) -> tuple[int, str]:
         manifest = json.loads((work / "clips" / "manifest.json").read_text())
         path = data.draw(st.sampled_from([("clips", *p) for p in _sites(manifest["clips"]) if p]))
         mutated = _replaced(manifest, path, data.draw(st.sampled_from(POOL)))
-        (work / "clips" / "manifest.json").write_text(json.dumps(mutated))
+        (work / "clips" / "manifest.json").write_text(_dumps(mutated))
         return _run(["filter", "--clips", clips, "--detections", detections, "--report", report, "--world-up=-y", "--workers", "1"])
     if kind in ("loss", "synth"):
         doc = json.loads((root / f"{kind}.json").read_text())
         mutated = _replaced(doc, data.draw(st.sampled_from(list(_sites(doc)))), data.draw(st.sampled_from(POOL)))
-        (work / f"{kind}.json").write_text(json.dumps(mutated))
+        (work / f"{kind}.json").write_text(_dumps(mutated))
         if kind == "synth":
             return _run(["synth", "--spec", str(work / "synth.json"), "--out", str(work / "synth")])
         return _run(["loss", "--input", str(work / "loss.json")])
@@ -154,7 +163,7 @@ def _mutated_run(root, kind, data) -> tuple[int, str]:
     line = data.draw(st.sampled_from(range(len(records))))
     records[line] = _replaced(records[line], data.draw(st.sampled_from(list(_sites(records[line])))), data.draw(st.sampled_from(POOL)))
     mutated = work / "input.jsonl"
-    mutated.write_text("".join(json.dumps(r) + "\n" for r in records))
+    mutated.write_text("".join(_dumps(r) + "\n" for r in records))
     if kind == "detections":
         return _run(["filter", "--clips", clips, "--detections", str(mutated), "--report", report, "--world-up=-y", "--workers", "1"])
     if kind == "landmarks":
@@ -207,6 +216,61 @@ def test_broken_pose_row_exits_2(fixture, data):
     assert len(err_lines) == 1, err
     assert set(json.loads(err_lines[0])) >= {"error", "detail"}
     assert not (work / "clips" / "manifest.json").exists()
+
+
+def _byte_run(root, kind, work) -> tuple[int, str, Path]:
+    """Copy the kind's valid input into work and return (argv, the copied file) that reads it."""
+    shutil.copytree(root / "clips", work / "clips")
+    clips, synth = work / "clips", root / "synth"
+    source = {"poses": synth / "walk.txt", "clip-poses": clips / "walk_0001.txt", "manifest": clips / "manifest.json",
+              "detections": synth / "detections.jsonl", "landmarks": synth / "landmarks.jsonl",
+              "accepted": root / "report.json.accepted", "predictions": root / "pred.jsonl",
+              "loss": root / "loss.json", "synth": root / "synth.json"}[kind]
+    path = source if source.parent == clips else work / source.name
+    if path != source:
+        shutil.copy(source, path)
+    detections = str(path if kind == "detections" else synth / "detections.jsonl")
+    filter_ = ["filter", "--clips", str(clips), "--detections", detections, "--report", str(work / "report.json"),
+               "--world-up=-y", "--workers", "1"]
+    landmarks = str(path if kind == "landmarks" else synth / "landmarks.jsonl")
+    accepted = str(path if kind == "accepted" else root / "report.json.accepted")
+    samples = ["samples", "--clips", str(clips), "--landmarks", landmarks, "--accepted", accepted,
+               "--out", str(work / "out"), "--world-up=-y", "--workers", "1"]
+    argv = {
+        "poses": ["segment", "--input", str(path), "--fps", "5", "--clip-seconds", "20", "--out", str(work / "c2"),
+                  "--workers", "1"],
+        "clip-poses": filter_, "manifest": filter_, "detections": filter_,
+        "landmarks": samples, "accepted": samples,
+        "predictions": ["eval", "--pred", str(path), "--out", str(work / "out")],
+        "loss": ["loss", "--input", str(path)],
+        "synth": ["synth", "--spec", str(path), "--out", str(work / "synth"), "--workers", "1"],
+    }[kind]
+    return argv, path
+
+
+@pytest.mark.parametrize(
+    "kind", ["poses", "clip-poses", "manifest", "detections", "landmarks", "accepted", "predictions", "loss", "synth"]
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_byte_not_utf8_is_a_parse_error_at_its_line(fixture, kind, data):
+    # Every input is ASCII, so any byte from 0x80 up, put anywhere, makes it not UTF-8.
+    work = fixture / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    argv, path = _byte_run(fixture, kind, work)
+    text = path.read_bytes()
+    assert text.isascii()
+    at = data.draw(st.integers(0, len(text)))
+    byte = data.draw(st.integers(0x80, 0xFF))
+    path.write_bytes(text[:at] + bytes([byte]) + text[at:])
+    rc, err = _run(argv)
+    assert rc == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    record = json.loads(lines[0])
+    assert record == {"error": "parse", "detail": f"{path}:{record['line']}: not UTF-8 text: byte 0x{byte:02x}",
+                      "path": str(path), "line": text.count(b"\n", 0, at) + 1}
 
 
 GOOD = ((1.0, 0.0), (2.0, 0.5))

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import multiprocessing
 import os
 import threading
 
@@ -8,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcurate import schema
+from navcurate import cli, schema
 from navcurate.errors import ParseError, SchemaError, ValidationError
 from navcurate.io import (
+    BLOCK_ROWS,
     Detection,
     DetectionFrame,
+    DetectionTable,
     LandmarkAnnotation,
     PredictionRecord,
     RawTrajectory,
@@ -22,6 +26,7 @@ from navcurate.io import (
     parse_pose_file,
     parse_predictions,
     parse_samples,
+    write_detections,
     write_landmarks,
     write_pose_file,
     write_predictions,
@@ -29,7 +34,7 @@ from navcurate.io import (
     write_records,
 )
 
-from oracles import EgoWaypoint, frames_of, records_of
+from oracles import EgoWaypoint, detection_file_text, frames_of, pose_file_text, records_of
 from test_cli_fuzz import POOL, _replaced, _sites
 
 
@@ -563,6 +568,72 @@ def test_overflowing_literal_is_named_as_written(tmp_path, parse, valid, line, m
     assert (exc.value.line, str(exc.value)) == (2, f"{path}:2: {message % literal}")
 
 
+def _walk(n: int, traj_id: str = "walk") -> RawTrajectory:
+    """n poses whose values need every digit of their repr."""
+    rng = np.random.default_rng(n)
+    quats = rng.normal(size=(n, 4))
+    return RawTrajectory(traj_id, 30.0, np.cumsum(rng.uniform(0.01, 0.05, n)), rng.normal(0.0, 50.0, (n, 3)),
+                         quats / np.linalg.norm(quats, axis=1, keepdims=True))
+
+
+def _boxes(n: int) -> DetectionTable:
+    """n frames of 0 to 3 boxes under two labels, with -0.0, 0.0 and repeated values among the floats."""
+    rng = np.random.default_rng(n)
+    counts = rng.integers(0, 4, n)
+    m = int(counts.sum())
+    x, y = rng.choice([-0.0, 0.0, 1.5, 1e-300], m), rng.normal(0.0, 100.0, m)
+    bboxes = np.column_stack([x, y, x + rng.uniform(0, 9, m), y + 1.0])
+    frames = np.cumsum(rng.integers(1, 3, n))
+    return DetectionTable(frames, np.concatenate(([0], np.cumsum(counts))), rng.integers(0, 2, m), ("person", "car\u00e9"),
+                          rng.uniform(0.0, 1.0, m), bboxes)
+
+
+ROW_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
+# The writers' own one-at-a-time formatting, and the CLI's process pool at two workers.
+BLOCK_MAPS = {"serial": None, "pool": cli._pool_blocks(2)}
+
+
+class TestBlockWriters:
+    """The block writers give byte for byte the one-string writers' text (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("map_name", list(BLOCK_MAPS))
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_pose_file(self, tmp_path, rows, map_name):
+        traj = _walk(rows)
+        write_pose_file(traj, tmp_path / "walk.txt", map_blocks=BLOCK_MAPS[map_name])
+        assert (tmp_path / "walk.txt").read_bytes() == pose_file_text(traj).encode()
+
+    @pytest.mark.parametrize("map_name", list(BLOCK_MAPS))
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_detections(self, tmp_path, rows, map_name):
+        table = _boxes(rows)
+        write_detections(table, tmp_path / "d.jsonl", map_blocks=BLOCK_MAPS[map_name])
+        assert (tmp_path / "d.jsonl").read_bytes() == detection_file_text(table).encode()
+
+    def test_empty_table(self, tmp_path):
+        table = DetectionTable([], [0], [], (), [], np.zeros((0, 4)))
+        write_detections(table, tmp_path / "d.jsonl", map_blocks=BLOCK_MAPS["pool"])
+        assert (tmp_path / "d.jsonl").read_bytes() == b""
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+    def test_record_lines(self, tmp_path, rows):
+        samples = [_sample(i) for i in range(rows)]
+        write_records(samples, tmp_path / "s.jsonl")
+        text = "".join(json.dumps(schema.to_json(s), separators=(",", ":")) + "\n" for s in samples)
+        assert (tmp_path / "s.jsonl").read_bytes() == text.encode()
+
+
+def _fail_from_block_2(fn, shared, bounds):
+    if bounds[0] >= 2 * BLOCK_ROWS:
+        raise RuntimeError(f"block at row {bounds[0]}")
+    return fn(shared, bounds)
+
+
+def _failing_pool(fn, tasks, shared):
+    """The CLI's two-worker block map, with every block from the third on failing in its worker."""
+    return cli._imap(functools.partial(_fail_from_block_2, fn), tasks, 2, shared)
+
+
 class TestCrashSafeWrites:
     def test_write_failing_partway_keeps_old_file(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -575,6 +646,24 @@ class TestCrashSafeWrites:
             write_pose_file(bad, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
+
+    @pytest.mark.parametrize("writer, data", [(write_pose_file, _walk), (write_detections, _boxes)])
+    def test_failing_later_block_keeps_old_file_and_stops_the_pool(self, tmp_path, writer, data):
+        path = tmp_path / "out.txt"
+        writer(data(5), path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match=f"block at row {2 * BLOCK_ROWS}"):
+            writer(data(4 * BLOCK_ROWS), path, map_blocks=_failing_pool)
+        assert multiprocessing.active_children() == []
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_error_mid_stream_stops_the_pool(self):
+        # /dev/full is not a regular file, so it is written in place, and its first write fails with ENOSPC.
+        with pytest.raises(OSError):
+            write_pose_file(_walk(4 * BLOCK_ROWS), "/dev/full", map_blocks=BLOCK_MAPS["pool"])
+        assert multiprocessing.active_children() == []
 
     def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "r.json"
@@ -590,7 +679,6 @@ class TestCrashSafeWrites:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
-
     def test_fifo_is_written_in_place(self, tmp_path):
         # A pipe cannot be replaced by a renamed file: its reader gets the bytes, and no temporary sibling is left.
         path = tmp_path / "report.fifo"
@@ -602,6 +690,18 @@ class TestCrashSafeWrites:
         reader.join(timeout=10)
         assert received == [b'{\n  "a": 1\n}\n']
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.fifo"]
+
+    def test_pose_blocks_stream_into_a_fifo(self, tmp_path):
+        path = tmp_path / "walk.fifo"
+        os.mkfifo(path)
+        traj = _walk(2 * BLOCK_ROWS + 3)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+        reader.start()
+        write_pose_file(traj, path, map_blocks=BLOCK_MAPS["pool"])
+        reader.join(timeout=30)
+        assert received == [pose_file_text(traj).encode()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["walk.fifo"]
 
 
 class TestReport:
