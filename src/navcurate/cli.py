@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -95,73 +96,63 @@ def _convention(args) -> AxisConvention:
     return AxisConvention(**_flag_values(args, AxisConvention))
 
 
-# A pool worker's shared input, set once per worker by the pool initializer.
-_shared = None
+# A pool worker's task function, set once per worker by the pool initializer.
+_fn = None
 
 
-def _set_shared(shared) -> None:
-    global _shared
-    _shared = shared
+def _set_fn(fn) -> None:
+    global _fn
+    _fn = fn
 
 
-def _run_chunk(fn, chunk) -> list:
-    return [fn(_shared, task) for task in chunk]
+def _run(task):
+    return _fn(task)
 
 
-def _imap(fn, tasks, workers: int, shared=None, chunksize: int = 1):
-    """Yield fn(shared, task) for each task, in task order, as the results arrive.
+def _imap(fn, tasks, workers: int):
+    """Yield fn(task) for each task, in task order, as the results arrive.
 
     With more than one worker and task, the tasks run in a process pool,
-    chunksize tasks per call. Each worker gets shared once, through the
-    pool initializer, so a task carries only its own arguments. At most
-    4 * workers chunks are submitted ahead of the one being yielded, so
+    one task per call. Each worker gets fn once, through the pool
+    initializer: a stage binds its read-only inputs into fn with
+    functools.partial, so a task carries only its own arguments. At most
+    4 * workers tasks are submitted ahead of the one being yielded, so
     finished results wait in bounded memory. An error in a task, or closing
-    the generator early, cancels the chunks not yet started and shuts the
+    the generator early, cancels the tasks not yet started and shuts the
     pool down, its workers joined, before the error leaves the generator.
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield fn(shared, task)
+        yield from map(fn, tasks)
         return
     # A forked pool starts all max_workers processes at the first submit.
     workers = min(workers, len(tasks))
-    chunks = [tasks[i : i + chunksize] for i in range(0, len(tasks), chunksize)]
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_shared, initargs=(shared,))
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_fn, initargs=(fn,))
     try:
         futures = deque()
-        for chunk in chunks:
+        for task in tasks:
             if len(futures) == 4 * workers:
-                yield from futures.popleft().result()
-            futures.append(pool.submit(_run_chunk, fn, chunk))
+                yield futures.popleft().result()
+            futures.append(pool.submit(_run, task))
         while futures:
-            yield from futures.popleft().result()
+            yield futures.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _call(fn, task):
-    return fn(task)
-
-
 def _map_tasks(fn, tasks, workers: int) -> list:
-    """Run fn over tasks, optionally in a process pool; result order == task order."""
-    return list(_imap(_call, tasks, workers, shared=fn, chunksize=max(1, len(tasks) // (4 * workers))))
+    """The list of fn(task) for each task, in task order (see _imap)."""
+    return list(_imap(fn, tasks, workers))
 
 
-def _pool_blocks(workers: int):
-    """The ``map_blocks`` of the io writers: their row blocks formatted by _imap at this worker count."""
-    return lambda fn, tasks, shared: _imap(fn, tasks, workers, shared)
+# A clip task is (manifest index, entry[, landmarks]); the worker parses the clip's pose file.
+def _filter_task(clip_dir, detections, config, convention, task):
+    index, entry = task
+    return run_filters(load_clip(clip_dir, entry, index), slice_detections(detections, entry), config, convention)
 
 
-# A clip task carries where the clip is (directory, manifest index, entry); the worker parses it.
-def _filter_task(task):
-    clip_dir, index, entry, detections, config, convention = task
-    return run_filters(load_clip(clip_dir, entry, index), detections, config, convention)
-
-
-def _samples_task(task):
-    clip_dir, index, entry, landmarks, config, convention = task
+def _samples_task(clip_dir, config, convention, task):
+    index, entry, landmarks = task
     return build_clip_samples(load_clip(clip_dir, entry, index), landmarks, config, convention)
 
 
@@ -194,11 +185,8 @@ def cmd_filter(args) -> int:
     detections = tio.parse_detections(args.detections)
     config = _merged_config(FilterConfig, args)
     convention = _convention(args)
-    tasks = [
-        (args.clips, i, entry, slice_detections(detections, entry), config, convention)
-        for i, entry in sorted(enumerate(entries), key=lambda pair: pair[1].clip_id)
-    ]
-    verdicts = _map_tasks(_filter_task, tasks, args.workers)
+    fn = functools.partial(_filter_task, args.clips, detections, config, convention)
+    verdicts = _map_tasks(fn, sorted(enumerate(entries), key=lambda pair: pair[1].clip_id), args.workers)
     accepted = [v.clip_id for v in verdicts if v.accepted]
     rejected_by_reason: dict[str, int] = {}
     for verdict in verdicts:
@@ -226,17 +214,17 @@ def cmd_filter(args) -> int:
 def cmd_samples(args) -> int:
     entries = read_manifest(args.clips)
     landmarks = tio.parse_landmarks(args.landmarks)
-    accepted_ids = {line.strip() for line in tio.read_text(args.accepted).splitlines() if line.strip()}
+    # One id per "\n", as filter writes it: an id may hold another Unicode line break.
+    accepted_ids = {line.strip() for line in tio.read_text(args.accepted).split("\n") if line.strip()}
     config = _merged_config(SamplerConfig, args)
     convention = _convention(args)
 
+    fn = functools.partial(_samples_task, args.clips, config, convention)
     lines, skipped = collect_samples(
         [entry.clip_id for entry in entries],
         landmarks,
         accepted_ids,
-        lambda pairs: _map_tasks(
-            _samples_task, [(args.clips, i, entries[i], lms, config, convention) for i, lms in pairs], args.workers
-        ),
+        lambda pairs: _map_tasks(fn, [(i, entries[i], lms) for i, lms in pairs], args.workers),
     )
     tio.write_samples(lines, args.out)
     manifest = {
@@ -284,14 +272,14 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
     poses_file = f"{traj.id}.txt"
-    blocks = _pool_blocks(args.workers)
-    tio.write_pose_file(traj, out_dir / poses_file, map_blocks=blocks)
+    blocks = functools.partial(_imap, workers=args.workers)
+    tio.write_pose_file(traj, out_dir / poses_file, map_tasks=blocks)
     outputs["poses"] = poses_file
     counts = {"poses": len(traj)}
 
     if per_frame is not None:
         table = generate_detections(len(traj), per_frame)
-        tio.write_detections(table, out_dir / "detections.jsonl", map_blocks=blocks)
+        tio.write_detections(table, out_dir / "detections.jsonl", map_tasks=blocks)
         outputs["detections"] = "detections.jsonl"
         counts["detection_frames"] = len(table)
 

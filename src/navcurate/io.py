@@ -7,7 +7,7 @@ replaces the file (``os.replace``) only once all of them are written, so
 a killed or failing stage never leaves a truncated artifact behind. The
 writers format BLOCK_ROWS rows (pose lines, detection frames, record
 lines) at a time, so their memory does not grow with the file.
-``write_pose_file`` and ``write_detections`` take a ``map_blocks`` that
+``write_pose_file`` and ``write_detections`` take a ``map_tasks`` that
 may format the blocks in a process pool; the blocks are written in order.
 
 Pose files (TUM-style text):
@@ -62,6 +62,7 @@ write (a numpy integer, say) raises.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -497,8 +498,10 @@ def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajecto
 def _parse_pose_lines(path: Path) -> np.ndarray:
     """Line-by-line fallback that pinpoints the first malformed line.
 
-    As in np.loadtxt(comments="#"), a ``#`` starts a comment anywhere on a
-    line, and a line holding nothing else is skipped.
+    It accepts what np.loadtxt(comments="#") accepts: a ``#`` starts a
+    comment anywhere on a line, a line holding nothing else is skipped, and
+    a field is a number only if it is ASCII without an underscore (float()
+    alone also reads ``1_000`` and non-ASCII digits).
     """
     rows = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -510,6 +513,8 @@ def _parse_pose_lines(path: Path) -> np.ndarray:
             if len(fields) != 8:
                 raise ParseError(f"expected 8 fields, found {len(fields)}", path=str(path), line=lineno)
             try:
+                if "_" in text or not all(f.isascii() for f in fields):
+                    raise ValueError
                 values = [float(f) for f in fields]
             except ValueError:
                 raise ParseError(f"non-numeric field in {text!r}", path=str(path), line=lineno)
@@ -519,16 +524,16 @@ def _parse_pose_lines(path: Path) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 8)
 
 
-def write_pose_file(traj: RawTrajectory, path, map_blocks=None) -> None:
+def write_pose_file(traj: RawTrajectory, path, map_tasks=None) -> None:
     """Write a RawTrajectory in the TUM-style text format.
 
     Values are formatted with repr (shortest exact round-trip), so
     write-then-parse reproduces the arrays bit for bit. The rows are
     formatted in blocks of BLOCK_ROWS and written in order (see
-    :func:`_write_blocks` for ``map_blocks``).
+    :func:`_write_blocks` for ``map_tasks``).
     """
     header = f"# {traj.id} fps={traj.fps!r}\n# timestamp tx ty tz qx qy qz qw\n"
-    _write_blocks(path, header, _pose_rows, traj, len(traj), map_blocks)
+    _write_blocks(path, header, functools.partial(_pose_rows, traj), len(traj), map_tasks)
 
 
 def _pose_rows(traj: RawTrajectory, bounds) -> bytes:
@@ -749,19 +754,19 @@ write_landmarks = write_predictions = write_records
 _BOX_FORMAT = '{"label":%s,"bbox":[%s,%s,%s,%s],"score":%s}'
 
 
-def write_detections(table: DetectionTable, path, map_blocks=None) -> None:
+def write_detections(table: DetectionTable, path, map_tasks=None) -> None:
     """Write a DetectionTable as detection records, one line per frame.
 
     The lines are formatted from the columns, byte for byte what
     write_records writes for the table's DetectionFrames: each label
     escaped by json, each float written by its repr. They are formatted in
     blocks of BLOCK_ROWS frames (see :func:`_write_blocks` for
-    ``map_blocks``). A value that the Detection or DetectionFrame
+    ``map_tasks``). A value that the Detection or DetectionFrame
     constructor rejects (a NaN, corners out of order, a negative frame)
     raises that constructor's error, and no file is written.
     """
     _check_ranges(table)
-    _write_blocks(path, "", _detection_rows, table, len(table), map_blocks)
+    _write_blocks(path, "", functools.partial(_detection_rows, table), len(table), map_tasks)
 
 
 def _detection_rows(table: DetectionTable, bounds) -> bytes:
@@ -851,16 +856,16 @@ def _atomic_file(path):
         raise
 
 
-def _write_blocks(path, head: str, fn, shared, n: int, map_blocks=None) -> None:
-    """Write head, then the bytes fn(shared, (lo, hi)) of each block of BLOCK_ROWS rows of range(n), in order.
+def _write_blocks(path, head: str, fn, n: int, map_tasks=None) -> None:
+    """Write head, then the bytes fn((lo, hi)) of each block of BLOCK_ROWS rows of range(n), in order.
 
-    ``map_blocks(fn, tasks, shared)`` returns a generator of fn(shared,
-    task) for each task, in task order: the CLI passes its process pool.
-    By default the blocks are formatted here, one at a time. The generator
-    is closed when the write ends, so an error stops the formatting.
+    ``map_tasks(fn, tasks)`` returns a generator of fn(task) for each
+    task, in task order: the CLI passes its process pool. By default the
+    blocks are formatted here, one at a time. The generator is closed when
+    the write ends, so an error stops the formatting.
     """
     bounds = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
-    blocks = map_blocks(fn, bounds, shared) if map_blocks else (fn(shared, task) for task in bounds)
+    blocks = map_tasks(fn, bounds) if map_tasks else (fn(task) for task in bounds)
     with closing(blocks), _atomic_file(path) as out:
         out.write(head.encode())
         for block in blocks:

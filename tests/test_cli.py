@@ -1,7 +1,9 @@
+import functools
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -14,6 +16,7 @@ from navcurate import cli
 from navcurate.cli import default_workers, main
 from navcurate.io import (
     BLOCK_ROWS,
+    DetectionTable,
     PredictionRecord,
     parse_samples,
     write_pose_file,
@@ -536,6 +539,33 @@ class TestFilterCommand:
         assert (pipeline_dir / "report.json.accepted").read_text().split() == ["walk_0000", "walk_0002", "walk_0003"]
         assert not report_path.exists()
 
+    def test_task_size_does_not_grow_with_detections(self, tmp_path, monkeypatch):
+        # The detection table is bound into the task function once per worker; a task is (manifest index, entry).
+        assert main(["synth", "--spec", str(synth_spec_doc(tmp_path, landmarks=False)), "--out", str(tmp_path)]) == 0
+        clips = tmp_path / "clips"
+        assert main(["segment", "--input", str(tmp_path / "walk.txt"), "--fps", "10", "--clip-seconds", "60",
+                     "--out", str(clips)]) == 0
+        box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 0.9}
+        for name, frames in [("sparse", 1), ("dense", 2400)]:
+            (tmp_path / f"{name}.jsonl").write_text(
+                "".join(json.dumps({"frame": i, "detections": [box]}) + "\n" for i in range(frames))
+            )
+        captured = []
+        original = cli._map_tasks
+
+        def recording(fn, tasks, workers):
+            captured.append(list(tasks))
+            return original(fn, tasks, workers)
+
+        monkeypatch.setattr(cli, "_map_tasks", recording)
+        for name in ("sparse", "dense"):
+            assert main(["filter", "--clips", str(clips), "--detections", str(tmp_path / f"{name}.jsonl"),
+                         "--report", str(tmp_path / f"{name}.json"), "--workers", "2"]) == 0
+        sparse, dense = captured
+        assert len(dense) == 4
+        assert not any(isinstance(part, DetectionTable) for task in sparse + dense for part in task)
+        assert [len(pickle.dumps(task)) for task in dense] == [len(pickle.dumps(task)) for task in sparse]
+
 
 class TestSamplesCommand:
     def _run(self, pipeline_dir, out_name="samples.jsonl", workers="1", seed="3", extra=()):
@@ -672,6 +702,30 @@ class TestSamplesCommand:
         )
         assert rc == 0
         assert rerun_out.read_bytes() == out.read_bytes()
+
+    def test_clip_id_holding_a_unicode_line_break(self, tmp_path):
+        # filter writes one accepted id per "\n"; the U+2028 inside each id here is no line end.
+        traj_id = "a\u2028b"
+        assert main(["synth", "--spec", str(synth_spec_doc(tmp_path)), "--out", str(tmp_path)]) == 0
+        clips = tmp_path / "clips"
+        assert main(["segment", "--input", str(tmp_path / "walk.txt"), "--fps", "10", "--clip-seconds", "60",
+                     "--out", str(clips), "--traj-id", traj_id]) == 0
+        records = [json.loads(line) for line in (tmp_path / "landmarks.jsonl").read_text().splitlines()]
+        for record in records:
+            record["clip_id"] = record["clip_id"].replace("walk", traj_id)
+        (tmp_path / "landmarks.jsonl").write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert main(["filter", "--clips", str(clips), "--detections", str(tmp_path / "detections.jsonl"),
+                     "--report", str(tmp_path / "report.json"), "--world-up=-y", "--workers", "1"]) == 0
+        ids = [f"{traj_id}_{k:04d}" for k in range(4)]
+        assert (tmp_path / "report.json.accepted").read_bytes() == "".join(f"{i}\n" for i in ids).encode()
+        out = tmp_path / "samples.jsonl"
+        assert main(["samples", "--clips", str(clips), "--landmarks", str(tmp_path / "landmarks.jsonl"),
+                     "--accepted", str(tmp_path / "report.json.accepted"), "--out", str(out),
+                     "--world-up=-y", "--workers", "1"]) == 0
+        counts = json.loads((tmp_path / "samples.jsonl.manifest.json").read_text())["counts"]
+        assert counts["clips_used"] == 4
+        assert counts["skipped_landmark_draws"]["rejected_clip"] == 0
+        assert {s.clip_id for s in parse_samples(out)} <= set(ids)
 
     def test_zero_samples_exits_3(self, pipeline_dir, capsys):
         (pipeline_dir / "none.accepted").write_text("")
@@ -1081,21 +1135,22 @@ class TestWorkersEnv:
         assert json.loads(lines[0])["error"] == "validation"
         assert not out.exists()
 
-    @pytest.mark.parametrize("chunksize", [1, 3])
-    def test_imap_yields_in_task_order(self, chunksize):
-        tasks = list(range(-10, 0))
-        assert list(cli._imap(divmod, tasks, 2, shared=7, chunksize=chunksize)) == [divmod(7, t) for t in tasks]
-        assert list(cli._imap(divmod, tasks, 1, shared=7)) == [divmod(7, t) for t in tasks]
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_imap_yields_in_task_order(self, workers):
+        # 20 tasks outrun the 4 * workers submit-ahead window at 3 workers.
+        tasks = list(range(-20, 0))
+        assert list(cli._imap(functools.partial(divmod, 7), tasks, workers)) == [divmod(7, t) for t in tasks]
+        assert list(cli._imap(functools.partial(divmod, 7), tasks, 2)) == [divmod(7, t) for t in tasks]
 
     def test_imap_closed_early_leaves_no_worker(self):
-        results = cli._imap(divmod, list(range(1, 200)), 2, shared=7)
+        results = cli._imap(functools.partial(divmod, 7), list(range(1, 200)), 2)
         assert next(results) == (7, 0)
         results.close()
         assert multiprocessing.active_children() == []
 
     def test_imap_error_in_a_task_leaves_no_worker(self):
         with pytest.raises(ZeroDivisionError):
-            list(cli._imap(divmod, [1, 2, 0, 3, 4, 5, 6, 7, 8, 9], 2, shared=7))
+            list(cli._imap(functools.partial(divmod, 7), [1, 2, 0, 3, 4, 5, 6, 7, 8, 9], 2))
         assert multiprocessing.active_children() == []
 
     def test_pool_capped_at_task_count(self, monkeypatch):
@@ -1116,7 +1171,7 @@ class TestWorkersEnv:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(cli, "_shared", None)  # the inline initializer sets it in this process
+        monkeypatch.setattr(cli, "_fn", None)  # the inline initializer sets it in this process
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         assert cli._map_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]

@@ -91,6 +91,25 @@ class TestPoseFile:
         traj = parse_pose_file(path, fps=10.0)
         assert np.array_equal(traj.positions, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
+    @pytest.mark.parametrize("field", ["1_000", "١", "１"], ids=["underscore", "arabic-indic", "fullwidth"])
+    def test_number_loadtxt_rejects_is_a_parse_error(self, tmp_path, field):
+        # float() reads each field as a number; np.loadtxt does not, and neither may the line-by-line fallback.
+        path = tmp_path / "n.txt"
+        line = f"0.1 {field} 0 0 0 0 0 1"
+        path.write_text(f"0.0 0 0 0 0 0 0 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            parse_pose_file(path, fps=10.0)
+        assert exc.value.line == 2
+        assert str(exc.value).endswith(f" non-numeric field in {line!r}")
+
+    def test_fallback_splits_on_unicode_whitespace_as_loadtxt_does(self, tmp_path):
+        # np.loadtxt reads line 1 (U+3000 and U+00A0 separate its fields); the fault is the x on line 2.
+        path = tmp_path / "w.txt"
+        path.write_text("0.0\u30000\u00a00 0 0 0 0 1\n0.1 x 0 0 0 0 0 1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            parse_pose_file(path, fps=10.0)
+        assert exc.value.line == 2
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.0 0 0 0 0 0 1\n")
@@ -590,7 +609,7 @@ def _boxes(n: int) -> DetectionTable:
 
 ROW_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
 # The writers' own one-at-a-time formatting, and the CLI's process pool at two workers.
-BLOCK_MAPS = {"serial": None, "pool": cli._pool_blocks(2)}
+BLOCK_MAPS = {"serial": None, "pool": functools.partial(cli._imap, workers=2)}
 
 
 class TestBlockWriters:
@@ -600,19 +619,19 @@ class TestBlockWriters:
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_pose_file(self, tmp_path, rows, map_name):
         traj = _walk(rows)
-        write_pose_file(traj, tmp_path / "walk.txt", map_blocks=BLOCK_MAPS[map_name])
+        write_pose_file(traj, tmp_path / "walk.txt", map_tasks=BLOCK_MAPS[map_name])
         assert (tmp_path / "walk.txt").read_bytes() == pose_file_text(traj).encode()
 
     @pytest.mark.parametrize("map_name", list(BLOCK_MAPS))
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_detections(self, tmp_path, rows, map_name):
         table = _boxes(rows)
-        write_detections(table, tmp_path / "d.jsonl", map_blocks=BLOCK_MAPS[map_name])
+        write_detections(table, tmp_path / "d.jsonl", map_tasks=BLOCK_MAPS[map_name])
         assert (tmp_path / "d.jsonl").read_bytes() == detection_file_text(table).encode()
 
     def test_empty_table(self, tmp_path):
         table = DetectionTable([], [0], [], (), [], np.zeros((0, 4)))
-        write_detections(table, tmp_path / "d.jsonl", map_blocks=BLOCK_MAPS["pool"])
+        write_detections(table, tmp_path / "d.jsonl", map_tasks=BLOCK_MAPS["pool"])
         assert (tmp_path / "d.jsonl").read_bytes() == b""
 
     @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
@@ -623,15 +642,15 @@ class TestBlockWriters:
         assert (tmp_path / "s.jsonl").read_bytes() == text.encode()
 
 
-def _fail_from_block_2(fn, shared, bounds):
+def _fail_from_block_2(fn, bounds):
     if bounds[0] >= 2 * BLOCK_ROWS:
         raise RuntimeError(f"block at row {bounds[0]}")
-    return fn(shared, bounds)
+    return fn(bounds)
 
 
-def _failing_pool(fn, tasks, shared):
+def _failing_pool(fn, tasks):
     """The CLI's two-worker block map, with every block from the third on failing in its worker."""
-    return cli._imap(functools.partial(_fail_from_block_2, fn), tasks, 2, shared)
+    return cli._imap(functools.partial(_fail_from_block_2, fn), tasks, 2)
 
 
 class TestCrashSafeWrites:
@@ -653,7 +672,7 @@ class TestCrashSafeWrites:
         writer(data(5), path)
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match=f"block at row {2 * BLOCK_ROWS}"):
-            writer(data(4 * BLOCK_ROWS), path, map_blocks=_failing_pool)
+            writer(data(4 * BLOCK_ROWS), path, map_tasks=_failing_pool)
         assert multiprocessing.active_children() == []
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
@@ -662,7 +681,7 @@ class TestCrashSafeWrites:
     def test_write_error_mid_stream_stops_the_pool(self):
         # /dev/full is not a regular file, so it is written in place, and its first write fails with ENOSPC.
         with pytest.raises(OSError):
-            write_pose_file(_walk(4 * BLOCK_ROWS), "/dev/full", map_blocks=BLOCK_MAPS["pool"])
+            write_pose_file(_walk(4 * BLOCK_ROWS), "/dev/full", map_tasks=BLOCK_MAPS["pool"])
         assert multiprocessing.active_children() == []
 
     def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
@@ -698,7 +717,7 @@ class TestCrashSafeWrites:
         received = []
         reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
         reader.start()
-        write_pose_file(traj, path, map_blocks=BLOCK_MAPS["pool"])
+        write_pose_file(traj, path, map_tasks=BLOCK_MAPS["pool"])
         reader.join(timeout=30)
         assert received == [pose_file_text(traj).encode()]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["walk.fifo"]
