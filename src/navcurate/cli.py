@@ -54,25 +54,6 @@ def _tool_info() -> dict:
     return {"name": "navcurate", "version": __version__}
 
 
-def _load_json(path, decode):
-    """(doc, decode(doc)) for the JSON document doc in path.
-
-    A document that decode rejects is decoded again with each number past
-    the float range kept as written (``io._as_written``), so the error
-    quotes the file's ``1e400``, not ``Infinity``.
-    """
-    text = tio.read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno)
-    try:
-        return doc, decode(doc)
-    except ValidationError:
-        decode(tio._as_written(text))
-        raise
-
-
 def _digests(paths: dict) -> dict:
     return {role: tio.file_digest(path) for role, path in paths.items()}
 
@@ -89,7 +70,7 @@ def _merged_config(cls, args):
     def decode(data):
         return schema.load(cls, {**data, **flags} if type(data) is dict else data)
 
-    return _load_json(args.config, decode)[1] if args.config else decode({})
+    return tio.load_json(args.config, decode)[1] if args.config else decode({})
 
 
 def _convention(args) -> AxisConvention:
@@ -162,9 +143,10 @@ def _samples_task(clip_dir, config, convention, task):
 
 def cmd_segment(args) -> int:
     traj = tio.parse_pose_file(args.input, args.fps, traj_id=args.traj_id)
-    clips = segment(traj, args.clip_seconds)
+    entries = segment(traj, args.clip_seconds)
     save_clips(
-        clips,
+        traj,
+        entries,
         args.out,
         map_tasks=lambda fn, tasks: _map_tasks(fn, tasks, args.workers),
         extra={
@@ -172,7 +154,7 @@ def cmd_segment(args) -> int:
             "stage": "segment",
             "config": {"fps": args.fps, "clip_seconds": args.clip_seconds, "traj_id": traj.id},
             "inputs": _digests({"poses": args.input}),
-            "counts": {"poses_in": len(traj), "clips_out": len(clips)},
+            "counts": {"poses_in": len(traj), "clips_out": len(entries)},
         },
     )
     return 0
@@ -215,7 +197,7 @@ def cmd_samples(args) -> int:
     entries = read_manifest(args.clips)
     landmarks = tio.parse_landmarks(args.landmarks)
     # One id per "\n", as filter writes it: an id may hold another Unicode line break.
-    accepted_ids = {line.strip() for line in tio.read_text(args.accepted).split("\n") if line.strip()}
+    accepted_ids = {line for line in tio.read_text(args.accepted).split("\n") if line}
     config = _merged_config(SamplerConfig, args)
     convention = _convention(args)
 
@@ -264,7 +246,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    doc, spec = _load_json(args.spec, lambda doc: schema.load(SynthFile, doc))
+    doc, spec = tio.load_json(args.spec, lambda doc: schema.load(SynthFile, doc))
     traj = generate(spec.trajectory)
     # Counts past MAX_BOXES raise here, before anything is written.
     per_frame = spec.detections.counts(len(traj)) if spec.detections is not None else None
@@ -285,8 +267,8 @@ def cmd_synth(args) -> int:
 
     if spec.landmarks is not None:
         landmarks = []
-        for _, clip in segment(traj, spec.landmarks.clip_seconds):
-            landmarks.extend(generate_landmarks(clip, spec.landmarks.per_clip, spec.landmarks.seed))
+        for entry in segment(traj, spec.landmarks.clip_seconds):
+            landmarks.extend(generate_landmarks(entry, spec.landmarks.per_clip, spec.landmarks.seed))
         tio.write_landmarks(landmarks, out_dir / "landmarks.jsonl")
         outputs["landmarks"] = "landmarks.jsonl"
         counts["landmarks"] = len(landmarks)
@@ -306,7 +288,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    _, doc = _load_json(args.input, schema.decoder(LossInput))
+    _, doc = tio.load_json(args.input, schema.decoder(LossInput))
     # Overflow gives inf or nan, which the check below rejects instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         reg, _ = loss_reg(doc.pred_waypoints, doc.gt_waypoints)

@@ -126,6 +126,9 @@ class RawTrajectory:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("trajectory id must be non-empty")
+        # The id is written into a pose file's header line, which a line break would split.
+        if "\n" in self.id or "\r" in self.id:
+            raise ValidationError(f"trajectory id must not hold a line break, got {self.id!r}")
         # An int fps is stored as a float (pose-file headers print fps=30.0); nothing else converts.
         if type(self.fps) not in (int, float) or not 0.0 < self.fps <= sys.float_info.max:
             raise ValidationError(f"fps must be a positive finite int or float, got {self.fps!r}")
@@ -578,6 +581,25 @@ class _Literal(str):
 
 
 _as_written = json.JSONDecoder(parse_float=lambda s: float(s) if math.isfinite(float(s)) else _Literal(s)).decode
+
+
+def load_json(path, decode):
+    """(doc, decode(doc)) for the JSON document doc in path; invalid JSON raises ParseError naming its line.
+
+    A document that decode rejects is decoded again with each number past
+    the float range kept as written (``_as_written``), so the error quotes
+    the file's ``1e400``, not ``Infinity``.
+    """
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno)
+    try:
+        return doc, decode(doc)
+    except ValidationError:
+        decode(_as_written(text))
+        raise
 
 
 # json.loads gives a number as exactly int or float (true/false are bool),

@@ -5,15 +5,15 @@ frames; a trailing partial window is dropped. Each clip's poses are
 re-expressed in the frame of its first pose, so pose 0 is the identity
 and the clip carries its own local world coordinate system.
 
-A clip is a pair: its ClipEntry (id, source, fps, start frame, length,
-file), which the clip manifest records, and a RawTrajectory of its
-re-anchored poses whose id is the clip id.
+A clip is its ClipEntry (id, source, fps, start frame, length, file),
+which the clip manifest records; cut_clip (from the stream) and load_clip
+(from the pose file) give its re-anchored poses, whose id is the clip id.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,9 +23,9 @@ import numpy as np
 from . import schema
 from .errors import EmptyResult, ValidationError
 from .geometry import quat_conjugate, quat_multiply, quat_rotate
-from .io import _FRAME_LIMIT, RawTrajectory, parse_pose_file, read_text, write_pose_file, write_report
+from .io import _FRAME_LIMIT, RawTrajectory, load_json, parse_pose_file, write_pose_file, write_report
 
-__all__ = ["ClipEntry", "segment", "save_clips", "read_manifest", "load_clip"]
+__all__ = ["ClipEntry", "segment", "cut_clip", "save_clips", "read_manifest", "load_clip"]
 
 CLIP_MANIFEST_NAME = "manifest.json"
 
@@ -60,12 +60,8 @@ class ClipEntry:
             raise ValidationError(f"start_frame must be a non-negative int64 frame index, got {self.start_frame}")
 
 
-def clip_frame_count(clip_seconds: float, fps: float) -> int:
-    return int(round(clip_seconds * fps))
-
-
-def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[tuple[ClipEntry, RawTrajectory]]:
-    """Cut a trajectory into re-anchored fixed-duration clips.
+def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[ClipEntry]:
+    """Plan the fixed-duration clips of a trajectory.
 
     Args:
         traj: source trajectory.
@@ -73,7 +69,7 @@ def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[tuple[Clip
             round(clip_seconds * fps).
 
     Returns:
-        One (entry, poses) pair per clip in source order; ids are
+        One ClipEntry per clip in source order; ids are
         ``<source_id>_<ordinal:04d>`` and pose file names ``<id>.txt``.
 
     Raises:
@@ -82,64 +78,63 @@ def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[tuple[Clip
     """
     if not (math.isfinite(clip_seconds) and clip_seconds > 0.0):
         raise ValidationError(f"clip_seconds must be positive, got {clip_seconds!r}")
-    frames = clip_frame_count(clip_seconds, traj.fps)
+    frames = int(round(clip_seconds * traj.fps))
     if frames < 1:
         raise ValidationError(f"clip window of {clip_seconds} s spans no frames at fps={traj.fps}")
     n_clips = len(traj) // frames
     if n_clips == 0:
         raise EmptyResult(f"trajectory {traj.id!r} has {len(traj)} frames, shorter than one {frames}-frame clip")
-    clips = []
-    for k in range(n_clips):
-        start = k * frames
-        stop = start + frames
-        anchor_pos = traj.positions[start]
-        anchor_quat = traj.quaternions[start]
-        # R_anchor^T d applied to every row d is the single matmul d @ R_anchor.
-        rot = quat_rotate(anchor_quat, np.eye(3)).T
-        delta = traj.positions[start:stop] - anchor_pos
-        local_pos = delta @ rot
-        local_quat = quat_multiply(quat_conjugate(anchor_quat), traj.quaternions[start:stop])
-        clip_id = f"{traj.id}_{k:04d}"
-        entry = ClipEntry(clip_id, traj.id, traj.fps, start, frames, f"{clip_id}.txt")
-        clips.append((entry, RawTrajectory(clip_id, traj.fps, traj.timestamps[start:stop], local_pos, local_quat)))
-    return clips
+    ids = [f"{traj.id}_{k:04d}" for k in range(n_clips)]
+    return [ClipEntry(cid, traj.id, traj.fps, k * frames, frames, f"{cid}.txt") for k, cid in enumerate(ids)]
 
 
-def save_clips(clips, out_dir, extra: dict | None = None, map_tasks=map) -> Path:
-    """Write the pose file of each (entry, poses) pair from segment, plus a manifest of the entries.
+def cut_clip(traj: RawTrajectory, entry: ClipEntry) -> RawTrajectory:
+    """The poses of ``entry``, a clip of ``traj``, re-anchored to its first pose; the id is the clip id."""
+    start, stop = entry.start_frame, entry.start_frame + entry.n_frames
+    anchor_pos = traj.positions[start]
+    anchor_quat = traj.quaternions[start]
+    # R_anchor^T d applied to every row d is the single matmul d @ R_anchor.
+    rot = quat_rotate(anchor_quat, np.eye(3)).T
+    local_pos = (traj.positions[start:stop] - anchor_pos) @ rot
+    local_quat = quat_multiply(quat_conjugate(anchor_quat), traj.quaternions[start:stop])
+    return RawTrajectory(entry.clip_id, traj.fps, traj.timestamps[start:stop], local_pos, local_quat)
+
+
+def save_clips(traj: RawTrajectory, entries, out_dir, extra: dict | None = None, map_tasks=map) -> Path:
+    """Write the pose file of each entry that segment planned for traj, plus a manifest of the entries.
 
     Returns the manifest path. The manifest lists the entries sorted by
     clip id; ``extra`` entries (tool info, config snapshot, digests) are
-    merged in. ``map_tasks(fn, tasks)`` runs the per-clip writes (the CLI
-    passes its process pool); the manifest is written after every pose
-    file.
+    merged in. ``map_tasks(fn, tasks)`` runs the per-clip cuts and writes
+    (the CLI passes its process pool), one entry per task; the manifest is
+    written after every pose file.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clips = sorted(clips, key=lambda pair: pair[0].clip_id)
-    list(map_tasks(_write_clip, [(traj, out_dir / entry.file) for entry, traj in clips]))
+    entries = sorted(entries, key=lambda entry: entry.clip_id)
+    list(map_tasks(functools.partial(_write_clip, traj, out_dir), entries))
     manifest = dict(extra or {})
-    manifest["clips"] = [dataclasses.asdict(entry) for entry, _ in clips]
+    manifest["clips"] = [dataclasses.asdict(entry) for entry in entries]
     manifest_path = out_dir / CLIP_MANIFEST_NAME
     write_report(manifest, manifest_path)
     return manifest_path
 
 
-def _write_clip(task) -> None:
-    write_pose_file(*task)
+def _write_clip(traj: RawTrajectory, out_dir: Path, entry: ClipEntry) -> None:
+    write_pose_file(cut_clip(traj, entry), out_dir / entry.file)
 
 
 def read_manifest(clip_dir) -> list[ClipEntry]:
     """The entries of a clip directory's manifest, in manifest order."""
     manifest_path = Path(clip_dir) / CLIP_MANIFEST_NAME
-    try:
-        manifest = json.loads(read_text(manifest_path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{manifest_path}: invalid clip manifest: {exc}")
-    entries = manifest.get("clips", []) if type(manifest) is dict else None
-    if type(entries) is not list:
-        raise ValidationError(f"{manifest_path}: 'clips' must be a list of clip entries")
-    return [schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw) for i, raw in enumerate(entries)]
+
+    def decode(manifest):
+        entries = manifest.get("clips", []) if type(manifest) is dict else None
+        if type(entries) is not list:
+            raise ValidationError(f"{manifest_path}: 'clips' must be a list of clip entries")
+        return [schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw) for i, raw in enumerate(entries)]
+
+    return load_json(manifest_path, decode)[1]
 
 
 def load_clip(clip_dir, entry: ClipEntry, index: int) -> RawTrajectory:

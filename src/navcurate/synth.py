@@ -46,6 +46,7 @@ from .geometry import (
 )
 from .io import DetectionTable, LandmarkAnnotation, RawTrajectory
 from .sampling import draw_rng
+from .segmentation import ClipEntry
 
 __all__ = [
     "SynthSpec",
@@ -338,17 +339,16 @@ def generate_detections(frame_count: int, counts) -> DetectionTable:
     )
 
 
-def generate_landmarks(clip: RawTrajectory, n: int, seed: int = 0) -> list[LandmarkAnnotation]:
-    """Placeholder landmarks at deterministic goal frames in the clip's second half.
+def generate_landmarks(entry: ClipEntry, n: int, seed: int = 0) -> list[LandmarkAnnotation]:
+    """Placeholder landmarks at deterministic goal frames in the second half of the clip that entry plans.
 
     Goal frames are distinct, so at most as many landmarks as the second
     half has frames are made; a larger n is capped to that count.
     """
-    n_frames = len(clip)
-    lo = n_frames // 2
-    available = n_frames - lo
+    lo = entry.n_frames // 2
+    available = entry.n_frames - lo
     n = min(n, available)
-    rng = draw_rng(seed, clip.id, 0, 0)
+    rng = draw_rng(seed, entry.clip_id, 0, 0)
     landmarks = []
     for i in range(n):
         goal = lo + (i * (available - 1)) // max(n - 1, 1)
@@ -356,11 +356,11 @@ def generate_landmarks(clip: RawTrajectory, n: int, seed: int = 0) -> list[Landm
         y1 = float(rng.integers(0, 300))
         landmarks.append(
             LandmarkAnnotation(
-                clip_id=clip.id,
+                clip_id=entry.clip_id,
                 goal_frame=goal,
                 bbox=(x1, y1, x1 + 80.0, y1 + 120.0),
                 name=f"landmark-{i}",
-                instruction=f"go to landmark #{i} near {clip.id}",
+                instruction=f"go to landmark #{i} near {entry.clip_id}",
             )
         )
     return landmarks

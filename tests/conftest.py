@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from navcurate.segmentation import cut_clip, segment
 from oracles import Pose
 
 
@@ -14,6 +15,11 @@ def random_unit_quat(rng: np.random.Generator) -> np.ndarray:
 
 def random_pose(rng: np.random.Generator, timestamp: float = 0.0) -> Pose:
     return Pose(timestamp, rng.uniform(-50.0, 50.0, size=3), random_unit_quat(rng))
+
+
+def clips_of(traj, clip_seconds: float) -> list:
+    """(entry, poses) per clip that segment plans for traj, the poses cut by cut_clip."""
+    return [(entry, cut_clip(traj, entry)) for entry in segment(traj, clip_seconds)]
 
 
 def quat_close(q1, q2, tol: float = 1e-9) -> bool:

@@ -27,7 +27,6 @@ from navcurate.io import RawTrajectory, parse_samples, write_predictions, Predic
 from navcurate.losses import loss_arr, loss_hall, loss_ori, loss_reg
 from navcurate.metrics import _ade_many, _frechet_many, _orientation_many
 from navcurate.sampling import SamplerConfig, build_clip_samples, draw_start
-from navcurate.segmentation import segment
 from navcurate.synth import (
     CLIP_CONVENTION,
     RAW_CONVENTION,
@@ -37,7 +36,7 @@ from navcurate.synth import (
     generate_landmarks,
 )
 
-from conftest import quat_close
+from conftest import clips_of, quat_close
 from oracles import GimbalDegenerate, Pose, pose_at, relative_pose, samples_of, table_of, to_ego_waypoint
 from test_losses import central_diff, nondegenerate_waypoints, rel_error
 from test_metrics import brute_force_frechet, one_row, prepend_origin
@@ -54,7 +53,7 @@ def criterion(num: int, name: str):
 
 
 def clip_of(spec, clip_seconds=120.0):
-    return segment(generate(spec), clip_seconds)[0][1]
+    return clips_of(generate(spec), clip_seconds)[0][1]
 
 
 def test_criterion_01_frechet_oracle_equivalence():
@@ -190,8 +189,8 @@ def test_criterion_06_waypoint_consistency():
                 traj_id=f"wc{i:03d}",
             )
             traj = generate(spec)
-            entry, clip = segment(traj, 40.0)[0]
-            landmarks = generate_landmarks(clip, 2, seed=i)
+            entry, clip = clips_of(traj, 40.0)[0]
+            landmarks = generate_landmarks(entry, 2, seed=i)
             lines, _ = build_clip_samples(clip, landmarks, cfg, CLIP_CONVENTION)
             for sample in samples_of(lines):
                 s = entry.start_frame
@@ -256,7 +255,7 @@ def test_criterion_08_geometry_round_trips():
             rng.uniform(-30, 30, (500, 3)),
             np.stack([q / np.linalg.norm(q) for q in rng.standard_normal((500, 4))]),
         )
-        clips = segment(traj, 10.0)
+        clips = clips_of(traj, 10.0)
         for _ in range(1000):
             entry, clip = clips[int(rng.integers(0, len(clips)))]
             i, j = (int(v) for v in rng.integers(0, len(clip), size=2))
@@ -364,7 +363,7 @@ def test_criterion_09_pipeline_determinism(tmp_path, monkeypatch):
 def _segment_and_filter(traj) -> int:
     cfg = FilterConfig()
     empty = table_of([])
-    return sum(run_filters(c, empty, cfg, CLIP_CONVENTION).accepted for _, c in segment(traj, 120.0))
+    return sum(run_filters(c, empty, cfg, CLIP_CONVENTION).accepted for _, c in clips_of(traj, 120.0))
 
 
 def test_criterion_10_throughput():

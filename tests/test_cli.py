@@ -23,6 +23,7 @@ from navcurate.io import (
     write_predictions,
 )
 from navcurate.losses import loss_arr, loss_ori, loss_reg
+from navcurate.segmentation import ClipEntry
 from navcurate.synth import MAX_BOXES, SynthSpec, generate
 
 from oracles import EgoWaypoint
@@ -97,6 +98,40 @@ class TestSegmentCommand:
         assert rc == 4
         assert json.loads(capsys.readouterr().err.strip())["error"] == "io"
 
+    @pytest.mark.parametrize("traj_id", ["a\rb", "a\nb", "a\r\nb", "a\n"], ids=repr)
+    def test_traj_id_holding_a_line_break_exits_2(self, tmp_path, capsys, traj_id):
+        # The id heads every clip file ("# <id> fps=..."), where a line break would split the header line.
+        pose_file = tmp_path / "walk.txt"
+        write_traj(pose_file, SynthSpec("straight", duration_s=240.0, fps=10.0, traj_id="walk"))
+        out = tmp_path / "clips"
+        rc = main(["segment", "--input", str(pose_file), "--fps", "10", "--clip-seconds", "60", "--out", str(out),
+                   "--traj-id", traj_id])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "validation", "detail": f"trajectory id must not hold a line break, got {traj_id!r}"}
+        assert not out.exists()
+
+    def test_tasks_carry_no_poses(self, tmp_path, monkeypatch):
+        # A task is one ClipEntry; each worker cuts its clip from the stream bound into the task function.
+        pose_file = tmp_path / "walk.txt"
+        write_traj(pose_file, SynthSpec("straight", duration_s=240.0, fps=10.0, traj_id="walk"))
+        captured = []
+        original = cli._map_tasks
+
+        def recording(fn, tasks, workers):
+            captured.append(list(tasks))
+            return original(fn, tasks, workers)
+
+        monkeypatch.setattr(cli, "_map_tasks", recording)
+        for seconds in ("30", "120"):
+            assert main(["segment", "--input", str(pose_file), "--fps", "10", "--clip-seconds", seconds,
+                         "--out", str(tmp_path / seconds), "--workers", "2"]) == 0
+        short, long = captured
+        assert (len(short), len(long)) == (8, 2)
+        assert all(type(task) is ClipEntry for task in short + long)
+        assert max(len(pickle.dumps(task)) for task in long) <= max(len(pickle.dumps(task)) for task in short)
+        assert (tmp_path / "120" / "walk_0001.txt").read_bytes().count(b"\n") == 2 + 1200
+
 
 @pytest.fixture
 def pipeline_dir(tmp_path):
@@ -170,6 +205,15 @@ class TestSynthCommand:
         assert json.loads(lines[0])["error"] == "validation"
         assert key in json.loads(lines[0])["detail"]
         assert not out.exists()
+
+    def test_traj_id_holding_a_line_break_exits_2(self, tmp_path, capsys):
+        doc = json.loads(synth_spec_doc(tmp_path).read_text())
+        doc["trajectory"]["traj_id"] = "walk\n"
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "validation", "detail": "trajectory id must not hold a line break, got 'walk\\n'"}
+        assert not (tmp_path / "out").exists()
 
     def test_landmarks_past_goal_frames_are_capped_silently(self, tmp_path):
         # A 4 s clip at 5 fps has 10 frames in its second half, so 10 goal frames.
@@ -328,8 +372,24 @@ class TestFilterCommand:
         assert err["error"] == "validation"
         assert f"clip entry 1 has no {field!r}" in err["detail"]
 
+    @pytest.mark.parametrize("text", ["{", '{"clips": [}', "{}\n{}"], ids=["cut", "bad-value", "two-documents"])
+    def test_invalid_manifest_json_is_a_parse_error(self, pipeline_dir, capsys, text):
+        manifest_path = pipeline_dir / "clips" / "manifest.json"
+        manifest_path.write_text(text)
+        capsys.readouterr()
+        rc = main(
+            ["filter", "--clips", str(pipeline_dir / "clips"),
+             "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+             "--report", str(pipeline_dir / "report.json"), "--workers", "1"]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["path"]) == ("parse", str(manifest_path))
+        assert err["line"] == text.count("\n") + 1
+        assert err["detail"].startswith(f"{manifest_path}:{err['line']}: invalid JSON: ")
+
     @pytest.mark.parametrize(
-        "damage", ["cut-mid-row", "missing-rows", "start-frame-beyond-int64", "pose-0-not-identity"]
+        "damage", ["cut-mid-row", "missing-rows", "start-frame-beyond-int64", "pose-0-not-identity", "clip-id-line-break"]
     )
     def test_bad_clip_same_error_at_any_worker_count(self, pipeline_dir, capsys, damage):
         clips = pipeline_dir / "clips"
@@ -346,7 +406,10 @@ class TestFilterCommand:
             pose_file.write_text("".join(lines))
         else:
             manifest = json.loads((clips / "manifest.json").read_text())
-            manifest["clips"][2]["start_frame"] = 2**63 - 100
+            if damage == "clip-id-line-break":
+                manifest["clips"][2]["clip_id"] = "walk\r0002"  # load_clip gives it to the clip's trajectory
+            else:
+                manifest["clips"][2]["start_frame"] = 2**63 - 100
             (clips / "manifest.json").write_text(json.dumps(manifest))
         errors = []
         for workers in ("1", "2"):
@@ -363,6 +426,9 @@ class TestFilterCommand:
             assert errors[0]["error"] == "parse" and errors[0]["line"] == 602
         if damage == "pose-0-not-identity":
             detail = f"{clips / 'manifest.json'}: clip entry 2: pose 0 of walk_0002.txt must sit at the local origin"
+            assert errors[0] == {"error": "validation", "detail": detail}
+        if damage == "clip-id-line-break":
+            detail = "trajectory id must not hold a line break, got 'walk\\r0002'"
             assert errors[0] == {"error": "validation", "detail": detail}
         assert not (pipeline_dir / "report.json").exists()
 
@@ -727,6 +793,30 @@ class TestSamplesCommand:
         assert counts["skipped_landmark_draws"]["rejected_clip"] == 0
         assert {s.clip_id for s in parse_samples(out)} <= set(ids)
 
+    def test_clip_id_with_leading_whitespace(self, tmp_path):
+        # The accepted list is matched line for line, as filter writes it: no id is stripped.
+        traj_id = " a"
+        assert main(["synth", "--spec", str(synth_spec_doc(tmp_path)), "--out", str(tmp_path)]) == 0
+        clips = tmp_path / "clips"
+        assert main(["segment", "--input", str(tmp_path / "walk.txt"), "--fps", "10", "--clip-seconds", "60",
+                     "--out", str(clips), "--traj-id", traj_id]) == 0
+        records = [json.loads(line) for line in (tmp_path / "landmarks.jsonl").read_text().splitlines()]
+        for record in records:
+            record["clip_id"] = record["clip_id"].replace("walk", traj_id)
+        (tmp_path / "landmarks.jsonl").write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert main(["filter", "--clips", str(clips), "--detections", str(tmp_path / "detections.jsonl"),
+                     "--report", str(tmp_path / "report.json"), "--world-up=-y", "--workers", "1"]) == 0
+        ids = [f"{traj_id}_{k:04d}" for k in range(4)]
+        assert (tmp_path / "report.json.accepted").read_text() == "".join(f"{i}\n" for i in ids)
+        out = tmp_path / "samples.jsonl"
+        assert main(["samples", "--clips", str(clips), "--landmarks", str(tmp_path / "landmarks.jsonl"),
+                     "--accepted", str(tmp_path / "report.json.accepted"), "--out", str(out),
+                     "--world-up=-y", "--workers", "1"]) == 0
+        counts = json.loads((tmp_path / "samples.jsonl.manifest.json").read_text())["counts"]
+        assert counts["clips_used"] == 4
+        assert counts["skipped_landmark_draws"]["rejected_clip"] == 0
+        assert {s.clip_id for s in parse_samples(out)} == set(ids)
+
     def test_zero_samples_exits_3(self, pipeline_dir, capsys):
         (pipeline_dir / "none.accepted").write_text("")
         out = pipeline_dir / "empty.jsonl"
@@ -1065,7 +1155,7 @@ class TestNotUtf8Input:
 
 
 class TestLiteralInConfigError:
-    """A number past the float range in a config-type input is named as written, not as Infinity."""
+    """A number past the float range in a config-type input or a clip manifest is named as written, not as Infinity."""
 
     def test_loss_input(self, tmp_path, capsys):
         path = tmp_path / "loss.json"
@@ -1093,6 +1183,22 @@ class TestLiteralInConfigError:
         assert main(argv) == 2
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert detail == f"FilterConfig has 'pitch_range_max_deg' = {literal}, expected number"
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1.5e999"])
+    def test_clip_manifest(self, pipeline_dir, capsys, literal):
+        manifest_path = pipeline_dir / "clips" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["clips"][1]["fps"] = "FPS"
+        manifest_path.write_text(json.dumps(manifest).replace('"FPS"', literal))
+        capsys.readouterr()
+        rc = main(
+            ["filter", "--clips", str(pipeline_dir / "clips"),
+             "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+             "--report", str(pipeline_dir / "report.json"), "--workers", "1"]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "validation", "detail": f"{manifest_path}: clip entry 1 has 'fps' = {literal}, expected number"}
 
     def test_flag_keeps_its_own_value(self, pipeline_dir, capsys):
         # Only the file is decoded again; a flag's infinity is the flag's, and the file's keys merge as before.

@@ -32,14 +32,14 @@ from navcurate.filters import (
 )
 from navcurate.io import Detection, DetectionFrame, DetectionTable, parse_detections, write_detections
 from navcurate.io import write_records as write_record_lines
-from navcurate.segmentation import segment
 from navcurate.synth import CLIP_CONVENTION, SynthSpec, generate
 
+from conftest import clips_of
 from oracles import frames_of, table_of
 
 # Three 30-frame clips starting at source frames 0, 30 and 60; detection
 # frames range over 0..99, so they fall before, inside and after each clip.
-CLIPS = segment(generate(SynthSpec("straight", duration_s=9.0, fps=10.0, traj_id="walk")), 3.0)
+CLIPS = clips_of(generate(SynthSpec("straight", duration_s=9.0, fps=10.0, traj_id="walk")), 3.0)
 SCORE_MIN = 0.5
 CONFIG = FilterConfig(crowd_count_threshold=2, crowd_frame_threshold=1, person_score_min=SCORE_MIN)
 EDGE_SCORES = [math.nextafter(SCORE_MIN, 0.0), SCORE_MIN, math.nextafter(SCORE_MIN, 1.0), 0.0, 1.0, 0.9]

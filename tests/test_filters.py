@@ -20,14 +20,14 @@ from navcurate.filters import (
 )
 from navcurate.geometry import normalize_angle_deg, quat_from_axis_angle, quat_multiply
 from navcurate.io import RawTrajectory
-from navcurate.segmentation import segment
 from navcurate.synth import CLIP_CONVENTION, SynthSpec, generate, generate_detections
 
+from conftest import clips_of
 from oracles import GimbalDegenerate, frames_of, pose_at, table_of, yaw_of
 
 
 def clip_of(spec, clip_seconds=120.0):
-    return segment(generate(spec), clip_seconds)[0][1]
+    return clips_of(generate(spec), clip_seconds)[0][1]
 
 
 def reference_max_divergence(clip, config, convention):
@@ -117,7 +117,7 @@ class TestCheckDivergence:
             base.positions,
             quat_multiply(q_side, base.quaternions),
         )
-        clip = segment(traj, 120.0)[0][1]
+        clip = clips_of(traj, 120.0)[0][1]
         ok, div = check_divergence(clip, FilterConfig(), CLIP_CONVENTION)
         assert not ok
         assert div == pytest.approx(90.0, abs=1e-9)
@@ -137,7 +137,7 @@ class TestCheckDivergence:
         assert div == 0.0
 
     def test_too_short_fails_unmeasured(self):
-        clip = segment(generate(SynthSpec("straight", duration_s=0.5, fps=30.0)), 0.5)[0][1]
+        clip = clips_of(generate(SynthSpec("straight", duration_s=0.5, fps=30.0)), 0.5)[0][1]
         assert check_divergence(clip, FilterConfig(window_seconds=1.0), CLIP_CONVENTION) == (False, None)
 
     def test_matches_scalar_reference_on_arc(self):
@@ -206,7 +206,7 @@ class TestRunFilters:
         assert verdict.diagnostics["crowded_frame_count"] == 4
 
     def test_too_short_becomes_divergence_reject(self):
-        clip = segment(generate(SynthSpec("straight", duration_s=0.5, fps=30.0)), 0.5)[0][1]
+        clip = clips_of(generate(SynthSpec("straight", duration_s=0.5, fps=30.0)), 0.5)[0][1]
         verdict = run_filters(clip, table_of([]), FilterConfig(), CLIP_CONVENTION)
         assert not verdict.accepted
         assert verdict.reasons == (REASON_DIVERGENCE,)
@@ -266,7 +266,7 @@ class TestInvariance:
         spec = SynthSpec("head_turn", turn_deg=50.0, turn_start_s=30.0, turn_len_s=5.0)
         base = generate(spec)
         cfg = FilterConfig()
-        ref_clip = segment(base, 120.0)[0][1]
+        ref_clip = clips_of(base, 120.0)[0][1]
         _, ref_pitch = check_pitch(ref_clip, cfg, CLIP_CONVENTION)
         _, ref_div = check_divergence(ref_clip, cfg, CLIP_CONVENTION)
         for _ in range(5):
@@ -286,7 +286,7 @@ class TestInvariance:
                 base.positions @ rot.T + offset,
                 quat_multiply(q_rot, base.quaternions),
             )
-            clip = segment(moved, 120.0)[0][1]
+            clip = clips_of(moved, 120.0)[0][1]
             _, pitch_range = check_pitch(clip, cfg, CLIP_CONVENTION)
             _, div = check_divergence(clip, cfg, CLIP_CONVENTION)
             assert pitch_range == pytest.approx(ref_pitch, abs=1e-9)
@@ -343,7 +343,7 @@ class TestMonotonicity:
 class TestSliceDetections:
     def test_reindexes_to_clip_local(self):
         traj = generate(SynthSpec("straight", duration_s=240.0, fps=30.0))
-        clips = segment(traj, 120.0)
+        clips = clips_of(traj, 120.0)
         detections = generate_detections(len(traj), [0] * 3600 + [6] * 4)
         local = frames_of(slice_detections(detections, clips[1][0]))
         crowded = [d for d in local if len(d.detections) == 6]

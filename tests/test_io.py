@@ -47,6 +47,21 @@ class TestPoseFile:
         assert traj.id == "traj"
         assert np.allclose(traj.quaternions[0], [0, 0, 0, 1])
 
+    @pytest.mark.parametrize("traj_id", ["a\nb", "a\rb", "\r\n"], ids=repr)
+    def test_id_holding_a_line_break_rejected(self, traj_id):
+        # The id is written into the pose file's header comment, which a "\n" or "\r" would end.
+        with pytest.raises(ValidationError, match="line break"):
+            RawTrajectory(traj_id, 10.0, [0.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("traj_id", ["a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", "a\tb", " a#b "], ids=repr)
+    def test_id_with_other_separators_round_trips(self, tmp_path, traj_id):
+        # Only "\n" and "\r" end a line for the pose-file reader; every other character stays in the header.
+        traj = RawTrajectory(traj_id, 10.0, [0.0, 0.1], np.zeros((2, 3)), np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)))
+        write_pose_file(traj, tmp_path / "t.txt")
+        back = parse_pose_file(tmp_path / "t.txt", 10.0, traj_id=traj_id)
+        assert back.id == traj_id
+        assert np.array_equal(back.timestamps, traj.timestamps)
+
     def test_zero_quaternion_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.0 0 0 0 0 0 0 0\n")

@@ -226,8 +226,8 @@ def test_nested_record_ignores_unknown_keys(tmp_path):
 
 
 def test_clip_entry_rejects_every_wrong_json_type(tmp_path):
-    clips = segment(generate(SynthSpec("straight", duration_s=2.0, fps=5.0)), 1.0)
-    manifest_path = save_clips(clips, tmp_path)
+    traj = generate(SynthSpec("straight", duration_s=2.0, fps=5.0))
+    manifest_path = save_clips(traj, segment(traj, 1.0), tmp_path)
     manifest = json.loads(manifest_path.read_text())
     cases = list(_mutations(ClipEntry, manifest["clips"][1]))
     assert len(cases) >= 2 * len(dataclasses.fields(ClipEntry))

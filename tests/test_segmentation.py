@@ -7,7 +7,7 @@ from navcurate.errors import EmptyResult, ValidationError
 from navcurate.io import RawTrajectory
 from navcurate.segmentation import ClipEntry, load_clip, read_manifest, save_clips, segment
 
-from conftest import quat_close, random_unit_quat
+from conftest import clips_of, quat_close, random_unit_quat
 from oracles import pose_at, relative_pose
 
 
@@ -24,7 +24,7 @@ def random_trajectory(rng, n, fps=30.0, traj_id="walk"):
 class TestSegment:
     def test_two_full_clips(self, rng):
         traj = random_trajectory(rng, 7200)
-        clips = segment(traj, clip_seconds=120.0)
+        clips = clips_of(traj, clip_seconds=120.0)
         assert len(clips) == 2
         assert all(e.n_frames == len(c) == 3600 for e, c in clips)
         assert [e.clip_id for e, _ in clips] == [c.id for _, c in clips] == ["walk_0000", "walk_0001"]
@@ -40,13 +40,13 @@ class TestSegment:
         assert len(clips) == 1
 
     def test_first_pose_is_identity(self, rng):
-        for _, clip in segment(random_trajectory(rng, 240, fps=1.0), clip_seconds=60.0):
+        for _, clip in clips_of(random_trajectory(rng, 240, fps=1.0), clip_seconds=60.0):
             assert np.linalg.norm(clip.positions[0]) <= 1e-9
             assert quat_close(clip.quaternions[0], [0, 0, 0, 1])
 
     def test_frame_ranges_tile_a_prefix(self, rng):
         traj = random_trajectory(rng, 1000, fps=10.0)
-        clips = segment(traj, clip_seconds=30.0)
+        clips = clips_of(traj, clip_seconds=30.0)
         expected_start = 0
         for entry, clip in clips:
             assert entry.start_frame == expected_start
@@ -61,7 +61,7 @@ class TestSegment:
 
     def test_reanchoring_preserves_relative_transforms(self, rng):
         traj = random_trajectory(rng, 120, fps=4.0)
-        clips = segment(traj, clip_seconds=10.0)
+        clips = clips_of(traj, clip_seconds=10.0)
         for entry, clip in clips:
             for _ in range(10):
                 i, j = rng.integers(0, len(clip), size=2)
@@ -72,7 +72,7 @@ class TestSegment:
 
     def test_timestamps_preserved(self, rng):
         traj = random_trajectory(rng, 200, fps=5.0)
-        clips = segment(traj, clip_seconds=20.0)
+        clips = clips_of(traj, clip_seconds=20.0)
         for entry, clip in clips:
             assert np.array_equal(clip.timestamps, traj.timestamps[entry.start_frame : entry.start_frame + len(clip)])
 
@@ -80,9 +80,10 @@ class TestSegment:
 class TestClipInvariants:
     def _damage_pose_0(self, rng, tmp_path, changes):
         """Save clips, rewrite columns of pose 0 of clip 1, and return the error load_clip raises."""
-        clips = segment(random_trajectory(rng, 400, fps=8.0), clip_seconds=25.0)
-        save_clips(clips, tmp_path / "clips")
-        path = tmp_path / "clips" / clips[1][0].file
+        traj = random_trajectory(rng, 400, fps=8.0)
+        entries = segment(traj, clip_seconds=25.0)
+        save_clips(traj, entries, tmp_path / "clips")
+        path = tmp_path / "clips" / entries[1].file
         lines = path.read_text().splitlines(keepends=True)
         first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         fields = lines[first].split()
@@ -123,8 +124,8 @@ def load_all(clip_dir):
 class TestSaveLoad:
     def test_round_trip(self, rng, tmp_path):
         traj = random_trajectory(rng, 400, fps=8.0)
-        clips = segment(traj, clip_seconds=25.0)
-        save_clips(clips, tmp_path / "clips", extra={"stage": "segment"})
+        clips = clips_of(traj, clip_seconds=25.0)
+        save_clips(traj, segment(traj, clip_seconds=25.0), tmp_path / "clips", extra={"stage": "segment"})
         assert read_manifest(tmp_path / "clips") == [entry for entry, _ in clips]
         loaded = load_all(tmp_path / "clips")
         assert [c.id for c in loaded] == [c.id for _, c in clips]
@@ -135,9 +136,10 @@ class TestSaveLoad:
             assert np.array_equal(a.quaternions, b.quaternions)
 
     def test_truncated_clip_file_rejected(self, rng, tmp_path):
-        clips = segment(random_trajectory(rng, 400, fps=8.0), clip_seconds=25.0)
-        save_clips(clips, tmp_path / "clips")
-        path = tmp_path / "clips" / clips[1][0].file
+        traj = random_trajectory(rng, 400, fps=8.0)
+        entries = segment(traj, clip_seconds=25.0)
+        save_clips(traj, entries, tmp_path / "clips")
+        path = tmp_path / "clips" / entries[1].file
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-5]))
         with pytest.raises(ValidationError, match="clip entry 1 lists 200 frames"):
@@ -146,8 +148,8 @@ class TestSaveLoad:
     @pytest.mark.parametrize("start_frame", [2**63 - 200, 10**400], ids=["last-frame-past-int64", "huge"])
     def test_start_frame_beyond_int64_rejected(self, rng, tmp_path, start_frame):
         # Source frame indices are int64 in the detection table, so the clip's last frame must fit.
-        clips = segment(random_trajectory(rng, 400, fps=8.0), clip_seconds=25.0)
-        manifest_path = save_clips(clips, tmp_path / "clips")
+        traj = random_trajectory(rng, 400, fps=8.0)
+        manifest_path = save_clips(traj, segment(traj, clip_seconds=25.0), tmp_path / "clips")
         manifest = json.loads(manifest_path.read_text())
         manifest["clips"][1]["start_frame"] = start_frame
         manifest_path.write_text(json.dumps(manifest))

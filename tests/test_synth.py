@@ -25,7 +25,7 @@ from navcurate.synth import (
     generate_landmarks,
 )
 
-from conftest import quat_close
+from conftest import clips_of, quat_close
 from oracles import detection_frames, frames_of, pose_at, relative_pose
 
 
@@ -89,7 +89,7 @@ class TestSinusoidPitch:
 
     def test_clip_space_preserves_pitch(self):
         traj = generate(SynthSpec("sinusoid_pitch", amplitude_deg=7.0))
-        clip = segment(traj, 120.0)[0][1]
+        clip = clips_of(traj, 120.0)[0][1]
         pitch = pitch_many(clip.quaternions, CLIP_CONVENTION)
         assert float(pitch.max() - pitch.min()) == pytest.approx(14.0, abs=0.01)
 
@@ -267,29 +267,29 @@ class TestBounds:
 
 
 class TestLandmarks:
-    def _clip(self):
-        return segment(generate(SynthSpec("straight", duration_s=120.0, fps=30.0)), 120.0)[0][1]
+    def _entry(self):
+        return segment(generate(SynthSpec("straight", duration_s=120.0, fps=30.0)), 120.0)[0]
 
     def test_goal_frames_in_second_half(self):
-        clip = self._clip()
-        landmarks = generate_landmarks(clip, 5, seed=1)
+        entry = self._entry()
+        landmarks = generate_landmarks(entry, 5, seed=1)
         assert len(landmarks) == 5
         frames = [lm.goal_frame for lm in landmarks]
-        assert all(len(clip) // 2 <= g < len(clip) for g in frames)
+        assert all(entry.n_frames // 2 <= g < entry.n_frames for g in frames)
         assert frames == sorted(frames)
         assert len(set(frames)) == 5
 
     def test_instruction_format(self):
-        clip = self._clip()
-        lm = generate_landmarks(clip, 1, seed=0)[0]
-        assert lm.instruction == f"go to landmark #0 near {clip.id}"
-        assert lm.clip_id == clip.id
+        entry = self._entry()
+        lm = generate_landmarks(entry, 1, seed=0)[0]
+        assert lm.instruction == f"go to landmark #0 near {entry.clip_id}"
+        assert lm.clip_id == entry.clip_id
 
     def test_deterministic(self):
-        clip = self._clip()
-        assert generate_landmarks(clip, 4, seed=9) == generate_landmarks(clip, 4, seed=9)
+        entry = self._entry()
+        assert generate_landmarks(entry, 4, seed=9) == generate_landmarks(entry, 4, seed=9)
 
     def test_truncation_caps_at_goal_frames(self):
-        clip = segment(generate(SynthSpec("straight", duration_s=1.0, fps=4.0)), 1.0)[0][1]
-        landmarks = generate_landmarks(clip, 50, seed=0)
-        assert len(landmarks) == len(clip) - len(clip) // 2
+        entry = segment(generate(SynthSpec("straight", duration_s=1.0, fps=4.0)), 1.0)[0]
+        landmarks = generate_landmarks(entry, 50, seed=0)
+        assert len(landmarks) == entry.n_frames - entry.n_frames // 2
