@@ -31,7 +31,7 @@ from .geometry import AxisConvention
 from .losses import LossInput, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 from .metrics import evaluate
 from .sampling import SamplerConfig, build_clip_samples, collect_samples
-from .segmentation import load_clip, read_manifest, save_clips, segment
+from .segmentation import CLIP_MANIFEST_NAME, load_clip, read_manifest, save_clips, segment
 from .synth import SynthFile, generate, generate_detections, generate_landmarks
 
 WORKERS_ENV = "NAVCURATE_WORKERS"
@@ -163,7 +163,7 @@ def cmd_segment(args) -> int:
 def cmd_filter(args) -> int:
     entries = read_manifest(args.clips)
     if not entries:
-        raise EmptyInput(f"{Path(args.clips) / 'manifest.json'} lists no clips")
+        raise EmptyInput(f"{Path(args.clips) / CLIP_MANIFEST_NAME} lists no clips")
     detections = tio.parse_detections(args.detections)
     config = _merged_config(FilterConfig, args)
     convention = _convention(args)
@@ -178,7 +178,7 @@ def cmd_filter(args) -> int:
         "tool": _tool_info(),
         "stage": "filter",
         "config": {"filter": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
-        "inputs": _digests({"detections": args.detections, "clip_manifest": Path(args.clips) / "manifest.json"}),
+        "inputs": _digests({"detections": args.detections, "clip_manifest": Path(args.clips) / CLIP_MANIFEST_NAME}),
         "counts": {
             "clips_in": len(entries),
             "accepted": len(accepted),
@@ -213,7 +213,7 @@ def cmd_samples(args) -> int:
         "tool": _tool_info(),
         "stage": "samples",
         "config": {"sampler": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
-        "inputs": _digests({"clip_manifest": Path(args.clips) / "manifest.json", "landmarks": args.landmarks,
+        "inputs": _digests({"clip_manifest": Path(args.clips) / CLIP_MANIFEST_NAME, "landmarks": args.landmarks,
                             "accepted": args.accepted}),
         "outputs": {"samples": Path(args.out).name},
         "counts": {
@@ -248,8 +248,13 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     doc, spec = tio.load_json(args.spec, lambda doc: schema.load(SynthFile, doc))
     traj = generate(spec.trajectory)
-    # Counts past MAX_BOXES raise here, before anything is written.
+    # Counts past MAX_BOXES and a landmark clip_seconds that plans no clip raise here, before anything is written.
     per_frame = spec.detections.counts(len(traj)) if spec.detections is not None else None
+    landmarks = None
+    if spec.landmarks is not None:
+        landmarks = []
+        for entry in segment(traj, spec.landmarks.clip_seconds):
+            landmarks.extend(generate_landmarks(entry, spec.landmarks.per_clip, spec.landmarks.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -265,10 +270,7 @@ def cmd_synth(args) -> int:
         outputs["detections"] = "detections.jsonl"
         counts["detection_frames"] = len(table)
 
-    if spec.landmarks is not None:
-        landmarks = []
-        for entry in segment(traj, spec.landmarks.clip_seconds):
-            landmarks.extend(generate_landmarks(entry, spec.landmarks.per_clip, spec.landmarks.seed))
+    if landmarks is not None:
         tio.write_landmarks(landmarks, out_dir / "landmarks.jsonl")
         outputs["landmarks"] = "landmarks.jsonl"
         counts["landmarks"] = len(landmarks)

@@ -109,6 +109,12 @@ __all__ = [
 MIN_QUAT_NORM = 1e-3
 
 
+def _check_one_line(name: str, value: str) -> None:
+    """Reject an id that holds a line break: a pose file's header and the accepted-clip list give an id one line."""
+    if "\n" in value or "\r" in value:
+        raise ValidationError(f"{name} must not hold a line break, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class RawTrajectory:
     """An ordered pose stream with identity and frame-rate metadata.
@@ -126,9 +132,7 @@ class RawTrajectory:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("trajectory id must be non-empty")
-        # The id is written into a pose file's header line, which a line break would split.
-        if "\n" in self.id or "\r" in self.id:
-            raise ValidationError(f"trajectory id must not hold a line break, got {self.id!r}")
+        _check_one_line("trajectory id", self.id)
         # An int fps is stored as a float (pose-file headers print fps=30.0); nothing else converts.
         if type(self.fps) not in (int, float) or not 0.0 < self.fps <= sys.float_info.max:
             raise ValidationError(f"fps must be a positive finite int or float, got {self.fps!r}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import schema
 from .errors import EmptyResult, ValidationError
 from .geometry import quat_conjugate, quat_multiply, quat_rotate
-from .io import _FRAME_LIMIT, RawTrajectory, load_json, parse_pose_file, write_pose_file, write_report
+from .io import _FRAME_LIMIT, RawTrajectory, _check_one_line, load_json, parse_pose_file, write_pose_file, write_report
 
 __all__ = ["ClipEntry", "segment", "cut_clip", "save_clips", "read_manifest", "load_clip"]
 
@@ -50,6 +50,8 @@ class ClipEntry:
         schema.check(self)
         if not self.clip_id or not self.source_id:
             raise ValidationError("clip_id and source_id must be non-empty")
+        # The clip id is its clip's trajectory id, so it follows the same rule.
+        _check_one_line("clip_id", self.clip_id)
         if not self.file:
             raise ValidationError("clip file must be non-empty")
         if not self.fps > 0.0:

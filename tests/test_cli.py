@@ -215,6 +215,20 @@ class TestSynthCommand:
         assert err == {"error": "validation", "detail": "trajectory id must not hold a line break, got 'walk\\n'"}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("clip_seconds, rc, error", [(20.0, 3, "empty"), (0.01, 2, "validation")],
+                             ids=["longer-than-stream", "no-frames"])
+    def test_landmark_plan_fails_before_any_file(self, tmp_path, capsys, clip_seconds, rc, error):
+        # A 10 s stream at 10 fps: a 20 s clip does not fit it, and a 0.01 s window holds no frame.
+        doc = json.loads(synth_spec_doc(tmp_path, duration=10.0).read_text())
+        doc["landmarks"]["clip_seconds"] = clip_seconds
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == rc
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not out.exists()
+
     def test_landmarks_past_goal_frames_are_capped_silently(self, tmp_path):
         # A 4 s clip at 5 fps has 10 frames in its second half, so 10 goal frames.
         spec = tmp_path / "spec.json"
@@ -407,7 +421,7 @@ class TestFilterCommand:
         else:
             manifest = json.loads((clips / "manifest.json").read_text())
             if damage == "clip-id-line-break":
-                manifest["clips"][2]["clip_id"] = "walk\r0002"  # load_clip gives it to the clip's trajectory
+                manifest["clips"][2]["clip_id"] = "walk\r0002"  # the manifest check rejects it
             else:
                 manifest["clips"][2]["start_frame"] = 2**63 - 100
             (clips / "manifest.json").write_text(json.dumps(manifest))
@@ -428,7 +442,7 @@ class TestFilterCommand:
             detail = f"{clips / 'manifest.json'}: clip entry 2: pose 0 of walk_0002.txt must sit at the local origin"
             assert errors[0] == {"error": "validation", "detail": detail}
         if damage == "clip-id-line-break":
-            detail = "trajectory id must not hold a line break, got 'walk\\r0002'"
+            detail = "clip_id must not hold a line break, got 'walk\\r0002'"
             assert errors[0] == {"error": "validation", "detail": detail}
         assert not (pipeline_dir / "report.json").exists()
 
@@ -437,6 +451,8 @@ class TestFilterCommand:
         "field, value",
         [
             ("clip_id", ""),
+            ("clip_id", "walk\r0002"),
+            ("clip_id", "walk\n0002"),
             ("source_id", ""),
             ("file", ""),
             ("fps", 0),
