@@ -8,17 +8,7 @@ displacement and discrete-Frechet metrics plus reference loss kernels.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    EmptyInput,
-    EmptyResult,
-    InvalidSpec,
-    LengthMismatch,
-    NavcurateError,
-    ParseError,
-    SchemaError,
-    ShapeMismatch,
-    ValidationError,
-)
+from .errors import EmptyResult, NavcurateError, ParseError, SchemaError, ValidationError
 from .geometry import DEFAULT_CONVENTION, AxisConvention, normalize_angle_deg
 from .io import (
     Detection,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, schema
 from . import io as tio
-from .errors import EmptyInput, EmptyResult, ParseError, ValidationError
+from .errors import EmptyResult, ParseError, ValidationError
 from .filters import FilterConfig, run_filters, slice_detections
 from .geometry import AxisConvention
 from .losses import LossInput, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
@@ -163,7 +163,7 @@ def cmd_segment(args) -> int:
 def cmd_filter(args) -> int:
     entries = read_manifest(args.clips)
     if not entries:
-        raise EmptyInput(f"{Path(args.clips) / CLIP_MANIFEST_NAME} lists no clips")
+        raise EmptyResult(f"{Path(args.clips) / CLIP_MANIFEST_NAME} lists no clips")
     detections = tio.parse_detections(args.detections)
     config = _merged_config(FilterConfig, args)
     convention = _convention(args)

@@ -1,11 +1,13 @@
 """Exception types shared across the pipeline.
 
-The CLI catches one base class per error kind: ParseError -> parse,
-exit 2; ValidationError (SchemaError, LengthMismatch, ShapeMismatch,
-InvalidSpec) -> validation, exit 2; EmptyResult (EmptyInput) -> empty,
-exit 3; a plain OSError -> io, exit 4. An outcome the caller expects and
-counts (a clip shorter than one window, a goal with no feasible start)
-is a return value, not an exception.
+There is one exception class per error kind, and the CLI catches each:
+ParseError -> parse, exit 2; ValidationError -> validation, exit 2;
+EmptyResult -> empty, exit 3; a plain OSError -> io, exit 4. The one
+subclass, SchemaError (a ValidationError), exists because a handler tells
+it apart: a record line whose value has the wrong JSON type is a parse
+error, a record that breaks a rule a validation error. An outcome the
+caller expects and counts (a clip shorter than one window, a goal with no
+feasible start) is a return value, not an exception.
 """
 
 from __future__ import annotations
@@ -39,19 +41,3 @@ class SchemaError(ValidationError):
 
 class EmptyResult(NavcurateError):
     """An operation produced nothing (e.g. trajectory shorter than one clip)."""
-
-
-class LengthMismatch(ValidationError):
-    """Two sequences that must have equal length do not."""
-
-
-class ShapeMismatch(ValidationError):
-    """Two arrays that must have identical shape do not."""
-
-
-class EmptyInput(EmptyResult):
-    """An aggregate operation received zero records."""
-
-
-class InvalidSpec(ValidationError):
-    """A synthetic-data spec is internally inconsistent."""

@@ -109,10 +109,17 @@ __all__ = [
 MIN_QUAT_NORM = 1e-3
 
 
-def _check_one_line(name: str, value: str) -> None:
-    """Reject an id that holds a line break: a pose file's header and the accepted-clip list give an id one line."""
+def _check_name(name: str, value: str) -> None:
+    """Reject a value that is not one file name in one line.
+
+    An id names its pose file (``<id>.txt``) inside the output directory,
+    and a pose file's header and the accepted-clip list give it one line:
+    so it holds no line break, no ``/`` and no NUL, and is not ``.`` or ``..``.
+    """
     if "\n" in value or "\r" in value:
         raise ValidationError(f"{name} must not hold a line break, got {value!r}")
+    if "/" in value or "\0" in value or value in (".", ".."):
+        raise ValidationError(f"{name} must be one file name, without '/' or NUL and not '.' or '..', got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +139,7 @@ class RawTrajectory:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("trajectory id must be non-empty")
-        _check_one_line("trajectory id", self.id)
+        _check_name("trajectory id", self.id)
         # An int fps is stored as a float (pose-file headers print fps=30.0); nothing else converts.
         if type(self.fps) not in (int, float) or not 0.0 < self.fps <= sys.float_info.max:
             raise ValidationError(f"fps must be a positive finite int or float, got {self.fps!r}")
@@ -568,13 +575,10 @@ def _iter_json_lines(path):
             # whole goes through json.loads for the canonical error.
             try:
                 obj, end = _scan_once(text, 0)
-            except (StopIteration, json.JSONDecodeError):
+            except (StopIteration, json.JSONDecodeError, RecursionError):
                 end = -1
             if end != len(text):
-                try:
-                    obj = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
+                obj = _loads(text, path, lineno)
             yield lineno, obj, text
 
 
@@ -587,6 +591,20 @@ class _Literal(str):
 _as_written = json.JSONDecoder(parse_float=lambda s: float(s) if math.isfinite(float(s)) else _Literal(s)).decode
 
 
+def _loads(text: str, path, line: int | None = None, loads=json.loads):
+    """loads(text); invalid JSON raises ParseError naming path and line (default: the fault's line in text).
+
+    A value nested past the interpreter's recursion limit is a parse error
+    too, as the decoder recurses into it.
+    """
+    try:
+        return loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=line or exc.lineno) from None
+    except RecursionError:
+        raise ParseError("JSON value nested too deep", path=str(path), line=line) from None
+
+
 def load_json(path, decode):
     """(doc, decode(doc)) for the JSON document doc in path; invalid JSON raises ParseError naming its line.
 
@@ -595,14 +613,11 @@ def load_json(path, decode):
     the file's ``1e400``, not ``Infinity``.
     """
     text = read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno)
+    doc = _loads(text, path)
     try:
         return doc, decode(doc)
     except ValidationError:
-        decode(_as_written(text))
+        decode(_loads(text, path, loads=_as_written))
         raise
 
 
@@ -656,8 +671,8 @@ def parse_detections(path) -> DetectionTable:
                 bboxes.extend(bbox)
             frames.append(frame)
         except (KeyError, TypeError, ValueError, OverflowError):
-            try:
-                schema.decoder(DetectionFrame)(_as_written(text))  # the schema and the scalar constructors name the fault
+            try:  # the schema and the scalar constructors name the fault
+                schema.decoder(DetectionFrame)(_loads(text, path, lineno, _as_written))
             except ValidationError as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from None
             raise ParseError("invalid detection record", path=str(path), line=lineno) from None
@@ -746,7 +761,7 @@ def _decode(decode, obj, text, path, lineno):
     try:
         return decode(obj)
     except ValidationError:
-        obj = _as_written(text)
+        obj = _loads(text, path, lineno, _as_written)
     try:
         return decode(obj)
     except SchemaError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import schema
-from .errors import LengthMismatch, ShapeMismatch, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "LossWeights",
@@ -76,9 +76,9 @@ def _waypoint_pair(pred_waypoints, gt_waypoints) -> tuple[np.ndarray, np.ndarray
     pred, gt = np.asarray(pred_waypoints, dtype=float), np.asarray(gt_waypoints, dtype=float)
     for name, arr in (("pred_waypoints", pred), ("gt_waypoints", gt)):
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-            raise LengthMismatch(f"{name} must be a (k, 2) array with k >= 1, got shape {arr.shape}")
+            raise ValidationError(f"{name} must be a (k, 2) array with k >= 1, got shape {arr.shape}")
     if pred.shape != gt.shape:
-        raise LengthMismatch(f"waypoint shapes differ: {pred.shape} vs {gt.shape}")
+        raise ValidationError(f"waypoint shapes differ: {pred.shape} vs {gt.shape}")
     return pred, gt
 
 
@@ -143,9 +143,9 @@ def loss_hall(pred_features, gt_features):
         pred = np.asarray(pred_features, dtype=float)
         gt = np.asarray(gt_features, dtype=float)
     except ValueError:  # rows of unequal length, or not numbers
-        raise ShapeMismatch("features must be (k, d) arrays of numbers") from None
+        raise ValidationError("features must be (k, d) arrays of numbers") from None
     if pred.ndim != 2 or pred.shape != gt.shape or 0 in pred.shape:
-        raise ShapeMismatch(f"feature shapes must match as (k, d) with k, d >= 1, got {pred.shape} vs {gt.shape}")
+        raise ValidationError(f"feature shapes must match as (k, d) with k, d >= 1, got {pred.shape} vs {gt.shape}")
     k = pred.shape[0]
     diff = pred - gt
     value = float(np.sum(np.abs(diff)) / k)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, ValidationError
+from .errors import EmptyResult, ValidationError
 from .io import PredictionTable
 
 __all__ = ["MetricReport", "evaluate"]
@@ -132,13 +132,13 @@ def evaluate(table: PredictionTable) -> MetricReport:
     over its whole array.
 
     Raises:
-        EmptyInput: the table holds no records.
+        EmptyResult: the table holds no records.
         ValidationError: a record's waypoints are so large that one of
             its metrics overflows; the first such record is named.
     """
     n = len(table)
     if not n:
-        raise EmptyInput("no prediction records to evaluate")
+        raise EmptyResult("no prediction records to evaluate")
     ade_m = np.empty(n)
     made_m = np.empty(n)
     aoe_deg = np.empty(n)

@@ -71,12 +71,18 @@ class _Mismatch(SchemaError):
         return f"{self.subject} has {key!r} = {text}, expected {_describe(self.tp)}"
 
 
-def _show(value) -> str:
-    """A value as JSON text, but a part not exactly of a JSON type as its repr: ``np.float64(0.0)``, not ``0.0``."""
+def _show(value, depth: int = 0) -> str:
+    """A value as JSON text, but a part not exactly of a JSON type as its repr: ``np.float64(0.0)``, not ``0.0``.
+
+    A part nested more than 40 deep shows as ``...``: it starts past the 40
+    characters a message shows, and a deep value would exhaust the stack.
+    """
+    if depth > 40:
+        return "..."
     if type(value) in (list, tuple):
-        return "[" + ", ".join(map(_show, value)) + "]"
+        return "[" + ", ".join(_show(v, depth + 1) for v in value) + "]"
     if type(value) is dict:
-        return "{" + ", ".join(f"{_show(k)}: {_show(v)}" for k, v in value.items()) + "}"
+        return "{" + ", ".join(f"{_show(k)}: {_show(v, depth + 1)}" for k, v in value.items()) + "}"
     if value is None or type(value) in (str, int, float, bool):
         return json.dumps(value)
     return repr(value)

@@ -23,7 +23,7 @@ import numpy as np
 from . import schema
 from .errors import EmptyResult, ValidationError
 from .geometry import quat_conjugate, quat_multiply, quat_rotate
-from .io import _FRAME_LIMIT, RawTrajectory, _check_one_line, load_json, parse_pose_file, write_pose_file, write_report
+from .io import _FRAME_LIMIT, RawTrajectory, _check_name, load_json, parse_pose_file, write_pose_file, write_report
 
 __all__ = ["ClipEntry", "segment", "cut_clip", "save_clips", "read_manifest", "load_clip"]
 
@@ -50,10 +50,11 @@ class ClipEntry:
         schema.check(self)
         if not self.clip_id or not self.source_id:
             raise ValidationError("clip_id and source_id must be non-empty")
-        # The clip id is its clip's trajectory id, so it follows the same rule.
-        _check_one_line("clip_id", self.clip_id)
         if not self.file:
             raise ValidationError("clip file must be non-empty")
+        # The clip id is its clip's trajectory id, and the file is read from the clip directory.
+        for field in ("clip_id", "source_id", "file"):
+            _check_name(field, getattr(self, field))
         if not self.fps > 0.0:
             raise ValidationError(f"fps must be positive, got {self.fps!r}")
         if self.n_frames < 1:
@@ -127,14 +128,19 @@ def _write_clip(traj: RawTrajectory, out_dir: Path, entry: ClipEntry) -> None:
 
 
 def read_manifest(clip_dir) -> list[ClipEntry]:
-    """The entries of a clip directory's manifest, in manifest order."""
+    """The entries of a clip directory's manifest, in manifest order; no two may share a clip id."""
     manifest_path = Path(clip_dir) / CLIP_MANIFEST_NAME
 
     def decode(manifest):
-        entries = manifest.get("clips", []) if type(manifest) is dict else None
+        entries = manifest.get("clips") if type(manifest) is dict else None
         if type(entries) is not list:
             raise ValidationError(f"{manifest_path}: 'clips' must be a list of clip entries")
-        return [schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw) for i, raw in enumerate(entries)]
+        entries = [schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw) for i, raw in enumerate(entries)]
+        first: dict[str, int] = {}
+        for i, entry in enumerate(entries):
+            if (j := first.setdefault(entry.clip_id, i)) != i:
+                raise ValidationError(f"{manifest_path}: clip entries {j} and {i} share the clip_id {entry.clip_id!r}")
+        return entries
 
     return load_json(manifest_path, decode)[1]
 

@@ -24,7 +24,7 @@ Detections are person boxes of fixed geometry, a per-frame count of them
 (see DetectionBlock), generated as a DetectionTable. A spec is bounded: a
 stream holds at most MAX_POSES poses (summed over a composite's parts),
 which SynthSpec checks, and at most MAX_BOXES detection boxes, which
-DetectionBlock.counts checks. Past either bound they raise InvalidSpec
+DetectionBlock.counts checks. Past either bound they raise ValidationError
 naming the field; the ``synth`` command calls both before it writes
 anything.
 """
@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import schema
-from .errors import InvalidSpec
+from .errors import ValidationError
 from .geometry import (
     AxisConvention,
     quat_from_axis_angle,
@@ -98,29 +98,29 @@ class SynthSpec:
     def __post_init__(self):
         schema.check(self)
         if self.kind not in KINDS:
-            raise InvalidSpec(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name in ("duration_s", "fps", "speed_mps"):
             value = getattr(self, name)
             if not value > 0:
-                raise InvalidSpec(f"{name} must be positive, got {value!r}")
+                raise ValidationError(f"{name} must be positive, got {value!r}")
         if self.kind == "head_turn":
             if self.turn_len_s <= 0:
-                raise InvalidSpec("head_turn needs turn_len_s > 0")
+                raise ValidationError("head_turn needs turn_len_s > 0")
             if self.turn_start_s < 0 or self.turn_start_s + self.turn_len_s > self.duration_s:
-                raise InvalidSpec("turn interval must lie inside the duration")
+                raise ValidationError("turn interval must lie inside the duration")
         if self.kind == "sinusoid_pitch" and self.period_s <= 0:
-            raise InvalidSpec("sinusoid_pitch needs period_s > 0")
+            raise ValidationError("sinusoid_pitch needs period_s > 0")
         if self.kind == "composite":
             if not self.parts:
-                raise InvalidSpec("composite needs at least one part")
+                raise ValidationError("composite needs at least one part")
             if any(p.fps != self.parts[0].fps for p in self.parts):
-                raise InvalidSpec("composite parts must share one fps")
+                raise ValidationError("composite parts must share one fps")
             if any(p.kind == "composite" for p in self.parts):
-                raise InvalidSpec("composite parts cannot nest")
+                raise ValidationError("composite parts cannot nest")
             if self.poses > MAX_POSES:
-                raise InvalidSpec(f"composite parts hold more than MAX_POSES = {MAX_POSES} poses")
+                raise ValidationError(f"composite parts hold more than MAX_POSES = {MAX_POSES} poses")
         elif not math.isfinite(self.duration_s * self.fps) or self.poses > MAX_POSES:
-            raise InvalidSpec(
+            raise ValidationError(
                 f"duration_s {self.duration_s!r} at fps {self.fps!r} gives more than MAX_POSES = {MAX_POSES} poses"
             )
 
@@ -144,7 +144,7 @@ class DetectionSpan:
         schema.check(self)
         for f in fields(self):
             if getattr(self, f.name) < 0:
-                raise InvalidSpec(f"detection span {f.name} must be non-negative, got {getattr(self, f.name)!r}")
+                raise ValidationError(f"detection span {f.name} must be non-negative, got {getattr(self, f.name)!r}")
 
 
 @dataclass(frozen=True)
@@ -157,21 +157,21 @@ class DetectionBlock:
     def __post_init__(self):
         schema.check(self)
         if self.schedule is not None and any(c < 0 for c in self.schedule):
-            raise InvalidSpec("detection schedule counts must be non-negative")
+            raise ValidationError("detection schedule counts must be non-negative")
 
     def counts(self, n_frames: int) -> np.ndarray:
         """The (n_frames,) int64 person count of each frame of an n_frames stream.
 
         The schedule is cut or zero-padded to n_frames; spans are applied in
         turn over zeros, a later span overwriting an earlier one. Raises
-        InvalidSpec when the counts sum to more than MAX_BOXES.
+        ValidationError when the counts sum to more than MAX_BOXES.
         """
         counts = np.zeros(n_frames, dtype=np.int64)
         if self.schedule is not None:
             field = "detections.schedule"
             head = self.schedule[:n_frames]
             if max(head, default=0) > MAX_BOXES:
-                raise InvalidSpec(f"{field} holds a count above MAX_BOXES = {MAX_BOXES}")
+                raise ValidationError(f"{field} holds a count above MAX_BOXES = {MAX_BOXES}")
             counts[: len(head)] = head
         else:
             field = "detections.spans"
@@ -180,7 +180,9 @@ class DetectionBlock:
                 counts[span.start : span.start + span.frames] = min(span.count, MAX_BOXES + 1)
         total = int(counts.sum())
         if total > MAX_BOXES:
-            raise InvalidSpec(f"{field} gives {total} boxes over {n_frames} frames, more than MAX_BOXES = {MAX_BOXES}")
+            raise ValidationError(
+                f"{field} gives {total} boxes over {n_frames} frames, more than MAX_BOXES = {MAX_BOXES}"
+            )
         return counts
 
 
@@ -200,9 +202,9 @@ class LandmarkBlock:
     def __post_init__(self):
         schema.check(self)
         if self.per_clip < 0:
-            raise InvalidSpec(f"per_clip must be non-negative, got {self.per_clip!r}")
+            raise ValidationError(f"per_clip must be non-negative, got {self.per_clip!r}")
         if not 0 <= self.seed < 2**64:
-            raise InvalidSpec("landmark seed must be a non-negative 64-bit integer")
+            raise ValidationError("landmark seed must be a non-negative 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,7 @@ def generate(spec: SynthSpec) -> RawTrajectory:
         return _generate_composite(spec)
     n = spec.poses
     if n < 1:
-        raise InvalidSpec(f"duration {spec.duration_s} s at fps {spec.fps} yields no frames")
+        raise ValidationError(f"duration {spec.duration_s} s at fps {spec.fps} yields no frames")
     t = np.arange(n) / spec.fps
     e1, e2 = RAW_CONVENTION.ground_axes
     up = RAW_CONVENTION.up_vec

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from navcurate import schema
-from navcurate.errors import LengthMismatch, NavcurateError, ValidationError
+from navcurate.errors import NavcurateError, ValidationError
 from navcurate.geometry import (
     DEFAULT_CONVENTION,
     GIMBAL_EPS,
@@ -402,7 +402,7 @@ def _as_xy(waypoints) -> np.ndarray:
     """A waypoint sequence ((x, y) pairs or an array) as an (n, 2) float array."""
     arr = np.asarray(waypoints, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise LengthMismatch(f"waypoints must be an (n, 2) sequence, got shape {arr.shape}")
+        raise ValidationError(f"waypoints must be an (n, 2) sequence, got shape {arr.shape}")
     return arr
 
 
@@ -415,7 +415,7 @@ def step_directions(waypoints) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = _as_xy(waypoints)
     if pts.shape[0] < 1:
-        raise LengthMismatch("need at least one waypoint")
+        raise ValidationError("need at least one waypoint")
     disp = np.diff(np.vstack([np.zeros((1, 2)), pts]), axis=0)
     norms = np.linalg.norm(disp, axis=1)
     defined = norms >= ZERO_STEP
@@ -436,7 +436,7 @@ def orientation_errors(pred, gt) -> np.ndarray:
     dp, mp = step_directions(pred)
     dg, mg = step_directions(gt)
     if dp.shape[0] != dg.shape[0]:
-        raise LengthMismatch(f"prediction has {dp.shape[0]} steps, ground truth {dg.shape[0]}")
+        raise ValidationError(f"prediction has {dp.shape[0]} steps, ground truth {dg.shape[0]}")
     both = mp & mg
     if not np.any(both):
         raise AllUndefined("every step has near-zero displacement on at least one side")
@@ -462,7 +462,7 @@ def ade(pred, gt) -> float:
     p = _as_xy(pred)
     g = _as_xy(gt)
     if p.shape[0] != g.shape[0]:
-        raise LengthMismatch(f"prediction has {p.shape[0]} waypoints, ground truth {g.shape[0]}")
+        raise ValidationError(f"prediction has {p.shape[0]} waypoints, ground truth {g.shape[0]}")
     return float(np.mean(np.linalg.norm(p - g, axis=1)))
 
 

@@ -111,6 +111,19 @@ class TestSegmentCommand:
         assert err == {"error": "validation", "detail": f"trajectory id must not hold a line break, got {traj_id!r}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("traj_id", ["../esc", "a/b", "{tmp}/esc", "a\x00b", ".", ".."], ids=repr)
+    def test_traj_id_that_is_not_one_file_name_writes_nothing(self, tmp_path, capsys, traj_id):
+        # Each clip file is <id>_<k>.txt inside --out; an id must not lead it out, nor fail its write.
+        traj_id = traj_id.format(tmp=tmp_path)
+        pose_file = tmp_path / "walk.txt"
+        write_traj(pose_file, SynthSpec("straight", duration_s=240.0, fps=10.0, traj_id="walk"))
+        rc = main(["segment", "--input", str(pose_file), "--fps", "10", "--clip-seconds", "60",
+                   "--out", str(tmp_path / "clips"), "--traj-id", traj_id])
+        assert rc == 2
+        detail = f"trajectory id must be one file name, without '/' or NUL and not '.' or '..', got {traj_id!r}"
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+        assert list(tmp_path.rglob("*")) == [pose_file]
+
     def test_tasks_carry_no_poses(self, tmp_path, monkeypatch):
         # A task is one ClipEntry; each worker cuts its clip from the stream bound into the task function.
         pose_file = tmp_path / "walk.txt"
@@ -214,6 +227,19 @@ class TestSynthCommand:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "validation", "detail": "trajectory id must not hold a line break, got 'walk\\n'"}
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("traj_id", ["../up", "a/b", "{tmp}/up", "a\x00b", ".", ".."], ids=repr)
+    def test_traj_id_that_is_not_one_file_name_writes_nothing(self, tmp_path, capsys, traj_id):
+        # The pose file is <traj_id>.txt inside --out; an id must not lead it out, nor fail its write.
+        traj_id = traj_id.format(tmp=tmp_path)
+        spec = tmp_path / "spec.json"
+        doc = json.loads(synth_spec_doc(tmp_path).read_text())
+        doc["trajectory"]["traj_id"] = traj_id
+        spec.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out" / "synth")]) == 2
+        detail = f"trajectory id must be one file name, without '/' or NUL and not '.' or '..', got {traj_id!r}"
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+        assert list(tmp_path.rglob("*")) == [spec]
 
     @pytest.mark.parametrize("clip_seconds, rc, error", [(20.0, 3, "empty"), (0.01, 2, "validation")],
                              ids=["longer-than-stream", "no-frames"])
@@ -328,6 +354,16 @@ def test_manifests_name_inputs_by_role(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "samples.jsonl.manifest.json").read_text())["outputs"] == {"samples": "samples.jsonl"}
 
 
+def _manifest_reader_argv(root, command: str, workers: str) -> list:
+    """argv of filter or samples on a pipeline_dir's clips; samples reads the accepted ids from ok.accepted."""
+    if command == "filter":
+        rest = ["--detections", str(root / "synth" / "detections.jsonl"), "--report", str(root / "r.json")]
+    else:
+        rest = ["--landmarks", str(root / "synth" / "landmarks.jsonl"), "--accepted", str(root / "ok.accepted"),
+                "--out", str(root / "s.jsonl")]
+    return [command, "--clips", str(root / "clips"), *rest, "--workers", workers]
+
+
 class TestFilterCommand:
     def test_report_and_accepted_list(self, pipeline_dir):
         report_path = pipeline_dir / "report.json"
@@ -367,6 +403,29 @@ class TestFilterCommand:
         assert rc == 3
         assert json.loads(capsys.readouterr().err.strip())["error"] == "empty"
         assert not report_path.exists()
+
+    @pytest.mark.parametrize("command", ["filter", "samples"])
+    def test_repeated_clip_id_names_both_entries(self, pipeline_dir, capsys, command):
+        manifest_path = pipeline_dir / "clips" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["clips"][3]["clip_id"] = manifest["clips"][1]["clip_id"]
+        manifest_path.write_text(json.dumps(manifest))
+        (pipeline_dir / "ok.accepted").write_text("walk_0001\n")
+        assert main(_manifest_reader_argv(pipeline_dir, command, "1")) == 2
+        detail = f"{manifest_path}: clip entries 1 and 3 share the clip_id 'walk_0001'"
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+        assert not (pipeline_dir / "r.json").exists() and not (pipeline_dir / "s.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["filter", "samples"])
+    def test_manifest_without_clips_exits_2(self, pipeline_dir, capsys, command):
+        # A manifest that lists no clips is empty (exit 3); one without the list is not a clip manifest.
+        manifest_path = pipeline_dir / "clips" / "manifest.json"
+        manifest_path.write_text(json.dumps({"stage": "segment"}))
+        (pipeline_dir / "ok.accepted").write_text("walk_0001\n")
+        assert main(_manifest_reader_argv(pipeline_dir, command, "1")) == 2
+        detail = f"{manifest_path}: 'clips' must be a list of clip entries"
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+        assert not (pipeline_dir / "r.json").exists() and not (pipeline_dir / "s.jsonl").exists()
 
     @pytest.mark.parametrize("field", ["file", "clip_id", "source_id", "fps", "start_frame"])
     def test_manifest_entry_missing_field_exits_2(self, pipeline_dir, capsys, field):
@@ -453,8 +512,12 @@ class TestFilterCommand:
             ("clip_id", ""),
             ("clip_id", "walk\r0002"),
             ("clip_id", "walk\n0002"),
+            ("clip_id", "walk/0002"),
+            ("clip_id", "walk\x000002"),
+            ("clip_id", "walk_0000"),
             ("source_id", ""),
             ("file", ""),
+            ("file", "../walk_0000.txt"),
             ("fps", 0),
             ("fps", -10.0),
             ("n_frames", 0),
@@ -473,13 +536,7 @@ class TestFilterCommand:
             raise AssertionError("a task was dispatched")
 
         monkeypatch.setattr(cli, "_map_tasks", no_tasks)
-        if command == "filter":
-            rest = ["--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
-                    "--report", str(pipeline_dir / "r.json")]
-        else:
-            rest = ["--landmarks", str(pipeline_dir / "synth" / "landmarks.jsonl"),
-                    "--accepted", str(pipeline_dir / "ok.accepted"), "--out", str(pipeline_dir / "s.jsonl")]
-        assert main([command, "--clips", str(clips), *rest, "--workers", "2"]) == 2
+        assert main(_manifest_reader_argv(pipeline_dir, command, "2")) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "validation"
@@ -1103,44 +1160,46 @@ def _spoil_line(path, line: int, byte: bytes = b"\xff") -> None:
     path.write_bytes(b"".join(lines))
 
 
+def _reader_argv(root, kind):
+    """(input file, a line of it, argv of the stage that reads it) for one input kind of a pipeline_dir."""
+    clips, synth = root / "clips", root / "synth"
+    report = ["--report", str(root / "report.json"), "--world-up=-y", "--workers", "1"]
+    filter_ = ["filter", "--clips", str(clips), "--detections", str(synth / "detections.jsonl"), *report]
+    (root / "accepted.txt").write_text("walk_0000\nwalk_0001\nwalk_0002\n")
+    samples = ["samples", "--clips", str(clips), "--landmarks", str(synth / "landmarks.jsonl"),
+               "--accepted", str(root / "accepted.txt"), "--out", str(root / "samples.jsonl"),
+               "--world-up=-y", "--workers", "1"]
+    pairs = [[0.0, 0.0], [1.0, 0.0]]
+    record = json.dumps({"sample_id": "a", "predicted": pairs, "ground_truth": pairs})
+    (root / "pred.jsonl").write_text(f"{record}\n{record}\n")
+    (root / "config.json").write_text('{\n  "crowd_count_threshold": 5\n}\n')
+    (root / "loss.json").write_text('{\n  "pred_waypoints": [[1, 0]],\n  "gt_waypoints": [[1, 0]]\n}\n')
+    (root / "spec.json").write_text(json.dumps(json.loads((root / "spec.json").read_text()), indent=2))
+    return {
+        "poses": (synth / "walk.txt", 7, ["segment", "--input", str(synth / "walk.txt"), "--fps", "10",
+                                          "--clip-seconds", "60", "--out", str(root / "clips2")]),
+        "clip-poses": (clips / "walk_0001.txt", 9, filter_),
+        "detections": (synth / "detections.jsonl", 5, filter_),
+        "manifest": (clips / "manifest.json", 4, filter_),
+        "config": (root / "config.json", 2, [*filter_, "--config", str(root / "config.json")]),
+        "landmarks": (synth / "landmarks.jsonl", 3, samples),
+        "accepted": (root / "accepted.txt", 2, samples),
+        "predictions": (root / "pred.jsonl", 2, ["eval", "--pred", str(root / "pred.jsonl"),
+                                                 "--out", str(root / "metrics.json")]),
+        "spec": (root / "spec.json", 3, ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s2")]),
+        "loss": (root / "loss.json", 3, ["loss", "--input", str(root / "loss.json")]),
+    }[kind]
+
+
 class TestNotUtf8Input:
     """A byte that is not UTF-8 in any input exits 2 as a parse error naming its file and line."""
-
-    def _argv(self, root, kind):
-        clips, synth = root / "clips", root / "synth"
-        report = ["--report", str(root / "report.json"), "--world-up=-y", "--workers", "1"]
-        filter_ = ["filter", "--clips", str(clips), "--detections", str(synth / "detections.jsonl"), *report]
-        (root / "accepted.txt").write_text("walk_0000\nwalk_0001\nwalk_0002\n")
-        samples = ["samples", "--clips", str(clips), "--landmarks", str(synth / "landmarks.jsonl"),
-                   "--accepted", str(root / "accepted.txt"), "--out", str(root / "samples.jsonl"),
-                   "--world-up=-y", "--workers", "1"]
-        pairs = [[0.0, 0.0], [1.0, 0.0]]
-        record = json.dumps({"sample_id": "a", "predicted": pairs, "ground_truth": pairs})
-        (root / "pred.jsonl").write_text(f"{record}\n{record}\n")
-        (root / "config.json").write_text('{\n  "crowd_count_threshold": 5\n}\n')
-        (root / "loss.json").write_text('{\n  "pred_waypoints": [[1, 0]],\n  "gt_waypoints": [[1, 0]]\n}\n')
-        (root / "spec.json").write_text(json.dumps(json.loads((root / "spec.json").read_text()), indent=2))
-        return {
-            "poses": (synth / "walk.txt", 7, ["segment", "--input", str(synth / "walk.txt"), "--fps", "10",
-                                              "--clip-seconds", "60", "--out", str(root / "clips2")]),
-            "clip-poses": (clips / "walk_0001.txt", 9, filter_),
-            "detections": (synth / "detections.jsonl", 5, filter_),
-            "manifest": (clips / "manifest.json", 4, filter_),
-            "config": (root / "config.json", 2, [*filter_, "--config", str(root / "config.json")]),
-            "landmarks": (synth / "landmarks.jsonl", 3, samples),
-            "accepted": (root / "accepted.txt", 2, samples),
-            "predictions": (root / "pred.jsonl", 2, ["eval", "--pred", str(root / "pred.jsonl"),
-                                                     "--out", str(root / "metrics.json")]),
-            "spec": (root / "spec.json", 3, ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s2")]),
-            "loss": (root / "loss.json", 3, ["loss", "--input", str(root / "loss.json")]),
-        }[kind]
 
     @pytest.mark.parametrize(
         "kind",
         ["poses", "clip-poses", "detections", "manifest", "config", "landmarks", "accepted", "predictions", "spec", "loss"],
     )
     def test_exits_2_naming_path_and_line(self, pipeline_dir, capsys, kind):
-        path, line, argv = self._argv(pipeline_dir, kind)
+        path, line, argv = _reader_argv(pipeline_dir, kind)
         _spoil_line(path, line)
         capsys.readouterr()
         assert main(argv) == 2
@@ -1168,6 +1227,57 @@ class TestNotUtf8Input:
         path.write_text('{"sample_id": "caf\u00e9 \u6f22", "predicted": [[0, 0]], "ground_truth": [[1, 0]]}\n',
                         encoding="utf-8")
         assert main(["eval", "--pred", str(path), "--out", str(tmp_path / "m.json")]) == 0
+
+
+def _nested(depth: int, inner: str = "1.0") -> str:
+    return "[" * depth + inner + "]" * depth
+
+
+class TestNestedJson:
+    """A JSON value nested past the recursion limit exits 2 as a parse error naming its file, and a record's line."""
+
+    @pytest.mark.parametrize("kind", ["detections", "landmarks", "predictions"])
+    def test_record_line(self, pipeline_dir, capsys, kind):
+        path, line, argv = _reader_argv(pipeline_dir, kind)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = _nested(2000) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        detail = f"{path}:{line}: JSON value nested too deep"
+        assert json.loads(err[0]) == {"error": "parse", "detail": detail, "path": str(path), "line": line}
+
+    @pytest.mark.parametrize("kind", ["detections", "landmarks", "predictions"])
+    @pytest.mark.parametrize("depth", [900, 990])
+    def test_record_value_near_the_limit(self, pipeline_dir, capsys, kind, depth):
+        # Read or not by the decoder, the value is named without recursing into it.
+        path, line, argv = _reader_argv(pipeline_dir, kind)
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[line - 1])
+        record[next(iter(record))] = "DEEP"
+        lines[line - 1] = json.dumps(record).replace('"DEEP"', _nested(depth)) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        record = json.loads(err[0])
+        assert (record["error"], record["path"], record["line"]) == ("parse", str(path), line)
+        assert record["detail"].startswith(f"{path}:{line}: ")
+
+    @pytest.mark.parametrize("kind", ["manifest", "config", "spec", "loss"])
+    def test_document(self, pipeline_dir, capsys, kind):
+        path, _, argv = _reader_argv(pipeline_dir, kind)
+        path.write_text('{"clips": ' + _nested(5000) + "}")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        detail = f"{path}: JSON value nested too deep"
+        assert json.loads(err[0]) == {"error": "parse", "detail": detail, "path": str(path), "line": None}
+        assert not (pipeline_dir / "s2").exists()
 
 
 class TestLiteralInConfigError:
@@ -1303,20 +1413,22 @@ class TestWorkersEnv:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "error, base, kind, code",
+        "error, kind, code",
         [
-            (navcurate.InvalidSpec("bad spec"), navcurate.ValidationError, "validation", 2),
-            (navcurate.EmptyInput("no records"), navcurate.EmptyResult, "empty", 3),
+            (navcurate.ParseError("bad line"), "parse", 2),
+            (navcurate.ValidationError("bad value"), "validation", 2),
+            (navcurate.SchemaError("bad type"), "validation", 2),
+            (navcurate.EmptyResult("no records"), "empty", 3),
+            (OSError("no disk"), "io", 4),
         ],
-        ids=["InvalidSpec", "EmptyInput"],
+        ids=["ParseError", "ValidationError", "SchemaError", "EmptyResult", "OSError"],
     )
-    def test_error_derives_from_the_base_main_catches(self, capsys, monkeypatch, error, base, kind, code):
-        # main catches one base class per error kind.
-        assert isinstance(error, base)
-
+    def test_each_error_class_maps_to_its_kind(self, capsys, monkeypatch, error, kind, code):
+        # main catches one class per error kind; SchemaError is the one subclass, a ValidationError.
         def fail(args):
             raise error
 
         monkeypatch.setattr(cli, "cmd_loss", fail)
         assert main(["loss", "--input", "unused.json"]) == code
-        assert json.loads(capsys.readouterr().err)["error"] == kind
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["detail"]) == (kind, str(error))

@@ -3,9 +3,11 @@
 Each example takes a valid input of one subcommand (a detection, landmark
 or prediction file, a ``loss`` document, a clip-manifest entry or a
 ``synth`` spec), replaces one JSON value anywhere in it with a value from
-a small pool of wrong types and huge or non-finite numbers (``1e400``
-among them), or deletes it,
-and runs ``cli.main`` in this process on a tiny synthetic fixture. The ``segment`` pose file gets one broken row instead.
+a small pool of wrong types, huge or non-finite numbers (``1e400``
+among them), a string holding NUL, the relative name ``../x`` and a list
+nested 2,000 deep, or deletes it, and runs ``cli.main`` in this process
+on a tiny synthetic fixture; no run writes a file beside its named
+outputs. The ``segment`` pose file gets one broken row instead.
 A byte-level mutation puts one byte that is not UTF-8 anywhere into any
 input file, which must fail as a parse error naming that byte's line.
 """
@@ -36,11 +38,14 @@ class _Missing:
 MISSING = _Missing()
 # Written as the literal 1e400, a number past the float range that json reads as inf.
 HUGE_FLOAT = "\x00 1e400"
-POOL = [True, "5", None, [[1]], 10**400, math.nan, HUGE_FLOAT, MISSING]
+# Written as a list nested 2,000 deep, past the recursion limit of json (and of json.dumps, hence the raw text).
+DEEP_LIST = "\x00 deep"
+POOL = [True, "5", None, [[1]], 10**400, math.nan, HUGE_FLOAT, MISSING, "a\x00b", "../x", DEEP_LIST]
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc).replace(json.dumps(HUGE_FLOAT), "1e400")
+    text = json.dumps(doc).replace(json.dumps(HUGE_FLOAT), "1e400")
+    return text.replace(json.dumps(DEEP_LIST), "[" * 2000 + "]" * 2000)
 
 
 def _sites(value, path=()):
@@ -139,6 +144,11 @@ def _lines(path):
     return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
+# The inputs _mutated_run writes into its work directory, and the outputs its runs name.
+WORK_NAMES = {"clips", "input.jsonl", "loss.json", "synth.json", "synth", "report.json", "report.json.accepted", "out",
+              "out.manifest.json"}
+
+
 def _mutated_run(root, kind, data) -> tuple[int, str]:
     """Mutate one value of the kind's valid input, write it under a fresh directory and run its subcommand."""
     work = root / "work"
@@ -182,6 +192,8 @@ def test_mutated_input_exits_with_documented_code(fixture, kind, data):
         lines = err.splitlines()
         assert len(lines) == 1, err
         assert set(json.loads(lines[0])) >= {"error", "detail"}
+    # An output goes only where its flag points: a mutated id or file name writes nothing beside it.
+    assert {p.name for p in (fixture / "work").iterdir()} <= WORK_NAMES
 
 
 POSE_MUTATIONS = ["non-numeric", "nan", "seven-fields", "repeated-timestamp", "zero-quaternion"]

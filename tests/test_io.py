@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 
 import numpy as np
@@ -51,6 +52,13 @@ class TestPoseFile:
     def test_id_holding_a_line_break_rejected(self, traj_id):
         # The id is written into the pose file's header comment, which a "\n" or "\r" would end.
         with pytest.raises(ValidationError, match="line break"):
+            RawTrajectory(traj_id, 10.0, [0.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("traj_id", ["a/b", "/a", "../a", "a\x00b", ".", ".."], ids=repr)
+    def test_id_that_is_not_one_file_name_rejected(self, traj_id):
+        # The id names the trajectory's pose file (<id>.txt) inside an output directory.
+        message = f"trajectory id must be one file name, without '/' or NUL and not '.' or '..', got {traj_id!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             RawTrajectory(traj_id, 10.0, [0.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]])
 
     @pytest.mark.parametrize("traj_id", ["a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", "a\tb", " a#b "], ids=repr)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from navcurate.errors import LengthMismatch, ShapeMismatch, ValidationError
+from navcurate.errors import ValidationError
 from navcurate.losses import LossWeights, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
 
 
@@ -52,7 +52,7 @@ class TestLossReg:
             assert rel_error(grad, fd) < 1e-6
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValidationError, match=r"waypoint shapes differ: \(1, 2\) vs \(2, 2\)"):
             loss_reg([[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]])
 
     def test_non_negative(self, rng):
@@ -124,7 +124,7 @@ class TestLossOri:
 )
 def test_waypoint_pairs_rejected(loss, pred, gt, message):
     # One check serves both waypoint losses.
-    with pytest.raises(LengthMismatch, match=message):
+    with pytest.raises(ValidationError, match=message):
         loss(pred, gt)
 
 
@@ -189,7 +189,8 @@ class TestLossHall:
             assert rel_error(grad, fd) < 1e-5
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        message = r"feature shapes must match as \(k, d\) with k, d >= 1, got \(2, 3\) vs \(2, 4\)"
+        with pytest.raises(ValidationError, match=message):
             loss_hall(np.zeros((2, 3)), np.zeros((2, 4)))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcurate.errors import EmptyInput, LengthMismatch, ValidationError
+from navcurate.errors import EmptyResult, ValidationError
 from navcurate.io import PredictionRecord
 from navcurate.metrics import MetricReport, _ade_many, _frechet_many, _orientation_many, evaluate
 
@@ -98,7 +98,7 @@ class TestOrientationErrors:
             orientation_errors(pred, gt)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValidationError, match="prediction has 1 steps, ground truth 2"):
             orientation_errors([(1.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)])
 
 
@@ -227,7 +227,7 @@ class TestEvaluate:
         assert report.ade_m == pytest.approx(1.5)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EmptyResult, match="no prediction records to evaluate"):
             evaluate(prediction_table_of([]))
 
     def test_arrival_threshold(self):

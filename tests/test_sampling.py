@@ -334,12 +334,14 @@ class TestBatchEquivalence:
 # characters, non-ASCII, a non-BMP character and the line separators.
 SPECIAL_CHARS = ['"', "\\", "\x00", "\x07", "\n", "\t", "\x1f", "\x7f", "\xe9", "\u4e2d", "\U0001f600", "\u2028", "\u2029", "a"]
 _special_text = st.text(alphabet=st.one_of(st.sampled_from(SPECIAL_CHARS), st.characters()), min_size=1, max_size=8)
-# A trajectory id holds no "\n" or "\r", which would split its pose file's header line.
+# A trajectory id is one file name in one line: no "\n", "\r", "/" or NUL, and not "." or "..".
 _special_id = st.text(
-    alphabet=st.one_of(st.sampled_from([c for c in SPECIAL_CHARS if c != "\n"]), st.characters(exclude_characters="\n\r")),
+    alphabet=st.one_of(
+        st.sampled_from([c for c in SPECIAL_CHARS if c not in "\n\x00"]), st.characters(exclude_characters="\n\r/\x00")
+    ),
     min_size=1,
     max_size=8,
-)
+).filter(lambda s: s not in (".", ".."))
 # Floats whose repr is easy to get wrong: signed zero, the smallest subnormal, exponent forms.
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 0.1, 123456789.0, 1.7976931348623157e308]
 

@@ -285,6 +285,16 @@ def test_error_shows_a_non_json_type_as_its_repr(field, value, shown):
     assert f"= {shown}, expected" in str(exc.value)
 
 
+def test_error_shows_a_deeply_nested_value_cut_short():
+    # Past 40 levels the shown text is cut anyway; the message must not recurse into the rest.
+    value = 0.5
+    for _ in range(5000):
+        value = [value]
+    with pytest.raises(SchemaError) as exc:
+        dataclasses.replace(PREDICTION, predicted_arrival=value)
+    assert f"= {'[' * 37}..., expected" in str(exc.value)
+
+
 def test_named_tuple_waypoints_are_stored_as_plain_tuples():
     rows = tuple(EgoWaypoint(*w) for w in PREDICTION.predicted)
     record = dataclasses.replace(PREDICTION, predicted=rows)

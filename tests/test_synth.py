@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navcurate import schema
-from navcurate.errors import InvalidSpec
+from navcurate.errors import ValidationError
 from navcurate.geometry import pitch_many, yaw_many
 from navcurate.io import parse_detections, write_detections
 from navcurate.segmentation import segment
@@ -31,19 +31,19 @@ from oracles import detection_frames, frames_of, pose_at, relative_pose
 
 class TestSpecValidation:
     def test_unknown_kind(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValidationError, match="kind must be one of"):
             SynthSpec("zigzag")
 
     def test_turn_interval_must_fit(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValidationError, match="turn interval must lie inside the duration"):
             SynthSpec("head_turn", duration_s=10.0, turn_start_s=9.0, turn_len_s=3.0)
 
     def test_composite_needs_parts(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValidationError, match="composite needs at least one part"):
             SynthSpec("composite")
 
     def test_composite_rejects_mixed_fps(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValidationError, match="composite parts must share one fps"):
             SynthSpec(
                 "composite",
                 parts=(SynthSpec("straight", fps=30.0), SynthSpec("straight", fps=25.0)),
@@ -239,9 +239,9 @@ class TestBounds:
     def test_box_total_bound(self):
         at_bound = (DetectionSpan(0, 10, MAX_BOXES // 10),)
         assert int(DetectionBlock(spans=at_bound).counts(10).sum()) == MAX_BOXES
-        with pytest.raises(InvalidSpec, match="detections.spans"):
+        with pytest.raises(ValidationError, match="detections.spans"):
             DetectionBlock(spans=at_bound + (DetectionSpan(3, 1, MAX_BOXES // 10 + 1),)).counts(10)
-        with pytest.raises(InvalidSpec, match="detections.schedule"):
+        with pytest.raises(ValidationError, match="detections.schedule"):
             DetectionBlock(schedule=(MAX_BOXES // 2, MAX_BOXES // 2, 1)).counts(3)
 
     def test_only_counts_on_the_stream_count(self):
@@ -250,19 +250,19 @@ class TestBounds:
         spans = (DetectionSpan(0, 5, huge), DetectionSpan(0, 5, 1), DetectionSpan(10, 3, huge), DetectionSpan(2, 0, huge))
         assert DetectionBlock(spans=spans).counts(10).tolist() == [1] * 5 + [0] * 5
         assert DetectionBlock(schedule=(1, 2, huge)).counts(2).tolist() == [1, 2]
-        with pytest.raises(InvalidSpec, match="detections.schedule"):
+        with pytest.raises(ValidationError, match="detections.schedule"):
             DetectionBlock(schedule=(1, 2, huge)).counts(3)
-        with pytest.raises(InvalidSpec, match="detections.spans"):
+        with pytest.raises(ValidationError, match="detections.spans"):
             DetectionBlock(spans=spans[:1]).counts(10)
 
     def test_pose_bound(self):
         assert SynthSpec("straight", duration_s=MAX_POSES / 30.0, fps=30.0).poses == MAX_POSES
         for duration in ((MAX_POSES + 1) / 30.0, 1e308):
-            with pytest.raises(InvalidSpec, match="duration_s"):
+            with pytest.raises(ValidationError, match="duration_s"):
                 SynthSpec("straight", duration_s=duration, fps=30.0)
         half = SynthSpec("straight", duration_s=MAX_POSES / 20.0, fps=10.0)
         assert SynthSpec("composite", parts=(half, half)).poses == MAX_POSES
-        with pytest.raises(InvalidSpec, match="parts"):
+        with pytest.raises(ValidationError, match="parts"):
             SynthSpec("composite", parts=(half, half, SynthSpec("straight", duration_s=0.1, fps=10.0)))
 
 
