@@ -34,28 +34,14 @@ from .sampling import SamplerConfig, build_clip_samples, collect_samples
 from .segmentation import CLIP_MANIFEST_NAME, load_clip, read_manifest, save_clips, segment
 from .synth import SynthFile, generate, generate_detections, generate_landmarks
 
-WORKERS_ENV = "NAVCURATE_WORKERS"
-
-
-def default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV)
-    if value:
-        try:
-            workers = int(value)
-        except ValueError:
-            raise ValidationError(f"{WORKERS_ENV} must be an integer, got {value!r}")
-        if workers < 1:
-            raise ValidationError(f"{WORKERS_ENV} must be at least 1, got {workers}")
-        return workers
-    return os.cpu_count() or 1
-
-
-def _tool_info() -> dict:
-    return {"name": "navcurate", "version": __version__}
-
-
-def _digests(paths: dict) -> dict:
-    return {role: tio.file_digest(path) for role, path in paths.items()}
+def _manifest(stage: str, inputs: dict, **sections) -> dict:
+    """A stage's manifest or report: tool, stage, the sha256 of each input path by role, and the stage's sections."""
+    return {
+        "tool": {"name": "navcurate", "version": __version__},
+        "stage": stage,
+        "inputs": {role: tio.file_digest(path) for role, path in inputs.items()},
+        **sections,
+    }
 
 
 def _flag_values(args, cls) -> dict:
@@ -144,19 +130,13 @@ def _samples_task(clip_dir, config, convention, task):
 def cmd_segment(args) -> int:
     traj = tio.parse_pose_file(args.input, args.fps, traj_id=args.traj_id)
     entries = segment(traj, args.clip_seconds)
-    save_clips(
-        traj,
-        entries,
-        args.out,
-        map_tasks=lambda fn, tasks: _map_tasks(fn, tasks, args.workers),
-        extra={
-            "tool": _tool_info(),
-            "stage": "segment",
-            "config": {"fps": args.fps, "clip_seconds": args.clip_seconds, "traj_id": traj.id},
-            "inputs": _digests({"poses": args.input}),
-            "counts": {"poses_in": len(traj), "clips_out": len(entries)},
-        },
+    manifest = _manifest(
+        "segment",
+        {"poses": args.input},
+        config={"fps": args.fps, "clip_seconds": args.clip_seconds, "traj_id": traj.id},
+        counts={"poses_in": len(traj), "clips_out": len(entries)},
     )
+    save_clips(traj, entries, args.out, manifest, lambda fn, tasks: _map_tasks(fn, tasks, args.workers))
     return 0
 
 
@@ -174,20 +154,20 @@ def cmd_filter(args) -> int:
     for verdict in verdicts:
         for reason in verdict.reasons:
             rejected_by_reason[reason] = rejected_by_reason.get(reason, 0) + 1
-    report = {
-        "tool": _tool_info(),
-        "stage": "filter",
-        "config": {"filter": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
-        "inputs": _digests({"detections": args.detections, "clip_manifest": Path(args.clips) / CLIP_MANIFEST_NAME}),
-        "counts": {
+    report = _manifest(
+        "filter",
+        {"detections": args.detections, "clip_manifest": Path(args.clips) / CLIP_MANIFEST_NAME},
+        config={"filter": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
+        counts={
             "clips_in": len(entries),
             "accepted": len(accepted),
             "rejected": len(entries) - len(accepted),
             "rejected_by_reason": rejected_by_reason,
         },
-        "verdicts": [dataclasses.asdict(v) for v in verdicts],
-    }
-    # The accepted list goes first: a report on disk always names a complete list.
+        verdicts=[dataclasses.asdict(v) for v in verdicts],
+    )
+    # The old report goes before the accepted list, the new one after it: a report on disk names a complete list.
+    tio.remove_output(args.report)
     tio._write_lines(args.accepted or f"{args.report}.accepted", (f"{cid}\n" for cid in accepted))
     tio.write_report(report, args.report)
     return 0
@@ -208,22 +188,22 @@ def cmd_samples(args) -> int:
         accepted_ids,
         lambda pairs: _map_tasks(fn, [(i, entries[i], lms) for i, lms in pairs], args.workers),
     )
+    tio.remove_output(f"{args.out}.manifest.json")
     tio.write_samples(lines, args.out)
-    manifest = {
-        "tool": _tool_info(),
-        "stage": "samples",
-        "config": {"sampler": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
-        "inputs": _digests({"clip_manifest": Path(args.clips) / CLIP_MANIFEST_NAME, "landmarks": args.landmarks,
-                            "accepted": args.accepted}),
-        "outputs": {"samples": Path(args.out).name},
-        "counts": {
+    manifest = _manifest(
+        "samples",
+        {"clip_manifest": Path(args.clips) / CLIP_MANIFEST_NAME, "landmarks": args.landmarks,
+         "accepted": args.accepted},
+        config={"sampler": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
+        outputs={"samples": Path(args.out).name},
+        counts={
             "clips_in": len(entries),
             "clips_used": sum(1 for entry in entries if entry.clip_id in accepted_ids),
             "landmarks_in": len(landmarks),
             "samples": len(lines),
             "skipped_landmark_draws": skipped,
         },
-    }
+    )
     tio.write_report(manifest, f"{args.out}.manifest.json")
     if not lines:
         raise EmptyResult("no samples were emitted")
@@ -233,15 +213,7 @@ def cmd_samples(args) -> int:
 def cmd_eval(args) -> int:
     records = tio.parse_predictions(args.pred)
     report = evaluate(records)
-    tio.write_report(
-        {
-            "tool": _tool_info(),
-            "stage": "eval",
-            "inputs": _digests({"predictions": args.pred}),
-            "metrics": dataclasses.asdict(report),
-        },
-        args.out,
-    )
+    tio.write_report(_manifest("eval", {"predictions": args.pred}, metrics=dataclasses.asdict(report)), args.out)
     return 0
 
 
@@ -257,6 +229,7 @@ def cmd_synth(args) -> int:
             landmarks.extend(generate_landmarks(entry, spec.landmarks.per_clip, spec.landmarks.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    tio.remove_output(out_dir / "manifest.json")
     outputs = {}
     poses_file = f"{traj.id}.txt"
     blocks = functools.partial(_imap, workers=args.workers)
@@ -276,15 +249,7 @@ def cmd_synth(args) -> int:
         counts["landmarks"] = len(landmarks)
 
     tio.write_report(
-        {
-            "tool": _tool_info(),
-            "stage": "synth",
-            "config": doc,
-            "inputs": _digests({"spec": args.spec}),
-            "outputs": outputs,
-            "counts": counts,
-        },
-        out_dir / "manifest.json",
+        _manifest("synth", {"spec": args.spec}, config=doc, outputs=outputs, counts=counts), out_dir / "manifest.json"
     )
     return 0
 
@@ -329,8 +294,8 @@ def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help=f"worker processes (default: ${WORKERS_ENV} or CPU count); never changes output bytes",
+        default=os.cpu_count() or 1,
+        help="worker processes (default: CPU count); never changes output bytes",
     )
 
 
@@ -400,11 +365,8 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "workers"):
-            if args.workers is None:
-                args.workers = default_workers()
-            elif args.workers < 1:
-                raise ValidationError(f"--workers must be at least 1, got {args.workers}")
+        if getattr(args, "workers", 1) < 1:
+            raise ValidationError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except ParseError as exc:
         return _fail("parse", exc, 2)

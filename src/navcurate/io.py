@@ -4,8 +4,10 @@ All files are UTF-8; a byte that is not raises ParseError naming the
 file and the byte's line. Every writer streams its file through
 ``_atomic_file``: the chunks go to a sibling temporary file, which
 replaces the file (``os.replace``) only once all of them are written, so
-a killed or failing stage never leaves a truncated artifact behind. The
-writers format BLOCK_ROWS rows (pose lines, detection frames, record
+a killed or failing stage never leaves a truncated artifact behind. A
+stage removes its old manifest or report with ``remove_output`` before
+its first write, so a killed stage leaves no manifest over newer outputs.
+The writers format BLOCK_ROWS rows (pose lines, detection frames, record
 lines) at a time, so their memory does not grow with the file.
 ``write_pose_file`` and ``write_detections`` take a ``map_tasks`` that
 may format the blocks in a process pool; the blocks are written in order.
@@ -24,25 +26,25 @@ Record files (JSON lines, one compact record per line):
     ``write_records`` (and its aliases ``write_landmarks`` and
     ``write_predictions``) writes the fields back in order. Each
     constructor checks its fields with ``schema.check``, so a record built
-    in code obeys the same exact types as one read from a file. A line of
-    the wrong shape or JSON type raises ParseError with its line number; a
-    well-typed record that breaks an invariant of its dataclass (an empty
-    instruction, bbox corners out of order) raises ValidationError naming
-    ``path:line``. Keys that are not fields are ignored, in a detection's
-    box too. Waypoints are tuples of ``(x, y)`` tuples of finite numbers,
-    which json writes as ``[x, y]``.
+    in code obeys the same exact types as one read from a file. One rule
+    holds for a bad line in every record file, detections included: a
+    line of the wrong shape or JSON type raises ParseError with its line
+    number; a well-typed record that breaks an invariant of its dataclass
+    (an empty instruction, bbox corners out of order) raises
+    ValidationError naming ``path:line``. Keys that are not fields are
+    ignored, in a detection's box too. Waypoints are tuples of ``(x, y)``
+    tuples of finite numbers, which json writes as ``[x, y]``.
 
 Detections and predictions, the files read at scale, are parsed into
 columns instead, and no object is built per record. One streaming pass
 tests each value's exact JSON type and range; the first line that fails
 is decoded through ``schema.decoder``, which names its fault from the
 object as parsed. So the parsers fail on the same line, with the same
-message, as decoding every line would, from a file or a pipe alike.
-:func:`parse_detections` gives a :class:`DetectionTable` (frames sorted,
-boxes as arrays) and reports an invalid line as ParseError;
-:func:`parse_predictions` gives a :class:`PredictionTable` (waypoints in
-flat arrays, arrival values with null masks) and raises the decoder's
-error class. :class:`Detection`, :class:`DetectionFrame` and
+error class and message, as decoding every line would, from a file or a
+pipe alike. :func:`parse_detections` gives a :class:`DetectionTable`
+(frames sorted, boxes as arrays); :func:`parse_predictions` gives a
+:class:`PredictionTable` (waypoints in flat arrays, arrival values with
+null masks). :class:`Detection`, :class:`DetectionFrame` and
 :class:`PredictionRecord` stay the schema: the scalar records the tests
 compare the tables with, and the constructors whose messages name a
 fault that the parsers (or :func:`write_detections`) find. Detection
@@ -636,8 +638,8 @@ def parse_detections(path) -> DetectionTable:
 
     Duplicate frames merge by concatenation in file order. One streaming
     pass tests each value's exact JSON type and range; the first line that
-    fails is decoded through ``schema.decoder(DetectionFrame)`` and raises
-    ParseError with its message, which names the value as written.
+    fails is decoded through ``schema.decoder(DetectionFrame)``, so it
+    fails as every record file does (see :func:`_parse_records`).
     """
     frames, ends = array("q"), array("q")
     labels, scores, bboxes = array("q"), array("d"), array("d")
@@ -671,10 +673,7 @@ def parse_detections(path) -> DetectionTable:
                 bboxes.extend(bbox)
             frames.append(frame)
         except (KeyError, TypeError, ValueError, OverflowError):
-            try:  # the schema and the scalar constructors name the fault
-                schema.decoder(DetectionFrame)(_loads(text, path, lineno, _as_written))
-            except ValidationError as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno) from None
+            _decode(schema.decoder(DetectionFrame), obj, text, path, lineno)  # the schema names the fault
             raise ParseError("invalid detection record", path=str(path), line=lineno) from None
         ends.append(len(scores))
     n, m = len(ends), len(scores)
@@ -872,6 +871,18 @@ def parse_samples(path) -> list[TrainingSample]:
 BLOCK_ROWS = 4096
 
 
+def _in_place(path: Path) -> bool:
+    """Whether _atomic_file writes path in place: it exists and is not a regular file (a pipe, a device)."""
+    return path.exists() and not path.is_file()
+
+
+def remove_output(path) -> None:
+    """Remove what _atomic_file would replace at path, so a stage killed before it writes path leaves no stale copy."""
+    path = Path(path)
+    if not _in_place(path):
+        path.unlink(missing_ok=True)
+
+
 @contextmanager
 def _atomic_file(path):
     """A binary file to write path's new content to, chunk by chunk.
@@ -883,7 +894,7 @@ def _atomic_file(path):
     of scope). A pipe or other file that is not regular is written in place.
     """
     path = Path(path)
-    if path.exists() and not path.is_file():
+    if _in_place(path):
         with open(path, "wb") as out:
             yield out
         return

@@ -23,7 +23,8 @@ import numpy as np
 from . import schema
 from .errors import EmptyResult, ValidationError
 from .geometry import quat_conjugate, quat_multiply, quat_rotate
-from .io import _FRAME_LIMIT, RawTrajectory, _check_name, load_json, parse_pose_file, write_pose_file, write_report
+from .io import (_FRAME_LIMIT, RawTrajectory, _check_name, load_json, parse_pose_file, remove_output, write_pose_file,
+                 write_report)
 
 __all__ = ["ClipEntry", "segment", "cut_clip", "save_clips", "read_manifest", "load_clip"]
 
@@ -109,16 +110,18 @@ def save_clips(traj: RawTrajectory, entries, out_dir, extra: dict | None = None,
     Returns the manifest path. The manifest lists the entries sorted by
     clip id; ``extra`` entries (tool info, config snapshot, digests) are
     merged in. ``map_tasks(fn, tasks)`` runs the per-clip cuts and writes
-    (the CLI passes its process pool), one entry per task; the manifest is
-    written after every pose file.
+    (the CLI passes its process pool), one entry per task. An old manifest
+    is removed before the first pose file, and the new one is written after
+    the last.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / CLIP_MANIFEST_NAME
+    remove_output(manifest_path)
     entries = sorted(entries, key=lambda entry: entry.clip_id)
     list(map_tasks(functools.partial(_write_clip, traj, out_dir), entries))
     manifest = dict(extra or {})
     manifest["clips"] = [dataclasses.asdict(entry) for entry in entries]
-    manifest_path = out_dir / CLIP_MANIFEST_NAME
     write_report(manifest, manifest_path)
     return manifest_path
 
@@ -128,7 +131,7 @@ def _write_clip(traj: RawTrajectory, out_dir: Path, entry: ClipEntry) -> None:
 
 
 def read_manifest(clip_dir) -> list[ClipEntry]:
-    """The entries of a clip directory's manifest, in manifest order; no two may share a clip id."""
+    """The entries of a clip directory's manifest, in manifest order; no two may share a clip id or a pose file."""
     manifest_path = Path(clip_dir) / CLIP_MANIFEST_NAME
 
     def decode(manifest):
@@ -136,10 +139,12 @@ def read_manifest(clip_dir) -> list[ClipEntry]:
         if type(entries) is not list:
             raise ValidationError(f"{manifest_path}: 'clips' must be a list of clip entries")
         entries = [schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw) for i, raw in enumerate(entries)]
-        first: dict[str, int] = {}
+        first: dict[tuple[str, str], int] = {}
         for i, entry in enumerate(entries):
-            if (j := first.setdefault(entry.clip_id, i)) != i:
-                raise ValidationError(f"{manifest_path}: clip entries {j} and {i} share the clip_id {entry.clip_id!r}")
+            for field in ("clip_id", "file"):
+                value = getattr(entry, field)
+                if (j := first.setdefault((field, value), i)) != i:
+                    raise ValidationError(f"{manifest_path}: clip entries {j} and {i} share the {field} {value!r}")
         return entries
 
     return load_json(manifest_path, decode)[1]

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import navcurate
-from navcurate import cli
-from navcurate.cli import default_workers, main
+from navcurate import cli, segmentation
+from navcurate.cli import main
 from navcurate.io import (
     BLOCK_ROWS,
     DetectionTable,
@@ -123,6 +123,34 @@ class TestSegmentCommand:
         detail = f"trajectory id must be one file name, without '/' or NUL and not '.' or '..', got {traj_id!r}"
         assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
         assert list(tmp_path.rglob("*")) == [pose_file]
+
+    def test_killed_rerun_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
+        # A re-run that fails after its first pose file must not leave the old manifest over the new files.
+        pose_file = tmp_path / "walk.txt"
+        write_traj(pose_file, SynthSpec("straight", duration_s=240.0, fps=10.0, traj_id="walk"))
+        out = tmp_path / "clips"
+        argv = ["segment", "--input", str(pose_file), "--fps", "10", "--clip-seconds", "60", "--out", str(out),
+                "--workers", "1"]
+        assert main(argv) == 0
+        calls = []
+        write_clip = segmentation._write_clip
+
+        def failing_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_clip(*args)
+
+        monkeypatch.setattr(segmentation, "_write_clip", failing_second)
+        assert main(argv) == 4
+        assert len(calls) == 2
+        assert not (out / "manifest.json").exists()
+        (tmp_path / "d.jsonl").write_text("")
+        capsys.readouterr()
+        assert main(["filter", "--clips", str(out), "--detections", str(tmp_path / "d.jsonl"),
+                     "--report", str(tmp_path / "r.json"), "--workers", "1"]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert not (tmp_path / "r.json").exists()
 
     def test_tasks_carry_no_poses(self, tmp_path, monkeypatch):
         # A task is one ClipEntry; each worker cuts its clip from the stream bound into the task function.
@@ -318,16 +346,24 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+def _chain_argv(root: Path) -> dict:
+    """argv of synth, segment, filter and samples by stage, each path named from root."""
+    return {
+        "synth": ["synth", "--spec", str(root / "spec.json"), "--out", str(root / "synth")],
+        "segment": ["segment", "--input", str(root / "synth" / "walk.txt"), "--fps", "10", "--clip-seconds", "60",
+                    "--out", str(root / "clips"), "--workers", "1"],
+        "filter": ["filter", "--clips", str(root / "clips"), "--detections", str(root / "synth" / "detections.jsonl"),
+                   "--report", str(root / "report.json"), "--world-up=-y", "--workers", "1"],
+        "samples": ["samples", "--clips", str(root / "clips"), "--landmarks", str(root / "synth" / "landmarks.jsonl"),
+                    "--accepted", str(root / "report.json.accepted"), "--out", str(root / "samples.jsonl"),
+                    "--world-up=-y", "--workers", "1"],
+    }
+
+
 def _run_chain(root: Path) -> None:
     """synth -> segment -> filter -> samples, then eval, each path named from root."""
-    assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "synth")]) == 0
-    assert main(["segment", "--input", str(root / "synth" / "walk.txt"), "--fps", "10", "--clip-seconds", "60",
-                 "--out", str(root / "clips"), "--workers", "1"]) == 0
-    assert main(["filter", "--clips", str(root / "clips"), "--detections", str(root / "synth" / "detections.jsonl"),
-                 "--report", str(root / "report.json"), "--world-up=-y", "--workers", "1"]) == 0
-    assert main(["samples", "--clips", str(root / "clips"), "--landmarks", str(root / "synth" / "landmarks.jsonl"),
-                 "--accepted", str(root / "report.json.accepted"), "--out", str(root / "samples.jsonl"),
-                 "--world-up=-y", "--workers", "1"]) == 0
+    for argv in _chain_argv(root).values():
+        assert main(argv) == 0, argv[0]
     write_predictions([PredictionRecord("s0", ((1.0, 0.0),), ((1.0, 0.5),))], root / "pred.jsonl")
     assert main(["eval", "--pred", str(root / "pred.jsonl"), "--out", str(root / "metrics.json")]) == 0
 
@@ -352,6 +388,31 @@ def test_manifests_name_inputs_by_role(tmp_path, monkeypatch):
         assert manifest == (tmp_path / "abs" / name).read_bytes(), name
         assert list(json.loads(manifest)["inputs"]) == keys, name
     assert json.loads((tmp_path / "samples.jsonl.manifest.json").read_text())["outputs"] == {"samples": "samples.jsonl"}
+
+
+@pytest.mark.parametrize(
+    "stage, writer, manifest",
+    [
+        ("synth", "write_pose_file", "synth/manifest.json"),
+        ("filter", "_write_lines", "report.json"),
+        ("samples", "write_samples", "samples.jsonl.manifest.json"),
+    ],
+)
+def test_rerun_failing_at_its_first_write_leaves_no_old_manifest(tmp_path, capsys, monkeypatch, stage, writer,
+                                                                  manifest):
+    # The old manifest would describe outputs that the failed re-run may have replaced in part.
+    synth_spec_doc(tmp_path)
+    _run_chain(tmp_path)
+    assert (tmp_path / manifest).exists()
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(f"navcurate.io.{writer}", fail)
+    capsys.readouterr()
+    assert main(_chain_argv(tmp_path)[stage]) == 4
+    assert json.loads(capsys.readouterr().err) == {"error": "io", "detail": "disk full"}
+    assert not (tmp_path / manifest).exists()
 
 
 def _manifest_reader_argv(root, command: str, workers: str) -> list:
@@ -413,6 +474,19 @@ class TestFilterCommand:
         (pipeline_dir / "ok.accepted").write_text("walk_0001\n")
         assert main(_manifest_reader_argv(pipeline_dir, command, "1")) == 2
         detail = f"{manifest_path}: clip entries 1 and 3 share the clip_id 'walk_0001'"
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+        assert not (pipeline_dir / "r.json").exists() and not (pipeline_dir / "s.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["filter", "samples"])
+    def test_repeated_file_names_both_entries(self, pipeline_dir, capsys, command):
+        # Two entries of one pose file would score one clip's poses under two ids.
+        manifest_path = pipeline_dir / "clips" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["clips"][1]["file"] = manifest["clips"][0]["file"]
+        manifest_path.write_text(json.dumps(manifest))
+        (pipeline_dir / "ok.accepted").write_text("walk_0000\nwalk_0001\n")
+        assert main(_manifest_reader_argv(pipeline_dir, command, "1")) == 2
+        detail = f"{manifest_path}: clip entries 0 and 1 share the file 'walk_0000.txt'"
         assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
         assert not (pipeline_dir / "r.json").exists() and not (pipeline_dir / "s.jsonl").exists()
 
@@ -518,6 +592,7 @@ class TestFilterCommand:
             ("source_id", ""),
             ("file", ""),
             ("file", "../walk_0000.txt"),
+            ("file", "walk_0000.txt"),
             ("fps", 0),
             ("fps", -10.0),
             ("n_frames", 0),
@@ -1339,28 +1414,13 @@ class TestLiteralInConfigError:
 
 
 class TestWorkersEnv:
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("NAVCURATE_WORKERS", "5")
-        assert default_workers() == 5
-
-    def test_env_var_invalid(self, monkeypatch):
-        monkeypatch.setenv("NAVCURATE_WORKERS", "lots")
-        from navcurate.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            default_workers()
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_below_one_exits_2(self, tmp_path, capsys, monkeypatch, source, value):
+    @pytest.mark.parametrize("value", ["0", "-3"], ids=["flag-0", "flag--3"])
+    def test_below_one_exits_2(self, tmp_path, capsys, value):
         pose_file = tmp_path / "walk.txt"
         write_traj(pose_file, SynthSpec("straight", duration_s=60.0, fps=10.0, traj_id="walk"))
         out = tmp_path / "clips"
-        argv = ["segment", "--input", str(pose_file), "--fps", "10", "--clip-seconds", "30", "--out", str(out)]
-        if source == "flag":
-            argv += ["--workers", value]
-        else:
-            monkeypatch.setenv("NAVCURATE_WORKERS", value)
+        argv = ["segment", "--input", str(pose_file), "--fps", "10", "--clip-seconds", "30", "--out", str(out),
+                "--workers", value]
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1

@@ -338,9 +338,9 @@ def test_parser_and_constructors_agree(tmp_path_factory, target, value, position
     try:
         parse_detections(path)
         parsed = True
-    except ParseError as exc:
+    except (ParseError, ValidationError) as exc:
         parsed = False
-        assert exc.line == position + 1
+        assert str(exc).startswith(f"{path}:{position + 1}: ")
     assert parsed == scalar_accepts(obj)
 
 

@@ -1,12 +1,15 @@
-"""Golden bytes: synth -> segment -> filter -> samples on a small composite stream.
+"""Golden bytes: synth -> segment -> filter -> samples -> eval on a small composite stream.
 
 Every output file's sha256 must equal the constant below, so a change to
 the byte contract fails tier-1 and not only the benchmark's digest check.
 The stream chains an arc, a pitch sinusoid and a head turn (60 s at
 10 fps, three 20 s clips): the composite's yaw offsets, the clip
 re-anchoring, the pitch and yaw filters and the ego projection all run.
-A change that moves these bytes on purpose updates the constants and says
-why.
+eval scores predictions derived from samples.jsonl: each sample's
+waypoints are the ground truth, the prediction is each waypoint scaled by
+0.9, and the arrival label and prediction come from the sample's arrival
+flag. A change that moves these bytes on purpose updates the constants and
+says why.
 """
 
 import hashlib
@@ -31,12 +34,14 @@ SPEC = {
 }
 
 # Captured at the commit before the broadcast quaternion kernels; the four manifests (clips/manifest.json,
-# report.json, samples.jsonl.manifest.json, synth/manifest.json) since their inputs are keyed by role.
+# report.json, samples.jsonl.manifest.json, synth/manifest.json) since their inputs are keyed by role;
+# metrics.json at the commit before the stages built their manifests through one helper.
 GOLDEN = {
     "clips/gold_0000.txt": "0171dea39ad2cf7afda3995b80e4a412a5426025f800d07157f51c8cafea22b7",
     "clips/gold_0001.txt": "fee2a470c51acfa6d2e89428f0935daa4ba836f783db1196bf6fe911804c5f55",
     "clips/gold_0002.txt": "e5afc41a292b8e0565bc11f1f3406b9b5aa0f8783bacc3356d982deec8a5c576",
     "clips/manifest.json": "94e647a8f079440c8a38b58b351c6c3d9068597a8cde1e0347c040cdae04b896",
+    "metrics.json": "a15e3173a32a8c0d1d8c550ba1db66584f94a88f15e09a30bd4635eed2e15433",
     "report.json": "fe6ffbcaf5a03dc666fb549e6ea133696e0e3496a18d909ec91486c43017b50a",
     "report.json.accepted": "6f8a3bfa39465ababfc0e17c03c2e1be6af158d8137d49b1ae7328d752733d36",
     "samples.jsonl": "93ab01899f7671adcd901bec7dbcd4c99f5ff71f23c8f9a83cee55c0aea3316f",
@@ -58,6 +63,18 @@ def _run_pipeline() -> None:
     assert main(["samples", "--clips", "clips", "--landmarks", "synth/landmarks.jsonl",
                  "--accepted", "report.json.accepted", "--out", "samples.jsonl", "--seed", "5",
                  "--draws-per-landmark", "3", "--world-up=-y", "--workers", "1"]) == 0
+    with open("predictions.jsonl", "w") as out:
+        for line in Path("samples.jsonl").read_text().splitlines():
+            sample = json.loads(line)
+            record = {
+                "sample_id": sample["sample_id"],
+                "predicted": [[0.9 * x, 0.9 * y] for x, y in sample["waypoints"]],
+                "ground_truth": sample["waypoints"],
+                "predicted_arrival": 1.0 if sample["arrival"] else 0.0,
+                "arrival_label": sample["arrival"],
+            }
+            out.write(json.dumps(record) + "\n")
+    assert main(["eval", "--pred", "predictions.jsonl", "--out", "metrics.json"]) == 0
 
 
 def test_stage_outputs_keep_their_bytes(tmp_path, monkeypatch):
@@ -67,7 +84,7 @@ def test_stage_outputs_keep_their_bytes(tmp_path, monkeypatch):
     digests = {
         path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(Path(".").rglob("*"))
-        if path.is_file() and path.name != "spec.json"
+        if path.is_file() and path.name not in ("spec.json", "predictions.jsonl")
     }
     assert json.loads(Path("report.json").read_text())["counts"]["rejected_by_reason"] == {"view_divergence": 1}
     assert digests == GOLDEN

@@ -27,6 +27,7 @@ from navcurate.io import (
     parse_pose_file,
     parse_predictions,
     parse_samples,
+    remove_output,
     write_detections,
     write_landmarks,
     write_pose_file,
@@ -209,9 +210,9 @@ class TestDetections:
     def test_out_of_range_score(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"frame": 0, "detections": [{"label": "person", "bbox": [0, 0, 1, 1], "score": 1.2}]}) + "\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_detections(path)
-        assert exc.value.line == 1
+        assert str(exc.value) == f"{path}:1: score must be in [0, 1], got 1.2"
 
     def test_sorted_by_frame(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -260,24 +261,25 @@ class TestDetections:
         path = tmp_path / "d.jsonl"
         box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 0.5}
         path.write_text(json.dumps({"frame": -1, "detections": [box, dict(box, score=1.5), dict(box, score=2)]}) + "\n")
-        with pytest.raises(ParseError, match=r"score must be in \[0, 1\], got 1.5$") as exc:
+        with pytest.raises(ValidationError, match=r"score must be in \[0, 1\], got 1.5$") as exc:
             parse_detections(path)
-        assert exc.value.line == 1
+        assert str(exc.value).startswith(f"{path}:1: ")
 
     @pytest.mark.parametrize(
-        "early, message",
+        "early, kind, message",
         [
-            ({"frame": -1}, "frame must be a non-negative int64 frame index, got -1"),
-            ({"frame": 2**63}, "frame must be a non-negative int64 frame index, got 9223372036854775808"),
-            ({"score": 2}, "score must be in [0, 1], got 2"),
-            ({"bbox": [0, 5, 1, 1]}, "bbox corners out of order: (0, 5, 1, 1)"),
-            ({"bbox": [0, 0, math.inf, 1]},
+            ({"frame": -1}, ValidationError, "frame must be a non-negative int64 frame index, got -1"),
+            ({"frame": 2**63}, ValidationError,
+             "frame must be a non-negative int64 frame index, got 9223372036854775808"),
+            ({"score": 2}, ValidationError, "score must be in [0, 1], got 2"),
+            ({"bbox": [0, 5, 1, 1]}, ValidationError, "bbox corners out of order: (0, 5, 1, 1)"),
+            ({"bbox": [0, 0, math.inf, 1]}, ParseError,
              "DetectionFrame has 'detections[1].bbox' = [0, 0, Infinity, 1], expected [number, number, number, number]"),
         ],
         ids=["negative-frame", "frame-past-int64", "int-score-out-of-range", "corners-out-of-order", "infinite-corner"],
     )
     @pytest.mark.parametrize("late", ['{"frame": true, "detections": []}', "{not json"], ids=["type-fault", "invalid-json"])
-    def test_range_fault_before_a_later_fault_is_reported_first(self, tmp_path, early, message, late):
+    def test_range_fault_before_a_later_fault_is_reported_first(self, tmp_path, early, kind, message, late):
         # The message names each value as written: an int score of 2 is "got 2", not "got 2.0".
         box = {"label": "person", "bbox": [0, 0, 10, 10], "score": 0.5}
         record = {"frame": 2, "detections": [box, box]}
@@ -287,12 +289,12 @@ class TestDetections:
             record["detections"] = [box, {**box, **early}]
         path = tmp_path / "d.jsonl"
         path.write_text("".join(json.dumps(obj) + "\n" for obj in [{"frame": 9, "detections": [box]}, record]) + late + "\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(kind) as exc:
             parse_detections(path)
         assert str(exc.value) == f"{path}:2: {message}"
 
     def test_every_mutation_matches_the_decoder(self, tmp_path):
-        # The parser accepts a line exactly when schema.decoder(DetectionFrame) does, else fails with its message.
+        # The parser accepts a line exactly when schema.decoder(DetectionFrame) does, else fails with its error.
         box = {"label": "a", "bbox": [0, 0.5, 1, 2], "score": 1}
         valid = {"frame": 3, "detections": [box, {"label": "b", "bbox": [1.5, 0, 1.5, 0], "score": 0.0}]}
         path = tmp_path / "d.jsonl"
@@ -300,14 +302,12 @@ class TestDetections:
             for value in PARITY_POOL + [-1, 2**63, 2, math.inf]:
                 mutated = _replaced(valid, site, value)
                 path.write_text(json.dumps(mutated) + "\n")
-                try:
-                    want = [schema.decoder(DetectionFrame)(json.loads(json.dumps(mutated)))]
-                except ValidationError as exc:
-                    want = f"{path}:1: {exc}"
+                obj = json.loads(json.dumps(mutated))
+                want = _decoder_outcome(DetectionFrame, obj, path, 1) or [schema.decoder(DetectionFrame)(obj)]
                 try:
                     got = frames_of(parse_detections(path))
-                except ParseError as exc:
-                    got = str(exc)
+                except (ParseError, ValidationError) as exc:
+                    got = type(exc), str(exc)
                 assert got == want, (site, value)
 
     def test_first_offending_line_reported(self, tmp_path):
@@ -322,10 +322,9 @@ class TestDetections:
             + json.dumps({"frame": 1, "detections": [dict(box, score=True)]})
             + "\n"
         )
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_detections(path)
-        assert exc.value.line == 2
-        assert "corners out of order" in str(exc.value)
+        assert str(exc.value) == f"{path}:2: bbox corners out of order: (5, 0, 1, 1)"
 
 
 class TestLandmarks:
@@ -486,10 +485,10 @@ VALID_PREDICTIONS = [
 PARITY_POOL = POOL + [1.5, -0.25, "", []]
 
 
-def _decoder_outcome(obj, path, lineno):
-    """(error class, message) that schema.decoder(PredictionRecord) gives for the record on line lineno, or None."""
+def _decoder_outcome(cls, obj, path, lineno):
+    """(error class, message) that schema.decoder(cls) gives for the record on line lineno, or None."""
     try:
-        schema.decoder(PredictionRecord)(obj)
+        schema.decoder(cls)(obj)
     except SchemaError as exc:
         return ParseError, f"{path}:{lineno}: {exc}"
     except ValidationError as exc:
@@ -517,7 +516,7 @@ class TestPredictionParity:
                 mutated = _replaced(valid, site, value)
                 lines = [VALID_PREDICTIONS[(index + 1) % 3], mutated, VALID_PREDICTIONS[(index + 2) % 3]]
                 path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
-                want = _decoder_outcome(json.loads(json.dumps(mutated)), path, 2)
+                want = _decoder_outcome(PredictionRecord, json.loads(json.dumps(mutated)), path, 2)
                 if want is None:
                     decode = schema.decoder(PredictionRecord)
                     want = [decode(json.loads(json.dumps(obj))) for obj in lines]
@@ -732,6 +731,18 @@ class TestCrashSafeWrites:
         reader.join(timeout=10)
         assert received == [b'{\n  "a": 1\n}\n']
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.fifo"]
+
+    def test_remove_output_removes_only_what_a_write_replaces(self, tmp_path):
+        # A regular file and a dangling link go, as a write would replace them; a pipe, or a link to one
+        # (as /dev/stdout is to a terminal's pipe), stays, as a write goes into it.
+        regular, fifo = tmp_path / "r.json", tmp_path / "report.fifo"
+        regular.write_text("{}")
+        os.mkfifo(fifo)
+        (tmp_path / "stdout").symlink_to(fifo)
+        (tmp_path / "gone.json").symlink_to(tmp_path / "nowhere")
+        for name in ("r.json", "report.fifo", "stdout", "gone.json", "missing.json"):
+            remove_output(tmp_path / name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.fifo", "stdout"]
 
     def test_pose_blocks_stream_into_a_fifo(self, tmp_path):
         path = tmp_path / "walk.fifo"
