@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, schema
 from . import io as tio
-from .errors import EmptyResult, ParseError, ValidationError
+from .errors import EmptyResult, ParseError, SchemaError, ValidationError
 from .filters import FilterConfig, run_filters, slice_detections
 from .geometry import AxisConvention
 from .losses import LossInput, loss_arr, loss_hall, loss_ori, loss_reg, loss_total
@@ -50,13 +50,25 @@ def _flag_values(args, cls) -> dict:
 
 
 def _merged_config(cls, args):
-    """cls from the --config file, if any, with the given flags overriding its keys."""
+    """cls from the --config file, if any, with the given flags overriding its keys.
+
+    A flag value of the wrong type fails before the file is read, so only
+    a value from the file is named with the file (see io.load_json).
+    """
     flags = _flag_values(args, cls)
 
     def decode(data):
         return schema.load(cls, {**data, **flags} if type(data) is dict else data)
 
-    return tio.load_json(args.config, decode)[1] if args.config else decode({})
+    if not args.config:
+        return decode({})
+    try:
+        decode({})  # the flags alone, on the defaults
+    except SchemaError:
+        raise
+    except ValidationError:
+        pass  # a range rule, which the file's values may satisfy
+    return tio.load_json(args.config, decode)[1]
 
 
 def _convention(args) -> AxisConvention:

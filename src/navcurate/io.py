@@ -1,10 +1,13 @@
 """On-disk artifact formats: parsers and writers.
 
 All files are UTF-8; a byte that is not raises ParseError naming the
-file and the byte's line. Every writer streams its file through
+file and the byte's line. An input that is not a regular file (a pipe,
+``/dev/stdin``) is read once, and ``file_digest`` gives the sha256 of the
+bytes read. Every writer streams its file through
 ``_atomic_file``: the chunks go to a sibling temporary file, which
 replaces the file (``os.replace``) only once all of them are written, so
 a killed or failing stage never leaves a truncated artifact behind. A
+symlink to a regular file keeps its place, and its target is replaced. A
 stage removes its old manifest or report with ``remove_output`` before
 its first write, so a killed stage leaves no manifest over newer outputs.
 The writers format BLOCK_ROWS rows (pose lines, detection frames, record
@@ -22,27 +25,31 @@ Record files (JSON lines, one compact record per line):
     Each record type is a frozen dataclass, and its fields are the
     record's schema: field names are the keys in order, annotations the
     exact JSON types (see :mod:`navcurate.schema`). ``parse_landmarks``
-    and ``parse_samples`` read every line through ``schema.decoder``;
-    ``write_records`` (and its aliases ``write_landmarks`` and
-    ``write_predictions``) writes the fields back in order. Each
+    and ``parse_samples`` build each line's record through
+    ``schema.decoder``; ``write_records`` (and its aliases
+    ``write_landmarks`` and ``write_predictions``) writes the fields back
+    in order. Each
     constructor checks its fields with ``schema.check``, so a record built
-    in code obeys the same exact types as one read from a file. One rule
-    holds for a bad line in every record file, detections included: a
-    line of the wrong shape or JSON type raises ParseError with its line
-    number; a well-typed record that breaks an invariant of its dataclass
-    (an empty instruction, bbox corners out of order) raises
-    ValidationError naming ``path:line``. Keys that are not fields are
-    ignored, in a detection's box too. Waypoints are tuples of ``(x, y)``
-    tuples of finite numbers, which json writes as ``[x, y]``.
+    in code obeys the same exact types as one read from a file.
+
+    One rule holds for a rejected line in every record file, and
+    :func:`_records`, the one pass over a record file's lines, is its only
+    owner: the line is decoded through ``schema.decoder`` of its record
+    class, with each number past the float range kept as written, and fails
+    with the schema's error. A line of the wrong shape or JSON type raises
+    ParseError with its line number; a well-typed record that breaks an
+    invariant of its dataclass (an empty instruction, bbox corners out of
+    order) raises ValidationError naming ``path:line``. Keys that are not
+    fields are ignored, in a detection's box too. Waypoints are tuples of
+    ``(x, y)`` tuples of finite numbers, which json writes as ``[x, y]``.
 
 Detections and predictions, the files read at scale, are parsed into
-columns instead, and no object is built per record. One streaming pass
-tests each value's exact JSON type and range; the first line that fails
-is decoded through ``schema.decoder``, which names its fault from the
-object as parsed. So the parsers fail on the same line, with the same
-error class and message, as decoding every line would, from a file or a
-pipe alike. :func:`parse_detections` gives a :class:`DetectionTable`
-(frames sorted, boxes as arrays); :func:`parse_predictions` gives a
+columns instead, and no object is built per record. Their pass through
+:func:`_records` tests each value's exact JSON type and range, and the
+first line it rejects fails by the one rule. So the parsers fail on the
+same line, with the same error class and message, as decoding every line
+would, from a file or a pipe alike. :func:`parse_detections` gives a
+:class:`DetectionTable` (frames sorted, boxes as arrays); :func:`parse_predictions` gives a
 :class:`PredictionTable` (waypoints in flat arrays, arrival values with
 null masks). :class:`Detection`, :class:`DetectionFrame` and
 :class:`PredictionRecord` stay the schema: the scalar records the tests
@@ -69,11 +76,13 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from array import array
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
+from io import BytesIO, TextIOWrapper
 from itertools import islice
 from pathlib import Path
 
@@ -124,6 +133,15 @@ def _check_name(name: str, value: str) -> None:
         raise ValidationError(f"{name} must be one file name, without '/' or NUL and not '.' or '..', got {value!r}")
 
 
+def _check_id_and_fps(traj_id: str, fps: float) -> None:
+    if not traj_id:
+        raise ValidationError("trajectory id must be non-empty")
+    _check_name("trajectory id", traj_id)
+    # An int fps is stored as a float (pose-file headers print fps=30.0); nothing else converts.
+    if type(fps) not in (int, float) or not 0.0 < fps <= sys.float_info.max:
+        raise ValidationError(f"fps must be a positive finite int or float, got {fps!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class RawTrajectory:
     """An ordered pose stream with identity and frame-rate metadata.
@@ -139,12 +157,7 @@ class RawTrajectory:
     quaternions: np.ndarray
 
     def __post_init__(self):
-        if not self.id:
-            raise ValidationError("trajectory id must be non-empty")
-        _check_name("trajectory id", self.id)
-        # An int fps is stored as a float (pose-file headers print fps=30.0); nothing else converts.
-        if type(self.fps) not in (int, float) or not 0.0 < self.fps <= sys.float_info.max:
-            raise ValidationError(f"fps must be a positive finite int or float, got {self.fps!r}")
+        _check_id_and_fps(self.id, self.fps)
         ts = np.ascontiguousarray(self.timestamps, dtype=float)
         pos = np.ascontiguousarray(self.positions, dtype=float)
         quat = np.ascontiguousarray(self.quaternions, dtype=float)
@@ -470,9 +483,40 @@ def _check_utf8(text: str, path, first_line: int = 1) -> str:
     return text
 
 
+# The sha256 of the bytes read from each input that is not a regular file, by
+# (device, inode): a pipe cannot be read a second time for file_digest.
+_read_digests: dict[tuple[int, int], str] = {}
+
+
+def _read_once(path) -> bytes | None:
+    """None if path is a regular file; else all the bytes of path (a pipe, ``/dev/stdin``), read once.
+
+    file_digest(path) then gives the sha256 of these bytes. A path that
+    cannot be looked up gives None too, so the reader's own open fails as
+    it does for a missing file.
+    """
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if stat.S_ISREG(st.st_mode):
+        return None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _read_digests[st.st_dev, st.st_ino] = hashlib.sha256(data).hexdigest()
+    return data
+
+
+def _open_text(path, data: bytes | None):
+    """The text of data if given, else of path's file, each byte that is not UTF-8 kept as a surrogate (see _check_utf8)."""
+    if data is None:
+        return open(path, encoding="utf-8", errors="surrogateescape")
+    return TextIOWrapper(BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def read_text(path) -> str:
     """The text of a UTF-8 file; a byte that is not UTF-8 raises ParseError naming its line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with _open_text(path, _read_once(path)) as fh:
         return _check_utf8(fh.read(), path)
 
 
@@ -485,13 +529,17 @@ def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajecto
 
     The trajectory id defaults to the filename stem. Raises ParseError
     with the offending line number for malformed lines, ValidationError
-    for non-monotonic timestamps or near-zero quaternions.
+    naming the file for negative or non-monotonic timestamps or near-zero
+    quaternions. A pipe is read once, and both passes parse those bytes.
     """
     path = Path(path)
+    held = _read_once(path)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on empty input
-            data = np.loadtxt(path, comments="#", dtype=float, ndmin=2)
+            # Strict, as loadtxt reads a path: a byte that is not UTF-8 fails here, and the fallback names it.
+            source = path if held is None else TextIOWrapper(BytesIO(held), encoding="utf-8")
+            data = np.loadtxt(source, comments="#", dtype=float, ndmin=2)
         if data.size and data.shape[1] != 8:
             raise ValueError(f"expected 8 columns, found {data.shape[1]}")
         if data.size and not np.all(np.isfinite(data)):
@@ -499,19 +547,18 @@ def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajecto
     except OSError:
         raise
     except ValueError:
-        data = _parse_pose_lines(path)
+        data = _parse_pose_lines(path, held)
     if data.size == 0:
         raise ValidationError(f"{path}: pose file contains no poses")
-    return RawTrajectory(
-        traj_id or path.stem,
-        fps,
-        data[:, 0],
-        data[:, 1:4],
-        data[:, 4:8],
-    )
+    traj_id = traj_id or path.stem
+    _check_id_and_fps(traj_id, fps)  # faults of the arguments, not of the file
+    try:
+        return RawTrajectory(traj_id, fps, data[:, 0], data[:, 1:4], data[:, 4:8])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
-def _parse_pose_lines(path: Path) -> np.ndarray:
+def _parse_pose_lines(path: Path, held: bytes | None) -> np.ndarray:
     """Line-by-line fallback that pinpoints the first malformed line.
 
     It accepts what np.loadtxt(comments="#") accepts: a ``#`` starts a
@@ -520,7 +567,7 @@ def _parse_pose_lines(path: Path) -> np.ndarray:
     alone also reads ``1_000`` and non-ASCII digits).
     """
     rows = []
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with _open_text(path, held) as fh:
         for lineno, line in enumerate(fh, 1):
             text = _check_utf8(line, path, lineno).partition("#")[0].strip()
             if not text:
@@ -568,7 +615,7 @@ _scan_once = json.JSONDecoder().scan_once
 
 
 def _iter_json_lines(path):
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with _open_text(path, _read_once(path)) as fh:
         for lineno, line in enumerate(fh, 1):
             text = _check_utf8(line, path, lineno).strip()
             if not text:
@@ -590,7 +637,7 @@ class _Literal(str):
     __repr__ = str.__str__
 
 
-_as_written = json.JSONDecoder(parse_float=lambda s: float(s) if math.isfinite(float(s)) else _Literal(s)).decode
+_as_written = functools.partial(json.loads, parse_float=lambda s: float(s) if math.isfinite(float(s)) else _Literal(s))
 
 
 def _loads(text: str, path, line: int | None = None, loads=json.loads):
@@ -610,17 +657,15 @@ def _loads(text: str, path, line: int | None = None, loads=json.loads):
 def load_json(path, decode):
     """(doc, decode(doc)) for the JSON document doc in path; invalid JSON raises ParseError naming its line.
 
-    A document that decode rejects is decoded again with each number past
-    the float range kept as written (``_as_written``), so the error quotes
-    the file's ``1e400``, not ``Infinity``.
+    Each number past the float range is kept as written (``_as_written``),
+    so no type rule takes it and the error quotes the file's ``1e400``, not
+    ``Infinity``. A value of the wrong type (SchemaError) names the file.
     """
-    text = read_text(path)
-    doc = _loads(text, path)
+    doc = _loads(read_text(path), path, loads=_as_written)
     try:
         return doc, decode(doc)
-    except ValidationError:
-        decode(_loads(text, path, loads=_as_written))
-        raise
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 # json.loads gives a number as exactly int or float (true/false are bool),
@@ -637,45 +682,43 @@ def parse_detections(path) -> DetectionTable:
     """Parse detection records into a DetectionTable, sorted by frame.
 
     Duplicate frames merge by concatenation in file order. One streaming
-    pass tests each value's exact JSON type and range; the first line that
-    fails is decoded through ``schema.decoder(DetectionFrame)``, so it
-    fails as every record file does (see :func:`_parse_records`).
+    pass tests each value's exact JSON type and range; the first line it
+    rejects fails as every record file does (see :func:`_records`).
     """
     frames, ends = array("q"), array("q")
     labels, scores, bboxes = array("q"), array("d"), array("d")
     names: dict[str, int] = {}
     lo, hi = -math.inf, math.inf
-    for lineno, obj, text in _iter_json_lines(path):
-        try:
-            frame = obj["frame"]
-            dets = obj["detections"]
-            if type(frame) is not int or frame < 0 or type(dets) is not list:
+
+    def take(obj):
+        frame = obj["frame"]
+        dets = obj["detections"]
+        if type(frame) is not int or frame < 0 or type(dets) is not list:
+            raise TypeError
+        for d in dets:
+            label = d["label"]
+            bbox = d["bbox"]
+            score = d["score"]
+            x1, y1, x2, y2 = bbox
+            if (
+                type(label) is not str
+                or type(score) not in _JSON_NUMBERS
+                or not 0 <= score <= 1
+                or type(x1) not in _JSON_NUMBERS
+                or type(y1) not in _JSON_NUMBERS
+                or type(x2) not in _JSON_NUMBERS
+                or type(y2) not in _JSON_NUMBERS
+                or not lo < x1 <= x2 < hi
+                or not lo < y1 <= y2 < hi
+            ):
                 raise TypeError
-            for d in dets:
-                label = d["label"]
-                bbox = d["bbox"]
-                score = d["score"]
-                x1, y1, x2, y2 = bbox
-                if (
-                    type(label) is not str
-                    or type(score) not in _JSON_NUMBERS
-                    or not 0 <= score <= 1
-                    or type(x1) not in _JSON_NUMBERS
-                    or type(y1) not in _JSON_NUMBERS
-                    or type(x2) not in _JSON_NUMBERS
-                    or type(y2) not in _JSON_NUMBERS
-                    or not lo < x1 <= x2 < hi
-                    or not lo < y1 <= y2 < hi
-                ):
-                    raise TypeError
-                labels.append(names.setdefault(label, len(names)))
-                scores.append(score)
-                bboxes.extend(bbox)
-            frames.append(frame)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            _decode(schema.decoder(DetectionFrame), obj, text, path, lineno)  # the schema names the fault
-            raise ParseError("invalid detection record", path=str(path), line=lineno) from None
+            labels.append(names.setdefault(label, len(names)))
+            scores.append(score)
+            bboxes.extend(bbox)
+        frames.append(frame)
         ends.append(len(scores))
+
+    _records(path, DetectionFrame, take)
     n, m = len(ends), len(scores)
     return DetectionTable._from_records(
         np.frombuffer(frames, dtype=np.int64, count=n),
@@ -690,55 +733,52 @@ def parse_detections(path) -> DetectionTable:
 def parse_predictions(path) -> PredictionTable:
     """Parse prediction records into a PredictionTable, in file order.
 
-    One streaming pass tests each value's exact JSON type and range. The
-    first line that fails is decoded through
-    ``schema.decoder(PredictionRecord)``, so it fails as every record file
-    does (see :func:`_parse_records`), with the same error class and
-    message, from a regular file or a pipe alike.
+    One streaming pass tests each value's exact JSON type and range; the
+    first line it rejects fails as every record file does (see
+    :func:`_records`), from a regular file or a pipe alike.
     """
     sample_ids: list[str] = []
     ends = array("q")
     predicted, ground_truth = array("d"), array("d")
     arrival, labels, arrival_null, label_null = array("d"), array("b"), array("b"), array("b")
     lo, hi = -math.inf, math.inf
-    for lineno, obj, text in _iter_json_lines(path):
-        try:
-            sample_id = obj["sample_id"]
-            pred = obj["predicted"]
-            gt = obj["ground_truth"]
-            p_arrival = obj.get("predicted_arrival")
-            label = obj.get("arrival_label")
-            if (
-                type(sample_id) is not str
-                or not sample_id
-                or type(pred) is not list
-                or type(gt) is not list
-                or not pred
-                or len(pred) != len(gt)
-                or (p_arrival is not None and (type(p_arrival) not in _JSON_NUMBERS or not 0 <= p_arrival <= 1))
-                or (label is not None and type(label) is not bool)
-            ):
-                raise TypeError
-            for waypoints, column in ((pred, predicted), (gt, ground_truth)):
-                for w in waypoints:
-                    x, y = w
-                    if (
-                        type(x) not in _JSON_NUMBERS
-                        or type(y) not in _JSON_NUMBERS
-                        or not lo < x < hi
-                        or not lo < y < hi
-                    ):
-                        raise TypeError
-                    column.extend(w)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            _decode(schema.decoder(PredictionRecord), obj, text, path, lineno)  # the schema names the fault
-            raise ParseError("invalid prediction record", path=str(path), line=lineno) from None
+
+    def take(obj):
+        sample_id = obj["sample_id"]
+        pred = obj["predicted"]
+        gt = obj["ground_truth"]
+        p_arrival = obj.get("predicted_arrival")
+        label = obj.get("arrival_label")
+        if (
+            type(sample_id) is not str
+            or not sample_id
+            or type(pred) is not list
+            or type(gt) is not list
+            or not pred
+            or len(pred) != len(gt)
+            or (p_arrival is not None and (type(p_arrival) not in _JSON_NUMBERS or not 0 <= p_arrival <= 1))
+            or (label is not None and type(label) is not bool)
+        ):
+            raise TypeError
+        for waypoints, column in ((pred, predicted), (gt, ground_truth)):
+            for w in waypoints:
+                x, y = w
+                if (
+                    type(x) not in _JSON_NUMBERS
+                    or type(y) not in _JSON_NUMBERS
+                    or not lo < x < hi
+                    or not lo < y < hi
+                ):
+                    raise TypeError
+                column.extend(w)
         arrival.append(0.0 if p_arrival is None else p_arrival)
         arrival_null.append(p_arrival is None)
         labels.append(label is True)
         label_null.append(label is None)
         sample_ids.append(sample_id)
         ends.append(len(predicted) >> 1)
+
+    _records(path, PredictionRecord, take)
     n = len(ends)
     w = ends[n - 1] if n else 0
     id_offsets = np.cumsum(np.fromiter(map(len, sample_ids), dtype=np.int64, count=n))
@@ -755,30 +795,37 @@ def parse_predictions(path) -> PredictionTable:
     )
 
 
-def _decode(decode, obj, text, path, lineno):
-    """decode(obj) for line lineno, a fault named from its text by _as_written: ParseError if mistyped, else ValidationError (path:line)."""
-    try:
-        return decode(obj)
-    except ValidationError:
-        obj = _loads(text, path, lineno, _as_written)
-    try:
-        return decode(obj)
-    except SchemaError as exc:
-        raise ParseError(str(exc), path=str(path), line=lineno) from None
-    except ValidationError as exc:
-        raise ValidationError(f"{path}:{lineno}: {exc}") from None
+def _records(path, cls, take) -> None:
+    """Run take(obj) on the JSON value of each line of path, in file order; a line take rejects fails as cls's schema says.
+
+    take raises KeyError, TypeError, ValueError, OverflowError or
+    ValidationError for a line it rejects. That line is decoded again
+    through ``schema.decoder(cls)``, each number past the float range kept
+    as written (``_as_written``), so its error names the fault from the
+    line's text: a value of the wrong JSON type (SchemaError) raises
+    ParseError naming the line, a well-typed record that breaks an
+    invariant of cls raises ValidationError naming ``path:line``.
+    """
+    for lineno, obj, text in _iter_json_lines(path):
+        try:
+            take(obj)
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
+            try:
+                schema.decoder(cls)(_loads(text, path, lineno, _as_written))
+            except SchemaError as exc:
+                raise ParseError(str(exc), path=str(path), line=lineno) from None
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            # take is meant to reject exactly what the schema rejects; a line only take rejects still fails.
+            raise ParseError(f"invalid {cls.__name__} record", path=str(path), line=lineno) from None
 
 
 def _parse_records(cls, path) -> list:
-    """The records of one dataclass in file order, each line read through schema.decoder.
-
-    A line that is not JSON, not an object, lacks a field or holds a value
-    of the wrong JSON type raises ParseError naming the line. A well-typed
-    record that breaks an invariant of cls (an empty instruction, bbox
-    corners out of order) raises ValidationError naming path:line.
-    """
+    """The records of one dataclass in file order, each line read through schema.decoder (see :func:`_records`)."""
     decode = schema.decoder(cls)
-    return [_decode(decode, obj, text, path, lineno) for lineno, obj, text in _iter_json_lines(path)]
+    records = []
+    _records(path, cls, lambda obj: records.append(decode(obj)))
+    return records
 
 
 _record_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=schema.to_json).encode
@@ -834,8 +881,9 @@ def _detection_rows(table: DetectionTable, bounds) -> bytes:
 def _check_ranges(table: DetectionTable) -> None:
     """Raise the error that building the table's first faulty DetectionFrame raises, if any.
 
-    That is Detection's error for the frame's first bad box, else
-    DetectionFrame's. Frames are sorted, so a negative frame comes first.
+    Frames are sorted, so a negative frame index comes first; otherwise the
+    faulty frame holds the first bad box. Rebuilding the frame raises
+    Detection's error for its first bad box, else DetectionFrame's.
     """
     bboxes, scores = table.bboxes, table.scores
     ok = (
@@ -845,13 +893,13 @@ def _check_ranges(table: DetectionTable) -> None:
         & (scores >= 0.0)
         & (scores <= 1.0)
     )
-    first_frame_ok = len(table) == 0 or table.frames[0] >= 0
-    if not ok.all():
-        box = int(np.argmin(ok))
-        if first_frame_ok or box < table.offsets[1]:  # a frame checks its boxes before its index
-            Detection(table.names[table.labels[box]], bboxes[box].tolist(), scores[box].item())
-    if not first_frame_ok:
-        DetectionFrame(int(table.frames[0]), ())
+    if len(table) and table.frames[0] < 0:
+        k = 0
+    elif ok.all():
+        return
+    else:
+        k = int(np.searchsorted(table.offsets, np.argmin(ok), side="right")) - 1
+    next(table._build_frames(k, k + 1))
 
 
 def write_samples(lines, path) -> None:
@@ -871,16 +919,35 @@ def parse_samples(path) -> list[TrainingSample]:
 BLOCK_ROWS = 4096
 
 
-def _in_place(path: Path) -> bool:
-    """Whether _atomic_file writes path in place: it exists and is not a regular file (a pipe, a device)."""
-    return path.exists() and not path.is_file()
+def _replaced(path) -> Path | None:
+    """The file that _atomic_file replaces to write path: path, or the regular file a symlink leads to, so the link stays.
+
+    None if path exists and is not a regular file (a pipe, a device, or a
+    link to one), or is the file this process's stdout or stderr writes to
+    (``/dev/stdout`` redirected to a file): that is written in place, never
+    replaced or removed. A dangling link is replaced as it is.
+    """
+    path = Path(path)
+    if not path.exists():
+        return path
+    st = path.stat()
+    if not stat.S_ISREG(st.st_mode) or any(os.path.samestat(st, s) for s in _std_stats()):
+        return None
+    return path.resolve() if path.is_symlink() else path
+
+
+def _std_stats():
+    for fd in (1, 2):
+        try:
+            yield os.fstat(fd)
+        except OSError:  # the stream is closed
+            pass
 
 
 def remove_output(path) -> None:
     """Remove what _atomic_file would replace at path, so a stage killed before it writes path leaves no stale copy."""
-    path = Path(path)
-    if not _in_place(path):
-        path.unlink(missing_ok=True)
+    if (target := _replaced(path)) is not None:
+        target.unlink(missing_ok=True)
 
 
 @contextmanager
@@ -891,18 +958,20 @@ def _atomic_file(path):
     (``os.replace``) when the block ends. If the block raises, the
     temporary file is removed and path is left as it was. So a killed or
     failing writer leaves no truncated file (no fsync: a power loss is out
-    of scope). A pipe or other file that is not regular is written in place.
+    of scope). A symlink's target is replaced next to itself, and the link
+    stays. A pipe or other file that is not regular, and the file stdout
+    writes to, are written in place (see :func:`_replaced`).
     """
-    path = Path(path)
-    if _in_place(path):
+    target = _replaced(path)
+    if target is None:
         with open(path, "wb") as out:
             yield out
         return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as out:
             yield out
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -945,7 +1014,10 @@ def write_report(report: dict, path) -> None:
 
 
 def file_digest(path) -> str:
-    """Hex sha256 of a file's content."""
+    """Hex sha256 of a file's content; of a pipe, the bytes a reader took from it (see :func:`_read_once`)."""
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode) and (digest := _read_digests.get((st.st_dev, st.st_ino))):
+        return digest
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -138,7 +138,7 @@ def read_manifest(clip_dir) -> list[ClipEntry]:
         entries = manifest.get("clips") if type(manifest) is dict else None
         if type(entries) is not list:
             raise ValidationError(f"{manifest_path}: 'clips' must be a list of clip entries")
-        entries = [schema.decoder(ClipEntry, f"{manifest_path}: clip entry {i}")(raw) for i, raw in enumerate(entries)]
+        entries = [schema.decoder(ClipEntry, f"clip entry {i}")(raw) for i, raw in enumerate(entries)]
         first: dict[tuple[str, str], int] = {}
         for i, entry in enumerate(entries):
             for field in ("clip_id", "file"):

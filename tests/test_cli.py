@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import multiprocessing
@@ -1139,6 +1140,122 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPipeInput:
+    """An input read from a pipe is read once: its manifest digest covers the bytes the stage read."""
+
+    def test_eval_digests_the_bytes_written(self, tmp_path):
+        text = "".join(
+            json.dumps({"sample_id": f"s{i}", "predicted": [[1.0, 0.0]], "ground_truth": [[1.0, 0.5]]}) + "\n"
+            for i in range(3)
+        )
+        out = tmp_path / "m.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "navcurate.cli", "eval", "--pred", "/dev/stdin", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, input=text, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["inputs"] == {"predictions": _sha256(text.encode())}
+
+    def test_segment_from_a_pipe_writes_what_a_file_gives(self, tmp_path):
+        pose_file = tmp_path / "walk.txt"
+        write_traj(pose_file, SynthSpec("straight", duration_s=130.0, fps=10.0, traj_id="walk"))
+        argv = ["--fps", "10", "--clip-seconds", "60", "--traj-id", "walk", "--workers", "1"]
+        assert main(["segment", "--input", str(pose_file), "--out", str(tmp_path / "from_file"), *argv]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "navcurate.cli", "segment", "--input", "/dev/stdin",
+             "--out", str(tmp_path / "from_pipe"), *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, input=pose_file.read_bytes(), capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / "from_pipe" / "manifest.json").read_text())
+        assert manifest["inputs"] == {"poses": _sha256(pose_file.read_bytes())}
+        for name in ("manifest.json", "walk_0000.txt", "walk_0001.txt"):
+            assert (tmp_path / "from_pipe" / name).read_bytes() == (tmp_path / "from_file" / name).read_bytes()
+
+    def test_malformed_pose_pipe_fails_as_the_file_does(self, tmp_path):
+        text = "0.0 0 0 0 0 0 0 1\n0.1 nope 0 0 0 0 0 1\n"
+        pose_file = tmp_path / "walk.txt"
+        pose_file.write_text(text)
+        outcomes = []
+        for source in (str(pose_file), "/dev/stdin"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "navcurate.cli", "segment", "--input", source, "--fps", "10",
+                 "--out", str(tmp_path / "clips")],
+                env={**os.environ, "PYTHONPATH": str(SRC)}, input=text, capture_output=True, text=True, timeout=60,
+            )
+            (line,) = proc.stderr.splitlines()
+            outcomes.append((proc.returncode, json.loads(line.replace(source, "PATH"))))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (2, {"error": "parse", "detail": "PATH:2: non-numeric field in '0.1 nope 0 0 0 0 0 1'",
+                                   "path": "PATH", "line": 2})
+
+
+class TestPoseErrorsNameTheirFile:
+    """A pose check that fails on a pose file's values names the file; a fault of the id or fps does not."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_filter_names_the_clip_file(self, pipeline_dir, capsys, workers):
+        pose_file = pipeline_dir / "clips" / "walk_0002.txt"
+        lines = pose_file.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 8
+        lines[row] = " ".join(lines[row].split()[:4] + ["0.0"] * 4) + "\n"
+        pose_file.write_text("".join(lines))
+        capsys.readouterr()
+        rc = main(["filter", "--clips", str(pipeline_dir / "clips"),
+                   "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+                   "--report", str(pipeline_dir / "report.json"), "--workers", workers])
+        assert rc == 2
+        detail = f"{pose_file}: near-zero quaternion at index 8"
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+
+    def test_segment_names_the_stream(self, tmp_path, capsys):
+        pose_file = tmp_path / "walk.txt"
+        pose_file.write_text("0.0 0 0 0 0 0 0 1\n0.1 0 0 0 0 0 0 1\n0.05 0 0 0 0 0 0 1\n")
+        assert main(["segment", "--input", str(pose_file), "--fps", "10", "--out", str(tmp_path / "c")]) == 2
+        detail = f"{pose_file}: timestamps must be strictly increasing (violated at index 2)"
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+
+
+class TestSymlinkOutput:
+    def test_eval_writes_through_a_link(self, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"sample_id": "s0", "predicted": [[1.0, 0.0]], "ground_truth": [[1.0, 0.0]]}\n')
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("stale")
+        link.symlink_to(real)
+        assert main(["eval", "--pred", str(pred), "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == real
+        assert json.loads(real.read_text())["stage"] == "eval"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pred.jsonl", "real.json"]
+
+    @pytest.mark.parametrize("stage", ["eval", "filter"])
+    def test_stdout_link_redirected_to_a_file(self, pipeline_dir, stage):
+        # A link to /proc/self/fd/1, as /dev/stdout is, leads to the open file: the report goes into it, and
+        # neither the file nor the link is removed.
+        link = pipeline_dir / "stdout"
+        link.symlink_to("/proc/self/fd/1")
+        pred = pipeline_dir / "pred.jsonl"
+        pred.write_text('{"sample_id": "s0", "predicted": [[1.0, 0.0]], "ground_truth": [[1.0, 0.0]]}\n')
+        argv = {
+            "eval": ["eval", "--pred", str(pred), "--out", str(link)],
+            "filter": ["filter", "--clips", str(pipeline_dir / "clips"),
+                       "--detections", str(pipeline_dir / "synth" / "detections.jsonl"), "--report", str(link),
+                       "--accepted", str(pipeline_dir / "accepted.txt"), "--workers", "1"],
+        }[stage]
+        out = pipeline_dir / "out.json"
+        with open(out, "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "navcurate.cli", *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
+                                  stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["stage"] == stage
+        assert os.readlink(link) == "/proc/self/fd/1"
+        assert not list(pipeline_dir.glob("out.json?*")) and not list(pipeline_dir.glob(".*.tmp"))
+
+
 class TestLossCommand:
     def test_prints_components(self, tmp_path, capsys):
         doc = {
@@ -1363,14 +1480,14 @@ class TestLiteralInConfigError:
         path.write_text('{"pred_waypoints": [[1e400, 0]], "gt_waypoints": [[1, 0]]}')
         assert main(["loss", "--input", str(path)]) == 2
         detail = json.loads(capsys.readouterr().err)["detail"]
-        assert detail == "LossInput has 'pred_waypoints[0]' = [1e400, 0], expected [number, number]"
+        assert detail == f"{path}: LossInput has 'pred_waypoints[0]' = [1e400, 0], expected [number, number]"
 
     def test_synth_spec(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text('{"trajectory": {"kind": "straight", "duration_s": 1e400}}')
         assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
         detail = json.loads(capsys.readouterr().err)["detail"]
-        assert detail == "SynthFile has 'trajectory.duration_s' = 1e400, expected number"
+        assert detail == f"{path}: SynthFile has 'trajectory.duration_s' = 1e400, expected number"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("literal", ["1e400", "-1.5e999"])
@@ -1383,7 +1500,7 @@ class TestLiteralInConfigError:
         capsys.readouterr()
         assert main(argv) == 2
         detail = json.loads(capsys.readouterr().err)["detail"]
-        assert detail == f"FilterConfig has 'pitch_range_max_deg' = {literal}, expected number"
+        assert detail == f"{config}: FilterConfig has 'pitch_range_max_deg' = {literal}, expected number"
 
     @pytest.mark.parametrize("literal", ["1e400", "-1.5e999"])
     def test_clip_manifest(self, pipeline_dir, capsys, literal):
@@ -1400,6 +1517,19 @@ class TestLiteralInConfigError:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "validation", "detail": f"{manifest_path}: clip entry 1 has 'fps' = {literal}, expected number"}
+
+    def test_flag_value_names_no_file(self, pipeline_dir, capsys):
+        # Only a value read from the file names the file; a flag's own value is the flag's fault.
+        config = pipeline_dir / "filter.json"
+        config.write_text('{"divergence_max_deg": 30}')
+        argv = ["filter", "--clips", str(pipeline_dir / "clips"),
+                "--detections", str(pipeline_dir / "synth" / "detections.jsonl"),
+                "--config", str(config), "--report", str(pipeline_dir / "report.json"), "--workers", "1",
+                "--pitch-range-max-deg", "inf"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail == "FilterConfig has 'pitch_range_max_deg' = Infinity, expected number"
 
     def test_flag_keeps_its_own_value(self, pipeline_dir, capsys):
         # Only the file is decoded again; a flag's infinity is the flag's, and the file's keys merge as before.

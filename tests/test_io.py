@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import stat
 import threading
 
 import numpy as np
@@ -742,6 +743,30 @@ class TestCrashSafeWrites:
         (tmp_path / "gone.json").symlink_to(tmp_path / "nowhere")
         for name in ("r.json", "report.fifo", "stdout", "gone.json", "missing.json"):
             remove_output(tmp_path / name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.fifo", "stdout"]
+
+    def test_link_to_a_regular_file_stays_a_link(self, tmp_path):
+        # The link's target is replaced next to itself; removing the output removes the target, not the link.
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("{}")
+        link.symlink_to(real)
+        write_report({"a": 1}, link)
+        assert link.is_symlink() and real.read_text() == '{\n  "a": 1\n}\n'
+        remove_output(link)
+        assert link.is_symlink() and not real.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json"]
+
+    def test_link_to_a_fifo_is_written_in_place(self, tmp_path):
+        fifo, link = tmp_path / "report.fifo", tmp_path / "stdout"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_report({"a": 1}, link)
+        reader.join(timeout=10)
+        assert received == [b'{\n  "a": 1\n}\n']
+        assert link.is_symlink() and stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.fifo", "stdout"]
 
     def test_pose_blocks_stream_into_a_fifo(self, tmp_path):

@@ -15,6 +15,9 @@ STAGES = {
     "eval": (["--records", "2000"], ["records", "wall_s", "cpu_s", "peak_rss_mb", "metrics_sha256"], "metrics.json"),
     "synth": (["--poses", "3000", "--workers", "2"], ["poses", "workers", "wall_s", "cpu_s", "peak_rss_mb", "sha256"],
               "out/arc.txt"),
+    # Two 3,600-pose clips.
+    "segment": (["--poses", "7200", "--workers", "2"],
+                ["poses", "clips", "workers", "wall_s", "cpu_s", "peak_rss_mb", "manifest_sha256"], "clips/manifest.json"),
 }
 
 

@@ -2,12 +2,15 @@
 
     python3 tools/scale_probe.py eval --records 200000 --max-rss-mb 125
     python3 tools/scale_probe.py synth --poses 1080000 --workers 2 --max-rss-mb 350
+    python3 tools/scale_probe.py segment --poses 1080000 --workers 2 --max-rss-mb 260
 
 Writes the stage's input to a scratch directory (eval: N seeded horizon-8
 prediction records; synth: an arc spec of N poses at 30 fps, so 1,080,000 poses
-is 10 h), runs `python -m navcurate.cli <stage>` on it as its own process with
+is 10 h; segment: that arc's pose stream, written by `synth` run as its own
+process), runs `python -m navcurate.cli <stage>` on it as its own process with
 the sources under src/ of this checkout, and prints one JSON line: the input
-size, wall_s, cpu_s, peak_rss_mb and the sha256 of the stage's output. CPU time
+size, wall_s, cpu_s, peak_rss_mb and the sha256 of the stage's output (for
+segment, of the clip manifest, after the clip count). CPU time
 (user + system) and peak RSS are from os.wait4: the CPU time of the stage and
 its reaped pool workers, and the peak RSS of the largest of those processes. A
 child inherits its parent's RSS high-water mark across fork and exec, so this
@@ -30,6 +33,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 HORIZON = 8
 FPS = 30.0
+CLIP_SECONDS = 120.0  # 3,600 poses per clip
 
 
 def write_predictions(path: Path, n: int, seed: int) -> None:
@@ -77,6 +81,20 @@ def report_synth(args, workdir: Path, usage: dict) -> dict:
     return {"poses": poses, "workers": args.workers, **usage, "sha256": file_sha256(workdir / "out" / "arc.txt")}
 
 
+def prepare_segment(args, workdir: Path) -> list[str]:
+    rc = run_stage(workdir, prepare_synth(args, workdir))[0]
+    if rc != 0:
+        raise SystemExit(f"synth exited {rc}: {(workdir / 'stderr.txt').read_text(encoding='utf-8', errors='replace')}")
+    return ["segment", "--input", "out/arc.txt", "--fps", str(FPS), "--clip-seconds", str(CLIP_SECONDS),
+            "--out", "clips", "--workers", str(args.workers)]
+
+
+def report_segment(args, workdir: Path, usage: dict) -> dict:
+    counts = json.loads((workdir / "clips" / "manifest.json").read_text(encoding="utf-8"))["counts"]
+    return {"poses": counts["poses_in"], "clips": counts["clips_out"], "workers": args.workers, **usage,
+            "manifest_sha256": file_sha256(workdir / "clips" / "manifest.json")}
+
+
 def run_stage(workdir: Path, stage_argv: list[str]) -> tuple[int, float, float, float]:
     """(exit code, wall seconds, CPU seconds, peak RSS in MB) of one stage run in workdir, stderr to stderr.txt."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
@@ -111,6 +129,10 @@ def main(argv=None) -> int:
     synth.add_argument("--poses", type=int, default=1_080_000)
     synth.add_argument("--workers", type=int, default=1)
     synth.set_defaults(prepare=prepare_synth, report=report_synth)
+    segment = stages.add_parser("segment", parents=[common], help="segment of a long arc, which synth writes first")
+    segment.add_argument("--poses", type=int, default=1_080_000)
+    segment.add_argument("--workers", type=int, default=1)
+    segment.set_defaults(prepare=prepare_segment, report=report_segment)
     args = parser.parse_args(argv)
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix=f"{args.stage}_probe_"))
     workdir.mkdir(parents=True, exist_ok=True)
