@@ -311,8 +311,15 @@ def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument error raises ValidationError, which main prints as one JSON line (exit 2); subparsers share the class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="navcurate", description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="navcurate", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"navcurate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -375,8 +382,9 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    tio._digests.clear()  # a digest is of this stage's read, never of an earlier call's
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             raise ValidationError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)

@@ -1,9 +1,10 @@
 """On-disk artifact formats: parsers and writers.
 
 All files are UTF-8; a byte that is not raises ParseError naming the
-file and the byte's line. An input that is not a regular file (a pipe,
-``/dev/stdin``) is read once, and ``file_digest`` gives the sha256 of the
-bytes read. Every writer streams its file through
+file and the byte's line. Every reader opens its input once, through
+``_open_input``, which hashes the bytes as they are read: ``file_digest``
+gives the sha256 of the bytes a reader used, from a regular file or a pipe
+alike, and no reader decompresses a file. Every writer streams its file through
 ``_atomic_file``: the chunks go to a sibling temporary file, which
 replaces the file (``os.replace``) only once all of them are written, so
 a killed or failing stage never leaves a truncated artifact behind. A
@@ -48,8 +49,8 @@ columns instead, and no object is built per record. Their pass through
 :func:`_records` tests each value's exact JSON type and range, and the
 first line it rejects fails by the one rule. So the parsers fail on the
 same line, with the same error class and message, as decoding every line
-would, from a file or a pipe alike. :func:`parse_detections` gives a
-:class:`DetectionTable` (frames sorted, boxes as arrays); :func:`parse_predictions` gives a
+would. :func:`parse_detections` gives a :class:`DetectionTable` (frames
+sorted, boxes as arrays); :func:`parse_predictions` gives a
 :class:`PredictionTable` (waypoints in flat arrays, arrival values with
 null masks). :class:`Detection`, :class:`DetectionFrame` and
 :class:`PredictionRecord` stay the schema: the scalar records the tests
@@ -81,8 +82,8 @@ import sys
 import warnings
 from array import array
 from contextlib import closing, contextmanager
-from dataclasses import dataclass
-from io import BytesIO, TextIOWrapper
+from dataclasses import dataclass, fields
+from io import BufferedReader, BytesIO, RawIOBase, TextIOWrapper
 from itertools import islice
 from pathlib import Path
 
@@ -142,6 +143,11 @@ def _check_id_and_fps(traj_id: str, fps: float) -> None:
         raise ValidationError(f"fps must be a positive finite int or float, got {fps!r}")
 
 
+def _reduce(self):
+    """Pickle as a call of the constructor, which validates the fields and makes the columns read-only again."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
 class RawTrajectory:
     """An ordered pose stream with identity and frame-rate metadata.
@@ -191,6 +197,8 @@ class RawTrajectory:
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "quaternions", quat)
+
+    __reduce__ = _reduce
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]
@@ -314,9 +322,7 @@ class DetectionTable:
             s, e = start - a, stop - a
             yield DetectionFrame(frame, tuple(map(Detection, labels[s:e], bboxes[s:e], scores[s:e])))
 
-    def __reduce__(self):
-        # Unpickling calls the constructor, which validates the columns and makes them read-only.
-        return DetectionTable, (self.frames, self.offsets, self.labels, self.names, self.scores, self.bboxes)
+    __reduce__ = _reduce
 
     def window(self, lo: int, hi: int) -> "DetectionTable":
         """Frames in [lo, hi), renumbered so frame lo becomes 0; box columns are views."""
@@ -460,6 +466,8 @@ class PredictionTable:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    __reduce__ = _reduce
+
     def __len__(self) -> int:
         return self.id_offsets.shape[0] - 1
 
@@ -483,41 +491,60 @@ def _check_utf8(text: str, path, first_line: int = 1) -> str:
     return text
 
 
-# The sha256 of the bytes read from each input that is not a regular file, by
-# (device, inode): a pipe cannot be read a second time for file_digest.
-_read_digests: dict[tuple[int, int], str] = {}
+# The sha256 of the last whole read of each input, by absolute path (see
+# _open_input); cli.main empties it, so it holds the reads of one stage.
+_digests: dict[str, str] = {}
 
 
-def _read_once(path) -> bytes | None:
-    """None if path is a regular file; else all the bytes of path (a pipe, ``/dev/stdin``), read once.
+def _open_input(path) -> BufferedReader:
+    """A binary stream of path's bytes, the one way an input is opened.
 
-    file_digest(path) then gives the sha256 of these bytes. A path that
-    cannot be looked up gives None too, so the reader's own open fails as
-    it does for a missing file.
+    Each byte is hashed when it is first read, and reading to the end
+    records the sha256 for file_digest(path). The stream can be rewound, so
+    a pipe (``/dev/stdin``) is read whole and held, once.
     """
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    if stat.S_ISREG(st.st_mode):
-        return None
-    with open(path, "rb") as fh:
-        data = fh.read()
-    _read_digests[st.st_dev, st.st_ino] = hashlib.sha256(data).hexdigest()
-    return data
+    key = os.path.abspath(path)
+    _digests.pop(key, None)  # a read that stops early leaves no digest
+    source = open(path, "rb", buffering=0)
+    if not stat.S_ISREG(os.fstat(source.fileno()).st_mode):
+        with source:
+            source = BytesIO(source.read())
+    return BufferedReader(_Hashed(source, key))
 
 
-def _open_text(path, data: bytes | None):
-    """The text of data if given, else of path's file, each byte that is not UTF-8 kept as a surrogate (see _check_utf8)."""
-    if data is None:
-        return open(path, encoding="utf-8", errors="surrogateescape")
-    return TextIOWrapper(BytesIO(data), encoding="utf-8", errors="surrogateescape")
+class _Hashed(RawIOBase):
+    """source read through sha256; it is only ever rewound, so every byte before the hashed end was hashed."""
+
+    def __init__(self, source, key: str):
+        self._source, self._key, self._sha, self._hashed = source, key, hashlib.sha256(), 0
+
+    def readable(self) -> bool:
+        return True
+
+    seekable = readable
+
+    def seek(self, *args) -> int:
+        return self._source.seek(*args)
+
+    def readinto(self, buffer) -> int:
+        pos = self._source.tell()
+        n = self._source.readinto(buffer)
+        if pos + n > self._hashed:
+            self._sha.update(memoryview(buffer)[self._hashed - pos : n])
+            self._hashed = pos + n
+        elif n == 0:
+            _digests[self._key] = self._sha.hexdigest()
+        return n
+
+    def close(self) -> None:
+        self._source.close()
+        super().close()
 
 
 def read_text(path) -> str:
     """The text of a UTF-8 file; a byte that is not UTF-8 raises ParseError naming its line."""
-    with _open_text(path, _read_once(path)) as fh:
-        return _check_utf8(fh.read(), path)
+    with _open_input(path) as fh:
+        return _check_utf8(fh.read().decode("utf-8", "surrogateescape"), path)
 
 
 # ---------------------------------------------------------------------------
@@ -527,27 +554,27 @@ def read_text(path) -> str:
 def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajectory:
     """Parse a TUM-style pose file into a RawTrajectory.
 
-    The trajectory id defaults to the filename stem. Raises ParseError
-    with the offending line number for malformed lines, ValidationError
-    naming the file for negative or non-monotonic timestamps or near-zero
-    quaternions. A pipe is read once, and both passes parse those bytes.
+    The trajectory id defaults to the filename stem. np.loadtxt alone
+    decides what is accepted, reading the opened stream as strict UTF-8;
+    when it rejects it, the rewound stream's first bad line raises
+    ParseError (see :func:`_check_pose_lines`). ValidationError names the
+    file for negative or non-monotonic timestamps or near-zero quaternions.
     """
     path = Path(path)
-    held = _read_once(path)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on empty input
-            # Strict, as loadtxt reads a path: a byte that is not UTF-8 fails here, and the fallback names it.
-            source = path if held is None else TextIOWrapper(BytesIO(held), encoding="utf-8")
-            data = np.loadtxt(source, comments="#", dtype=float, ndmin=2)
-        if data.size and data.shape[1] != 8:
-            raise ValueError(f"expected 8 columns, found {data.shape[1]}")
-        if data.size and not np.all(np.isfinite(data)):
-            raise ValueError("non-finite value")
-    except OSError:
-        raise
-    except ValueError:
-        data = _parse_pose_lines(path, held)
+    with _open_input(path) as fh, TextIOWrapper(fh, encoding="utf-8") as text:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on empty input
+                data = np.loadtxt(text, comments="#", dtype=float, ndmin=2)
+            if data.size and data.shape[1] != 8:
+                raise ValueError(f"expected 8 columns, found {data.shape[1]}")
+            if data.size and not np.all(np.isfinite(data)):
+                raise ValueError("non-finite value")
+        except ValueError as exc:  # a byte that is not UTF-8 too (UnicodeDecodeError)
+            text.seek(0)
+            text.reconfigure(errors="surrogateescape")
+            _check_pose_lines(text, path)
+            raise ParseError(str(exc), path=str(path)) from None
     if data.size == 0:
         raise ValidationError(f"{path}: pose file contains no poses")
     traj_id = traj_id or path.stem
@@ -558,33 +585,28 @@ def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajecto
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _parse_pose_lines(path: Path, held: bytes | None) -> np.ndarray:
-    """Line-by-line fallback that pinpoints the first malformed line.
+def _check_pose_lines(lines, path) -> None:
+    """Raise ParseError naming the first line (read with errors="surrogateescape") that np.loadtxt(comments="#") rejects.
 
-    It accepts what np.loadtxt(comments="#") accepts: a ``#`` starts a
-    comment anywhere on a line, a line holding nothing else is skipped, and
-    a field is a number only if it is ASCII without an underscore (float()
-    alone also reads ``1_000`` and non-ASCII digits).
+    A ``#`` starts a comment anywhere on a line, a line holding nothing else
+    is skipped, and a line holds 8 finite numbers, each ASCII without an
+    underscore (float() alone also reads ``1_000`` and non-ASCII digits).
     """
-    rows = []
-    with _open_text(path, held) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = _check_utf8(line, path, lineno).partition("#")[0].strip()
-            if not text:
-                continue
-            fields = text.split()
-            if len(fields) != 8:
-                raise ParseError(f"expected 8 fields, found {len(fields)}", path=str(path), line=lineno)
-            try:
-                if "_" in text or not all(f.isascii() for f in fields):
-                    raise ValueError
-                values = [float(f) for f in fields]
-            except ValueError:
-                raise ParseError(f"non-numeric field in {text!r}", path=str(path), line=lineno)
-            if not all(math.isfinite(v) for v in values):
-                raise ParseError("non-finite value", path=str(path), line=lineno)
-            rows.append(values)
-    return np.array(rows, dtype=float).reshape(-1, 8)
+    for lineno, line in enumerate(lines, 1):
+        text = _check_utf8(line, path, lineno).partition("#")[0].strip()
+        if not text:
+            continue
+        fields = text.split()
+        if len(fields) != 8:
+            raise ParseError(f"expected 8 fields, found {len(fields)}", path=str(path), line=lineno)
+        try:
+            if "_" in text or not all(f.isascii() for f in fields):
+                raise ValueError
+            values = [float(f) for f in fields]
+        except ValueError:
+            raise ParseError(f"non-numeric field in {text!r}", path=str(path), line=lineno)
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError("non-finite value", path=str(path), line=lineno)
 
 
 def write_pose_file(traj: RawTrajectory, path, map_tasks=None) -> None:
@@ -612,23 +634,6 @@ def _pose_rows(traj: RawTrajectory, bounds) -> bytes:
 # The C scanner behind JSONDecoder.raw_decode: it returns (value, end) or
 # raises StopIteration (no value) or JSONDecodeError.
 _scan_once = json.JSONDecoder().scan_once
-
-
-def _iter_json_lines(path):
-    with _open_text(path, _read_once(path)) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = _check_utf8(line, path, lineno).strip()
-            if not text:
-                continue
-            # The scanner skips json.loads' wrappers; a line it cannot take
-            # whole goes through json.loads for the canonical error.
-            try:
-                obj, end = _scan_once(text, 0)
-            except (StopIteration, json.JSONDecodeError, RecursionError):
-                end = -1
-            if end != len(text):
-                obj = _loads(text, path, lineno)
-            yield lineno, obj, text
 
 
 class _Literal(str):
@@ -735,7 +740,7 @@ def parse_predictions(path) -> PredictionTable:
 
     One streaming pass tests each value's exact JSON type and range; the
     first line it rejects fails as every record file does (see
-    :func:`_records`), from a regular file or a pipe alike.
+    :func:`_records`).
     """
     sample_ids: list[str] = []
     ends = array("q")
@@ -806,18 +811,29 @@ def _records(path, cls, take) -> None:
     ParseError naming the line, a well-typed record that breaks an
     invariant of cls raises ValidationError naming ``path:line``.
     """
-    for lineno, obj, text in _iter_json_lines(path):
-        try:
-            take(obj)
-        except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
+    with _open_input(path) as fh:
+        for lineno, line in enumerate(TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape"), 1):
+            text = _check_utf8(line, path, lineno).strip()
+            if not text:
+                continue
+            # The scanner skips json.loads' wrappers; a line it cannot take whole goes to json.loads for the error.
             try:
-                schema.decoder(cls)(_loads(text, path, lineno, _as_written))
-            except SchemaError as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno) from None
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            # take is meant to reject exactly what the schema rejects; a line only take rejects still fails.
-            raise ParseError(f"invalid {cls.__name__} record", path=str(path), line=lineno) from None
+                obj, end = _scan_once(text, 0)
+            except (StopIteration, json.JSONDecodeError, RecursionError):
+                end = -1
+            if end != len(text):
+                obj = _loads(text, path, lineno)
+            try:
+                take(obj)
+            except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
+                try:
+                    schema.decoder(cls)(_loads(text, path, lineno, _as_written))
+                except SchemaError as exc:
+                    raise ParseError(str(exc), path=str(path), line=lineno) from None
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
+                # take is meant to reject exactly what the schema rejects; a line only take rejects still fails.
+                raise ParseError(f"invalid {cls.__name__} record", path=str(path), line=lineno) from None
 
 
 def _parse_records(cls, path) -> list:
@@ -1014,12 +1030,13 @@ def write_report(report: dict, path) -> None:
 
 
 def file_digest(path) -> str:
-    """Hex sha256 of a file's content; of a pipe, the bytes a reader took from it (see :func:`_read_once`)."""
-    st = os.stat(path)
-    if not stat.S_ISREG(st.st_mode) and (digest := _read_digests.get((st.st_dev, st.st_ino))):
-        return digest
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    """Hex sha256 of the bytes this process last read whole from path (see :func:`_open_input`); if none, it reads them.
+
+    The digest is of that read, not of the file on disk now: a file
+    rewritten since gives the digest of the bytes that were read.
+    """
+    if (key := os.path.abspath(path)) not in _digests:
+        with _open_input(path) as fh:
+            while fh.read(1 << 20):
+                pass
+    return _digests[key]

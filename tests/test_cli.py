@@ -1,6 +1,11 @@
+import bz2
+import collections
+import contextlib
 import functools
+import gzip
 import hashlib
 import json
+import lzma
 import math
 import multiprocessing
 import os
@@ -1622,3 +1627,143 @@ class TestExitCodes:
         assert main(["loss", "--input", "unused.json"]) == code
         record = json.loads(capsys.readouterr().err)
         assert (record["error"], record["detail"]) == (kind, str(error))
+
+
+class TestArgumentErrors:
+    """A bad or missing argument exits 2 with one JSON line, as every other error does."""
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["filter", "--clips", "c", "--detections", "d.jsonl", "--report", "r.json", "--workers", "abc"],
+             "argument --workers: invalid int value: 'abc'"),
+            (["segment", "--input", "walk.txt", "--out", "clips"], "the following arguments are required: --fps"),
+            (["bogus"], "argument command: invalid choice: 'bogus' (choose from "),
+        ],
+        ids=["bad-workers", "missing-flag", "unknown-subcommand"],
+    )
+    def test_exits_2_with_one_json_line(self, capsys, argv, detail):
+        # argparse's message is the detail; how it lists the choices differs across Python versions.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        record = json.loads(line)
+        assert list(record) == ["error", "detail"] and record["error"] == "validation"
+        assert record["detail"].startswith(detail)
+
+    @pytest.mark.parametrize("argv, start", [(["--help"], "usage: navcurate "), (["--version"], "navcurate ")])
+    def test_help_and_version_print_and_exit_0(self, capsys, argv, start):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(start) and captured.err == ""
+
+
+class TestOneReadPerInput:
+    """Each input is opened once, and its manifest digest covers the bytes the stage parsed."""
+
+    @pytest.mark.parametrize("suffix, compress", [(".gz", gzip.compress), (".bz2", bz2.compress),
+                                                  (".xz", lzma.compress)])
+    def test_compressed_pose_file_is_a_parse_error(self, tmp_path, suffix, compress):
+        # np.loadtxt decompresses a path by its suffix; the stage reads the bytes, as it does from a pipe.
+        pose_file = tmp_path / "walk.txt"
+        write_traj(pose_file, SynthSpec("straight", duration_s=130.0, fps=10.0, traj_id="walk"))
+        data = compress(pose_file.read_bytes())
+        packed = tmp_path / f"walk.txt{suffix}"
+        packed.write_bytes(data)
+        outcomes = []
+        for source, out in ((str(packed), "from_file"), ("/dev/stdin", "from_pipe")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "navcurate.cli", "segment", "--input", source, "--fps", "10",
+                 "--clip-seconds", "60", "--out", str(tmp_path / out), "--workers", "1"],
+                env={**os.environ, "PYTHONPATH": str(SRC)}, input=data, capture_output=True, timeout=60,
+            )
+            (line,) = proc.stderr.decode().splitlines()
+            outcomes.append((proc.returncode, json.loads(line.replace(source, "PATH"))))
+            assert not (tmp_path / out / "manifest.json").exists()
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2 and outcomes[0][1]["error"] == "parse"
+
+    @pytest.mark.parametrize(
+        "stage, parser, source, role, manifest",
+        [("segment", "parse_pose_file", "synth/walk.txt", "poses", "clips/manifest.json"),
+         ("filter", "parse_detections", "synth/detections.jsonl", "detections", "report.json")],
+    )
+    def test_digest_is_of_the_parsed_bytes(self, tmp_path, monkeypatch, stage, parser, source, role, manifest):
+        synth_spec_doc(tmp_path)
+        argv = _chain_argv(tmp_path)
+        for before in ("synth", "segment") if stage == "filter" else ("synth",):
+            assert main(argv[before]) == 0
+        path = tmp_path / source
+        parsed = path.read_bytes()
+        original = getattr(navcurate.io, parser)
+
+        def parse_then_replace(*args, **kwargs):
+            result = original(*args, **kwargs)
+            path.write_bytes(parsed + b"# appended after the parse\n")
+            return result
+
+        monkeypatch.setattr(navcurate.io, parser, parse_then_replace)
+        assert main(argv[stage]) == 0
+        assert path.read_bytes() != parsed
+        assert json.loads((tmp_path / manifest).read_text())["inputs"][role] == _sha256(parsed)
+
+    def test_a_stage_keeps_no_digest_of_an_earlier_read(self, tmp_path, capsys):
+        path = tmp_path / "ids.txt"
+        path.write_text("a\n")
+        navcurate.io.read_text(path)
+        path.write_text("b\n")
+        assert navcurate.io.file_digest(path) == _sha256(b"a\n")  # the digest of the read, not of the file now
+        assert main(["filter", "--workers", "abc"]) == 2
+        capsys.readouterr()
+        assert navcurate.io.file_digest(path) == _sha256(b"b\n")
+
+    def test_each_stage_opens_each_input_once(self, tmp_path):
+        synth_spec_doc(tmp_path)
+        argv = _chain_argv(tmp_path)
+        write_predictions([PredictionRecord("s0", ((1.0, 0.0),), ((1.0, 0.5),))], tmp_path / "pred.jsonl")
+        argv["eval"] = ["eval", "--pred", str(tmp_path / "pred.jsonl"), "--out", str(tmp_path / "metrics.json")]
+        (tmp_path / "loss.json").write_text('{"pred_waypoints": [[1.0, 0.0]], "gt_waypoints": [[1.0, 0.5]]}')
+        argv["loss"] = ["loss", "--input", str(tmp_path / "loss.json")]
+        clips = [str(tmp_path / "clips" / f"walk_{k:04d}.txt") for k in range(4)]
+        inputs = {
+            "synth": [str(tmp_path / "spec.json")],
+            "segment": [str(tmp_path / "synth" / "walk.txt")],
+            "filter": [str(tmp_path / "clips" / "manifest.json"), str(tmp_path / "synth" / "detections.jsonl"),
+                       *clips],
+            "samples": [str(tmp_path / "clips" / "manifest.json"), str(tmp_path / "synth" / "landmarks.jsonl"),
+                        str(tmp_path / "report.json.accepted")],
+            "eval": [str(tmp_path / "pred.jsonl")],
+            "loss": [str(tmp_path / "loss.json")],
+        }
+        for stage, stage_argv in argv.items():
+            with _counting_opens() as opened:
+                assert main(stage_argv) == 0, stage
+            assert {path: opened[path] for path in inputs[stage]} == dict.fromkeys(inputs[stage], 1), stage
+            if stage == "samples":  # it reads only the accepted clips that have landmarks, each once too
+                assert max(opened[path] for path in clips) == 1
+
+
+# The opens of each path seen by the audit hook while a _counting_opens block runs; None outside one.
+_opens: "collections.Counter | None" = None
+
+
+def _audit_open(event, args):
+    if event == "open" and _opens is not None and isinstance(args[0], (str, os.PathLike)):
+        _opens[os.path.abspath(args[0])] += 1
+
+
+@contextlib.contextmanager
+def _counting_opens():
+    """A Counter of the files opened in this process, by absolute path, while the block runs (an audit hook sees every open)."""
+    global _opens
+    if not getattr(_counting_opens, "hooked", False):
+        sys.addaudithook(_audit_open)  # a hook cannot be removed; outside a block it does nothing
+        _counting_opens.hooked = True
+    _opens = collections.Counter()
+    try:
+        yield _opens
+    finally:
+        _opens = None

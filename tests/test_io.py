@@ -1,11 +1,15 @@
+import dataclasses
 import functools
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import stat
 import threading
+import warnings
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from navcurate.io import (
     PredictionRecord,
     RawTrajectory,
     TrainingSample,
+    _check_pose_lines,
     parse_detections,
     parse_landmarks,
     parse_pose_file,
@@ -37,7 +42,7 @@ from navcurate.io import (
     write_records,
 )
 
-from oracles import EgoWaypoint, detection_file_text, frames_of, pose_file_text, records_of
+from oracles import EgoWaypoint, detection_file_text, frames_of, pose_file_text, prediction_table_of, records_of
 from test_cli_fuzz import POOL, _replaced, _sites
 
 
@@ -877,3 +882,81 @@ def test_prediction_round_trip_property(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("pred") / "p.jsonl"
     write_predictions(records, path)
     assert records_of(parse_predictions(path)) == records
+
+
+class TestUnpickleThroughConstructor:
+    """A pool under spawn or forkserver pickles the bound trajectory: the copy is validated and read-only too."""
+
+    def _trajectory(self):
+        return RawTrajectory("t", 10.0, [0.0, 0.1], np.zeros((2, 3)), np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)))
+
+    def _table(self):
+        return prediction_table_of([PredictionRecord("s0", ((1.0, 0.0),), ((1.0, 0.5),), 0.5, True)])
+
+    @pytest.mark.parametrize("make", ["_trajectory", "_table"])
+    def test_copy_is_equal_and_read_only(self, make):
+        original = getattr(self, make)()
+        back = pickle.loads(pickle.dumps(original))
+        for f in dataclasses.fields(original):
+            value = getattr(back, f.name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, getattr(original, f.name)) and not value.flags.writeable, f.name
+            else:
+                assert value == getattr(original, f.name), f.name
+
+    @pytest.mark.parametrize(
+        "make, field, value, message",
+        [("_trajectory", "timestamps", np.array([0.1, 0.0]), "timestamps must be strictly increasing"),
+         ("_table", "predicted", np.zeros((2, 2)), "inconsistent prediction table arrays")],
+    )
+    def test_copy_is_validated(self, make, field, value, message):
+        original = getattr(self, make)()
+        object.__setattr__(original, field, value)  # what the constructor would reject
+        data = pickle.dumps(original)
+        with pytest.raises(ValidationError, match=message):
+            pickle.loads(data)
+
+
+# Fields and separators of drawn pose lines: numbers, values np.loadtxt rejects or reads as non-finite,
+# non-ASCII digits, Unicode whitespace, and the line ends that universal newlines read.
+_POSE_NUMBERS = ["0", "1.5", "-2e3", ".5", "1.", "+1"]
+_POSE_FIELDS = _POSE_NUMBERS + ["nan", "-inf", "1e400", "Infinity", "1_0", "١", "１", "x", "0x10", "1e", "--1",
+                                "1d0", "1j", "1,5"]
+_POSE_SEPARATORS = [" "] * 6 + ["\t", "\u3000", "\u00a0", "\u2000", "\u2028", "\x0b", "\x0c", "\x1c", "\x1f",
+                                "\x85", "\u200b", "\r", "\r\n", ","]
+
+
+@st.composite
+def _pose_line(draw):
+    lead = draw(st.sampled_from(["", " ", "\t", "\u3000"]))
+    kind = draw(st.sampled_from(["pose", "pose", "pose", "comment", "blank"]))
+    if kind != "pose":
+        return lead + ("# note" if kind == "comment" else "")
+    n = draw(st.sampled_from([7, 8, 8, 8, 9]))
+    fields = [draw(st.sampled_from(_POSE_NUMBERS if draw(st.booleans()) else _POSE_FIELDS)) for _ in range(n)]
+    text = lead + fields[0] + "".join(draw(st.sampled_from(_POSE_SEPARATORS)) + f for f in fields[1:])
+    return text + draw(st.sampled_from(["", " ", "#x", " # tail", "\t"]))
+
+
+def _loadtxt_rejects(text: str) -> bool:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on empty input
+            data = np.loadtxt(StringIO(text, newline=None), comments="#", dtype=float, ndmin=2)
+    except ValueError:
+        return True
+    return bool(data.size) and (data.shape[1] != 8 or not np.isfinite(data).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pose_line(), min_size=1, max_size=4))
+def test_pose_line_scan_rejects_what_loadtxt_rejects(lines):
+    # parse_pose_file reads text with universal newlines, as StringIO(newline=None) does.
+    text = "\n".join(lines) + "\n"
+    try:
+        _check_pose_lines(StringIO(text, newline=None), "p.txt")
+    except ParseError:
+        rejected = True
+    else:
+        rejected = False
+    assert rejected == _loadtxt_rejects(text)

@@ -18,6 +18,10 @@ STAGES = {
     # Two 3,600-pose clips.
     "segment": (["--poses", "7200", "--workers", "2"],
                 ["poses", "clips", "workers", "wall_s", "cpu_s", "peak_rss_mb", "manifest_sha256"], "clips/manifest.json"),
+    # Two clips of 20 landmarks, two draws each.
+    "samples": (["--poses", "7200", "--per-clip", "20", "--draws", "2", "--workers", "2"],
+                ["poses", "clips", "landmarks", "samples", "workers", "wall_s", "cpu_s", "peak_rss_mb", "sha256"],
+                "samples.jsonl"),
 }
 
 

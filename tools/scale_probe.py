@@ -3,14 +3,18 @@
     python3 tools/scale_probe.py eval --records 200000 --max-rss-mb 125
     python3 tools/scale_probe.py synth --poses 1080000 --workers 2 --max-rss-mb 350
     python3 tools/scale_probe.py segment --poses 1080000 --workers 2 --max-rss-mb 260
+    python3 tools/scale_probe.py samples --poses 1080000 --workers 2
 
 Writes the stage's input to a scratch directory (eval: N seeded horizon-8
 prediction records; synth: an arc spec of N poses at 30 fps, so 1,080,000 poses
 is 10 h; segment: that arc's pose stream, written by `synth` run as its own
-process), runs `python -m navcurate.cli <stage>` on it as its own process with
-the sources under src/ of this checkout, and prints one JSON line: the input
-size, wall_s, cpu_s, peak_rss_mb and the sha256 of the stage's output (for
-segment, of the clip manifest, after the clip count). CPU time
+process; samples: that arc with --per-clip synth landmarks on each clip, cut by
+`segment` run as its own process, and an accepted list of every clip id in the
+clip manifest), runs `python -m navcurate.cli <stage>` on it as its own process
+with the sources under src/ of this checkout, and prints one JSON line: the
+input size, wall_s, cpu_s, peak_rss_mb and the sha256 of the stage's output
+(for segment, of the clip manifest, after the clip count; for samples, of
+samples.jsonl, after the clip, landmark and sample counts). CPU time
 (user + system) and peak RSS are from os.wait4: the CPU time of the stage and
 its reaped pool workers, and the peak RSS of the largest of those processes. A
 child inherits its parent's RSS high-water mark across fork and exec, so this
@@ -34,6 +38,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HORIZON = 8
 FPS = 30.0
 CLIP_SECONDS = 120.0  # 3,600 poses per clip
+SEED = 1  # of samples' synth landmarks and of its draws
 
 
 def write_predictions(path: Path, n: int, seed: int) -> None:
@@ -70,8 +75,10 @@ def report_eval(args, workdir: Path, usage: dict) -> dict:
     return {"records": args.records, **usage, "metrics_sha256": file_sha256(workdir / "metrics.json")}
 
 
-def prepare_synth(args, workdir: Path) -> list[str]:
+def prepare_synth(args, workdir: Path, landmarks: dict | None = None) -> list[str]:
     spec = {"trajectory": {"kind": "arc", "duration_s": args.poses / FPS, "fps": FPS, "traj_id": "arc"}}
+    if landmarks is not None:
+        spec["landmarks"] = landmarks
     (workdir / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
     return ["synth", "--spec", "spec.json", "--out", "out", "--workers", str(args.workers)]
 
@@ -81,10 +88,16 @@ def report_synth(args, workdir: Path, usage: dict) -> dict:
     return {"poses": poses, "workers": args.workers, **usage, "sha256": file_sha256(workdir / "out" / "arc.txt")}
 
 
-def prepare_segment(args, workdir: Path) -> list[str]:
-    rc = run_stage(workdir, prepare_synth(args, workdir))[0]
+def run_before(workdir: Path, stage_argv: list[str]) -> None:
+    """Run a stage that writes the probed stage's input; exit when it fails."""
+    rc = run_stage(workdir, stage_argv)[0]
     if rc != 0:
-        raise SystemExit(f"synth exited {rc}: {(workdir / 'stderr.txt').read_text(encoding='utf-8', errors='replace')}")
+        stderr = (workdir / "stderr.txt").read_text(encoding="utf-8", errors="replace")
+        raise SystemExit(f"{stage_argv[0]} exited {rc}: {stderr}")
+
+
+def prepare_segment(args, workdir: Path, landmarks: dict | None = None) -> list[str]:
+    run_before(workdir, prepare_synth(args, workdir, landmarks))
     return ["segment", "--input", "out/arc.txt", "--fps", str(FPS), "--clip-seconds", str(CLIP_SECONDS),
             "--out", "clips", "--workers", str(args.workers)]
 
@@ -93,6 +106,24 @@ def report_segment(args, workdir: Path, usage: dict) -> dict:
     counts = json.loads((workdir / "clips" / "manifest.json").read_text(encoding="utf-8"))["counts"]
     return {"poses": counts["poses_in"], "clips": counts["clips_out"], "workers": args.workers, **usage,
             "manifest_sha256": file_sha256(workdir / "clips" / "manifest.json")}
+
+
+def prepare_samples(args, workdir: Path) -> list[str]:
+    run_before(workdir, prepare_segment(args, workdir,
+                                        {"clip_seconds": CLIP_SECONDS, "per_clip": args.per_clip, "seed": SEED}))
+    manifest = json.loads((workdir / "clips" / "manifest.json").read_text(encoding="utf-8"))
+    (workdir / "accepted.txt").write_text("".join(f"{clip['clip_id']}\n" for clip in manifest["clips"]),
+                                          encoding="utf-8")
+    return ["samples", "--clips", "clips", "--landmarks", "out/landmarks.jsonl", "--accepted", "accepted.txt",
+            "--out", "samples.jsonl", "--draws-per-landmark", str(args.draws), "--seed", str(SEED),
+            "--workers", str(args.workers)]
+
+
+def report_samples(args, workdir: Path, usage: dict) -> dict:
+    counts = json.loads((workdir / "samples.jsonl.manifest.json").read_text(encoding="utf-8"))["counts"]
+    return {"poses": args.poses, "clips": counts["clips_in"], "landmarks": counts["landmarks_in"],
+            "samples": counts["samples"], "workers": args.workers, **usage,
+            "sha256": file_sha256(workdir / "samples.jsonl")}
 
 
 def run_stage(workdir: Path, stage_argv: list[str]) -> tuple[int, float, float, float]:
@@ -133,6 +164,13 @@ def main(argv=None) -> int:
     segment.add_argument("--poses", type=int, default=1_080_000)
     segment.add_argument("--workers", type=int, default=1)
     segment.set_defaults(prepare=prepare_segment, report=report_segment)
+    samples = stages.add_parser("samples", parents=[common],
+                                help="samples of a long arc with landmarks, which synth and segment write first")
+    samples.add_argument("--poses", type=int, default=1_080_000)
+    samples.add_argument("--per-clip", type=int, default=1000, help="synth landmarks per clip")
+    samples.add_argument("--draws", type=int, default=4, help="draws per landmark")
+    samples.add_argument("--workers", type=int, default=1)
+    samples.set_defaults(prepare=prepare_samples, report=report_samples)
     args = parser.parse_args(argv)
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix=f"{args.stage}_probe_"))
     workdir.mkdir(parents=True, exist_ok=True)
