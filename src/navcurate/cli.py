@@ -124,15 +124,15 @@ def _map_tasks(fn, tasks, workers: int) -> list:
     return list(_imap(fn, tasks, workers))
 
 
-# A clip task is (manifest index, entry[, landmarks]); the worker parses the clip's pose file.
+# A clip task is (manifest index, entry[, lo, hi]); the worker parses the clip's pose file.
 def _filter_task(clip_dir, detections, config, convention, task):
     index, entry = task
     return run_filters(load_clip(clip_dir, entry, index), slice_detections(detections, entry), config, convention)
 
 
-def _samples_task(clip_dir, config, convention, task):
-    index, entry, landmarks = task
-    return build_clip_samples(load_clip(clip_dir, entry, index), landmarks, config, convention)
+def _samples_task(clip_dir, landmarks, config, convention, task):
+    index, entry, lo, hi = task
+    return build_clip_samples(load_clip(clip_dir, entry, index), landmarks[lo:hi], config, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +188,17 @@ def cmd_filter(args) -> int:
 def cmd_samples(args) -> int:
     entries = read_manifest(args.clips)
     landmarks = tio.parse_landmarks(args.landmarks)
-    # One id per "\n", as filter writes it: an id may hold another Unicode line break.
-    accepted_ids = {line for line in tio.read_text(args.accepted).split("\n") if line}
+    accepted_ids = tio.parse_accepted(args.accepted)
     config = _merged_config(SamplerConfig, args)
     convention = _convention(args)
 
-    fn = functools.partial(_samples_task, args.clips, config, convention)
-    lines, skipped = collect_samples(
-        [entry.clip_id for entry in entries],
-        landmarks,
-        accepted_ids,
-        lambda pairs: _map_tasks(fn, [(i, entries[i], lms) for i, lms in pairs], args.workers),
-    )
+    landmarks, rows, skipped = collect_samples([entry.clip_id for entry in entries], landmarks, accepted_ids)
+    fn = functools.partial(_samples_task, args.clips, landmarks, config, convention)
+    lines = []
+    for clip_lines, clip_skips in _map_tasks(fn, [(i, entries[i], lo, hi) for i, lo, hi in rows], args.workers):
+        lines.extend(clip_lines)
+        for reason, count in clip_skips.items():
+            skipped[reason] += count
     tio.remove_output(f"{args.out}.manifest.json")
     tio.write_samples(lines, args.out)
     manifest = _manifest(

@@ -107,6 +107,7 @@ __all__ = [
     "write_detections",
     "parse_landmarks",
     "write_landmarks",
+    "parse_accepted",
     "parse_samples",
     "write_samples",
     "parse_predictions",
@@ -925,6 +926,23 @@ def write_samples(lines, path) -> None:
 
 def parse_landmarks(path) -> list[LandmarkAnnotation]:
     return _parse_records(LandmarkAnnotation, path)
+
+
+def parse_accepted(path) -> set[str]:
+    """The clip ids of an accepted list, one per "\n" as filter writes it: an id may hold another Unicode line break.
+
+    A non-empty line that is not one file name (see :func:`_check_name`)
+    raises ValidationError naming ``path:line``.
+    """
+    ids = set()
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if line:
+            try:
+                _check_name("accepted clip id", line)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            ids.add(line)
+    return ids
 
 
 def parse_samples(path) -> list[TrainingSample]:

@@ -19,8 +19,10 @@ extracts all their waypoints with one
 :func:`~navcurate.geometry.ego_waypoints_many` call and formats each
 sample's JSON line straight from those arrays, with the bytes
 ``io.write_records`` gives the equal :class:`~navcurate.io.TrainingSample`;
-no per-sample object is built. :func:`collect_samples` does the
-corpus-level grouping and skip accounting for the ``samples`` command.
+no per-sample object is built. :func:`collect_samples` plans the
+``samples`` command: it sorts the landmarks by clip once, names the
+``lo:hi`` landmark rows of each accepted clip, and counts the landmarks
+of unknown and rejected clips.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -211,37 +214,33 @@ def build_clip_samples(
 
 
 def collect_samples(
-    clip_ids: list[str],
-    landmarks: list[LandmarkAnnotation],
-    accepted_ids: set[str],
-    build: Callable[[list[tuple[int, list[LandmarkAnnotation]]]], list],
-) -> tuple[list[str], dict[str, int]]:
-    """Sample lines over the accepted clips, plus the skip counts of the whole corpus.
+    clip_ids: list[str], landmarks: list[LandmarkAnnotation], accepted_ids: set[str]
+) -> tuple[list[LandmarkAnnotation], list[tuple[int, int, int]], dict[str, int]]:
+    """The sample plan of a corpus: its landmarks by clip, the rows of each clip to build, and the skip counts.
 
-    Landmarks are grouped by clip id in file order. A landmark whose clip
-    is not among ``clip_ids`` counts as ``unknown_clip``; one whose clip is
-    not in ``accepted_ids`` counts as ``rejected_clip``. ``build`` maps the
-    (position in ``clip_ids``, landmarks) pairs of the accepted clips that
-    have landmarks, sorted by clip id, to one ``build_clip_samples`` result
-    per pair, in order; its lines are concatenated and its skip counts
-    added in. A clip without landmarks gets no pair, as it would yield no
-    sample and no skip, so its poses need never be read.
+    The landmarks are sorted stably by clip id, so a clip's landmarks keep
+    their file order, and with it their ordinals. A row ``(position, lo,
+    hi)`` builds the clip ``clip_ids[position]`` (the ids are distinct)
+    from sorted landmarks ``lo:hi``; there is one row per accepted clip
+    that has landmarks, in clip-id order. A clip without landmarks gets no
+    row, as it would yield no sample and no skip, so its poses need never
+    be read. A landmark whose clip is not among ``clip_ids`` counts as
+    ``unknown_clip``; one whose clip is not in ``accepted_ids`` counts as
+    ``rejected_clip``; the per-clip reasons count 0, for the caller to add
+    each row's ``build_clip_samples`` skips to.
     """
-    by_clip: dict[str, list[LandmarkAnnotation]] = {}
-    for lm in landmarks:
-        by_clip.setdefault(lm.clip_id, []).append(lm)
-    known = set(clip_ids)
-    skipped = dict.fromkeys(CLIP_SKIP_REASONS, 0)
-    skipped["unknown_clip"] = sum(1 for lm in landmarks if lm.clip_id not in known)
-    skipped["rejected_clip"] = sum(len(lms) for cid, lms in by_clip.items() if cid in known and cid not in accepted_ids)
-    pairs = [
-        (i, by_clip[clip_ids[i]])
-        for i in sorted(range(len(clip_ids)), key=clip_ids.__getitem__)
-        if clip_ids[i] in accepted_ids and clip_ids[i] in by_clip
-    ]
-    lines: list[str] = []
-    for clip_lines, clip_skips in build(pairs):
-        lines.extend(clip_lines)
-        for key, count in clip_skips.items():
-            skipped[key] += count
-    return lines, skipped
+    ordered = sorted(landmarks, key=attrgetter("clip_id"))
+    position = {clip_id: i for i, clip_id in enumerate(clip_ids)}
+    skipped = dict.fromkeys((*CLIP_SKIP_REASONS, "unknown_clip", "rejected_clip"), 0)
+    rows = []
+    lo = 0
+    for clip_id, run in groupby(ordered, attrgetter("clip_id")):
+        hi = lo + sum(1 for _ in run)
+        if clip_id not in position:
+            skipped["unknown_clip"] += hi - lo
+        elif clip_id not in accepted_ids:
+            skipped["rejected_clip"] += hi - lo
+        else:
+            rows.append((position[clip_id], lo, hi))
+        lo = hi
+    return ordered, rows, skipped

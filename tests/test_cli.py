@@ -23,6 +23,7 @@ from navcurate.cli import main
 from navcurate.io import (
     BLOCK_ROWS,
     DetectionTable,
+    LandmarkAnnotation,
     PredictionRecord,
     parse_samples,
     write_pose_file,
@@ -970,6 +971,78 @@ class TestSamplesCommand:
         assert counts["clips_used"] == 4
         assert counts["skipped_landmark_draws"]["rejected_clip"] == 0
         assert {s.clip_id for s in parse_samples(out)} == set(ids)
+
+    def test_task_size_does_not_grow_with_landmarks(self, tmp_path, monkeypatch):
+        # The sorted landmarks are bound into the task function once per worker; a task is (index, entry, lo, hi).
+        assert main(["synth", "--spec", str(synth_spec_doc(tmp_path, landmarks=False)), "--out", str(tmp_path)]) == 0
+        clips = tmp_path / "clips"
+        assert main(["segment", "--input", str(tmp_path / "walk.txt"), "--fps", "10", "--clip-seconds", "60",
+                     "--out", str(clips)]) == 0
+        ids = [f"walk_{k:04d}" for k in range(4)]
+        (tmp_path / "accepted").write_text("".join(f"{cid}\n" for cid in ids))
+        for name, per_clip in [("few", 1), ("many", 1000)]:
+            (tmp_path / f"{name}.jsonl").write_text("".join(
+                json.dumps({"clip_id": cid, "goal_frame": 100 + i % 400, "bbox": [0, 0, 10, 10], "name": "kiosk",
+                            "instruction": f"go to kiosk {i}"}) + "\n"
+                for cid in ids for i in range(per_clip)
+            ))
+        captured = []
+        original = cli._map_tasks
+
+        def recording(fn, tasks, workers):
+            captured.append(list(tasks))
+            return original(fn, tasks, workers)
+
+        monkeypatch.setattr(cli, "_map_tasks", recording)
+        for name in ("few", "many"):
+            assert main(["samples", "--clips", str(clips), "--landmarks", str(tmp_path / f"{name}.jsonl"),
+                         "--accepted", str(tmp_path / "accepted"), "--out", str(tmp_path / f"{name}.out.jsonl"),
+                         "--world-up=-y", "--workers", "2"]) == 0
+        few, many = captured
+        assert len(many) == 4
+        assert not any(b"LandmarkAnnotation" in pickle.dumps(task) for task in few + many)
+        # Equal but for the row bounds lo, hi: a pickled int past 255 takes one more byte.
+        assert [len(pickle.dumps(task[:-2])) for task in many] == [len(pickle.dumps(task[:-2])) for task in few]
+        assert [task[-2:] for task in many] == [(1000 * k, 1000 * k + 1000) for k in range(4)]
+        assert [task[-2:] for task in few] == [(k, k + 1) for k in range(4)]
+
+    def test_interleaved_landmark_file_keeps_each_clips_file_order(self, pipeline_dir):
+        # Each clip's landmarks keep their file order, and with it their ordinals, however the clips interleave.
+        path = pipeline_dir / "synth" / "landmarks.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records = records[1::2] + records[::2][::-1]
+        for i, record in enumerate(records):
+            record["instruction"] = f"landmark {i}"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        clip_ids = [record["clip_id"] for record in records]
+        assert any(a != b for a, b in zip(clip_ids, sorted(clip_ids)))
+        extra = ("--draws-per-landmark", "3")
+        rc1, out1 = self._run(pipeline_dir, "w1.jsonl", workers="1", extra=extra)
+        rc2, out2 = self._run(pipeline_dir, "w2.jsonl", workers="2", extra=extra)
+        assert rc1 == rc2 == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        in_file_order = collections.defaultdict(list)
+        for record in records:
+            in_file_order[record["clip_id"]].append(record)
+        samples = parse_samples(out1)
+        assert len({s.clip_id for s in samples}) > 1
+        for sample in samples:
+            record = in_file_order[sample.clip_id][int(sample.sample_id.split(":")[-2])]
+            assert (sample.instruction, sample.t_g) == (record["instruction"], record["goal_frame"])
+
+    @pytest.mark.parametrize("text, line", [("walk_0000\r\nwalk_0002\r\n", 1), ("walk_0000\n../x\n", 2)])
+    def test_accepted_line_that_is_no_clip_id_exits_2(self, pipeline_dir, capsys, text, line):
+        accepted = pipeline_dir / "bad.accepted"
+        accepted.write_bytes(text.encode())
+        out = pipeline_dir / "bad.jsonl"
+        rc = main(["samples", "--clips", str(pipeline_dir / "clips"),
+                   "--landmarks", str(pipeline_dir / "synth" / "landmarks.jsonl"),
+                   "--accepted", str(accepted), "--out", str(out), "--world-up=-y", "--workers", "1"])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "validation"
+        assert error["detail"].startswith(f"{accepted}:{line}: accepted clip id ")
+        assert not out.exists()
 
     def test_zero_samples_exits_3(self, pipeline_dir, capsys):
         (pipeline_dir / "none.accepted").write_text("")

@@ -38,13 +38,15 @@ def landmark(clip_id="walk_0000", goal_frame=100, text="go to the kiosk"):
 
 
 def corpus_lines(clips, landmarks, accepted, config):
-    """Sample lines and skip counts over clips, the accepted ones built in process."""
-    return collect_samples(
-        [c.id for c in clips],
-        landmarks,
-        {c.id for c in accepted},
-        lambda pairs: [build_clip_samples(clips[i], lms, config, CLIP_CONVENTION) for i, lms in pairs],
-    )
+    """Sample lines and skip counts over clips, the rows of the accepted ones built in process."""
+    ordered, rows, skipped = collect_samples([c.id for c in clips], landmarks, {c.id for c in accepted})
+    lines = []
+    for i, lo, hi in rows:
+        clip_lines, clip_skips = build_clip_samples(clips[i], ordered[lo:hi], config, CLIP_CONVENTION)
+        lines.extend(clip_lines)
+        for reason, count in clip_skips.items():
+            skipped[reason] += count
+    return lines, skipped
 
 
 def corpus(clips, landmarks, accepted, config):

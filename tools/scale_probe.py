@@ -38,7 +38,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HORIZON = 8
 FPS = 30.0
 CLIP_SECONDS = 120.0  # 3,600 poses per clip
-SEED = 1  # of samples' synth landmarks and of its draws
+SEED = 1  # of eval's prediction records, and of samples' synth landmarks and draws
 
 
 def write_predictions(path: Path, n: int, seed: int) -> None:
@@ -67,7 +67,7 @@ def write_predictions(path: Path, n: int, seed: int) -> None:
 
 
 def prepare_eval(args, workdir: Path) -> list[str]:
-    write_predictions(workdir / "predictions.jsonl", args.records, args.seed)
+    write_predictions(workdir / "predictions.jsonl", args.records, SEED)
     return ["eval", "--pred", "predictions.jsonl", "--out", "metrics.json"]
 
 
@@ -154,7 +154,6 @@ def main(argv=None) -> int:
     stages = parser.add_subparsers(dest="stage", required=True)
     eval_ = stages.add_parser("eval", parents=[common], help="eval on generated prediction records")
     eval_.add_argument("--records", type=int, default=200_000)
-    eval_.add_argument("--seed", type=int, default=1)
     eval_.set_defaults(prepare=prepare_eval, report=report_eval)
     synth = stages.add_parser("synth", parents=[common], help="synth of a long arc")
     synth.add_argument("--poses", type=int, default=1_080_000)
