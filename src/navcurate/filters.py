@@ -93,10 +93,11 @@ class FilterVerdict:
         object.__setattr__(self, "reasons", tuple(sorted(self.reasons)))
 
 
-def _window_frames(config: FilterConfig, fps: float) -> int:
+def _window_frames(config: FilterConfig, fps: float, n: int) -> int:
     # A window is w consecutive poses (w-1 frame intervals); floor of 2
-    # keeps the displacement span nonzero at very low frame rates.
-    return max(2, int(round(config.window_seconds * fps)))
+    # keeps the displacement span nonzero at very low frame rates. A window
+    # past the clip's n poses, even one that overflows to inf, is n + 1.
+    return max(2, round(min(config.window_seconds * fps, n + 1)))
 
 
 def check_pitch(
@@ -122,18 +123,22 @@ def check_divergence(
 
     Returns (passed, max_divergence_deg); the diagnostic is 0.0 when no
     window moved far enough to measure. A clip with fewer poses than one
-    window fails with the diagnostic None (null in the report).
+    window fails with the diagnostic None (null in the report). A window
+    displacement that overflows raises ValidationError naming the clip.
     """
-    w = _window_frames(config, clip.fps)
     n = len(clip)
+    w = _window_frames(config, clip.fps, n)
     if n < w:
         return False, None
     yaw = yaw_many(clip.quaternions, convention)
-    delta = clip.positions[w - 1 :] - clip.positions[: n - w + 1]
     e1, e2 = convention.ground_axes
-    dx = delta @ e1
-    dy = delta @ e2
-    displacement = np.hypot(dx, dy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = clip.positions[w - 1 :] - clip.positions[: n - w + 1]
+        dx = delta @ e1
+        dy = delta @ e2
+        displacement = np.hypot(dx, dy)
+    if not np.isfinite(displacement).all():
+        raise ValidationError(f"clip {clip.id!r} has a non-finite window displacement: its positions overflow")
     view = yaw[(w - 1) // 2 : (w - 1) // 2 + n - w + 1]
     moving = displacement >= config.min_window_displacement_m
     valid = moving & ~np.isnan(view)

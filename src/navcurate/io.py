@@ -25,38 +25,35 @@ Pose files (TUM-style text):
 Record files (JSON lines, one compact record per line):
     Each record type is a frozen dataclass, and its fields are the
     record's schema: field names are the keys in order, annotations the
-    exact JSON types (see :mod:`navcurate.schema`). ``parse_landmarks``
-    and ``parse_samples`` build each line's record through
-    ``schema.decoder``; ``write_records`` (and its aliases
-    ``write_landmarks`` and ``write_predictions``) writes the fields back
-    in order. Each
-    constructor checks its fields with ``schema.check``, so a record built
-    in code obeys the same exact types as one read from a file.
+    exact JSON types, and the class's ``rules`` its invariants (see
+    :mod:`navcurate.schema`). ``parse_landmarks`` and ``parse_samples``
+    build each line's record through ``schema.decoder``;
+    ``write_records`` (and its aliases ``write_landmarks`` and
+    ``write_predictions``) writes the fields back in order. Each
+    constructor checks its fields and rules with ``schema.check``, so a
+    record built in code obeys the same rules as one read from a file.
 
     One rule holds for a rejected line in every record file, and
     :func:`_records`, the one pass over a record file's lines, is its only
     owner: the line is decoded through ``schema.decoder`` of its record
     class, with each number past the float range kept as written, and fails
     with the schema's error. A line of the wrong shape or JSON type raises
-    ParseError with its line number; a well-typed record that breaks an
-    invariant of its dataclass (an empty instruction, bbox corners out of
+    ParseError with its line number; a well-typed record that breaks a
+    rule of its dataclass (an empty instruction, bbox corners out of
     order) raises ValidationError naming ``path:line``. Keys that are not
     fields are ignored, in a detection's box too. Waypoints are tuples of
     ``(x, y)`` tuples of finite numbers, which json writes as ``[x, y]``.
 
 Detections and predictions, the files read at scale, are parsed into
-columns instead, and no object is built per record. Their pass through
-:func:`_records` tests each value's exact JSON type and range, and the
-first line it rejects fails by the one rule. So the parsers fail on the
-same line, with the same error class and message, as decoding every line
-would. :func:`parse_detections` gives a :class:`DetectionTable` (frames
-sorted, boxes as arrays); :func:`parse_predictions` gives a
+columns instead, and no object is built per record: the pass that
+``schema.columns`` compiles from the record class tests each value's
+type and the class's rules, and the first line it rejects fails by the
+one rule. :func:`parse_detections` gives a :class:`DetectionTable`
+(frames sorted, boxes as arrays); :func:`parse_predictions` gives a
 :class:`PredictionTable` (waypoints in flat arrays, arrival values with
-null masks). :class:`Detection`, :class:`DetectionFrame` and
-:class:`PredictionRecord` stay the schema: the scalar records the tests
-compare the tables with, and the constructors whose messages name a
-fault that the parsers (or :func:`write_detections`) find. Detection
-and sample files are written from columns, not records:
+null masks). The tests compare the tables with the scalar records, and
+the constructors name a fault that :func:`write_detections` finds.
+Detection and sample files are written from columns, not records:
 :func:`write_detections` formats a DetectionTable's lines from its
 columns, and :func:`write_samples` takes the lines that
 ``sampling.build_clip_samples`` formats from arrays. Each writes byte for
@@ -80,7 +77,6 @@ import os
 import stat
 import sys
 import warnings
-from array import array
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields
 from io import BufferedReader, BytesIO, RawIOBase, TextIOWrapper
@@ -217,13 +213,11 @@ class Detection:
     bbox: tuple[float, float, float, float]
     score: float
 
-    def __post_init__(self):
-        schema.check(self)
-        x1, y1, x2, y2 = self.bbox
-        if not (x1 <= x2 and y1 <= y2):
-            raise ValidationError(f"bbox corners out of order: {self.bbox}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"score must be in [0, 1], got {self.score!r}")
+    rules = (
+        ("bbox[0] <= bbox[2] and bbox[1] <= bbox[3]", "bbox corners out of order: {bbox}"),
+        ("0.0 <= score <= 1.0", "score must be in [0, 1], got {score!r}"),
+    )
+    __post_init__ = schema.check
 
 
 _FRAME_LIMIT = 1 << 63  # frame indices are stored as int64
@@ -237,10 +231,8 @@ class DetectionFrame:
     frame: int
     detections: tuple[Detection, ...]
 
-    def __post_init__(self):
-        schema.check(self)
-        if not 0 <= self.frame < _FRAME_LIMIT:
-            raise ValidationError(f"frame must be a non-negative int64 frame index, got {self.frame!r}")
+    rules = ((f"0 <= frame < {_FRAME_LIMIT}", "frame must be a non-negative int64 frame index, got {frame!r}"),)
+    __post_init__ = schema.check
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,17 +342,13 @@ class LandmarkAnnotation:
     name: str
     instruction: str
 
-    def __post_init__(self):
-        schema.check(self)
-        if not self.clip_id:
-            raise ValidationError("clip_id must be non-empty")
-        if self.goal_frame < 0:
-            raise ValidationError(f"goal_frame must be non-negative, got {self.goal_frame!r}")
-        x1, y1, x2, y2 = self.bbox
-        if not (x1 <= x2 and y1 <= y2):
-            raise ValidationError(f"bbox must have x1 <= x2 and y1 <= y2, got {self.bbox!r}")
-        if not self.instruction:
-            raise ValidationError("instruction must be non-empty")
+    rules = (
+        ("clip_id", "clip_id must be non-empty"),
+        ("goal_frame >= 0", "goal_frame must be non-negative, got {goal_frame!r}"),
+        ("bbox[0] <= bbox[2] and bbox[1] <= bbox[3]", "bbox must have x1 <= x2 and y1 <= y2, got {bbox!r}"),
+        ("instruction", "instruction must be non-empty"),
+    )
+    __post_init__ = schema.check
 
 
 @schema.record
@@ -377,18 +365,14 @@ class TrainingSample:
     waypoints: tuple[tuple[float, float], ...]
     arrival: bool
 
-    def __post_init__(self):
-        schema.check(self)
-        if not self.sample_id or not self.clip_id:
-            raise ValidationError("sample_id and clip_id must be non-empty")
-        if not self.instruction:
-            raise ValidationError("instruction must be non-empty")
-        if self.t < 0 or self.t_g < 0:
-            raise ValidationError("frame indices must be non-negative")
-        if not self.history_frames:
-            raise ValidationError("history_frames must be non-empty")
-        if not self.waypoints:
-            raise ValidationError("waypoints must be non-empty")
+    rules = (
+        ("sample_id and clip_id", "sample_id and clip_id must be non-empty"),
+        ("instruction", "instruction must be non-empty"),
+        ("t >= 0 and t_g >= 0", "frame indices must be non-negative"),
+        ("history_frames", "history_frames must be non-empty"),
+        ("waypoints", "waypoints must be non-empty"),
+    )
+    __post_init__ = schema.check
 
 
 @schema.record
@@ -402,17 +386,14 @@ class PredictionRecord:
     predicted_arrival: float | None = None
     arrival_label: bool | None = None
 
-    def __post_init__(self):
-        schema.check(self)
-        if not self.sample_id:
-            raise ValidationError("sample_id must be non-empty")
-        if len(self.predicted) == 0 or len(self.predicted) != len(self.ground_truth):
-            raise ValidationError(
-                "predicted and ground_truth must have equal length >= 1, "
-                f"got {len(self.predicted)} vs {len(self.ground_truth)}"
-            )
-        if self.predicted_arrival is not None and not 0.0 <= self.predicted_arrival <= 1.0:
-            raise ValidationError(f"predicted_arrival must be in [0, 1], got {self.predicted_arrival!r}")
+    rules = (
+        ("sample_id", "sample_id must be non-empty"),
+        ("predicted and len(predicted) == len(ground_truth)",
+         "predicted and ground_truth must have equal length >= 1, got {len(predicted)} vs {len(ground_truth)}"),
+        ("predicted_arrival is None or 0.0 <= predicted_arrival <= 1.0",
+         "predicted_arrival must be in [0, 1], got {predicted_arrival!r}"),
+    )
+    __post_init__ = schema.check
 
 
 @dataclass(frozen=True, eq=False)
@@ -674,130 +655,45 @@ def load_json(path, decode):
         raise SchemaError(f"{path}: {exc}") from None
 
 
-# json.loads gives a number as exactly int or float (true/false are bool),
-# so exact type tests suffice for parsed values. A JSON value unpacks to n
-# numbers only if it is an array of n numbers (an object unpacks to its
-# keys, a string to its characters). A chained comparison with -inf and
-# inf (``lo`` and ``hi`` below) holds for a finite float and for any int,
-# never for NaN or an infinity; an int beyond the float range raises
-# OverflowError when it is appended to a float array.
-_JSON_NUMBERS = frozenset((float, int))
-
-
 def parse_detections(path) -> DetectionTable:
     """Parse detection records into a DetectionTable, sorted by frame.
 
     Duplicate frames merge by concatenation in file order. One streaming
-    pass tests each value's exact JSON type and range; the first line it
-    rejects fails as every record file does (see :func:`_records`).
+    pass (``schema.columns``) tests each record's types and rules; the first
+    line it rejects fails as every record file does (see :func:`_records`).
     """
-    frames, ends = array("q"), array("q")
-    labels, scores, bboxes = array("q"), array("d"), array("d")
-    names: dict[str, int] = {}
-    lo, hi = -math.inf, math.inf
-
-    def take(obj):
-        frame = obj["frame"]
-        dets = obj["detections"]
-        if type(frame) is not int or frame < 0 or type(dets) is not list:
-            raise TypeError
-        for d in dets:
-            label = d["label"]
-            bbox = d["bbox"]
-            score = d["score"]
-            x1, y1, x2, y2 = bbox
-            if (
-                type(label) is not str
-                or type(score) not in _JSON_NUMBERS
-                or not 0 <= score <= 1
-                or type(x1) not in _JSON_NUMBERS
-                or type(y1) not in _JSON_NUMBERS
-                or type(x2) not in _JSON_NUMBERS
-                or type(y2) not in _JSON_NUMBERS
-                or not lo < x1 <= x2 < hi
-                or not lo < y1 <= y2 < hi
-            ):
-                raise TypeError
-            labels.append(names.setdefault(label, len(names)))
-            scores.append(score)
-            bboxes.extend(bbox)
-        frames.append(frame)
-        ends.append(len(scores))
-
+    take, cols = schema.columns(DetectionFrame, coded=["detections.label"])
     _records(path, DetectionFrame, take)
-    n, m = len(ends), len(scores)
     return DetectionTable._from_records(
-        np.frombuffer(frames, dtype=np.int64, count=n),
-        np.frombuffer(ends, dtype=np.int64, count=n),
-        np.frombuffer(labels, dtype=np.int64, count=m),
-        tuple(names),
-        np.frombuffer(scores, dtype=float, count=m),
-        np.frombuffer(bboxes, dtype=float, count=4 * m).reshape(m, 4),
+        np.frombuffer(cols["frame"], dtype=np.int64),
+        np.frombuffer(cols["detections.ends"], dtype=np.int64),
+        np.frombuffer(cols["detections.label"], dtype=np.int64),
+        tuple(cols["detections.label.names"]),
+        np.frombuffer(cols["detections.score"]),
+        np.frombuffer(cols["detections.bbox"]).reshape(-1, 4),
     )
 
 
 def parse_predictions(path) -> PredictionTable:
     """Parse prediction records into a PredictionTable, in file order.
 
-    One streaming pass tests each value's exact JSON type and range; the
-    first line it rejects fails as every record file does (see
+    One streaming pass (``schema.columns``) tests each record's types and
+    rules; the first line it rejects fails as every record file does (see
     :func:`_records`).
     """
-    sample_ids: list[str] = []
-    ends = array("q")
-    predicted, ground_truth = array("d"), array("d")
-    arrival, labels, arrival_null, label_null = array("d"), array("b"), array("b"), array("b")
-    lo, hi = -math.inf, math.inf
-
-    def take(obj):
-        sample_id = obj["sample_id"]
-        pred = obj["predicted"]
-        gt = obj["ground_truth"]
-        p_arrival = obj.get("predicted_arrival")
-        label = obj.get("arrival_label")
-        if (
-            type(sample_id) is not str
-            or not sample_id
-            or type(pred) is not list
-            or type(gt) is not list
-            or not pred
-            or len(pred) != len(gt)
-            or (p_arrival is not None and (type(p_arrival) not in _JSON_NUMBERS or not 0 <= p_arrival <= 1))
-            or (label is not None and type(label) is not bool)
-        ):
-            raise TypeError
-        for waypoints, column in ((pred, predicted), (gt, ground_truth)):
-            for w in waypoints:
-                x, y = w
-                if (
-                    type(x) not in _JSON_NUMBERS
-                    or type(y) not in _JSON_NUMBERS
-                    or not lo < x < hi
-                    or not lo < y < hi
-                ):
-                    raise TypeError
-                column.extend(w)
-        arrival.append(0.0 if p_arrival is None else p_arrival)
-        arrival_null.append(p_arrival is None)
-        labels.append(label is True)
-        label_null.append(label is None)
-        sample_ids.append(sample_id)
-        ends.append(len(predicted) >> 1)
-
+    take, cols = schema.columns(PredictionRecord)
     _records(path, PredictionRecord, take)
-    n = len(ends)
-    w = ends[n - 1] if n else 0
-    id_offsets = np.cumsum(np.fromiter(map(len, sample_ids), dtype=np.int64, count=n))
+    ids = cols["sample_id"]
     return PredictionTable(
-        "".join(sample_ids),
-        np.concatenate(([0], id_offsets)),
-        np.concatenate(([0], np.frombuffer(ends, dtype=np.int64, count=n))),
-        np.frombuffer(predicted, dtype=float, count=2 * w).reshape(w, 2),
-        np.frombuffer(ground_truth, dtype=float, count=2 * w).reshape(w, 2),
-        np.frombuffer(arrival, dtype=float, count=n),
-        np.frombuffer(arrival_null, dtype=bool, count=n),
-        np.frombuffer(labels, dtype=bool, count=n),
-        np.frombuffer(label_null, dtype=bool, count=n),
+        "".join(ids),
+        np.concatenate(([0], np.cumsum(np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))))),
+        np.concatenate(([0], np.frombuffer(cols["predicted.ends"], dtype=np.int64))),
+        np.frombuffer(cols["predicted"]).reshape(-1, 2),
+        np.frombuffer(cols["ground_truth"]).reshape(-1, 2),
+        cols["predicted_arrival"],
+        cols["predicted_arrival.null"],
+        cols["arrival_label"],
+        cols["arrival_label.null"],
     )
 
 

@@ -18,23 +18,33 @@ only pick an object's keys and call the class. Values are checked, never
 coerced: an ``int`` is never a bool or a float, a ``float`` is a finite int
 or float, numpy scalars are rejected, and the one conversion is a list (or
 tuple) to a plain tuple. A value of the wrong type raises SchemaError
-naming its class and key path; the constructor's own checks after
-:func:`check` (ranges, non-empty strings) raise ValidationError.
+naming its class and key path. A record's range rules (bounds, order,
+non-empty strings) are declared once, as data on its class: ``rules`` holds
+(expression, message) pairs, each expression over the field names and true
+for a valid record, each message an f-string template over them.
+:func:`check` tests them in order after the types, and a broken rule
+raises ValidationError with its message (a config's own checks after
+:func:`check` raise it too).
+:func:`columns` compiles from the same annotations and rules a pass that
+reads records into columns without building them.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
 import types
 import typing
+from array import array
 
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 
-__all__ = ["hints", "check", "record", "decoder", "load", "to_json"]
+__all__ = ["hints", "check", "record", "decoder", "load", "to_json", "columns"]
 
 # The exact types json.loads gives for the values each scalar annotation accepts.
 _JSON_TYPES = {str: frozenset((str,)), int: frozenset((int,)), float: frozenset((int, float)), bool: frozenset((bool,))}
@@ -182,17 +192,28 @@ def _converter(tp):
 
 @functools.cache
 def _checkers(cls) -> tuple:
-    return tuple((f.name, _converter(hints(cls)[f.name])) for f in dataclasses.fields(cls))
+    """The (field name, converter) pairs of cls, and the function that tests its declared rules (or None)."""
+    checkers = tuple((f.name, _converter(hints(cls)[f.name])) for f in dataclasses.fields(cls))
+    if not getattr(cls, "rules", ()):
+        return checkers, None
+    names = [name for name, _ in checkers]
+    lines = ["def rules(obj):", f"    {', '.join(names)}, = {', '.join(f'obj.{name}' for name in names)},"]
+    lines += [f"    if not ({expr}): raise ValidationError(f{message!r})" for expr, message in cls.rules]
+    namespace = {"ValidationError": ValidationError}
+    exec("\n".join(lines), namespace)
+    return checkers, namespace["rules"]
 
 
 def check(obj) -> None:
-    """Check every field of a dataclass instance against its annotation; each schema class calls it first.
+    """Check a dataclass instance's fields against their annotations, then its rules; each schema class calls it first.
 
     A list or tuple in an array field is stored as a plain tuple, the one
     conversion. A value of the wrong type raises SchemaError naming the
-    class and the field, as a file value of that type does.
+    class and the field, as a file value of that type does. A broken rule
+    raises ValidationError with the rule's message.
     """
-    for name, convert in _checkers(type(obj)):
+    checkers, rules = _checkers(type(obj))
+    for name, convert in checkers:
         value = getattr(obj, name)
         try:
             checked = convert(value)
@@ -202,6 +223,8 @@ def check(obj) -> None:
             raise
         if checked is not value:
             object.__setattr__(obj, name, checked)
+    if rules is not None:
+        rules(obj)
 
 
 @functools.cache
@@ -276,3 +299,120 @@ def to_json(value):
 def _getter(cls):
     names = tuple(f.name for f in dataclasses.fields(cls))
     return names, operator.attrgetter(*names)
+
+
+# ---------------------------------------------------------------------------
+# The column pass compiled from a record class
+# ---------------------------------------------------------------------------
+
+# The column each scalar type is appended to.
+_COLUMNS = {str: "[]", int: "array('q')", float: "array('d')", bool: "array('b')"}
+# The test that a parsed JSON value v does not have each scalar type: a float is an int or float in (-1e999, 1e999).
+_WRONG = {str: "type({v}) is not str", int: "type({v}) is not int", bool: "type({v}) is not bool",
+          float: "type({v}) not in _NUMBERS or not -1e999 < {v} < 1e999"}
+
+
+def columns(cls, coded=()):
+    """A fresh pass over parsed JSON records of the record class cls: ``(take, columns)``.
+
+    take(obj) appends one record's values to the columns, a dict of lists
+    and arrays by key, or raises KeyError, TypeError, ValueError or
+    OverflowError where ``decoder(cls)`` would reject obj; a rejected record
+    may leave the columns partly appended. The keys are the field names,
+    dotted for the fields of a record in a list:
+
+    - str fields are lists, int fields ``array("q")``, float fields
+      ``array("d")`` and bool fields ``array("b")``; ``X | None`` holds X's
+      zero for null, and ``<key>.null`` marks the nulls;
+    - a scalar field whose key is in ``coded`` holds the codes of its
+      values instead, and ``<key>.names`` maps each distinct value to its
+      code;
+    - a fixed tuple of numbers or booleans is one flat column;
+    - ``tuple[X, ...]`` ends each record's items at ``<key>.ends`` (an
+      ``array("q")`` of item counts so far), with scalar or tuple items in
+      ``<key>`` and record items in ``<key>.<field>``.
+
+    An int past int64 fails the pass (OverflowError): an int field read
+    into columns declares a rule bounding it, so the decoder rejects it
+    too. Any other annotation raises TypeError when the pass is compiled.
+    """
+    return _column_pass(cls, tuple(coded))()
+
+
+@functools.cache
+def _column_pass(cls, coded: tuple):
+    """The function that makes cls's columns and take, its source written once, as ``dataclasses`` writes ``__init__``.
+
+    Each value is appended once its type is tested; a record's rules follow
+    its fields. Column i is ``_c{i}``, with its append ``_a{i}`` and extend
+    ``_e{i}``.
+    """
+    lines, made, env = [], {}, {"_NUMBERS": _JSON_TYPES[float], "array": array}
+    names = map("_v{}".format, itertools.count(1))
+
+    def column(key: str, make: str) -> int:
+        if key in made:
+            raise TypeError(f"two columns named {key!r}")
+        made[key] = make
+        return len(made) - 1
+
+    def record(rec, obj: str, prefix: str, pad: int) -> str:
+        """Emit the pass over the record rec in obj; return an expression counting the records passed."""
+        fields, indent = dataclasses.fields(rec), "    " * pad
+        local = {f.name: next(names) for f in fields}
+        lines.append(f"{indent}if type({obj}) is not dict: raise TypeError")
+        for f in fields:
+            read = f"[{f.name!r}]"
+            if f.default is not dataclasses.MISSING:
+                env[local[f.name] + "_d"], read = f.default, f".get({f.name!r}, {local[f.name]}_d)"
+            lines.append(f"{indent}{local[f.name]} = {obj}{read}")
+        counts = [field(hints(rec)[f.name], local[f.name], prefix + f.name, pad) for f in fields]
+        for expr, _ in getattr(rec, "rules", ()):  # inlined with each field name read as its local
+            tree = ast.parse(expr, mode="eval")
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    node.id = local.get(node.id, node.id)
+            lines.append(f"{indent}if not ({ast.unparse(tree)}): raise ValueError")
+        return counts[0]
+
+    def field(tp, v: str, key: str, pad: int) -> str:
+        """Emit the type tests and appends of the value v of annotation tp; return an expression counting them."""
+        indent, args, origin = "    " * pad, typing.get_args(tp), typing.get_origin(tp)
+        if tp in _COLUMNS:
+            lines.append(f"{indent}if {_WRONG[tp].format(v=v)}: raise TypeError")
+            i = column(key, "array('q')" if key in coded else _COLUMNS[tp])
+            if key in coded:
+                j = column(key + ".names", "{}")
+                v = f"_c{j}.setdefault({v}, len(_c{j}))"
+            lines.append(f"{indent}_a{i}({v})")
+            return f"len(_c{i})"
+        if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),) and args[0] in _COLUMNS:
+            i, j = column(key, _COLUMNS[args[0]]), column(key + ".null", "array('b')")
+            lines.append(f"{indent}if {v} is not None and ({_WRONG[args[0]].format(v=v)}): raise TypeError")
+            lines.extend([f"{indent}_a{i}({args[0]()!r} if {v} is None else {v})", f"{indent}_a{j}({v} is None)"])
+            return f"len(_c{j})"
+        # A JSON object or string unpacks to its keys or characters, which fail a number's or a boolean's test.
+        if origin is tuple and Ellipsis not in args and len(set(args)) == 1 and args[0] in (int, float, bool):
+            i, items = column(key, _COLUMNS[args[0]]), [next(names) for _ in args]
+            wrong = " or ".join(_WRONG[args[0]].format(v=item) for item in items)
+            lines.extend([f"{indent}{', '.join(items)}, = {v}", f"{indent}if {wrong}: raise TypeError"])
+            lines.append(f"{indent}_e{i}({v})")
+            return f"len(_c{i}) // {len(items)}"
+        if origin is tuple and args[1:] == (Ellipsis,):
+            i, item = column(key + ".ends", "array('q')"), next(names)
+            lines.extend([f"{indent}if type({v}) is not list: raise TypeError", f"{indent}for {item} in {v}:"])
+            if args[0] in _RECORDS:
+                count = record(args[0], item, key + ".", pad + 1)
+            else:
+                count = field(args[0], item, key, pad + 1)
+            lines.append(f"{indent}_a{i}({count})")
+            return f"len(_c{i})"
+        raise TypeError(f"no column rule for {tp!r}")
+
+    record(cls, "_v0", "", 2)
+    head = ["def make():"]
+    for i, make in enumerate(made.values()):
+        head.append(f"    _c{i} = {make}" + ("" if make == "{}" else f"; _a{i}, _e{i} = _c{i}.append, _c{i}.extend"))
+    tail = ["    return take, {" + ", ".join(f"{key!r}: _c{i}" for i, key in enumerate(made)) + "}"]
+    exec("\n".join([*head, "    def take(_v0):", *lines, *tail]), env)
+    return env["make"]

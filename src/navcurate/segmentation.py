@@ -82,12 +82,14 @@ def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[ClipEntry]
     """
     if not (math.isfinite(clip_seconds) and clip_seconds > 0.0):
         raise ValidationError(f"clip_seconds must be positive, got {clip_seconds!r}")
-    frames = int(round(clip_seconds * traj.fps))
+    # A window past the stream, even one whose frame count overflows to inf, is one frame longer than the stream.
+    frames = round(min(clip_seconds * traj.fps, len(traj) + 1))
     if frames < 1:
         raise ValidationError(f"clip window of {clip_seconds} s spans no frames at fps={traj.fps}")
     n_clips = len(traj) // frames
     if n_clips == 0:
-        raise EmptyResult(f"trajectory {traj.id!r} has {len(traj)} frames, shorter than one {frames}-frame clip")
+        raise EmptyResult(f"trajectory {traj.id!r} has {len(traj)} frames, shorter than one clip of {clip_seconds} s "
+                          f"at fps={traj.fps}")
     ids = [f"{traj.id}_{k:04d}" for k in range(n_clips)]
     return [ClipEntry(cid, traj.id, traj.fps, k * frames, frames, f"{cid}.txt") for k, cid in enumerate(ids)]
 
@@ -99,7 +101,8 @@ def cut_clip(traj: RawTrajectory, entry: ClipEntry) -> RawTrajectory:
     anchor_quat = traj.quaternions[start]
     # R_anchor^T d applied to every row d is the single matmul d @ R_anchor.
     rot = quat_rotate(anchor_quat, np.eye(3)).T
-    local_pos = (traj.positions[start:stop] - anchor_pos) @ rot
+    with np.errstate(over="ignore", invalid="ignore"):  # RawTrajectory rejects what overflows
+        local_pos = (traj.positions[start:stop] - anchor_pos) @ rot
     local_quat = quat_multiply(quat_conjugate(anchor_quat), traj.quaternions[start:stop])
     return RawTrajectory(entry.clip_id, traj.fps, traj.timestamps[start:stop], local_pos, local_quat)
 

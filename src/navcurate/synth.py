@@ -230,6 +230,7 @@ def _base_orientation() -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # RawTrajectory rejects what overflows
 def generate(spec: SynthSpec) -> RawTrajectory:
     """Produce the closed-form pose stream for a spec (frames of RAW_CONVENTION)."""
     if spec.kind == "composite":
@@ -262,9 +263,9 @@ def generate(spec: SynthSpec) -> RawTrajectory:
         pitch_offset = spec.amplitude_deg * np.sin(2.0 * math.pi * t / spec.period_s)
     elif spec.kind == "head_turn":
         positions = np.outer(spec.speed_mps * t, e1)
-        half = spec.turn_len_s / 2.0
-        mid = spec.turn_start_s + half
-        yaw_offset = spec.turn_deg * np.maximum(0.0, 1.0 - np.abs(t - mid) / half)
+        mid = spec.turn_start_s + spec.turn_len_s / 2.0
+        # Over turn_len_s itself, not its half, which underflows to 0 for the tiniest positive length.
+        yaw_offset = spec.turn_deg * np.maximum(0.0, 1.0 - 2.0 * np.abs(t - mid) / spec.turn_len_s)
 
     quats = _compose_orientations(q0, yaw_offset, pitch_offset, up, e2)
     return RawTrajectory(spec.traj_id or f"synth_{spec.kind}", spec.fps, t, positions, quats)

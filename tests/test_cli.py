@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import navcurate
@@ -25,6 +26,7 @@ from navcurate.io import (
     DetectionTable,
     LandmarkAnnotation,
     PredictionRecord,
+    RawTrajectory,
     parse_samples,
     write_pose_file,
     write_predictions,
@@ -1817,6 +1819,86 @@ class TestOneReadPerInput:
             assert {path: opened[path] for path in inputs[stage]} == dict.fromkeys(inputs[stage], 1), stage
             if stage == "samples":  # it reads only the accepted clips that have landmarks, each once too
                 assert max(opened[path] for path in clips) == 1
+
+
+def _write_stream(path, x, fps: float = 10.0) -> None:
+    """A pose file of level poses at the positions x along the x axis, one per frame, named for its stem."""
+    positions = np.zeros((len(x), 3))
+    positions[:, 0] = x
+    quaternions = np.tile([0.0, 0.0, 0.0, 1.0], (len(x), 1))
+    write_pose_file(RawTrajectory(path.stem, fps, np.arange(len(x)) / fps, positions, quaternions), path)
+
+
+class TestOverflowingValues:
+    """A value whose arithmetic overflows exits with its documented code and one JSON line, no traceback or warning."""
+
+    @staticmethod
+    def _check(proc, rc: int, error: str | None = None) -> dict | None:
+        assert proc.returncode == rc, proc.stderr
+        if rc == 0:
+            assert proc.stderr == ""
+            return None
+        [line] = proc.stderr.splitlines()
+        record = json.loads(line)
+        assert record["error"] == error
+        return record
+
+    @pytest.mark.parametrize("flags", [["--fps", "10", "--clip-seconds", "1e308"], ["--fps", "1e308"]],
+                             ids=["clip-seconds", "fps"])
+    def test_segment_window_past_any_stream_is_empty(self, tmp_path, flags):
+        _write_stream(tmp_path / "walk.txt", np.zeros(20))
+        proc = run_cli("segment", "--input", str(tmp_path / "walk.txt"), *flags, "--out", str(tmp_path / "c"))
+        self._check(proc, 3, "empty")
+
+    @pytest.mark.parametrize(
+        "doc, rc, error",
+        [
+            ({"trajectory": {"kind": "straight", "speed_mps": 1e308}}, 2, "validation"),
+            ({"trajectory": {"kind": "arc", "yaw_rate_dps": 1e308}}, 2, "validation"),
+            ({"trajectory": {"kind": "head_turn", "turn_deg": 30.0, "turn_len_s": 1e-320}}, 0, None),
+            ({"trajectory": {"kind": "straight"}, "landmarks": {"clip_seconds": 1e308}}, 3, "empty"),
+        ],
+        ids=["speed", "yaw-rate", "subnormal-turn", "landmark-clip-seconds"],
+    )
+    def test_synth(self, tmp_path, doc, rc, error):
+        doc["trajectory"].update(duration_s=2.0, fps=10.0)
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        self._check(run_cli("synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out")), rc, error)
+
+    def test_segment_of_a_stream_whose_clip_positions_overflow(self, tmp_path):
+        _write_stream(tmp_path / "walk.txt", [1e308, -1e308] * 10)
+        proc = run_cli("segment", "--input", str(tmp_path / "walk.txt"), "--fps", "10", "--clip-seconds", "1",
+                       "--out", str(tmp_path / "c"), "--workers", "1")
+        self._check(proc, 2, "validation")
+
+    @pytest.fixture
+    def clips(self, tmp_path):
+        """Two clips of 20 poses at 10 fps whose positions alternate between 1e308 and -1e308 after pose 0."""
+        _write_stream(tmp_path / "walk.txt", np.zeros(40))
+        assert main(["segment", "--input", str(tmp_path / "walk.txt"), "--fps", "10", "--clip-seconds", "2",
+                     "--out", str(tmp_path / "clips")]) == 0
+        for name in ("walk_0000", "walk_0001"):
+            _write_stream(tmp_path / "clips" / f"{name}.txt", [0.0] + [1e308, -1e308] * 9 + [1e308])
+        (tmp_path / "d.jsonl").write_text("")
+        return tmp_path
+
+    @pytest.mark.parametrize("world_up", ["-y", "+z"])
+    def test_filter_of_clips_whose_window_displacement_overflows(self, clips, world_up):
+        proc = run_cli("filter", "--clips", str(clips / "clips"), "--detections", str(clips / "d.jsonl"),
+                       "--report", str(clips / "r.json"), f"--world-up={world_up}", "--workers", "1")
+        record = self._check(proc, 2, "validation")
+        assert record["detail"] == "clip 'walk_0000' has a non-finite window displacement: its positions overflow"
+        assert not (clips / "r.json").exists() and not (clips / "r.json.accepted").exists()
+
+    def test_filter_window_past_any_clip_fails_divergence(self, pipeline_dir):
+        proc = run_cli("filter", "--clips", str(pipeline_dir / "clips"), "--detections",
+                       str(pipeline_dir / "synth" / "detections.jsonl"), "--report", str(pipeline_dir / "r.json"),
+                       "--world-up=-y", "--window-seconds", "1e308")
+        self._check(proc, 0)
+        report = json.loads((pipeline_dir / "r.json").read_text())
+        verdicts = report["verdicts"]
+        assert verdicts and all(v["diagnostics"]["max_divergence_deg"] is None for v in verdicts)
+        assert all("view_divergence" in v["reasons"] for v in verdicts)
 
 
 # The opens of each path seen by the audit hook while a _counting_opens block runs; None outside one.

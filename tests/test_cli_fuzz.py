@@ -3,11 +3,11 @@
 Each example takes a valid input of one subcommand (a detection, landmark
 or prediction file, a ``loss`` document, a clip-manifest entry or a
 ``synth`` spec), replaces one JSON value anywhere in it with a value from
-a small pool of wrong types, huge or non-finite numbers (``1e400``
-among them), a string holding NUL, the relative name ``../x`` and a list
-nested 2,000 deep, or deletes it, and runs ``cli.main`` in this process
-on a tiny synthetic fixture; no run writes a file beside its named
-outputs. The ``segment`` pose file gets one broken row instead.
+a small pool of wrong types, huge, tiny or non-finite numbers (``1e308``,
+``5e-324`` and ``1e400`` among them), a string holding NUL, the relative
+name ``../x`` and a list nested 2,000 deep, or deletes it, and runs
+``cli.main`` in this process on a tiny synthetic fixture; no run writes a
+file beside its named outputs. The ``segment`` pose file gets one broken row instead.
 A byte-level mutation puts one byte that is not UTF-8 anywhere into any
 input file, which must fail as a parse error naming that byte's line.
 """
@@ -40,7 +40,7 @@ MISSING = _Missing()
 HUGE_FLOAT = "\x00 1e400"
 # Written as a list nested 2,000 deep, past the recursion limit of json (and of json.dumps, hence the raw text).
 DEEP_LIST = "\x00 deep"
-POOL = [True, "5", None, [[1]], 10**400, math.nan, HUGE_FLOAT, MISSING, "a\x00b", "../x", DEEP_LIST]
+POOL = [True, "5", None, [[1]], 10**400, 1e308, 5e-324, math.nan, HUGE_FLOAT, MISSING, "a\x00b", "../x", DEEP_LIST]
 
 
 def _dumps(doc) -> str:

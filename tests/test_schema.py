@@ -40,6 +40,8 @@ from navcurate.segmentation import ClipEntry, read_manifest, save_clips, segment
 from navcurate.synth import DetectionBlock, DetectionSpan, LandmarkBlock, SynthFile, SynthSpec, generate
 
 from oracles import EgoWaypoint, frames_of, records_of
+from test_cli_fuzz import _dumps, _replaced, _sites
+from test_io import PARITY_POOL
 
 # One value of each wrong JSON type: a boolean, a numeric string, null, a
 # float and a nested list. A case is skipped where the field accepts it.
@@ -348,3 +350,126 @@ def test_config_flags_are_the_config_fields(command, config):
         assert actions[flag].type is schema.hints(cls)[name]
         assert actions[flag].default is None
     assert {flag: actions[flag].type for flag in flags} == PINNED_FLAGS[command]
+
+
+# ---------------------------------------------------------------------------
+# The column pass compiled from a record class
+# ---------------------------------------------------------------------------
+
+
+@schema.record
+@dataclasses.dataclass(frozen=True)
+class _Part:
+    name: str
+    size: float
+
+    __post_init__ = schema.check
+
+
+@schema.record
+@dataclasses.dataclass(frozen=True)
+class _EveryKind:
+    """A record with a field of each kind the column pass supports, and one declared rule (which bounds the int)."""
+
+    count: int
+    weight: float
+    name: str
+    flag: bool
+    box: tuple[float, float, float]
+    sizes: tuple[float, ...]
+    path: tuple[tuple[float, float], ...]
+    parts: tuple[_Part, ...]
+    level: float | None = None
+    seen: bool | None = None
+
+    rules = (("0 <= count <= len(path)", "count must be in [0, {len(path)}], the path's points, got {count!r}"),)
+    __post_init__ = schema.check
+
+
+@schema.record
+@dataclasses.dataclass(frozen=True)
+class _AllOptional:
+    size: float = 1.0
+    tag: str | None = None
+
+    __post_init__ = schema.check
+
+
+EVERY_KIND = {"count": 2, "weight": 0.5, "name": "a", "flag": True, "box": [0, 1.5, 2], "sizes": [3, 4.5],
+              "path": [[0, 1], [2.5, -3]], "parts": [{"name": "p", "size": 1}, {"name": "q", "size": 0.5, "extra": 1}],
+              "level": 0.25, "seen": False}
+# The rejections a take raises, as io._records catches them.
+REJECTED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+@pytest.mark.parametrize("cls, valid", [(_EveryKind, EVERY_KIND), (_AllOptional, {"size": 2})],
+                         ids=["every-kind", "all-optional"])
+def test_column_pass_accepts_exactly_what_the_decoder_accepts(cls, valid):
+    decode = schema.decoder(cls)
+    cases = 0
+    for site in _sites(valid):
+        for value in PARITY_POOL + [-1, 2**63, math.inf]:
+            try:
+                obj = json.loads(_dumps(_replaced(valid, site, value)))
+            except RecursionError:  # the list nested past json's limit is a parse error before any pass
+                continue
+            try:
+                decode(obj)
+                want = True
+            except ValidationError:
+                want = False
+            take, _ = schema.columns(cls, coded=["name"] if cls is _EveryKind else ())
+            try:
+                take(obj)
+                got = True
+            except REJECTED:
+                got = False
+            assert got == want, (site, value)
+            cases += 1
+    assert cases >= 15 * len(list(_sites(valid)))
+
+
+def test_column_pass_columns():
+    take, cols = schema.columns(_EveryKind, coded=["parts.name"])
+    take(EVERY_KIND)
+    # The optional fields left out; one size, no parts.
+    required = {key: value for key, value in EVERY_KIND.items() if key not in ("level", "seen")}
+    take(required | {"sizes": [1], "parts": []})
+    take(EVERY_KIND | {"name": "b", "parts": [{"name": "r", "size": 2}, {"name": "p", "size": 3}]})
+    assert {key: (type(col).__name__, list(col)) for key, col in cols.items()} == {
+        "count": ("array", [2, 2, 2]),
+        "weight": ("array", [0.5, 0.5, 0.5]),
+        "name": ("list", ["a", "a", "b"]),
+        "flag": ("array", [1, 1, 1]),
+        "box": ("array", [0.0, 1.5, 2.0] * 3),
+        "sizes.ends": ("array", [2, 3, 5]),
+        "sizes": ("array", [3.0, 4.5, 1.0, 3.0, 4.5]),
+        "path.ends": ("array", [2, 4, 6]),
+        "path": ("array", [0.0, 1.0, 2.5, -3.0] * 3),
+        "parts.ends": ("array", [2, 2, 4]),
+        "parts.name": ("array", [0, 1, 2, 0]),
+        "parts.name.names": ("dict", ["p", "q", "r"]),
+        "parts.size": ("array", [1.0, 0.5, 2.0, 3.0]),
+        "level": ("array", [0.25, 0.0, 0.25]),
+        "level.null": ("array", [0, 1, 0]),
+        "seen": ("array", [0, 0, 0]),
+        "seen.null": ("array", [0, 1, 0]),
+    }
+    assert cols["parts.name.names"] == {"p": 0, "q": 1, "r": 2}
+
+
+def test_declared_rule_is_checked_by_the_constructor():
+    with pytest.raises(ValidationError, match=r"^count must be in \[0, 1\], the path's points, got 2$"):
+        _EveryKind(2, 0.5, "a", True, (0.0, 1.0, 2.0), (3.0,), ((0.0, 1.0),), ())
+
+
+@pytest.mark.parametrize(
+    "tp",
+    [dict, tuple[str, str], tuple[int, float], tuple[tuple[int, ...], ...], tuple[float, ...] | None, int | str,
+     LossWeights, tuple[LossWeights, ...]],
+    ids=repr,
+)
+def test_column_pass_rejects_an_unsupported_hint_when_compiled(tp):
+    cls = schema.record(dataclasses.make_dataclass("Odd", [("x", tp)], frozen=True))
+    with pytest.raises(TypeError):
+        schema.columns(cls)
