@@ -61,21 +61,13 @@ class FilterConfig:
     person_label: str = "person"
     person_score_min: float = 0.5
 
-    def __post_init__(self):
-        schema.check(self)
-        for name in (
-            "pitch_range_max_deg",
-            "divergence_max_deg",
-            "window_seconds",
-            "min_window_displacement_m",
-            "crowd_count_threshold",
-            "crowd_frame_threshold",
-        ):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValidationError(f"{name} must be positive, got {value!r}")
-        if not (0.0 <= self.person_score_min <= 1.0):
-            raise ValidationError(f"person_score_min must be in [0, 1], got {self.person_score_min!r}")
+    rules = (
+        *((f"{name} > 0", f"{name} must be positive, got {{{name}!r}}") for name in (
+            "pitch_range_max_deg", "divergence_max_deg", "window_seconds", "min_window_displacement_m",
+            "crowd_count_threshold", "crowd_frame_threshold")),
+        ("0.0 <= person_score_min <= 1.0", "person_score_min must be in [0, 1], got {person_score_min!r}"),
+    )
+    __post_init__ = schema.check
 
 
 @dataclass(frozen=True)

@@ -76,11 +76,9 @@ class AxisConvention:
     camera_forward: str = "+z"
     world_up: str = "+z"
 
-    def __post_init__(self):
-        schema.check(self)
-        for name, value in (("camera_forward", self.camera_forward), ("world_up", self.world_up)):
-            if value not in _AXIS_VECTORS:
-                raise ValidationError(f"{name} must be one of {sorted(_AXIS_VECTORS)}, got {value!r}")
+    rules = tuple((f"{name} in _AXIS_VECTORS", f"{name} must be one of {{sorted(_AXIS_VECTORS)}}, got {{{name}!r}}")
+                  for name in ("camera_forward", "world_up"))
+    __post_init__ = schema.check
 
     @property
     def forward_vec(self) -> np.ndarray:

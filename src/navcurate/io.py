@@ -118,17 +118,23 @@ __all__ = [
 MIN_QUAT_NORM = 1e-3
 
 
-def _check_name(name: str, value: str) -> None:
-    """Reject a value that is not one file name in one line.
+def _name_fault(name: str, value: str) -> str | None:
+    """Why a value is not one file name in one line, or None if it is.
 
     An id names its pose file (``<id>.txt``) inside the output directory,
     and a pose file's header and the accepted-clip list give it one line:
     so it holds no line break, no ``/`` and no NUL, and is not ``.`` or ``..``.
     """
     if "\n" in value or "\r" in value:
-        raise ValidationError(f"{name} must not hold a line break, got {value!r}")
+        return f"{name} must not hold a line break, got {value!r}"
     if "/" in value or "\0" in value or value in (".", ".."):
-        raise ValidationError(f"{name} must be one file name, without '/' or NUL and not '.' or '..', got {value!r}")
+        return f"{name} must be one file name, without '/' or NUL and not '.' or '..', got {value!r}"
+    return None
+
+
+def _check_name(name: str, value: str) -> None:
+    if (fault := _name_fault(name, value)) is not None:
+        raise ValidationError(fault)
 
 
 def _check_id_and_fps(traj_id: str, fps: float) -> None:
@@ -231,7 +237,7 @@ class DetectionFrame:
     frame: int
     detections: tuple[Detection, ...]
 
-    rules = ((f"0 <= frame < {_FRAME_LIMIT}", "frame must be a non-negative int64 frame index, got {frame!r}"),)
+    rules = (("0 <= frame < _FRAME_LIMIT", "frame must be a non-negative int64 frame index, got {frame!r}"),)
     __post_init__ = schema.check
 
 

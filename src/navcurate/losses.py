@@ -16,7 +16,7 @@ verified against central finite differences in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +41,9 @@ class LossWeights:
     lambda_arr: float = 1.0
     lambda_hall: float = 1.0
 
-    def __post_init__(self):
-        schema.check(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not value >= 0.0:
-                raise ValidationError(f"{f.name} must be non-negative, got {value!r}")
+    rules = tuple((f"{name} >= 0.0", f"{name} must be non-negative, got {{{name}!r}}")
+                  for name in ("lambda_reg", "lambda_ori", "lambda_arr", "lambda_hall"))
+    __post_init__ = schema.check
 
 
 @schema.record
@@ -67,8 +64,7 @@ class LossInput:
     gt_features: tuple[tuple[float, ...], ...] | None = None
     weights: LossWeights = LossWeights()
 
-    def __post_init__(self):
-        schema.check(self)
+    __post_init__ = schema.check
 
 
 def _waypoint_pair(pred_waypoints, gt_waypoints) -> tuple[np.ndarray, np.ndarray]:

@@ -51,6 +51,8 @@ __all__ = [
 # Skip reasons counted inside one clip: goal_out_of_bounds once per
 # landmark, the others once per draw.
 CLIP_SKIP_REASONS = ("infeasible", "out_of_bounds", "gimbal_degenerate", "goal_out_of_bounds")
+# The longest history: longer than a 120 s clip at 83 fps, and frames before a clip's start clamp to frame 0.
+MAX_HISTORY_LEN = 10_000
 
 
 @dataclass(frozen=True)
@@ -67,24 +69,17 @@ class SamplerConfig:
     draws_per_landmark: int = 1
     seed: int = 0
 
-    def __post_init__(self):
-        schema.check(self)
-        if self.history_len < 1 or self.horizon < 1:
-            raise ValidationError("history_len and horizon must be >= 1")
-        if not 0 < self.min_offset <= self.max_offset:
-            raise ValidationError(
-                f"need 0 < min_offset <= max_offset, got {self.min_offset}, {self.max_offset}"
-            )
-        if not 0 <= self.arrival_window < self.min_offset:
-            raise ValidationError("arrival_window must be in [0, min_offset)")
-        if not (0.0 <= self.arrival_fraction <= 1.0):
-            raise ValidationError(f"arrival_fraction must be in [0, 1], got {self.arrival_fraction!r}")
-        if self.waypoint_stride < 1:
-            raise ValidationError("waypoint_stride must be >= 1")
-        if self.draws_per_landmark < 1:
-            raise ValidationError("draws_per_landmark must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must be a non-negative 64-bit integer")
+    rules = (
+        ("history_len >= 1 and horizon >= 1", "history_len and horizon must be >= 1"),
+        ("history_len <= MAX_HISTORY_LEN", "history_len must be at most {MAX_HISTORY_LEN} frames, got {history_len}"),
+        ("0 < min_offset <= max_offset", "need 0 < min_offset <= max_offset, got {min_offset}, {max_offset}"),
+        ("0 <= arrival_window < min_offset", "arrival_window must be in [0, min_offset)"),
+        ("0.0 <= arrival_fraction <= 1.0", "arrival_fraction must be in [0, 1], got {arrival_fraction!r}"),
+        ("waypoint_stride >= 1", "waypoint_stride must be >= 1"),
+        ("draws_per_landmark >= 1", "draws_per_landmark must be >= 1"),
+        ("0 <= seed < 2**64", "seed must be a non-negative 64-bit integer"),
+    )
+    __post_init__ = schema.check
 
 
 def _clip_key(clip_id: str) -> int:

@@ -12,19 +12,21 @@ rejects them, at every depth: a detection box in a detection record
 ignores them, and the ``weights`` config in a ``loss`` input rejects them.
 
 The annotation is the field's only type rule, for values read from files
-and values built in code alike: every schema class calls :func:`check` as
-the first line of ``__post_init__``, and :func:`decoder` and :func:`load`
-only pick an object's keys and call the class. Values are checked, never
-coerced: an ``int`` is never a bool or a float, a ``float`` is a finite int
-or float, numpy scalars are rejected, and the one conversion is a list (or
-tuple) to a plain tuple. A value of the wrong type raises SchemaError
-naming its class and key path. A record's range rules (bounds, order,
-non-empty strings) are declared once, as data on its class: ``rules`` holds
+and values built in code alike: every schema class's ``__post_init__`` is
+:func:`check`, and :func:`decoder` and :func:`load` only pick an object's
+keys and call the class. Values are checked, never coerced: an ``int`` is
+never a bool or a float, a ``float`` is a finite int or float, numpy
+scalars are rejected, and the one conversion is a list (or tuple) to a
+plain tuple. A value of the wrong type raises SchemaError naming its class
+and key path. A class's range rules (bounds, order, non-empty strings,
+allowed names) are declared once, as data on the class: ``rules`` holds
 (expression, message) pairs, each expression over the field names and true
-for a valid record, each message an f-string template over them.
-:func:`check` tests them in order after the types, and a broken rule
-raises ValidationError with its message (a config's own checks after
-:func:`check` raise it too).
+for a valid object, each message an f-string template over them. Any other
+name in a rule resolves in the module that defines the class, as a
+function of that module resolves it, when the rule is tested: a rule may
+name a module constant (``0 <= frame < _FRAME_LIMIT``) or helper.
+:func:`check` tests the rules in order after the types, and a broken rule
+raises ValidationError with its message.
 :func:`columns` compiles from the same annotations and rules a pass that
 reads records into columns without building them.
 """
@@ -38,6 +40,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import types
 import typing
 from array import array
@@ -192,27 +195,28 @@ def _converter(tp):
 
 @functools.cache
 def _checkers(cls) -> tuple:
-    """The (field name, converter) pairs of cls, and the function that tests its declared rules (or None)."""
+    """The (field name, converter) pairs of cls, and the function giving its first broken rule's message (or None)."""
     checkers = tuple((f.name, _converter(hints(cls)[f.name])) for f in dataclasses.fields(cls))
     if not getattr(cls, "rules", ()):
         return checkers, None
     names = [name for name, _ in checkers]
-    lines = ["def rules(obj):", f"    {', '.join(names)}, = {', '.join(f'obj.{name}' for name in names)},"]
-    lines += [f"    if not ({expr}): raise ValidationError(f{message!r})" for expr, message in cls.rules]
-    namespace = {"ValidationError": ValidationError}
-    exec("\n".join(lines), namespace)
-    return checkers, namespace["rules"]
+    lines = ["def fault(obj):", f"    {', '.join(names)}, = {', '.join(f'obj.{name}' for name in names)},"]
+    lines += [f"    if not ({expr}): return f{message!r}" for expr, message in cls.rules]
+    namespace = {}
+    # The globals are the module's live namespace, not a copy: a rule may name a constant defined after cls.
+    exec("\n".join(lines), vars(sys.modules[cls.__module__]), namespace)
+    return checkers, namespace["fault"]
 
 
 def check(obj) -> None:
-    """Check a dataclass instance's fields against their annotations, then its rules; each schema class calls it first.
+    """Check an instance's fields against their annotations, then its rules: every schema class's ``__post_init__``.
 
     A list or tuple in an array field is stored as a plain tuple, the one
     conversion. A value of the wrong type raises SchemaError naming the
     class and the field, as a file value of that type does. A broken rule
     raises ValidationError with the rule's message.
     """
-    checkers, rules = _checkers(type(obj))
+    checkers, fault = _checkers(type(obj))
     for name, convert in checkers:
         value = getattr(obj, name)
         try:
@@ -223,8 +227,8 @@ def check(obj) -> None:
             raise
         if checked is not value:
             object.__setattr__(obj, name, checked)
-    if rules is not None:
-        rules(obj)
+    if fault is not None and (message := fault(obj)) is not None:
+        raise ValidationError(message)
 
 
 @functools.cache
@@ -334,7 +338,8 @@ def columns(cls, coded=()):
 
     An int past int64 fails the pass (OverflowError): an int field read
     into columns declares a rule bounding it, so the decoder rejects it
-    too. Any other annotation raises TypeError when the pass is compiled.
+    too. Any other annotation, or a nested record with rules from another
+    module, raises TypeError when the pass is compiled.
     """
     return _column_pass(cls, tuple(coded))()
 
@@ -344,8 +349,11 @@ def _column_pass(cls, coded: tuple):
     """The function that makes cls's columns and take, its source written once, as ``dataclasses`` writes ``__init__``.
 
     Each value is appended once its type is tested; a record's rules follow
-    its fields. Column i is ``_c{i}``, with its append ``_a{i}`` and extend
-    ``_e{i}``.
+    its fields. The source runs in cls's module, so a rule's other names
+    resolve there, as they do in :func:`check`; a nested record with rules
+    must come from the same module. Column i is ``_c{i}``, with its append
+    ``_a{i}`` and extend ``_e{i}``; they and the names in ``env`` are locals
+    of ``make``.
     """
     lines, made, env = [], {}, {"_NUMBERS": _JSON_TYPES[float], "array": array}
     names = map("_v{}".format, itertools.count(1))
@@ -358,6 +366,8 @@ def _column_pass(cls, coded: tuple):
 
     def record(rec, obj: str, prefix: str, pad: int) -> str:
         """Emit the pass over the record rec in obj; return an expression counting the records passed."""
+        if getattr(rec, "rules", ()) and rec.__module__ != cls.__module__:
+            raise TypeError(f"the rules of {rec.__name__} resolve in another module than {cls.__name__}'s")
         fields, indent = dataclasses.fields(rec), "    " * pad
         local = {f.name: next(names) for f in fields}
         lines.append(f"{indent}if type({obj}) is not dict: raise TypeError")
@@ -410,9 +420,9 @@ def _column_pass(cls, coded: tuple):
         raise TypeError(f"no column rule for {tp!r}")
 
     record(cls, "_v0", "", 2)
-    head = ["def make():"]
+    head = [f"def make({', '.join(f'{name}={name}' for name in env)}):"]
     for i, make in enumerate(made.values()):
         head.append(f"    _c{i} = {make}" + ("" if make == "{}" else f"; _a{i}, _e{i} = _c{i}.append, _c{i}.extend"))
     tail = ["    return take, {" + ", ".join(f"{key!r}: _c{i}" for i, key in enumerate(made)) + "}"]
-    exec("\n".join([*head, "    def take(_v0):", *lines, *tail]), env)
+    exec("\n".join([*head, "    def take(_v0):", *lines, *tail]), vars(sys.modules[cls.__module__]), env)
     return env["make"]

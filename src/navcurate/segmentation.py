@@ -23,7 +23,8 @@ import numpy as np
 from . import schema
 from .errors import EmptyResult, ValidationError
 from .geometry import quat_conjugate, quat_multiply, quat_rotate
-from .io import (_FRAME_LIMIT, RawTrajectory, _check_name, load_json, parse_pose_file, remove_output, write_pose_file,
+# _FRAME_LIMIT and _name_fault are named in ClipEntry's rules, which resolve in this module.
+from .io import (_FRAME_LIMIT, RawTrajectory, _name_fault, load_json, parse_pose_file, remove_output, write_pose_file,
                  write_report)
 
 __all__ = ["ClipEntry", "segment", "cut_clip", "save_clips", "read_manifest", "load_clip"]
@@ -47,21 +48,18 @@ class ClipEntry:
     n_frames: int
     file: str
 
-    def __post_init__(self):
-        schema.check(self)
-        if not self.clip_id or not self.source_id:
-            raise ValidationError("clip_id and source_id must be non-empty")
-        if not self.file:
-            raise ValidationError("clip file must be non-empty")
+    rules = (
+        ("clip_id and source_id", "clip_id and source_id must be non-empty"),
+        ("file", "clip file must be non-empty"),
         # The clip id is its clip's trajectory id, and the file is read from the clip directory.
-        for field in ("clip_id", "source_id", "file"):
-            _check_name(field, getattr(self, field))
-        if not self.fps > 0.0:
-            raise ValidationError(f"fps must be positive, got {self.fps!r}")
-        if self.n_frames < 1:
-            raise ValidationError(f"n_frames must be at least 1, got {self.n_frames}")
-        if not 0 <= self.start_frame < _FRAME_LIMIT - self.n_frames:  # every source frame index fits in int64
-            raise ValidationError(f"start_frame must be a non-negative int64 frame index, got {self.start_frame}")
+        *((f"_name_fault({name!r}, {name}) is None", f"{{_name_fault({name!r}, {name})}}")
+          for name in ("clip_id", "source_id", "file")),
+        ("fps > 0.0", "fps must be positive, got {fps!r}"),
+        ("n_frames >= 1", "n_frames must be at least 1, got {n_frames}"),
+        ("0 <= start_frame < _FRAME_LIMIT - n_frames",  # every source frame index fits in int64
+         "start_frame must be a non-negative int64 frame index, got {start_frame}"),
+    )
+    __post_init__ = schema.check
 
 
 def segment(traj: RawTrajectory, clip_seconds: float = 120.0) -> list[ClipEntry]:

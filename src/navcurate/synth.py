@@ -32,7 +32,7 @@ anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,34 +95,22 @@ class SynthSpec:
     traj_id: str | None = None
     parts: tuple["SynthSpec", ...] = ()
 
-    def __post_init__(self):
-        schema.check(self)
-        if self.kind not in KINDS:
-            raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("duration_s", "fps", "speed_mps"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValidationError(f"{name} must be positive, got {value!r}")
-        if self.kind == "head_turn":
-            if self.turn_len_s <= 0:
-                raise ValidationError("head_turn needs turn_len_s > 0")
-            if self.turn_start_s < 0 or self.turn_start_s + self.turn_len_s > self.duration_s:
-                raise ValidationError("turn interval must lie inside the duration")
-        if self.kind == "sinusoid_pitch" and self.period_s <= 0:
-            raise ValidationError("sinusoid_pitch needs period_s > 0")
-        if self.kind == "composite":
-            if not self.parts:
-                raise ValidationError("composite needs at least one part")
-            if any(p.fps != self.parts[0].fps for p in self.parts):
-                raise ValidationError("composite parts must share one fps")
-            if any(p.kind == "composite" for p in self.parts):
-                raise ValidationError("composite parts cannot nest")
-            if self.poses > MAX_POSES:
-                raise ValidationError(f"composite parts hold more than MAX_POSES = {MAX_POSES} poses")
-        elif not math.isfinite(self.duration_s * self.fps) or self.poses > MAX_POSES:
-            raise ValidationError(
-                f"duration_s {self.duration_s!r} at fps {self.fps!r} gives more than MAX_POSES = {MAX_POSES} poses"
-            )
+    rules = (
+        ("kind in KINDS", "kind must be one of {KINDS}, got {kind!r}"),
+        *((f"{name} > 0", f"{name} must be positive, got {{{name}!r}}") for name in ("duration_s", "fps", "speed_mps")),
+        ("kind != 'head_turn' or turn_len_s > 0", "head_turn needs turn_len_s > 0"),
+        ("kind != 'head_turn' or 0 <= turn_start_s and turn_start_s + turn_len_s <= duration_s",
+         "turn interval must lie inside the duration"),
+        ("kind != 'sinusoid_pitch' or period_s > 0", "sinusoid_pitch needs period_s > 0"),
+        ("kind != 'composite' or parts", "composite needs at least one part"),
+        ("kind != 'composite' or all(p.fps == parts[0].fps for p in parts)", "composite parts must share one fps"),
+        ("kind != 'composite' or all(p.kind != 'composite' for p in parts)", "composite parts cannot nest"),
+        ("kind != 'composite' or sum(p.poses for p in parts) <= MAX_POSES",
+         "composite parts hold more than MAX_POSES = {MAX_POSES} poses"),
+        ("kind == 'composite' or math.isfinite(duration_s * fps) and round(duration_s * fps) <= MAX_POSES",
+         "duration_s {duration_s!r} at fps {fps!r} gives more than MAX_POSES = {MAX_POSES} poses"),
+    )
+    __post_init__ = schema.check
 
     @property
     def poses(self) -> int:
@@ -140,11 +128,9 @@ class DetectionSpan:
     frames: int
     count: int
 
-    def __post_init__(self):
-        schema.check(self)
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValidationError(f"detection span {f.name} must be non-negative, got {getattr(self, f.name)!r}")
+    rules = tuple((f"{name} >= 0", f"detection span {name} must be non-negative, got {{{name}!r}}")
+                  for name in ("start", "frames", "count"))
+    __post_init__ = schema.check
 
 
 @dataclass(frozen=True)
@@ -154,10 +140,8 @@ class DetectionBlock:
     schedule: tuple[int, ...] | None = None
     spans: tuple[DetectionSpan, ...] = ()
 
-    def __post_init__(self):
-        schema.check(self)
-        if self.schedule is not None and any(c < 0 for c in self.schedule):
-            raise ValidationError("detection schedule counts must be non-negative")
+    rules = (("schedule is None or all(c >= 0 for c in schedule)", "detection schedule counts must be non-negative"),)
+    __post_init__ = schema.check
 
     def counts(self, n_frames: int) -> np.ndarray:
         """The (n_frames,) int64 person count of each frame of an n_frames stream.
@@ -199,12 +183,11 @@ class LandmarkBlock:
     per_clip: int = 3
     seed: int = 0
 
-    def __post_init__(self):
-        schema.check(self)
-        if self.per_clip < 0:
-            raise ValidationError(f"per_clip must be non-negative, got {self.per_clip!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("landmark seed must be a non-negative 64-bit integer")
+    rules = (
+        ("per_clip >= 0", "per_clip must be non-negative, got {per_clip!r}"),
+        ("0 <= seed < 2**64", "landmark seed must be a non-negative 64-bit integer"),
+    )
+    __post_init__ = schema.check
 
 
 @dataclass(frozen=True)
@@ -215,8 +198,7 @@ class SynthFile:
     detections: DetectionBlock | None = None
     landmarks: LandmarkBlock | None = None
 
-    def __post_init__(self):
-        schema.check(self)
+    __post_init__ = schema.check
 
 
 def _base_orientation() -> np.ndarray:

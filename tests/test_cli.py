@@ -1890,6 +1890,21 @@ class TestOverflowingValues:
         assert record["detail"] == "clip 'walk_0000' has a non-finite window displacement: its positions overflow"
         assert not (clips / "r.json").exists() and not (clips / "r.json.accepted").exists()
 
+    @pytest.mark.parametrize("history_len", ["1" + "0" * 30, "1000000000000", "10001", "10000"])
+    def test_samples_history_is_bounded(self, pipeline_dir, history_len):
+        # np.arange over the history frames raised "Maximum allowed size exceeded" or a 7 TiB allocation error.
+        (pipeline_dir / "ok.accepted").write_text("walk_0000\nwalk_0001\n")
+        argv = _manifest_reader_argv(pipeline_dir, "samples", "1")
+        proc = run_cli(*argv, "--world-up=-y", "--history-len", history_len)
+        if history_len == "10000":
+            self._check(proc, 0)
+            samples = parse_samples(pipeline_dir / "s.jsonl")
+            assert samples and all(len(s.history_frames) == 10000 for s in samples)
+        else:
+            record = self._check(proc, 2, "validation")
+            assert record["detail"] == f"history_len must be at most 10000 frames, got {history_len}"
+            assert not (pipeline_dir / "s.jsonl").exists()
+
     def test_filter_window_past_any_clip_fails_divergence(self, pipeline_dir):
         proc = run_cli("filter", "--clips", str(pipeline_dir / "clips"), "--detections",
                        str(pipeline_dir / "synth" / "detections.jsonl"), "--report", str(pipeline_dir / "r.json"),

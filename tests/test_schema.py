@@ -8,9 +8,11 @@ path and through the constructor, which share one type rule per field.
 import argparse
 import copy
 import dataclasses
+import importlib
 import json
 import math
 import pickle
+import pkgutil
 import re
 import types
 import typing
@@ -18,6 +20,7 @@ import typing
 import numpy as np
 import pytest
 
+import navcurate
 from navcurate import schema
 from navcurate.cli import build_parser
 from navcurate.errors import ParseError, SchemaError, ValidationError
@@ -353,6 +356,106 @@ def test_config_flags_are_the_config_fields(command, config):
 
 
 # ---------------------------------------------------------------------------
+# Range rules of the config and document classes, message for message
+# ---------------------------------------------------------------------------
+
+CLIP = ClipEntry("c", "s", 30.0, 0, 10, "c.txt")
+STRAIGHT = SynthSpec("straight")
+SPAN = DetectionSpan(0, 2, 1)
+
+# (valid object, fields to replace, the full message). A case that replaces one
+# field breaks one rule; one that replaces two breaks two rules and pins the one
+# that fires first.
+RANGE_RULES = [
+    *[(FilterConfig(), {name: 0}, f"{name} must be positive, got 0")
+      for name in ("pitch_range_max_deg", "divergence_max_deg", "window_seconds", "min_window_displacement_m",
+                   "crowd_count_threshold", "crowd_frame_threshold")],
+    (FilterConfig(), {"person_score_min": 1.5}, "person_score_min must be in [0, 1], got 1.5"),
+    (FilterConfig(), {"person_score_min": -0.5}, "person_score_min must be in [0, 1], got -0.5"),
+    (FilterConfig(), {"window_seconds": -1.0, "divergence_max_deg": 0.0}, "divergence_max_deg must be positive, got 0.0"),
+    (SamplerConfig(), {"history_len": 0}, "history_len and horizon must be >= 1"),
+    (SamplerConfig(), {"horizon": 0}, "history_len and horizon must be >= 1"),
+    (SamplerConfig(), {"min_offset": 0}, "need 0 < min_offset <= max_offset, got 0, 60"),
+    (SamplerConfig(), {"min_offset": 20, "max_offset": 10}, "need 0 < min_offset <= max_offset, got 20, 10"),
+    (SamplerConfig(), {"arrival_window": 10}, "arrival_window must be in [0, min_offset)"),
+    (SamplerConfig(), {"arrival_window": -1}, "arrival_window must be in [0, min_offset)"),
+    (SamplerConfig(), {"arrival_fraction": 1.5}, "arrival_fraction must be in [0, 1], got 1.5"),
+    (SamplerConfig(), {"waypoint_stride": 0}, "waypoint_stride must be >= 1"),
+    (SamplerConfig(), {"draws_per_landmark": 0}, "draws_per_landmark must be >= 1"),
+    (SamplerConfig(), {"seed": -1}, "seed must be a non-negative 64-bit integer"),
+    (SamplerConfig(), {"seed": 2**64}, "seed must be a non-negative 64-bit integer"),
+    (SamplerConfig(), {"seed": -1, "arrival_window": 60}, "arrival_window must be in [0, min_offset)"),
+    (AxisConvention(), {"camera_forward": "z"}, "camera_forward must be one of ['+x', '+y', '+z', '-x', '-y', '-z'], got 'z'"),
+    (AxisConvention(), {"world_up": "up"}, "world_up must be one of ['+x', '+y', '+z', '-x', '-y', '-z'], got 'up'"),
+    (AxisConvention(), {"world_up": "", "camera_forward": "x"},
+     "camera_forward must be one of ['+x', '+y', '+z', '-x', '-y', '-z'], got 'x'"),
+    *[(LossWeights(), {name: -1.0}, f"{name} must be non-negative, got -1.0")
+      for name in ("lambda_reg", "lambda_ori", "lambda_arr", "lambda_hall")],
+    (LossWeights(), {"lambda_hall": -2.0, "lambda_ori": -1.0}, "lambda_ori must be non-negative, got -1.0"),
+    (CLIP, {"clip_id": ""}, "clip_id and source_id must be non-empty"),
+    (CLIP, {"source_id": ""}, "clip_id and source_id must be non-empty"),
+    (CLIP, {"file": ""}, "clip file must be non-empty"),
+    (CLIP, {"clip_id": "a\nb"}, "clip_id must not hold a line break, got 'a\\nb'"),
+    (CLIP, {"source_id": "a/b"},
+     "source_id must be one file name, without '/' or NUL and not '.' or '..', got 'a/b'"),
+    (CLIP, {"file": ".."}, "file must be one file name, without '/' or NUL and not '.' or '..', got '..'"),
+    (CLIP, {"fps": 0.0}, "fps must be positive, got 0.0"),
+    (CLIP, {"n_frames": 0}, "n_frames must be at least 1, got 0"),
+    (CLIP, {"start_frame": -1}, "start_frame must be a non-negative int64 frame index, got -1"),
+    (CLIP, {"start_frame": 2**63 - 10}, f"start_frame must be a non-negative int64 frame index, got {2**63 - 10}"),
+    (CLIP, {"n_frames": 0, "file": "a\rb"}, "file must not hold a line break, got 'a\\rb'"),
+    (STRAIGHT, {"kind": "walk"},
+     "kind must be one of ('straight', 'arc', 'sinusoid_pitch', 'head_turn', 'stationary', 'composite'), got 'walk'"),
+    (STRAIGHT, {"duration_s": 0.0}, "duration_s must be positive, got 0.0"),
+    (STRAIGHT, {"fps": -1.0}, "fps must be positive, got -1.0"),
+    (STRAIGHT, {"speed_mps": 0.0}, "speed_mps must be positive, got 0.0"),
+    (STRAIGHT, {"kind": "head_turn"}, "head_turn needs turn_len_s > 0"),
+    (STRAIGHT, {"kind": "head_turn", "turn_start_s": -1.0, "turn_len_s": 1.0}, "turn interval must lie inside the duration"),
+    (STRAIGHT, {"kind": "head_turn", "turn_start_s": 119.5, "turn_len_s": 1.0}, "turn interval must lie inside the duration"),
+    (STRAIGHT, {"kind": "sinusoid_pitch", "period_s": 0.0}, "sinusoid_pitch needs period_s > 0"),
+    (STRAIGHT, {"kind": "composite"}, "composite needs at least one part"),
+    (STRAIGHT, {"kind": "composite", "parts": (STRAIGHT, SynthSpec("arc", fps=10.0))}, "composite parts must share one fps"),
+    (STRAIGHT, {"kind": "composite", "parts": (SynthSpec("composite", parts=(STRAIGHT,)),)}, "composite parts cannot nest"),
+    (STRAIGHT, {"kind": "composite", "parts": (SynthSpec("straight", duration_s=2e5),) * 2},
+     "composite parts hold more than MAX_POSES = 10000000 poses"),
+    (STRAIGHT, {"duration_s": 1e6}, "duration_s 1000000.0 at fps 30.0 gives more than MAX_POSES = 10000000 poses"),
+    (STRAIGHT, {"duration_s": 1e308, "fps": 1e308},
+     "duration_s 1e+308 at fps 1e+308 gives more than MAX_POSES = 10000000 poses"),
+    (STRAIGHT, {"kind": "composite", "speed_mps": -1.0}, "speed_mps must be positive, got -1.0"),
+    (SPAN, {"start": -1}, "detection span start must be non-negative, got -1"),
+    (SPAN, {"frames": -2}, "detection span frames must be non-negative, got -2"),
+    (SPAN, {"count": -3}, "detection span count must be non-negative, got -3"),
+    (SPAN, {"count": -3, "frames": -2}, "detection span frames must be non-negative, got -2"),
+    (DetectionBlock(), {"schedule": (1, -1)}, "detection schedule counts must be non-negative"),
+    (LandmarkBlock(), {"per_clip": -1}, "per_clip must be non-negative, got -1"),
+    (LandmarkBlock(), {"seed": 2**64}, "landmark seed must be a non-negative 64-bit integer"),
+    (LandmarkBlock(), {"seed": -1, "per_clip": -1}, "per_clip must be non-negative, got -1"),
+]
+
+
+# The dataclasses of the package that hold arrays or computed values, which schema.load and schema.decoder never build.
+NOT_SCHEMA = {"RawTrajectory", "DetectionTable", "PredictionTable", "FilterVerdict", "MetricReport"}
+
+
+def test_every_schema_class_post_init_is_check():
+    modules = [importlib.import_module(f"navcurate.{m.name}") for m in pkgutil.iter_modules(navcurate.__path__)]
+    found = {cls.__name__: cls for module in modules for cls in vars(module).values()
+             if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__}
+    assert NOT_SCHEMA <= found.keys()
+    assert len(found) - len(NOT_SCHEMA) >= 16  # five records, eleven configs and documents
+    own = [name for name, cls in found.items() if name not in NOT_SCHEMA
+           and getattr(cls, "__post_init__", None) is not schema.check]
+    assert sorted(own) == []
+
+
+@pytest.mark.parametrize("valid, changes, message", RANGE_RULES,
+                         ids=[f"{type(v).__name__}-{'-'.join(c)}" for v, c, _ in RANGE_RULES])
+def test_range_rule_message(valid, changes, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        dataclasses.replace(valid, **changes)
+
+
+# ---------------------------------------------------------------------------
 # The column pass compiled from a record class
 # ---------------------------------------------------------------------------
 
@@ -458,6 +561,40 @@ def test_column_pass_columns():
     assert cols["parts.name.names"] == {"p": 0, "q": 1, "r": 2}
 
 
+@schema.record
+@dataclasses.dataclass(frozen=True)
+class _Bounded:
+    """A record whose rule names a constant of this module, which is bound only after the class is made."""
+
+    size: int
+
+    rules = (("0 <= size <= _SIZE_LIMIT", "size must be in [0, {_SIZE_LIMIT}], got {size!r}"),)
+    __post_init__ = schema.check
+
+
+_SIZE_LIMIT = 3
+
+
+@pytest.mark.parametrize("size", [-1, 0, 3, 4, 2**63])
+def test_rule_names_resolve_in_the_module_of_the_class(size):
+    valid = 0 <= size <= 3
+    outcomes = []
+    for build in (_Bounded, lambda size: schema.decoder(_Bounded)({"size": size})):
+        try:
+            assert build(size).size == size
+            outcomes.append(True)
+        except ValidationError as exc:
+            assert str(exc) == f"size must be in [0, 3], got {size}"
+            outcomes.append(False)
+    take, cols = schema.columns(_Bounded)
+    try:
+        take({"size": size})
+        outcomes.append(list(cols["size"]) == [size])
+    except REJECTED:
+        outcomes.append(False)
+    assert outcomes == [valid] * 3
+
+
 def test_declared_rule_is_checked_by_the_constructor():
     with pytest.raises(ValidationError, match=r"^count must be in \[0, 1\], the path's points, got 2$"):
         _EveryKind(2, 0.5, "a", True, (0.0, 1.0, 2.0), (3.0,), ((0.0, 1.0),), ())
@@ -466,7 +603,7 @@ def test_declared_rule_is_checked_by_the_constructor():
 @pytest.mark.parametrize(
     "tp",
     [dict, tuple[str, str], tuple[int, float], tuple[tuple[int, ...], ...], tuple[float, ...] | None, int | str,
-     LossWeights, tuple[LossWeights, ...]],
+     LossWeights, tuple[LossWeights, ...], tuple[Detection, ...]],
     ids=repr,
 )
 def test_column_pass_rejects_an_unsupported_hint_when_compiled(tp):
