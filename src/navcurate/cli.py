@@ -200,13 +200,14 @@ def cmd_samples(args) -> int:
         for reason, count in clip_skips.items():
             skipped[reason] += count
     tio.remove_output(f"{args.out}.manifest.json")
-    tio.write_samples(lines, args.out)
+    digest = tio.write_samples(lines, args.out)
     manifest = _manifest(
         "samples",
         {"clip_manifest": Path(args.clips) / CLIP_MANIFEST_NAME, "landmarks": args.landmarks,
          "accepted": args.accepted},
         config={"sampler": dataclasses.asdict(config), "convention": dataclasses.asdict(convention)},
         outputs={"samples": Path(args.out).name},
+        sha256={"samples": digest},
         counts={
             "clips_in": len(entries),
             "clips_used": sum(1 for entry in entries if entry.clip_id in accepted_ids),

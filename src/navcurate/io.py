@@ -7,7 +7,10 @@ gives the sha256 of the bytes a reader used, from a regular file or a pipe
 alike, and no reader decompresses a file. Every writer streams its file through
 ``_atomic_file``: the chunks go to a sibling temporary file, which
 replaces the file (``os.replace``) only once all of them are written, so
-a killed or failing stage never leaves a truncated artifact behind. A
+a killed or failing stage never leaves a truncated artifact behind, and
+hashes them on the way: ``write_pose_file`` and ``write_samples`` return
+the sha256 of the bytes written, which the clip and samples manifests
+list, without reading the file again. A
 symlink to a regular file keeps its place, and its target is replaced. A
 stage removes its old manifest or report with ``remove_output`` before
 its first write, so a killed stage leaves no manifest over newer outputs.
@@ -80,8 +83,9 @@ import warnings
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields
 from io import BufferedReader, BytesIO, RawIOBase, TextIOWrapper
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -156,20 +160,20 @@ class RawTrajectory:
     """An ordered pose stream with identity and frame-rate metadata.
 
     Pose data is stored columnar for throughput: timestamps (n,),
-    positions (n, 3), quaternions (n, 4) in (x, y, z, w).
+    positions (n, 3), quaternions (n, 4) in (x, y, z, w). The columns are
+    read-only.
     """
 
     id: str
     fps: float
-    timestamps: np.ndarray
-    positions: np.ndarray
-    quaternions: np.ndarray
+    timestamps: Annotated[np.ndarray, np.float64]
+    positions: Annotated[np.ndarray, np.float64]
+    quaternions: Annotated[np.ndarray, np.float64]
 
     def __post_init__(self):
+        schema.check(self)
         _check_id_and_fps(self.id, self.fps)
-        ts = np.ascontiguousarray(self.timestamps, dtype=float)
-        pos = np.ascontiguousarray(self.positions, dtype=float)
-        quat = np.ascontiguousarray(self.quaternions, dtype=float)
+        ts, pos, quat = self.timestamps, self.positions, self.quaternions
         n = ts.shape[0]
         if n == 0:
             raise ValidationError("trajectory must contain at least one pose")
@@ -194,12 +198,9 @@ class RawTrajectory:
         if np.any(drift):
             quat = quat.copy()
             quat[drift] = quat[drift] / norms[drift, None]
-        for arr in (ts, pos, quat):
-            arr.flags.writeable = False
+            quat.flags.writeable = False
+            object.__setattr__(self, "quaternions", quat)
         object.__setattr__(self, "fps", float(self.fps))
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "quaternions", quat)
 
     __reduce__ = _reduce
 
@@ -251,40 +252,21 @@ class DetectionTable:
     ``offsets`` (F + 1,) runs from 0 to B. The columns are read-only.
     """
 
-    frames: np.ndarray
-    offsets: np.ndarray
-    labels: np.ndarray
+    frames: Annotated[np.ndarray, np.int64]
+    offsets: Annotated[np.ndarray, np.int64]
+    labels: Annotated[np.ndarray, np.int64]
     names: tuple[str, ...]
-    scores: np.ndarray
-    bboxes: np.ndarray
+    scores: Annotated[np.ndarray, np.float64]
+    bboxes: Annotated[np.ndarray, np.float64]
 
-    def __post_init__(self):
-        frames = np.ascontiguousarray(self.frames, dtype=np.int64)
-        offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        scores = np.ascontiguousarray(self.scores, dtype=float)
-        bboxes = np.ascontiguousarray(self.bboxes, dtype=float)
-        n, m = frames.shape[0], labels.shape[0]
-        names = tuple(self.names)
-        if (
-            frames.ndim != 1
-            or offsets.shape != (n + 1,)
-            or labels.shape != (m,)
-            or scores.shape != (m,)
-            or bboxes.shape != (m, 4)
-            or offsets[0] != 0
-            or offsets[-1] != m
-            or np.any(offsets[1:] < offsets[:-1])
-            or np.any(frames[1:] <= frames[:-1])
-            or (m and not 0 <= labels.min() <= labels.max() < len(names))
-            or any(type(name) is not str for name in names)
-        ):
-            raise ValidationError("inconsistent detection table arrays")
-        columns = {"frames": frames, "offsets": offsets, "labels": labels, "scores": scores, "bboxes": bboxes}
-        for name, arr in columns.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "names", names)
+    rules = ((
+        "frames.ndim == labels.ndim == 1 and offsets.shape == (len(frames) + 1,) and scores.shape == labels.shape"
+        " and bboxes.shape == (len(labels), 4) and offsets[0] == 0 and offsets[-1] == len(labels)"
+        " and (offsets[1:] >= offsets[:-1]).all() and (frames[1:] > frames[:-1]).all()"
+        " and (not len(labels) or 0 <= labels.min() <= labels.max() < len(names))",
+        "inconsistent detection table arrays",
+    ),)
+    __post_init__ = schema.check
 
     @classmethod
     def _from_records(cls, frames, ends, labels, names, scores, bboxes) -> "DetectionTable":
@@ -418,42 +400,25 @@ class PredictionTable:
     """
 
     id_text: str
-    id_offsets: np.ndarray
-    offsets: np.ndarray
-    predicted: np.ndarray
-    ground_truth: np.ndarray
-    predicted_arrival: np.ndarray
-    predicted_arrival_null: np.ndarray
-    arrival_label: np.ndarray
-    arrival_label_null: np.ndarray
+    id_offsets: Annotated[np.ndarray, np.int64]
+    offsets: Annotated[np.ndarray, np.int64]
+    predicted: Annotated[np.ndarray, np.float64]
+    ground_truth: Annotated[np.ndarray, np.float64]
+    predicted_arrival: Annotated[np.ndarray, np.float64]
+    predicted_arrival_null: Annotated[np.ndarray, np.bool_]
+    arrival_label: Annotated[np.ndarray, np.bool_]
+    arrival_label_null: Annotated[np.ndarray, np.bool_]
 
-    def __post_init__(self):
-        dtypes = {"id_offsets": np.int64, "offsets": np.int64, "predicted": float,
-                  "ground_truth": float, "predicted_arrival": float, "predicted_arrival_null": bool,
-                  "arrival_label": bool, "arrival_label_null": bool}
-        columns = {name: np.ascontiguousarray(getattr(self, name), dtype=dtype) for name, dtype in dtypes.items()}
-        ids, offsets = columns["id_offsets"], columns["offsets"]
-        n = ids.shape[0] - 1
-        per_record = ("predicted_arrival", "predicted_arrival_null", "arrival_label", "arrival_label_null")
-        if (
-            type(self.id_text) is not str
-            or ids.ndim != 1
-            or n < 0
-            or offsets.shape != (n + 1,)
-            or ids[0] != 0
-            or ids[-1] != len(self.id_text)
-            or offsets[0] != 0
-            or np.any(ids[1:] <= ids[:-1])
-            or np.any(offsets[1:] <= offsets[:-1])
-            or columns["predicted"].shape != (offsets[-1], 2)
-            or columns["ground_truth"].shape != (offsets[-1], 2)
-            or any(columns[name].shape != (n,) for name in per_record)
-        ):
-            raise ValidationError("inconsistent prediction table arrays")
-        for name, arr in columns.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
+    rules = ((
+        "id_offsets.ndim == 1 and len(id_offsets) >= 1 and offsets.shape == id_offsets.shape"
+        " and id_offsets[0] == 0 and id_offsets[-1] == len(id_text) and offsets[0] == 0"
+        " and (id_offsets[1:] > id_offsets[:-1]).all() and (offsets[1:] > offsets[:-1]).all()"
+        " and predicted.shape == ground_truth.shape == (offsets[-1], 2)"
+        " and predicted_arrival.shape == predicted_arrival_null.shape == arrival_label.shape"
+        " == arrival_label_null.shape == (len(id_offsets) - 1,)",
+        "inconsistent prediction table arrays",
+    ),)
+    __post_init__ = schema.check
     __reduce__ = _reduce
 
     def __len__(self) -> int:
@@ -597,8 +562,8 @@ def _check_pose_lines(lines, path) -> None:
             raise ParseError("non-finite value", path=str(path), line=lineno)
 
 
-def write_pose_file(traj: RawTrajectory, path, map_tasks=None) -> None:
-    """Write a RawTrajectory in the TUM-style text format.
+def write_pose_file(traj: RawTrajectory, path, map_tasks=None) -> str:
+    """Write a RawTrajectory in the TUM-style text format; return the sha256 of the bytes written.
 
     Values are formatted with repr (shortest exact round-trip), so
     write-then-parse reproduces the arrays bit for bit. The rows are
@@ -606,7 +571,7 @@ def write_pose_file(traj: RawTrajectory, path, map_tasks=None) -> None:
     :func:`_write_blocks` for ``map_tasks``).
     """
     header = f"# {traj.id} fps={traj.fps!r}\n# timestamp tx ty tz qx qy qz qw\n"
-    _write_blocks(path, header, functools.partial(_pose_rows, traj), len(traj), map_tasks)
+    return _write_blocks(path, header, functools.partial(_pose_rows, traj), len(traj), map_tasks)
 
 
 def _pose_rows(traj: RawTrajectory, bounds) -> bytes:
@@ -696,10 +661,11 @@ def parse_predictions(path) -> PredictionTable:
         np.concatenate(([0], np.frombuffer(cols["predicted.ends"], dtype=np.int64))),
         np.frombuffer(cols["predicted"]).reshape(-1, 2),
         np.frombuffer(cols["ground_truth"]).reshape(-1, 2),
-        cols["predicted_arrival"],
-        cols["predicted_arrival.null"],
-        cols["arrival_label"],
-        cols["arrival_label.null"],
+        np.frombuffer(cols["predicted_arrival"]),
+        # The array("b") columns hold only 0 and 1, so their bytes read as booleans.
+        np.frombuffer(cols["predicted_arrival.null"], dtype=bool),
+        np.frombuffer(cols["arrival_label"], dtype=bool),
+        np.frombuffer(cols["arrival_label.null"], dtype=bool),
     )
 
 
@@ -821,9 +787,12 @@ def _check_ranges(table: DetectionTable) -> None:
     next(table._build_frames(k, k + 1))
 
 
-def write_samples(lines, path) -> None:
-    """Write sample lines, JSON text as ``sampling.build_clip_samples`` formats it, in the order given."""
-    _write_lines(path, lines)
+def write_samples(lines, path) -> str:
+    """Write sample lines, JSON text as ``sampling.build_clip_samples`` formats it, in the order given.
+
+    Returns the sha256 of the bytes written.
+    """
+    return _write_lines(path, lines)
 
 
 def parse_landmarks(path) -> list[LandmarkAnnotation]:
@@ -913,8 +882,20 @@ def _atomic_file(path):
         raise
 
 
-def _write_blocks(path, head: str, fn, n: int, map_tasks=None) -> None:
+def _write_chunks(path, chunks) -> str:
+    """Write an iterable of byte chunks through _atomic_file; return the sha256 of the bytes written."""
+    sha = hashlib.sha256()
+    with _atomic_file(path) as out:
+        for chunk in chunks:
+            sha.update(chunk)
+            out.write(chunk)
+    return sha.hexdigest()
+
+
+def _write_blocks(path, head: str, fn, n: int, map_tasks=None) -> str:
     """Write head, then the bytes fn((lo, hi)) of each block of BLOCK_ROWS rows of range(n), in order.
+
+    Returns the sha256 of the bytes written.
 
     ``map_tasks(fn, tasks)`` returns a generator of fn(task) for each
     task, in task order: the CLI passes its process pool. By default the
@@ -923,18 +904,15 @@ def _write_blocks(path, head: str, fn, n: int, map_tasks=None) -> None:
     """
     bounds = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
     blocks = map_tasks(fn, bounds) if map_tasks else (fn(task) for task in bounds)
-    with closing(blocks), _atomic_file(path) as out:
-        out.write(head.encode())
-        for block in blocks:
-            out.write(block)
+    with closing(blocks):
+        return _write_chunks(path, chain([head.encode()], blocks))
 
 
-def _write_lines(path, lines) -> None:
-    """Write an iterable of text lines, BLOCK_ROWS lines at a time."""
+def _write_lines(path, lines) -> str:
+    """Write an iterable of text lines, BLOCK_ROWS lines at a time; return the sha256 of the bytes written."""
     lines = iter(lines)
-    with _atomic_file(path) as out:
-        while block := list(islice(lines, BLOCK_ROWS)):
-            out.write("".join(block).encode())
+    blocks = iter(lambda: list(islice(lines, BLOCK_ROWS)), [])  # until no line is left
+    return _write_chunks(path, ("".join(block).encode() for block in blocks))
 
 
 def write_report(report: dict, path) -> None:
@@ -944,9 +922,7 @@ def write_report(report: dict, path) -> None:
     infinity raises ValueError, a value json cannot write (a numpy
     integer) TypeError, and the file is left as it was.
     """
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    with _atomic_file(path) as out:
-        out.write(text.encode())
+    _write_chunks(path, [(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()])
 
 
 def file_digest(path) -> str:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schema
 from .errors import EmptyResult, ValidationError
 from .io import PredictionTable
 
@@ -116,6 +117,8 @@ class MetricReport:
     arrival_accuracy: float | None
     n_orientation_excluded: int
     n_arrival_scored: int
+
+    __post_init__ = schema.check
 
 
 def evaluate(table: PredictionTable) -> MetricReport:

@@ -53,6 +53,8 @@ __all__ = [
 CLIP_SKIP_REASONS = ("infeasible", "out_of_bounds", "gimbal_degenerate", "goal_out_of_bounds")
 # The longest history: longer than a 120 s clip at 83 fps, and frames before a clip's start clamp to frame 0.
 MAX_HISTORY_LEN = 10_000
+# The most draws per landmark: each draw is one Python step, so a count past any use never finishes.
+MAX_DRAWS_PER_LANDMARK = 10_000
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class SamplerConfig:
         ("0.0 <= arrival_fraction <= 1.0", "arrival_fraction must be in [0, 1], got {arrival_fraction!r}"),
         ("waypoint_stride >= 1", "waypoint_stride must be >= 1"),
         ("draws_per_landmark >= 1", "draws_per_landmark must be >= 1"),
+        ("draws_per_landmark <= MAX_DRAWS_PER_LANDMARK",
+         "draws_per_landmark must be at most {MAX_DRAWS_PER_LANDMARK}, got {draws_per_landmark}"),
         ("0 <= seed < 2**64", "seed must be a non-negative 64-bit integer"),
     )
     __post_init__ = schema.check

@@ -6,6 +6,8 @@ annotation is the JSON type it accepts (README, "File formats"), and a
 field with a default may be left out. A tuple is a JSON array
 (``tuple[tuple[float, float], ...]`` is a list of ``[x, y]`` pairs, as
 waypoints are) and a nested dataclass is an object of its fields. A
+column, ``Annotated[np.ndarray, dtype]``, is a numpy array of that dtype,
+as the column tables hold (no JSON file holds one). A
 record (a class marked with :func:`record`, read by :func:`decoder`)
 ignores keys that are not fields and a config (read by :func:`load`)
 rejects them, at every depth: a detection box in a detection record
@@ -17,8 +19,16 @@ and values built in code alike: every schema class's ``__post_init__`` is
 keys and call the class. Values are checked, never coerced: an ``int`` is
 never a bool or a float, a ``float`` is a finite int or float, numpy
 scalars are rejected, and the one conversion is a list (or tuple) to a
-plain tuple. A value of the wrong type raises SchemaError naming its class
-and key path. A class's range rules (bounds, order, non-empty strings,
+plain tuple. A column takes an array (or nested lists) of a dtype that
+casts to its own without changing a value: integers in an int64 column,
+integers and floats in a float64 column, booleans in a bool column, and
+an empty array of any dtype. Strings, objects, complex numbers, floats
+or uint64 (whose values may pass int64) in an int64 column, and bools in
+a number column do not fit. A column is stored as a read-only
+C-contiguous array: a view of the given array where that already is
+one, else a cast copy, and the given array is left writable. A value of
+the wrong type raises SchemaError naming its class and key path. A
+class's range rules (bounds, order, non-empty strings,
 allowed names) are declared once, as data on the class: ``rules`` holds
 (expression, message) pairs, each expression over the field names and true
 for a valid object, each message an f-string template over them. Any other
@@ -45,6 +55,8 @@ import types
 import typing
 from array import array
 
+import numpy as np
+
 from .errors import SchemaError, ValidationError
 
 __all__ = ["hints", "check", "record", "decoder", "load", "to_json", "columns"]
@@ -56,8 +68,8 @@ _NAMES = {str: "string", int: "integer", float: "number", bool: "boolean"}
 
 @functools.cache
 def hints(cls) -> dict:
-    """The resolved field annotations of a dataclass, by field name."""
-    return typing.get_type_hints(cls)
+    """The resolved field annotations of a dataclass, by field name, columns' dtypes included."""
+    return typing.get_type_hints(cls, include_extras=True)
 
 
 class _Mismatch(SchemaError):
@@ -154,6 +166,26 @@ def _items(tp, convert_item):
     return convert
 
 
+def _column(tp, dtype):
+    """Annotated[np.ndarray, dtype]: the values as a read-only C-contiguous dtype array, cast only if none changes."""
+
+    def convert(v):
+        try:
+            a = np.asarray(v)
+        except ValueError:  # a ragged nesting of lists
+            raise _Mismatch("type", v, tp) from None
+        if not a.size:
+            a = np.empty(a.shape, dtype)
+        # A "safe" cast changes no value (uint64 and floats to int64 are unsafe), but takes bools as numbers.
+        elif not np.can_cast(a.dtype, dtype) or (a.dtype.kind == "b") != (dtype.kind == "b"):
+            raise _Mismatch("type", v, tp)
+        a = np.ascontiguousarray(a, dtype).view()
+        a.flags.writeable = False
+        return a
+
+    return convert
+
+
 _RECORDS: set = set()
 
 
@@ -179,6 +211,8 @@ def _converter(tp):
     args = typing.get_args(tp)
     if tp in _JSON_TYPES:
         return _scalar(tp)
+    if typing.get_origin(tp) is typing.Annotated:
+        return _column(tp, np.dtype(tp.__metadata__[0]))
     if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
         convert = _converter(next(a for a in args if a is not type(None)))
         return lambda v: None if v is None else convert(v)
@@ -286,6 +320,8 @@ def _describe(tp) -> str:
     args = typing.get_args(tp)
     if tp in _NAMES:
         return _NAMES[tp]
+    if typing.get_origin(tp) is typing.Annotated:
+        return f"{np.dtype(tp.__metadata__[0])} column"
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         return " or ".join("null" if a is type(None) else _describe(a) for a in args)
     if typing.get_origin(tp) is tuple:

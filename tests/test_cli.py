@@ -85,6 +85,17 @@ class TestSegmentCommand:
         assert manifest["counts"] == {"poses_in": 2400, "clips_out": 4}
         assert (out / "walk_0000.txt").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_manifest_pins_each_pose_file(self, tmp_path, workers):
+        pose_file = tmp_path / "walk.txt"
+        write_traj(pose_file, SynthSpec("straight", duration_s=240.0, fps=10.0, traj_id="walk"))
+        out = tmp_path / "clips"
+        assert main(["segment", "--input", str(pose_file), "--fps", "10", "--clip-seconds", "60", "--out", str(out),
+                     "--workers", workers]) == 0
+        clips = json.loads((out / "manifest.json").read_text())["clips"]
+        digests = [hashlib.sha256((out / clip["file"]).read_bytes()).hexdigest() for clip in clips]
+        assert [clip["sha256"] for clip in clips] == digests
+
     def test_short_input_exits_3(self, tmp_path, capsys):
         pose_file = tmp_path / "short.txt"
         write_traj(pose_file, SynthSpec("straight", duration_s=10.0, fps=10.0, traj_id="short"))
@@ -510,7 +521,7 @@ class TestFilterCommand:
         assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
         assert not (pipeline_dir / "r.json").exists() and not (pipeline_dir / "s.jsonl").exists()
 
-    @pytest.mark.parametrize("field", ["file", "clip_id", "source_id", "fps", "start_frame"])
+    @pytest.mark.parametrize("field", ["file", "clip_id", "source_id", "fps", "start_frame", "sha256"])
     def test_manifest_entry_missing_field_exits_2(self, pipeline_dir, capsys, field):
         manifest_path = pipeline_dir / "clips" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -588,6 +599,27 @@ class TestFilterCommand:
             assert errors[0] == {"error": "validation", "detail": detail}
         assert not (pipeline_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["filter", "samples"])
+    def test_pose_file_edited_after_segment_exits_2(self, pipeline_dir, capsys, command, workers):
+        # Pose 300 moved by 5 m parses and passes every pose check: only the digest the manifest lists catches it.
+        clips = pipeline_dir / "clips"
+        pose_file = clips / "walk_0001.txt"
+        lines = pose_file.read_text().splitlines(keepends=True)
+        row = [i for i, line in enumerate(lines) if not line.startswith("#")][300]
+        fields = lines[row].split()
+        fields[1] = repr(float(fields[1]) + 5.0)
+        lines[row] = " ".join(fields) + "\n"
+        pose_file.write_text("".join(lines))
+        (pipeline_dir / "ok.accepted").write_text("walk_0000\nwalk_0001\n")
+        assert main(_manifest_reader_argv(pipeline_dir, command, workers)) == 2
+        listed = json.loads((clips / "manifest.json").read_text())["clips"][1]["sha256"]
+        found = hashlib.sha256(pose_file.read_bytes()).hexdigest()
+        detail = (f"{clips / 'manifest.json'}: clip entry 1: walk_0001.txt has sha256 {found}, "
+                  f"the manifest lists {listed}")
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+        assert not (pipeline_dir / "r.json").exists() and not (pipeline_dir / "s.jsonl").exists()
+
     @pytest.mark.parametrize("command", ["filter", "samples"])
     @pytest.mark.parametrize(
         "field, value",
@@ -607,6 +639,9 @@ class TestFilterCommand:
             ("n_frames", 0),
             ("start_frame", -1),
             ("start_frame", 2**63 - 600),
+            ("sha256", None),
+            ("sha256", "0" * 63),
+            ("sha256", "F" * 64),
         ],
     )
     def test_manifest_rule_fails_before_any_task(self, pipeline_dir, capsys, monkeypatch, command, field, value):
@@ -822,6 +857,12 @@ class TestSamplesCommand:
             ]
         )
         return rc, out
+
+    def test_manifest_pins_the_samples_file(self, pipeline_dir):
+        rc, out = self._run(pipeline_dir)
+        assert rc == 0
+        manifest = json.loads((pipeline_dir / "samples.jsonl.manifest.json").read_text())
+        assert manifest["sha256"] == {"samples": hashlib.sha256(out.read_bytes()).hexdigest()}
 
     def test_file_equal_at_one_and_two_workers(self, pipeline_dir):
         extra = ("--draws-per-landmark", "30", "--arrival-fraction", "0.3")
@@ -1874,11 +1915,10 @@ class TestOverflowingValues:
     @pytest.fixture
     def clips(self, tmp_path):
         """Two clips of 20 poses at 10 fps whose positions alternate between 1e308 and -1e308 after pose 0."""
-        _write_stream(tmp_path / "walk.txt", np.zeros(40))
+        # Each clip's pose 0 is the origin, so segment re-anchors nothing and writes the clips as they are.
+        _write_stream(tmp_path / "walk.txt", ([0.0] + [1e308, -1e308] * 9 + [1e308]) * 2)
         assert main(["segment", "--input", str(tmp_path / "walk.txt"), "--fps", "10", "--clip-seconds", "2",
                      "--out", str(tmp_path / "clips")]) == 0
-        for name in ("walk_0000", "walk_0001"):
-            _write_stream(tmp_path / "clips" / f"{name}.txt", [0.0] + [1e308, -1e308] * 9 + [1e308])
         (tmp_path / "d.jsonl").write_text("")
         return tmp_path
 
@@ -1904,6 +1944,15 @@ class TestOverflowingValues:
             record = self._check(proc, 2, "validation")
             assert record["detail"] == f"history_len must be at most 10000 frames, got {history_len}"
             assert not (pipeline_dir / "s.jsonl").exists()
+
+    @pytest.mark.parametrize("draws", ["1" + "0" * 20, "10001"])
+    def test_samples_draws_are_bounded(self, pipeline_dir, draws):
+        # The draw loop ran until the stage was killed, its list of starts growing.
+        (pipeline_dir / "ok.accepted").write_text("walk_0000\nwalk_0001\n")
+        argv = _manifest_reader_argv(pipeline_dir, "samples", "1")
+        record = self._check(run_cli(*argv, "--world-up=-y", "--draws-per-landmark", draws), 2, "validation")
+        assert record["detail"] == f"draws_per_landmark must be at most 10000, got {draws}"
+        assert not (pipeline_dir / "s.jsonl").exists() and not (pipeline_dir / "s.jsonl.manifest.json").exists()
 
     def test_filter_window_past_any_clip_fails_divergence(self, pipeline_dir):
         proc = run_cli("filter", "--clips", str(pipeline_dir / "clips"), "--detections",

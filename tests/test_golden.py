@@ -35,17 +35,19 @@ SPEC = {
 
 # Captured at the commit before the broadcast quaternion kernels; the four manifests (clips/manifest.json,
 # report.json, samples.jsonl.manifest.json, synth/manifest.json) since their inputs are keyed by role;
-# metrics.json at the commit before the stages built their manifests through one helper.
+# metrics.json at the commit before the stages built their manifests through one helper; clips/manifest.json,
+# report.json (which digests it) and samples.jsonl.manifest.json again since the clip manifest lists each pose
+# file's sha256 and the samples manifest that of samples.jsonl.
 GOLDEN = {
     "clips/gold_0000.txt": "0171dea39ad2cf7afda3995b80e4a412a5426025f800d07157f51c8cafea22b7",
     "clips/gold_0001.txt": "fee2a470c51acfa6d2e89428f0935daa4ba836f783db1196bf6fe911804c5f55",
     "clips/gold_0002.txt": "e5afc41a292b8e0565bc11f1f3406b9b5aa0f8783bacc3356d982deec8a5c576",
-    "clips/manifest.json": "94e647a8f079440c8a38b58b351c6c3d9068597a8cde1e0347c040cdae04b896",
+    "clips/manifest.json": "4463e2c6b4257c3ecddaf5988fb1c500b244092e978a3ef6e3bb75071c0f1996",
     "metrics.json": "a15e3173a32a8c0d1d8c550ba1db66584f94a88f15e09a30bd4635eed2e15433",
-    "report.json": "fe6ffbcaf5a03dc666fb549e6ea133696e0e3496a18d909ec91486c43017b50a",
+    "report.json": "e08fbe2b4d37f0139b8490dcff39b9436683a8352e18172dcfc2475210ae1fe6",
     "report.json.accepted": "6f8a3bfa39465ababfc0e17c03c2e1be6af158d8137d49b1ae7328d752733d36",
     "samples.jsonl": "93ab01899f7671adcd901bec7dbcd4c99f5ff71f23c8f9a83cee55c0aea3316f",
-    "samples.jsonl.manifest.json": "95359a57914864e1392fb554bcb9623f5dcd153a41f6fb33d6583d734cd17b3f",
+    "samples.jsonl.manifest.json": "f4ae409bbda9d17392636cd93cb56ee991eba33ca29187e3af45ca458aeffecb",
     "synth/detections.jsonl": "c53697904a58e20c3323a5b704f9bb14cfe21026e9f7b8567964abde62862452",
     "synth/gold.txt": "7076838bcdf5bf3542a597f94732a0090a202ebcc5a4e8e218bc4559205f86c1",
     "synth/landmarks.jsonl": "f1edf22eb08e283f0a6882d27c1f09137ede45ebf004a3fe0fd77a9958d3c83a",

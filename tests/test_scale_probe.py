@@ -22,6 +22,9 @@ STAGES = {
     "samples": (["--poses", "7200", "--per-clip", "20", "--draws", "2", "--workers", "2"],
                 ["poses", "clips", "landmarks", "samples", "workers", "wall_s", "cpu_s", "peak_rss_mb", "sha256"],
                 "samples.jsonl"),
+    # Two clips, one detection record of 0-3 boxes per pose.
+    "filter": (["--poses", "7200", "--workers", "2"],
+               ["poses", "clips", "accepted", "workers", "wall_s", "cpu_s", "peak_rss_mb", "sha256"], "report.json"),
 }
 
 

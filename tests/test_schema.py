@@ -29,8 +29,11 @@ from navcurate.geometry import AxisConvention
 from navcurate.io import (
     Detection,
     DetectionFrame,
+    DetectionTable,
     LandmarkAnnotation,
     PredictionRecord,
+    PredictionTable,
+    RawTrajectory,
     TrainingSample,
     parse_detections,
     parse_landmarks,
@@ -263,6 +266,7 @@ PROBES = [
     (ClipEntry("c", "s", 30.0, 0, 10, "c.txt"), "fps", "30"),
     (ClipEntry("c", "s", 30.0, 0, 10, "c.txt"), "start_frame", np.int64(3)),
     (SynthSpec("straight"), "duration_s", "5"),
+    (RawTrajectory("t", 10.0, [0.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]]), "id", 5),
 ]
 
 
@@ -404,6 +408,9 @@ RANGE_RULES = [
     (CLIP, {"start_frame": -1}, "start_frame must be a non-negative int64 frame index, got -1"),
     (CLIP, {"start_frame": 2**63 - 10}, f"start_frame must be a non-negative int64 frame index, got {2**63 - 10}"),
     (CLIP, {"n_frames": 0, "file": "a\rb"}, "file must not hold a line break, got 'a\\rb'"),
+    (CLIP, {"sha256": "ab"}, "sha256 must be 64 lowercase hex digits, got 'ab'"),
+    (CLIP, {"sha256": "A" * 64}, f"sha256 must be 64 lowercase hex digits, got '{'A' * 64}'"),
+    (CLIP, {"sha256": "0" * 63 + "g"}, f"sha256 must be 64 lowercase hex digits, got '{'0' * 63}g'"),
     (STRAIGHT, {"kind": "walk"},
      "kind must be one of ('straight', 'arc', 'sinusoid_pitch', 'head_turn', 'stationary', 'composite'), got 'walk'"),
     (STRAIGHT, {"duration_s": 0.0}, "duration_s must be positive, got 0.0"),
@@ -433,8 +440,9 @@ RANGE_RULES = [
 ]
 
 
-# The dataclasses of the package that hold arrays or computed values, which schema.load and schema.decoder never build.
-NOT_SCHEMA = {"RawTrajectory", "DetectionTable", "PredictionTable", "FilterVerdict", "MetricReport"}
+# The dataclasses whose constructor changes a value: RawTrajectory renormalises drifted quaternions, and
+# FilterVerdict sorts its reasons (its diagnostics are a dict, which no annotation rule describes).
+NOT_SCHEMA = {"RawTrajectory", "FilterVerdict"}
 
 
 def test_every_schema_class_post_init_is_check():
@@ -442,7 +450,7 @@ def test_every_schema_class_post_init_is_check():
     found = {cls.__name__: cls for module in modules for cls in vars(module).values()
              if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__}
     assert NOT_SCHEMA <= found.keys()
-    assert len(found) - len(NOT_SCHEMA) >= 16  # five records, eleven configs and documents
+    assert len(found) - len(NOT_SCHEMA) >= 19  # five records, eleven configs and documents, two tables, MetricReport
     own = [name for name, cls in found.items() if name not in NOT_SCHEMA
            and getattr(cls, "__post_init__", None) is not schema.check]
     assert sorted(own) == []
@@ -453,6 +461,102 @@ def test_every_schema_class_post_init_is_check():
 def test_range_rule_message(valid, changes, message):
     with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         dataclasses.replace(valid, **changes)
+
+
+def test_draws_per_landmark_are_bounded():
+    assert SamplerConfig(draws_per_landmark=10_000).draws_per_landmark == 10_000
+    with pytest.raises(ValidationError, match="^draws_per_landmark must be at most 10000, got 10001$"):
+        SamplerConfig(draws_per_landmark=10_001)
+
+
+# ---------------------------------------------------------------------------
+# Columns: a numpy array of one dtype, cast only where no value changes
+# ---------------------------------------------------------------------------
+
+TABLES = {
+    "DetectionTable": (DetectionTable, {"frames": [2, 5], "offsets": [0, 1, 1], "labels": [0], "names": ("person",),
+                                        "scores": [0.5], "bboxes": [[0.0, 0.0, 1.0, 1.0]]}),
+    "PredictionTable": (PredictionTable, {"id_text": "ab", "id_offsets": [0, 1, 2], "offsets": [0, 1, 2],
+                                          "predicted": [[1.0, 0.0]] * 2, "ground_truth": [[1.0, 0.5]] * 2,
+                                          "predicted_arrival": [0.5, 0.0], "predicted_arrival_null": [False, True],
+                                          "arrival_label": [True, False], "arrival_label_null": [False, True]}),
+    "RawTrajectory": (RawTrajectory, {"id": "t", "fps": 10.0, "timestamps": [0.0, 0.1],
+                                      "positions": [[0.0, 0.0, 0.0]] * 2, "quaternions": [[0.0, 0.0, 0.0, 1.0]] * 2}),
+}
+
+
+def _table(name, **changes):
+    cls, columns = TABLES[name]
+    return cls(**{**columns, **changes})
+
+
+# (class, column, a value that casting would change): each was once stored cast, or raised a bare numpy error.
+COLUMN_REJECTS = [
+    ("DetectionTable", "frames", [0.7, 1.9]),
+    ("DetectionTable", "frames", np.array([2.0, 5.0])),  # an integral float is a float, as in JSON
+    ("DetectionTable", "offsets", np.array([0, 1, 1], dtype=np.uint64)),
+    ("DetectionTable", "labels", [True]),
+    ("DetectionTable", "scores", ["0.5"]),
+    ("DetectionTable", "scores", [True]),
+    ("DetectionTable", "bboxes", [[0j, 0, 1, 1]]),
+    ("RawTrajectory", "timestamps", ["0.5", "1.0"]),
+    ("RawTrajectory", "timestamps", [0.0, [0.1]]),
+    ("RawTrajectory", "positions", [[0.0, 0.0, None]] * 2),
+    ("RawTrajectory", "quaternions", np.array([[0, 0, 0, 1]] * 2, dtype=complex)),
+    ("PredictionTable", "id_offsets", [0.0, 1.0, 2.0]),
+    ("PredictionTable", "predicted_arrival", np.array([None, 0.0])),
+    ("PredictionTable", "arrival_label", [1, 7]),
+    ("PredictionTable", "arrival_label_null", np.array([0, 1], dtype=np.int8)),
+]
+
+
+@pytest.mark.parametrize("name, column, value", COLUMN_REJECTS,
+                         ids=[f"{name}.{column}-{i}" for i, (name, column, _) in enumerate(COLUMN_REJECTS)])
+def test_column_rejects_a_value_its_cast_would_change(name, column, value):
+    with pytest.raises(SchemaError, match=f"^{name} has '{column}' = .+, expected ") as exc:
+        _table(name, **{column: value})
+    assert str(pickle.loads(pickle.dumps(exc.value))) == str(exc.value)
+
+
+# (class, column, a value the column stores cast to its dtype, every value unchanged, and that dtype).
+COLUMN_ACCEPTS = [
+    ("RawTrajectory", "timestamps", [0, 1], np.float64),  # integers in a float column, as JSON numbers are
+    ("RawTrajectory", "positions", np.zeros((2, 3), dtype=np.int32), np.float64),
+    ("RawTrajectory", "timestamps", np.array([0.0, 0.1], dtype=np.float32), np.float64),
+    ("DetectionTable", "frames", np.array([2, 5], dtype=np.uint8), np.int64),
+    ("DetectionTable", "bboxes", np.asfortranarray([[0.0, 0.0, 1.0, 1.0]]), np.float64),
+    ("PredictionTable", "arrival_label", np.array([1, 0], dtype=np.int8).view(bool), np.bool_),
+]
+
+
+@pytest.mark.parametrize("name, column, value, dtype", COLUMN_ACCEPTS,
+                         ids=[f"{name}.{column}-{i}" for i, (name, column, _, _) in enumerate(COLUMN_ACCEPTS)])
+def test_column_casts_where_no_value_changes(name, column, value, dtype):
+    stored = getattr(_table(name, **{column: value}), column)
+    assert stored.dtype == dtype
+    assert np.array_equal(stored, np.asarray(value))
+    assert stored.flags.c_contiguous and not stored.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [float, np.int64, bool, str, object, complex])
+def test_empty_column_of_any_dtype(dtype):
+    empty = np.array([], dtype=dtype)
+    table = DetectionTable(empty, [0], empty, (), empty, empty.reshape(0, 4))
+    assert len(table) == 0
+    assert [table.frames.dtype, table.labels.dtype, table.scores.dtype] == [np.int64, np.int64, np.float64]
+
+
+def test_column_of_its_own_dtype_is_a_read_only_view():
+    scores = np.array([0.5])
+    table = _table("DetectionTable", scores=scores)
+    assert np.shares_memory(table.scores, scores)
+    assert not table.scores.flags.writeable
+    assert scores.flags.writeable  # the caller's array is left as it was
+
+
+def test_unpickled_table_is_checked_and_read_only_again():
+    table = pickle.loads(pickle.dumps(_table("PredictionTable")))
+    assert not table.arrival_label.flags.writeable and table.arrival_label.dtype == bool
 
 
 # ---------------------------------------------------------------------------

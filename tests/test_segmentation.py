@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -126,7 +128,10 @@ class TestSaveLoad:
         traj = random_trajectory(rng, 400, fps=8.0)
         clips = clips_of(traj, clip_seconds=25.0)
         save_clips(traj, segment(traj, clip_seconds=25.0), tmp_path / "clips", extra={"stage": "segment"})
-        assert read_manifest(tmp_path / "clips") == [entry for entry, _ in clips]
+        entries = read_manifest(tmp_path / "clips")
+        assert [dataclasses.replace(entry, sha256=None) for entry in entries] == [entry for entry, _ in clips]
+        files = [(tmp_path / "clips" / entry.file).read_bytes() for entry in entries]
+        assert [entry.sha256 for entry in entries] == [hashlib.sha256(data).hexdigest() for data in files]
         loaded = load_all(tmp_path / "clips")
         assert [c.id for c in loaded] == [c.id for _, c in clips]
         for (_, a), b in zip(clips, loaded):

@@ -4,17 +4,21 @@
     python3 tools/scale_probe.py synth --poses 1080000 --workers 2 --max-rss-mb 350
     python3 tools/scale_probe.py segment --poses 1080000 --workers 2 --max-rss-mb 260
     python3 tools/scale_probe.py samples --poses 1080000 --workers 2
+    python3 tools/scale_probe.py filter --poses 216000 --workers 2
 
 Writes the stage's input to a scratch directory (eval: N seeded horizon-8
 prediction records; synth: an arc spec of N poses at 30 fps, so 1,080,000 poses
 is 10 h; segment: that arc's pose stream, written by `synth` run as its own
 process; samples: that arc with --per-clip synth landmarks on each clip, cut by
 `segment` run as its own process, and an accepted list of every clip id in the
-clip manifest), runs `python -m navcurate.cli <stage>` on it as its own process
-with the sources under src/ of this checkout, and prints one JSON line: the
+clip manifest; filter: that arc with one synth detection record per pose of 0-3
+person boxes, drawn with a seeded schedule, cut by `segment`), runs
+`python -m navcurate.cli <stage>` on it as its own process with the sources
+under src/ of this checkout, and prints one JSON line: the
 input size, wall_s, cpu_s, peak_rss_mb and the sha256 of the stage's output
 (for segment, of the clip manifest, after the clip count; for samples, of
-samples.jsonl, after the clip, landmark and sample counts). CPU time
+samples.jsonl, after the clip, landmark and sample counts; for filter, of
+report.json, after the clip and accepted-clip counts). CPU time
 (user + system) and peak RSS are from os.wait4: the CPU time of the stage and
 its reaped pool workers, and the peak RSS of the largest of those processes. A
 child inherits its parent's RSS high-water mark across fork and exec, so this
@@ -38,7 +42,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HORIZON = 8
 FPS = 30.0
 CLIP_SECONDS = 120.0  # 3,600 poses per clip
-SEED = 1  # of eval's prediction records, and of samples' synth landmarks and draws
+SEED = 1  # of eval's prediction records, of samples' synth landmarks and draws, and of filter's box counts
 
 
 def write_predictions(path: Path, n: int, seed: int) -> None:
@@ -75,10 +79,9 @@ def report_eval(args, workdir: Path, usage: dict) -> dict:
     return {"records": args.records, **usage, "metrics_sha256": file_sha256(workdir / "metrics.json")}
 
 
-def prepare_synth(args, workdir: Path, landmarks: dict | None = None) -> list[str]:
-    spec = {"trajectory": {"kind": "arc", "duration_s": args.poses / FPS, "fps": FPS, "traj_id": "arc"}}
-    if landmarks is not None:
-        spec["landmarks"] = landmarks
+def prepare_synth(args, workdir: Path, **blocks) -> list[str]:
+    """synth of the arc, with the spec's landmarks or detections block if given."""
+    spec = {"trajectory": {"kind": "arc", "duration_s": args.poses / FPS, "fps": FPS, "traj_id": "arc"}, **blocks}
     (workdir / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
     return ["synth", "--spec", "spec.json", "--out", "out", "--workers", str(args.workers)]
 
@@ -96,8 +99,8 @@ def run_before(workdir: Path, stage_argv: list[str]) -> None:
         raise SystemExit(f"{stage_argv[0]} exited {rc}: {stderr}")
 
 
-def prepare_segment(args, workdir: Path, landmarks: dict | None = None) -> list[str]:
-    run_before(workdir, prepare_synth(args, workdir, landmarks))
+def prepare_segment(args, workdir: Path, **blocks) -> list[str]:
+    run_before(workdir, prepare_synth(args, workdir, **blocks))
     return ["segment", "--input", "out/arc.txt", "--fps", str(FPS), "--clip-seconds", str(CLIP_SECONDS),
             "--out", "clips", "--workers", str(args.workers)]
 
@@ -109,8 +112,8 @@ def report_segment(args, workdir: Path, usage: dict) -> dict:
 
 
 def prepare_samples(args, workdir: Path) -> list[str]:
-    run_before(workdir, prepare_segment(args, workdir,
-                                        {"clip_seconds": CLIP_SECONDS, "per_clip": args.per_clip, "seed": SEED}))
+    run_before(workdir, prepare_segment(args, workdir, landmarks={"clip_seconds": CLIP_SECONDS,
+                                                                  "per_clip": args.per_clip, "seed": SEED}))
     manifest = json.loads((workdir / "clips" / "manifest.json").read_text(encoding="utf-8"))
     (workdir / "accepted.txt").write_text("".join(f"{clip['clip_id']}\n" for clip in manifest["clips"]),
                                           encoding="utf-8")
@@ -124,6 +127,21 @@ def report_samples(args, workdir: Path, usage: dict) -> dict:
     return {"poses": args.poses, "clips": counts["clips_in"], "landmarks": counts["landmarks_in"],
             "samples": counts["samples"], "workers": args.workers, **usage,
             "sha256": file_sha256(workdir / "samples.jsonl")}
+
+
+def prepare_filter(args, workdir: Path) -> list[str]:
+    rng = random.Random(SEED)
+    schedule = [rng.randrange(4) for _ in range(args.poses)]  # like curate-long: 0-3 boxes per pose, never a crowd
+    run_before(workdir, prepare_segment(args, workdir, detections={"schedule": schedule}))
+    # synth's clips look along +z with -y up.
+    return ["filter", "--clips", "clips", "--detections", "out/detections.jsonl", "--report", "report.json",
+            "--world-up=-y", "--workers", str(args.workers)]
+
+
+def report_filter(args, workdir: Path, usage: dict) -> dict:
+    counts = json.loads((workdir / "report.json").read_text(encoding="utf-8"))["counts"]
+    return {"poses": args.poses, "clips": counts["clips_in"], "accepted": counts["accepted"], "workers": args.workers,
+            **usage, "sha256": file_sha256(workdir / "report.json")}
 
 
 def run_stage(workdir: Path, stage_argv: list[str]) -> tuple[int, float, float, float]:
@@ -170,6 +188,11 @@ def main(argv=None) -> int:
     samples.add_argument("--draws", type=int, default=4, help="draws per landmark")
     samples.add_argument("--workers", type=int, default=1)
     samples.set_defaults(prepare=prepare_samples, report=report_samples)
+    filter_ = stages.add_parser("filter", parents=[common], help="filter of a long arc with a detection record per "
+                                                                  "pose, which synth and segment write first")
+    filter_.add_argument("--poses", type=int, default=1_080_000)
+    filter_.add_argument("--workers", type=int, default=1)
+    filter_.set_defaults(prepare=prepare_filter, report=report_filter)
     args = parser.parse_args(argv)
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix=f"{args.stage}_probe_"))
     workdir.mkdir(parents=True, exist_ok=True)
