@@ -32,7 +32,7 @@ from .losses import LossInput, loss_arr, loss_hall, loss_ori, loss_reg, loss_tot
 from .metrics import evaluate
 from .sampling import SamplerConfig, build_clip_samples, collect_samples
 from .segmentation import CLIP_MANIFEST_NAME, load_clip, read_manifest, save_clips, segment
-from .synth import SynthFile, generate, generate_detections, generate_landmarks
+from .synth import SynthFile, generate, generate_landmarks, write_detection_file
 
 def _manifest(stage: str, inputs: dict, **sections) -> dict:
     """A stage's manifest or report: tool, stage, the sha256 of each input path by role, and the stage's sections."""
@@ -242,18 +242,13 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tio.remove_output(out_dir / "manifest.json")
-    outputs = {}
-    poses_file = f"{traj.id}.txt"
-    blocks = functools.partial(_imap, workers=args.workers)
-    tio.write_pose_file(traj, out_dir / poses_file, map_tasks=blocks)
-    outputs["poses"] = poses_file
-    counts = {"poses": len(traj)}
+    outputs, counts = {"poses": f"{traj.id}.txt"}, {"poses": len(traj)}
+    tio.write_pose_file(traj, out_dir / outputs["poses"], map_tasks=functools.partial(_imap, workers=args.workers))
 
     if per_frame is not None:
-        table = generate_detections(len(traj), per_frame)
-        tio.write_detections(table, out_dir / "detections.jsonl", map_tasks=blocks)
+        write_detection_file(len(traj), per_frame, out_dir / "detections.jsonl")
         outputs["detections"] = "detections.jsonl"
-        counts["detection_frames"] = len(table)
+        counts["detection_frames"] = len(traj)
 
     if landmarks is not None:
         tio.write_landmarks(landmarks, out_dir / "landmarks.jsonl")

@@ -16,8 +16,8 @@ stage removes its old manifest or report with ``remove_output`` before
 its first write, so a killed stage leaves no manifest over newer outputs.
 The writers format BLOCK_ROWS rows (pose lines, detection frames, record
 lines) at a time, so their memory does not grow with the file.
-``write_pose_file`` and ``write_detections`` take a ``map_tasks`` that
-may format the blocks in a process pool; the blocks are written in order.
+``write_pose_file`` takes a ``map_tasks`` that may format the blocks in a
+process pool; the blocks are written in order.
 
 Pose files (TUM-style text):
     ``timestamp tx ty tz qx qy qz qw`` per line, single spaces, ``#``
@@ -54,11 +54,10 @@ type and the class's rules, and the first line it rejects fails by the
 one rule. :func:`parse_detections` gives a :class:`DetectionTable`
 (frames sorted, boxes as arrays); :func:`parse_predictions` gives a
 :class:`PredictionTable` (waypoints in flat arrays, arrival values with
-null masks). The tests compare the tables with the scalar records, and
-the constructors name a fault that :func:`write_detections` finds.
-Detection and sample files are written from columns, not records:
-:func:`write_detections` formats a DetectionTable's lines from its
-columns, and :func:`write_samples` takes the lines that
+null masks). The tests compare the tables with the scalar records.
+Detection and sample files are written from arrays, not records:
+``synth.write_detection_file`` formats its lines from per-frame box
+counts, and :func:`write_samples` takes the lines that
 ``sampling.build_clip_samples`` formats from arrays. Each writes byte for
 byte what ``write_records`` writes for the equal records.
 Detection frame indices count frames of the source trajectory; duplicate
@@ -104,7 +103,6 @@ __all__ = [
     "parse_pose_file",
     "write_pose_file",
     "parse_detections",
-    "write_detections",
     "parse_landmarks",
     "write_landmarks",
     "parse_accepted",
@@ -291,17 +289,11 @@ class DetectionTable:
 
     # Only the benchmark's traced box count iterates a table as frames; it can go once that count reads len(scores).
     def __iter__(self):
-        return self._build_frames(0, len(self))
-
-    def _build_frames(self, lo: int, hi: int):
-        offsets = self.offsets[lo : hi + 1].tolist()
-        a, b = offsets[0], offsets[-1]
-        labels = list(map(self.names.__getitem__, self.labels[a:b].tolist()))
-        bboxes = list(map(tuple, self.bboxes[a:b].tolist()))
-        scores = self.scores[a:b].tolist()
-        for frame, start, stop in zip(self.frames[lo:hi].tolist(), offsets, offsets[1:]):
-            s, e = start - a, stop - a
-            yield DetectionFrame(frame, tuple(map(Detection, labels[s:e], bboxes[s:e], scores[s:e])))
+        boxes = list(map(Detection, map(self.names.__getitem__, self.labels.tolist()),
+                         map(tuple, self.bboxes.tolist()), self.scores.tolist()))
+        offsets = self.offsets.tolist()
+        for frame, s, e in zip(self.frames.tolist(), offsets, offsets[1:]):
+            yield DetectionFrame(frame, tuple(boxes[s:e]))
 
     __reduce__ = _reduce
 
@@ -530,7 +522,7 @@ def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajecto
             raise ParseError(str(exc), path=str(path)) from None
     if data.size == 0:
         raise ValidationError(f"{path}: pose file contains no poses")
-    traj_id = traj_id or path.stem
+    traj_id = path.stem if traj_id is None else traj_id
     _check_id_and_fps(traj_id, fps)  # faults of the arguments, not of the file
     try:
         return RawTrajectory(traj_id, fps, data[:, 0], data[:, 1:4], data[:, 4:8])
@@ -722,70 +714,6 @@ def write_records(records, path) -> None:
 
 
 write_landmarks = write_predictions = write_records
-
-_BOX_FORMAT = '{"label":%s,"bbox":[%s,%s,%s,%s],"score":%s}'
-
-
-def write_detections(table: DetectionTable, path, map_tasks=None) -> None:
-    """Write a DetectionTable as detection records, one line per frame.
-
-    The lines are formatted from the columns, byte for byte what
-    write_records writes for the table's DetectionFrames: each label
-    escaped by json, each float written by its repr. They are formatted in
-    blocks of BLOCK_ROWS frames (see :func:`_write_blocks` for
-    ``map_tasks``). A value that the Detection or DetectionFrame
-    constructor rejects (a NaN, corners out of order, a negative frame)
-    raises that constructor's error, and no file is written.
-    """
-    _check_ranges(table)
-    _write_blocks(path, "", functools.partial(_detection_rows, table), len(table), map_tasks)
-
-
-def _detection_rows(table: DetectionTable, bounds) -> bytes:
-    lo, hi = bounds
-    offsets = table.offsets[lo : hi + 1]
-    a, b = offsets[0], offsets[-1]
-    counts = np.diff(offsets)
-    n, m = hi - lo, b - a
-    # Each distinct float is formatted once; comparing bits, not values, keeps -0.0 apart from 0.0.
-    boxes = np.column_stack([table.bboxes[a:b], table.scores[a:b]])
-    bits, inverse = np.unique(boxes.view(np.int64), return_inverse=True)
-    floats = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    inverse = inverse.reshape(m, 5)
-    # One %-format over the block: each frame's number, then six values per box.
-    values = np.empty(n + 6 * m, dtype=object)
-    values[(offsets[:-1] - a) * 6 + np.arange(n)] = table.frames[lo:hi]
-    at = 6 * np.arange(m) + np.repeat(np.arange(n), counts) + 1  # where each box's values start
-    values[at] = np.array(list(map(json.dumps, table.names)), dtype=object)[table.labels[a:b]]
-    for k in range(5):
-        values[at + 1 + k] = floats[inverse[:, k]]
-    formats = {c: '{"frame":%d,"detections":[' + ",".join([_BOX_FORMAT] * c) + "]}\n" for c in set(counts.tolist())}
-    return ("".join(map(formats.__getitem__, counts.tolist())) % tuple(values.tolist())).encode()
-
-
-def _check_ranges(table: DetectionTable) -> None:
-    """Raise the error that building the table's first faulty DetectionFrame raises, if any.
-
-    Frames are sorted, so a negative frame index comes first; otherwise the
-    faulty frame holds the first bad box. Rebuilding the frame raises
-    Detection's error for its first bad box, else DetectionFrame's.
-    """
-    bboxes, scores = table.bboxes, table.scores
-    ok = (
-        np.isfinite(bboxes).all(axis=1)
-        & (bboxes[:, 0] <= bboxes[:, 2])
-        & (bboxes[:, 1] <= bboxes[:, 3])
-        & (scores >= 0.0)
-        & (scores <= 1.0)
-    )
-    if len(table) and table.frames[0] < 0:
-        k = 0
-    elif ok.all():
-        return
-    else:
-        k = int(np.searchsorted(table.offsets, np.argmin(ok), side="right")) - 1
-    next(table._build_frames(k, k + 1))
-
 
 def write_samples(lines, path) -> str:
     """Write sample lines, JSON text as ``sampling.build_clip_samples`` formats it, in the order given.

@@ -21,7 +21,8 @@ poses):
     composite       parts chained end-to-end with ground-plane continuity
 
 Detections are person boxes of fixed geometry, a per-frame count of them
-(see DetectionBlock), generated as a DetectionTable. A spec is bounded: a
+(see DetectionBlock): generate_detections builds their DetectionTable, and
+write_detection_file writes its file from the counts. A spec is bounded: a
 stream holds at most MAX_POSES poses (summed over a composite's parts),
 which SynthSpec checks, and at most MAX_BOXES detection boxes, which
 DetectionBlock.counts checks. Past either bound they raise ValidationError
@@ -31,11 +32,14 @@ anything.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import io as tio
 from . import schema
 from .errors import ValidationError
 from .geometry import (
@@ -60,6 +64,7 @@ __all__ = [
     "MAX_BOXES",
     "generate",
     "generate_detections",
+    "write_detection_file",
     "generate_landmarks",
 ]
 
@@ -97,6 +102,7 @@ class SynthSpec:
 
     rules = (
         ("kind in KINDS", "kind must be one of {KINDS}, got {kind!r}"),
+        ("traj_id is None or traj_id", "trajectory id must be non-empty"),
         *((f"{name} > 0", f"{name} must be positive, got {{{name}!r}}") for name in ("duration_s", "fps", "speed_mps")),
         ("kind != 'head_turn' or turn_len_s > 0", "head_turn needs turn_len_s > 0"),
         ("kind != 'head_turn' or 0 <= turn_start_s and turn_start_s + turn_len_s <= duration_s",
@@ -302,26 +308,57 @@ def _generate_composite(spec: SynthSpec) -> RawTrajectory:
     )
 
 
-def generate_detections(frame_count: int, counts) -> DetectionTable:
-    """A DetectionTable of frames 0..frame_count - 1, frame f holding counts[f] person boxes.
+_LABEL, _SCORE = "person", 0.9  # of every synthetic box
 
-    A counts sequence shorter than frame_count is padded with zeros, and a
-    longer one cut. Box j of a frame is (20 + 30j, 40, 44 + 30j, 160) with
-    score 0.9.
-    """
-    per_frame = np.zeros(frame_count, dtype=np.int64)
+
+def _person_boxes(j: np.ndarray) -> np.ndarray:
+    """The (len(j), 4) bbox of box j of a frame: (20 + 30j, 40, 44 + 30j, 160)."""
+    return np.column_stack([20.0 + 30.0 * j, np.full(len(j), 40.0), 44.0 + 30.0 * j, np.full(len(j), 160.0)])
+
+
+def _per_frame(frame_count: int, counts) -> np.ndarray:
+    """counts as (frame_count,) int64, zero-padded or cut; ValidationError names the first that is not a count."""
+    if not (isinstance(counts, np.ndarray) and counts.dtype.kind == "i" and (counts >= 0).all()):
+        for i, count in enumerate(counts):
+            if type(count) is bool or not isinstance(count, (int, np.integer)) or count < 0:
+                raise ValidationError(f"detection count {i} must be a non-negative integer, got {count!r}")
     head = np.asarray(counts, dtype=np.int64)[:frame_count]
-    per_frame[: len(head)] = np.maximum(head, 0)
+    return np.pad(head, (0, frame_count - len(head)))
+
+
+def generate_detections(frame_count: int, counts) -> DetectionTable:
+    """A DetectionTable of frames 0..frame_count - 1, frame f holding counts[f] person boxes scored 0.9.
+
+    counts is zero-padded or cut to frame_count, and a count that is not a
+    non-negative integer raises ValidationError. Box j of a frame is
+    (20 + 30j, 40, 44 + 30j, 160).
+    """
+    per_frame = _per_frame(frame_count, counts)
     offsets = np.concatenate(([0], np.cumsum(per_frame)))
     j = np.arange(offsets[-1]) - np.repeat(offsets[:-1], per_frame)  # each box's place in its frame
-    bboxes = np.empty((len(j), 4))
-    bboxes[:, 0] = 20.0 + 30.0 * j
-    bboxes[:, 1] = 40.0
-    bboxes[:, 2] = 44.0 + 30.0 * j
-    bboxes[:, 3] = 160.0
-    return DetectionTable(
-        np.arange(frame_count), offsets, np.zeros(len(j), dtype=np.int64), ("person",), np.full(len(j), 0.9), bboxes
-    )
+    return DetectionTable(np.arange(frame_count), offsets, np.zeros(len(j), dtype=np.int64), (_LABEL,),
+                          np.full(len(j), _SCORE), _person_boxes(j))
+
+
+def write_detection_file(frame_count: int, counts, path) -> None:
+    """Write the file of generate_detections(frame_count, counts): what ``io.write_records`` writes for its frames.
+
+    Each block of BLOCK_ROWS frames formats the boxes of its distinct
+    counts once, so memory grows with a block's boxes, not with the file.
+    """
+    tio._write_blocks(path, "", functools.partial(_detection_lines, _per_frame(frame_count, counts)), frame_count)
+
+
+_BOX = '{"label":%s,"bbox":[%%r,%%r,%%r,%%r],"score":%r}' % (json.dumps(_LABEL), _SCORE)
+
+
+def _detection_lines(per_frame: np.ndarray, bounds) -> bytes:
+    lo, hi = bounds
+    counts = per_frame[lo:hi].tolist()
+    boxes = [_BOX % tuple(row) for row in _person_boxes(np.arange(max(counts))).tolist()]
+    # The % below fills in only the frame numbers: a box's text holds no %.
+    lines = {c: '{"frame":%d,"detections":[' + ",".join(boxes[:c]) + "]}\n" for c in set(counts)}
+    return ("".join(map(lines.__getitem__, counts)) % tuple(range(lo, hi))).encode()
 
 
 def generate_landmarks(entry: ClipEntry, n: int, seed: int = 0) -> list[LandmarkAnnotation]:

@@ -144,6 +144,16 @@ class TestSegmentCommand:
         assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
         assert list(tmp_path.rglob("*")) == [pose_file]
 
+    def test_empty_traj_id_writes_nothing(self, tmp_path, capsys):
+        # An explicit empty id is rejected, not replaced by the file stem.
+        pose_file = tmp_path / "walk.txt"
+        write_traj(pose_file, SynthSpec("straight", duration_s=240.0, fps=10.0, traj_id="walk"))
+        rc = main(["segment", "--input", str(pose_file), "--fps", "10", "--clip-seconds", "60",
+                   "--out", str(tmp_path / "clips"), "--traj-id", ""])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": "trajectory id must be non-empty"}
+        assert list(tmp_path.rglob("*")) == [pose_file]
+
     def test_killed_rerun_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
         # A re-run that fails after its first pose file must not leave the old manifest over the new files.
         pose_file = tmp_path / "walk.txt"
@@ -287,6 +297,16 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out" / "synth")]) == 2
         detail = f"trajectory id must be one file name, without '/' or NUL and not '.' or '..', got {traj_id!r}"
         assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+        assert list(tmp_path.rglob("*")) == [spec]
+
+    def test_empty_traj_id_writes_nothing(self, tmp_path, capsys):
+        # An explicit empty id is rejected, not replaced by synth_<kind>.
+        spec = tmp_path / "spec.json"
+        doc = json.loads(synth_spec_doc(tmp_path).read_text())
+        doc["trajectory"]["traj_id"] = ""
+        spec.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": "trajectory id must be non-empty"}
         assert list(tmp_path.rglob("*")) == [spec]
 
     @pytest.mark.parametrize("clip_seconds, rc, error", [(20.0, 3, "empty"), (0.01, 2, "validation")],

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcurate.errors import ParseError, SchemaError, ValidationError
+from navcurate.errors import ParseError, ValidationError
 from navcurate.filters import (
     REASON_CROWD,
     REASON_DIVERGENCE,
@@ -30,12 +30,12 @@ from navcurate.filters import (
     run_filters,
     slice_detections,
 )
-from navcurate.io import Detection, DetectionFrame, DetectionTable, parse_detections, write_detections
+from navcurate.io import Detection, DetectionFrame, DetectionTable, parse_detections
 from navcurate.io import write_records as write_record_lines
-from navcurate.synth import CLIP_CONVENTION, SynthSpec, generate
+from navcurate.synth import CLIP_CONVENTION, SynthSpec, generate, write_detection_file
 
 from conftest import clips_of
-from oracles import frames_of, table_of
+from oracles import detection_file_text, frames_of, table_of
 
 # Three 30-frame clips starting at source frames 0, 30 and 60; detection
 # frames range over 0..99, so they fall before, inside and after each clip.
@@ -155,7 +155,7 @@ def test_table_path_matches_scalar_oracle(tmp_path_factory, records):
 def test_write_parse_round_trip(tmp_path_factory, records):
     frames = merged_frames(records)
     path = tmp_path_factory.mktemp("det") / "d.jsonl"
-    write_detections(table_of(frames), path)
+    write_record_lines(frames, path)
     table = parse_detections(path)
     assert_same_columns(table, table_of(frames))
     assert frames_of(table) == frames
@@ -195,7 +195,7 @@ def test_inconsistent_arrays_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Writing a table: the record writer's bytes, from the columns
+# A table's file text: detection_file_text, which synth's writer is compared with, is write_records' bytes
 # ---------------------------------------------------------------------------
 
 ODD_LABELS = ['"', "\\", "a\x00b\x1f", "\x7f", "é", "名前", "\u2028\u2029", "\ud800", "", "person", "%s %r"]
@@ -230,68 +230,15 @@ def bits(a):
 @settings(max_examples=200, deadline=None)
 @given(table=tables())
 def test_written_table_matches_record_writer(tmp_path_factory, table):
-    work = tmp_path_factory.mktemp("det")
-    write_detections(table, work / "table.jsonl")
-    write_record_lines(frames_of(table), work / "records.jsonl")
-    assert (work / "table.jsonl").read_bytes() == (work / "records.jsonl").read_bytes()
-    back = parse_detections(work / "table.jsonl")
+    path = tmp_path_factory.mktemp("det") / "records.jsonl"
+    write_record_lines(frames_of(table), path)
+    assert path.read_bytes() == detection_file_text(table).encode()
+    back = parse_detections(path)
     assert [back.names[c] for c in back.labels.tolist()] == [table.names[c] for c in table.labels.tolist()]
     for column in ("frames", "offsets"):
         assert np.array_equal(getattr(back, column), getattr(table, column)), column
     assert bits(back.scores) == bits(table.scores)  # bit for bit: -0.0 stays -0.0
     assert bits(back.bboxes) == bits(table.bboxes)
-
-
-FAULTS = ["nan-bbox", "inf-bbox", "nan-score", "score-above-1", "score-below-0", "corners-out-of-order", "negative-frame"]
-
-
-@settings(max_examples=200, deadline=None)
-@given(table=tables(), faults=st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 10**6)), min_size=1, max_size=3))
-def test_fault_raises_as_record_path_and_leaves_no_file(tmp_path_factory, table, faults):
-    frames, scores, bboxes = table.frames.copy(), table.scores.copy(), table.bboxes.copy()
-    m = len(scores)
-    for fault, at in faults:
-        if fault == "negative-frame" and len(frames):
-            frames -= frames[at % len(frames)]  # frames up to this one turn negative
-            frames -= 1
-        elif fault != "negative-frame" and m:
-            row = at % m
-            if fault == "nan-bbox":
-                bboxes[row, at % 4] = math.nan
-            elif fault == "inf-bbox":
-                bboxes[row, at % 4] = math.inf
-            elif fault == "nan-score":
-                scores[row] = math.nan
-            elif fault == "score-above-1":
-                scores[row] = 1.5
-            elif fault == "score-below-0":
-                scores[row] = -0.25
-            elif bboxes[row, 2] < np.finfo(float).max:
-                bboxes[row, 0] = np.nextafter(bboxes[row, 2], math.inf)
-            else:  # x2 is the largest finite float (or inf or NaN): nothing finite lies above it, so lower x2
-                bboxes[row, 0], bboxes[row, 2] = bboxes[row, 2], np.nextafter(bboxes[row, 2], -math.inf)
-    bad = DetectionTable(frames, table.offsets, table.labels, table.names, scores, bboxes)
-    work = tmp_path_factory.mktemp("det")
-    try:
-        expected = frames_of(bad)
-    except ValidationError as exc:
-        expected = exc
-    if isinstance(expected, list):  # no fault landed: the table has no frame or no box to break
-        write_detections(bad, work / "d.jsonl")
-        return
-    with pytest.raises(ValidationError) as got:
-        write_detections(bad, work / "d.jsonl")
-    assert type(got.value) is type(expected)
-    assert str(got.value) == str(expected)
-    assert list(work.iterdir()) == []
-
-
-def test_nan_is_the_constructor_schema_error(tmp_path):
-    table = table_of([DetectionFrame(0, (Detection("person", (0.0, 0.0, 1.0, 1.0), 0.5),))])
-    bad = DetectionTable(table.frames, table.offsets, table.labels, table.names, [math.nan], table.bboxes)
-    with pytest.raises(SchemaError, match="score"):
-        write_detections(bad, tmp_path / "d.jsonl")
-    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +295,7 @@ def test_write_replaces_the_file_atomically(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("old\n")
     os.link(path, tmp_path / "link")
-    write_detections(table_of([DetectionFrame(3, (Detection("person", (0.0, 0.0, 1.0, 1.0), 0.5),))]), path)
+    write_detection_file(1, [1], path)
     assert (tmp_path / "link").read_text() == "old\n"  # a new file took the name; the old one was not rewritten
-    assert path.read_text() == '{"frame":3,"detections":[{"label":"person","bbox":[0.0,0.0,1.0,1.0],"score":0.5}]}\n'
+    assert path.read_text() == '{"frame":0,"detections":[{"label":"person","bbox":[20.0,40.0,44.0,160.0],"score":0.9}]}\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "link"]

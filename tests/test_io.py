@@ -16,13 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcurate import cli, schema
+from navcurate import cli, schema, synth
 from navcurate.errors import ParseError, SchemaError, ValidationError
 from navcurate.io import (
     BLOCK_ROWS,
     Detection,
     DetectionFrame,
-    DetectionTable,
     LandmarkAnnotation,
     PredictionRecord,
     RawTrajectory,
@@ -34,13 +33,13 @@ from navcurate.io import (
     parse_predictions,
     parse_samples,
     remove_output,
-    write_detections,
     write_landmarks,
     write_pose_file,
     write_predictions,
     write_report,
     write_records,
 )
+from navcurate.synth import generate_detections, write_detection_file
 
 from oracles import EgoWaypoint, detection_file_text, frames_of, pose_file_text, prediction_table_of, records_of
 from test_cli_fuzz import POOL, _replaced, _sites
@@ -623,18 +622,6 @@ def _walk(n: int, traj_id: str = "walk") -> RawTrajectory:
                          quats / np.linalg.norm(quats, axis=1, keepdims=True))
 
 
-def _boxes(n: int) -> DetectionTable:
-    """n frames of 0 to 3 boxes under two labels, with -0.0, 0.0 and repeated values among the floats."""
-    rng = np.random.default_rng(n)
-    counts = rng.integers(0, 4, n)
-    m = int(counts.sum())
-    x, y = rng.choice([-0.0, 0.0, 1.5, 1e-300], m), rng.normal(0.0, 100.0, m)
-    bboxes = np.column_stack([x, y, x + rng.uniform(0, 9, m), y + 1.0])
-    frames = np.cumsum(rng.integers(1, 3, n))
-    return DetectionTable(frames, np.concatenate(([0], np.cumsum(counts))), rng.integers(0, 2, m), ("person", "car\u00e9"),
-                          rng.uniform(0.0, 1.0, m), bboxes)
-
-
 ROW_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
 # The writers' own one-at-a-time formatting, and the CLI's process pool at two workers.
 BLOCK_MAPS = {"serial": None, "pool": functools.partial(cli._imap, workers=2)}
@@ -653,13 +640,20 @@ class TestBlockWriters:
     @pytest.mark.parametrize("map_name", list(BLOCK_MAPS))
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_detections(self, tmp_path, rows, map_name):
-        table = _boxes(rows)
-        write_detections(table, tmp_path / "d.jsonl", map_tasks=BLOCK_MAPS[map_name])
-        assert (tmp_path / "d.jsonl").read_bytes() == detection_file_text(table).encode()
+        # synth writes its detection file in the parent, and its pose file through the pool at two workers.
+        counts = np.random.default_rng(rows).integers(0, 4, rows).tolist()
+        spec = {"trajectory": {"kind": "stationary", "duration_s": rows / 30.0, "fps": 30.0, "traj_id": "still"},
+                "detections": {"schedule": counts}}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        workers = "1" if BLOCK_MAPS[map_name] is None else "2"
+        assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out"),
+                         "--workers", workers]) == 0
+        text = detection_file_text(generate_detections(rows, counts))
+        assert (tmp_path / "out" / "detections.jsonl").read_bytes() == text.encode()
+        assert multiprocessing.active_children() == []
 
     def test_empty_table(self, tmp_path):
-        table = DetectionTable([], [0], [], (), [], np.zeros((0, 4)))
-        write_detections(table, tmp_path / "d.jsonl", map_tasks=BLOCK_MAPS["pool"])
+        write_detection_file(0, [], tmp_path / "d.jsonl")
         assert (tmp_path / "d.jsonl").read_bytes() == b""
 
     @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
@@ -681,6 +675,21 @@ def _failing_pool(fn, tasks):
     return cli._imap(functools.partial(_fail_from_block_2, fn), tasks, 2)
 
 
+def _write_walk(rows, path, fail=False):
+    """_walk(rows)'s pose file; with fail, through the two-worker pool that fails from the third block on."""
+    write_pose_file(_walk(rows), path, map_tasks=_failing_pool if fail else None)
+
+
+def _write_counts(rows, path, fail=False):
+    """synth's detection file of rows frames of 0 to 3 boxes; with fail, formatting fails from the third block on."""
+    lines = synth._detection_lines
+    with pytest.MonkeyPatch.context() as patch:
+        if fail:
+            patch.setattr(synth, "_detection_lines",
+                          lambda per_frame, bounds: _fail_from_block_2(functools.partial(lines, per_frame), bounds))
+        write_detection_file(rows, np.random.default_rng(rows).integers(0, 4, rows), path)
+
+
 class TestCrashSafeWrites:
     def test_write_failing_partway_keeps_old_file(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -694,13 +703,13 @@ class TestCrashSafeWrites:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
-    @pytest.mark.parametrize("writer, data", [(write_pose_file, _walk), (write_detections, _boxes)])
-    def test_failing_later_block_keeps_old_file_and_stops_the_pool(self, tmp_path, writer, data):
+    @pytest.mark.parametrize("writer", [_write_walk, _write_counts], ids=["write_pose_file", "write_detection_file"])
+    def test_failing_later_block_keeps_old_file_and_stops_the_pool(self, tmp_path, writer):
         path = tmp_path / "out.txt"
-        writer(data(5), path)
+        writer(5, path)
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match=f"block at row {2 * BLOCK_ROWS}"):
-            writer(data(4 * BLOCK_ROWS), path, map_tasks=_failing_pool)
+            writer(4 * BLOCK_ROWS, path, fail=True)
         assert multiprocessing.active_children() == []
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

@@ -1,16 +1,17 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navcurate import schema
 from navcurate.errors import ValidationError
 from navcurate.geometry import pitch_many, yaw_many
-from navcurate.io import parse_detections, write_detections
+from navcurate.io import BLOCK_ROWS, parse_detections
 from navcurate.segmentation import segment
 from navcurate.synth import (
     CLIP_CONVENTION,
@@ -23,10 +24,11 @@ from navcurate.synth import (
     generate,
     generate_detections,
     generate_landmarks,
+    write_detection_file,
 )
 
 from conftest import clips_of, quat_close
-from oracles import detection_frames, frames_of, pose_at, relative_pose
+from oracles import detection_file_text, detection_frames, frames_of, pose_at, relative_pose
 
 
 class TestSpecValidation:
@@ -193,8 +195,27 @@ class TestDetections:
     def test_round_trip_through_io(self, tmp_path):
         table = generate_detections(10, [2, 0, 3])
         path = tmp_path / "d.jsonl"
-        write_detections(table, path)
+        write_detection_file(10, [2, 0, 3], path)
         assert frames_of(parse_detections(path)) == frames_of(table)
+
+    @pytest.mark.parametrize("counts, index, value", [
+        ([2.7, -4, True], 0, "2.7"), ([1, -4, True], 1, "-4"), ([1, 0, True], 2, "True"),
+        ([np.int64(2), "3"], 1, "'3'"), (np.array([0, -1]), 1, "np.int64(-1)"), ([1, None], 1, "None"),
+    ])
+    def test_count_that_is_not_a_non_negative_integer_rejected(self, tmp_path, counts, index, value):
+        # The first such count is named, also one past the frames kept; the writer writes no file.
+        message = f"detection count {index} must be a non-negative integer, got {value}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            generate_detections(1, counts)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            write_detection_file(1, counts, tmp_path / "d.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_integer_counts_pad_and_cut(self):
+        counts = DetectionBlock(schedule=(2, 0, 1)).counts(3)
+        assert counts.dtype == np.int64
+        assert np.diff(generate_detections(5, counts).offsets).tolist() == [2, 0, 1, 0, 0]
+        assert np.diff(generate_detections(2, [np.int64(1), 3, 4]).offsets).tolist() == [1, 3]
 
     def test_boxes_have_fixed_geometry_and_score(self):
         table = generate_detections(1, [3])
@@ -233,6 +254,22 @@ def test_span_counts_match_oracle(frame_count, spans):
     assert counts.dtype == np.int64
     assert counts.tolist() == expected
     assert frames_of(generate_detections(frame_count, counts)) == detection_frames(frame_count, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frame_count=st.one_of(st.integers(0, 40), st.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])),
+    block=st.one_of(st.builds(DetectionBlock, schedule=st.lists(st.integers(0, 7), max_size=60).map(tuple)),
+                    st.builds(DetectionBlock, spans=spans_strategy.map(tuple))),
+)
+@example(frame_count=BLOCK_ROWS + 1, block=DetectionBlock(schedule=()))  # every frame empty
+@example(frame_count=3, block=DetectionBlock(schedule=(0, 5000)))
+def test_written_file_matches_oracle(tmp_path_factory, frame_count, block):
+    # A schedule goes in as written, to be padded or cut; spans as the counts they give.
+    counts = list(block.schedule) if block.schedule is not None else block.counts(frame_count)
+    path = tmp_path_factory.mktemp("det") / "d.jsonl"
+    write_detection_file(frame_count, counts, path)
+    assert path.read_bytes() == detection_file_text(generate_detections(frame_count, counts)).encode()
 
 
 class TestBounds:

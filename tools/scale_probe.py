@@ -1,18 +1,19 @@
 """Peak memory, wall and CPU time of one navcurate stage on a large generated input.
 
     python3 tools/scale_probe.py eval --records 200000 --max-rss-mb 125
-    python3 tools/scale_probe.py synth --poses 1080000 --workers 2 --max-rss-mb 350
+    python3 tools/scale_probe.py synth --poses 1080000 --workers 2 --max-rss-mb 300
     python3 tools/scale_probe.py segment --poses 1080000 --workers 2 --max-rss-mb 260
     python3 tools/scale_probe.py samples --poses 1080000 --workers 2
     python3 tools/scale_probe.py filter --poses 216000 --workers 2
 
 Writes the stage's input to a scratch directory (eval: N seeded horizon-8
 prediction records; synth: an arc spec of N poses at 30 fps, so 1,080,000 poses
-is 10 h; segment: that arc's pose stream, written by `synth` run as its own
-process; samples: that arc with --per-clip synth landmarks on each clip, cut by
-`segment` run as its own process, and an accepted list of every clip id in the
-clip manifest; filter: that arc with one synth detection record per pose of 0-3
-person boxes, drawn with a seeded schedule, cut by `segment`), runs
+is 10 h, with one detection record per pose of 0-3 person boxes, drawn with a
+seeded schedule; segment: that arc's pose stream without detections, written by
+`synth` run as its own process; samples: that arc with --per-clip synth landmarks
+on each clip, cut by `segment` run as its own process, and an accepted list of
+every clip id in the clip manifest; filter: that arc with synth's seeded
+detections, cut by `segment`), runs
 `python -m navcurate.cli <stage>` on it as its own process with the sources
 under src/ of this checkout, and prints one JSON line: the
 input size, wall_s, cpu_s, peak_rss_mb and the sha256 of the stage's output
@@ -42,7 +43,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HORIZON = 8
 FPS = 30.0
 CLIP_SECONDS = 120.0  # 3,600 poses per clip
-SEED = 1  # of eval's prediction records, of samples' synth landmarks and draws, and of filter's box counts
+SEED = 1  # of eval's prediction records, of samples' synth landmarks and draws, and of synth's and filter's box counts
 
 
 def write_predictions(path: Path, n: int, seed: int) -> None:
@@ -79,11 +80,22 @@ def report_eval(args, workdir: Path, usage: dict) -> dict:
     return {"records": args.records, **usage, "metrics_sha256": file_sha256(workdir / "metrics.json")}
 
 
+def box_schedule(poses: int) -> list[int]:
+    """A seeded count of 0 to 3 person boxes for each pose, like curate-long's detections: never a crowd."""
+    rng = random.Random(SEED)
+    return [rng.randrange(4) for _ in range(poses)]
+
+
 def prepare_synth(args, workdir: Path, **blocks) -> list[str]:
     """synth of the arc, with the spec's landmarks or detections block if given."""
     spec = {"trajectory": {"kind": "arc", "duration_s": args.poses / FPS, "fps": FPS, "traj_id": "arc"}, **blocks}
     (workdir / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
     return ["synth", "--spec", "spec.json", "--out", "out", "--workers", str(args.workers)]
+
+
+def prepare_synth_detections(args, workdir: Path) -> list[str]:
+    """synth of the arc with one detection record per pose (see box_schedule)."""
+    return prepare_synth(args, workdir, detections={"schedule": box_schedule(args.poses)})
 
 
 def report_synth(args, workdir: Path, usage: dict) -> dict:
@@ -130,9 +142,7 @@ def report_samples(args, workdir: Path, usage: dict) -> dict:
 
 
 def prepare_filter(args, workdir: Path) -> list[str]:
-    rng = random.Random(SEED)
-    schedule = [rng.randrange(4) for _ in range(args.poses)]  # like curate-long: 0-3 boxes per pose, never a crowd
-    run_before(workdir, prepare_segment(args, workdir, detections={"schedule": schedule}))
+    run_before(workdir, prepare_segment(args, workdir, detections={"schedule": box_schedule(args.poses)}))
     # synth's clips look along +z with -y up.
     return ["filter", "--clips", "clips", "--detections", "out/detections.jsonl", "--report", "report.json",
             "--world-up=-y", "--workers", str(args.workers)]
@@ -173,10 +183,10 @@ def main(argv=None) -> int:
     eval_ = stages.add_parser("eval", parents=[common], help="eval on generated prediction records")
     eval_.add_argument("--records", type=int, default=200_000)
     eval_.set_defaults(prepare=prepare_eval, report=report_eval)
-    synth = stages.add_parser("synth", parents=[common], help="synth of a long arc")
+    synth = stages.add_parser("synth", parents=[common], help="synth of a long arc with a detection record per pose")
     synth.add_argument("--poses", type=int, default=1_080_000)
     synth.add_argument("--workers", type=int, default=1)
-    synth.set_defaults(prepare=prepare_synth, report=report_synth)
+    synth.set_defaults(prepare=prepare_synth_detections, report=report_synth)
     segment = stages.add_parser("segment", parents=[common], help="segment of a long arc, which synth writes first")
     segment.add_argument("--poses", type=int, default=1_080_000)
     segment.add_argument("--workers", type=int, default=1)
