@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +103,8 @@ def _imap(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # here, so a stage that never pools does not import it
+
     # A forked pool starts all max_workers processes at the first submit.
     workers = min(workers, len(tasks))
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_fn, initargs=(fn,))
@@ -230,7 +231,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    doc, spec = tio.load_json(args.spec, lambda doc: schema.load(SynthFile, doc))
+    _, spec = tio.load_json(args.spec, lambda doc: schema.load(SynthFile, doc))
     traj = generate(spec.trajectory)
     # Counts past MAX_BOXES and a landmark clip_seconds that plans no clip raise here, before anything is written.
     per_frame = spec.detections.counts(len(traj)) if spec.detections is not None else None
@@ -243,7 +244,7 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tio.remove_output(out_dir / "manifest.json")
     outputs, counts = {"poses": f"{traj.id}.txt"}, {"poses": len(traj)}
-    tio.write_pose_file(traj, out_dir / outputs["poses"], map_tasks=functools.partial(_imap, workers=args.workers))
+    tio.write_pose_file(traj, out_dir / outputs["poses"])
 
     if per_frame is not None:
         write_detection_file(len(traj), per_frame, out_dir / "detections.jsonl")
@@ -255,9 +256,7 @@ def cmd_synth(args) -> int:
         outputs["landmarks"] = "landmarks.jsonl"
         counts["landmarks"] = len(landmarks)
 
-    tio.write_report(
-        _manifest("synth", {"spec": args.spec}, config=doc, outputs=outputs, counts=counts), out_dir / "manifest.json"
-    )
+    tio.write_report(_manifest("synth", {"spec": args.spec}, outputs=outputs, counts=counts), out_dir / "manifest.json")
     return 0
 
 
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic pose/detection/landmark files")
     p.add_argument("--spec", required=True, help="synth spec JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    _add_workers_flag(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("loss", help="print reference loss components for arrays in a JSON file")

@@ -15,9 +15,8 @@ symlink to a regular file keeps its place, and its target is replaced. A
 stage removes its old manifest or report with ``remove_output`` before
 its first write, so a killed stage leaves no manifest over newer outputs.
 The writers format BLOCK_ROWS rows (pose lines, detection frames, record
-lines) at a time, so their memory does not grow with the file.
-``write_pose_file`` takes a ``map_tasks`` that may format the blocks in a
-process pool; the blocks are written in order.
+lines) at a time, so their memory does not grow with the file. Pose
+values are written with the exact bytes ``repr`` gives them.
 
 Pose files (TUM-style text):
     ``timestamp tx ty tz qx qy qz qw`` per line, single spaces, ``#``
@@ -76,10 +75,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import sys
 import warnings
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from io import BufferedReader, BytesIO, RawIOBase, TextIOWrapper
 from itertools import chain, islice
@@ -87,6 +87,7 @@ from pathlib import Path
 from typing import Annotated
 
 import numpy as np
+import orjson
 
 from . import schema
 from .errors import ParseError, SchemaError, ValidationError
@@ -554,22 +555,35 @@ def _check_pose_lines(lines, path) -> None:
             raise ParseError("non-finite value", path=str(path), line=lineno)
 
 
-def write_pose_file(traj: RawTrajectory, path, map_tasks=None) -> str:
+def write_pose_file(traj: RawTrajectory, path) -> str:
     """Write a RawTrajectory in the TUM-style text format; return the sha256 of the bytes written.
 
-    Values are formatted with repr (shortest exact round-trip), so
-    write-then-parse reproduces the arrays bit for bit. The rows are
-    formatted in blocks of BLOCK_ROWS and written in order (see
-    :func:`_write_blocks` for ``map_tasks``).
+    Each value is written with the bytes repr gives it (shortest exact
+    round-trip), so write-then-parse reproduces the arrays bit for bit.
+    The rows are formatted in blocks of BLOCK_ROWS and written in order.
     """
     header = f"# {traj.id} fps={traj.fps!r}\n# timestamp tx ty tz qx qy qz qw\n"
-    return _write_blocks(path, header, functools.partial(_pose_rows, traj), len(traj), map_tasks)
+    return _write_blocks(path, header, functools.partial(_pose_rows, traj), len(traj))
+
+
+# orjson prints the shortest round-trip digits, as repr does, in another layout: repr signs
+# an exponent and gives it two digits or more (1e16 -> 1e+16, 1e-7 -> 1e-07), and writes
+# 1e-5 <= |x| < 1e-4 with an exponent (0.000015 -> 1.5e-05), not inside a longer number.
+# A RawTrajectory holds no NaN or infinity, which orjson would write as null.
+_EXP_SIGN = re.compile(rb"e(?=\d)")
+_EXP_DIGIT = re.compile(rb"(e[+-])(\d)\b")
+_BAND = re.compile(rb"0\.0000(?<![\d.]0\.0000)(\d)(\d*)")
 
 
 def _pose_rows(traj: RawTrajectory, bounds) -> bytes:
     lo, hi = bounds
     values = np.column_stack([traj.timestamps[lo:hi], traj.positions[lo:hi], traj.quaternions[lo:hi]])
-    return (("%r %r %r %r %r %r %r %r\n" * (hi - lo)) % tuple(values.ravel().tolist())).encode()
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n").replace(b",", b" ")
+    if b"e" in text:
+        text = _EXP_DIGIT.sub(rb"\g<1>0\2", _EXP_SIGN.sub(b"e+", text))
+    if b"0.0000" in text:
+        text = _BAND.sub(lambda m: m[1] + (b"." + m[2] if m[2] else b"") + b"e-05", text)
+    return text + b"\n"
 
 
 # ---------------------------------------------------------------------------
@@ -820,20 +834,13 @@ def _write_chunks(path, chunks) -> str:
     return sha.hexdigest()
 
 
-def _write_blocks(path, head: str, fn, n: int, map_tasks=None) -> str:
+def _write_blocks(path, head: str, fn, n: int) -> str:
     """Write head, then the bytes fn((lo, hi)) of each block of BLOCK_ROWS rows of range(n), in order.
 
     Returns the sha256 of the bytes written.
-
-    ``map_tasks(fn, tasks)`` returns a generator of fn(task) for each
-    task, in task order: the CLI passes its process pool. By default the
-    blocks are formatted here, one at a time. The generator is closed when
-    the write ends, so an error stops the formatting.
     """
-    bounds = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
-    blocks = map_tasks(fn, bounds) if map_tasks else (fn(task) for task in bounds)
-    with closing(blocks):
-        return _write_chunks(path, chain([head.encode()], blocks))
+    blocks = map(fn, ((lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)))
+    return _write_chunks(path, chain([head.encode()], blocks))
 
 
 def _write_lines(path, lines) -> str:

@@ -322,6 +322,8 @@ def _per_frame(frame_count: int, counts) -> np.ndarray:
         for i, count in enumerate(counts):
             if type(count) is bool or not isinstance(count, (int, np.integer)) or count < 0:
                 raise ValidationError(f"detection count {i} must be a non-negative integer, got {count!r}")
+            if count >= 1 << 63:  # past int64
+                raise ValidationError(f"detection count {i} must be below 2**63, got {count!r}")
     head = np.asarray(counts, dtype=np.int64)[:frame_count]
     return np.pad(head, (0, frame_count - len(head)))
 

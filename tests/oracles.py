@@ -145,11 +145,15 @@ def detection_frames(frame_count: int, count_schedule) -> list[DetectionFrame]:
 # ---------------------------------------------------------------------------
 
 
+def pose_lines(values: np.ndarray) -> str:
+    """Pose lines of an (n, 8) array from one %-format: each value as repr writes it."""
+    return ("%r %r %r %r %r %r %r %r\n" * len(values)) % tuple(values.ravel().tolist())
+
+
 def pose_file_text(traj: RawTrajectory) -> str:
     """A pose file's text from one %-format over every value of the trajectory."""
     header = f"# {traj.id} fps={traj.fps!r}\n# timestamp tx ty tz qx qy qz qw\n"
-    values = np.column_stack([traj.timestamps, traj.positions, traj.quaternions]).ravel().tolist()
-    return header + ("%r %r %r %r %r %r %r %r\n" * len(traj)) % tuple(values)
+    return header + pose_lines(np.column_stack([traj.timestamps, traj.positions, traj.quaternions]))
 
 
 _BOX_FORMAT = '{"label":%s,"bbox":[%s,%s,%s,%s],"score":%s}'

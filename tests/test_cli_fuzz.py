@@ -255,7 +255,7 @@ def _byte_run(root, kind, work) -> tuple[int, str, Path]:
         "landmarks": samples, "accepted": samples,
         "predictions": ["eval", "--pred", str(path), "--out", str(work / "out")],
         "loss": ["loss", "--input", str(path)],
-        "synth": ["synth", "--spec", str(path), "--out", str(work / "synth"), "--workers", "1"],
+        "synth": ["synth", "--spec", str(path), "--out", str(work / "synth")],
     }[kind]
     return argv, path
 

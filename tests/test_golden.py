@@ -37,7 +37,8 @@ SPEC = {
 # report.json, samples.jsonl.manifest.json, synth/manifest.json) since their inputs are keyed by role;
 # metrics.json at the commit before the stages built their manifests through one helper; clips/manifest.json,
 # report.json (which digests it) and samples.jsonl.manifest.json again since the clip manifest lists each pose
-# file's sha256 and the samples manifest that of samples.jsonl.
+# file's sha256 and the samples manifest that of samples.jsonl; synth/manifest.json again since it records its
+# spec by digest (inputs.spec) only, without a copy of the spec under config.
 GOLDEN = {
     "clips/gold_0000.txt": "0171dea39ad2cf7afda3995b80e4a412a5426025f800d07157f51c8cafea22b7",
     "clips/gold_0001.txt": "fee2a470c51acfa6d2e89428f0935daa4ba836f783db1196bf6fe911804c5f55",
@@ -51,7 +52,7 @@ GOLDEN = {
     "synth/detections.jsonl": "c53697904a58e20c3323a5b704f9bb14cfe21026e9f7b8567964abde62862452",
     "synth/gold.txt": "7076838bcdf5bf3542a597f94732a0090a202ebcc5a4e8e218bc4559205f86c1",
     "synth/landmarks.jsonl": "f1edf22eb08e283f0a6882d27c1f09137ede45ebf004a3fe0fd77a9958d3c83a",
-    "synth/manifest.json": "650942742f8253c17d9b774295302744bf9d76f8ef9191b71585b8af1136a1a9",
+    "synth/manifest.json": "74901272f5443e6ee3ac2022bd3ad83eba331ddb23275f1254e1ae67d9e51374",
 }
 
 

@@ -7,16 +7,20 @@ import os
 import pickle
 import re
 import stat
+import sys
 import threading
 import warnings
 from io import StringIO
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navcurate import cli, schema, synth
+from navcurate import io as tio
 from navcurate.errors import ParseError, SchemaError, ValidationError
 from navcurate.io import (
     BLOCK_ROWS,
@@ -41,7 +45,8 @@ from navcurate.io import (
 )
 from navcurate.synth import generate_detections, write_detection_file
 
-from oracles import EgoWaypoint, detection_file_text, frames_of, pose_file_text, prediction_table_of, records_of
+from oracles import (EgoWaypoint, detection_file_text, frames_of, pose_file_text, pose_lines, prediction_table_of,
+                     records_of)
 from test_cli_fuzz import POOL, _replaced, _sites
 
 
@@ -623,34 +628,86 @@ def _walk(n: int, traj_id: str = "walk") -> RawTrajectory:
 
 
 ROW_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
-# The writers' own one-at-a-time formatting, and the CLI's process pool at two workers.
-BLOCK_MAPS = {"serial": None, "pool": functools.partial(cli._imap, workers=2)}
+
+
+def _write_in(where: str, write, path) -> None:
+    """write(path) in this process ("serial"), or in a worker of the CLI's pool at two workers ("pool").
+
+    segment writes its clip files in its workers. The pool writes a second
+    copy next to path, so that it starts both workers; the copies must be equal.
+    """
+    if where == "serial":
+        write(path)
+        return
+    copy = path.with_name(f"copy.{path.name}")
+    cli._map_tasks(write, [path, copy], 2)
+    assert multiprocessing.active_children() == []
+    assert copy.read_bytes() == path.read_bytes()
+    copy.unlink()
+
+
+# Values where orjson's layout and repr's differ or nearly do: the 1e-5 to 1e-4 band that repr writes
+# with an exponent and its ends, 1e-6, 1e15 and 1e16 on both sides, a longer number holding "0.0000",
+# subnormals, the largest double, -0.0 and integers at and past 2**53.
+_EDGE_FLOATS = [
+    1e-5, 1.5e-5, 1.0000000000000001e-05, 9.999999999999999e-05, 1e-4, 1.0000000000000002e-04, 1e-6, 1.5e-7,
+    999999999999999.9, 1e15, 1.0000000000000002e15, 9999999999999998.0, 1e16, 1.0000000000000002e16, 1.5e16,
+    10.00001, 100.00001, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, sys.float_info.max,
+    -0.0, 0.0, 2.0**53, 2.0**53 + 2, 2.0**64, 1e22, 1e100, 1e-100,
+]
+_raw_floats = st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item()).filter(math.isfinite)
+
+
+@st.composite
+def _pose_blocks(draw):
+    """An (n, 8) block of finite float64 values, n up to BLOCK_ROWS + 1, drawn from raw bit patterns and edge values."""
+    rows = draw(st.sampled_from([1, 2, 5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]))
+    pool = draw(st.lists(st.one_of(_raw_floats, st.sampled_from(_EDGE_FLOATS), st.floats(1e-5, 1e-4)),
+                         min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 2**64, (rows, 8), dtype=np.uint64, endpoint=False).view(np.float64)
+    values[~np.isfinite(values)] = 1.0
+    drawn = rng.random(values.shape) < 0.7
+    values[drawn] = rng.choice(pool, drawn.sum()) * rng.choice([-1.0, 1.0], drawn.sum())
+    return values
+
+
+class TestPoseLines:
+    """Pose lines carry the exact bytes repr gives each value, though orjson formats them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=_pose_blocks())
+    def test_bytes_equal_repr(self, values):
+        traj = SimpleNamespace(timestamps=values[:, 0], positions=values[:, 1:4], quaternions=values[:, 4:])
+        assert tio._pose_rows(traj, (0, len(values))) == pose_lines(values).encode()
+
+    def test_orjson_layout_is_pinned(self):
+        # _pose_rows turns this layout into repr's: an orjson that writes another one fails here, before a pose file moves.
+        values = np.array([[1e16, 1.5e16, 2.0**60, 1e15, 1e-7, 1.5e-6, 1e-5, 1.5e-5, 1e-4, 10.00001, -0.0, 5e-324,
+                            sys.float_info.max, 0.1]])
+        assert orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY) == (
+            b"[[1e16,1.5e16,1.152921504606847e18,1000000000000000.0,1e-7,1.5e-6,0.00001,0.000015,0.0001,10.00001,"
+            b"-0.0,5e-324,1.7976931348623157e308,0.1]]"
+        )
 
 
 class TestBlockWriters:
     """The block writers give byte for byte the one-string writers' text (tests/oracles.py)."""
 
-    @pytest.mark.parametrize("map_name", list(BLOCK_MAPS))
+    @pytest.mark.parametrize("where", ["serial", "pool"])
     @pytest.mark.parametrize("rows", ROW_COUNTS)
-    def test_pose_file(self, tmp_path, rows, map_name):
+    def test_pose_file(self, tmp_path, rows, where):
         traj = _walk(rows)
-        write_pose_file(traj, tmp_path / "walk.txt", map_tasks=BLOCK_MAPS[map_name])
+        _write_in(where, functools.partial(write_pose_file, traj), tmp_path / "walk.txt")
         assert (tmp_path / "walk.txt").read_bytes() == pose_file_text(traj).encode()
 
-    @pytest.mark.parametrize("map_name", list(BLOCK_MAPS))
+    @pytest.mark.parametrize("where", ["serial", "pool"])
     @pytest.mark.parametrize("rows", ROW_COUNTS)
-    def test_detections(self, tmp_path, rows, map_name):
-        # synth writes its detection file in the parent, and its pose file through the pool at two workers.
+    def test_detections(self, tmp_path, rows, where):
         counts = np.random.default_rng(rows).integers(0, 4, rows).tolist()
-        spec = {"trajectory": {"kind": "stationary", "duration_s": rows / 30.0, "fps": 30.0, "traj_id": "still"},
-                "detections": {"schedule": counts}}
-        (tmp_path / "spec.json").write_text(json.dumps(spec))
-        workers = "1" if BLOCK_MAPS[map_name] is None else "2"
-        assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out"),
-                         "--workers", workers]) == 0
+        _write_in(where, functools.partial(write_detection_file, rows, counts), tmp_path / "detections.jsonl")
         text = detection_file_text(generate_detections(rows, counts))
-        assert (tmp_path / "out" / "detections.jsonl").read_bytes() == text.encode()
-        assert multiprocessing.active_children() == []
+        assert (tmp_path / "detections.jsonl").read_bytes() == text.encode()
 
     def test_empty_table(self, tmp_path):
         write_detection_file(0, [], tmp_path / "d.jsonl")
@@ -670,14 +727,14 @@ def _fail_from_block_2(fn, bounds):
     return fn(bounds)
 
 
-def _failing_pool(fn, tasks):
-    """The CLI's two-worker block map, with every block from the third on failing in its worker."""
-    return cli._imap(functools.partial(_fail_from_block_2, fn), tasks, 2)
-
-
 def _write_walk(rows, path, fail=False):
-    """_walk(rows)'s pose file; with fail, through the two-worker pool that fails from the third block on."""
-    write_pose_file(_walk(rows), path, map_tasks=_failing_pool if fail else None)
+    """_walk(rows)'s pose file; with fail, formatting fails from the third block on."""
+    rows_of = tio._pose_rows
+    with pytest.MonkeyPatch.context() as patch:
+        if fail:
+            patch.setattr(tio, "_pose_rows",
+                          lambda traj, bounds: _fail_from_block_2(functools.partial(rows_of, traj), bounds))
+        write_pose_file(_walk(rows), path)
 
 
 def _write_counts(rows, path, fail=False):
@@ -717,8 +774,9 @@ class TestCrashSafeWrites:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_write_error_mid_stream_stops_the_pool(self):
         # /dev/full is not a regular file, so it is written in place, and its first write fails with ENOSPC.
+        # The error leaves a pool worker, as it would from segment's, and no worker is left behind.
         with pytest.raises(OSError):
-            write_pose_file(_walk(4 * BLOCK_ROWS), "/dev/full", map_tasks=BLOCK_MAPS["pool"])
+            cli._map_tasks(functools.partial(write_pose_file, _walk(4 * BLOCK_ROWS)), ["/dev/full"] * 2, 2)
         assert multiprocessing.active_children() == []
 
     def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
@@ -790,7 +848,7 @@ class TestCrashSafeWrites:
         received = []
         reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
         reader.start()
-        write_pose_file(traj, path, map_tasks=BLOCK_MAPS["pool"])
+        write_pose_file(traj, path)
         reader.join(timeout=30)
         assert received == [pose_file_text(traj).encode()]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["walk.fifo"]

@@ -13,8 +13,7 @@ PROBE = Path(__file__).resolve().parents[1] / "tools" / "scale_probe.py"
 # Per stage: tiny-size arguments, the JSON keys it prints in order, and the output file its digest is of.
 STAGES = {
     "eval": (["--records", "2000"], ["records", "wall_s", "cpu_s", "peak_rss_mb", "metrics_sha256"], "metrics.json"),
-    "synth": (["--poses", "3000", "--workers", "2"], ["poses", "workers", "wall_s", "cpu_s", "peak_rss_mb", "sha256"],
-              "out/arc.txt"),
+    "synth": (["--poses", "3000"], ["poses", "wall_s", "cpu_s", "peak_rss_mb", "sha256"], "out/arc.txt"),
     # Two 3,600-pose clips.
     "segment": (["--poses", "7200", "--workers", "2"],
                 ["poses", "clips", "workers", "wall_s", "cpu_s", "peak_rss_mb", "manifest_sha256"], "clips/manifest.json"),

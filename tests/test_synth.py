@@ -211,6 +211,16 @@ class TestDetections:
             write_detection_file(1, counts, tmp_path / "d.jsonl")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("count", [2**63, 2**64, np.uint64(2**63)], ids=repr)
+    def test_count_past_int64_rejected(self, tmp_path, count):
+        # An int64 cannot hold it: the count is named, as a count of the wrong type is.
+        message = f"detection count 0 must be below 2**63, got {count!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            generate_detections(1, [count])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            write_detection_file(1, [count], tmp_path / "d.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
     def test_integer_counts_pad_and_cut(self):
         counts = DetectionBlock(schedule=(2, 0, 1)).counts(3)
         assert counts.dtype == np.int64

@@ -1,7 +1,7 @@
 """Peak memory, wall and CPU time of one navcurate stage on a large generated input.
 
     python3 tools/scale_probe.py eval --records 200000 --max-rss-mb 125
-    python3 tools/scale_probe.py synth --poses 1080000 --workers 2 --max-rss-mb 300
+    python3 tools/scale_probe.py synth --poses 1080000 --max-rss-mb 300
     python3 tools/scale_probe.py segment --poses 1080000 --workers 2 --max-rss-mb 260
     python3 tools/scale_probe.py samples --poses 1080000 --workers 2
     python3 tools/scale_probe.py filter --poses 216000 --workers 2
@@ -90,7 +90,7 @@ def prepare_synth(args, workdir: Path, **blocks) -> list[str]:
     """synth of the arc, with the spec's landmarks or detections block if given."""
     spec = {"trajectory": {"kind": "arc", "duration_s": args.poses / FPS, "fps": FPS, "traj_id": "arc"}, **blocks}
     (workdir / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
-    return ["synth", "--spec", "spec.json", "--out", "out", "--workers", str(args.workers)]
+    return ["synth", "--spec", "spec.json", "--out", "out"]
 
 
 def prepare_synth_detections(args, workdir: Path) -> list[str]:
@@ -100,7 +100,7 @@ def prepare_synth_detections(args, workdir: Path) -> list[str]:
 
 def report_synth(args, workdir: Path, usage: dict) -> dict:
     poses = json.loads((workdir / "out" / "manifest.json").read_text(encoding="utf-8"))["counts"]["poses"]
-    return {"poses": poses, "workers": args.workers, **usage, "sha256": file_sha256(workdir / "out" / "arc.txt")}
+    return {"poses": poses, **usage, "sha256": file_sha256(workdir / "out" / "arc.txt")}
 
 
 def run_before(workdir: Path, stage_argv: list[str]) -> None:
@@ -185,7 +185,6 @@ def main(argv=None) -> int:
     eval_.set_defaults(prepare=prepare_eval, report=report_eval)
     synth = stages.add_parser("synth", parents=[common], help="synth of a long arc with a detection record per pose")
     synth.add_argument("--poses", type=int, default=1_080_000)
-    synth.add_argument("--workers", type=int, default=1)
     synth.set_defaults(prepare=prepare_synth_detections, report=report_synth)
     segment = stages.add_parser("segment", parents=[common], help="segment of a long arc, which synth writes first")
     segment.add_argument("--poses", type=int, default=1_080_000)
