@@ -140,8 +140,17 @@ def _samples_task(clip_dir, landmarks, config, convention, task):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+# segment's tolerance: the relative difference allowed between the median timestamp step and 1/--fps.
+FPS_TOL = 0.01
+
+
 def cmd_segment(args) -> int:
     traj = tio.parse_pose_file(args.input, args.fps, traj_id=args.traj_id)
+    # Clip windows count frames at 1/fps s each, so the timestamps must step at that rate (a lone pose has no step).
+    step = float(np.median(np.diff(traj.timestamps))) if len(traj) > 1 else None
+    if step is not None and abs(step * args.fps - 1.0) > FPS_TOL:
+        raise ValidationError(f"{args.input}: median timestamp step {step!r} s is not 1/fps = {1.0 / args.fps!r} s "
+                              f"(--fps {args.fps!r}) within {FPS_TOL:.0%}")
     entries = segment(traj, args.clip_seconds)
     manifest = _manifest(
         "segment",

@@ -16,13 +16,14 @@ stage removes its old manifest or report with ``remove_output`` before
 its first write, so a killed stage leaves no manifest over newer outputs.
 The writers format BLOCK_ROWS rows (pose lines, detection frames, record
 lines) at a time, so their memory does not grow with the file. Pose
-values are written with the exact bytes ``repr`` gives them.
+values are written with the exact bytes ``repr`` gives them. orjson reads
+pose text and record lines; np.loadtxt or json decides what it does not take.
 
 Pose files (TUM-style text):
     ``timestamp tx ty tz qx qy qz qw`` per line, single spaces, ``#``
     starts a comment that runs to the end of its line. Quaternions are (x, y, z, w) camera-to-world
-    and are renormalized on load; everything else is rejected, never
-    repaired.
+    and are renormalized on load if their norm is within QUAT_NORM_TOL of 1;
+    everything else is rejected, never repaired.
 
 Record files (JSON lines, one compact record per line):
     Each record type is a frozen dataclass, and its fields are the
@@ -119,6 +120,8 @@ __all__ = [
 
 # Quaternions with a smaller norm are rejected as garbage rather than renormalized.
 MIN_QUAT_NORM = 1e-3
+# A quaternion whose norm is further from 1 is rejected, never rescaled: text written at 6-7 digits drifts ~1e-6.
+QUAT_NORM_TOL = 1e-3
 
 
 def _name_fault(name: str, value: str) -> str | None:
@@ -191,9 +194,13 @@ class RawTrajectory:
         if np.any(norms < MIN_QUAT_NORM):
             bad = int(np.argmax(norms < MIN_QUAT_NORM))
             raise ValidationError(f"near-zero quaternion at index {bad}")
+        off = np.abs(norms - 1.0)
+        if np.any(off > QUAT_NORM_TOL):
+            bad = int(np.argmax(off > QUAT_NORM_TOL))
+            raise ValidationError(f"quaternion at index {bad} has norm {float(norms[bad])!r}, not within {QUAT_NORM_TOL} of 1")
         # Renormalize only rows that actually drifted, so writing and
         # re-parsing a trajectory is bit-exact (normalization idempotent).
-        drift = np.abs(norms - 1.0) > 1e-12
+        drift = off > 1e-12
         if np.any(drift):
             quat = quat.copy()
             quat[drift] = quat[drift] / norms[drift, None]
@@ -500,27 +507,32 @@ def read_text(path) -> str:
 def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajectory:
     """Parse a TUM-style pose file into a RawTrajectory.
 
-    The trajectory id defaults to the filename stem. np.loadtxt alone
-    decides what is accepted, reading the opened stream as strict UTF-8;
-    when it rejects it, the rewound stream's first bad line raises
+    The trajectory id defaults to the filename stem. np.loadtxt decides
+    what is accepted, reading the opened stream as strict UTF-8; orjson
+    reads a subset of that language to the same bits (see
+    :func:`_pose_values`), and any other file goes to np.loadtxt whole.
+    When it rejects it, the rewound stream's first bad line raises
     ParseError (see :func:`_check_pose_lines`). ValidationError names the
-    file for negative or non-monotonic timestamps or near-zero quaternions.
+    file for negative or non-monotonic timestamps or bad quaternions.
     """
     path = Path(path)
-    with _open_input(path) as fh, TextIOWrapper(fh, encoding="utf-8") as text:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on empty input
-                data = np.loadtxt(text, comments="#", dtype=float, ndmin=2)
-            if data.size and data.shape[1] != 8:
-                raise ValueError(f"expected 8 columns, found {data.shape[1]}")
-            if data.size and not np.all(np.isfinite(data)):
-                raise ValueError("non-finite value")
-        except ValueError as exc:  # a byte that is not UTF-8 too (UnicodeDecodeError)
-            text.seek(0)
-            text.reconfigure(errors="surrogateescape")
-            _check_pose_lines(text, path)
-            raise ParseError(str(exc), path=str(path)) from None
+    with _open_input(path) as fh:
+        if (data := _pose_values(fh)) is None:
+            fh.seek(0)
+            with TextIOWrapper(fh, encoding="utf-8") as text:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # loadtxt warns on empty input
+                        data = np.loadtxt(text, comments="#", dtype=float, ndmin=2)
+                    if data.size and data.shape[1] != 8:
+                        raise ValueError(f"expected 8 columns, found {data.shape[1]}")
+                    if data.size and not np.all(np.isfinite(data)):
+                        raise ValueError("non-finite value")
+                except ValueError as exc:  # a byte that is not UTF-8 too (UnicodeDecodeError)
+                    text.seek(0)
+                    text.reconfigure(errors="surrogateescape")
+                    _check_pose_lines(text, path)
+                    raise ParseError(str(exc), path=str(path)) from None
     if data.size == 0:
         raise ValidationError(f"{path}: pose file contains no poses")
     traj_id = path.stem if traj_id is None else traj_id
@@ -529,6 +541,45 @@ def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajecto
         return RawTrajectory(traj_id, fps, data[:, 0], data[:, 1:4], data[:, 4:8])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+
+
+#: Bytes a reader reads at a time: a block of pose text (then cut at a line end), or of a record file scanned for "\r".
+READ_BYTES = 1 << 15
+# Pose text as JSON: a space becomes ","; digits, ".eE+-" and "\n" stay; any other byte (a tab, "\r", "#") is "!".
+_POSE_JSON = bytes(44 if b == 32 else b if b in b"0123456789.eE+-\n" else 33 for b in range(256))
+# Each value's "." and exponent as ".", a separator as ","; digits and signs go, so an int token leaves ",,".
+_POSE_MARKS = bytes.maketrans(b" \neE", b",,..")
+
+
+def _pose_values(fh) -> np.ndarray | None:
+    """The (n, 8) values of the pose file fh, read by orjson; None if fh holds a line outside the subset it takes.
+
+    The subset: leading ``#`` lines of UTF-8 without ``"\\r"``, then lines of 8 finite JSON numbers
+    one space apart, each with a fraction or an exponent (JSON ``-0`` is an int, and loses its
+    sign), which np.loadtxt reads to the same bits. The rows go into one array sized from a
+    newline count, never a list of blocks, so the stream's values are held once.
+    """
+    read = functools.partial(fh.read, READ_BYTES)
+    data, n, rest = np.empty((sum(block.count(b"\n") for block in iter(read, b"")) + 1, 8)), 0, b""
+    fh.seek(0)
+    try:
+        while fh.peek(1)[:1] == b"#":
+            if "\r" in fh.readline().decode("utf-8"):
+                return None
+        for block in chain(iter(read, b""), [b"\n"]):  # the "\n" ends a last line that has none
+            block, _, rest = (rest + block).rpartition(b"\n")
+            if not block:
+                continue
+            if b",," in b"," + block.translate(_POSE_MARKS, b"0123456789+-") + b",":
+                return None
+            values = np.array(orjson.loads(b"[[" + block.translate(_POSE_JSON).replace(b"\n", b"],[") + b"]]"), float)
+            if values.shape[1] != 8 or not np.isfinite(values).all():
+                return None
+            data[n : n + len(values)] = values
+            n += len(values)
+    except ValueError:  # a leading line that is not UTF-8, a block that is not JSON, rows of unequal length
+        return None
+    return data[:n]
 
 
 def _check_pose_lines(lines, path) -> None:
@@ -589,11 +640,6 @@ def _pose_rows(traj: RawTrajectory, bounds) -> bytes:
 # ---------------------------------------------------------------------------
 # JSON-lines records
 # ---------------------------------------------------------------------------
-
-# The C scanner behind JSONDecoder.raw_decode: it returns (value, end) or
-# raises StopIteration (no value) or JSONDecodeError.
-_scan_once = json.JSONDecoder().scan_once
-
 
 class _Literal(str):
     """A number past the float range as written, for an error message: no type rule takes it, and its repr is the literal."""
@@ -678,6 +724,10 @@ def parse_predictions(path) -> PredictionTable:
 def _records(path, cls, take) -> None:
     """Run take(obj) on the JSON value of each line of path, in file order; a line take rejects fails as cls's schema says.
 
+    orjson decodes each byte line to the value json.loads gives it. A line it rejects (a NaN, a
+    number past the float range, a BOM) is decoded as UTF-8, stripped and given to json.loads, which
+    decides. A file holding a "\r" is split into lines by TextIOWrapper.
+
     take raises KeyError, TypeError, ValueError, OverflowError or
     ValidationError for a line it rejects. That line is decoded again
     through ``schema.decoder(cls)``, each number past the float range kept
@@ -687,22 +737,23 @@ def _records(path, cls, take) -> None:
     invariant of cls raises ValidationError naming ``path:line``.
     """
     with _open_input(path) as fh:
-        for lineno, line in enumerate(TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape"), 1):
-            text = _check_utf8(line, path, lineno).strip()
-            if not text:
-                continue
-            # The scanner skips json.loads' wrappers; a line it cannot take whole goes to json.loads for the error.
+        # A lone "\r" ends a line for TextIOWrapper, whose line numbers an error names, but not a byte line.
+        cr = any(b"\r" in block for block in iter(functools.partial(fh.read, READ_BYTES), b""))
+        fh.seek(0)
+        lines = fh if not cr else (line.encode("utf-8", "surrogateescape")
+                                   for line in TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape"))
+        for lineno, line in enumerate(lines, 1):
             try:
-                obj, end = _scan_once(text, 0)
-            except (StopIteration, json.JSONDecodeError, RecursionError):
-                end = -1
-            if end != len(text):
+                obj = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                if not (text := _check_utf8(line.decode("utf-8", "surrogateescape"), path, lineno).strip()):
+                    continue
                 obj = _loads(text, path, lineno)
             try:
                 take(obj)
             except (KeyError, TypeError, ValueError, OverflowError, ValidationError):
                 try:
-                    schema.decoder(cls)(_loads(text, path, lineno, _as_written))
+                    schema.decoder(cls)(_loads(line.decode("utf-8").strip(), path, lineno, _as_written))
                 except SchemaError as exc:
                     raise ParseError(str(exc), path=str(path), line=lineno) from None
                 except ValidationError as exc:

@@ -15,18 +15,26 @@ DetectionFrame or PredictionRecord list that tests write and compare, and
 ``detection_frames`` is the per-object generator that
 ``synth.generate_detections`` must reproduce as a table.
 Sample lines are compared with the TrainingSample that ``build_sample``
-builds one draw at a time.
+builds one draw at a time. ``without_orjson`` gives the readers with
+np.loadtxt and json deciding every pose file and record line, as they
+did before orjson read a subset of them, and ``outcome`` makes what a
+reader gives comparable bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import types
 from dataclasses import dataclass
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
+import orjson
 
+from navcurate import io as tio
 from navcurate import schema
 from navcurate.errors import NavcurateError, ValidationError
 from navcurate.geometry import (
@@ -174,6 +182,47 @@ def detection_file_text(table: DetectionTable) -> str:
         values[at + 1 + k] = floats[inverse[:, k]]
     formats = {c: '{"frame":%d,"detections":[' + ",".join([_BOX_FORMAT] * c) + "]}\n" for c in set(counts.tolist())}
     return "".join(map(formats.__getitem__, counts.tolist())) % tuple(values.tolist())
+
+
+# ---------------------------------------------------------------------------
+# The readers without orjson: np.loadtxt and json decide every input
+# ---------------------------------------------------------------------------
+
+
+def _orjson_takes_nothing(data):
+    raise orjson.JSONDecodeError("not taken", "", 0)
+
+
+@contextlib.contextmanager
+def without_orjson():
+    """navcurate.io with orjson taking no input, so every pose file goes to np.loadtxt whole and every record line to json.
+
+    These are the readers as they were before orjson read a subset of
+    their language: the package must give the same values, bit for bit,
+    or the same error from them.
+    """
+    stub = types.SimpleNamespace(**{**vars(orjson), "loads": _orjson_takes_nothing})
+    with mock.patch.object(tio, "orjson", stub):
+        yield
+
+
+def loadtxt_pose_file(path, fps: float = 10.0) -> RawTrajectory:
+    """parse_pose_file with np.loadtxt reading the whole file: its values, or the error naming the first line it rejects."""
+    with without_orjson():
+        return tio.parse_pose_file(path, fps)
+
+
+def outcome(parse, *args):
+    """What parse(*args) gives, comparable with ==: each array field's bits and each other field, or the error.
+
+    An error is its class, message and line (for a ParseError).
+    """
+    try:
+        value = parse(*args)
+    except NavcurateError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return {name: (item.dtype.str, item.shape, item.tobytes()) if isinstance(item, np.ndarray) else item
+            for name, item in vars(value).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,27 @@ class TestSegmentCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "empty"
 
+    @pytest.mark.parametrize("fps, rc", [("30", 2), ("10.11", 2), ("9.89", 2), ("10.09", 0), ("9.91", 0), ("10", 0)])
+    def test_fps_must_match_the_timestamps(self, tmp_path, capsys, fps, rc):
+        # The quick-start stream steps 0.1 s; read at 30 fps, its "60 s" clips spanned 180 s and segment exited 0.
+        assert main(["synth", "--spec", str(synth_spec_doc(tmp_path)), "--out", str(tmp_path / "synth")]) == 0
+        pose_file = tmp_path / "synth" / "walk.txt"
+        argv = ["segment", "--input", str(pose_file), "--fps", fps, "--clip-seconds", "60", "--out", str(tmp_path / "c")]
+        capsys.readouterr()
+        assert main(argv) == rc
+        assert (tmp_path / "c" / "manifest.json").exists() == (rc == 0)
+        if rc:
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "validation"
+            assert record["detail"].startswith(f"{pose_file}: median timestamp step 0.")
+            assert record["detail"].endswith(f" s is not 1/fps = {1.0 / float(fps)!r} s (--fps {float(fps)!r}) within 1%")
+
+    def test_one_pose_has_no_step_to_check(self, tmp_path, capsys):
+        pose_file = tmp_path / "one.txt"
+        pose_file.write_text("5.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n")
+        assert main(["segment", "--input", str(pose_file), "--fps", "30", "--clip-seconds", "1", "--out", str(tmp_path / "c")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "empty"
+
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         pose_file = tmp_path / "bad.txt"
         pose_file.write_text("0.0 nope 0 0 0 0 0 1\n")
@@ -1894,7 +1915,7 @@ class TestOverflowingValues:
     @pytest.mark.parametrize("flags", [["--fps", "10", "--clip-seconds", "1e308"], ["--fps", "1e308"]],
                              ids=["clip-seconds", "fps"])
     def test_segment_window_past_any_stream_is_empty(self, tmp_path, flags):
-        _write_stream(tmp_path / "walk.txt", np.zeros(20))
+        _write_stream(tmp_path / "walk.txt", np.zeros(20), float(flags[1]))  # timestamps at the --fps given
         proc = run_cli("segment", "--input", str(tmp_path / "walk.txt"), *flags, "--out", str(tmp_path / "c"))
         self._check(proc, 3, "empty")
 

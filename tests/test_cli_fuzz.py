@@ -7,7 +7,9 @@ a small pool of wrong types, huge, tiny or non-finite numbers (``1e308``,
 ``5e-324`` and ``1e400`` among them), a string holding NUL, the relative
 name ``../x`` and a list nested 2,000 deep, or deletes it, and runs
 ``cli.main`` in this process on a tiny synthetic fixture; no run writes a
-file beside its named outputs. The ``segment`` pose file gets one broken row instead.
+file beside its named outputs. The ``segment`` pose file gets one broken row instead,
+and then an edge of the subset of pose text that orjson reads on another row (a tab,
+a ``\r``, a ``+1`` or an int token), which sends the file to np.loadtxt: the error stays the same.
 A byte-level mutation puts one byte that is not UTF-8 anywhere into any
 input file, which must fail as a parse error naming that byte's line.
 """
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from navcurate import io as tio
 from navcurate.cli import main
 from navcurate.errors import ValidationError
 from navcurate.io import PredictionRecord, TrainingSample
@@ -196,7 +199,26 @@ def test_mutated_input_exits_with_documented_code(fixture, kind, data):
     assert {p.name for p in (fixture / "work").iterdir()} <= WORK_NAMES
 
 
-POSE_MUTATIONS = ["non-numeric", "nan", "seven-fields", "repeated-timestamp", "zero-quaternion"]
+POSE_MUTATIONS = ["non-numeric", "nan", "1e400", "seven-fields", "repeated-timestamp", "zero-quaternion"]
+# Ways to write a row that np.loadtxt reads to the same poses and the orjson subset does not take (or, for
+# long-mantissa, takes): field, separator and line-end edges, and lines added after the last row.
+POSE_FIELD_EDGES = {
+    "plus": lambda f: "+" + f if f[0] != "-" else None,
+    "leading-dot": lambda f: f.replace("0.", ".", 1) if f.lstrip("-").startswith("0.") else None,
+    "trailing-dot": lambda f: f[:-1] if f.endswith(".0") else None,
+    "leading-zero": lambda f: f.replace(f.lstrip("-"), "0" + f.lstrip("-")),
+    "int-token": lambda f: f[:-2] if f.endswith(".0") else None,
+    "minus-zero": lambda f: "-0" if f == "0.0" else None,
+    "long-mantissa": lambda f: f"{float(f):.25e}",
+}
+POSE_LINE_EDGES = {
+    "tab": lambda line: line.replace(" ", "\t", 1),
+    "double-space": lambda line: line.replace(" ", "  ", 1),
+    "crlf": lambda line: line.replace("\n", "\r\n"),
+    "lone-cr": lambda line: line.replace("\n", "\r"),
+    "inline-comment": lambda line: line.replace("\n", " # note\n"),
+}
+POSE_TAILS = {"blank-line": "\n", "comment-line": "# note\n", "no-final-newline": None}
 
 
 @settings(max_examples=100, deadline=None)
@@ -207,8 +229,8 @@ def test_broken_pose_row_exits_2(fixture, data):
     row = data.draw(st.sampled_from(rows))
     fields = lines[row].split()
     mutation = data.draw(st.sampled_from(POSE_MUTATIONS))
-    if mutation in ("non-numeric", "nan"):
-        fields[data.draw(st.integers(0, 7))] = "x1" if mutation == "non-numeric" else "nan"
+    if mutation in ("non-numeric", "nan", "1e400"):
+        fields[data.draw(st.integers(0, 7))] = {"non-numeric": "x1", "nan": "nan", "1e400": "1e400"}[mutation]
     elif mutation == "seven-fields":
         del fields[data.draw(st.integers(0, 7))]
     elif mutation == "repeated-timestamp":
@@ -217,17 +239,38 @@ def test_broken_pose_row_exits_2(fixture, data):
     else:
         fields[4:8] = ["0", "0", "0", "0"]
     lines[row] = " ".join(fields) + "\n"
+    # One edge on another row sends the file from the orjson subset to np.loadtxt: the error is the same.
+    edge = data.draw(st.sampled_from([*POSE_FIELD_EDGES, *POSE_LINE_EDGES, *POSE_TAILS]))
+    edged = list(lines)
+    other = data.draw(st.sampled_from([i for i in rows if i != row]))
+    if edge in POSE_FIELD_EDGES:
+        other_fields = edged[other].split()
+        i = data.draw(st.integers(0, 7))
+        other_fields[i] = POSE_FIELD_EDGES[edge](other_fields[i]) or other_fields[i]
+        edged[other] = " ".join(other_fields) + "\n"
+    elif edge in POSE_LINE_EDGES:
+        edged[other] = POSE_LINE_EDGES[edge](edged[other])
+    elif POSE_TAILS[edge] is None:
+        edged[-1] = edged[-1].rstrip("\n")
+    else:
+        edged.append(POSE_TAILS[edge])
     work = fixture / "work"
-    shutil.rmtree(work, ignore_errors=True)
-    work.mkdir()
-    (work / "walk.txt").write_text("".join(lines))
-    rc, err = _run(["segment", "--input", str(work / "walk.txt"), "--fps", "5", "--clip-seconds", "20",
-                    "--out", str(work / "clips"), "--workers", "1"])
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tio, "READ_BYTES", data.draw(st.integers(16, 4096)))  # blocks straddle lines
+        for text in (lines, edged):
+            shutil.rmtree(work, ignore_errors=True)
+            work.mkdir()
+            (work / "walk.txt").write_text("".join(text), newline="")
+            runs.append(_run(["segment", "--input", str(work / "walk.txt"), "--fps", "5", "--clip-seconds", "20",
+                              "--out", str(work / "clips"), "--workers", "1"]))
+            assert not (work / "clips" / "manifest.json").exists()
+    rc, err = runs[0]
     assert rc == 2, (mutation, err)
     err_lines = err.splitlines()
     assert len(err_lines) == 1, err
     assert set(json.loads(err_lines[0])) >= {"error", "detail"}
-    assert not (work / "clips" / "manifest.json").exists()
+    assert runs[1] == runs[0], (mutation, edge)
 
 
 def _byte_run(root, kind, work) -> tuple[int, str, Path]:

@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import functools
+import hashlib
 import json
 import math
 import multiprocessing
@@ -7,6 +9,7 @@ import os
 import pickle
 import re
 import stat
+import struct
 import sys
 import threading
 import warnings
@@ -16,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from navcurate import cli, schema, synth
@@ -45,8 +48,8 @@ from navcurate.io import (
 )
 from navcurate.synth import generate_detections, write_detection_file
 
-from oracles import (EgoWaypoint, detection_file_text, frames_of, pose_file_text, pose_lines, prediction_table_of,
-                     records_of)
+from oracles import (EgoWaypoint, detection_file_text, frames_of, loadtxt_pose_file, outcome, pose_file_text,
+                     pose_lines, prediction_table_of, records_of, without_orjson)
 from test_cli_fuzz import POOL, _replaced, _sites
 
 
@@ -1027,3 +1030,297 @@ def test_pose_line_scan_rejects_what_loadtxt_rejects(lines):
     else:
         rejected = False
     assert rejected == _loadtxt_rejects(text)
+
+
+# ---------------------------------------------------------------------------
+# orjson reads a subset of each reader's language, to the same values
+# ---------------------------------------------------------------------------
+
+
+# Other ways to write a value, which np.loadtxt reads to the same float; of these, the orjson subset takes only
+# long-mantissa and upper-exponent.
+_SAME_VALUE_FORMS = {
+    "plus": lambda r: "+" + r if r[0] != "-" else None,
+    "leading-dot": lambda r: r.replace("0.", ".", 1) if r.lstrip("-").startswith("0.") else None,
+    "trailing-dot": lambda r: r[:-1] if r.endswith(".0") else None,
+    "leading-zero": lambda r: r.replace(r.lstrip("-"), "0" + r.lstrip("-")),
+    "long-mantissa": lambda r: f"{float(r):.25e}",
+    "upper-exponent": lambda r: f"{float(r):.17E}",
+}
+
+
+@st.composite
+def _pose_text(draw):
+    """A pose file's bytes: repr lines that orjson takes, some with one edge that only np.loadtxt takes or both reject."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    quats = rng.normal(size=(n, 4))
+    values = np.column_stack([np.arange(n) * 0.1 + rng.uniform(0.0, 0.05, n), rng.normal(0.0, 10.0, (n, 3)),
+                              quats / np.linalg.norm(quats, axis=1, keepdims=True)])
+    lines = [draw(st.sampled_from(["", "# walk fps=10.0\n", "# ẅalk\n# timestamp tx ty tz qx qy qz qw\n"] * 3
+                                  + ["# a\r\n", "# a\r"]))]
+    for row in values.tolist():
+        fields, seps, end, extra = list(map(repr, row)), [" "] * 7, "\n", ""
+        edge = draw(st.sampled_from([None] * 12 + ["value", "separator", "end", "line"]))
+        if edge == "value":
+            i, form = draw(st.integers(0, 7)), draw(st.sampled_from(
+                [*_SAME_VALUE_FORMS, "-0", "int", "nan", "inf", "1e400", "20-digits"]))
+            if form in _SAME_VALUE_FORMS:
+                fields[i] = _SAME_VALUE_FORMS[form](fields[i]) or fields[i]
+            elif form in ("-0", "int"):  # a position: it takes any value
+                fields[draw(st.integers(1, 3))] = "-0" if form == "-0" else str(draw(st.integers(-10**20, 10**20)))
+            else:
+                fields[i] = "123456789012345678901.5" if form == "20-digits" else form
+        elif edge == "separator":
+            seps[draw(st.integers(0, 6))] = draw(st.sampled_from(["  ", "\t"]))
+        elif edge == "end":
+            end = draw(st.sampled_from(["\r\n", "\r", " # note\n", "#\n", " \n"]))
+        elif edge == "line":
+            extra = draw(st.sampled_from(["\n", "# mid-file\n", "  \n"]))
+        lines.append(fields[0] + "".join(s + f for s, f in zip(seps, fields[1:])) + end + extra)
+    text = "".join(lines)
+    return (text if draw(st.integers(0, 9)) else text.rstrip("\n")).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_pose_text(), block=st.integers(1, 600))
+def test_pose_file_reads_as_loadtxt_does(tmp_path_factory, text, block):
+    path = tmp_path_factory.mktemp("poses") / "walk.txt"
+    path.write_bytes(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tio, "READ_BYTES", block)  # blocks straddle lines
+        assert outcome(parse_pose_file, path, 10.0) == outcome(loadtxt_pose_file, path, 10.0)
+
+
+_L0, _L1, _L2 = "0.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n", "0.1 1.5 -2.0 3.25 0.0 0.0 0.0 1.0\n", "0.2 3.0 -4.0 6.5 0.0 0.0 0.6 0.8\n"
+
+
+def _pose_text_with(header: str = "# walk fps=10.0\n", line: str = _L1) -> bytes:
+    return (header + _L0 + line + _L2).encode("utf-8", "surrogateescape")
+
+
+# Files that the orjson subset takes whole, and files that hold one edge of it (a line, or the header, changed).
+_POSE_SUBSET = {
+    "plain": _pose_text_with(),
+    "utf8-header": _pose_text_with("# ẅalk \x85\n# timestamp tx ty tz qx qy qz qw\n"),
+    "no-header": _pose_text_with(""),
+    "exponents": _pose_text_with(line="1e-05 1.5E+16 -2e-07 3.25e0 0.0 0.0 0.0 1.0\n"),
+    "long-mantissa": _pose_text_with(line="0.1 1.50000000000000000000001 -2.0 3.25 0.0 0.0 0.0 1.0\n"),
+    "no-final-newline": _pose_text_with()[:-1],
+}
+_POSE_EDGES = {
+    "tab": _pose_text_with(line=_L1.replace(" ", "\t", 1)),
+    "double-space": _pose_text_with(line=_L1.replace(" ", "  ", 1)),
+    "leading-space": _pose_text_with(line=" " + _L1),
+    "trailing-space": _pose_text_with(line=_L1.replace("\n", " \n")),
+    "crlf": _pose_text_with(line=_L1.replace("\n", "\r\n")),
+    "lone-cr": _pose_text_with(line=_L1.replace("\n", "\r")),
+    "plus": _pose_text_with(line="+" + _L1),
+    "leading-dot": _pose_text_with(line="." + _L1[2:]),
+    "trailing-dot": _pose_text_with(line=_L1.replace("-2.0", "-2.")),
+    "leading-zero": _pose_text_with(line=_L1.replace("1.5", "01.5")),
+    "int-token": _pose_text_with(line=_L1.replace("-2.0", "-2")),
+    "minus-zero": _pose_text_with(line=_L1.replace("0.0 0.0 0.0 1.0", "-0 0.0 0.0 1.0")),
+    "inline-comment": _pose_text_with(line=_L1.replace("\n", " # note\n")),
+    "comment-line": _pose_text_with(line="# note\n" + _L1),
+    "blank-line": _pose_text_with(line="\n" + _L1),
+    "inf": _pose_text_with(line=_L1.replace("1.5", "inf")),
+    "nan": _pose_text_with(line=_L1.replace("1.5", "nan")),
+    "1e400": _pose_text_with(line=_L1.replace("1.5", "1e400")),
+    "non-numeric": _pose_text_with(line=_L1.replace("1.5", "x")),
+    "seven-fields": _pose_text_with(line=_L1[4:]),
+    "nine-fields": _pose_text_with(line=_L1.replace("\n", " 1.0\n")),
+    "one-field-lines": b"0.5\n0.6\n",
+    "cr-in-header": _pose_text_with("# walk fps=10.0\r"),
+    "not-utf8-header": _pose_text_with("# \udcff\n"),
+    "not-utf8-line": _pose_text_with(line=_L1.replace("1.5", "1.5\udcff")),
+    "bom": b"\xef\xbb\xbf" + _pose_text_with(""),
+}
+
+
+@pytest.mark.parametrize("text", [*_POSE_SUBSET.values(), *_POSE_EDGES.values()],
+                         ids=[*_POSE_SUBSET, *_POSE_EDGES])
+def test_pose_file_subset_edges(tmp_path, monkeypatch, text):
+    # A file outside the subset is read by np.loadtxt whole: the same bits, or the same error line.
+    path = tmp_path / "walk.txt"
+    path.write_bytes(text)
+    expected = outcome(loadtxt_pose_file, path, 10.0)
+    taken = []
+    pose_values = tio._pose_values
+    monkeypatch.setattr(tio, "_pose_values", lambda fh: taken.append(pose_values(fh)) or taken[-1])
+    assert outcome(parse_pose_file, path, 10.0) == expected
+    assert (taken[0] is None) == (text in _POSE_EDGES.values())
+
+
+def test_pose_file_from_a_pipe_takes_the_subset(tmp_path, monkeypatch):
+    # A pipe is held and rewound as a file is: the newline count and the blocks read the same bytes, hashed once.
+    traj = _walk(5000)
+    write_pose_file(traj, tmp_path / "walk.txt")
+    data = (tmp_path / "walk.txt").read_bytes()
+    monkeypatch.setattr(np, "loadtxt", None)  # the subset alone reads a written file
+    path = tmp_path / "walk.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        back = parse_pose_file(path, 30.0, traj_id="walk")
+    finally:
+        writer.join(timeout=10)
+    assert outcome(lambda: back) == outcome(lambda: traj)
+    assert tio.file_digest(path) == hashlib.sha256(data).hexdigest()
+
+
+def _det_line(frame="3", label='"a"', number="1.5", extra=""):
+    return f'{{"frame":{frame},"detections":[{{"label":{label},"bbox":[-1e300,0.0,{number},1e300],"score":0.5}}]{extra}}}'
+
+
+def _pred_line(frame=None, label='"a"', number="1.5", extra=""):  # a prediction has no int field: frame is unused
+    return f'{{"sample_id":{label},"predicted":[[{number},0.0]],"ground_truth":[[1.0,2.0]]{extra}}}'
+
+
+# Record lines on which orjson and json may differ: each file gives what json alone gives (the same table, or
+# the same error line), through orjson or through the fallback. Key: the line's fields, or a whole file.
+_RECORD_DIVERGENCES = {
+    "plain": {},
+    "duplicate-key": {"label": '"a","sample_id":"b","label":"b"', "frame": '3,"frame":7'},
+    "int-2**64-in-float": {"number": "18446744073709551616"},
+    "int-2**64+1-in-float": {"number": "18446744073709551617"},
+    "int-30-digits-in-float": {"number": "1" + "0" * 30},
+    "int-below-int64-in-float": {"number": "-9223372036854775809"},
+    "int-2**64-1-in-int-field": {"frame": "18446744073709551615"},
+    "int-2**64-in-int-field": {"frame": "18446744073709551616"},
+    "minus-zero-int": {"number": "-0"},
+    "minus-zero-float": {"number": "-0.0"},
+    "26-digit-mantissa": {"number": "1.0000000000000000000000001"},
+    "underflow": {"number": "1e-400"},
+    "subnormal": {"number": "2.4703282292062328e-324"},
+    "NaN": {"number": "NaN"},
+    "-Infinity": {"number": "-Infinity"},
+    "1e400": {"number": "1e400"},
+    "lone-surrogate": {"label": '"\\ud800"'},
+    "escaped-pair": {"label": '"\\ud83d\\ude00"'},
+    "raw-non-ascii": {"label": '"ẅ "'},
+    "not-utf8": {"label": '"\udcff"'},
+    "utf8-surrogate": {"label": '"\udced\udca0\udc80"'},
+    "control-char": {"label": '"a\tb"'},
+    "del-char": {"label": '"a\x7fb"'},
+    "deep-field": {"number": "[" * 2000 + "]" * 2000},
+    "ignored-key": {"extra": ',"x":{"y":[1,2,3e400,NaN]}'},
+    "bom": "﻿{line}\n",
+    "blank-lines": "\n{line}\n  \n\x0c\n \n",
+    "unicode-space-around": " {line} \n",
+    "crlf": "{line}\r\n{line}\r\n",
+    "lone-cr": "{line}\r{bad}\n",
+    "lone-cr-valid": "{line}\r{line}\n",
+    "cr-at-end": "{line}\n{line}\r",
+    "trailing-garbage": "{line} x\n",
+    "two-values": "{line} {{}}\n",
+    "not-an-object": "[1]\n",
+    "no-final-newline": "{line}",
+    "empty": "",
+}
+
+
+def _record_file(make, case) -> bytes:
+    body = _RECORD_DIVERGENCES[case]
+    line, bad = make(), make(number='"x"')
+    if isinstance(body, dict):
+        text = f"{line}\n{make(**body)}\n{line}\n"
+    else:
+        text = body.format(line=line, bad=bad)
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("case", _RECORD_DIVERGENCES)
+@pytest.mark.parametrize("parse, make", [(parse_detections, _det_line), (parse_predictions, _pred_line)],
+                         ids=["detections", "predictions"])
+def test_record_line_reads_as_json_does(tmp_path, parse, make, case):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(_record_file(make, case))
+    with without_orjson():
+        expected = outcome(parse, path)
+    assert outcome(parse, path) == expected
+
+
+@pytest.mark.parametrize("lone_cr", [b"\r", b"\r\r\n"])
+def test_lone_cr_ends_a_record_line(tmp_path, lone_cr):
+    # TextIOWrapper, whose line numbers an error names, ends a line at a lone "\r"; a byte line does not.
+    path = tmp_path / "records.jsonl"
+    line, bad = _det_line().encode(), _det_line(number='"x"').encode()
+    path.write_bytes(line + lone_cr + line + b"\n" + bad + b"\n")
+    with pytest.raises(ParseError) as exc:
+        parse_detections(path)
+    assert exc.value.line == (3 if lone_cr == b"\r" else 4)
+    path.write_bytes(line + lone_cr + line + b"\r")
+    assert len(parse_detections(path).scores) == 2
+
+
+@pytest.mark.parametrize("parse, make", [(parse_detections, _det_line), (parse_predictions, _pred_line)],
+                         ids=["detections", "predictions"])
+def test_ignored_key_nested_past_the_recursion_limit(tmp_path, parse, make):
+    # The one accepted divergence: json fails on a value nested past the interpreter's recursion limit, orjson
+    # reads it; in a key the record ignores, the record is read. In a field it still fails as json says.
+    path = tmp_path / "records.jsonl"
+    path.write_text(make(extra=',"x":' + "[" * 1500 + "]" * 1500) + "\n")
+    with without_orjson():
+        assert outcome(parse, path) == ("ParseError", f"{path}:1: JSON value nested too deep", 1)
+    path.write_text(make() + "\n")
+    expected = outcome(parse, path)
+    path.write_text(make(extra=',"x":' + "[" * 1500 + "]" * 1500) + "\n")
+    assert outcome(parse, path) == expected
+
+
+def _float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(bits=st.integers(0, 2**64 - 1))
+def test_orjson_reads_a_float_as_float_does(bits):
+    # The pose and record readers take orjson's floats for json's and np.loadtxt's: both round correctly.
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    assume(math.isfinite(x))
+    texts = [repr(x), f"{x:.25e}", f"{x:.40e}", f"{x:.17E}"]
+    up = math.nextafter(x, math.inf)
+    if math.isfinite(up):
+        with decimal.localcontext(prec=2000):
+            mid = (decimal.Decimal(x) + decimal.Decimal(up)) / 2  # exactly halfway: ties to even
+            nudge = decimal.Decimal(10) ** (mid.adjusted() - 60)
+            texts += [format(mid, "e"), format(mid + nudge, "e"), format(mid - nudge, "e")]
+    for text in texts:
+        assert _float_bits(orjson.loads(text.encode())) == _float_bits(float(text)), text
+
+
+@settings(max_examples=1500, deadline=None)
+@given(text=st.from_regex(r"\A-?(0|[1-9][0-9]{0,30})(\.[0-9]{1,40})?([eE][-+]?[0-9]{1,3})?\Z"))
+def test_orjson_reads_a_decimal_as_json_does(text):
+    # An int below 2**64 is an int in both (so -0 is 0); one at or past it is a float in orjson, an int in json,
+    # and a float column holds the same value of either.
+    if not math.isfinite(float(text)):  # json reads inf, or an int past the float range
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text.encode())
+        return
+    assert _float_bits(float(orjson.loads(text.encode()))) == _float_bits(float(json.loads(text)))
+
+
+class TestQuaternionNorm:
+    @pytest.mark.parametrize("norm", [1.0 - 0.99 * tio.QUAT_NORM_TOL, 1.0 + 0.99 * tio.QUAT_NORM_TOL, 1.0 + 1e-6])
+    def test_within_the_bound_is_renormalised(self, norm):
+        traj = RawTrajectory("t", 10.0, [0.0, 0.1], np.zeros((2, 3)), [[0.0, 0.0, 0.0, 1.0], [0.0, 0.6 * norm, 0.0, 0.8 * norm]])
+        assert traj.quaternions[1].tolist() == pytest.approx([0.0, 0.6, 0.0, 0.8], abs=1e-15)
+
+    @pytest.mark.parametrize("norm", [1.0 - 1.01 * tio.QUAT_NORM_TOL, 1.0 + 1.01 * tio.QUAT_NORM_TOL, 2.0, 1000.0])
+    def test_past_the_bound_is_rejected(self, norm):
+        quats = [[0.0, 0.0, 0.0, 1.0], [0.0, 0.6 * norm, 0.0, 0.8 * norm]]
+        message = f"quaternion at index 1 has norm {float(np.linalg.norm(quats[1]))!r}, not within 0.001 of 1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RawTrajectory("t", 10.0, [0.0, 0.1], np.zeros((2, 3)), quats)
+
+    def test_doubled_quaternions_exit_2(self, tmp_path, capsys):
+        # Every quaternion of a stream doubled: segment used to rescale them all and exit 0.
+        (tmp_path / "walk.txt").write_text("".join(f"{i / 30.0!r} 0.0 0.0 0.0 0.0 0.0 0.0 2.0\n" for i in range(40)))
+        rc = cli.main(["segment", "--input", str(tmp_path / "walk.txt"), "--fps", "30", "--clip-seconds", "1",
+                       "--out", str(tmp_path / "clips")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation", "detail": f"{tmp_path / 'walk.txt'}: quaternion at index 0 has norm 2.0, not within 0.001 of 1"}
