@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +66,7 @@ def _merged_config(cls, args):
         raise
     except ValidationError:
         pass  # a range rule, which the file's values may satisfy
-    return tio.load_json(args.config, decode)[1]
+    return tio.load_json(args.config, decode)
 
 
 def _convention(args) -> AxisConvention:
@@ -87,42 +86,27 @@ def _run(task):
     return _fn(task)
 
 
-def _imap(fn, tasks, workers: int):
-    """Yield fn(task) for each task, in task order, as the results arrive.
+def _map_tasks(fn, tasks, workers: int) -> list:
+    """The list of fn(task) for each task, in task order.
 
-    With more than one worker and task, the tasks run in a process pool,
-    one task per call. Each worker gets fn once, through the pool
+    With more than one worker and task, the tasks run in a process pool of
+    at most one worker per task. Each worker gets fn once, through the pool
     initializer: a stage binds its read-only inputs into fn with
-    functools.partial, so a task carries only its own arguments. At most
-    4 * workers tasks are submitted ahead of the one being yielded, so
-    finished results wait in bounded memory. An error in a task, or closing
-    the generator early, cancels the tasks not yet started and shuts the
-    pool down, its workers joined, before the error leaves the generator.
+    functools.partial, so a task carries only its own arguments. The first
+    failing task in task order raises; the tasks not yet started are
+    cancelled and the workers joined before the error leaves.
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
-        yield from map(fn, tasks)
-        return
+        return list(map(fn, tasks))
     from concurrent.futures import ProcessPoolExecutor  # here, so a stage that never pools does not import it
 
     # A forked pool starts all max_workers processes at the first submit.
-    workers = min(workers, len(tasks))
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_fn, initargs=(fn,))
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)), initializer=_set_fn, initargs=(fn,))
     try:
-        futures = deque()
-        for task in tasks:
-            if len(futures) == 4 * workers:
-                yield futures.popleft().result()
-            futures.append(pool.submit(_run, task))
-        while futures:
-            yield futures.popleft().result()
+        return list(pool.map(_run, tasks))
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _map_tasks(fn, tasks, workers: int) -> list:
-    """The list of fn(task) for each task, in task order (see _imap)."""
-    return list(_imap(fn, tasks, workers))
 
 
 # A clip task is (manifest index, entry[, lo, hi]); the worker parses the clip's pose file.
@@ -240,7 +224,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _, spec = tio.load_json(args.spec, lambda doc: schema.load(SynthFile, doc))
+    spec = tio.load_json(args.spec, lambda doc: schema.load(SynthFile, doc))
     traj = generate(spec.trajectory)
     # Counts past MAX_BOXES and a landmark clip_seconds that plans no clip raise here, before anything is written.
     per_frame = spec.detections.counts(len(traj)) if spec.detections is not None else None
@@ -270,7 +254,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    _, doc = tio.load_json(args.input, schema.decoder(LossInput))
+    doc = tio.load_json(args.input, schema.decoder(LossInput))
     # Overflow gives inf or nan, which the check below rejects instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         reg, _ = loss_reg(doc.pred_waypoints, doc.gt_waypoints)

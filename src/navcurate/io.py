@@ -507,7 +507,9 @@ def read_text(path) -> str:
 def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajectory:
     """Parse a TUM-style pose file into a RawTrajectory.
 
-    The trajectory id defaults to the filename stem. np.loadtxt decides
+    The trajectory id defaults to the filename stem. The id and fps are
+    checked before the file is opened, so a bad argument fails at once,
+    as ValidationError, even for an absent file. np.loadtxt decides
     what is accepted, reading the opened stream as strict UTF-8; orjson
     reads a subset of that language to the same bits (see
     :func:`_pose_values`), and any other file goes to np.loadtxt whole.
@@ -516,6 +518,8 @@ def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajecto
     file for negative or non-monotonic timestamps or bad quaternions.
     """
     path = Path(path)
+    traj_id = path.stem if traj_id is None else traj_id
+    _check_id_and_fps(traj_id, fps)  # faults of the arguments, not of the file
     with _open_input(path) as fh:
         if (data := _pose_values(fh)) is None:
             fh.seek(0)
@@ -535,8 +539,6 @@ def parse_pose_file(path, fps: float, traj_id: str | None = None) -> RawTrajecto
                     raise ParseError(str(exc), path=str(path)) from None
     if data.size == 0:
         raise ValidationError(f"{path}: pose file contains no poses")
-    traj_id = path.stem if traj_id is None else traj_id
-    _check_id_and_fps(traj_id, fps)  # faults of the arguments, not of the file
     try:
         return RawTrajectory(traj_id, fps, data[:, 0], data[:, 1:4], data[:, 4:8])
     except ValidationError as exc:
@@ -665,7 +667,7 @@ def _loads(text: str, path, line: int | None = None, loads=json.loads):
 
 
 def load_json(path, decode):
-    """(doc, decode(doc)) for the JSON document doc in path; invalid JSON raises ParseError naming its line.
+    """decode(doc) for the JSON document doc in path; invalid JSON raises ParseError naming its line.
 
     Each number past the float range is kept as written (``_as_written``),
     so no type rule takes it and the error quotes the file's ``1e400``, not
@@ -673,7 +675,7 @@ def load_json(path, decode):
     """
     doc = _loads(read_text(path), path, loads=_as_written)
     try:
-        return doc, decode(doc)
+        return decode(doc)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

@@ -165,7 +165,7 @@ def read_manifest(clip_dir) -> list[ClipEntry]:
                     raise ValidationError(f"{manifest_path}: clip entries {j} and {i} share the {field} {value!r}")
         return entries
 
-    return load_json(manifest_path, decode)[1]
+    return load_json(manifest_path, decode)
 
 
 def load_clip(clip_dir, entry: ClipEntry, index: int) -> RawTrajectory:

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,10 @@ def quat_close(q1, q2, tol: float = 1e-9) -> bool:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Each test leaves no child process behind: a pool shuts down, its workers joined, however its tasks end."""
+    yield
+    assert multiprocessing.active_children() == []

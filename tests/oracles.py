@@ -269,8 +269,9 @@ class Pose:
     """A timestamped camera pose in the world frame.
 
     position is a 3-vector in meters; orientation is the camera-to-world
-    unit quaternion (x, y, z, w). Inputs are renormalized at construction;
-    a quaternion with norm below 1e-3 is rejected.
+    unit quaternion (x, y, z, w). As in RawTrajectory, a quaternion whose
+    norm is within io.QUAT_NORM_TOL of 1 is renormalized at construction;
+    any other is rejected.
     """
 
     timestamp: float
@@ -287,6 +288,9 @@ class Pose:
         if not np.all(np.isfinite(pos)):
             raise ValidationError("position components must be finite")
         quat = quat_normalize(self.orientation)
+        norm = float(np.linalg.norm(self.orientation))
+        if abs(norm - 1.0) > tio.QUAT_NORM_TOL:
+            raise ValidationError(f"quaternion has norm {norm!r}, not within {tio.QUAT_NORM_TOL} of 1")
         pos.flags.writeable = False
         quat.flags.writeable = False
         object.__setattr__(self, "timestamp", ts)

@@ -13,7 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
-from concurrent.futures import Future
+import time
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +138,11 @@ class TestSegmentCommand:
         rc = main(["segment", "--input", str(tmp_path / "nope.txt"), "--fps", "10", "--out", str(tmp_path / "c")])
         assert rc == 4
         assert json.loads(capsys.readouterr().err.strip())["error"] == "io"
+
+    def test_bad_fps_for_a_missing_input_exits_2(self, tmp_path, capsys):
+        rc = main(["segment", "--input", str(tmp_path / "absent.txt"), "--fps", "0", "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "validation"
 
     @pytest.mark.parametrize("traj_id", ["a\rb", "a\nb", "a\r\nb", "a\n"], ids=repr)
     def test_traj_id_holding_a_line_break_exits_2(self, tmp_path, capsys, traj_id):
@@ -1691,6 +1696,16 @@ class TestLiteralInConfigError:
         assert main(argv) == 0
 
 
+def _fail_late_or_now(task: int) -> int:
+    """Task 0 fails after 0.2 s and task 1 at once; any other task returns itself."""
+    if task == 0:
+        time.sleep(0.2)
+        raise ValueError("task 0")
+    if task == 1:
+        raise KeyError("task 1")
+    return task
+
+
 class TestWorkersEnv:
     @pytest.mark.parametrize("value", ["0", "-3"], ids=["flag-0", "flag--3"])
     def test_below_one_exits_2(self, tmp_path, capsys, value):
@@ -1705,22 +1720,22 @@ class TestWorkersEnv:
         assert json.loads(lines[0])["error"] == "validation"
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_imap_yields_in_task_order(self, workers):
-        # 20 tasks outrun the 4 * workers submit-ahead window at 3 workers.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_map_tasks_returns_in_task_order(self, workers):
         tasks = list(range(-20, 0))
-        assert list(cli._imap(functools.partial(divmod, 7), tasks, workers)) == [divmod(7, t) for t in tasks]
-        assert list(cli._imap(functools.partial(divmod, 7), tasks, 2)) == [divmod(7, t) for t in tasks]
+        assert cli._map_tasks(functools.partial(divmod, 7), tasks, workers) == [divmod(7, t) for t in tasks]
 
-    def test_imap_closed_early_leaves_no_worker(self):
-        results = cli._imap(functools.partial(divmod, 7), list(range(1, 200)), 2)
-        assert next(results) == (7, 0)
-        results.close()
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_map_tasks_error_in_a_task_leaves_no_worker(self, workers):
+        with pytest.raises(ZeroDivisionError):
+            cli._map_tasks(functools.partial(divmod, 7), [1, 2, 0, 3, 4, 5, 6, 7, 8, 9], workers)
         assert multiprocessing.active_children() == []
 
-    def test_imap_error_in_a_task_leaves_no_worker(self):
-        with pytest.raises(ZeroDivisionError):
-            list(cli._imap(functools.partial(divmod, 7), [1, 2, 0, 3, 4, 5, 6, 7, 8, 9], 2))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_map_tasks_raises_the_first_failure_in_task_order(self, workers):
+        # Task 1 fails first in time, but task 0's error is the one raised, at any worker count.
+        with pytest.raises(ValueError, match="task 0"):
+            cli._map_tasks(_fail_late_or_now, list(range(6)), workers)
         assert multiprocessing.active_children() == []
 
     def test_pool_capped_at_task_count(self, monkeypatch):
@@ -1733,16 +1748,14 @@ class TestWorkersEnv:
                 started.append(max_workers)
                 initializer(*initargs)
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, tasks):
+                return map(fn, tasks)
 
             def shutdown(self, cancel_futures=False):
                 pass
 
         monkeypatch.setattr(cli, "_fn", None)  # the inline initializer sets it in this process
-        # _imap imports the pool class from concurrent.futures only when it pools.
+        # _map_tasks imports the pool class from concurrent.futures only when it pools.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert cli._map_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]

@@ -17,6 +17,7 @@ from navcurate.geometry import (
     quat_rotate,
     yaw_many,
 )
+from navcurate.io import QUAT_NORM_TOL
 
 from conftest import quat_close, random_pose, random_unit_quat
 from oracles import (
@@ -52,8 +53,14 @@ LEVEL_FORWARD_X = quat_from_axis_angle([0.0, 1.0, 0.0], 90.0)  # camera +Z -> wo
 
 class TestPose:
     def test_renormalizes_quaternion(self):
-        p = Pose(1.0, np.zeros(3), [0.0, 0.0, 0.0, 2.0])
+        p = Pose(1.0, np.zeros(3), [0.0, 0.0, 0.0, 1.0005])
         assert np.allclose(p.orientation, [0.0, 0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("w", [2.0, 1.0 + 1.01 * QUAT_NORM_TOL, 1.0 - 1.01 * QUAT_NORM_TOL])
+    def test_rejects_quaternion_off_unit_norm(self, w):
+        # The bound RawTrajectory applies: a norm off 1 by more than QUAT_NORM_TOL is rejected, never rescaled.
+        with pytest.raises(ValidationError, match="not within"):
+            Pose(1.0, np.zeros(3), [0.0, 0.0, 0.0, w])
 
     def test_rejects_near_zero_quaternion(self):
         with pytest.raises(ValidationError):

@@ -175,6 +175,12 @@ class TestPoseFile:
         with pytest.raises(ValidationError, match="fps"):
             RawTrajectory("t", fps, [0.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]])
 
+    @pytest.mark.parametrize("fps, traj_id", [(0, None), (math.nan, None), (10.0, "a/b")], ids=["fps-0", "fps-nan", "id-a/b"])
+    def test_arguments_checked_before_the_file_is_opened(self, tmp_path, fps, traj_id):
+        # A bad --fps or --traj-id fails at once, not after a long stream is parsed, nor as an absent file.
+        with pytest.raises(ValidationError, match="fps|trajectory id"):
+            parse_pose_file(tmp_path / "absent.txt", fps, traj_id=traj_id)
+
     def test_int_fps_stored_as_float(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("0 0 0 0 0 0 0 1\n")
