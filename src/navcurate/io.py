@@ -122,6 +122,9 @@ __all__ = [
 MIN_QUAT_NORM = 1e-3
 # A quaternion whose norm is further from 1 is rejected, never rescaled: text written at 6-7 digits drifts ~1e-6.
 QUAT_NORM_TOL = 1e-3
+# The most waypoints in a prediction record and in a sample's horizon: eval's Frechet kernel takes
+# (k + 1)^2 Python steps per batch, so one record of 100,000 waypoints would run for hours.
+MAX_HORIZON = 1_000
 
 
 def _name_fault(name: str, value: str) -> str | None:
@@ -380,6 +383,7 @@ class PredictionRecord:
          "predicted and ground_truth must have equal length >= 1, got {len(predicted)} vs {len(ground_truth)}"),
         ("predicted_arrival is None or 0.0 <= predicted_arrival <= 1.0",
          "predicted_arrival must be in [0, 1], got {predicted_arrival!r}"),
+        ("len(predicted) <= MAX_HORIZON", "predicted must hold at most {MAX_HORIZON} waypoints, got {len(predicted)}"),
     )
     __post_init__ = schema.check
 

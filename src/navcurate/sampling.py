@@ -38,7 +38,7 @@ import numpy as np
 from . import schema
 from .errors import ValidationError
 from .geometry import AxisConvention, DEFAULT_CONVENTION, ego_waypoints_many
-from .io import LandmarkAnnotation, RawTrajectory, TrainingSample
+from .io import MAX_HORIZON, LandmarkAnnotation, RawTrajectory, TrainingSample
 
 __all__ = [
     "SamplerConfig",
@@ -74,6 +74,7 @@ class SamplerConfig:
     rules = (
         ("history_len >= 1 and horizon >= 1", "history_len and horizon must be >= 1"),
         ("history_len <= MAX_HISTORY_LEN", "history_len must be at most {MAX_HISTORY_LEN} frames, got {history_len}"),
+        ("horizon <= MAX_HORIZON", "horizon must be at most {MAX_HORIZON} waypoints, got {horizon}"),
         ("0 < min_offset <= max_offset", "need 0 < min_offset <= max_offset, got {min_offset}, {max_offset}"),
         ("0 <= arrival_window < min_offset", "arrival_window must be in [0, min_offset)"),
         ("0.0 <= arrival_fraction <= 1.0", "arrival_fraction must be in [0, 1], got {arrival_fraction!r}"),

@@ -1275,6 +1275,20 @@ class TestEvalCommand:
         assert outcomes[0][0] == 2 and outcomes[0][1]["detail"].startswith("PATH:2: ")
         assert not (tmp_path / "m.json").exists()
 
+    def test_record_past_max_horizon_exits_2(self, tmp_path, capsys):
+        # A record of 100,000 waypoints made eval allocate 149 GiB, or run its Frechet kernel for hours.
+        lines = [
+            {"sample_id": "s0", "predicted": [[1.0, 0.0]] * 1000, "ground_truth": [[1.0, 0.5]] * 1000},
+            {"sample_id": "s1", "predicted": [[1.0, 0.0]] * 1001, "ground_truth": [[1.0, 0.5]] * 1001},
+        ]
+        pred_path = tmp_path / "pred.jsonl"
+        pred_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out = tmp_path / "metrics.json"
+        assert main(["eval", "--pred", str(pred_path), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation", "detail": f"{pred_path}:2: predicted must hold at most 1000 waypoints, got 1001"}
+        assert not out.exists()
+
     def test_non_finite_metric_exits_2(self, tmp_path):
         lines = [
             {"sample_id": "s0", "predicted": [[1.0, 0.0]], "ground_truth": [[1.0, 0.0]]},
@@ -1985,6 +1999,21 @@ class TestOverflowingValues:
             record = self._check(proc, 2, "validation")
             assert record["detail"] == f"history_len must be at most 10000 frames, got {history_len}"
             assert not (pipeline_dir / "s.jsonl").exists()
+
+    @pytest.mark.parametrize("horizon", ["1001", "1000"])
+    def test_samples_horizon_is_bounded(self, pipeline_dir, capsys, horizon):
+        # eval's Frechet kernel takes (k + 1)^2 steps per batch: samples wrote records of any horizon for it.
+        (pipeline_dir / "ok.accepted").write_text("walk_0000\nwalk_0001\n")
+        argv = _manifest_reader_argv(pipeline_dir, "samples", "1")
+        rc = main([*argv, "--world-up=-y", "--horizon", horizon])
+        err = capsys.readouterr().err
+        if horizon == "1000":
+            # 1000 passes the bound; a 600-frame clip holds no 1000-waypoint horizon, so no sample is drawn.
+            assert (rc, json.loads(err)["error"]) == (3, "empty")
+        else:
+            assert rc == 2
+            assert json.loads(err) == {"error": "validation", "detail": "horizon must be at most 1000 waypoints, got 1001"}
+            assert not (pipeline_dir / "s.jsonl").exists() and not (pipeline_dir / "s.jsonl.manifest.json").exists()
 
     @pytest.mark.parametrize("draws", ["1" + "0" * 20, "10001"])
     def test_samples_draws_are_bounded(self, pipeline_dir, draws):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from navcurate.errors import EmptyResult, ValidationError
 from navcurate.io import PredictionRecord
@@ -188,6 +189,14 @@ class TestDiscreteFrechet:
             hausdorff = max(d.min(axis=1).max(), d.min(axis=0).max())
             assert one_row(_frechet_many, p[1:], q[1:]) >= hausdorff - 1e-12
 
+    def test_long_horizon_batch_equals_scalar_dp(self, rng):
+        gt = np.cumsum(rng.uniform(-0.5, 1.0, size=(3, 200, 2)), axis=1)
+        pred = gt + rng.normal(0.0, 0.3, size=gt.shape)
+        pred[1] = gt[1]
+        got = _frechet_many(pred, gt).tolist()
+        assert [repr(value) for value in got] == [repr(oracles.discrete_frechet(p, g)) for p, g in zip(pred, gt)]
+        assert got[1] == 0.0
+
     def test_rigid_rotation_invariance(self, rng):
         p = rng.uniform(-5, 5, size=(6, 2))
         q = rng.uniform(-5, 5, size=(6, 2))
@@ -353,14 +362,42 @@ def test_evaluate_equals_fold_across_batches(rng):
     assert repr(evaluate(prediction_table_of(records))) == repr(fold_sample_metrics(records))
 
 
-def _waypoints(k):
-    return st.lists(st.tuples(_coord, _coord), min_size=k, max_size=k)
+# Past the float range when differenced or squared, or not finite at all.
+_extreme = st.sampled_from([1e200, -1e308, 1.7e308, math.inf, -math.inf, math.nan])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8).flatmap(_waypoints), st.integers(1, 8).flatmap(_waypoints))
-def test_discrete_frechet_equals_scalar_dp(pred, gt):
-    assert repr(one_row(_frechet_many, pred, gt)) == repr(oracles.discrete_frechet(pred, gt))
+@st.composite
+def _frechet_batch(draw):
+    """(N, n, 2) and (N, m, 2) batches, N <= 20 and n, m <= 40, rows scaled from 1e-12 to 1e3.
+
+    Some coordinates are replaced by extreme values, so that some rows' distances overflow or are NaN
+    while the other rows of the batch stay finite.
+    """
+    rows, n, m = draw(st.integers(1, 20)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    scales = 10.0 ** np.array(draw(st.lists(st.integers(-12, 3), min_size=rows, max_size=rows)), dtype=float)
+    pred = draw(hnp.arrays(float, (rows, n, 2), elements=_coord)) * scales[:, None, None]
+    gt = draw(hnp.arrays(float, (rows, m, 2), elements=_coord)) * scales[:, None, None]
+    spoils = st.tuples(st.booleans(), st.integers(0, rows - 1), st.integers(0, 39), st.integers(0, 1), _extreme)
+    for on_pred, row, index, axis, value in draw(st.lists(spoils, max_size=rows)):
+        side = pred if on_pred else gt
+        side[row, index % side.shape[1], axis] = value
+    return pred, gt
+
+
+@settings(max_examples=100, deadline=None)
+@given(_frechet_batch())
+def test_discrete_frechet_equals_scalar_dp(batch):
+    # Row by row over whole batches: a kernel that mixed the rows of a batch would fail here.
+    pred, gt = batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _frechet_many(pred, gt).tolist()
+        for row, value in enumerate(got):
+            if np.isfinite(pred[row]).all() and np.isfinite(gt[row]).all():
+                assert repr(value) == repr(oracles.discrete_frechet(pred[row], gt[row]))
+            else:
+                # Every coupling passes the non-finite waypoint. The scalar DP's max and min can drop a NaN, so
+                # it is no oracle here.
+                assert not math.isfinite(value)
 
 
 def _oracle_orientation(pred, gt):

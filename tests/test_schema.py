@@ -366,6 +366,7 @@ def test_config_flags_are_the_config_fields(command, config):
 CLIP = ClipEntry("c", "s", 30.0, 0, 10, "c.txt")
 STRAIGHT = SynthSpec("straight")
 SPAN = DetectionSpan(0, 2, 1)
+PREDICTION = PredictionRecord("s", ((1.0, 0.0),), ((1.0, 0.5),))
 
 # (valid object, fields to replace, the full message). A case that replaces one
 # field breaks one rule; one that replaces two breaks two rules and pins the one
@@ -379,6 +380,8 @@ RANGE_RULES = [
     (FilterConfig(), {"window_seconds": -1.0, "divergence_max_deg": 0.0}, "divergence_max_deg must be positive, got 0.0"),
     (SamplerConfig(), {"history_len": 0}, "history_len and horizon must be >= 1"),
     (SamplerConfig(), {"horizon": 0}, "history_len and horizon must be >= 1"),
+    (SamplerConfig(), {"history_len": 10_000, "horizon": 1001}, "horizon must be at most 1000 waypoints, got 1001"),
+    (SamplerConfig(), {"horizon": 1001, "history_len": 10_001}, "history_len must be at most 10000 frames, got 10001"),
     (SamplerConfig(), {"min_offset": 0}, "need 0 < min_offset <= max_offset, got 0, 60"),
     (SamplerConfig(), {"min_offset": 20, "max_offset": 10}, "need 0 < min_offset <= max_offset, got 20, 10"),
     (SamplerConfig(), {"arrival_window": 10}, "arrival_window must be in [0, min_offset)"),
@@ -396,6 +399,10 @@ RANGE_RULES = [
     *[(LossWeights(), {name: -1.0}, f"{name} must be non-negative, got -1.0")
       for name in ("lambda_reg", "lambda_ori", "lambda_arr", "lambda_hall")],
     (LossWeights(), {"lambda_hall": -2.0, "lambda_ori": -1.0}, "lambda_ori must be non-negative, got -1.0"),
+    (PREDICTION, {"predicted": ((1.0, 0.0),) * 1001, "ground_truth": ((1.0, 0.5),) * 1001},
+     "predicted must hold at most 1000 waypoints, got 1001"),
+    (PREDICTION, {"predicted": ((1.0, 0.0),) * 1001},
+     "predicted and ground_truth must have equal length >= 1, got 1001 vs 1"),
     (CLIP, {"clip_id": ""}, "clip_id and source_id must be non-empty"),
     (CLIP, {"source_id": ""}, "clip_id and source_id must be non-empty"),
     (CLIP, {"file": ""}, "clip file must be non-empty"),
